@@ -33,13 +33,10 @@ __all__ = [
     "tf_outer",
 ]
 
-_SHAPE_CHECK_CALLS = 2  # evaluator output is shape-checked this many times
-
-
 class TensorField:
     """Rank-q tensor field over R^n, evaluated pointwise."""
 
-    __slots__ = ("n", "q", "_func", "_grad", "_dt", "depth", "name", "_checks_left")
+    __slots__ = ("n", "q", "_func", "_grad", "_dt", "depth", "name")
 
     def __init__(
         self,
@@ -62,7 +59,6 @@ class TensorField:
         self._dt = dt
         self.depth = depth
         self.name = name or "field"
-        self._checks_left = _SHAPE_CHECK_CALLS
 
     @property
     def has_gradient(self) -> bool:
@@ -75,13 +71,11 @@ class TensorField:
     def values(self, x, t: float = 0.0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         out = np.asarray(self._func(x, t), dtype=float)
-        if self._checks_left > 0:
-            self._checks_left -= 1
-            if out.shape != (self.n,) * self.q:
-                raise ShapeError(
-                    f"field '{self.name}' returned shape {out.shape}, "
-                    f"expected {(self.n,) * self.q}"
-                )
+        if out.shape != (self.n,) * self.q:
+            raise ShapeError(
+                f"field '{self.name}' returned shape {out.shape}, "
+                f"expected {(self.n,) * self.q}"
+            )
         return out
 
     def gradient_values(self, x, t: float = 0.0) -> np.ndarray:

@@ -360,22 +360,6 @@ def _perm_sign(p) -> int:
     return sign
 
 
-def _perp_matrix_eps(normals: np.ndarray) -> np.ndarray:
-    """Quarter-turn matrix by Levi-Civita contraction (basis-free route)."""
-    m, n = normals.shape
-    if n > 6:
-        raise GeometryError("Levi-Civita quarter turn supports n <= 6")
-    Q = np.zeros((n, n))
-    for p in permutations(range(n)):
-        s = _perm_sign(p)
-        b, a, ks = p[0], p[1], p[2:]
-        prod = float(s)
-        for i in range(m):
-            prod *= normals[i][ks[i]]
-        Q[a, b] += prod
-    return Q
-
-
 def _perp_matrix_derivative(normals: np.ndarray, normals_d: np.ndarray) -> np.ndarray:
     """d Q_{ab} / d x_k via the Levi-Civita contraction
     Q_{ab} = eps_{b a k1..km} (n_1)_{k1} ... (n_m)_{km}."""

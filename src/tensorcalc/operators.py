@@ -133,10 +133,6 @@ def cartesian_gradient(f: TensorField, cfg: DiffConfig) -> TensorField:
 
 
 def time_partial(f: TensorField, cfg: DiffConfig) -> TensorField:
-    if f.has_time_derivative and cfg.mode == "analytic":
-        return TensorField(
-            f.n, f.q, lambda x, t: f.dt_values(x, t), depth=f.depth, name=f"dt({f.name})"
-        )
     if f.has_time_derivative:
         # exact providers are cheap and introduce no noise; use them in FD
         # modes as well (constructors only attach them when exact)

@@ -155,37 +155,6 @@ class Atlas:
     def closed(self) -> bool:
         return all(not c.boundary_sides for c in self.charts)
 
-    def restrict(
-        self,
-        chart_index: int,
-        axis: int,
-        lo: float,
-        hi: float,
-        new_boundaries: Sequence[int] = (0, 1),
-    ) -> "Atlas":
-        """Sub-patch of one chart: shrink one axis and declare the cut ends
-        as boundary.  ``new_boundaries`` picks which ends (0: lower, 1: upper)
-        become boundary sides."""
-        c = self.charts[chart_index]
-        nlo, nhi = c.lo.copy(), c.hi.copy()
-        nlo[axis], nhi[axis] = lo, hi
-        periodic = list(c.periodic)
-        periodic[axis] = False
-        sides = [s for s in c.boundary_sides if s[0] != axis]
-        sides += [(axis, e) for e in new_boundaries]
-        sub = Chart(
-            nlo,
-            nhi,
-            c.mapping,
-            jacobian=c._jacobian,
-            periodic=periodic,
-            order=c.order,
-            panels=c.panels,
-            boundary_sides=sides,
-            name=f"{c.name}|axis{axis}",
-        )
-        return Atlas(self.geometry, [sub], name=f"{self.name}-patch")
-
 
 @dataclass
 class BoundaryPoint:

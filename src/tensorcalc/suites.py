@@ -1,10 +1,21 @@
 """Named verification suites: each one turns a family of identities into
 check records with pinned tolerances.
 
-Suites that exercise derivative machinery run every check twice, once in the
-configured finite-difference mode and once with analytic frames and field
-gradients, so a report shows both the discretization floor and the exact
-algebra.  Purely algebraic suites run once.
+A suite is data: a setup that builds its seeded inputs (cases, atlases,
+fields) and returns an ordered table of ``Check`` rows.  One runner,
+``Suite.__call__``, owns the policies every suite shares:
+
+- Rows that exercise derivative machinery are per-mode: they run once in
+  the configured finite-difference mode and once with analytic frames and
+  field gradients, so a report shows both the discretization floor and the
+  exact algebra.  Their ids end in ``.<mode>``.  Under ``--fd analytic``
+  they run once.  Every other row runs once, in the configured mode.
+- A row's tolerance is one value or an (fd, analytic) pair; a ``--tol``
+  entry for the full check id replaces it.
+- A suite runs on its default geometry unless ``--geometry`` names one it
+  accepts.  A single suite rejects any other geometry with ``SuiteError``;
+  under ``all`` such a suite falls back to its default geometry.  Suites
+  built on synthetic frames ignore ``--geometry``.
 """
 
 from __future__ import annotations
@@ -12,8 +23,8 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from itertools import product
-from typing import Callable, Dict, List, Optional, Sequence
+from itertools import groupby, product
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -65,6 +76,7 @@ from .operators import (
     surface_curl,
 )
 from .quadrature import (
+    IdentityResult,
     advected_atlas,
     circulation_residual,
     gradient_residual,
@@ -121,17 +133,6 @@ class SuiteConfig:
     def tolerance(self, check_id: str, default: float) -> float:
         return float(self.tol.get(check_id, default))
 
-    def case(self, default_name: str, supported: Sequence[str], **defaults) -> GeometryCase:
-        """The geometry override applies only when the suite supports it."""
-        if self.geometry is None or (self.geometry == default_name and not self.geom_params):
-            return get_case(default_name, **defaults)
-        if self.geometry not in supported:
-            raise SuiteError(
-                f"geometry '{self.geometry}' is not supported here "
-                f"(supported: {', '.join(sorted(supported))})"
-            )
-        return get_case(self.geometry, **self.geom_params)
-
     def echo(self) -> Dict[str, object]:
         return {
             "suite": self.suite,
@@ -147,29 +148,110 @@ class SuiteConfig:
         }
 
 
-def _modes(cfg: SuiteConfig) -> List[str]:
-    return [cfg.fd] if cfg.fd == "analytic" else [cfg.fd, "analytic"]
+# -- the runner -------------------------------------------------------------------
 
 
-def _pick(mode: str, fd: float, analytic: float) -> float:
-    return analytic if mode == "analytic" else fd
+@dataclass
+class Mode:
+    """The derivative mode a row runs in, and the results its rows share."""
+
+    name: str
+    d: DiffConfig
+    shared: Dict[Callable, object] = field(default_factory=dict)
+
+
+def _shared(fn: Callable[[Mode], object]) -> Callable[[Mode], object]:
+    """``fn(mode)``, computed once per mode for every row that asks for it."""
+
+    def get(mode: Mode):
+        if fn not in mode.shared:
+            mode.shared[fn] = fn(mode)
+        return mode.shared[fn]
+
+    return get
+
+
+@dataclass(frozen=True)
+class Check:
+    """One row of a suite table.
+
+    ``value(mode)`` returns a number for a ``bound`` (it must not exceed the
+    tolerance) or a ``floor`` (it must not fall below it), and an
+    ``IdentityResult`` or an ``(lhs, rhs[, pieces])`` tuple for an identity
+    judged by its ``rel`` or ``abs`` residual.  Rows with ``when`` false
+    are left out of the run.
+    """
+
+    stem: str
+    identity: str
+    tol: Union[float, Tuple[float, float]]
+    value: Callable[[Mode], object]
+    kind: str = "bound"
+    per_mode: bool = False
+    when: bool = True
+
+
+def _record(cfg: SuiteConfig, row: Check, mode: Mode) -> CheckRecord:
+    check_id = row.stem + (f".{mode.name}" if row.per_mode else "")
+    tol = row.tol[mode.name == "analytic"] if isinstance(row.tol, tuple) else row.tol
+    tol = cfg.tolerance(check_id, tol)
+    value = row.value(mode)
+    if row.kind == "bound":
+        return make_bound_check(check_id, row.identity, value, tol)
+    if row.kind == "floor":
+        return make_floor_check(check_id, row.identity, value, tol)
+    res = value if isinstance(value, IdentityResult) else IdentityResult(*value)
+    details = {k: (float(np.linalg.norm(v)) if np.ndim(v) else float(v))
+               for k, v in res.pieces.items()}
+    return make_check(check_id, row.identity, res.lhs, res.rhs, tol,
+                      measure=row.kind, details=details)
+
+
+@dataclass
+class Suite:
+    """A suite's setup and the geometries it runs on.
+
+    ``setup(cfg, case)`` builds the seeded inputs and returns the table;
+    ``case`` is None for a suite without a geometry.  ``params`` are the
+    suite's own parameters for its default geometry.
+    """
+
+    setup: Callable[[SuiteConfig, Optional[GeometryCase]], List[Check]]
+    geometry: Optional[str] = None
+    accepts: Tuple[str, ...] = ()
+    params: Dict[str, float] = field(default_factory=dict)
+
+    def case(self, cfg: SuiteConfig) -> Optional[GeometryCase]:
+        if self.geometry is None:
+            return None
+        override = cfg.geometry is not None and (
+            cfg.geometry != self.geometry or bool(cfg.geom_params)
+        )
+        if override and cfg.geometry in self.accepts:
+            return get_case(cfg.geometry, **cfg.geom_params)
+        if override and cfg.suite != "all":
+            raise SuiteError(
+                f"geometry '{cfg.geometry}' is not supported here "
+                f"(supported: {', '.join(sorted(self.accepts))})"
+            )
+        return get_case(self.geometry, **self.params)
+
+    def __call__(self, cfg: SuiteConfig) -> List[CheckRecord]:
+        rows = self.setup(cfg, self.case(cfg))
+        names = [cfg.fd] if cfg.fd == "analytic" else [cfg.fd, "analytic"]
+        modes = [Mode(name, cfg.diff(name)) for name in names]
+        # rows that run once share results only among themselves
+        once = [Mode(cfg.fd, cfg.diff())]
+        records: List[CheckRecord] = []
+        for per_mode, block in groupby(rows, key=lambda row: row.per_mode):
+            block = [row for row in block if row.when]
+            for mode in modes if per_mode else once:
+                records.extend(_record(cfg, row, mode) for row in block)
+        return records
 
 
 def _max_norm(values) -> float:
     return max(float(np.linalg.norm(np.ravel(v))) for v in values)
-
-
-def _check_result(cfg, check_id, identity, result, tol, measure="rel"):
-    details = {k: (float(np.linalg.norm(v)) if np.ndim(v) else float(v))
-               for k, v in result.pieces.items()}
-    return make_check(
-        check_id, identity, result.lhs, result.rhs,
-        cfg.tolerance(check_id, tol), measure=measure, details=details,
-    )
-
-
-def _bound(cfg, check_id, identity, value, tol, details=None):
-    return make_bound_check(check_id, identity, value, cfg.tolerance(check_id, tol), details)
 
 
 def _synthetic_frame(rng: np.random.Generator, n: int, m: int):
@@ -195,7 +277,7 @@ def _rotation_field(scale: float = 1.0, name: str = "spin") -> "vector_field":
 # -- tensor algebra ---------------------------------------------------------------
 
 
-def suite_tensor_algebra(cfg: SuiteConfig) -> List[CheckRecord]:
+def _tensor_algebra(cfg: SuiteConfig, _case) -> List[Check]:
     rng = np.random.default_rng(cfg.seed)
     worst = dict.fromkeys(("insert", "mixed", "assoc", "pairing", "roundtrip"), 0.0)
     for _ in range(1000):
@@ -234,14 +316,18 @@ def suite_tensor_algebra(cfg: SuiteConfig) -> List[CheckRecord]:
         rebuilt = np.stack([c.array for c in t.components()])
         worst["roundtrip"] = max(worst["roundtrip"], float(np.max(np.abs(rebuilt - t.array))))
 
-    rows = [
-        ("algebra.insertion-commute", "left and right insertion commute", "insert"),
-        ("algebra.mixed-contraction", "(S:T).v = S:(T.v)", "mixed"),
-        ("algebra.dot-associative", "(T o S) o R = T o (S o R)", "assoc"),
-        ("algebra.tangential-pairing", "<S,T> = <S, proj T> for tangential S", "pairing"),
-        ("algebra.component-roundtrip", "stacking components rebuilds the tensor", "roundtrip"),
+    return [
+        Check("algebra.insertion-commute", "left and right insertion commute",
+              1e-12, lambda m: worst["insert"]),
+        Check("algebra.mixed-contraction", "(S:T).v = S:(T.v)",
+              1e-12, lambda m: worst["mixed"]),
+        Check("algebra.dot-associative", "(T o S) o R = T o (S o R)",
+              1e-12, lambda m: worst["assoc"]),
+        Check("algebra.tangential-pairing", "<S,T> = <S, proj T> for tangential S",
+              1e-12, lambda m: worst["pairing"]),
+        Check("algebra.component-roundtrip", "stacking components rebuilds the tensor",
+              1e-12, lambda m: worst["roundtrip"]),
     ]
-    return [_bound(cfg, cid, identity, worst[key], 1e-12) for cid, identity, key in rows]
 
 
 # -- projection -------------------------------------------------------------------
@@ -264,7 +350,7 @@ def _project_oracle(arr: np.ndarray, P: np.ndarray) -> np.ndarray:
     return out
 
 
-def suite_projection(cfg: SuiteConfig) -> List[CheckRecord]:
+def _projection(cfg: SuiteConfig, _case) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 1)
     worst_oracle = worst_idem = worst_slot = worst_kill = worst_grow = 0.0
     for _ in range(60):
@@ -298,16 +384,16 @@ def suite_projection(cfg: SuiteConfig) -> List[CheckRecord]:
         )
 
     return [
-        _bound(cfg, "projection.oracle", "recursive projection matches the slotwise sum",
-               worst_oracle, 1e-12),
-        _bound(cfg, "projection.idempotent", "projecting twice changes nothing",
-               worst_idem, 1e-12),
-        _bound(cfg, "projection.kills-normal-slots", "any normal slot contracts to zero",
-               worst_slot, 1e-12),
-        _bound(cfg, "projection.annihilates-normal-factors",
-               "outer chains with a normal factor project to zero", worst_kill, 1e-12),
-        _bound(cfg, "projection.non-expansive", "projection never grows the Frobenius norm",
-               worst_grow, 1e-15),
+        Check("projection.oracle", "recursive projection matches the slotwise sum",
+              1e-12, lambda m: worst_oracle),
+        Check("projection.idempotent", "projecting twice changes nothing",
+              1e-12, lambda m: worst_idem),
+        Check("projection.kills-normal-slots", "any normal slot contracts to zero",
+              1e-12, lambda m: worst_slot),
+        Check("projection.annihilates-normal-factors",
+              "outer chains with a normal factor project to zero", 1e-12, lambda m: worst_kill),
+        Check("projection.non-expansive", "projection never grows the Frobenius norm",
+              1e-15, lambda m: worst_grow),
     ]
 
 
@@ -343,23 +429,33 @@ _CURVATURE_FORMS = {
     "torus": _torus_curvature,
 }
 
-_N3_GEOMETRIES = ["sphere", "hemisphere", "torus", "plane_disk", "circle3d", "helix"]
+
+def _curvature_error(name: str, d: DiffConfig, seed: int) -> float:
+    """Worst relative error of the mean curvature vector on a pinned case."""
+    pinned = get_case(name)
+    kap = mean_curvature(pinned.geometry, d)
+    form = _CURVATURE_FORMS[name](pinned)
+    rel = []
+    for x in pinned.sample_points(4, seed=seed):
+        want = form(np.asarray(x))
+        got = kap.values(x, 0.0)
+        rel.append(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
+    return max(rel)
 
 
-def suite_differential(cfg: SuiteConfig) -> List[CheckRecord]:
-    case = cfg.case("sphere", _N3_GEOMETRIES)
+def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     geom = case.geometry
     rng = np.random.default_rng(cfg.seed + 2)
     points = case.sample_points(5, seed=cfg.seed)
     f = random_polynomial(3, 0, rng, degree=2)
     g = random_polynomial(3, 0, rng, degree=2)
     u0 = random_polynomial(3, 1, rng, degree=2)
-    checks: List[CheckRecord] = []
 
-    for mode in _modes(cfg):
-        d = cfg.diff(mode)
-        tag = f".{mode}"
+    gf = _shared(lambda m: submanifold_gradient(f, geom, m.d))
+    ut = _shared(lambda m: project_field(u0, geom, name="Pu"))
+    pf_u = _shared(lambda m: perp_field(ut(m), geom, m.d))
 
+    def product_rule(m):
         fg = scalar_field(
             3,
             lambda x, t: float(f.values(x, t)) * float(g.values(x, t)),
@@ -369,21 +465,16 @@ def suite_differential(cfg: SuiteConfig) -> List[CheckRecord]:
             ),
             name="fg",
         )
-        gfg = submanifold_gradient(fg, geom, d)
-        gf = submanifold_gradient(f, geom, d)
-        gg = submanifold_gradient(g, geom, d)
-        res = [
+        gfg = submanifold_gradient(fg, geom, m.d)
+        gg = submanifold_gradient(g, geom, m.d)
+        return _max_norm([
             gfg.values(x, 0.0)
             - float(f.values(x, 0.0)) * gg.values(x, 0.0)
-            - float(g.values(x, 0.0)) * gf.values(x, 0.0)
+            - float(g.values(x, 0.0)) * gf(m).values(x, 0.0)
             for x in points
-        ]
-        checks.append(_bound(
-            cfg, "diff.product-rule" + tag,
-            "grad_M(fg) = f grad_M g + g grad_M f",
-            _max_norm(res), _pick(mode, 1e-8, 1e-12),
-        ))
+        ])
 
+    def divergence_product(m):
         fu = vector_field(
             3,
             lambda x, t: float(f.values(x, t)) * u0.values(x, t),
@@ -393,22 +484,17 @@ def suite_differential(cfg: SuiteConfig) -> List[CheckRecord]:
             ),
             name="fu",
         )
-        divfu = divergence(fu, geom, d)
-        divu = divergence(u0, geom, d)
-        res = [
+        divfu = divergence(fu, geom, m.d)
+        divu = divergence(u0, geom, m.d)
+        return _max_norm([
             float(divfu.values(x, 0.0))
             - float(f.values(x, 0.0)) * float(divu.values(x, 0.0))
-            - float(gf.values(x, 0.0) @ u0.values(x, 0.0))
+            - float(gf(m).values(x, 0.0) @ u0.values(x, 0.0))
             for x in points
-        ]
-        checks.append(_bound(
-            cfg, "diff.divergence-product" + tag,
-            "div_M(f u) = f div_M u + grad_M f . u",
-            _max_norm(res), _pick(mode, 1e-8, 1e-12),
-        ))
+        ])
 
-        ut = project_field(u0, geom, name="Pu")
-        gm = submanifold_gradient(ut, geom, d)
+    def gauss_split(m):
+        gm = submanifold_gradient(ut(m), geom, m.d)
         res = []
         for x in points:
             frame = geom.frame_at(x)
@@ -416,282 +502,201 @@ def suite_differential(cfg: SuiteConfig) -> List[CheckRecord]:
             tang = frame.P @ full @ frame.P
             normal_part = np.zeros_like(full)
             for i in range(geom.m):
-                b_i = shape_operator(geom, i, d).values(x, 0.0)
-                bu = ut.values(x, 0.0) @ b_i
+                b_i = shape_operator(geom, i, m.d).values(x, 0.0)
+                bu = ut(m).values(x, 0.0) @ b_i
                 normal_part += np.outer(frame.normals[i], bu)
             res.append(full - (tang - normal_part))
-        checks.append(_bound(
-            cfg, "diff.gauss-split" + tag,
-            "grad_M u = cov grad u - sum_i n_i (x) B_i(u) for tangential u",
-            _max_norm(res), _pick(mode, 1e-5, 1e-8),
-        ))
+        return _max_norm(res)
 
-        if geom.n - geom.m == 2:
-            pf_u = perp_field(ut, geom, d)
-            pf_uu = perp_field(pf_u, geom, d)
-            vt = project_field(random_polynomial(3, 1, rng, degree=1), geom, name="Pv")
-            pf_v = perp_field(vt, geom, d)
-            rg = rotated_gradient(f, geom, d)
-            res_perp, res_anti, res_orth = [], [], []
-            for x in points:
-                res_perp.append(pf_uu.values(x, 0.0) + ut.values(x, 0.0))
-                res_anti.append(
-                    float(pf_u.values(x, 0.0) @ vt.values(x, 0.0))
-                    + float(ut.values(x, 0.0) @ pf_v.values(x, 0.0))
-                )
-                res_orth.append(float(rg.values(x, 0.0) @ gf.values(x, 0.0)))
-            checks.append(_bound(
-                cfg, "diff.perp-involution" + tag,
-                "applying the quarter turn twice negates a tangent vector",
-                _max_norm(res_perp), 1e-10,
-            ))
-            checks.append(_bound(
-                cfg, "diff.perp-antisymmetry" + tag,
-                "u-perp . v = -u . v-perp on the tangent plane",
-                _max_norm(res_anti), 1e-10,
-            ))
-            checks.append(_bound(
-                cfg, "diff.rotated-gradient-orthogonal" + tag,
-                "the rotated gradient is orthogonal to the gradient",
-                _max_norm(res_orth), _pick(mode, 1e-8, 1e-10),
-            ))
+    def perp_involution(m):
+        pf_uu = perp_field(pf_u(m), geom, m.d)
+        return _max_norm([pf_uu.values(x, 0.0) + ut(m).values(x, 0.0) for x in points])
 
-        lap = laplacian(f, geom, d)
-        clap = covariant_laplacian(f, geom, d)
-        res = [float(lap.values(x, 0.0)) - float(clap.values(x, 0.0)) for x in points]
-        checks.append(_bound(
-            cfg, "diff.laplacian-scalar-agree" + tag,
-            "both Laplacians coincide on scalars",
-            _max_norm(res), 1e-10,
-        ))
+    def perp_antisymmetry(m):
+        vt = project_field(random_polynomial(3, 1, rng, degree=1), geom, name="Pv")
+        pf_v = perp_field(vt, geom, m.d)
+        return _max_norm([
+            float(pf_u(m).values(x, 0.0) @ vt.values(x, 0.0))
+            + float(ut(m).values(x, 0.0) @ pf_v.values(x, 0.0))
+            for x in points
+        ])
 
-        for gname, form_for in _CURVATURE_FORMS.items():
-            pinned = get_case(gname)
-            kap = mean_curvature(pinned.geometry, d)
-            form = form_for(pinned)
-            rel = []
-            for x in pinned.sample_points(4, seed=cfg.seed):
-                want = form(np.asarray(x))
-                got = kap.values(x, 0.0)
-                rel.append(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
-            checks.append(_bound(
-                cfg, f"diff.curvature-{gname}" + tag,
-                "mean curvature vector matches the closed form",
-                max(rel), _pick(mode, 1e-5, 1e-9),
-            ))
+    def rotated_orthogonal(m):
+        rg = rotated_gradient(f, geom, m.d)
+        return _max_norm([float(rg.values(x, 0.0) @ gf(m).values(x, 0.0)) for x in points])
 
-    return checks
+    def laplacians_agree(m):
+        lap = laplacian(f, geom, m.d)
+        clap = covariant_laplacian(f, geom, m.d)
+        return _max_norm([float(lap.values(x, 0.0)) - float(clap.values(x, 0.0)) for x in points])
+
+    surface = geom.n - geom.m == 2
+    return [
+        Check("diff.product-rule", "grad_M(fg) = f grad_M g + g grad_M f",
+              (1e-8, 1e-12), product_rule, per_mode=True),
+        Check("diff.divergence-product", "div_M(f u) = f div_M u + grad_M f . u",
+              (1e-8, 1e-12), divergence_product, per_mode=True),
+        Check("diff.gauss-split", "grad_M u = cov grad u - sum_i n_i (x) B_i(u) for tangential u",
+              (1e-5, 1e-8), gauss_split, per_mode=True),
+        Check("diff.perp-involution", "applying the quarter turn twice negates a tangent vector",
+              1e-10, perp_involution, per_mode=True, when=surface),
+        Check("diff.perp-antisymmetry", "u-perp . v = -u . v-perp on the tangent plane",
+              1e-10, perp_antisymmetry, per_mode=True, when=surface),
+        Check("diff.rotated-gradient-orthogonal",
+              "the rotated gradient is orthogonal to the gradient",
+              (1e-8, 1e-10), rotated_orthogonal, per_mode=True, when=surface),
+        Check("diff.laplacian-scalar-agree", "both Laplacians coincide on scalars",
+              1e-10, laplacians_agree, per_mode=True),
+        *(
+            Check(f"diff.curvature-{name}", "mean curvature vector matches the closed form",
+                  (1e-5, 1e-9), lambda m, name=name: _curvature_error(name, m.d, cfg.seed),
+                  per_mode=True)
+            for name in _CURVATURE_FORMS
+        ),
+    ]
 
 
 # -- integral identities ----------------------------------------------------------
 
 
-def suite_stokes(cfg: SuiteConfig) -> List[CheckRecord]:
-    d = cfg.diff()
+def _stokes(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 3)
-    checks: List[CheckRecord] = []
-
     hemi = get_case("hemisphere").atlas(cfg.order, cfg.panels)
-    ez = constant(3, Tensor(3, np.array([0.0, 0.0, 1.0])), name="e_z")
-    res = stokes_residual(hemi, ez, d)
-    checks.append(_check_result(
-        cfg, "stokes.hemisphere-ez",
-        "int div_M e_z = boundary + curvature terms on the upper hemisphere",
-        res, 1e-6,
-    ))
-    checks.append(make_check(
-        "stokes.hemisphere-ez-boundary",
-        "the equator circulation term of e_z is -2 pi",
-        float(res.pieces["boundary"]), -2.0 * math.pi,
-        cfg.tolerance("stokes.hemisphere-ez-boundary", 1e-6),
-    ))
-    checks.append(make_check(
-        "stokes.hemisphere-ez-curvature",
-        "the curvature term of e_z is +2 pi",
-        float(res.pieces["curvature"]), 2.0 * math.pi,
-        cfg.tolerance("stokes.hemisphere-ez-curvature", 1e-6),
-    ))
-
     sphere = get_case("sphere").atlas(cfg.order, cfg.panels)
-    checks.append(_bound(
-        cfg, "stokes.closed-sphere",
-        "every term of the divergence identity vanishes on a closed sphere",
-        stokes_residual(sphere, _rotation_field(), d).abs_residual, 1e-8,
-    ))
-
-    case = cfg.case("torus", _N3_GEOMETRIES)
     generic = case.atlas(cfg.order, cfg.panels)
-    checks.append(_check_result(
-        cfg, "stokes.rank1-generic",
-        "divergence identity for a random covector field",
-        stokes_residual(generic, random_polynomial(3, 1, rng, degree=2), d), 1e-6,
-    ))
-    checks.append(_check_result(
-        cfg, "stokes.rank2",
-        "divergence identity for a random rank-2 field",
-        stokes_residual(hemi, random_polynomial(3, 2, rng, degree=2), d), 1e-6,
-    ))
-
-    gres = gradient_residual(hemi, coordinate(3, 2), d)
-    checks.append(_check_result(
-        cfg, "stokes.gradient-corollary",
-        "int grad_M f = boundary + curvature terms, f = z",
-        gres, 1e-6,
-    ))
-    checks.append(make_check(
-        "stokes.gradient-corollary-value",
-        "int grad_M z over the hemisphere is 4 pi / 3 vertically",
-        float(np.asarray(gres.lhs)[2]), 4.0 * math.pi / 3.0,
-        cfg.tolerance("stokes.gradient-corollary-value", 1e-6),
-    ))
-
-    checks.append(_check_result(
-        cfg, "stokes.integration-by-parts",
-        "int S : div_M T + int T : grad_M S balances the boundary terms",
-        integration_by_parts(
-            hemi,
-            random_polynomial(3, 1, rng, degree=1),
-            random_polynomial(3, 2, rng, degree=2),
-            d,
-        ),
-        1e-5,
-    ))
-
     helix = get_case("helix")
     arc = helix.atlas(cfg.order, cfg.panels)
-    worst = 0.0
-    for q in (0, 1, 2):
-        fq = random_polynomial(3, q, rng, degree=2)
-        worst = max(worst, path_ftc_residual(arc, fq, helix.velocity, d).rel_residual)
-    checks.append(_bound(
-        cfg, "stokes.path-gradient-theorem",
-        "line integral of the tangential derivative matches endpoint values",
-        worst, 1e-6,
-    ))
-    return checks
+    ez = constant(3, Tensor(3, np.array([0.0, 0.0, 1.0])), name="e_z")
+
+    ez_res = _shared(lambda m: stokes_residual(hemi, ez, m.d))
+    z_res = _shared(lambda m: gradient_residual(hemi, coordinate(3, 2), m.d))
+
+    def path_theorem(m):
+        return max(
+            path_ftc_residual(arc, random_polynomial(3, q, rng, degree=2), helix.velocity,
+                              m.d).rel_residual
+            for q in (0, 1, 2)
+        )
+
+    return [
+        Check("stokes.hemisphere-ez",
+              "int div_M e_z = boundary + curvature terms on the upper hemisphere",
+              1e-6, ez_res, kind="rel"),
+        Check("stokes.hemisphere-ez-boundary", "the equator circulation term of e_z is -2 pi",
+              1e-6, lambda m: (float(ez_res(m).pieces["boundary"]), -2.0 * math.pi),
+              kind="rel"),
+        Check("stokes.hemisphere-ez-curvature", "the curvature term of e_z is +2 pi",
+              1e-6, lambda m: (float(ez_res(m).pieces["curvature"]), 2.0 * math.pi),
+              kind="rel"),
+        Check("stokes.closed-sphere",
+              "every term of the divergence identity vanishes on a closed sphere",
+              1e-8, lambda m: stokes_residual(sphere, _rotation_field(), m.d).abs_residual),
+        Check("stokes.rank1-generic", "divergence identity for a random covector field",
+              1e-6, lambda m: stokes_residual(generic, random_polynomial(3, 1, rng, degree=2),
+                                              m.d),
+              kind="rel"),
+        Check("stokes.rank2", "divergence identity for a random rank-2 field",
+              1e-6, lambda m: stokes_residual(hemi, random_polynomial(3, 2, rng, degree=2), m.d),
+              kind="rel"),
+        Check("stokes.gradient-corollary", "int grad_M f = boundary + curvature terms, f = z",
+              1e-6, z_res, kind="rel"),
+        Check("stokes.gradient-corollary-value",
+              "int grad_M z over the hemisphere is 4 pi / 3 vertically",
+              1e-6, lambda m: (float(np.asarray(z_res(m).lhs)[2]), 4.0 * math.pi / 3.0),
+              kind="rel"),
+        Check("stokes.integration-by-parts",
+              "int S : div_M T + int T : grad_M S balances the boundary terms",
+              1e-5, lambda m: integration_by_parts(
+                  hemi,
+                  random_polynomial(3, 1, rng, degree=1),
+                  random_polynomial(3, 2, rng, degree=2),
+                  m.d,
+              ),
+              kind="rel"),
+        Check("stokes.path-gradient-theorem",
+              "line integral of the tangential derivative matches endpoint values",
+              1e-6, path_theorem),
+    ]
 
 
-def suite_curl(cfg: SuiteConfig) -> List[CheckRecord]:
+def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 4)
-    supported = ["plane_disk", "hemisphere", "sphere", "torus"]
-    case = cfg.case("plane_disk", supported)
     spin = _rotation_field()
     disk = get_case("plane_disk")
     disk_atlas = disk.atlas(cfg.order, cfg.panels)
     sph = get_case("sphere")
     f = random_polynomial(3, 0, rng, degree=2)
-    checks: List[CheckRecord] = []
 
-    for mode in _modes(cfg):
-        d = cfg.diff(mode)
-        tag = f".{mode}"
+    def plane_uniform(m):
+        curl = surface_curl(spin, disk.geometry, m.d)
+        return _max_norm(
+            [float(curl.values(x, 0.0)) - 2.0 for x in disk.sample_points(4, seed=cfg.seed)]
+        )
 
-        curl = surface_curl(spin, disk.geometry, d)
-        res = [float(curl.values(x, 0.0)) - 2.0 for x in disk.sample_points(4, seed=cfg.seed)]
-        checks.append(_bound(
-            cfg, "curl.plane-uniform" + tag,
-            "the planar rotation field has constant scalar curl 2",
-            _max_norm(res), _pick(mode, 1e-8, 1e-8),
-        ))
+    def curl_of_gradient(m):
+        cg = surface_curl(submanifold_gradient(f, sph.geometry, m.d), sph.geometry, m.d)
+        return _max_norm([float(cg.values(x, 0.0)) for x in sph.sample_points(4, seed=cfg.seed)])
 
-        cg = surface_curl(submanifold_gradient(f, sph.geometry, d), sph.geometry, d)
-        res = [float(cg.values(x, 0.0)) for x in sph.sample_points(4, seed=cfg.seed)]
-        checks.append(_bound(
-            cfg, "curl.curl-of-gradient" + tag,
-            "the surface curl of a tangential gradient vanishes",
-            _max_norm(res), _pick(mode, 1e-5, 1e-8),
-        ))
+    disk_res = _shared(lambda m: circulation_residual(disk_atlas, spin, m.d))
 
-    d = cfg.diff()
-    res = circulation_residual(disk_atlas, spin, d)
-    checks.append(_check_result(
-        cfg, "curl.circulation-disk",
-        "int curl u over the disk equals the boundary circulation",
-        res, 1e-8,
-    ))
-    checks.append(make_check(
-        "curl.circulation-disk-value",
-        "the unit-disk circulation of the rotation field is 2 pi",
-        float(np.asarray(res.rhs)), 2.0 * math.pi,
-        cfg.tolerance("curl.circulation-disk-value", 1e-8),
-    ))
-    checks.append(_check_result(
-        cfg, "curl.circulation-hemisphere",
-        "int curl u over the hemisphere equals the equator circulation",
-        circulation_residual(get_case("hemisphere").atlas(cfg.order, cfg.panels), spin, d),
-        1e-6,
-    ))
+    def gradient_circulation(m):
+        sg_disk = submanifold_gradient(f, disk.geometry, m.d)
+        circ = integrate_boundary(
+            disk_atlas, lambda bp, t: float(sg_disk.values(bp.x, t) @ bp.tangent)
+        )
+        return abs(float(circ))
 
-    sg_disk = submanifold_gradient(f, disk.geometry, d)
-    circ = integrate_boundary(
-        disk_atlas, lambda bp, t: float(sg_disk.values(bp.x, t) @ bp.tangent)
-    )
-    checks.append(_bound(
-        cfg, "curl.gradient-circulation",
-        "a tangential gradient has zero boundary circulation",
-        abs(float(circ)), 1e-8,
-    ))
-
-    if cfg.geometry in supported and cfg.geometry != "plane_disk":
-        checks.append(_check_result(
-            cfg, "curl.circulation-generic",
-            "curl identity on the requested geometry",
-            circulation_residual(case.atlas(cfg.order, cfg.panels), spin, d), 1e-6,
-        ))
-    return checks
+    return [
+        Check("curl.plane-uniform", "the planar rotation field has constant scalar curl 2",
+              1e-8, plane_uniform, per_mode=True),
+        Check("curl.curl-of-gradient", "the surface curl of a tangential gradient vanishes",
+              (1e-5, 1e-8), curl_of_gradient, per_mode=True),
+        Check("curl.circulation-disk", "int curl u over the disk equals the boundary circulation",
+              1e-8, disk_res, kind="rel"),
+        Check("curl.circulation-disk-value",
+              "the unit-disk circulation of the rotation field is 2 pi",
+              1e-8, lambda m: (float(np.asarray(disk_res(m).rhs)), 2.0 * math.pi), kind="rel"),
+        Check("curl.circulation-hemisphere",
+              "int curl u over the hemisphere equals the equator circulation",
+              1e-6, lambda m: circulation_residual(
+                  get_case("hemisphere").atlas(cfg.order, cfg.panels), spin, m.d),
+              kind="rel"),
+        Check("curl.gradient-circulation", "a tangential gradient has zero boundary circulation",
+              1e-8, gradient_circulation),
+        Check("curl.circulation-generic", "curl identity on the requested geometry",
+              1e-6, lambda m: circulation_residual(case.atlas(cfg.order, cfg.panels), spin, m.d),
+              kind="rel", when=case.name != "plane_disk"),
+    ]
 
 
-def suite_laplacian(cfg: SuiteConfig) -> List[CheckRecord]:
-    case = cfg.case("sphere", ["sphere"])
+def _laplacian(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     geom = case.geometry
     radius = case.params.get("radius", 1.0)
+    unit = abs(radius - 1.0) < 1e-12
     atlas = case.atlas(cfg.order, cfg.panels)
     points = case.sample_points(4, seed=cfg.seed)
     killing_z = _rotation_field(name="killing-z")
-    checks: List[CheckRecord] = []
 
-    for mode in _modes(cfg):
-        d = cfg.diff(mode)
-        tag = f".{mode}"
-
+    def coordinate_error(m):
         worst = 0.0
         for j in range(3):
-            lap = laplacian(coordinate(3, j), geom, d)
+            lap = laplacian(coordinate(3, j), geom, m.d)
             for x in points:
                 got = float(lap.values(x, 0.0))
                 want = -2.0 * x[j] / radius**2
                 worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-        checks.append(_bound(
-            cfg, "laplacian.coordinate" + tag,
-            "coordinates are eigenfunctions: lap_M x_j = -(2/R^2) x_j",
-            worst, _pick(mode, 1e-4, 1e-8),
-        ))
+        return worst
 
-        if abs(radius - 1.0) < 1e-12:
-            clap = covariant_laplacian(killing_z, geom, d)
-            res = [clap.values(x, 0.0) + killing_z.values(x, 0.0) for x in points]
-            checks.append(_bound(
-                cfg, "laplacian.killing" + tag,
-                "the rotation field satisfies lap-cov u = -u on the unit sphere",
-                _max_norm(res), _pick(mode, 1e-3, 1e-6),
-            ))
+    def killing(m):
+        clap = covariant_laplacian(killing_z, geom, m.d)
+        return _max_norm([clap.values(x, 0.0) + killing_z.values(x, 0.0) for x in points])
 
-            forcing = tf_scale(covariant_laplacian(killing_z, geom, d), -1.0, name="-lap u")
-            a, ell = weak_form(atlas, killing_z, killing_z, forcing, None, d)
-            checks.append(make_check(
-                "laplacian.weak-form" + tag,
-                "the Dirichlet pairing balances the manufactured load",
-                a, ell, cfg.tolerance("laplacian.weak-form" + tag, 1e-4), measure="abs",
-            ))
-            checks.append(make_check(
-                "laplacian.weak-form-energy" + tag,
-                "int |grad-cov u|^2 = 8 pi / 3 for the unit rotation field",
-                a, 8.0 * math.pi / 3.0,
-                cfg.tolerance("laplacian.weak-form-energy" + tag, _pick(mode, 1e-4, 1e-6)),
-            ))
+    @_shared
+    def weak(m):
+        forcing = tf_scale(covariant_laplacian(killing_z, geom, m.d), -1.0, name="-lap u")
+        return weak_form(atlas, killing_z, killing_z, forcing, None, m.d)
 
-    if abs(radius - 1.0) < 1e-12:
-        d = cfg.diff()
+    def symmetric(m):
         killing_x = vector_field(
             3,
             lambda x, t: np.array([0.0, -x[2], x[1]]),
@@ -700,28 +705,35 @@ def suite_laplacian(cfg: SuiteConfig) -> List[CheckRecord]:
             ),
             name="killing-x",
         )
-        a_uv, _ = weak_form(atlas, killing_z, killing_x, None, None, d)
-        a_vu, _ = weak_form(atlas, killing_x, killing_z, None, None, d)
-        checks.append(make_check(
-            "laplacian.weak-symmetric",
-            "the Dirichlet pairing is symmetric",
-            a_uv, a_vu, cfg.tolerance("laplacian.weak-symmetric", 1e-10), measure="abs",
-        ))
-        a_uu, _ = weak_form(atlas, killing_z, killing_z, None, None, d)
-        checks.append(make_floor_check(
-            "laplacian.weak-coercive",
-            "the Dirichlet pairing is nonnegative on the diagonal",
-            a_uu, -1e-12,
-        ))
-    return checks
+        a_uv, _ = weak_form(atlas, killing_z, killing_x, None, None, m.d)
+        a_vu, _ = weak_form(atlas, killing_x, killing_z, None, None, m.d)
+        return a_uv, a_vu
+
+    return [
+        Check("laplacian.coordinate",
+              "coordinates are eigenfunctions: lap_M x_j = -(2/R^2) x_j",
+              (1e-4, 1e-8), coordinate_error, per_mode=True),
+        Check("laplacian.killing", "the rotation field satisfies lap-cov u = -u on the unit sphere",
+              (1e-3, 1e-6), killing, per_mode=True, when=unit),
+        Check("laplacian.weak-form", "the Dirichlet pairing balances the manufactured load",
+              1e-4, weak, kind="abs", per_mode=True, when=unit),
+        Check("laplacian.weak-form-energy",
+              "int |grad-cov u|^2 = 8 pi / 3 for the unit rotation field",
+              (1e-4, 1e-6), lambda m: (weak(m)[0], 8.0 * math.pi / 3.0),
+              kind="rel", per_mode=True, when=unit),
+        Check("laplacian.weak-symmetric", "the Dirichlet pairing is symmetric",
+              1e-10, symmetric, kind="abs", when=unit),
+        Check("laplacian.weak-coercive", "the Dirichlet pairing is nonnegative on the diagonal",
+              -1e-12, lambda m: weak_form(atlas, killing_z, killing_z, None, None, m.d)[0],
+              kind="floor", when=unit),
+    ]
 
 
 # -- applications -----------------------------------------------------------------
 
 
-def suite_euler(cfg: SuiteConfig) -> List[CheckRecord]:
+def _euler(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 5)
-    case = cfg.case("sphere", ["sphere", "torus"])
     geom = case.geometry
     atlas = case.atlas(cfg.order, cfg.panels)
     points = case.sample_points(4, seed=cfg.seed)
@@ -729,205 +741,169 @@ def suite_euler(cfg: SuiteConfig) -> List[CheckRecord]:
     hemi = get_case("hemisphere")
     hemi_atlas = hemi.atlas(cfg.order, cfg.panels)
     hemi_state = rigid_rotation_state(hemi.geometry, omega=1.3)
-    checks: List[CheckRecord] = []
 
-    checks.append(_bound(
-        cfg, "euler.tangency",
-        "the rotation field is tangential to the surface",
-        _max_norm([tangency(state, x) for x in points]), 1e-12,
-    ))
-
-    for mode in _modes(cfg):
-        d = cfg.diff(mode)
-        tag = f".{mode}"
-
-        checks.append(_bound(
-            cfg, "euler.momentum" + tag,
-            "steady state: du/dt + (grad-cov u).u + grad_M p = 0",
-            _max_norm([momentum_residual(state, x, 0.0, d) for x in points]),
-            _pick(mode, 1e-5, 1e-8),
-        ))
-        checks.append(_bound(
-            cfg, "euler.divergence-form" + tag,
-            "steady state: du/dt + proj div_M(u (x) u + p P) = 0",
-            _max_norm([divergence_form_residual(state, x, 0.0, d) for x in points]),
-            _pick(mode, 1e-5, 1e-8),
-        ))
-        checks.append(_bound(
-            cfg, "euler.convective-identity" + tag,
-            "(grad-cov u).u = proj div_M(u (x) u) for divergence-free u",
-            _max_norm([convective_identity_residual(state, x, 0.0, d) for x in points]),
-            _pick(mode, 1e-5, 1e-8),
-        ))
-        checks.append(_bound(
-            cfg, "euler.incompressible" + tag,
-            "the rotation field is surface divergence free",
-            _max_norm([incompressibility(state, x, 0.0, d) for x in points]),
-            _pick(mode, 1e-8, 1e-10),
-        ))
-
+    def flux_total(m):
         flux = tf_add(
             tf_outer(state.velocity, state.velocity),
             tf_outer(state.pressure, projector_field(geom)),
             name="flux",
         )
-        divq = divergence(flux, geom, d)
+        divq = divergence(flux, geom, m.d)
         total = integrate(atlas, lambda x, t: geom.frame_at(x, t).P @ divq.values(x, t))
-        checks.append(_bound(
-            cfg, "euler.flux-conservation" + tag,
-            "the projected momentum flux integrates to zero on a closed surface",
-            float(np.linalg.norm(np.asarray(total))), 1e-6,
-        ))
+        return float(np.linalg.norm(np.asarray(total)))
 
-        checks.append(_bound(
-            cfg, "euler.momentum-integral" + tag,
-            "the extrinsic momentum of the rotation field vanishes by symmetry",
-            float(np.linalg.norm(extrinsic_momentum(atlas, state.velocity))), 1e-8,
-        ))
+    balance = _shared(lambda m: force_balance(hemi_atlas, hemi_state, m.d))
 
-        checks.append(_check_result(
-            cfg, "euler.tangent-velocity" + tag,
-            "int P u = -int div_M(P u) x + boundary flux of positions",
-            tangent_velocity_identity(hemi_atlas, random_polynomial(3, 1, rng, degree=2), d),
-            _pick(mode, 1e-6, 1e-8),
-        ))
-
-        fb = force_balance(hemi_atlas, hemi_state, d)
+    def scaled_balance(m):
+        fb = balance(m)
         piece_scale = max(float(np.linalg.norm(np.asarray(v))) for v in fb.pieces.values())
-        checks.append(make_check(
-            "euler.force-balance" + tag,
-            "pressure, boundary reaction and centripetal forces cancel",
-            np.asarray(fb.lhs) / piece_scale, np.zeros(3),
-            cfg.tolerance("euler.force-balance" + tag, 1e-6), measure="abs",
-            details={k: float(np.linalg.norm(np.asarray(v))) for k, v in fb.pieces.items()},
-        ))
-        checks.append(make_check(
-            "euler.force-balance-pressure" + tag,
-            "the Young-Laplace force on the rotating hemisphere is w^2 pi / 2",
-            float(np.asarray(fb.pieces["young_laplace"])[2]), 1.3**2 * math.pi / 2.0,
-            cfg.tolerance("euler.force-balance-pressure" + tag, 1e-6),
-        ))
-    return checks
+        return np.asarray(fb.lhs) / piece_scale, np.zeros(3), fb.pieces
+
+    return [
+        Check("euler.tangency", "the rotation field is tangential to the surface",
+              1e-12, lambda m: _max_norm([tangency(state, x) for x in points])),
+        Check("euler.momentum", "steady state: du/dt + (grad-cov u).u + grad_M p = 0",
+              (1e-5, 1e-8),
+              lambda m: _max_norm([momentum_residual(state, x, 0.0, m.d) for x in points]),
+              per_mode=True),
+        Check("euler.divergence-form", "steady state: du/dt + proj div_M(u (x) u + p P) = 0",
+              (1e-5, 1e-8),
+              lambda m: _max_norm([divergence_form_residual(state, x, 0.0, m.d) for x in points]),
+              per_mode=True),
+        Check("euler.convective-identity",
+              "(grad-cov u).u = proj div_M(u (x) u) for divergence-free u",
+              (1e-5, 1e-8),
+              lambda m: _max_norm(
+                  [convective_identity_residual(state, x, 0.0, m.d) for x in points]),
+              per_mode=True),
+        Check("euler.incompressible", "the rotation field is surface divergence free",
+              (1e-8, 1e-10),
+              lambda m: _max_norm([incompressibility(state, x, 0.0, m.d) for x in points]),
+              per_mode=True),
+        Check("euler.flux-conservation",
+              "the projected momentum flux integrates to zero on a closed surface",
+              1e-6, flux_total, per_mode=True),
+        Check("euler.momentum-integral",
+              "the extrinsic momentum of the rotation field vanishes by symmetry",
+              1e-8, lambda m: float(np.linalg.norm(extrinsic_momentum(atlas, state.velocity))),
+              per_mode=True),
+        Check("euler.tangent-velocity", "int P u = -int div_M(P u) x + boundary flux of positions",
+              (1e-6, 1e-8), lambda m: tangent_velocity_identity(
+                  hemi_atlas, random_polynomial(3, 1, rng, degree=2), m.d),
+              kind="rel", per_mode=True),
+        Check("euler.force-balance", "pressure, boundary reaction and centripetal forces cancel",
+              1e-6, scaled_balance, kind="abs", per_mode=True),
+        Check("euler.force-balance-pressure",
+              "the Young-Laplace force on the rotating hemisphere is w^2 pi / 2",
+              1e-6, lambda m: (float(np.asarray(balance(m).pieces["young_laplace"])[2]),
+                               1.3**2 * math.pi / 2.0),
+              kind="rel", per_mode=True),
+    ]
 
 
-def suite_stress(cfg: SuiteConfig) -> List[CheckRecord]:
+def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 6)
-    case = cfg.case("hemisphere", ["hemisphere", "sphere", "torus"])
     atlas = case.atlas(cfg.order, cfg.panels)
     sphere = get_case("sphere")
     sph_atlas = sphere.atlas(cfg.order, cfg.panels)
     sigma = random_polynomial(3, 2, rng, degree=2)
     planes = [(0, 1), (0, 2), (1, 2)]
-    checks: List[CheckRecord] = []
+    pts = sphere.sample_points(5, seed=cfg.seed)
 
-    for mode in _modes(cfg):
-        d = cfg.diff(mode)
-        tag = f".{mode}"
+    xs = _shared(lambda m: cross_stress(sphere.geometry))
 
-        checks.append(_check_result(
-            cfg, "stress.force-residual" + tag,
-            "int div_M sigma-bar equals the boundary-plus-curvature force",
-            force_residual(atlas, sigma, d), _pick(mode, 1e-6, 1e-8),
-        ))
-
-        worst = max(generator_identity(atlas, sigma, k, d).rel_residual for k in planes)
-        checks.append(_bound(
-            cfg, "stress.generator-identity" + tag,
-            "rotation generators satisfy the product-rule torque identity",
-            worst, _pick(mode, 1e-6, 1e-8),
-        ))
-
-        worst = max(torque_equivalence(atlas, sigma, k, d).rel_residual for k in planes)
-        checks.append(_bound(
-            cfg, "stress.torque-equivalence" + tag,
-            "m_K = int l_K . div_M sigma-bar - int omega_K : sigma-bar",
-            worst, _pick(mode, 1e-5, 1e-8),
-        ))
-
+    def normal_pressure_force(m):
         hemi = get_case("hemisphere")
         nn = tf_outer(normal_field(hemi.geometry), normal_field(hemi.geometry), name="nn")
-        force = stress_force(hemi.atlas(cfg.order, cfg.panels), nn, d)
-        checks.append(make_check(
-            "stress.normal-pressure-force" + tag,
-            "sigma = n (x) n pushes the hemisphere up with force 2 pi",
-            force, np.array([0.0, 0.0, 2.0 * math.pi]),
-            cfg.tolerance("stress.normal-pressure-force" + tag, 1e-8),
-        ))
+        force = stress_force(hemi.atlas(cfg.order, cfg.panels), nn, m.d)
+        return force, np.array([0.0, 0.0, 2.0 * math.pi])
 
-        xs = cross_stress(sphere.geometry)
-        div_bar = divergence(transpose_field(xs), sphere.geometry, d)
-        pts = sphere.sample_points(4, seed=cfg.seed)
-        checks.append(_bound(
-            cfg, "stress.cross-stress-divfree" + tag,
-            "the cross stress is pointwise equilibrated in the bulk",
-            _max_norm([div_bar.values(x, 0.0) for x in pts]),
-            _pick(mode, 1e-6, 1e-8),
-        ))
-        checks.append(_bound(
-            cfg, "stress.cross-stress-force" + tag,
-            "the cross stress exerts no net force on the closed sphere",
-            float(np.linalg.norm(stress_force(sph_atlas, xs, d))), 1e-10,
-        ))
-        checks.append(_bound(
-            cfg, "stress.cross-stress-torque" + tag,
-            "the cross stress exerts no net torque on the closed sphere",
-            max(abs(stress_torque(sph_atlas, xs, k, d)) for k in planes), 1e-10,
-        ))
-
-    pts = sphere.sample_points(5, seed=cfg.seed)
-    xs = cross_stress(sphere.geometry)
-    worst_nat = worst_pair = 0.0
-    for x in pts:
-        frame = sphere.geometry.frame_at(x)
-        sig = xs.values(x, 0.0)
-        worst_nat = max(worst_nat, normal_at_tangential(sig, frame))
-        worst_pair = max(worst_pair, max(abs(v) for v in omega_pairings(sig, frame).values()))
-    checks.append(_bound(
-        cfg, "stress.cross-stress-tangential",
-        "the cross stress sends tangential cuts to tangential tractions",
-        worst_nat, 1e-12,
-    ))
-    checks.append(make_floor_check(
-        "stress.cross-stress-asymmetric",
-        "the cross stress keeps a genuinely antisymmetric tangential part",
-        worst_pair, 0.5,
-    ))
-
-    worst = 0.0
-    for x in pts:
-        frame = sphere.geometry.frame_at(x)
-        w = rng.standard_normal(3)
-        sig = np.outer(frame.P @ w, frame.normals[0])
-        worst = max(
-            worst, abs(normal_at_tangential(sig, frame) - np.linalg.norm(frame.P @ w))
+    def divfree(m):
+        div_bar = divergence(transpose_field(xs(m)), sphere.geometry, m.d)
+        return _max_norm(
+            [div_bar.values(x, 0.0) for x in sphere.sample_points(4, seed=cfg.seed)]
         )
-    checks.append(_bound(
-        cfg, "stress.contrapositive",
-        "sigma = (P w) (x) n has normal-at-tangential response |P w|",
-        worst, 1e-12,
-    ))
 
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(3, 7))
-        m = int(rng.integers(1, n))
-        frame = _synthetic_frame(rng, n, m)
-        sig = float(rng.standard_normal()) * frame.P
-        for k in range(m):
-            sig = sig + np.outer(frame.normals[k], rng.standard_normal(n))
-        sig = sig + frame.P @ rng.standard_normal((n, n)) @ frame.P
-        worst = max(worst, normal_at_tangential(sig, frame))
-    checks.append(_bound(
-        cfg, "stress.constrained-family",
-        "pressure-plus-normal-row-plus-tangential stresses stay tangential",
-        worst, 1e-10,
-    ))
-    return checks
+    @_shared
+    def cut_response(m):
+        worst_nat = worst_pair = 0.0
+        for x in pts:
+            frame = sphere.geometry.frame_at(x)
+            sig = xs(m).values(x, 0.0)
+            worst_nat = max(worst_nat, normal_at_tangential(sig, frame))
+            worst_pair = max(worst_pair, max(abs(v) for v in omega_pairings(sig, frame).values()))
+        return worst_nat, worst_pair
+
+    def contrapositive(m):
+        worst = 0.0
+        for x in pts:
+            frame = sphere.geometry.frame_at(x)
+            w = rng.standard_normal(3)
+            sig = np.outer(frame.P @ w, frame.normals[0])
+            worst = max(
+                worst, abs(normal_at_tangential(sig, frame) - np.linalg.norm(frame.P @ w))
+            )
+        return worst
+
+    def constrained_family(m):
+        worst = 0.0
+        for _ in range(1000):
+            n = int(rng.integers(3, 7))
+            k = int(rng.integers(1, n))
+            frame = _synthetic_frame(rng, n, k)
+            sig = float(rng.standard_normal()) * frame.P
+            for i in range(k):
+                sig = sig + np.outer(frame.normals[i], rng.standard_normal(n))
+            sig = sig + frame.P @ rng.standard_normal((n, n)) @ frame.P
+            worst = max(worst, normal_at_tangential(sig, frame))
+        return worst
+
+    return [
+        Check("stress.force-residual",
+              "int div_M sigma-bar equals the boundary-plus-curvature force",
+              (1e-6, 1e-8), lambda m: force_residual(atlas, sigma, m.d),
+              kind="rel", per_mode=True),
+        Check("stress.generator-identity",
+              "rotation generators satisfy the product-rule torque identity",
+              (1e-6, 1e-8),
+              lambda m: max(generator_identity(atlas, sigma, k, m.d).rel_residual for k in planes),
+              per_mode=True),
+        Check("stress.torque-equivalence",
+              "m_K = int l_K . div_M sigma-bar - int omega_K : sigma-bar",
+              (1e-5, 1e-8),
+              lambda m: max(torque_equivalence(atlas, sigma, k, m.d).rel_residual for k in planes),
+              per_mode=True),
+        Check("stress.normal-pressure-force",
+              "sigma = n (x) n pushes the hemisphere up with force 2 pi",
+              1e-8, normal_pressure_force, kind="rel", per_mode=True),
+        Check("stress.cross-stress-divfree",
+              "the cross stress is pointwise equilibrated in the bulk",
+              (1e-6, 1e-8), divfree, per_mode=True),
+        Check("stress.cross-stress-force",
+              "the cross stress exerts no net force on the closed sphere",
+              1e-10, lambda m: float(np.linalg.norm(stress_force(sph_atlas, xs(m), m.d))),
+              per_mode=True),
+        Check("stress.cross-stress-torque",
+              "the cross stress exerts no net torque on the closed sphere",
+              1e-10, lambda m: max(abs(stress_torque(sph_atlas, xs(m), k, m.d)) for k in planes),
+              per_mode=True),
+        Check("stress.cross-stress-tangential",
+              "the cross stress sends tangential cuts to tangential tractions",
+              1e-12, lambda m: cut_response(m)[0]),
+        Check("stress.cross-stress-asymmetric",
+              "the cross stress keeps a genuinely antisymmetric tangential part",
+              0.5, lambda m: cut_response(m)[1], kind="floor"),
+        Check("stress.contrapositive",
+              "sigma = (P w) (x) n has normal-at-tangential response |P w|",
+              1e-12, contrapositive),
+        Check("stress.constrained-family",
+              "pressure-plus-normal-row-plus-tangential stresses stay tangential",
+              1e-10, constrained_family),
+    ]
 
 
-def suite_evolving(cfg: SuiteConfig) -> List[CheckRecord]:
+def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 7)
-    case = cfg.case("expanding_sphere", ["expanding_sphere"], radius=1.0, speed=0.1)
     geom = case.geometry
     radius = case.params["radius"]
     speed = case.params["speed"]
@@ -942,155 +918,137 @@ def suite_evolving(cfg: SuiteConfig) -> List[CheckRecord]:
         dt=lambda x, t: np.zeros(3),
         name="radial+spin",
     )
-    checks: List[CheckRecord] = []
 
-    advected = advected_atlas(atlas, w2, 0.0, 0.05)
-    xs, _ = advected.charts[0].points(0.05)
-    worst = max(
-        float(np.max(np.abs(geom.level_values(x, 0.05))))
-        for x in xs[:: max(1, len(xs) // 64)]
-    )
-    checks.append(_bound(
-        cfg, "evolve.material-path",
-        "advected chart points stay on the moving surface",
-        worst, 1e-6,
-    ))
+    def material_path(m):
+        advected = advected_atlas(atlas, w2, 0.0, 0.05)
+        xs, _ = advected.charts[0].points(0.05)
+        return max(
+            float(np.max(np.abs(geom.level_values(x, 0.05))))
+            for x in xs[:: max(1, len(xs) // 64)]
+        )
 
-    for mode in _modes(cfg):
-        d = cfg.diff(mode)
-        tag = f".{mode}"
+    gw2 = _shared(lambda m: cartesian_gradient(w2, m.d))
+    cw = _shared(lambda m: projector_rate(geom, w2, m.d))
+    f1 = _shared(lambda m: random_polynomial(3, 1, rng, degree=2))
+    gf = _shared(lambda m: cartesian_gradient(f1(m), m.d))
 
-        area_rate = float(integrate(atlas, divergence(w, geom, d)))
-        checks.append(make_check(
-            "evolve.area-rate" + tag,
-            "int div_M w equals the growth rate 8 pi R c of the sphere area",
-            area_rate, 8.0 * math.pi * radius * speed,
-            cfg.tolerance("evolve.area-rate" + tag, 1e-6),
-        ))
+    @_shared
+    def rank0(m):
+        zfield = coordinate(3, 2)
+        return dirichlet_rate_terms(atlas, zfield, w, m.d), dirichlet_rate_fd(atlas, zfield, w, m.d)
 
-        checks.append(_check_result(
-            cfg, "evolve.reynolds-scalar" + tag,
-            "transport theorem for the area of the expanding sphere",
-            reynolds_residual(atlas, constant(3, scalar(1.0, 3), name="one"), w, d),
-            1e-7,
-        ))
-        checks.append(_check_result(
-            cfg, "evolve.reynolds-rank1" + tag,
-            "transport theorem for a random vector field on the moving sphere",
-            reynolds_residual(atlas, random_polynomial(3, 1, rng, degree=2), w2, d),
-            1e-5,
-        ))
-
+    def material_normal(m):
         nfield = normal_field(geom)
-        dn = material_derivative(nfield, w2, d)
-        gw2 = cartesian_gradient(w2, d)
-        res = [
-            dn.values(x, 0.0) + nfield.values(x, 0.0) @ gw2.values(x, 0.0) for x in points
-        ]
-        checks.append(_bound(
-            cfg, "evolve.material-normal" + tag,
-            "D n = -n . grad w for advected unit-gradient level sets",
-            _max_norm(res), _pick(mode, 1e-6, 1e-8),
-        ))
+        dn = material_derivative(nfield, w2, m.d)
+        return _max_norm(
+            [dn.values(x, 0.0) + nfield.values(x, 0.0) @ gw2(m).values(x, 0.0) for x in points]
+        )
 
-        cw = projector_rate(geom, w2, d)
-        dp = material_derivative(projector_field(geom), w2, d)
-        res = [dp.values(x, 0.0) + 2.0 * cw.values(x, 0.0) for x in points]
-        checks.append(_bound(
-            cfg, "evolve.projector-rate" + tag,
-            "D P = -2 C[w] along the flow",
-            _max_norm(res), _pick(mode, 1e-5, 1e-7),
-        ))
+    def projector_rate_error(m):
+        dp = material_derivative(projector_field(geom), w2, m.d)
+        return _max_norm([dp.values(x, 0.0) + 2.0 * cw(m).values(x, 0.0) for x in points])
+
+    def tangential_rate(m):
         res = []
         for x in points:
             frame = geom.frame_at(x)
-            res.append(project(frame, Tensor(3, cw.values(x, 0.0))).array)
-        checks.append(_bound(
-            cfg, "evolve.projector-rate-tangential" + tag,
-            "C[w] has no fully tangential part",
-            _max_norm(res), _pick(mode, 1e-6, 1e-8),
-        ))
+            res.append(project(frame, Tensor(3, cw(m).values(x, 0.0))).array)
+        return _max_norm(res)
 
-        f1 = random_polynomial(3, 1, rng, degree=2)
-        gf = cartesian_gradient(f1, d)
-        lhs = cartesian_gradient(material_derivative(f1, w2, d), d)
-        rhs = material_derivative(gf, w2, d)
+    def cartesian_commutator(m):
+        lhs = cartesian_gradient(material_derivative(f1(m), w2, m.d), m.d)
+        rhs = material_derivative(gf(m), w2, m.d)
         res = []
         for x in points:
-            chain = np.tensordot(gf.values(x, 0.0), gw2.values(x, 0.0), axes=([-1], [0]))
+            chain = np.tensordot(gf(m).values(x, 0.0), gw2(m).values(x, 0.0), axes=([-1], [0]))
             res.append(lhs.values(x, 0.0) - rhs.values(x, 0.0) - chain)
-        checks.append(_bound(
-            cfg, "evolve.commutator-cartesian" + tag,
-            "grad(D T) - D(grad T) = grad T o grad w",
-            _max_norm(res), _pick(mode, 1e-4, 1e-6),
-        ))
+        return _max_norm(res)
 
-        slhs = submanifold_gradient(material_derivative(f1, w2, d), geom, d)
-        srhs = material_derivative(submanifold_gradient(f1, geom, d), w2, d)
-        gmw = submanifold_gradient(w2, geom, d)
+    def submanifold_commutator(m):
+        slhs = submanifold_gradient(material_derivative(f1(m), w2, m.d), geom, m.d)
+        srhs = material_derivative(submanifold_gradient(f1(m), geom, m.d), w2, m.d)
+        gmw = submanifold_gradient(w2, geom, m.d)
         res = []
         for x in points:
-            mix = gmw.values(x, 0.0) + 2.0 * cw.values(x, 0.0)
-            chain = np.tensordot(gf.values(x, 0.0), mix, axes=([-1], [0]))
+            mix = gmw.values(x, 0.0) + 2.0 * cw(m).values(x, 0.0)
+            chain = np.tensordot(gf(m).values(x, 0.0), mix, axes=([-1], [0]))
             res.append(slhs.values(x, 0.0) - srhs.values(x, 0.0) - chain)
-        checks.append(_bound(
-            cfg, "evolve.commutator-submanifold" + tag,
-            "grad_M(D T) - D(grad_M T) = grad T o (2 C[w] + grad_M w)",
-            _max_norm(res), _pick(mode, 1e-4, 1e-6),
-        ))
+        return _max_norm(res)
 
-        zfield = coordinate(3, 2)
-        terms = dirichlet_rate_terms(atlas, zfield, w, d)
-        fd_rate = dirichlet_rate_fd(atlas, zfield, w, d)
-        checks.append(make_check(
-            "evolve.dirichlet-rank0" + tag,
-            "three-term Dirichlet energy rate matches the advected difference",
-            terms["total"], fd_rate,
-            cfg.tolerance("evolve.dirichlet-rank0" + tag, 1e-4),
-            details={k: v for k, v in terms.items() if k != "total"},
-        ))
-        checks.append(make_check(
-            "evolve.dirichlet-rank0-value" + tag,
-            "dE/dt = (8 pi / 3) R c for the vertical coordinate",
-            terms["total"], 8.0 * math.pi * radius * speed / 3.0,
-            cfg.tolerance("evolve.dirichlet-rank0-value" + tag, 1e-5),
-        ))
+    def rank0_rate(m):
+        terms, fd_rate = rank0(m)
+        return terms["total"], fd_rate, {k: v for k, v in terms.items() if k != "total"}
 
+    def rank2_rate(m):
         t2 = project_field(
             constant(3, Tensor(3, np.outer([0.0, 0.0, 1.0], [0.0, 0.0, 1.0])), name="ezez"),
             geom, name="P ezez P",
         )
-        terms2 = dirichlet_rate_terms(atlas, t2, w, d)
-        fd2_rate = dirichlet_rate_fd(atlas, t2, w, d)
-        checks.append(make_check(
-            "evolve.dirichlet-rank2" + tag,
-            "three-term rate matches the advected difference at rank 2",
-            terms2["total"], fd2_rate,
-            cfg.tolerance("evolve.dirichlet-rank2" + tag, 1e-3),
-        ))
+        terms = dirichlet_rate_terms(atlas, t2, w, m.d)
+        return terms["total"], dirichlet_rate_fd(atlas, t2, w, m.d)
 
-        checks.append(_bound(
-            cfg, "evolve.material-consistency" + tag,
-            "D T matches a centered difference along RK4 particle paths",
-            max(material_consistency(f1, w2, x, 0.0, d) for x in points),
-            _pick(mode, 1e-5, 1e-8),
-        ))
-    return checks
+    return [
+        Check("evolve.material-path", "advected chart points stay on the moving surface",
+              1e-6, material_path),
+        Check("evolve.area-rate",
+              "int div_M w equals the growth rate 8 pi R c of the sphere area",
+              1e-6, lambda m: (float(integrate(atlas, divergence(w, geom, m.d))),
+                               8.0 * math.pi * radius * speed),
+              kind="rel", per_mode=True),
+        Check("evolve.reynolds-scalar", "transport theorem for the area of the expanding sphere",
+              1e-7, lambda m: reynolds_residual(atlas, constant(3, scalar(1.0, 3), name="one"),
+                                                w, m.d),
+              kind="rel", per_mode=True),
+        Check("evolve.reynolds-rank1",
+              "transport theorem for a random vector field on the moving sphere",
+              1e-5, lambda m: reynolds_residual(atlas, random_polynomial(3, 1, rng, degree=2),
+                                                w2, m.d),
+              kind="rel", per_mode=True),
+        Check("evolve.material-normal", "D n = -n . grad w for advected unit-gradient level sets",
+              (1e-6, 1e-8), material_normal, per_mode=True),
+        Check("evolve.projector-rate", "D P = -2 C[w] along the flow",
+              (1e-5, 1e-7), projector_rate_error, per_mode=True),
+        Check("evolve.projector-rate-tangential", "C[w] has no fully tangential part",
+              (1e-6, 1e-8), tangential_rate, per_mode=True),
+        Check("evolve.commutator-cartesian", "grad(D T) - D(grad T) = grad T o grad w",
+              (1e-4, 1e-6), cartesian_commutator, per_mode=True),
+        Check("evolve.commutator-submanifold",
+              "grad_M(D T) - D(grad_M T) = grad T o (2 C[w] + grad_M w)",
+              (1e-4, 1e-6), submanifold_commutator, per_mode=True),
+        Check("evolve.dirichlet-rank0",
+              "three-term Dirichlet energy rate matches the advected difference",
+              1e-4, rank0_rate, kind="rel", per_mode=True),
+        Check("evolve.dirichlet-rank0-value",
+              "dE/dt = (8 pi / 3) R c for the vertical coordinate",
+              1e-5, lambda m: (rank0(m)[0]["total"], 8.0 * math.pi * radius * speed / 3.0),
+              kind="rel", per_mode=True),
+        Check("evolve.dirichlet-rank2",
+              "three-term rate matches the advected difference at rank 2",
+              1e-3, rank2_rate, kind="rel", per_mode=True),
+        Check("evolve.material-consistency",
+              "D T matches a centered difference along RK4 particle paths",
+              (1e-5, 1e-8), lambda m: max(material_consistency(f1(m), w2, x, 0.0, m.d)
+                                          for x in points),
+              per_mode=True),
+    ]
 
 
 # -- registry and runner ----------------------------------------------------------
 
 
+_N3_GEOMETRIES = ("sphere", "hemisphere", "torus", "plane_disk", "circle3d", "helix")
+
 SUITES: Dict[str, Callable[[SuiteConfig], List[CheckRecord]]] = {
-    "tensor-algebra": suite_tensor_algebra,
-    "projection": suite_projection,
-    "differential-identities": suite_differential,
-    "stokes": suite_stokes,
-    "curl": suite_curl,
-    "laplacian": suite_laplacian,
-    "euler": suite_euler,
-    "stress": suite_stress,
-    "evolving": suite_evolving,
+    "tensor-algebra": Suite(_tensor_algebra),
+    "projection": Suite(_projection),
+    "differential-identities": Suite(_differential, "sphere", _N3_GEOMETRIES),
+    "stokes": Suite(_stokes, "torus", _N3_GEOMETRIES),
+    "curl": Suite(_curl, "plane_disk", ("plane_disk", "hemisphere", "sphere", "torus")),
+    "laplacian": Suite(_laplacian, "sphere", ("sphere",)),
+    "euler": Suite(_euler, "sphere", ("sphere", "torus")),
+    "stress": Suite(_stress, "hemisphere", ("hemisphere", "sphere", "torus")),
+    "evolving": Suite(_evolving, "expanding_sphere", ("expanding_sphere",),
+                      {"radius": 1.0, "speed": 0.1}),
 }
 
 SUITE_NAMES = list(SUITES) + ["all"]
@@ -1101,22 +1059,11 @@ def suite_names() -> List[str]:
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
-    if cfg.suite not in SUITE_NAMES:
+    if cfg.suite != "all" and cfg.suite not in SUITES:
         raise SuiteError(f"unknown suite '{cfg.suite}' (known: {', '.join(SUITE_NAMES)})")
     start = time.perf_counter()
-    if cfg.suite == "all":
-        checks: List[CheckRecord] = []
-        for fn in SUITES.values():
-            try:
-                checks.extend(fn(cfg))
-            except SuiteError:
-                if cfg.geometry is None:
-                    raise
-                # the override does not apply here; run on the suite default
-                fallback = SuiteConfig(**{**cfg.__dict__, "geometry": None, "geom_params": {}})
-                checks.extend(fn(fallback))
-    else:
-        checks = SUITES[cfg.suite](cfg)
+    names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
+    checks = [record for name in names for record in SUITES[name](cfg)]
     return VerificationReport(
         suite=cfg.suite,
         config=cfg.echo(),

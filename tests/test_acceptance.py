@@ -403,7 +403,14 @@ def test_criterion_10_cli_verify_all(tmp_path, capsys):
     )
     elapsed = time.perf_counter() - start
     report = json.loads(out.read_text()) if out.exists() else {}
-    ok = proc.returncode == 0 and elapsed < 120.0 and report.get("overall_pass") is True
+    ids = [c["id"] for c in report.get("checks", [])]
+    ok = (
+        proc.returncode == 0
+        and elapsed < 120.0
+        and report.get("overall_pass") is True
+        and len(ids) == 120
+        and len(set(ids)) == len(ids)
+    )
     _criterion(capsys, 10, "command line verify --suite all", ok,
-        f"exit={proc.returncode} time={elapsed:.1f}s checks={len(report.get('checks', []))}",
+        f"exit={proc.returncode} time={elapsed:.1f}s checks={len(ids)} unique={len(set(ids))}",
     )

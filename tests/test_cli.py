@@ -96,6 +96,16 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("line", ["suite = nosuch", "fd = fd3", "order = x", "hx = -1"])
+def test_bad_config_value_is_usage_error(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"suite = projection\n{line}\n")
+    target = tmp_path / "never.json"
+    assert main(["verify", "--config", str(cfg), "--out", str(target)]) == 2
+    assert not target.exists()
+    assert "error:" in capsys.readouterr().err
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     paths = [tmp_path / "r1.json", tmp_path / "r2.json"]
     for p in paths:

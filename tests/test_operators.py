@@ -34,7 +34,7 @@ from tensorcalc.operators import (
     surface_curl,
     time_partial,
 )
-from tensorcalc.tensor import scalar
+from tensorcalc.tensor import ShapeError, scalar
 
 FD2 = DiffConfig(mode="fd2")
 FD4 = DiffConfig(mode="fd4")
@@ -50,6 +50,20 @@ def killing_field(n=3):
         jacobian=lambda x, t: spin,
         name="e_z cross x",
     )
+
+
+def test_every_values_call_is_shape_checked():
+    calls = []
+
+    def evaluator(x, t):
+        calls.append(t)
+        return np.zeros(3) if len(calls) < 3 else np.zeros(2)
+
+    u = vector_field(3, evaluator, name="goes-bad")
+    u.values(np.zeros(3))
+    u.values(np.zeros(3))
+    with pytest.raises(ShapeError):
+        u.values(np.zeros(3))
 
 
 def test_cartesian_gradient_on_polynomial(rng):
