@@ -1,10 +1,16 @@
 """Tensor-valued fields on ambient space.
 
 A TensorField wraps an evaluator (x, t) -> array of shape (n,)*q.  Fields
-may also carry analytic providers for the spatial Jacobian (extra last
-axis) and the time partial; differential operators use them in analytic
-mode and fall back to finite differences otherwise.  Derived fields are
-ordinary TensorFields closing over their ingredients, so operators nest.
+may also carry an analytic gradient and time partial; differential
+operators use them in analytic mode and fall back to finite differences
+otherwise.  The gradient is itself a rank-(q+1) TensorField (derivative
+slot last) that may carry its own gradient, so second derivatives come
+from the same mechanism: ``polynomial`` fields have gradients of every
+order, ``constant``, ``position`` and ``coordinate`` have constant
+gradients, and ``tf_scale``, ``tf_add`` and ``tf_outer`` pass gradient
+fields through.  A plain callable ``grad=`` has no second derivative.
+Derived fields are ordinary TensorFields closing over their ingredients,
+so operators nest.
 
 ``depth`` counts how many finite-difference layers already went into the
 values; the step-size policy for further differentiation keys off it.
@@ -12,8 +18,9 @@ values; the step-size policy for further differentiation keys off it.
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import combinations_with_replacement
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 import numpy as np
 
@@ -33,8 +40,31 @@ __all__ = [
     "tf_outer",
 ]
 
+
+class _Lazy:
+    """A gradient field built the first time it is asked for.  Polynomials
+    and constants have gradients of every order, so building them eagerly
+    would make every rank up to MAX_RANK."""
+
+    __slots__ = ("build", "field")
+
+    def __init__(self, build: Callable[[], "TensorField"]) -> None:
+        self.build = build
+        self.field = None
+
+    def get(self) -> "TensorField":
+        if self.field is None:
+            self.field = self.build()
+        return self.field
+
+
 class TensorField:
-    """Rank-q tensor field over R^n, evaluated pointwise."""
+    """Rank-q tensor field over R^n, evaluated pointwise.
+
+    ``grad`` is the analytic gradient: a rank-(q+1) TensorField, or a
+    callable (x, t) -> array that becomes a gradient field with no
+    gradient of its own.
+    """
 
     __slots__ = ("n", "q", "_func", "_grad", "_dt", "depth", "name")
 
@@ -43,7 +73,7 @@ class TensorField:
         n: int,
         q: int,
         func: Callable[[np.ndarray, float], np.ndarray],
-        grad: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
+        grad: Union["TensorField", Callable[[np.ndarray, float], np.ndarray], None] = None,
         dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
         depth: int = 0,
         name: str = "",
@@ -55,14 +85,28 @@ class TensorField:
         self.n = n
         self.q = q
         self._func = func
-        self._grad = grad
-        self._dt = dt
         self.depth = depth
         self.name = name or "field"
+        if isinstance(grad, TensorField) and (grad.n, grad.q) != (n, q + 1):
+            raise ShapeError(
+                f"gradient of '{self.name}' must be a rank-{q + 1} field over R^{n}, "
+                f"got rank {grad.q} over R^{grad.n}"
+            )
+        if grad is not None and not isinstance(grad, (TensorField, _Lazy)):
+            grad = _Lazy(
+                partial(TensorField, n, q + 1, grad, depth=depth, name=f"grad({self.name})")
+            )
+        self._grad = grad
+        self._dt = dt
 
     @property
     def has_gradient(self) -> bool:
         return self._grad is not None
+
+    @property
+    def gradient(self) -> Optional["TensorField"]:
+        """The analytic gradient as a rank-(q+1) field, or None."""
+        return self._grad.get() if isinstance(self._grad, _Lazy) else self._grad
 
     @property
     def has_time_derivative(self) -> bool:
@@ -81,7 +125,7 @@ class TensorField:
     def gradient_values(self, x, t: float = 0.0) -> np.ndarray:
         if self._grad is None:
             raise ShapeError(f"field '{self.name}' has no analytic gradient")
-        return np.asarray(self._grad(np.asarray(x, dtype=float), t), dtype=float)
+        return self.gradient.values(x, t)
 
     def dt_values(self, x, t: float = 0.0) -> np.ndarray:
         if self._dt is None:
@@ -98,18 +142,18 @@ class TensorField:
 # -- basic constructors -------------------------------------------------------
 
 
-def constant(n: int, value: Tensor, name: str = "const") -> TensorField:
-    arr = np.array(value.array)
-    zero_g = np.zeros(arr.shape + (n,))
+def _constant_array(n: int, arr: np.ndarray, name: str) -> TensorField:
     zero_t = np.zeros(arr.shape)
+    grad = None
+    if arr.ndim < MAX_RANK:
+        grad = _Lazy(lambda: _constant_array(n, np.zeros(arr.shape + (n,)), f"grad({name})"))
     return TensorField(
-        n,
-        value.q,
-        lambda x, t: arr,
-        grad=lambda x, t: zero_g,
-        dt=lambda x, t: zero_t,
-        name=name,
+        n, arr.ndim, lambda x, t: arr, grad=grad, dt=lambda x, t: zero_t, name=name
     )
+
+
+def constant(n: int, value: Tensor, name: str = "const") -> TensorField:
+    return _constant_array(n, np.array(value.array), name)
 
 
 def scalar_field(n, func, grad=None, dt=None, name="scalar") -> TensorField:
@@ -124,15 +168,20 @@ def scalar_field(n, func, grad=None, dt=None, name="scalar") -> TensorField:
 
 
 def vector_field(n, func, jacobian=None, dt=None, name="vector") -> TensorField:
-    """Rank-1 field; ``jacobian(x, t)[a, k]`` is d u_a / d x_k when given."""
+    """Rank-1 field; ``jacobian(x, t)[a, k]`` is d u_a / d x_k when given,
+    either as a callable or as a rank-2 TensorField."""
     return TensorField(n, 1, func, grad=jacobian, dt=dt, name=name)
 
 
 def position(n: int) -> TensorField:
-    eye = np.eye(n)
     zero = np.zeros(n)
     return TensorField(
-        n, 1, lambda x, t: x, grad=lambda x, t: eye, dt=lambda x, t: zero, name="position"
+        n,
+        1,
+        lambda x, t: x,
+        grad=_constant_array(n, np.eye(n), "grad(position)"),
+        dt=lambda x, t: zero,
+        name="position",
     )
 
 
@@ -143,7 +192,7 @@ def coordinate(n: int, j: int) -> TensorField:
         n,
         0,
         lambda x, t: np.asarray(x[j]),
-        grad=lambda x, t: e,
+        grad=_constant_array(n, e, f"grad(x_{j})"),
         dt=lambda x, t: np.asarray(0.0),
         name=f"x_{j}",
     )
@@ -153,7 +202,8 @@ def coordinate(n: int, j: int) -> TensorField:
 
 
 def polynomial(n: int, q: int, exponents, coeffs, name: str = "poly") -> TensorField:
-    """Leafwise multivariate polynomial field with exact gradients.
+    """Leafwise multivariate polynomial field with exact gradients of every
+    order: its gradient is again a polynomial field.
 
     ``exponents`` is an integer array (nterms, n); ``coeffs`` has shape
     (n,)*q + (nterms,).  Leaf value = sum_t coeffs[..., t] * prod_k x_k^e[t,k].
@@ -169,24 +219,38 @@ def polynomial(n: int, q: int, exponents, coeffs, name: str = "poly") -> TensorF
         powers = np.prod(x[None, :] ** exponents, axis=1)
         return coeffs @ powers
 
-    # d/dx_k knocks one power off axis k and multiplies by the old exponent
-    lowered = []
-    for k in range(n):
-        ek = exponents.copy()
-        ek[:, k] = np.maximum(ek[:, k] - 1, 0)
-        lowered.append(ek)
-    lowered = np.array(lowered)  # (n, nterms, n)
-    factors = exponents.T.astype(float)  # (n, nterms)
-
-    def grad(x, t):
-        out = np.empty(coeffs.shape[:-1] + (n,))
-        for k in range(n):
-            powers = np.prod(x[None, :] ** lowered[k], axis=1)
-            out[..., k] = coeffs @ (factors[k] * powers)
-        return out
-
+    grad = None
+    if q < MAX_RANK:
+        grad = _Lazy(
+            lambda: polynomial(n, q + 1, *_polynomial_gradient(exponents, coeffs),
+                               name=f"grad({name})")
+        )
     zero = np.zeros((n,) * q)
     return TensorField(n, q, func, grad=grad, dt=lambda x, t: zero, name=name)
+
+
+def _polynomial_gradient(exponents: np.ndarray, coeffs: np.ndarray):
+    """Exponent table and coefficients of the gradient of a polynomial field.
+
+    d/dx_k knocks one power off axis k and multiplies by the old exponent;
+    terms without x_k drop out, and the lowered exponents of all k share
+    one table.
+    """
+    n = exponents.shape[1]
+    hits = [np.flatnonzero(exponents[:, k]) for k in range(n)]
+    lowered = []
+    for k, hit in enumerate(hits):
+        e = exponents[hit]
+        e[:, k] -= 1
+        lowered.append(e)
+    table, slot = np.unique(np.concatenate(lowered), axis=0, return_inverse=True)
+    slot = slot.reshape(-1)
+    out = np.zeros(coeffs.shape[:-1] + (n, table.shape[0]))
+    start = 0
+    for k, hit in enumerate(hits):
+        out[..., k, slot[start:start + len(hit)]] = coeffs[..., hit] * exponents[hit, k]
+        start += len(hit)
+    return table, out
 
 
 def _multi_indices(n: int, degree: int):
@@ -219,7 +283,7 @@ def tf_scale(f: TensorField, a: float, name: str = "") -> TensorField:
         f.n,
         f.q,
         lambda x, t: a * f.values(x, t),
-        grad=(lambda x, t: a * f.gradient_values(x, t)) if f.has_gradient else None,
+        grad=_Lazy(lambda: tf_scale(f.gradient, a)) if f.has_gradient else None,
         dt=(lambda x, t: a * f.dt_values(x, t)) if f.has_time_derivative else None,
         depth=f.depth,
         name=name or f"{a}*{f.name}",
@@ -235,28 +299,40 @@ def tf_add(f: TensorField, g: TensorField, name: str = "") -> TensorField:
         f.n,
         f.q,
         lambda x, t: f.values(x, t) + g.values(x, t),
-        grad=(lambda x, t: f.gradient_values(x, t) + g.gradient_values(x, t))
-        if both_grad
-        else None,
+        grad=_Lazy(lambda: tf_add(f.gradient, g.gradient)) if both_grad else None,
         dt=(lambda x, t: f.dt_values(x, t) + g.dt_values(x, t)) if both_dt else None,
         depth=max(f.depth, g.depth),
         name=name or f"{f.name}+{g.name}",
     )
 
 
+def _transposed(f: TensorField, axes) -> TensorField:
+    """The field whose values are ``np.transpose(f, axes)``."""
+    axes = tuple(axes)
+    return TensorField(
+        f.n,
+        f.q,
+        lambda x, t: np.transpose(f.values(x, t), axes),
+        grad=_Lazy(lambda: _transposed(f.gradient, axes + (f.q,))) if f.has_gradient else None,
+        depth=f.depth,
+        name=f"{f.name}^T",
+    )
+
+
 def tf_outer(f: TensorField, g: TensorField, name: str = "") -> TensorField:
     if f.n != g.n:
         raise ShapeError("outer product needs a common ambient dimension")
-    both_grad = f.has_gradient and g.has_gradient
+    q = f.q + g.q
+    both_grad = f.has_gradient and g.has_gradient and q < MAX_RANK
     both_dt = f.has_time_derivative and g.has_time_derivative
 
     def func(x, t):
         return np.multiply.outer(f.values(x, t), g.values(x, t))
 
-    def grad(x, t):
-        term1 = np.multiply.outer(f.values(x, t), g.gradient_values(x, t))
-        term2 = np.multiply.outer(f.gradient_values(x, t), g.values(x, t))
-        return term1 + np.moveaxis(term2, f.q, -1)
+    def grad():
+        # f (x) grad g, plus grad f (x) g with its derivative slot moved last
+        moved = (*range(f.q), *range(f.q + 1, q + 1), f.q)
+        return tf_add(tf_outer(f, g.gradient), _transposed(tf_outer(f.gradient, g), moved))
 
     def dt(x, t):
         return np.multiply.outer(f.values(x, t), g.dt_values(x, t)) + np.multiply.outer(
@@ -265,9 +341,9 @@ def tf_outer(f: TensorField, g: TensorField, name: str = "") -> TensorField:
 
     return TensorField(
         f.n,
-        f.q + g.q,
+        q,
         func,
-        grad=grad if both_grad else None,
+        grad=_Lazy(grad) if both_grad else None,
         dt=dt if both_dt else None,
         depth=max(f.depth, g.depth),
         name=name or f"{f.name}(x){g.name}",

@@ -8,6 +8,21 @@ analytic providers where both the field and the geometry supply them.
 
 The derivative slot of a gradient is always the deepest (last) axis, so
 ``grad(F) . v`` is the directional derivative along v.
+
+In analytic mode, derived fields carry exact gradients wherever their
+ingredients have them (geometry providers need analytic level-set
+Hessians): ``cartesian_gradient`` keeps the field's second derivative;
+``submanifold_gradient`` (grad^2 f . P + grad f . P_d), ``project_field``
+(P_d in one slot at a time) and ``divergence`` (a trace) build theirs from
+one ``frame_derivative_at`` call; ``perp_field`` has one for rank-1 fields
+in n <= 6.  So the Laplacians, covariant gradients and surface curls of
+polynomials, constants, coordinates and positions need no differences.
+Fourth-order differences remain for the gradient of
+``material_derivative``, for time partials of fields with no ``dt``
+provider (projections and frame fields on moving geometries among them),
+for second derivatives of fields that have only a callable Jacobian or
+only frame derivatives (``projector_field``, ``normal_field``), and for
+fields with no gradient at all.
 """
 
 from __future__ import annotations
@@ -104,9 +119,9 @@ def cartesian_gradient(f: TensorField, cfg: DiffConfig) -> TensorField:
     """Ambient gradient; the new derivative slot is the deepest axis."""
     n = f.n
     if cfg.mode == "analytic" and f.has_gradient:
+        g = f.gradient  # a fresh field over the same evaluators, so it keeps its gradient
         return TensorField(
-            n, f.q + 1, lambda x, t: f.gradient_values(x, t), depth=f.depth,
-            name=f"grad({f.name})",
+            n, f.q + 1, g._func, grad=g._grad, dt=g._dt, depth=f.depth, name=f"grad({f.name})"
         )
     depth = _bump_depth(f, cfg)
     order = _fd_order(cfg)
@@ -174,7 +189,17 @@ def submanifold_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig
     def func(x, t):
         return g.values(x, t) @ geom.frame_at(x, t).P
 
-    return TensorField(f.n, f.q + 1, func, depth=g.depth, name=f"gradM({f.name})")
+    grad = None
+    if g.has_gradient and geom.has_analytic_hessians:
+
+        def grad(x, t):
+            # grad(grad f . P) = grad^2 f . P + grad f . P_d
+            frame, fd = geom.frame_derivative_at(x, t)
+            return frame.P @ g.gradient_values(x, t) + np.tensordot(
+                g.values(x, t), fd.P_d, axes=([-1], [0])
+            )
+
+    return TensorField(f.n, f.q + 1, func, grad=grad, depth=g.depth, name=f"gradM({f.name})")
 
 
 def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -186,14 +211,43 @@ def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
     def func(x, t):
         return np.asarray(np.trace(sg.values(x, t), axis1=-2, axis2=-1))
 
-    return TensorField(f.n, f.q - 1, func, depth=sg.depth, name=f"divM({f.name})")
+    grad = None
+    if sg.has_gradient:
+        grad = lambda x, t: np.trace(sg.gradient_values(x, t), axis1=-3, axis2=-2)
+    return TensorField(f.n, f.q - 1, func, grad=grad, depth=sg.depth, name=f"divM({f.name})")
+
+
+def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int) -> np.ndarray:
+    """Contract axis 1 of ``m`` with ``arr``'s axis ``slot``; m's axis 0 takes
+    the slot's place and any further axes of m go last."""
+    out = np.tensordot(m, arr, axes=([1], [slot]))
+    return np.moveaxis(out, tuple(range(m.ndim - 1)), (slot,) + tuple(range(-m.ndim + 2, 0)))
 
 
 def project_field(f: TensorField, geom: LevelSetGeometry, name: str = "") -> TensorField:
     def func(x, t):
         return geo._project_array(f.values(x, t), geom.frame_at(x, t).normals)
 
-    return TensorField(f.n, f.q, func, depth=f.depth, name=name or f"proj({f.name})")
+    grad = None
+    if f.has_gradient and geom.has_analytic_hessians:
+
+        def grad(x, t):
+            # product rule over the q slots that P fills: P_d in one slot at a
+            # time and P in the others, plus P in every slot of grad f
+            frame, fd = geom.frame_derivative_at(x, t)
+            arr = f.values(x, t)
+            out = f.gradient_values(x, t)
+            for s in range(f.q):
+                out = _apply_to_slot(frame.P, out, s)
+            for s in range(f.q):
+                term = _apply_to_slot(fd.P_d, arr, s)
+                for r in range(f.q):
+                    if r != s:
+                        term = _apply_to_slot(frame.P, term, r)
+                out = out + term
+            return out
+
+    return TensorField(f.n, f.q, func, grad=grad, depth=f.depth, name=name or f"proj({f.name})")
 
 
 def covariant_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:

@@ -12,7 +12,7 @@ and projected tangentially.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -86,6 +86,7 @@ class Chart:
                 raise ShapeError("a periodic axis cannot carry a boundary")
         self.name = name
         self._rule: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._points: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
     def _axis_rule(self, axis: int) -> Tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(self.order)
@@ -126,7 +127,16 @@ class Chart:
         return np.column_stack(cols)
 
     def points(self, t: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-        """Quadrature points in ambient space and their measure weights."""
+        """Quadrature points in ambient space and their measure weights.
+
+        Computed once per time t and returned as read-only arrays.
+        """
+        key = float(t)
+        if key not in self._points:
+            self._points[key] = self._compute_points(key)
+        return self._points[key]
+
+    def _compute_points(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         U, W = self.param_rule()
         X = np.array([self.mapping(u, t) for u in U], dtype=float)
         meas = np.empty(len(U))
@@ -140,6 +150,8 @@ class Chart:
             if g < _MIN_GRAM_DET:
                 raise GeometryError(f"degenerate chart metric at u={u} (det={g:.3e})")
             meas[i] = np.sqrt(g) * W[i]
+        X.flags.writeable = False
+        meas.flags.writeable = False
         return X, meas
 
 

@@ -268,7 +268,7 @@ def _rotation_field(scale: float = 1.0, name: str = "spin") -> "vector_field":
     return vector_field(
         3,
         lambda x, t: mat @ x,
-        jacobian=lambda x, t: mat,
+        jacobian=constant(3, Tensor(3, mat), name=f"grad({name})"),
         dt=lambda x, t: np.zeros(3),
         name=name,
     )
@@ -1064,6 +1064,9 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     start = time.perf_counter()
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     checks = [record for name in names for record in SUITES[name](cfg)]
+    unknown = sorted(set(cfg.tol) - {record.id for record in checks})
+    if unknown:
+        raise SuiteError(f"tolerance override for unknown check id: {', '.join(unknown)}")
     return VerificationReport(
         suite=cfg.suite,
         config=cfg.echo(),

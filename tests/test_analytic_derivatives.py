@@ -1,0 +1,135 @@
+"""Exact derivatives of derived fields in analytic mode.
+
+Every analytic gradient is checked against fourth-order differences of the
+same field, and the analytic Laplacian and curl stacks are checked to
+evaluate their ingredients at the requested point only.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tensorcalc.builtins import get_case
+from tensorcalc.fields import (
+    TensorField,
+    coordinate,
+    random_polynomial,
+    tf_add,
+    tf_outer,
+    tf_scale,
+)
+from tensorcalc.geometry import LevelSet, LevelSetGeometry
+from tensorcalc.operators import (
+    DiffConfig,
+    cartesian_gradient,
+    divergence,
+    laplacian,
+    project_field,
+    submanifold_gradient,
+    surface_curl,
+)
+
+AN = DiffConfig(mode="analytic")
+FD4 = DiffConfig(mode="fd4")
+GEOMETRIES = ("sphere", "torus", "circle3d", "helix")  # helix has codimension 2
+
+# fd4 with the default step leaves rounding noise near 1e-10 on these fields
+FD4_AGREEMENT = 1e-7
+
+
+def _assert_exact_gradient(field, points):
+    assert field.has_gradient, field.name
+    exact = cartesian_gradient(field, AN)
+    approx = cartesian_gradient(field, FD4)
+    assert exact.depth == 0
+    for x in points:
+        want = approx.values(x, 0.0)
+        got = exact.values(x, 0.0)
+        scale = max(1.0, float(np.max(np.abs(want))))
+        assert float(np.max(np.abs(got - want))) <= FD4_AGREEMENT * scale, field.name
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    seed=st.integers(0, 2**16),
+    q=st.integers(0, 3),
+    name=st.sampled_from(GEOMETRIES),
+)
+def test_derived_field_gradients_match_fd4(seed, q, name):
+    case = get_case(name)
+    geom = case.geometry
+    rng = np.random.default_rng(seed)
+    points = case.sample_points(2, seed=seed)
+    f = random_polynomial(3, q, rng, degree=3)
+    fields = [
+        project_field(f, geom),
+        submanifold_gradient(f, geom, AN),
+        cartesian_gradient(f, AN),  # its gradient is the polynomial's second derivative
+    ]
+    if q >= 1:
+        fields.append(divergence(f, geom, AN))
+    for field in fields:
+        _assert_exact_gradient(field, points)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 2**16), a=st.integers(0, 2), b=st.integers(0, 2))
+def test_combinator_second_derivatives_match_fd4(seed, a, b):
+    rng = np.random.default_rng(seed)
+    f = random_polynomial(3, a, rng, degree=3)
+    g = random_polynomial(3, b, rng, degree=3)
+    h = tf_add(tf_scale(tf_outer(f, g), 0.5), tf_outer(g, f))
+    points = [rng.standard_normal(3) for _ in range(2)]
+    _assert_exact_gradient(h, points)
+    _assert_exact_gradient(cartesian_gradient(h, AN), points)
+
+
+def _logged_field(f, seen, depth=3):
+    """f, with every evaluation of it and of its first gradients logged."""
+    grad = _logged_field(f.gradient, seen, depth - 1) if depth and f.has_gradient else None
+
+    def func(x, t):
+        seen.append(np.array(x, dtype=float))
+        return f.values(x, t)
+
+    return TensorField(f.n, f.q, func, grad=grad, name=f.name)
+
+
+def _logged_geometry(geom, seen):
+    """geom, with every point its level functions are evaluated at logged."""
+
+    def logged(fn):
+        def call(x, t):
+            seen.append(np.array(x, dtype=float))
+            return fn(x, t)
+
+        return call
+
+    levels = [LevelSet(logged(l.value), logged(l.gradient), logged(l.hessian))
+              for l in geom.levels]
+    return LevelSetGeometry(geom.n, levels, tube_halfwidth=geom.tube_halfwidth, name=geom.name)
+
+
+@pytest.mark.parametrize("stack", ["laplacian-coordinate", "laplacian-polynomial",
+                                   "curl-of-gradient"])
+def test_analytic_stacks_evaluate_only_at_the_point(stack, rng):
+    case = get_case("sphere")
+    seen = []
+    geom = _logged_geometry(case.geometry, seen)
+    x = case.sample_points(3, seed=4)[2]
+    if stack == "laplacian-coordinate":
+        field = laplacian(_logged_field(coordinate(3, 2), seen), geom, AN)
+        want, tol = -2.0 * x[2], 1e-12
+    elif stack == "laplacian-polynomial":
+        f = random_polynomial(3, 0, rng, degree=3)
+        field = laplacian(_logged_field(f, seen), geom, AN)
+        want, tol = float(laplacian(f, case.geometry, FD4).values(x, 0.0)), 1e-6
+    else:
+        f = random_polynomial(3, 0, rng, degree=2)
+        field = surface_curl(submanifold_gradient(_logged_field(f, seen), geom, AN), geom, AN)
+        want, tol = 0.0, 1e-12
+    got = float(field.values(x, 0.0))
+    assert seen
+    assert all(np.array_equal(p, x) for p in seen)
+    assert abs(got - want) <= tol * max(1.0, abs(want))

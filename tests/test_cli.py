@@ -73,6 +73,17 @@ def test_failing_tolerance_still_writes_report(tmp_path, capsys):
     assert "FAIL" in capsys.readouterr().out
 
 
+def test_unknown_tol_id_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "never.json"
+    code = main(["verify", "--suite", "projection", "--tol",
+                 "projection.idempotnt=1e-30,projection.idempotent=1e-8", "--out", str(target)])
+    assert code == 2
+    assert not target.exists()
+    err = capsys.readouterr().err
+    assert "projection.idempotnt" in err
+    assert "projection.idempotent," not in err
+
+
 def test_config_file_merging(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("# defaults for smoke runs\nsuite = projection\norder = 9\nseed = 5\n")

@@ -3,11 +3,13 @@
 import math
 
 import numpy as np
+import pytest
 
 from tensorcalc.builtins import get_case
 from tensorcalc.fields import coordinate, random_polynomial, scalar_field, vector_field
 from tensorcalc.operators import DiffConfig, normal_field, submanifold_gradient
 from tensorcalc.quadrature import (
+    Chart,
     boundary_points,
     circulation_residual,
     gradient_residual,
@@ -68,6 +70,28 @@ def test_quadrature_nodes_sit_on_the_level_set():
             for x in X:
                 worst = max(worst, float(np.max(np.abs(case.geometry.level_values(x, 0.0)))))
         assert worst <= 1e-12
+
+
+def test_chart_points_are_computed_once_per_time_and_read_only():
+    times = []
+
+    def mapping(u, t):
+        times.append(t)
+        return np.array([u[0], t, 0.0])
+
+    chart = Chart([0.0], [1.0], mapping, order=3, panels=1)
+    X, meas = chart.points(0.0)
+    made = len(times)
+    again = chart.points(0.0)
+    assert again[0] is X and again[1] is meas
+    assert len(times) == made
+    with pytest.raises(ValueError):
+        X[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        meas[0] = 1.0
+    later, _ = chart.points(0.5)
+    assert len(times) > made
+    np.testing.assert_array_equal(later[:, 1], 0.5)
 
 
 def test_area_error_decreases_with_order():
