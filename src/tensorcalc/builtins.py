@@ -4,6 +4,8 @@ Every case bundles a LevelSetGeometry (with exact gradients and Hessians),
 a chart atlas factory, and where meaningful a distinguished velocity field.
 Level functions are signed distances wherever that is cheap to write down,
 so the unit-gradient hypothesis of the projector-rate machinery holds.
+Level functions and velocity fields are batch-native: they take points of
+shape (..., n).  Chart mappings stay pointwise.
 """
 
 from __future__ import annotations
@@ -14,8 +16,8 @@ from typing import Callable, Dict, List, Optional
 
 import numpy as np
 
-from .fields import TensorField, vector_field
-from .geometry import LevelSet, LevelSetGeometry
+from .fields import TensorField, _field, _zeros
+from .geometry import LevelSet, LevelSetGeometry, _norm, _outer
 from .quadrature import Atlas, Chart
 
 __all__ = [
@@ -65,19 +67,18 @@ class GeometryCase:
 
 
 def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
-    def value(x, t):
-        return float(np.linalg.norm(x)) - (radius + speed * t)
+    def value(X, t):
+        return _norm(X) - (radius + speed * t)
 
-    def gradient(x, t):
-        r = np.linalg.norm(x)
-        return x / r
+    def gradient(X, t):
+        return X / _norm(X)[..., None]
 
-    def hessian(x, t):
-        r = np.linalg.norm(x)
-        xh = x / r
-        return (np.eye(x.shape[0]) - np.outer(xh, xh)) / r
+    def hessian(X, t):
+        r = _norm(X)[..., None]
+        xh = X / r
+        return (np.eye(X.shape[-1]) - _outer(xh, xh)) / r[..., None]
 
-    return LevelSet(value, gradient, hessian)
+    return LevelSet._batched(value, gradient, hessian)
 
 
 def _sphere_chart(radius, order, panels, theta_hi=math.pi, sides=(), rate=0.0):
@@ -167,28 +168,38 @@ def circle2d(radius: float = 1.0) -> GeometryCase:
     )
 
 
+def _radial_xy(X):
+    """Distance from the z axis and the unit radial direction in the xy plane."""
+    rho = np.hypot(X[..., 0], X[..., 1])
+    rh = X / rho[..., None]
+    rh[..., 2] = 0.0
+    return rho, rh
+
+
 def _cylinder_level(radius: float) -> LevelSet:
-    def value(x, t):
-        return math.hypot(x[0], x[1]) - radius
+    pxy = np.diag([1.0, 1.0, 0.0])
 
-    def gradient(x, t):
-        rho = math.hypot(x[0], x[1])
-        return np.array([x[0] / rho, x[1] / rho, 0.0])
+    def value(X, t):
+        return np.hypot(X[..., 0], X[..., 1]) - radius
 
-    def hessian(x, t):
-        rho = math.hypot(x[0], x[1])
-        rh = np.array([x[0] / rho, x[1] / rho, 0.0])
-        pxy = np.diag([1.0, 1.0, 0.0])
-        return (pxy - np.outer(rh, rh)) / rho
+    def gradient(X, t):
+        return _radial_xy(X)[1]
 
-    return LevelSet(value, gradient, hessian)
+    def hessian(X, t):
+        rho, rh = _radial_xy(X)
+        return (pxy - _outer(rh, rh)) / rho[..., None, None]
+
+    return LevelSet._batched(value, gradient, hessian)
 
 
 def _coordinate_plane_level(axis: int = 2) -> LevelSet:
     e = np.zeros(3)
     e[axis] = 1.0
-    zero = np.zeros((3, 3))
-    return LevelSet(lambda x, t: float(x[axis]), lambda x, t: e, lambda x, t: zero)
+    return LevelSet._batched(
+        lambda X, t: X[..., axis],
+        lambda X, t: np.broadcast_to(e, X.shape),
+        _zeros((3, 3)),
+    )
 
 
 def circle3d(radius: float = 1.0) -> GeometryCase:
@@ -262,29 +273,30 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
     if not 0 < minor < major:
         raise ValueError("need 0 < minor < major for a torus")
 
-    def value(x, t):
-        s = math.hypot(x[0], x[1])
-        return math.hypot(s - major, x[2]) - minor
+    ez = np.array([0.0, 0.0, 1.0])
 
-    def gradient(x, t):
-        s = math.hypot(x[0], x[1])
-        a = s - major
-        w = math.hypot(a, x[2])
-        sh = np.array([x[0] / s, x[1] / s, 0.0])
-        return (a * sh + x[2] * np.array([0.0, 0.0, 1.0])) / w
+    def value(X, t):
+        s = np.hypot(X[..., 0], X[..., 1])
+        return np.hypot(s - major, X[..., 2]) - minor
 
-    def hessian(x, t):
+    def gradient(X, t):
+        s, sh = _radial_xy(X)
+        a = (s - major)[..., None]
+        z = X[..., 2:]
+        return (a * sh + z * ez) / np.hypot(a, z)
+
+    def hessian(X, t):
         # distance to the core circle; curvature splits into the azimuthal
         # direction (radius s from the axis) and the in-plane quarter-turn
-        s = math.hypot(x[0], x[1])
-        a = s - major
-        w = math.hypot(a, x[2])
-        sh = np.array([x[0] / s, x[1] / s, 0.0])
-        th = np.array([-x[1] / s, x[0] / s, 0.0])
-        v = (-x[2] * sh + a * np.array([0.0, 0.0, 1.0])) / w
-        return (np.outer(v, v) + (a / s) * np.outer(th, th)) / w
+        s, sh = _radial_xy(X)
+        a = (s - major)[..., None]
+        z = X[..., 2:]
+        w = np.hypot(a, z)
+        th = np.stack([-sh[..., 1], sh[..., 0], sh[..., 2]], axis=-1)
+        v = (-z * sh + a * ez) / w
+        return (_outer(v, v) + (a / s[..., None])[..., None] * _outer(th, th)) / w[..., None]
 
-    geom = LevelSetGeometry(3, [LevelSet(value, gradient, hessian)], name="torus")
+    geom = LevelSetGeometry(3, [LevelSet._batched(value, gradient, hessian)], name="torus")
 
     def factory(order=16, panels=2):
         def mapping(u, t):
@@ -337,39 +349,45 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
         raise ValueError("pitch must be positive")
     a, b = radius, pitch
 
-    def theta_at(x):
-        phi = math.atan2(x[1], x[0])
-        return phi + TWO_PI * round((x[2] / b - phi) / TWO_PI)
+    def value(X, t):
+        phi = np.arctan2(X[..., 1], X[..., 0])
+        theta = phi + TWO_PI * np.round((X[..., 2] / b - phi) / TWO_PI)  # unwrapped angle
+        return b * theta - X[..., 2]
 
-    def value(x, t):
-        return b * theta_at(x) - x[2]
+    def gradient(X, t):
+        rho2 = X[..., 0] ** 2 + X[..., 1] ** 2
+        return np.stack([-b * X[..., 1] / rho2, b * X[..., 0] / rho2, -np.ones_like(rho2)],
+                        axis=-1)
 
-    def gradient(x, t):
-        rho2 = x[0] ** 2 + x[1] ** 2
-        return np.array([-b * x[1] / rho2, b * x[0] / rho2, -1.0])
-
-    def hessian(x, t):
-        rho4 = (x[0] ** 2 + x[1] ** 2) ** 2
-        hxx = 2 * x[0] * x[1]
-        hxy = x[1] ** 2 - x[0] ** 2
-        return b * np.array([[hxx, hxy, 0.0], [hxy, -hxx, 0.0], [0.0, 0.0, 0.0]]) / rho4
+    def hessian(X, t):
+        x0, x1 = X[..., 0], X[..., 1]
+        rho4 = (x0**2 + x1**2) ** 2
+        hxx = 2 * x0 * x1
+        hxy = x1**2 - x0**2
+        H = np.zeros(X.shape + (3,))
+        H[..., 0, 0], H[..., 0, 1], H[..., 1, 0], H[..., 1, 1] = hxx, hxy, hxy, -hxx
+        return b * H / rho4[..., None, None]
 
     geom = LevelSetGeometry(
-        3, [_cylinder_level(a), LevelSet(value, gradient, hessian)], name="helix"
+        3, [_cylinder_level(a), LevelSet._batched(value, gradient, hessian)], name="helix"
     )
+    turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
-    def tangent(x, t):
-        v = np.array([-x[1], x[0], b])
-        return v / np.linalg.norm(v)
+    def along(X):
+        v = X @ turn.T
+        v[..., 2] = b
+        return v, np.linalg.norm(v, axis=-1, keepdims=True)
 
-    def tangent_jac(x, t):
-        v = np.array([-x[1], x[0], b])
-        g = np.linalg.norm(v)
-        A = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        dg = np.array([x[0], x[1], 0.0]) / g
-        return A / g - np.outer(v, dg) / g**2
+    def tangent(X, t):
+        v, g = along(X)
+        return v / g
 
-    w = vector_field(3, tangent, jacobian=tangent_jac, dt=lambda x, t: np.zeros(3), name="helix-tangent")
+    def tangent_jac(X, t):
+        v, g = along(X)
+        dg = X * np.array([1.0, 1.0, 0.0]) / g
+        return turn / g[..., None] - _outer(v, dg) / (g**2)[..., None]
+
+    w = _field(3, 1, tangent, grad=tangent_jac, dt=_zeros((3,)), name="helix-tangent")
 
     theta_max = TWO_PI * turns
 
@@ -410,15 +428,15 @@ def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
         name="expanding_sphere",
     )
 
-    def vel(x, t):
-        return speed * x / np.linalg.norm(x)
+    def vel(X, t):
+        return speed * X / np.linalg.norm(X, axis=-1, keepdims=True)
 
-    def vel_jac(x, t):
-        r = np.linalg.norm(x)
-        xh = x / r
-        return speed * (np.eye(3) - np.outer(xh, xh)) / r
+    def vel_jac(X, t):
+        r = np.linalg.norm(X, axis=-1, keepdims=True)
+        xh = X / r
+        return speed * (np.eye(3) - _outer(xh, xh)) / r[..., None]
 
-    w = vector_field(3, vel, jacobian=vel_jac, dt=lambda x, t: np.zeros(3), name="radial")
+    w = _field(3, 1, vel, grad=vel_jac, dt=_zeros((3,)), name="radial")
 
     return GeometryCase(
         name="expanding_sphere",

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TensorField, polynomial, vector_field
+from .fields import TensorField, _field, _zeros, polynomial
 from .geometry import LevelSetGeometry
 from .operators import (
     DiffConfig,
@@ -56,11 +56,12 @@ def rigid_rotation_state(geometry: LevelSetGeometry, omega: float = 1.0) -> Eule
     solution, tangential to any origin-centered sphere and to the equator.
     """
     spin = omega * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    u = vector_field(
+    u = _field(
         3,
-        lambda x, t: spin @ x,
-        jacobian=lambda x, t: spin,
-        dt=lambda x, t: np.zeros(3),
+        1,
+        lambda X, t: X @ spin.T,
+        grad=lambda X, t: np.broadcast_to(spin, X.shape + (3,)),
+        dt=_zeros((3,)),
         name="rigid-rotation",
     )
     p = polynomial(
@@ -86,19 +87,25 @@ def tangent_velocity_identity(
     pu = project_field(u, geom, name="Pu")
     div_pu = divergence(pu, geom, cfg)
     lhs = integrate(atlas, pu, t)
-    bulk = integrate(atlas, lambda x, s: -div_pu.values(x, s) * x, t)
+    bulk = integrate(atlas, lambda X, s: -div_pu.values(X, s)[:, None] * X, t)
     bnd = integrate_boundary(atlas, lambda bp, s: float(u.values(bp.x, s) @ bp.conormal) * bp.x, t)
     rhs = bulk if bnd is None else bulk + bnd
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(rhs))
 
 
 def momentum_residual(state: EulerState, x, t: float, cfg: DiffConfig) -> np.ndarray:
-    """Pointwise residual of the non-divergence form."""
+    """Pointwise residual of the non-divergence form, at points x of shape (..., n)."""
     geom = state.geometry
     dtu = time_partial(state.velocity, cfg).values(x, t)
-    conv = covariant_gradient(state.velocity, geom, cfg).values(x, t) @ state.velocity.values(x, t)
+    conv = _apply(covariant_gradient(state.velocity, geom, cfg).values(x, t),
+                  state.velocity.values(x, t))
     gp = submanifold_gradient(state.pressure, geom, cfg).values(x, t)
     return dtu + conv + gp
+
+
+def _apply(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Matrix times vector at each point of a batch."""
+    return np.einsum("...ab,...b->...a", matrix, v)
 
 
 def _flux_field(state: EulerState) -> TensorField:
@@ -115,8 +122,7 @@ def divergence_form_residual(state: EulerState, x, t: float, cfg: DiffConfig) ->
     geom = state.geometry
     dtu = time_partial(state.velocity, cfg).values(x, t)
     divq = divergence(_flux_field(state), geom, cfg).values(x, t)
-    frame = geom.frame_at(x, t)
-    return dtu + frame.P @ divq
+    return dtu + _apply(geom.frame_at(x, t).P, divq)
 
 
 def convective_identity_residual(state: EulerState, x, t: float, cfg: DiffConfig) -> np.ndarray:
@@ -125,10 +131,9 @@ def convective_identity_residual(state: EulerState, x, t: float, cfg: DiffConfig
 
     geom = state.geometry
     u = state.velocity
-    conv = covariant_gradient(u, geom, cfg).values(x, t) @ u.values(x, t)
+    conv = _apply(covariant_gradient(u, geom, cfg).values(x, t), u.values(x, t))
     divuu = divergence(tf_outer(u, u), geom, cfg).values(x, t)
-    frame = geom.frame_at(x, t)
-    return conv - frame.P @ divuu
+    return conv - _apply(geom.frame_at(x, t).P, divuu)
 
 
 def incompressibility(state: EulerState, x, t: float, cfg: DiffConfig) -> float:
@@ -149,7 +154,7 @@ def force_balance(atlas: Atlas, state: EulerState, cfg: DiffConfig, t: float = 0
     geom = state.geometry
     u, p = state.velocity, state.pressure
     kap = mean_curvature(geom, cfg)
-    young = integrate(atlas, lambda x, s: float(p.values(x, s)) * kap.values(x, s), t)
+    young = integrate(atlas, lambda X, s: p.values(X, s)[:, None] * kap.values(X, s), t)
     reaction = integrate_boundary(atlas, lambda bp, s: float(p.values(bp.x, s)) * bp.conormal, t)
     if reaction is None:
         reaction = np.zeros(geom.n)
@@ -157,10 +162,10 @@ def force_balance(atlas: Atlas, state: EulerState, cfg: DiffConfig, t: float = 0
     for i in range(geom.m):
         b_i = shape_operator(geom, i, cfg)
 
-        def integrand(x, s, b_i=b_i, i=i):
-            uval = u.values(x, s)
-            frame = geom.frame_at(x, s)
-            return float(uval @ b_i.values(x, s) @ uval) * frame.normals[i]
+        def integrand(X, s, b_i=b_i, i=i):
+            uval = u.values(X, s)
+            bu = np.einsum("na,nab,nb->n", uval, b_i.values(X, s), uval)
+            return bu[:, None] * geom.frame_at(X, s).normals[:, i, :]
 
         centripetal = centripetal + integrate(atlas, integrand, t)
     return IdentityResult(

@@ -21,7 +21,7 @@ from .operators import (
     material_derivative,
     submanifold_gradient,
 )
-from .quadrature import Atlas, IdentityResult, advected_atlas, integrate, rk4_step
+from .quadrature import Atlas, IdentityResult, _frobenius, advected_atlas, integrate, rk4_step
 
 __all__ = [
     "dirichlet_energy",
@@ -36,7 +36,12 @@ __all__ = [
 def dirichlet_energy(atlas: Atlas, f: TensorField, cfg: DiffConfig, t: float = 0.0) -> float:
     """E = 1/2 int |grad_M T|^2 over the current submanifold."""
     g = submanifold_gradient(f, atlas.geometry, cfg)
-    return 0.5 * float(integrate(atlas, lambda x, s: np.sum(g.values(x, s) ** 2), t))
+
+    def density(X, s):
+        garr = g.values(X, s)
+        return _frobenius(garr, garr)
+
+    return 0.5 * float(integrate(atlas, density, t))
 
 
 def dirichlet_rate_terms(
@@ -53,15 +58,18 @@ def dirichlet_rate_terms(
     div_w = divergence(w, geom, cfg)
     cov_w = covariant_gradient(w, geom, cfg)
 
-    term1 = float(integrate(atlas, lambda x, s: np.sum(g.values(x, s) * g_rate.values(x, s)), t))
-    term2 = 0.5 * float(
-        integrate(atlas, lambda x, s: np.sum(g.values(x, s) ** 2) * float(div_w.values(x, s)), t)
-    )
+    term1 = float(integrate(atlas, lambda X, s: _frobenius(g.values(X, s), g_rate.values(X, s)), t))
 
-    def chained(x, s):
-        garr = g.values(x, s)
-        warr = cov_w.values(x, s)
-        return float(np.sum(np.tensordot(garr, warr, axes=([-1], [0])) * garr))
+    def dilation(X, s):
+        garr = g.values(X, s)
+        return _frobenius(garr, garr) * div_w.values(X, s)
+
+    term2 = 0.5 * float(integrate(atlas, dilation, t))
+
+    def chained(X, s):
+        garr = g.values(X, s)
+        flat = garr.reshape(len(garr), -1, garr.shape[-1])  # derivative slot last
+        return _frobenius((flat @ cov_w.values(X, s)).reshape(garr.shape), garr)
 
     term3 = -float(integrate(atlas, chained, t))
     return {"advection": term1, "dilation": term2, "chain": term3, "total": term1 + term2 + term3}
@@ -94,7 +102,8 @@ def reynolds_residual(
     div_w = divergence(w, geom, cfg)
     rhs = integrate(
         atlas,
-        lambda x, s: mat.values(x, s) + float(div_w.values(x, s)) * f.values(x, s),
+        lambda X, s: mat.values(X, s) + div_w.values(X, s).reshape((-1,) + (1,) * f.q)
+        * f.values(X, s),
         t,
     )
     lhs = transport_rate_fd(atlas, f, w, t, dt)

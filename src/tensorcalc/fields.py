@@ -1,7 +1,14 @@
 """Tensor-valued fields on ambient space.
 
-A TensorField wraps an evaluator (x, t) -> array of shape (n,)*q.  Fields
-may also carry an analytic gradient and time partial; differential
+A TensorField wraps an evaluator over batches of points: ``X`` of shape
+(..., n) gives values of shape (...) + (n,)*q, and a single point is a
+batch of shape ().  ``values`` shape-checks each batch once.  Callables
+passed to the public constructors (``TensorField``, ``scalar_field``,
+``vector_field``: func, grad and dt) are pointwise, (x, t) -> (n,)*q, and
+run behind one looping adapter that calls straight through for a single
+point.  The library's own fields are batch-native (``_field``).
+
+Fields may carry an analytic gradient and time partial; differential
 operators use them in analytic mode and fall back to finite differences
 otherwise.  The gradient is itself a rank-(q+1) TensorField (derivative
 slot last) that may carry its own gradient, so second derivatives come
@@ -24,7 +31,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .tensor import MAX_AMBIENT_DIM, MAX_RANK, ShapeError, Tensor
+from .tensor import MAX_AMBIENT_DIM, MAX_RANK, ShapeError, Tensor, _looped
 
 __all__ = [
     "TensorField",
@@ -58,11 +65,15 @@ class _Lazy:
         return self.field
 
 
-class TensorField:
-    """Rank-q tensor field over R^n, evaluated pointwise.
+Evaluator = Callable[[np.ndarray, float], np.ndarray]
 
-    ``grad`` is the analytic gradient: a rank-(q+1) TensorField, or a
-    callable (x, t) -> array that becomes a gradient field with no
+
+class TensorField:
+    """Rank-q tensor field over R^n, evaluated on batches of points.
+
+    ``func``, a callable ``grad`` and ``dt`` are pointwise: (x, t) with x
+    of shape (n,).  ``grad`` is the analytic gradient: a rank-(q+1)
+    TensorField, or a callable that becomes a gradient field with no
     gradient of its own.
     """
 
@@ -72,21 +83,28 @@ class TensorField:
         self,
         n: int,
         q: int,
-        func: Callable[[np.ndarray, float], np.ndarray],
-        grad: Union["TensorField", Callable[[np.ndarray, float], np.ndarray], None] = None,
-        dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
+        func: Evaluator,
+        grad: Union["TensorField", Evaluator, None] = None,
+        dt: Optional[Evaluator] = None,
         depth: int = 0,
         name: str = "",
     ) -> None:
+        self._setup(n, q, func, grad, dt, depth, name, batched=False)
+
+    def _setup(self, n, q, func, grad, dt, depth, name, batched: bool) -> None:
         if not 1 <= n <= MAX_AMBIENT_DIM:
             raise ShapeError(f"ambient dimension must be in [1, {MAX_AMBIENT_DIM}], got {n}")
         if not 0 <= q <= MAX_RANK:
             raise ShapeError(f"rank must be in [0, {MAX_RANK}], got {q}")
         self.n = n
         self.q = q
-        self._func = func
         self.depth = depth
         self.name = name or "field"
+        if not batched:
+            func = _looped(func, q, f"field '{self.name}'")
+            if dt is not None:
+                dt = _looped(dt, q, f"time derivative of '{self.name}'")
+        self._func = func
         if isinstance(grad, TensorField) and (grad.n, grad.q) != (n, q + 1):
             raise ShapeError(
                 f"gradient of '{self.name}' must be a rank-{q + 1} field over R^{n}, "
@@ -94,7 +112,8 @@ class TensorField:
             )
         if grad is not None and not isinstance(grad, (TensorField, _Lazy)):
             grad = _Lazy(
-                partial(TensorField, n, q + 1, grad, depth=depth, name=f"grad({self.name})")
+                partial(_field if batched else TensorField, n, q + 1, grad, depth=depth,
+                        name=f"grad({self.name})")
             )
         self._grad = grad
         self._dt = dt
@@ -112,15 +131,21 @@ class TensorField:
     def has_time_derivative(self) -> bool:
         return self._dt is not None
 
-    def values(self, x, t: float = 0.0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out = np.asarray(self._func(x, t), dtype=float)
-        if out.shape != (self.n,) * self.q:
+    def _evaluate(self, evaluator, x, t: float, what: str) -> np.ndarray:
+        X = np.asarray(x, dtype=float)
+        if X.ndim == 0 or X.shape[-1] != self.n:
+            raise ShapeError(f"points of shape {X.shape} do not live in R^{self.n}")
+        out = np.asarray(evaluator(X, t), dtype=float)
+        if out.shape != X.shape[:-1] + (self.n,) * self.q:
             raise ShapeError(
-                f"field '{self.name}' returned shape {out.shape}, "
-                f"expected {(self.n,) * self.q}"
+                f"{what} '{self.name}' returned shape {out.shape} at points of shape "
+                f"{X.shape}, expected {X.shape[:-1] + (self.n,) * self.q}"
             )
         return out
+
+    def values(self, x, t: float = 0.0) -> np.ndarray:
+        """Values at ``x`` of shape (..., n), shaped (...) + (n,)*q."""
+        return self._evaluate(self._func, x, t, "field")
 
     def gradient_values(self, x, t: float = 0.0) -> np.ndarray:
         if self._grad is None:
@@ -130,7 +155,7 @@ class TensorField:
     def dt_values(self, x, t: float = 0.0) -> np.ndarray:
         if self._dt is None:
             raise ShapeError(f"field '{self.name}' has no analytic time derivative")
-        return np.asarray(self._dt(np.asarray(x, dtype=float), t), dtype=float)
+        return self._evaluate(self._dt, x, t, "time derivative of")
 
     def at(self, x, t: float = 0.0) -> Tensor:
         return Tensor(self.n, self.values(x, t))
@@ -139,16 +164,35 @@ class TensorField:
         return self.at(x, t)
 
 
+def _field(n, q, func, grad=None, dt=None, depth=0, name="") -> TensorField:
+    """A TensorField whose func, callable grad and dt are batch-native:
+    points of shape (..., n) give values of shape (...) + (n,)*q."""
+    f = TensorField.__new__(TensorField)
+    f._setup(n, q, func, grad, dt, depth, name, batched=True)
+    return f
+
+
+def _zeros(shape: tuple) -> Evaluator:
+    """Batch evaluator of the zero value of ``shape``."""
+    return lambda X, t: np.zeros(X.shape[:-1] + shape)
+
+
+def _outer(a: np.ndarray, qa: int, b: np.ndarray, qb: int) -> np.ndarray:
+    """Pointwise outer product of batched rank-qa and rank-qb values."""
+    lead = a.shape[: a.ndim - qa]
+    return a.reshape(a.shape + (1,) * qb) * b.reshape(lead + (1,) * qa + b.shape[len(lead):])
+
+
 # -- basic constructors -------------------------------------------------------
 
 
 def _constant_array(n: int, arr: np.ndarray, name: str) -> TensorField:
-    zero_t = np.zeros(arr.shape)
     grad = None
     if arr.ndim < MAX_RANK:
         grad = _Lazy(lambda: _constant_array(n, np.zeros(arr.shape + (n,)), f"grad({name})"))
-    return TensorField(
-        n, arr.ndim, lambda x, t: arr, grad=grad, dt=lambda x, t: zero_t, name=name
+    return _field(
+        n, arr.ndim, lambda X, t: np.broadcast_to(arr, X.shape[:-1] + arr.shape), grad=grad,
+        dt=_zeros(arr.shape), name=name,
     )
 
 
@@ -157,44 +201,30 @@ def constant(n: int, value: Tensor, name: str = "const") -> TensorField:
 
 
 def scalar_field(n, func, grad=None, dt=None, name="scalar") -> TensorField:
-    return TensorField(
-        n,
-        0,
-        lambda x, t: np.asarray(func(x, t), dtype=float),
-        grad=grad,
-        dt=dt,
-        name=name,
-    )
+    """Rank-0 field from a pointwise ``func(x, t)``."""
+    return TensorField(n, 0, func, grad=grad, dt=dt, name=name)
 
 
 def vector_field(n, func, jacobian=None, dt=None, name="vector") -> TensorField:
-    """Rank-1 field; ``jacobian(x, t)[a, k]`` is d u_a / d x_k when given,
-    either as a callable or as a rank-2 TensorField."""
+    """Rank-1 field from a pointwise ``func(x, t)``; ``jacobian(x, t)[a, k]``
+    is d u_a / d x_k when given, either as a callable or as a rank-2
+    TensorField."""
     return TensorField(n, 1, func, grad=jacobian, dt=dt, name=name)
 
 
 def position(n: int) -> TensorField:
-    zero = np.zeros(n)
-    return TensorField(
-        n,
-        1,
-        lambda x, t: x,
-        grad=_constant_array(n, np.eye(n), "grad(position)"),
-        dt=lambda x, t: zero,
-        name="position",
+    return _field(
+        n, 1, lambda X, t: X, grad=_constant_array(n, np.eye(n), "grad(position)"),
+        dt=_zeros((n,)), name="position",
     )
 
 
 def coordinate(n: int, j: int) -> TensorField:
     e = np.zeros(n)
     e[j] = 1.0
-    return TensorField(
-        n,
-        0,
-        lambda x, t: np.asarray(x[j]),
-        grad=_constant_array(n, e, f"grad(x_{j})"),
-        dt=lambda x, t: np.asarray(0.0),
-        name=f"x_{j}",
+    return _field(
+        n, 0, lambda X, t: X[..., j], grad=_constant_array(n, e, f"grad(x_{j})"),
+        dt=_zeros(()), name=f"x_{j}",
     )
 
 
@@ -215,9 +245,19 @@ def polynomial(n: int, q: int, exponents, coeffs, name: str = "poly") -> TensorF
     if coeffs.shape != (n,) * q + (exponents.shape[0],):
         raise ShapeError("coefficient array does not match rank and term count")
 
-    def func(x, t):
-        powers = np.prod(x[None, :] ** exponents, axis=1)
-        return coeffs @ powers
+    nterms = exponents.shape[0]
+    table = coeffs.reshape(n**q, nterms).T
+    axes = np.arange(n)
+    top = int(exponents.max(initial=0))
+
+    def func(X, t):
+        flat = X.reshape(-1, n)
+        power = np.empty(flat.shape + (top + 1,))  # power[b, k, d] = x_k^d
+        power[..., 0] = 1.0
+        for d in range(1, top + 1):
+            power[..., d] = power[..., d - 1] * flat
+        monomials = power[:, axes, exponents].prod(axis=-1)  # (batch, nterms)
+        return (monomials @ table).reshape(X.shape[:-1] + (n,) * q)
 
     grad = None
     if q < MAX_RANK:
@@ -225,8 +265,7 @@ def polynomial(n: int, q: int, exponents, coeffs, name: str = "poly") -> TensorF
             lambda: polynomial(n, q + 1, *_polynomial_gradient(exponents, coeffs),
                                name=f"grad({name})")
         )
-    zero = np.zeros((n,) * q)
-    return TensorField(n, q, func, grad=grad, dt=lambda x, t: zero, name=name)
+    return _field(n, q, func, grad=grad, dt=_zeros((n,) * q), name=name)
 
 
 def _polynomial_gradient(exponents: np.ndarray, coeffs: np.ndarray):
@@ -274,17 +313,17 @@ def random_polynomial(
     return polynomial(n, q, exps, coeffs, name=f"poly{q}_deg{degree}")
 
 
-# -- pointwise combinators ----------------------------------------------------
+# -- combinators ----------------------------------------------------------------
 
 
 def tf_scale(f: TensorField, a: float, name: str = "") -> TensorField:
     a = float(a)
-    return TensorField(
+    return _field(
         f.n,
         f.q,
-        lambda x, t: a * f.values(x, t),
+        lambda X, t: a * f.values(X, t),
         grad=_Lazy(lambda: tf_scale(f.gradient, a)) if f.has_gradient else None,
-        dt=(lambda x, t: a * f.dt_values(x, t)) if f.has_time_derivative else None,
+        dt=(lambda X, t: a * f.dt_values(X, t)) if f.has_time_derivative else None,
         depth=f.depth,
         name=name or f"{a}*{f.name}",
     )
@@ -295,24 +334,29 @@ def tf_add(f: TensorField, g: TensorField, name: str = "") -> TensorField:
         raise ShapeError(f"cannot add fields of shapes ({f.n},{f.q}) and ({g.n},{g.q})")
     both_grad = f.has_gradient and g.has_gradient
     both_dt = f.has_time_derivative and g.has_time_derivative
-    return TensorField(
+    return _field(
         f.n,
         f.q,
-        lambda x, t: f.values(x, t) + g.values(x, t),
+        lambda X, t: f.values(X, t) + g.values(X, t),
         grad=_Lazy(lambda: tf_add(f.gradient, g.gradient)) if both_grad else None,
-        dt=(lambda x, t: f.dt_values(x, t) + g.dt_values(x, t)) if both_dt else None,
+        dt=(lambda X, t: f.dt_values(X, t) + g.dt_values(X, t)) if both_dt else None,
         depth=max(f.depth, g.depth),
         name=name or f"{f.name}+{g.name}",
     )
 
 
 def _transposed(f: TensorField, axes) -> TensorField:
-    """The field whose values are ``np.transpose(f, axes)``."""
+    """The field whose values are ``np.transpose(f, axes)`` at each point."""
     axes = tuple(axes)
-    return TensorField(
+
+    def func(X, t):
+        lead = X.ndim - 1
+        return np.transpose(f.values(X, t), (*range(lead), *(lead + a for a in axes)))
+
+    return _field(
         f.n,
         f.q,
-        lambda x, t: np.transpose(f.values(x, t), axes),
+        func,
         grad=_Lazy(lambda: _transposed(f.gradient, axes + (f.q,))) if f.has_gradient else None,
         depth=f.depth,
         name=f"{f.name}^T",
@@ -326,20 +370,20 @@ def tf_outer(f: TensorField, g: TensorField, name: str = "") -> TensorField:
     both_grad = f.has_gradient and g.has_gradient and q < MAX_RANK
     both_dt = f.has_time_derivative and g.has_time_derivative
 
-    def func(x, t):
-        return np.multiply.outer(f.values(x, t), g.values(x, t))
+    def func(X, t):
+        return _outer(f.values(X, t), f.q, g.values(X, t), g.q)
 
     def grad():
         # f (x) grad g, plus grad f (x) g with its derivative slot moved last
         moved = (*range(f.q), *range(f.q + 1, q + 1), f.q)
         return tf_add(tf_outer(f, g.gradient), _transposed(tf_outer(f.gradient, g), moved))
 
-    def dt(x, t):
-        return np.multiply.outer(f.values(x, t), g.dt_values(x, t)) + np.multiply.outer(
-            f.dt_values(x, t), g.values(x, t)
+    def dt(X, t):
+        return _outer(f.values(X, t), f.q, g.dt_values(X, t), g.q) + _outer(
+            f.dt_values(X, t), f.q, g.values(X, t), g.q
         )
 
-    return TensorField(
+    return _field(
         f.n,
         q,
         func,

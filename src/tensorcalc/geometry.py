@@ -5,16 +5,25 @@ functions.  All frame data at a point comes from the level function
 gradients: normals are their modified Gram-Schmidt orthonormalization in
 the listed order, N is the normal projector, P = I - N the tangential one.
 Nothing is parametrized; charts live in the quadrature layer only.
+
+Frames are built for batches of points: ``frame_at(X)`` with X of shape
+(..., n) checks every point against the tube and the gradient floor and
+returns normals of shape (..., m, n) and projectors of shape (..., n, n);
+a single point is a batch of shape ().  The callables of a public
+``LevelSet`` are pointwise and run behind a looping adapter; the built-in
+geometries use batch-native level functions (``LevelSet._batched``).
 """
 
 from __future__ import annotations
 
+import math
+from functools import lru_cache
 from itertools import permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .tensor import MAX_AMBIENT_DIM, ShapeError, Tensor
+from .tensor import MAX_AMBIENT_DIM, ShapeError, Tensor, _looped
 
 __all__ = [
     "GeometryError",
@@ -36,12 +45,36 @@ class GeometryError(ValueError):
     """Degenerate frame data or a point outside the geometry's tube."""
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise dot product over the last axis, kept as a length-1 axis."""
+    return (a * b).sum(axis=-1, keepdims=True)
+
+
+def _norm(a: np.ndarray) -> np.ndarray:
+    """Pointwise Euclidean norm over the last axis."""
+    return np.sqrt((a * a).sum(axis=-1))
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
+def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise outer product of two batches of vectors."""
+    return a[..., :, None] * b[..., None, :]
+
+
 class LevelSet:
     """One scalar constraint d(x, t) with optional analytic derivatives.
 
     ``value`` is required.  ``gradient`` and ``hessian`` are used when given;
-    otherwise fourth-order central differences fill in.  All callables take
-    (x, t) even when the constraint is static.
+    otherwise fourth-order central differences fill in.  All callables are
+    pointwise, take (x, t) even when the constraint is static, and return a
+    number, an (n,) array and an (n, n) array.  The methods ``value``,
+    ``gradient`` and ``hessian`` take batches of points (..., n).
     """
 
     def __init__(
@@ -50,9 +83,17 @@ class LevelSet:
         gradient: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
         hessian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
     ) -> None:
-        self.value = value
-        self._gradient = gradient
-        self._hessian = hessian
+        self._value = _looped(value, 0, "level-set value")
+        self._gradient = None if gradient is None else _looped(gradient, 1, "level-set gradient")
+        self._hessian = None if hessian is None else _looped(hessian, 2, "level-set hessian")
+
+    @classmethod
+    def _batched(cls, value, gradient=None, hessian=None) -> "LevelSet":
+        """A level set whose callables take points (..., n) and return
+        (...), (..., n) and (..., n, n)."""
+        level = cls.__new__(cls)
+        level._value, level._gradient, level._hessian = value, gradient, hessian
+        return level
 
     @property
     def has_analytic_gradient(self) -> bool:
@@ -62,42 +103,48 @@ class LevelSet:
     def has_analytic_hessian(self) -> bool:
         return self._hessian is not None
 
-    def gradient(self, x: np.ndarray, t: float) -> np.ndarray:
+    def value(self, x, t: float = 0.0) -> np.ndarray:
+        return np.asarray(self._value(np.asarray(x, dtype=float), t), dtype=float)
+
+    def gradient(self, x, t: float = 0.0) -> np.ndarray:
+        X = np.asarray(x, dtype=float)
+        n = X.shape[-1]
         if self._gradient is not None:
-            return np.asarray(self._gradient(x, t), dtype=float)
-        n = x.shape[0]
-        h = _LEVEL_FD_STEP * max(1.0, float(np.linalg.norm(x)))
-        g = np.empty(n)
+            return np.asarray(self._gradient(X, t), dtype=float)
+        h = _LEVEL_FD_STEP * np.maximum(1.0, _norm(X))
+        g = np.empty(X.shape)
         for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            g[k] = (
-                -self.value(x + 2 * e, t)
-                + 8 * self.value(x + e, t)
-                - 8 * self.value(x - e, t)
-                + self.value(x - 2 * e, t)
+            e = np.zeros(X.shape)
+            e[..., k] = h
+            g[..., k] = (
+                -self.value(X + 2 * e, t)
+                + 8 * self.value(X + e, t)
+                - 8 * self.value(X - e, t)
+                + self.value(X - 2 * e, t)
             ) / (12 * h)
         return g
 
-    def hessian(self, x: np.ndarray, t: float) -> np.ndarray:
+    def hessian(self, x, t: float = 0.0) -> np.ndarray:
+        X = np.asarray(x, dtype=float)
+        n = X.shape[-1]
         if self._hessian is not None:
-            return np.asarray(self._hessian(x, t), dtype=float)
-        n = x.shape[0]
-        h = _LEVEL_FD_STEP * max(1.0, float(np.linalg.norm(x)))
-        H = np.empty((n, n))
+            return np.asarray(self._hessian(X, t), dtype=float)
+        h = _LEVEL_FD_STEP * np.maximum(1.0, _norm(X))
+        H = np.empty(X.shape + (n,))
         for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
-            H[:, k] = (self.gradient(x + e, t) - self.gradient(x - e, t)) / (2 * h)
-        return 0.5 * (H + H.T)
+            e = np.zeros(X.shape)
+            e[..., k] = h
+            H[..., k] = (self.gradient(X + e, t) - self.gradient(X - e, t)) / (2 * h[..., None])
+        return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
 class GeometryFrame:
-    """Pointwise frame: orthonormal normals and the two projectors.
+    """Frame at a batch of points: orthonormal normals and the two projectors.
 
-    ``normals`` has shape (m, n); ``N`` and ``P`` are (n, n) arrays with
-    N = sum_i n_i n_i^T and P = I - N.  Tensor views are available through
-    ``normal_projector`` and ``tangent_projector``.
+    ``x`` has shape (..., n) and ``normals`` (..., m, n); ``N`` and ``P``
+    are (..., n, n) arrays with N = sum_i n_i n_i^T and P = I - N.  For a
+    single point, tensor views are available through ``normal_projector``
+    and ``tangent_projector``.
     """
 
     __slots__ = ("x", "t", "normals", "N", "P")
@@ -106,16 +153,16 @@ class GeometryFrame:
         self.x = np.asarray(x, dtype=float)
         self.t = float(t)
         self.normals = np.asarray(normals, dtype=float)
-        self.N = self.normals.T @ self.normals
-        self.P = np.eye(self.x.shape[0]) - self.N
+        self.N = self.normals.swapaxes(-1, -2) @ self.normals
+        self.P = _identity(self.n) - self.N
 
     @property
     def n(self) -> int:
-        return self.x.shape[0]
+        return self.x.shape[-1]
 
     @property
     def m(self) -> int:
-        return self.normals.shape[0]
+        return self.normals.shape[-2]
 
     @property
     def normal_projector(self) -> Tensor:
@@ -141,71 +188,74 @@ def frame_from_normals(normals, x=None, t: float = 0.0) -> GeometryFrame:
 
 
 class FrameDerivative:
-    """Spatial derivatives of the frame fields at a point.
+    """Spatial derivatives of the frame fields at a batch of points.
 
-    ``normals_d[i][a, k]`` is d(n_i)_a / dx_k; ``N_d`` and ``P_d`` hold the
-    projector derivatives indexed [a, b, k].
+    ``normals_d[..., i, a, k]`` is d(n_i)_a / dx_k; ``N_d`` and ``P_d``
+    hold the projector derivatives indexed [..., a, b, k].
     """
 
     __slots__ = ("normals_d", "N_d", "P_d")
 
     def __init__(self, normals: np.ndarray, normals_d: np.ndarray) -> None:
         self.normals_d = normals_d
-        m, n = normals.shape
-        N_d = np.zeros((n, n, n))
-        for i in range(m):
-            N_d += np.einsum("ak,b->abk", normals_d[i], normals[i])
-            N_d += np.einsum("a,bk->abk", normals[i], normals_d[i])
-        self.N_d = N_d
-        self.P_d = -N_d
+        # sum_i d(n_i)_a/dx_k (n_i)_b, then the same with a and b swapped
+        half = np.einsum("...iak,...ib->...abk", normals_d, normals)
+        self.N_d = half + np.swapaxes(half, -3, -2)
+        self.P_d = -self.N_d
+
+
+def _residual_floor(i: int, r: np.ndarray, floor: float) -> None:
+    if (r < floor).any():
+        raise GeometryError(
+            f"gradient of level function {i} vanishes or depends on the earlier ones "
+            f"(Gram-Schmidt residual {float(np.min(r)):.3e} below floor {floor:.1e})"
+        )
 
 
 def _gram_schmidt(grads: Sequence[np.ndarray], floor: float) -> np.ndarray:
-    out = []
-    for g in grads:
-        v = g.astype(float, copy=True)
+    """Orthonormal normals (..., m, n) from m gradients of shape (..., n)."""
+    first = np.asarray(grads[0], dtype=float)
+    out = np.empty(first.shape[:-1] + (len(grads),) + first.shape[-1:])
+    for i, g in enumerate(grads):
+        v = np.asarray(g, dtype=float)
         for _ in range(2):  # second pass for orthogonality to ~1e-15
-            for nh in out:
-                v = v - (nh @ v) * nh
-        r = float(np.linalg.norm(v))
-        if r < floor:
-            raise GeometryError(
-                "level-set gradients are linearly dependent "
-                f"(Gram-Schmidt residual {r:.3e} below floor {floor:.1e})"
-            )
-        out.append(v / r)
-    return np.array(out)
+            for j in range(i):
+                nh = out[..., j, :]
+                v = v - _dot(nh, v) * nh
+        r = np.sqrt(_dot(v, v))
+        _residual_floor(i, r, floor)
+        out[..., i, :] = v / r
+    return out
 
 
 def _gram_schmidt_with_derivative(grads, hessians, floor: float):
     """Forward-propagate x-derivatives through modified Gram-Schmidt."""
     ns, dns = [], []
-    for g, G in zip(grads, hessians):
-        v = g.astype(float, copy=True)
-        Dv = G.astype(float, copy=True)  # Dv[a, k] = d v_a / d x_k
+    for i, (g, G) in enumerate(zip(grads, hessians)):
+        v = np.asarray(g, dtype=float)
+        Dv = np.asarray(G, dtype=float)  # Dv[..., a, k] = d v_a / d x_k
         for _ in range(2):
             for nh, Dnh in zip(ns, dns):
-                c = float(nh @ v)
-                Dc = v @ Dnh + nh @ Dv
-                Dv = Dv - np.outer(nh, Dc) - c * Dnh
+                c = _dot(nh, v)
+                Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
+                Dv = Dv - _outer(nh, Dc) - c[..., None] * Dnh
                 v = v - c * nh
-        r = float(np.linalg.norm(v))
-        if r < floor:
-            raise GeometryError(
-                f"level-set gradients are linearly dependent (residual {r:.3e})"
-            )
-        Dr = (v / r) @ Dv
+        r = np.sqrt(_dot(v, v))
+        _residual_floor(i, r, floor)
+        Dr = ((v / r)[..., None, :] @ Dv)[..., 0, :]
         ns.append(v / r)
-        dns.append(Dv / r - np.outer(v, Dr) / r**2)
-    return np.array(ns), np.array(dns)
+        dns.append(Dv / r[..., None] - _outer(v, Dr) / (r**2)[..., None])
+    return np.stack(ns, axis=-2), np.stack(dns, axis=-3)
 
 
 class LevelSetGeometry:
     """Submanifold of R^n cut out by m level functions.
 
     Frames exist inside the tube sum_i |d_i(x, t)| < tube_halfwidth; outside
-    it frame_at raises.  grad_floor guards against vanishing or linearly
-    dependent gradients.
+    it, or at a point where that sum is not a number, frame_at raises.
+    grad_floor bounds the Gram-Schmidt residual of each gradient, which
+    guards against vanishing or linearly dependent gradients.
+    Every check applies to each point of a batch.
     """
 
     def __init__(
@@ -241,31 +291,31 @@ class LevelSetGeometry:
         return self.has_analytic_gradients and all(l.has_analytic_hessian for l in self.levels)
 
     def level_values(self, x, t: float = 0.0) -> np.ndarray:
+        """Level function values (..., m) at points (..., n)."""
         x = np.asarray(x, dtype=float)
-        return np.array([l.value(x, t) for l in self.levels])
+        return np.stack([l.value(x, t) for l in self.levels], axis=-1)
 
     def _check_point(self, x, t: float) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if x.shape != (self.n,):
+        if x.ndim == 0 or x.shape[-1] != self.n:
             raise ShapeError(f"point of shape {x.shape} does not live in R^{self.n}")
-        residual = float(np.sum(np.abs(self.level_values(x, t))))
-        if residual >= self.tube_halfwidth:
+        residual = 0.0
+        for lvl in self.levels:
+            residual = residual + np.abs(lvl.value(x, t))
+        outside = ~(residual < self.tube_halfwidth)  # a NaN residual is outside too
+        if outside.any():
+            bad = np.argwhere(outside)[0] if x.ndim > 1 else ()
             raise GeometryError(
-                f"point {x} is outside the tube (sum |d_i| = {residual:.3e} "
-                f">= {self.tube_halfwidth:.3e})"
+                f"point {x[tuple(bad)]} is outside the tube (sum |d_i| = "
+                f"{float(residual[tuple(bad)]):.3e}, not < {self.tube_halfwidth:.3e})"
             )
         return x
 
     def _gradients(self, x: np.ndarray, t: float):
-        grads = []
-        for i, lvl in enumerate(self.levels):
-            g = lvl.gradient(x, t)
-            if float(np.linalg.norm(g)) < self.grad_floor:
-                raise GeometryError(f"gradient of level function {i} vanishes at {x}")
-            grads.append(g)
-        return grads
+        return [lvl.gradient(x, t) for lvl in self.levels]
 
     def frame_at(self, x, t: float = 0.0) -> GeometryFrame:
+        """Frame at points x of shape (..., n)."""
         x = self._check_point(x, t)
         normals = _gram_schmidt(self._gradients(x, t), self.grad_floor)
         return GeometryFrame(x, t, normals)
@@ -290,20 +340,28 @@ class LevelSetGeometry:
 
 
 def _project_array(data: np.ndarray, normals: np.ndarray) -> np.ndarray:
+    """Tangential projection of ``data`` of shape (...) + (n,)*q, with
+    normals of shape (..., m, n)."""
     # Two steps: project every component of the tree, then remove the part
     # of the first slot that the normals still see.
-    if data.ndim == 0:
+    lead = normals.ndim - 2
+    if data.ndim == lead:
         return data
-    tilde = np.stack([_project_array(data[k], normals) for k in range(data.shape[0])])
-    for nu in normals:
-        tilde = tilde - np.multiply.outer(nu, np.tensordot(nu, tilde, axes=([0], [0])))
-    return tilde
+    n = normals.shape[-1]
+    pick = (slice(None),) * lead
+    tilde = np.stack([_project_array(data[pick + (k,)], normals) for k in range(n)], axis=lead)
+    rows = tilde.reshape(tilde.shape[: lead + 1] + (math.prod(tilde.shape[lead + 1:]),))
+    for i in range(normals.shape[-2]):
+        rows = rows - normals[..., i, :, None] @ (normals[..., i : i + 1, :] @ rows)
+    return rows.reshape(tilde.shape)
 
 
 def project(frame: GeometryFrame, t: Tensor) -> Tensor:
     """Tangential projection: feed P into every argument slot of t."""
     if t.n != frame.n:
         raise ShapeError(f"tensor lives in R^{t.n}, frame in R^{frame.n}")
+    if frame.normals.ndim != 2:
+        raise ShapeError("project takes the frame at a single point")
     return Tensor._wrap(t.n, _project_array(t.array, frame.normals))
 
 
@@ -317,7 +375,7 @@ def is_tangent(frame: GeometryFrame, t: Tensor, tol: float = 1e-10) -> bool:
 
 def tangent_basis(frame: GeometryFrame):
     """Deterministic positively oriented orthonormal basis (t1, t2) of the
-    tangent plane.  Requires n - m == 2.
+    tangent plane at each point of the frame.  Requires n - m == 2.
 
     Seeds with the two ambient axes carrying the largest tangential part,
     orthonormalizes, then flips t2 if det[t1, t2, n_1, ..., n_m] < 0.
@@ -325,16 +383,18 @@ def tangent_basis(frame: GeometryFrame):
     n, m = frame.n, frame.m
     if n - m != 2:
         raise GeometryError(f"tangent plane needs n - m == 2, got n={n}, m={m}")
-    scores = np.linalg.norm(frame.P, axis=0)  # |P e_j| column norms
-    order = sorted(range(n), key=lambda j: (-scores[j], j))
-    a, b = order[0], order[1]
-    if scores[b] < 1e-8:
+    columns = frame.P.swapaxes(-1, -2)  # columns[..., j, :] = P e_j
+    order = np.argsort(-_norm(columns), axis=-1, kind="stable")  # ties keep the lower axis
+    pick = order[..., :2, None] == np.arange(n)  # one-hot rows for the two pivot axes
+    pa, pb = np.moveaxis(pick @ columns, -2, 0)  # exact: one 1 per row, zeros elsewhere
+    sa = _norm(pa)[..., None]
+    if (_norm(pb) < 1e-8).any():
         raise GeometryError("tangent plane is numerically degenerate")
-    t1 = frame.P[:, a] / scores[a]
-    t2 = frame.P[:, b] - (t1 @ frame.P[:, b]) * t1
-    t2 = t2 / np.linalg.norm(t2)
-    if np.linalg.det(np.column_stack([t1, t2, *frame.normals])) < 0:
-        t2 = -t2
+    t1 = pa / sa
+    t2 = pb - _dot(t1, pb) * t1
+    t2 = t2 / np.sqrt(_dot(t2, t2))
+    rows = np.concatenate([t1[..., None, :], t2[..., None, :], frame.normals], axis=-2)
+    t2 = np.where((np.linalg.det(rows) < 0)[..., None], -t2, t2)
     return t1, t2
 
 
@@ -342,13 +402,13 @@ def perp(frame: GeometryFrame, u) -> np.ndarray:
     """Quarter turn of the tangential part of u, in the oriented tangent plane."""
     t1, t2 = tangent_basis(frame)
     u = np.asarray(u, dtype=float)
-    return -(u @ t2) * t1 + (u @ t1) * t2
+    return -_dot(u, t2) * t1 + _dot(u, t1) * t2
 
 
 def perp_matrix(frame: GeometryFrame) -> np.ndarray:
     """Matrix Q with Q u = perp(u); Q = t2 t1^T - t1 t2^T."""
     t1, t2 = tangent_basis(frame)
-    return np.outer(t2, t1) - np.outer(t1, t2)
+    return _outer(t2, t1) - _outer(t1, t2)
 
 
 def _perm_sign(p) -> int:
@@ -363,18 +423,18 @@ def _perm_sign(p) -> int:
 def _perp_matrix_derivative(normals: np.ndarray, normals_d: np.ndarray) -> np.ndarray:
     """d Q_{ab} / d x_k via the Levi-Civita contraction
     Q_{ab} = eps_{b a k1..km} (n_1)_{k1} ... (n_m)_{km}."""
-    m, n = normals.shape
+    m, n = normals.shape[-2:]
     if n > 6:
         raise GeometryError("analytic quarter-turn derivative supports n <= 6")
-    DQ = np.zeros((n, n, n))
+    DQ = np.zeros(normals.shape[:-2] + (n, n, n))
     for p in permutations(range(n)):
         s = _perm_sign(p)
         b, a, ks = p[0], p[1], p[2:]
-        vals = [normals[i][ks[i]] for i in range(m)]
+        vals = [normals[..., i, ks[i]] for i in range(m)]
         for i in range(m):
-            coeff = s
+            coeff = np.full(normals.shape[:-2], float(s))
             for j in range(m):
                 if j != i:
-                    coeff *= vals[j]
-            DQ[a, b, :] += coeff * normals_d[i][ks[i], :]
+                    coeff = coeff * vals[j]
+            DQ[..., a, b, :] += coeff[..., None] * normals_d[..., i, ks[i], :]
     return DQ

@@ -9,6 +9,10 @@ analytic providers where both the field and the geometry supply them.
 The derivative slot of a gradient is always the deepest (last) axis, so
 ``grad(F) . v`` is the directional derivative along v.
 
+Every evaluator takes a batch of points X of shape (..., n).  The
+finite-difference step is chosen per point, and a stencil is a loop over
+its offsets with one batched evaluation per offset.
+
 In analytic mode, derived fields carry exact gradients wherever their
 ingredients have them (geometry providers need analytic level-set
 Hessians): ``cartesian_gradient`` keeps the field's second derivative;
@@ -27,13 +31,14 @@ fields with no gradient at all.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry as geo
-from .fields import TensorField, tf_add, tf_scale
-from .geometry import GeometryError, LevelSetGeometry
+from .fields import TensorField, _field, tf_scale
+from .geometry import GeometryError, LevelSetGeometry, _identity
 from .tensor import ShapeError
 
 __all__ = [
@@ -91,9 +96,11 @@ class DiffConfig:
     def with_mode(self, mode: str) -> "DiffConfig":
         return replace(self, mode=mode)
 
-    def spatial_step(self, x: np.ndarray, depth: int) -> float:
+    def spatial_step(self, x: np.ndarray, depth: int):
+        """Step for points x of shape (..., n): an array of shape (...) at
+        depth 0, the nested step otherwise."""
         if depth <= 0:
-            return self.hx * max(1.0, float(np.linalg.norm(x)))
+            return self.hx * np.maximum(1.0, geo._norm(x))
         return self.nested_hx
 
     def temporal_step(self, depth: int) -> float:
@@ -112,6 +119,34 @@ def _bump_depth(f: TensorField, cfg: DiffConfig) -> int:
     return f.depth + 1
 
 
+# -- pointwise contractions over nl leading batch axes ----------------------------
+
+
+def _contract(arr: np.ndarray, m: np.ndarray, nl: int) -> np.ndarray:
+    """Contract the last axis of ``arr`` with the first non-batch axis of
+    ``m``: (L, A..., c) and (L, c, B...) give (L, A..., B...)."""
+    lead, a, b = arr.shape[:nl], arr.shape[nl:-1], m.shape[nl + 1:]
+    c = arr.shape[-1]
+    out = arr.reshape(lead + (math.prod(a), c)) @ m.reshape(lead + (c, math.prod(b)))
+    return out.reshape(lead + a + b)
+
+
+def _symmetric_on_second_last(sym: np.ndarray, arr: np.ndarray, nl: int) -> np.ndarray:
+    """Contract a symmetric (L, n, n) matrix into the second-last axis of
+    ``arr`` (L, A..., c, k)."""
+    lead = sym.shape[:nl]
+    return sym.reshape(lead + (1,) * (arr.ndim - nl - 2) + sym.shape[nl:]) @ arr
+
+
+def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int, nl: int) -> np.ndarray:
+    """Contract axis 1 of ``m`` (after nl batch axes) with ``arr``'s tensor
+    slot ``slot``; m's axis 0 takes the slot's place and any further axes of
+    m go last."""
+    extra = m.ndim - nl - 2
+    out = _contract(np.moveaxis(arr, nl + slot, -1), np.swapaxes(m, nl, nl + 1), nl)
+    return np.moveaxis(out, -1 - extra, nl + slot)
+
+
 # -- ambient derivatives ------------------------------------------------------
 
 
@@ -120,47 +155,48 @@ def cartesian_gradient(f: TensorField, cfg: DiffConfig) -> TensorField:
     n = f.n
     if cfg.mode == "analytic" and f.has_gradient:
         g = f.gradient  # a fresh field over the same evaluators, so it keeps its gradient
-        return TensorField(
+        return _field(
             n, f.q + 1, g._func, grad=g._grad, dt=g._dt, depth=f.depth, name=f"grad({f.name})"
         )
     depth = _bump_depth(f, cfg)
     order = _fd_order(cfg)
 
-    def func(x, t):
-        h = cfg.spatial_step(x, f.depth)
-        out = np.empty((n,) * f.q + (n,))
+    def func(X, t):
+        h = np.asarray(cfg.spatial_step(X, f.depth))
+        steps = h[..., None, None] * _identity(n)  # steps[..., k, :] = h e_k
+        hv = h.reshape(h.shape + (1,) * f.q)  # against values (...) + (n,)*q
+        out = np.empty(X.shape[:-1] + (n,) * f.q + (n,))
         for k in range(n):
-            e = np.zeros(n)
-            e[k] = h
+            e = steps[..., k, :]
             if order == 2:
-                d = (f.values(x + e, t) - f.values(x - e, t)) / (2 * h)
+                d = (f.values(X + e, t) - f.values(X - e, t)) / (2 * hv)
             else:
                 d = (
-                    -f.values(x + 2 * e, t)
-                    + 8 * f.values(x + e, t)
-                    - 8 * f.values(x - e, t)
-                    + f.values(x - 2 * e, t)
-                ) / (12 * h)
+                    -f.values(X + 2 * e, t)
+                    + 8 * f.values(X + e, t)
+                    - 8 * f.values(X - e, t)
+                    + f.values(X - 2 * e, t)
+                ) / (12 * hv)
             out[..., k] = d
         return out
 
-    return TensorField(n, f.q + 1, func, depth=depth, name=f"grad({f.name})")
+    return _field(n, f.q + 1, func, depth=depth, name=f"grad({f.name})")
 
 
 def time_partial(f: TensorField, cfg: DiffConfig) -> TensorField:
     if f.has_time_derivative:
         # exact providers are cheap and introduce no noise; use them in FD
         # modes as well (constructors only attach them when exact)
-        return TensorField(
-            f.n, f.q, lambda x, t: f.dt_values(x, t), depth=f.depth, name=f"dt({f.name})"
+        return _field(
+            f.n, f.q, lambda X, t: f.dt_values(X, t), depth=f.depth, name=f"dt({f.name})"
         )
     depth = _bump_depth(f, cfg)
 
-    def func(x, t):
+    def func(X, t):
         h = cfg.temporal_step(f.depth)
-        return (f.values(x, t + h) - f.values(x, t - h)) / (2 * h)
+        return (f.values(X, t + h) - f.values(X, t - h)) / (2 * h)
 
-    return TensorField(f.n, f.q, func, depth=depth, name=f"dt({f.name})")
+    return _field(f.n, f.q, func, depth=depth, name=f"dt({f.name})")
 
 
 def material_derivative(f: TensorField, w: TensorField, cfg: DiffConfig) -> TensorField:
@@ -170,10 +206,10 @@ def material_derivative(f: TensorField, w: TensorField, cfg: DiffConfig) -> Tens
     g = cartesian_gradient(f, cfg)
     ft = time_partial(f, cfg)
 
-    def func(x, t):
-        return ft.values(x, t) + g.values(x, t) @ w.values(x, t)
+    def func(X, t):
+        return ft.values(X, t) + _contract(g.values(X, t), w.values(X, t), X.ndim - 1)
 
-    return TensorField(
+    return _field(
         f.n, f.q, func, depth=max(g.depth, ft.depth), name=f"D({f.name};{w.name})"
     )
 
@@ -186,20 +222,21 @@ def submanifold_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig
     derivative slot."""
     g = cartesian_gradient(f, cfg)
 
-    def func(x, t):
-        return g.values(x, t) @ geom.frame_at(x, t).P
+    def func(X, t):
+        return _contract(g.values(X, t), geom.frame_at(X, t).P, X.ndim - 1)
 
     grad = None
     if g.has_gradient and geom.has_analytic_hessians:
 
-        def grad(x, t):
+        def grad(X, t):
             # grad(grad f . P) = grad^2 f . P + grad f . P_d
-            frame, fd = geom.frame_derivative_at(x, t)
-            return frame.P @ g.gradient_values(x, t) + np.tensordot(
-                g.values(x, t), fd.P_d, axes=([-1], [0])
+            nl = X.ndim - 1
+            frame, fd = geom.frame_derivative_at(X, t)
+            return _symmetric_on_second_last(frame.P, g.gradient_values(X, t), nl) + _contract(
+                g.values(X, t), fd.P_d, nl
             )
 
-    return TensorField(f.n, f.q + 1, func, grad=grad, depth=g.depth, name=f"gradM({f.name})")
+    return _field(f.n, f.q + 1, func, grad=grad, depth=g.depth, name=f"gradM({f.name})")
 
 
 def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -208,46 +245,40 @@ def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
         raise ShapeError("divergence needs rank >= 1")
     sg = submanifold_gradient(f, geom, cfg)
 
-    def func(x, t):
-        return np.asarray(np.trace(sg.values(x, t), axis1=-2, axis2=-1))
+    def func(X, t):
+        return np.trace(sg.values(X, t), axis1=-2, axis2=-1)
 
     grad = None
     if sg.has_gradient:
-        grad = lambda x, t: np.trace(sg.gradient_values(x, t), axis1=-3, axis2=-2)
-    return TensorField(f.n, f.q - 1, func, grad=grad, depth=sg.depth, name=f"divM({f.name})")
-
-
-def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int) -> np.ndarray:
-    """Contract axis 1 of ``m`` with ``arr``'s axis ``slot``; m's axis 0 takes
-    the slot's place and any further axes of m go last."""
-    out = np.tensordot(m, arr, axes=([1], [slot]))
-    return np.moveaxis(out, tuple(range(m.ndim - 1)), (slot,) + tuple(range(-m.ndim + 2, 0)))
+        grad = lambda X, t: np.trace(sg.gradient_values(X, t), axis1=-3, axis2=-2)
+    return _field(f.n, f.q - 1, func, grad=grad, depth=sg.depth, name=f"divM({f.name})")
 
 
 def project_field(f: TensorField, geom: LevelSetGeometry, name: str = "") -> TensorField:
-    def func(x, t):
-        return geo._project_array(f.values(x, t), geom.frame_at(x, t).normals)
+    def func(X, t):
+        return geo._project_array(f.values(X, t), geom.frame_at(X, t).normals)
 
     grad = None
     if f.has_gradient and geom.has_analytic_hessians:
 
-        def grad(x, t):
+        def grad(X, t):
             # product rule over the q slots that P fills: P_d in one slot at a
             # time and P in the others, plus P in every slot of grad f
-            frame, fd = geom.frame_derivative_at(x, t)
-            arr = f.values(x, t)
-            out = f.gradient_values(x, t)
+            nl = X.ndim - 1
+            frame, fd = geom.frame_derivative_at(X, t)
+            arr = f.values(X, t)
+            out = f.gradient_values(X, t)
             for s in range(f.q):
-                out = _apply_to_slot(frame.P, out, s)
+                out = _apply_to_slot(frame.P, out, s, nl)
             for s in range(f.q):
-                term = _apply_to_slot(fd.P_d, arr, s)
+                term = _apply_to_slot(fd.P_d, arr, s, nl)
                 for r in range(f.q):
                     if r != s:
-                        term = _apply_to_slot(frame.P, term, r)
+                        term = _apply_to_slot(frame.P, term, r, nl)
                 out = out + term
             return out
 
-    return TensorField(f.n, f.q, func, grad=grad, depth=f.depth, name=name or f"proj({f.name})")
+    return _field(f.n, f.q, func, grad=grad, depth=f.depth, name=name or f"proj({f.name})")
 
 
 def covariant_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -274,19 +305,15 @@ def covariant_laplacian(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig)
 def projector_field(geom: LevelSetGeometry) -> TensorField:
     grad = None
     if geom.has_analytic_hessians:
-        grad = lambda x, t: geom.frame_derivative_at(x, t)[1].P_d
-    return TensorField(
-        geom.n, 2, lambda x, t: geom.frame_at(x, t).P, grad=grad, name="P"
-    )
+        grad = lambda X, t: geom.frame_derivative_at(X, t)[1].P_d
+    return _field(geom.n, 2, lambda X, t: geom.frame_at(X, t).P, grad=grad, name="P")
 
 
 def normal_projector_field(geom: LevelSetGeometry) -> TensorField:
     grad = None
     if geom.has_analytic_hessians:
-        grad = lambda x, t: geom.frame_derivative_at(x, t)[1].N_d
-    return TensorField(
-        geom.n, 2, lambda x, t: geom.frame_at(x, t).N, grad=grad, name="N"
-    )
+        grad = lambda X, t: geom.frame_derivative_at(X, t)[1].N_d
+    return _field(geom.n, 2, lambda X, t: geom.frame_at(X, t).N, grad=grad, name="N")
 
 
 def normal_field(geom: LevelSetGeometry, i: int = 0) -> TensorField:
@@ -294,9 +321,10 @@ def normal_field(geom: LevelSetGeometry, i: int = 0) -> TensorField:
         raise ShapeError(f"normal index {i} out of range for m={geom.m}")
     grad = None
     if geom.has_analytic_hessians:
-        grad = lambda x, t: geom.frame_derivative_at(x, t)[1].normals_d[i]
-    return TensorField(
-        geom.n, 1, lambda x, t: geom.frame_at(x, t).normals[i], grad=grad, name=f"n_{i}"
+        grad = lambda X, t: geom.frame_derivative_at(X, t)[1].normals_d[..., i, :, :]
+    return _field(
+        geom.n, 1, lambda X, t: geom.frame_at(X, t).normals[..., i, :], grad=grad,
+        name=f"n_{i}",
     )
 
 
@@ -324,20 +352,20 @@ def perp_field(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
     if f.q < 1:
         raise ShapeError("perp needs rank >= 1")
 
-    def func(x, t):
-        Q = geo.perp_matrix(geom.frame_at(x, t))
-        return np.tensordot(f.values(x, t), Q, axes=([-1], [1]))
+    def func(X, t):
+        Q = geo.perp_matrix(geom.frame_at(X, t))
+        return _contract(f.values(X, t), np.swapaxes(Q, -1, -2), X.ndim - 1)
 
     grad = None
     if f.q == 1 and f.has_gradient and geom.has_analytic_hessians and geom.n <= 6:
 
-        def grad(x, t):
-            Q, DQ = geom.perp_pack(x, t)
-            return Q @ f.gradient_values(x, t) + np.einsum(
-                "abk,b->ak", DQ, f.values(x, t)
+        def grad(X, t):
+            Q, DQ = geom.perp_pack(X, t)
+            return Q @ f.gradient_values(X, t) + np.einsum(
+                "...abk,...b->...ak", DQ, f.values(X, t)
             )
 
-    return TensorField(f.n, f.q, func, grad=grad, depth=f.depth, name=f"perp({f.name})")
+    return _field(f.n, f.q, func, grad=grad, depth=f.depth, name=f"perp({f.name})")
 
 
 def surface_curl(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -366,20 +394,20 @@ def projector_rate(geom: LevelSetGeometry, w: TensorField, cfg: DiffConfig) -> T
     """
     rates = [material_derivative(normal_field(geom, i), w, cfg) for i in range(geom.m)]
 
-    def func(x, t):
+    def func(X, t):
         for i, lvl in enumerate(geom.levels):
-            gn = float(np.linalg.norm(lvl.gradient(np.asarray(x, dtype=float), t)))
-            if abs(gn - 1.0) > 1e-6:
+            off = np.abs(np.linalg.norm(lvl.gradient(X, t), axis=-1) - 1.0)
+            if np.any(off > 1e-6):
                 raise GeometryError(
                     f"projector_rate needs unit level-set gradients; "
-                    f"|grad d_{i}| = {gn:.8f} at {x}"
+                    f"|grad d_{i}| is off 1 by {float(np.max(off)):.3e}"
                 )
-        frame = geom.frame_at(x, t)
-        out = np.zeros((geom.n, geom.n))
+        normals = geom.frame_at(X, t).normals
+        out = np.zeros(X.shape[:-1] + (geom.n, geom.n))
         for i in range(geom.m):
-            dn = rates[i].values(x, t)
-            out += 0.5 * (np.outer(dn, frame.normals[i]) + np.outer(frame.normals[i], dn))
+            half = geo._outer(rates[i].values(X, t), normals[..., i, :])
+            out += 0.5 * (half + np.swapaxes(half, -1, -2))
         return out
 
     depth = max(r.depth for r in rates)
-    return TensorField(geom.n, 2, func, depth=depth, name="C[w]")
+    return _field(geom.n, 2, func, depth=depth, name="C[w]")

@@ -45,9 +45,10 @@ class Chart:
     """Rectangle [lo, hi] in 1 or 2 parameters mapped into R^n.
 
     ``mapping(u, t) -> x``; ``jacobian(u, t) -> (n, p)`` optional (finite
-    differences otherwise).  ``boundary_sides`` lists (axis, end) pairs that
-    are genuine boundary pieces of the manifold; periodic axes and
-    coordinate degeneracies (poles, seams) are simply not listed.
+    differences otherwise).  Both are pointwise.  ``boundary_sides`` lists
+    (axis, end) pairs that are genuine boundary pieces of the manifold;
+    periodic axes and coordinate degeneracies (poles, seams) are simply not
+    listed.
     """
 
     def __init__(
@@ -87,6 +88,23 @@ class Chart:
         self.name = name
         self._rule: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._points: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+        self._batch = False
+
+    @classmethod
+    def _batched(cls, *args, **kwargs) -> "Chart":
+        """A chart whose mapping takes parameter points of shape (..., p)."""
+        chart = cls(*args, **kwargs)
+        chart._batch = True
+        return chart
+
+    def _map(self, U: np.ndarray, t: float) -> np.ndarray:
+        """Ambient points (..., n) at parameter points U of shape (..., p)."""
+        U = np.asarray(U, dtype=float)
+        if self._batch:
+            return np.asarray(self.mapping(U, t), dtype=float)
+        flat = U.reshape(-1, self.p)
+        X = np.array([self.mapping(u, t) for u in flat], dtype=float)
+        return X.reshape(U.shape[:-1] + X.shape[1:])
 
     def _axis_rule(self, axis: int) -> Tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(self.order)
@@ -112,19 +130,20 @@ class Chart:
             self._rule = (U, W)
         return self._rule
 
-    def jacobian_at(self, u: np.ndarray, t: float) -> np.ndarray:
+    def _jacobians(self, U: np.ndarray, t: float) -> np.ndarray:
+        """Jacobians (N, n, p) at parameter points U of shape (N, p)."""
         if self._jacobian is not None:
-            return np.asarray(self._jacobian(u, t), dtype=float)
+            return np.array([self._jacobian(u, t) for u in U], dtype=float)
         cols = []
         for a in range(self.p):
             h = 1e-6 * (self.hi[a] - self.lo[a])
             e = np.zeros(self.p)
             e[a] = h
-            cols.append(
-                (np.asarray(self.mapping(u + e, t)) - np.asarray(self.mapping(u - e, t)))
-                / (2 * h)
-            )
-        return np.column_stack(cols)
+            cols.append((self._map(U + e, t) - self._map(U - e, t)) / (2 * h))
+        return np.stack(cols, axis=-1)
+
+    def jacobian_at(self, u: np.ndarray, t: float) -> np.ndarray:
+        return self._jacobians(np.asarray(u, dtype=float)[None], t)[0]
 
     def points(self, t: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
         """Quadrature points in ambient space and their measure weights.
@@ -138,18 +157,18 @@ class Chart:
 
     def _compute_points(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
         U, W = self.param_rule()
-        X = np.array([self.mapping(u, t) for u in U], dtype=float)
-        meas = np.empty(len(U))
-        for i, u in enumerate(U):
-            J = self.jacobian_at(u, t)
-            if self.p == 1:
-                g = float(J[:, 0] @ J[:, 0])
-            else:
-                G = J.T @ J
-                g = float(G[0, 0] * G[1, 1] - G[0, 1] * G[1, 0])
-            if g < _MIN_GRAM_DET:
-                raise GeometryError(f"degenerate chart metric at u={u} (det={g:.3e})")
-            meas[i] = np.sqrt(g) * W[i]
+        X = self._map(U, t)
+        J = self._jacobians(U, t)
+        G = np.swapaxes(J, 1, 2) @ J
+        if self.p == 1:
+            g = G[:, 0, 0]
+        else:
+            g = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        bad = np.flatnonzero(~(g >= _MIN_GRAM_DET))
+        if bad.size:
+            i = bad[0]
+            raise GeometryError(f"degenerate chart metric at u={U[i]} (det={g[i]:.3e})")
+        meas = np.sqrt(g) * W
         X.flags.writeable = False
         meas.flags.writeable = False
         return X, meas
@@ -239,22 +258,61 @@ def boundary_points(atlas: Atlas, t: float = 0.0) -> List[BoundaryPoint]:
 # -- integration ----------------------------------------------------------------
 
 
-def _as_integrand(f):
-    if isinstance(f, TensorField):
-        return f.values
-    return f
-
-
 def integrate(atlas: Atlas, integrand, t: float = 0.0):
-    """Integrate a pointwise quantity over the atlas; leafwise for tensors."""
-    fn = _as_integrand(integrand)
+    """Integrate a field over the atlas, leafwise for tensors.
+
+    Each chart's quadrature nodes X, of shape (N, n), are evaluated in one
+    call.  The integrand is a TensorField or a callable ``(X, t)`` that
+    returns values of shape (N, ...) or a constant (a number).  A value
+    that is not finite, or a callable's value of any other shape, raises
+    an error that names the chart.
+    """
     total = None
     for chart in atlas.charts:
         X, meas = chart.points(t)
-        vals = np.array([np.asarray(fn(x, t), dtype=float) for x in X])
+        if isinstance(integrand, TensorField):
+            vals = integrand.values(X, t)
+        else:
+            vals = np.asarray(integrand(X, t), dtype=float)
+            if vals.ndim == 0:
+                vals = np.broadcast_to(vals, meas.shape)
+            elif vals.shape[0] != len(X):
+                raise ShapeError(
+                    f"integrand returned shape {vals.shape} on chart '{chart.name}', "
+                    f"expected ({len(X)}, ...) or a constant"
+                )
+        if not np.all(np.isfinite(vals)):
+            raise ValueError(f"integrand is not finite on chart '{chart.name}'")
         part = np.tensordot(meas, vals, axes=([0], [0]))
         total = part if total is None else total + part
     return total
+
+
+# Per-node contractions for integrands: every array has the node axis first.
+
+
+def _dot_last(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Contract the last slot of a (N, ..., n) with v (N, n)."""
+    return np.einsum("i...a,ia->i...", a, v)
+
+
+def _contract_leading(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contract every slot of a with the leading slots of b."""
+    size = a[0].size
+    out = a.reshape(len(a), 1, size) @ b.reshape(len(b), size, -1)
+    return out.reshape(b.shape[:1] + b.shape[a.ndim:])
+
+
+def _contract_trailing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Contract the trailing slots of a with every slot of b."""
+    size = b[0].size
+    out = a.reshape(len(a), -1, size) @ b.reshape(len(b), size, 1)
+    return out.reshape(a.shape[: a.ndim - b.ndim + 1])
+
+
+def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Full contraction of a and b at each node."""
+    return (a * b).reshape(len(a), -1).sum(axis=1)
 
 
 def integrate_boundary(atlas: Atlas, integrand, t: float = 0.0):
@@ -298,7 +356,7 @@ def stokes_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> IdentityRe
     div = divergence(f, geom, cfg)
     kap = mean_curvature(geom, cfg)
     lhs = integrate(atlas, div)
-    curv = integrate(atlas, lambda x, t: f.values(x, t) @ kap.values(x, t))
+    curv = integrate(atlas, lambda X, t: _dot_last(f.values(X, t), kap.values(X, t)))
     bnd = integrate_boundary(atlas, lambda bp, t: f.values(bp.x, t) @ bp.conormal)
     if bnd is None:
         bnd = np.zeros_like(curv)
@@ -328,7 +386,7 @@ def gradient_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> Identity
     g = submanifold_gradient(f, geom, cfg)
     kap = mean_curvature(geom, cfg)
     lhs = integrate(atlas, g)
-    curv = integrate(atlas, lambda x, t: float(f.values(x, t)) * kap.values(x, t))
+    curv = integrate(atlas, lambda X, t: f.values(X, t)[:, None] * kap.values(X, t))
     bnd = integrate_boundary(atlas, lambda bp, t: float(f.values(bp.x, t)) * bp.conormal)
     if bnd is None:
         bnd = np.zeros_like(curv)
@@ -352,17 +410,12 @@ def integration_by_parts(
     def contract(a, b, k):  # leading k axes of b against all of a
         return np.tensordot(a, b, axes=(list(range(k)), list(range(k))))
 
-    term1 = integrate(atlas, lambda x, t: contract(s.values(x, t), div.values(x, t), sq))
-    term2 = integrate(
-        atlas,
-        lambda x, t: np.tensordot(
-            f.values(x, t), gs.values(x, t),
-            axes=(list(range(f.q - sq - 1, f.q)), list(range(sq + 1))),
-        ),
-    )
+    term1 = integrate(atlas, lambda X, t: _contract_leading(s.values(X, t), div.values(X, t)))
+    term2 = integrate(atlas, lambda X, t: _contract_trailing(f.values(X, t), gs.values(X, t)))
     curv = integrate(
         atlas,
-        lambda x, t: contract(s.values(x, t), f.values(x, t), sq) @ kap.values(x, t),
+        lambda X, t: _dot_last(_contract_leading(s.values(X, t), f.values(X, t)),
+                               kap.values(X, t)),
     )
     bnd = integrate_boundary(
         atlas,
@@ -385,7 +438,7 @@ def path_ftc_residual(
     if geom.n - geom.m != 1:
         raise GeometryError("the path rule needs a 1-d manifold")
     sg = submanifold_gradient(f, geom, cfg)
-    lhs = integrate(atlas, lambda x, t: sg.values(x, t) @ w.values(x, t))
+    lhs = integrate(atlas, lambda X, t: _dot_last(sg.values(X, t), w.values(X, t)))
     ends = boundary_points(atlas)
     rhs = None
     for bp in ends:
@@ -412,11 +465,11 @@ def weak_form(
     geom = atlas.geometry
     gt = covariant_gradient(trial, geom, cfg)
     gs = covariant_gradient(test, geom, cfg)
-    a = float(integrate(atlas, lambda x, t: np.sum(gt.values(x, t) * gs.values(x, t))))
+    a = float(integrate(atlas, lambda X, t: _frobenius(gt.values(X, t), gs.values(X, t))))
     ell = 0.0
     if forcing is not None:
         ell += float(
-            integrate(atlas, lambda x, t: np.sum(test.values(x, t) * forcing.values(x, t)))
+            integrate(atlas, lambda X, t: _frobenius(test.values(X, t), forcing.values(X, t)))
         )
     if flux is not None and not atlas.closed:
         b = integrate_boundary(
@@ -442,15 +495,17 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
     """Push every chart point one RK4 step along the velocity field.
 
     The moved charts parametrize the manifold at time t0 + dt; evaluate
-    integrals there with t = t0 + dt.
+    integrals there with t = t0 + dt.  A moved chart maps a batch of
+    parameter points with one RK4 step, so its quadrature nodes move
+    together.
     """
     moved = []
     for chart in atlas.charts:
         def make_mapping(c):
-            return lambda u, t: rk4_step(np.asarray(c.mapping(u, t0), dtype=float), t0, dt, w)
+            return lambda U, t: rk4_step(c._map(U, t0), t0, dt, w)
 
         moved.append(
-            Chart(
+            Chart._batched(
                 chart.lo,
                 chart.hi,
                 make_mapping(chart),

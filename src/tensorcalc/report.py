@@ -25,7 +25,8 @@ class CheckRecord:
     """One verified identity: what was compared, how close, and the verdict.
 
     ``measure`` says which residual the tolerance applies to ("rel" uses
-    max(1, max(|lhs|, |rhs|)) as the scale).
+    max(1, max(|lhs|, |rhs|)) as the scale).  ``geometry`` names the case
+    the check ran on, for checks of a suite that has a geometry.
     """
 
     id: str
@@ -38,6 +39,7 @@ class CheckRecord:
     measure: str
     passed: bool
     details: Dict[str, float] = field(default_factory=dict)
+    geometry: Optional[str] = None
 
     def to_dict(self) -> dict:
         out = {
@@ -51,6 +53,8 @@ class CheckRecord:
             "measure": self.measure,
             "pass": self.passed,
         }
+        if self.geometry is not None:
+            out["geometry"] = self.geometry
         if self.details:
             out["details"] = self.details
         return out

@@ -13,10 +13,17 @@ from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
-from .fields import TensorField
+from .fields import TensorField, _field, _zeros
 from .geometry import GeometryFrame, LevelSetGeometry
 from .operators import DiffConfig, divergence, mean_curvature
-from .quadrature import Atlas, IdentityResult, integrate, integrate_boundary
+from .quadrature import (
+    Atlas,
+    IdentityResult,
+    _dot_last,
+    _frobenius,
+    integrate,
+    integrate_boundary,
+)
 
 __all__ = [
     "rotation_generator",
@@ -43,14 +50,15 @@ def rotation_generator(n: int, i: int, j: int) -> TensorField:
     jac[j, i] = 1.0
     jac[i, j] = -1.0
 
-    def func(x, t):
-        out = np.zeros(n)
-        out[j] = x[i]
-        out[i] = -x[j]
+    def func(X, t):
+        out = np.zeros(X.shape)
+        out[..., j] = X[..., i]
+        out[..., i] = -X[..., j]
         return out
 
-    return TensorField(
-        n, 1, func, grad=lambda x, t: jac, dt=lambda x, t: np.zeros(n), name=f"l_{i}{j}"
+    return _field(
+        n, 1, func, grad=lambda X, t: np.broadcast_to(jac, X.shape + (n,)), dt=_zeros((n,)),
+        name=f"l_{i}{j}",
     )
 
 
@@ -58,25 +66,24 @@ def omega_field(geom: LevelSetGeometry, i: int, j: int) -> TensorField:
     """omega_ij = e_i (x) P_j - e_j (x) P_i built from rows of the projector."""
     n = geom.n
 
-    def func(x, t):
-        P = geom.frame_at(x, t).P
-        out = np.zeros((n, n))
-        out[i] = P[j]
-        out[j] = -P[i]
+    def func(X, t):
+        P = geom.frame_at(X, t).P
+        out = np.zeros(P.shape)
+        out[..., i, :] = P[..., j, :]
+        out[..., j, :] = -P[..., i, :]
         return out
 
     grad = None
     if geom.has_analytic_hessians:
 
-        def grad(x, t):
-            _, fd = geom.frame_derivative_at(x, t)
-            Pd = fd.P_d
-            out = np.zeros((n, n, n))
-            out[i] = Pd[j]
-            out[j] = -Pd[i]
+        def grad(X, t):
+            Pd = geom.frame_derivative_at(X, t)[1].P_d
+            out = np.zeros(Pd.shape)
+            out[..., i, :, :] = Pd[..., j, :, :]
+            out[..., j, :, :] = -Pd[..., i, :, :]
             return out
 
-    return TensorField(n, 2, func, grad=grad, name=f"omega_{i}{j}")
+    return _field(n, 2, func, grad=grad, name=f"omega_{i}{j}")
 
 
 def transpose_field(f: TensorField) -> TensorField:
@@ -84,12 +91,12 @@ def transpose_field(f: TensorField) -> TensorField:
         raise ValueError("transpose_field needs a rank-2 field")
     grad = None
     if f.has_gradient:
-        grad = lambda x, t: np.swapaxes(f.gradient_values(x, t), 0, 1)
+        grad = lambda X, t: np.swapaxes(f.gradient_values(X, t), -3, -2)
     dt = None
     if f.has_time_derivative:
-        dt = lambda x, t: f.dt_values(x, t).T
-    return TensorField(
-        f.n, 2, lambda x, t: f.values(x, t).T, grad=grad, dt=dt,
+        dt = lambda X, t: np.swapaxes(f.dt_values(X, t), -2, -1)
+    return _field(
+        f.n, 2, lambda X, t: np.swapaxes(f.values(X, t), -2, -1), grad=grad, dt=dt,
         depth=f.depth, name=f"{f.name}^T",
     )
 
@@ -106,29 +113,30 @@ def cross_stress(geom: LevelSetGeometry) -> TensorField:
     for a, b, c, s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
         eps[a, b, c] = s
 
-    def func(x, t):
-        nvec = geom.frame_at(x, t).normals[0]
-        return eps @ nvec
+    def func(X, t):
+        return np.einsum("abc,...c->...ab", eps, geom.frame_at(X, t).normals[..., 0, :])
 
     grad = None
     if geom.has_analytic_hessians:
 
-        def grad(x, t):
-            _, fd = geom.frame_derivative_at(x, t)
-            return np.tensordot(eps, fd.normals_d[0], axes=([2], [0]))
+        def grad(X, t):
+            _, fd = geom.frame_derivative_at(X, t)
+            return np.einsum("abc,...ck->...abk", eps, fd.normals_d[..., 0, :, :])
 
-    return TensorField(3, 2, func, grad=grad, name="cross-stress")
+    return _field(3, 2, func, grad=grad, name="cross-stress")
 
 
 def _insert_first(arr: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.tensordot(arr, v, axes=([0], [0]))
+    """sigma(v) at each point: v fed into the first slot."""
+    return np.einsum("...ab,...a->...b", arr, v)
+
 
 
 def stress_force(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0) -> np.ndarray:
     """F = int_boundary sigma(t) + int sigma(kappa)."""
     geom = atlas.geometry
     kap = mean_curvature(geom, cfg)
-    bulk = integrate(atlas, lambda x, s: _insert_first(sigma.values(x, s), kap.values(x, s)), t)
+    bulk = integrate(atlas, lambda X, s: _insert_first(sigma.values(X, s), kap.values(X, s)), t)
     bnd = integrate_boundary(atlas, lambda bp, s: _insert_first(sigma.values(bp.x, s), bp.conormal), t)
     return np.asarray(bulk) if bnd is None else np.asarray(bulk) + np.asarray(bnd)
 
@@ -143,7 +151,9 @@ def stress_torque(
     kap = mean_curvature(geom, cfg)
     bulk = integrate(
         atlas,
-        lambda x, s: float(l_k.values(x, s) @ _insert_first(sigma.values(x, s), kap.values(x, s))),
+        lambda X, s: _dot_last(
+            l_k.values(X, s), _insert_first(sigma.values(X, s), kap.values(X, s))
+        ),
         t,
     )
     bnd = integrate_boundary(
@@ -174,8 +184,8 @@ def torque_equivalence(
     om = omega_field(geom, i, j)
     bar = transpose_field(sigma)
     div_bar = divergence(bar, geom, cfg)
-    first = integrate(atlas, lambda x, s: float(l_k.values(x, s) @ div_bar.values(x, s)), t)
-    second = integrate(atlas, lambda x, s: float(np.sum(om.values(x, s) * bar.values(x, s))), t)
+    first = integrate(atlas, lambda X, s: _dot_last(l_k.values(X, s), div_bar.values(X, s)), t)
+    second = integrate(atlas, lambda X, s: _frobenius(om.values(X, s), bar.values(X, s)), t)
     return IdentityResult(
         lhs=np.asarray(stress_torque(atlas, sigma, plane, cfg, t)),
         rhs=np.asarray(float(first) - float(second)),
@@ -199,11 +209,11 @@ def generator_identity(
     def la(x, s):
         return _insert_first(a_field.values(x, s), l_k.values(x, s))
 
-    lhs_bulk = integrate(atlas, lambda x, s: float(la(x, s) @ kap.values(x, s)), t)
+    lhs_bulk = integrate(atlas, lambda X, s: _dot_last(la(X, s), kap.values(X, s)), t)
     lhs_bnd = integrate_boundary(atlas, lambda bp, s: float(la(bp.x, s) @ bp.conormal), t)
     lhs = float(lhs_bulk) + (0.0 if lhs_bnd is None else float(lhs_bnd))
-    rhs_first = integrate(atlas, lambda x, s: float(l_k.values(x, s) @ div_a.values(x, s)), t)
-    rhs_second = integrate(atlas, lambda x, s: float(np.sum(a_field.values(x, s) * om.values(x, s))), t)
+    rhs_first = integrate(atlas, lambda X, s: _dot_last(l_k.values(X, s), div_a.values(X, s)), t)
+    rhs_second = integrate(atlas, lambda X, s: _frobenius(a_field.values(X, s), om.values(X, s)), t)
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(float(rhs_first) - float(rhs_second)))
 
 

@@ -16,6 +16,9 @@ fields) and returns an ordered table of ``Check`` rows.  One runner,
   accepts.  A single suite rejects any other geometry with ``SuiteError``;
   under ``all`` such a suite falls back to its default geometry.  Suites
   built on synthetic frames ignore ``--geometry``.
+- Every record of a suite that has a geometry names the case it ran on:
+  the suite's geometry, or the case a row pins (``on``), or ``synthetic``
+  for rows on random frames.
 """
 
 from __future__ import annotations
@@ -47,16 +50,17 @@ from .evolving import (
     reynolds_residual,
 )
 from .fields import (
+    TensorField,
+    _field,
+    _zeros,
     constant,
     coordinate,
     random_polynomial,
-    scalar_field,
     tf_add,
     tf_outer,
     tf_scale,
-    vector_field,
 )
-from .geometry import _gram_schmidt, frame_from_normals, project
+from .geometry import _gram_schmidt, _outer, frame_from_normals, project
 from .operators import (
     DiffConfig,
     cartesian_gradient,
@@ -179,7 +183,8 @@ class Check:
     tolerance) or a ``floor`` (it must not fall below it), and an
     ``IdentityResult`` or an ``(lhs, rhs[, pieces])`` tuple for an identity
     judged by its ``rel`` or ``abs`` residual.  Rows with ``when`` false
-    are left out of the run.
+    are left out of the run.  ``on`` names the case a row runs on when it
+    is not the suite's geometry.
     """
 
     stem: str
@@ -189,6 +194,7 @@ class Check:
     kind: str = "bound"
     per_mode: bool = False
     when: bool = True
+    on: Optional[str] = None
 
 
 def _record(cfg: SuiteConfig, row: Check, mode: Mode) -> CheckRecord:
@@ -237,7 +243,8 @@ class Suite:
         return get_case(self.geometry, **self.params)
 
     def __call__(self, cfg: SuiteConfig) -> List[CheckRecord]:
-        rows = self.setup(cfg, self.case(cfg))
+        case = self.case(cfg)
+        rows = self.setup(cfg, case)
         names = [cfg.fd] if cfg.fd == "analytic" else [cfg.fd, "analytic"]
         modes = [Mode(name, cfg.diff(name)) for name in names]
         # rows that run once share results only among themselves
@@ -246,7 +253,11 @@ class Suite:
         for per_mode, block in groupby(rows, key=lambda row: row.per_mode):
             block = [row for row in block if row.when]
             for mode in modes if per_mode else once:
-                records.extend(_record(cfg, row, mode) for row in block)
+                for row in block:
+                    record = _record(cfg, row, mode)
+                    if case is not None:
+                        record.geometry = row.on or case.name
+                    records.append(record)
         return records
 
 
@@ -263,13 +274,14 @@ def _synthetic_frame(rng: np.random.Generator, n: int, m: int):
 _SPIN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
 
-def _rotation_field(scale: float = 1.0, name: str = "spin") -> "vector_field":
+def _rotation_field(scale: float = 1.0, name: str = "spin") -> TensorField:
     mat = scale * _SPIN
-    return vector_field(
+    return _field(
         3,
-        lambda x, t: mat @ x,
-        jacobian=constant(3, Tensor(3, mat), name=f"grad({name})"),
-        dt=lambda x, t: np.zeros(3),
+        1,
+        lambda X, t: X @ mat.T,
+        grad=constant(3, Tensor(3, mat), name=f"grad({name})"),
+        dt=_zeros((3,)),
         name=name,
     )
 
@@ -456,12 +468,13 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     pf_u = _shared(lambda m: perp_field(ut(m), geom, m.d))
 
     def product_rule(m):
-        fg = scalar_field(
+        fg = _field(
             3,
-            lambda x, t: float(f.values(x, t)) * float(g.values(x, t)),
-            grad=lambda x, t: (
-                float(f.values(x, t)) * g.gradient_values(x, t)
-                + float(g.values(x, t)) * f.gradient_values(x, t)
+            0,
+            lambda X, t: f.values(X, t) * g.values(X, t),
+            grad=lambda X, t: (
+                f.values(X, t)[..., None] * g.gradient_values(X, t)
+                + g.values(X, t)[..., None] * f.gradient_values(X, t)
             ),
             name="fg",
         )
@@ -475,12 +488,13 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         ])
 
     def divergence_product(m):
-        fu = vector_field(
+        fu = _field(
             3,
-            lambda x, t: float(f.values(x, t)) * u0.values(x, t),
-            jacobian=lambda x, t: (
-                float(f.values(x, t)) * u0.gradient_values(x, t)
-                + np.outer(u0.values(x, t), f.gradient_values(x, t))
+            1,
+            lambda X, t: f.values(X, t)[..., None] * u0.values(X, t),
+            grad=lambda X, t: (
+                f.values(X, t)[..., None, None] * u0.gradient_values(X, t)
+                + _outer(u0.values(X, t), f.gradient_values(X, t))
             ),
             name="fu",
         )
@@ -550,7 +564,7 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         *(
             Check(f"diff.curvature-{name}", "mean curvature vector matches the closed form",
                   (1e-5, 1e-9), lambda m, name=name: _curvature_error(name, m.d, cfg.seed),
-                  per_mode=True)
+                  per_mode=True, on=name)
             for name in _CURVATURE_FORMS
         ),
     ]
@@ -581,29 +595,30 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     return [
         Check("stokes.hemisphere-ez",
               "int div_M e_z = boundary + curvature terms on the upper hemisphere",
-              1e-6, ez_res, kind="rel"),
+              1e-6, ez_res, kind="rel", on="hemisphere"),
         Check("stokes.hemisphere-ez-boundary", "the equator circulation term of e_z is -2 pi",
               1e-6, lambda m: (float(ez_res(m).pieces["boundary"]), -2.0 * math.pi),
-              kind="rel"),
+              kind="rel", on="hemisphere"),
         Check("stokes.hemisphere-ez-curvature", "the curvature term of e_z is +2 pi",
               1e-6, lambda m: (float(ez_res(m).pieces["curvature"]), 2.0 * math.pi),
-              kind="rel"),
+              kind="rel", on="hemisphere"),
         Check("stokes.closed-sphere",
               "every term of the divergence identity vanishes on a closed sphere",
-              1e-8, lambda m: stokes_residual(sphere, _rotation_field(), m.d).abs_residual),
+              1e-8, lambda m: stokes_residual(sphere, _rotation_field(), m.d).abs_residual,
+              on="sphere"),
         Check("stokes.rank1-generic", "divergence identity for a random covector field",
               1e-6, lambda m: stokes_residual(generic, random_polynomial(3, 1, rng, degree=2),
                                               m.d),
               kind="rel"),
         Check("stokes.rank2", "divergence identity for a random rank-2 field",
               1e-6, lambda m: stokes_residual(hemi, random_polynomial(3, 2, rng, degree=2), m.d),
-              kind="rel"),
+              kind="rel", on="hemisphere"),
         Check("stokes.gradient-corollary", "int grad_M f = boundary + curvature terms, f = z",
-              1e-6, z_res, kind="rel"),
+              1e-6, z_res, kind="rel", on="hemisphere"),
         Check("stokes.gradient-corollary-value",
               "int grad_M z over the hemisphere is 4 pi / 3 vertically",
               1e-6, lambda m: (float(np.asarray(z_res(m).lhs)[2]), 4.0 * math.pi / 3.0),
-              kind="rel"),
+              kind="rel", on="hemisphere"),
         Check("stokes.integration-by-parts",
               "int S : div_M T + int T : grad_M S balances the boundary terms",
               1e-5, lambda m: integration_by_parts(
@@ -612,10 +627,10 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
                   random_polynomial(3, 2, rng, degree=2),
                   m.d,
               ),
-              kind="rel"),
+              kind="rel", on="hemisphere"),
         Check("stokes.path-gradient-theorem",
               "line integral of the tangential derivative matches endpoint values",
-              1e-6, path_theorem),
+              1e-6, path_theorem, on="helix"),
     ]
 
 
@@ -648,21 +663,22 @@ def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 
     return [
         Check("curl.plane-uniform", "the planar rotation field has constant scalar curl 2",
-              1e-8, plane_uniform, per_mode=True),
+              1e-8, plane_uniform, per_mode=True, on="plane_disk"),
         Check("curl.curl-of-gradient", "the surface curl of a tangential gradient vanishes",
-              (1e-5, 1e-8), curl_of_gradient, per_mode=True),
+              (1e-5, 1e-8), curl_of_gradient, per_mode=True, on="sphere"),
         Check("curl.circulation-disk", "int curl u over the disk equals the boundary circulation",
-              1e-8, disk_res, kind="rel"),
+              1e-8, disk_res, kind="rel", on="plane_disk"),
         Check("curl.circulation-disk-value",
               "the unit-disk circulation of the rotation field is 2 pi",
-              1e-8, lambda m: (float(np.asarray(disk_res(m).rhs)), 2.0 * math.pi), kind="rel"),
+              1e-8, lambda m: (float(np.asarray(disk_res(m).rhs)), 2.0 * math.pi), kind="rel",
+              on="plane_disk"),
         Check("curl.circulation-hemisphere",
               "int curl u over the hemisphere equals the equator circulation",
               1e-6, lambda m: circulation_residual(
                   get_case("hemisphere").atlas(cfg.order, cfg.panels), spin, m.d),
-              kind="rel"),
+              kind="rel", on="hemisphere"),
         Check("curl.gradient-circulation", "a tangential gradient has zero boundary circulation",
-              1e-8, gradient_circulation),
+              1e-8, gradient_circulation, on="plane_disk"),
         Check("curl.circulation-generic", "curl identity on the requested geometry",
               1e-6, lambda m: circulation_residual(case.atlas(cfg.order, cfg.panels), spin, m.d),
               kind="rel", when=case.name != "plane_disk"),
@@ -697,12 +713,12 @@ def _laplacian(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         return weak_form(atlas, killing_z, killing_z, forcing, None, m.d)
 
     def symmetric(m):
-        killing_x = vector_field(
+        turn = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        killing_x = _field(
             3,
-            lambda x, t: np.array([0.0, -x[2], x[1]]),
-            jacobian=lambda x, t: np.array(
-                [[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]
-            ),
+            1,
+            lambda X, t: X @ turn.T,
+            grad=lambda X, t: np.broadcast_to(turn, X.shape + (3,)),
             name="killing-x",
         )
         a_uv, _ = weak_form(atlas, killing_z, killing_x, None, None, m.d)
@@ -749,7 +765,9 @@ def _euler(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
             name="flux",
         )
         divq = divergence(flux, geom, m.d)
-        total = integrate(atlas, lambda x, t: geom.frame_at(x, t).P @ divq.values(x, t))
+        total = integrate(
+            atlas, lambda X, t: np.einsum("nab,nb->na", geom.frame_at(X, t).P, divq.values(X, t))
+        )
         return float(np.linalg.norm(np.asarray(total)))
 
     balance = _shared(lambda m: force_balance(hemi_atlas, hemi_state, m.d))
@@ -790,14 +808,14 @@ def _euler(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         Check("euler.tangent-velocity", "int P u = -int div_M(P u) x + boundary flux of positions",
               (1e-6, 1e-8), lambda m: tangent_velocity_identity(
                   hemi_atlas, random_polynomial(3, 1, rng, degree=2), m.d),
-              kind="rel", per_mode=True),
+              kind="rel", per_mode=True, on="hemisphere"),
         Check("euler.force-balance", "pressure, boundary reaction and centripetal forces cancel",
-              1e-6, scaled_balance, kind="abs", per_mode=True),
+              1e-6, scaled_balance, kind="abs", per_mode=True, on="hemisphere"),
         Check("euler.force-balance-pressure",
               "the Young-Laplace force on the rotating hemisphere is w^2 pi / 2",
               1e-6, lambda m: (float(np.asarray(balance(m).pieces["young_laplace"])[2]),
                                1.3**2 * math.pi / 2.0),
-              kind="rel", per_mode=True),
+              kind="rel", per_mode=True, on="hemisphere"),
     ]
 
 
@@ -875,30 +893,30 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
               per_mode=True),
         Check("stress.normal-pressure-force",
               "sigma = n (x) n pushes the hemisphere up with force 2 pi",
-              1e-8, normal_pressure_force, kind="rel", per_mode=True),
+              1e-8, normal_pressure_force, kind="rel", per_mode=True, on="hemisphere"),
         Check("stress.cross-stress-divfree",
               "the cross stress is pointwise equilibrated in the bulk",
-              (1e-6, 1e-8), divfree, per_mode=True),
+              (1e-6, 1e-8), divfree, per_mode=True, on="sphere"),
         Check("stress.cross-stress-force",
               "the cross stress exerts no net force on the closed sphere",
               1e-10, lambda m: float(np.linalg.norm(stress_force(sph_atlas, xs(m), m.d))),
-              per_mode=True),
+              per_mode=True, on="sphere"),
         Check("stress.cross-stress-torque",
               "the cross stress exerts no net torque on the closed sphere",
               1e-10, lambda m: max(abs(stress_torque(sph_atlas, xs(m), k, m.d)) for k in planes),
-              per_mode=True),
+              per_mode=True, on="sphere"),
         Check("stress.cross-stress-tangential",
               "the cross stress sends tangential cuts to tangential tractions",
-              1e-12, lambda m: cut_response(m)[0]),
+              1e-12, lambda m: cut_response(m)[0], on="sphere"),
         Check("stress.cross-stress-asymmetric",
               "the cross stress keeps a genuinely antisymmetric tangential part",
-              0.5, lambda m: cut_response(m)[1], kind="floor"),
+              0.5, lambda m: cut_response(m)[1], kind="floor", on="sphere"),
         Check("stress.contrapositive",
               "sigma = (P w) (x) n has normal-at-tangential response |P w|",
-              1e-12, contrapositive),
+              1e-12, contrapositive, on="sphere"),
         Check("stress.constrained-family",
               "pressure-plus-normal-row-plus-tangential stresses stay tangential",
-              1e-10, constrained_family),
+              1e-10, constrained_family, on="synthetic"),
     ]
 
 
@@ -911,11 +929,12 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     points = case.sample_points(3, seed=cfg.seed)
     w = case.velocity
     spin = 0.7 * _SPIN
-    w2 = vector_field(
+    w2 = _field(
         3,
-        lambda x, t: w.values(x, t) + spin @ x,
-        jacobian=lambda x, t: w.gradient_values(x, t) + spin,
-        dt=lambda x, t: np.zeros(3),
+        1,
+        lambda X, t: w.values(X, t) + X @ spin.T,
+        grad=lambda X, t: w.gradient_values(X, t) + spin,
+        dt=_zeros((3,)),
         name="radial+spin",
     )
 

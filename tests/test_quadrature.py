@@ -234,3 +234,28 @@ def test_scalar_field_weighting_in_integrals():
     atlas = get_case("sphere").atlas(order=12, panels=2)
     z2 = scalar_field(3, lambda x, t: x[2] ** 2)
     np.testing.assert_allclose(float(integrate(atlas, z2)), 4 * math.pi / 3, atol=1e-10)
+
+
+def test_integrate_evaluates_each_chart_once():
+    atlas = get_case("torus").atlas(order=6, panels=2)
+    seen = []
+
+    def integrand(X, t):
+        seen.append(X.shape)
+        return X[:, 2] ** 2
+
+    integrate(atlas, integrand)
+    assert seen == [(144, 3)]
+
+
+def test_integrate_rejects_non_finite_values_naming_the_chart():
+    atlas = get_case("sphere").atlas(order=6, panels=1)
+    with pytest.raises(ValueError, match="not finite on chart 'polar'"):
+        integrate(atlas, lambda X, t: np.where(X[:, 2] > 0.5, np.nan, 1.0))
+
+
+def test_integrate_rejects_a_value_without_a_node_axis_naming_the_chart():
+    atlas = get_case("sphere").atlas(order=6, panels=1)
+    with pytest.raises(ValueError, match="chart 'polar'"):
+        integrate(atlas, lambda X, t: np.ones(3))
+    np.testing.assert_allclose(integrate(atlas, lambda X, t: 2.0), 8 * math.pi, atol=1e-3)

@@ -49,3 +49,19 @@ def test_all_falls_back_to_the_default_geometry(monkeypatch):
     assert ids[0].startswith("projection.")
     assert "curl.circulation-disk" in ids
     assert "curl.circulation-generic" not in ids
+    ran_on = {c.id: c.to_dict().get("geometry") for c in report.checks}
+    assert all(ran_on[i] is None for i in ids if i.startswith("projection."))
+    assert ran_on["curl.circulation-disk"] == "plane_disk"
+    assert ran_on["curl.circulation-hemisphere"] == "hemisphere"
+    assert ran_on["curl.curl-of-gradient.fd2"] == "sphere"
+    assert "helix" not in ran_on.values()
+
+
+def test_records_name_the_geometry_they_ran_on(tmp_path, capsys):
+    target = tmp_path / "curl.json"
+    assert main(["verify", "--suite", "curl", "--geometry", "torus", "--out", str(target)]) == 0
+    ran_on = {c["id"]: c["geometry"] for c in json.loads(target.read_text())["checks"]}
+    assert ran_on["curl.circulation-generic"] == "torus"
+    assert ran_on["curl.circulation-disk"] == "plane_disk"
+    assert ran_on["curl.curl-of-gradient.analytic"] == "sphere"
+    capsys.readouterr()
