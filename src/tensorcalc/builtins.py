@@ -4,8 +4,9 @@ Every case bundles a LevelSetGeometry (with exact gradients and Hessians),
 a chart atlas factory, and where meaningful a distinguished velocity field.
 Level functions are signed distances wherever that is cheap to write down,
 so the unit-gradient hypothesis of the projector-rate machinery holds.
-Level functions and velocity fields are batch-native: they take points of
-shape (..., n).  Chart mappings stay pointwise.
+Level functions, velocity fields and chart mappings are batch-native: they
+take points of shape (..., n), or parameter points of shape (..., p), and a
+single point is a batch of shape ().
 """
 
 from __future__ import annotations
@@ -81,22 +82,40 @@ def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
     return LevelSet._batched(value, gradient, hessian)
 
 
+def _vec(U, *entries):
+    """Points (..., len(entries)) from entries that are arrays over the
+    batch of parameter points U (..., p) or numbers."""
+    out = np.empty(U.shape[:-1] + (len(entries),))
+    for i, e in enumerate(entries):
+        out[..., i] = e
+    return out
+
+
+def _mat(U, *rows):
+    """Jacobians (..., len(rows), p) from rows of entries, as in ``_vec``."""
+    out = np.empty(U.shape[:-1] + (len(rows), len(rows[0])))
+    for i, row in enumerate(rows):
+        for j, e in enumerate(row):
+            out[..., i, j] = e
+    return out
+
+
 def _sphere_chart(radius, order, panels, theta_hi=math.pi, sides=(), rate=0.0):
-    def mapping(u, t):
+    def mapping(U, t):
         r = radius + rate * t
-        th, ph = u
-        return np.array(
-            [r * math.sin(th) * math.cos(ph), r * math.sin(th) * math.sin(ph), r * math.cos(th)]
+        th, ph = U[..., 0], U[..., 1]
+        return _vec(
+            U, r * np.sin(th) * np.cos(ph), r * np.sin(th) * np.sin(ph), r * np.cos(th)
         )
 
-    def jacobian(u, t):
+    def jacobian(U, t):
         r = radius + rate * t
-        th, ph = u
-        st, ct = math.sin(th), math.cos(th)
-        sp, cp = math.sin(ph), math.cos(ph)
-        return np.array([[r * ct * cp, -r * st * sp], [r * ct * sp, r * st * cp], [-r * st, 0.0]])
+        th, ph = U[..., 0], U[..., 1]
+        st, ct = np.sin(th), np.cos(th)
+        sp, cp = np.sin(ph), np.cos(ph)
+        return _mat(U, (r * ct * cp, -r * st * sp), (r * ct * sp, r * st * cp), (-r * st, 0.0))
 
-    return Chart(
+    return Chart._batched(
         lo=[0.0, 0.0],
         hi=[theta_hi, TWO_PI],
         mapping=mapping,
@@ -145,11 +164,11 @@ def circle2d(radius: float = 1.0) -> GeometryCase:
     geom = LevelSetGeometry(2, [_sphere_level(radius)], name="circle2d")
 
     def factory(order=16, panels=2):
-        chart = Chart(
+        chart = Chart._batched(
             lo=[0.0],
             hi=[TWO_PI],
-            mapping=lambda u, t: radius * np.array([math.cos(u[0]), math.sin(u[0])]),
-            jacobian=lambda u, t: radius * np.array([[-math.sin(u[0])], [math.cos(u[0])]]),
+            mapping=lambda U, t: radius * _vec(U, np.cos(U[..., 0]), np.sin(U[..., 0])),
+            jacobian=lambda U, t: radius * _mat(U, (-np.sin(U[..., 0]),), (np.cos(U[..., 0]),)),
             periodic=(True,),
             order=order,
             panels=panels,
@@ -208,12 +227,12 @@ def circle3d(radius: float = 1.0) -> GeometryCase:
     )
 
     def factory(order=16, panels=2):
-        chart = Chart(
+        chart = Chart._batched(
             lo=[0.0],
             hi=[TWO_PI],
-            mapping=lambda u, t: radius * np.array([math.cos(u[0]), math.sin(u[0]), 0.0]),
-            jacobian=lambda u, t: radius * np.array(
-                [[-math.sin(u[0])], [math.cos(u[0])], [0.0]]
+            mapping=lambda U, t: radius * _vec(U, np.cos(U[..., 0]), np.sin(U[..., 0]), 0.0),
+            jacobian=lambda U, t: radius * _mat(
+                U, (-np.sin(U[..., 0]),), (np.cos(U[..., 0]),), (0.0,)
             ),
             periodic=(True,),
             order=order,
@@ -237,19 +256,21 @@ def plane_disk(radius: float = 1.0) -> GeometryCase:
     geom = LevelSetGeometry(3, [_coordinate_plane_level(2)], name="plane_disk")
 
     def factory(order=16, panels=2):
-        chart = Chart(
+        def mapping(U, t):
+            r, ph = U[..., 0], U[..., 1]
+            return _vec(U, r * np.cos(ph), r * np.sin(ph), 0.0)
+
+        def jacobian(U, t):
+            r, ph = U[..., 0], U[..., 1]
+            return _mat(
+                U, (np.cos(ph), -r * np.sin(ph)), (np.sin(ph), r * np.cos(ph)), (0.0, 0.0)
+            )
+
+        chart = Chart._batched(
             lo=[0.0, 0.0],
             hi=[radius, TWO_PI],
-            mapping=lambda u, t: np.array(
-                [u[0] * math.cos(u[1]), u[0] * math.sin(u[1]), 0.0]
-            ),
-            jacobian=lambda u, t: np.array(
-                [
-                    [math.cos(u[1]), -u[0] * math.sin(u[1])],
-                    [math.sin(u[1]), u[0] * math.cos(u[1])],
-                    [0.0, 0.0],
-                ]
-            ),
+            mapping=mapping,
+            jacobian=jacobian,
             periodic=(False, True),
             order=order,
             panels=panels,
@@ -299,23 +320,22 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
     geom = LevelSetGeometry(3, [LevelSet._batched(value, gradient, hessian)], name="torus")
 
     def factory(order=16, panels=2):
-        def mapping(u, t):
-            psi, phi = u
-            s = major + minor * math.cos(psi)
-            return np.array([s * math.cos(phi), s * math.sin(phi), minor * math.sin(psi)])
+        def mapping(U, t):
+            psi, phi = U[..., 0], U[..., 1]
+            s = major + minor * np.cos(psi)
+            return _vec(U, s * np.cos(phi), s * np.sin(phi), minor * np.sin(psi))
 
-        def jacobian(u, t):
-            psi, phi = u
-            s = major + minor * math.cos(psi)
-            return np.array(
-                [
-                    [-minor * math.sin(psi) * math.cos(phi), -s * math.sin(phi)],
-                    [-minor * math.sin(psi) * math.sin(phi), s * math.cos(phi)],
-                    [minor * math.cos(psi), 0.0],
-                ]
+        def jacobian(U, t):
+            psi, phi = U[..., 0], U[..., 1]
+            s = major + minor * np.cos(psi)
+            return _mat(
+                U,
+                (-minor * np.sin(psi) * np.cos(phi), -s * np.sin(phi)),
+                (-minor * np.sin(psi) * np.sin(phi), s * np.cos(phi)),
+                (minor * np.cos(psi), 0.0),
             )
 
-        chart = Chart(
+        chart = Chart._batched(
             lo=[0.0, 0.0],
             hi=[TWO_PI, TWO_PI],
             mapping=mapping,
@@ -392,14 +412,14 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
     theta_max = TWO_PI * turns
 
     def factory(order=16, panels=2):
-        chart = Chart(
+        chart = Chart._batched(
             lo=[0.0],
             hi=[theta_max],
-            mapping=lambda u, t: np.array(
-                [a * math.cos(u[0]), a * math.sin(u[0]), b * u[0]]
+            mapping=lambda U, t: _vec(
+                U, a * np.cos(U[..., 0]), a * np.sin(U[..., 0]), b * U[..., 0]
             ),
-            jacobian=lambda u, t: np.array(
-                [[-a * math.sin(u[0])], [a * math.cos(u[0])], [b]]
+            jacobian=lambda U, t: _mat(
+                U, (-a * np.sin(U[..., 0]),), (a * np.cos(U[..., 0]),), (b,)
             ),
             order=order,
             panels=panels,

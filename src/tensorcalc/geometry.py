@@ -12,6 +12,12 @@ returns normals of shape (..., m, n) and projectors of shape (..., n, n);
 a single point is a batch of shape ().  The callables of a public
 ``LevelSet`` are pointwise and run behind a looping adapter; the built-in
 geometries use batch-native level functions (``LevelSet._batched``).
+
+Tangential projection feeds P into one tensor slot per pass, over any
+leading batch axes: q matrix products and O(q n^(q+1)) work for a rank-q
+tensor.  The paper writes the same map as a recursion over the complete
+n-ary component tree, which takes n^(q-1) calls; the tests keep that
+construction as an oracle.
 """
 
 from __future__ import annotations
@@ -339,21 +345,36 @@ class LevelSetGeometry:
 # -- tangential projection ---------------------------------------------------
 
 
-def _project_array(data: np.ndarray, normals: np.ndarray) -> np.ndarray:
+def _contract(arr: np.ndarray, m: np.ndarray, nl: int) -> np.ndarray:
+    """Contract the last axis of ``arr`` with the first non-batch axis of
+    ``m``: (L, A..., c) and (L, c, B...) give (L, A..., B...)."""
+    lead, a, b = arr.shape[:nl], arr.shape[nl:-1], m.shape[nl + 1:]
+    c = arr.shape[-1]
+    out = arr.reshape(lead + (math.prod(a), c)) @ m.reshape(lead + (c, math.prod(b)))
+    return out.reshape(lead + a + b)
+
+
+def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int, nl: int) -> np.ndarray:
+    """Contract axis 1 of ``m`` (after nl batch axes) with ``arr``'s tensor
+    slot ``slot``; m's axis 0 takes the slot's place and any further axes of
+    m go last."""
+    ax = nl + slot
+    axes = tuple(range(arr.ndim))
+    moved = arr.transpose(axes[:ax] + axes[ax + 1:] + (ax,))
+    out = _contract(moved, np.swapaxes(m, nl, nl + 1), nl)
+    k = arr.ndim - 1  # where m's axis 0 landed
+    axes = tuple(range(out.ndim))
+    return out.transpose(axes[:ax] + (k,) + axes[ax:k] + axes[k + 1:])
+
+
+def _project_array(data: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Tangential projection of ``data`` of shape (...) + (n,)*q, with
-    normals of shape (..., m, n)."""
-    # Two steps: project every component of the tree, then remove the part
-    # of the first slot that the normals still see.
-    lead = normals.ndim - 2
-    if data.ndim == lead:
-        return data
-    n = normals.shape[-1]
-    pick = (slice(None),) * lead
-    tilde = np.stack([_project_array(data[pick + (k,)], normals) for k in range(n)], axis=lead)
-    rows = tilde.reshape(tilde.shape[: lead + 1] + (math.prod(tilde.shape[lead + 1:]),))
-    for i in range(normals.shape[-2]):
-        rows = rows - normals[..., i, :, None] @ (normals[..., i : i + 1, :] @ rows)
-    return rows.reshape(tilde.shape)
+    projectors P of shape (..., n, n)."""
+    # P fed into one slot per pass: q matrix products of n^(q+1) work each
+    nl = P.ndim - 2
+    for slot in range(data.ndim - nl):
+        data = _apply_to_slot(P, data, slot, nl)
+    return data
 
 
 def project(frame: GeometryFrame, t: Tensor) -> Tensor:
@@ -362,7 +383,7 @@ def project(frame: GeometryFrame, t: Tensor) -> Tensor:
         raise ShapeError(f"tensor lives in R^{t.n}, frame in R^{frame.n}")
     if frame.normals.ndim != 2:
         raise ShapeError("project takes the frame at a single point")
-    return Tensor._wrap(t.n, _project_array(t.array, frame.normals))
+    return Tensor._wrap(t.n, _project_array(t.array, frame.P))
 
 
 def is_tangent(frame: GeometryFrame, t: Tensor, tol: float = 1e-10) -> bool:

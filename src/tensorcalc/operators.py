@@ -31,14 +31,13 @@ fields with no gradient at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import geometry as geo
 from .fields import TensorField, _field, tf_scale
-from .geometry import GeometryError, LevelSetGeometry, _identity
+from .geometry import GeometryError, LevelSetGeometry, _apply_to_slot, _contract, _identity
 from .tensor import ShapeError
 
 __all__ = [
@@ -122,29 +121,11 @@ def _bump_depth(f: TensorField, cfg: DiffConfig) -> int:
 # -- pointwise contractions over nl leading batch axes ----------------------------
 
 
-def _contract(arr: np.ndarray, m: np.ndarray, nl: int) -> np.ndarray:
-    """Contract the last axis of ``arr`` with the first non-batch axis of
-    ``m``: (L, A..., c) and (L, c, B...) give (L, A..., B...)."""
-    lead, a, b = arr.shape[:nl], arr.shape[nl:-1], m.shape[nl + 1:]
-    c = arr.shape[-1]
-    out = arr.reshape(lead + (math.prod(a), c)) @ m.reshape(lead + (c, math.prod(b)))
-    return out.reshape(lead + a + b)
-
-
 def _symmetric_on_second_last(sym: np.ndarray, arr: np.ndarray, nl: int) -> np.ndarray:
     """Contract a symmetric (L, n, n) matrix into the second-last axis of
     ``arr`` (L, A..., c, k)."""
     lead = sym.shape[:nl]
     return sym.reshape(lead + (1,) * (arr.ndim - nl - 2) + sym.shape[nl:]) @ arr
-
-
-def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int, nl: int) -> np.ndarray:
-    """Contract axis 1 of ``m`` (after nl batch axes) with ``arr``'s tensor
-    slot ``slot``; m's axis 0 takes the slot's place and any further axes of
-    m go last."""
-    extra = m.ndim - nl - 2
-    out = _contract(np.moveaxis(arr, nl + slot, -1), np.swapaxes(m, nl, nl + 1), nl)
-    return np.moveaxis(out, -1 - extra, nl + slot)
 
 
 # -- ambient derivatives ------------------------------------------------------
@@ -256,7 +237,7 @@ def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
 
 def project_field(f: TensorField, geom: LevelSetGeometry, name: str = "") -> TensorField:
     def func(X, t):
-        return geo._project_array(f.values(X, t), geom.frame_at(X, t).normals)
+        return geo._project_array(f.values(X, t), geom.frame_at(X, t).P)
 
     grad = None
     if f.has_gradient and geom.has_analytic_hessians:

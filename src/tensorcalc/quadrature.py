@@ -45,7 +45,9 @@ class Chart:
     """Rectangle [lo, hi] in 1 or 2 parameters mapped into R^n.
 
     ``mapping(u, t) -> x``; ``jacobian(u, t) -> (n, p)`` optional (finite
-    differences otherwise).  Both are pointwise.  ``boundary_sides`` lists
+    differences otherwise).  Both are pointwise; those of a chart built with
+    ``Chart._batched`` take parameter points of shape (..., p) and return
+    (..., n) and (..., n, p).  ``boundary_sides`` lists
     (axis, end) pairs that are genuine boundary pieces of the manifold;
     periodic axes and coordinate degeneracies (poles, seams) are simply not
     listed.
@@ -92,7 +94,8 @@ class Chart:
 
     @classmethod
     def _batched(cls, *args, **kwargs) -> "Chart":
-        """A chart whose mapping takes parameter points of shape (..., p)."""
+        """A chart whose mapping and Jacobian take parameter points of shape
+        (..., p)."""
         chart = cls(*args, **kwargs)
         chart._batch = True
         return chart
@@ -133,6 +136,8 @@ class Chart:
     def _jacobians(self, U: np.ndarray, t: float) -> np.ndarray:
         """Jacobians (N, n, p) at parameter points U of shape (N, p)."""
         if self._jacobian is not None:
+            if self._batch:
+                return np.asarray(self._jacobian(U, t), dtype=float)
             return np.array([self._jacobian(u, t) for u in U], dtype=float)
         cols = []
         for a in range(self.p):
@@ -235,12 +240,10 @@ def boundary_points(atlas: Atlas, t: float = 0.0) -> List[BoundaryPoint]:
             nodes, weights = chart._axis_rule(other)
             fixed = chart.hi[axis] if end == 1 else chart.lo[axis]
             osign = 1.0 if end == 1 else -1.0
-            for s, w in zip(nodes, weights):
-                u = np.empty(2)
-                u[axis] = fixed
-                u[other] = s
-                x = np.asarray(chart.mapping(u, t), dtype=float)
-                J = chart.jacobian_at(u, t)
+            U = np.empty((len(nodes), 2))
+            U[:, axis] = fixed
+            U[:, other] = nodes
+            for x, J, w in zip(chart._map(U, t), chart._jacobians(U, t), weights):
                 tan_raw = J[:, other]
                 arc = float(np.linalg.norm(tan_raw))
                 frame = geom.frame_at(x, t)

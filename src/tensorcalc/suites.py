@@ -346,8 +346,8 @@ def _tensor_algebra(cfg: SuiteConfig, _case) -> List[Check]:
 
 
 def _project_oracle(arr: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """Slot-by-slot definition of the tangential projection, written as the
-    raw sum over all index tuples (independent of the recursive routine)."""
+    """Definition of the tangential projection, P in every slot, written as
+    the raw sum over all index tuples (independent of the slot passes)."""
     n = P.shape[0]
     q = arr.ndim
     out = np.zeros_like(arr)
@@ -396,7 +396,7 @@ def _projection(cfg: SuiteConfig, _case) -> List[Check]:
         )
 
     return [
-        Check("projection.oracle", "recursive projection matches the slotwise sum",
+        Check("projection.oracle", "slotwise projection matches the raw index sum",
               1e-12, lambda m: worst_oracle),
         Check("projection.idempotent", "projecting twice changes nothing",
               1e-12, lambda m: worst_idem),

@@ -120,7 +120,7 @@ def test_criterion_01_tensor_algebra_identities(capsys):
 
 
 def test_criterion_02_projection_oracle(capsys):
-    """Recursive projection equals multilinear evaluation on projected bases."""
+    """Slotwise projection equals multilinear evaluation on projected bases."""
     rng = np.random.default_rng(7)
     eye = np.eye(3)
     worst = 0.0

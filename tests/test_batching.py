@@ -124,12 +124,12 @@ def test_batched_projection_matches_the_slotwise_oracle(n, q, batch, seed):
     m = int(rng.integers(1, n))
     normals = np.linalg.qr(rng.standard_normal((batch, n, m)))[0].swapaxes(1, 2)
     data = rng.standard_normal((batch,) + (n,) * q)
-    got = _project_array(data, normals)
+    P = np.eye(n) - normals.swapaxes(1, 2) @ normals
+    got = _project_array(data, P)
     for b in range(batch):
-        P = np.eye(n) - normals[b].T @ normals[b]
         want = data[b]
-        for slot in range(q):  # feed P into each slot, independent of the recursion
-            want = np.moveaxis(np.tensordot(P, want, axes=([1], [slot])), 0, slot)
+        for slot in range(q):  # feed P into each slot with tensordot, one point at a time
+            want = np.moveaxis(np.tensordot(P[b], want, axes=([1], [slot])), 0, slot)
         assert np.max(np.abs(got[b] - want), initial=0.0) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 

@@ -1,11 +1,19 @@
-"""Frames, projectors, recursive projection, and the in-plane rotation."""
+"""Frames, projectors, slotwise projection against the paper's recursive
+construction, and the in-plane rotation."""
+
+import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tensorcalc.builtins import get_case
 from tensorcalc.geometry import (
     GeometryError,
+    LevelSet,
+    LevelSetGeometry,
+    _project_array,
     frame_from_normals,
     is_tangent,
     perp,
@@ -34,6 +42,30 @@ def project_oracle(arr, P):
             acc += weight * arr[src]
         out[idx] = acc
     return out
+
+
+def recursive_project(data, normals):
+    """The paper's construction over the complete n-ary component tree:
+    project every component, then remove the part of the first slot that
+    the normals still see.  ``data`` is (...) + (n,)*q, normals (..., m, n);
+    it makes n^(q-1) calls."""
+    lead = normals.ndim - 2
+    if data.ndim == lead:
+        return data
+    n = normals.shape[-1]
+    pick = (slice(None),) * lead
+    tilde = np.stack([recursive_project(data[pick + (k,)], normals) for k in range(n)], axis=lead)
+    rows = tilde.reshape(tilde.shape[: lead + 1] + (math.prod(tilde.shape[lead + 1:]),))
+    for i in range(normals.shape[-2]):
+        rows = rows - normals[..., i, :, None] @ (normals[..., i : i + 1, :] @ rows)
+    return rows.reshape(tilde.shape)
+
+
+def tensordot_project(arr, P):
+    """P fed into each slot of arr with tensordot, at a single point."""
+    for slot in range(arr.ndim):
+        arr = np.moveaxis(np.tensordot(P, arr, axes=([1], [slot])), 0, slot)
+    return arr
 
 
 def test_sphere_frame():
@@ -70,6 +102,46 @@ def test_projection_matches_brute_force_oracle(rng):
         t = random_tensor(3, q, rng)
         proj = project(fr, t)
         np.testing.assert_allclose(proj.array, project_oracle(t.array, fr.P), atol=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(2, 8),
+    q=st.integers(0, 8),
+    batch=st.sampled_from([(), (1,), (3,)]),
+    seed=st.integers(0, 2**16),
+)
+def test_projection_matches_the_recursive_and_tensordot_oracles(n, q, batch, seed):
+    assume(n**q <= 4096)
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n))
+    normals = np.linalg.qr(rng.standard_normal(batch + (n, m)))[0].swapaxes(-1, -2)
+    P = np.eye(n) - normals.swapaxes(-1, -2) @ normals
+    data = rng.standard_normal(batch + (n,) * q)
+    got = _project_array(data, P)
+    want = recursive_project(data, normals)
+    tol = 1e-12 * max(1.0, float(np.max(np.abs(data))))
+    assert got.shape == data.shape
+    assert np.max(np.abs(got - want), initial=0.0) <= tol
+    for b in np.ndindex(batch):
+        assert np.max(np.abs(got[b] - tensordot_project(data[b], P[b])), initial=0.0) <= tol
+    if not batch:
+        frame = frame_from_normals(normals)
+        assert np.max(np.abs(project(frame, Tensor(n, data)).array - want), initial=0.0) <= tol
+
+
+@pytest.mark.parametrize("n,q", [(4, 8), (3, 8), (8, 4)])
+def test_projection_at_the_advertised_limits(rng, n, q):
+    for m in (1, n - 1):
+        fr = random_frame(rng, n, m)
+        t, s = random_tensor(n, q, rng), random_tensor(n, q, rng)
+        pt = project(fr, t)
+        assert np.max(np.abs(project(fr, pt).array - pt.array)) <= 1e-12
+        for nv in fr.normals:
+            for slot in range(q):
+                assert np.max(np.abs(np.tensordot(pt.array, nv, axes=([slot], [0])))) <= 1e-12
+        gap = frobenius(project(fr, s), t) - frobenius(s, pt)
+        assert abs(gap) <= 1e-12 * t.norm() * s.norm()
 
 
 def test_projection_idempotent_and_tangent(rng):
@@ -164,6 +236,39 @@ def test_frame_derivative_matches_finite_differences():
         e[k] = h
         approx = (geom.frame_at(x + e, 0.0).P - geom.frame_at(x - e, 0.0).P) / (2 * h)
         np.testing.assert_allclose(fd.P_d[:, :, k], approx, atol=1e-8)
+
+
+def _affine_level(a, c):
+    """Batch-native level function a . x - c."""
+    return LevelSet._batched(
+        lambda X, t: X @ a - c,
+        lambda X, t: np.broadcast_to(a, X.shape),
+        lambda X, t: np.zeros(X.shape + X.shape[-1:]),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), k=st.integers(1, 4), seed=st.integers(0, 2**16))
+def test_frames_at_random_codimension(n, k, seed):
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, n))
+    A, c = rng.standard_normal((m, n)), rng.standard_normal(m)
+    geom = LevelSetGeometry(n, [_affine_level(a, ci) for a, ci in zip(A, c)])
+    _, _, vt = np.linalg.svd(A)
+    X = np.linalg.lstsq(A, c, rcond=None)[0] + rng.standard_normal((k, n - m)) @ vt[m:]
+    frame = geom.frame_at(X)
+    assert frame.normals.shape == (k, m, n) and frame.P.shape == (k, n, n)
+    P = frame.P
+    gram = frame.normals @ frame.normals.swapaxes(1, 2)
+    assert np.max(np.abs(gram - np.eye(m))) <= 1e-12
+    assert np.max(np.abs(P - P.swapaxes(1, 2))) <= 1e-12
+    assert np.max(np.abs(P @ P - P)) <= 1e-12
+    assert np.max(np.abs(P @ A.T)) <= 1e-12 * np.max(np.abs(A))
+    np.testing.assert_allclose(np.trace(P, axis1=1, axis2=2), n - m, atol=1e-12)
+    for x, normals, proj in zip(X, frame.normals, P):
+        single = geom.frame_at(x)
+        np.testing.assert_allclose(single.normals, normals, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(single.P, proj, rtol=0, atol=1e-14)
 
 
 def test_frame_outside_tube_raises():
