@@ -46,8 +46,6 @@ class GeometryCase:
     name: str
     geometry: LevelSetGeometry
     atlas_factory: Callable[[int, int], Atlas]
-    manifold_dim: int
-    closed: bool
     params: Dict[str, float] = field(default_factory=dict)
     velocity: Optional[TensorField] = None
     blurb: str = ""
@@ -136,8 +134,6 @@ def sphere(radius: float = 1.0) -> GeometryCase:
         atlas_factory=lambda order=16, panels=2: Atlas(
             geom, [_sphere_chart(radius, order, panels)], name="sphere"
         ),
-        manifold_dim=2,
-        closed=True,
         params={"radius": radius},
         blurb="round sphere |x| = R in R^3",
     )
@@ -153,8 +149,6 @@ def hemisphere(radius: float = 1.0) -> GeometryCase:
             [_sphere_chart(radius, order, panels, theta_hi=0.5 * math.pi, sides=((0, 1),))],
             name="hemisphere",
         ),
-        manifold_dim=2,
-        closed=False,
         params={"radius": radius},
         blurb="upper half of the sphere, boundary at the equator",
     )
@@ -180,8 +174,6 @@ def circle2d(radius: float = 1.0) -> GeometryCase:
         name="circle2d",
         geometry=geom,
         atlas_factory=factory,
-        manifold_dim=1,
-        closed=True,
         params={"radius": radius},
         blurb="circle |x| = R in the plane",
     )
@@ -245,8 +237,6 @@ def circle3d(radius: float = 1.0) -> GeometryCase:
         name="circle3d",
         geometry=geom,
         atlas_factory=factory,
-        manifold_dim=1,
-        closed=True,
         params={"radius": radius},
         blurb="circle of codimension two: cylinder rho = R meets the plane z = 0",
     )
@@ -283,8 +273,6 @@ def plane_disk(radius: float = 1.0) -> GeometryCase:
         name="plane_disk",
         geometry=geom,
         atlas_factory=factory,
-        manifold_dim=2,
-        closed=False,
         params={"radius": radius},
         blurb="flat disk of radius R in the plane z = 0",
     )
@@ -351,8 +339,6 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
         name="torus",
         geometry=geom,
         atlas_factory=factory,
-        manifold_dim=2,
-        closed=True,
         params={"major": major, "minor": minor},
         blurb="torus of revolution around the z axis",
     )
@@ -432,8 +418,6 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
         name="helix",
         geometry=geom,
         atlas_factory=factory,
-        manifold_dim=1,
-        closed=False,
         params={"radius": radius, "pitch": pitch, "turns": turns},
         velocity=w,
         blurb="open helical arc with endpoint boundary",
@@ -464,8 +448,6 @@ def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
         atlas_factory=lambda order=16, panels=2: Atlas(
             geom, [_sphere_chart(radius, order, panels, rate=speed)], name="expanding_sphere"
         ),
-        manifold_dim=2,
-        closed=True,
         params={"radius": radius, "speed": speed},
         velocity=w,
         blurb="sphere with radius R + c t, material velocity c along the outward normal",

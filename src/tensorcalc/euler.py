@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TensorField, _field, _zeros, polynomial
+from .fields import TensorField, _field, _zeros, polynomial, tf_add, tf_outer
 from .geometry import LevelSetGeometry
 from .operators import (
     DiffConfig,
@@ -22,11 +22,12 @@ from .operators import (
     divergence,
     mean_curvature,
     project_field,
+    projector_field,
     shape_operator,
     submanifold_gradient,
     time_partial,
 )
-from .quadrature import Atlas, IdentityResult, integrate, integrate_boundary
+from .quadrature import Atlas, IdentityResult, _dot_last, integrate, integrate_boundary
 
 __all__ = [
     "EulerState",
@@ -88,9 +89,10 @@ def tangent_velocity_identity(
     div_pu = divergence(pu, geom, cfg)
     lhs = integrate(atlas, pu, t)
     bulk = integrate(atlas, lambda X, s: -div_pu.values(X, s)[:, None] * X, t)
-    bnd = integrate_boundary(atlas, lambda bp, s: float(u.values(bp.x, s) @ bp.conormal) * bp.x, t)
-    rhs = bulk if bnd is None else bulk + bnd
-    return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(rhs))
+    bnd = integrate_boundary(
+        atlas, lambda B, s: _dot_last(u.values(B.x, s), B.conormal)[:, None] * B.x, t
+    )
+    return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(bulk + bnd))
 
 
 def momentum_residual(state: EulerState, x, t: float, cfg: DiffConfig) -> np.ndarray:
@@ -109,9 +111,6 @@ def _apply(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def _flux_field(state: EulerState) -> TensorField:
-    from .fields import tf_add, tf_outer
-    from .operators import projector_field
-
     u, p = state.velocity, state.pressure
     pP = tf_outer(p, projector_field(state.geometry), name="pP")
     return tf_add(tf_outer(u, u), pP, name="euler-flux")
@@ -127,8 +126,6 @@ def divergence_form_residual(state: EulerState, x, t: float, cfg: DiffConfig) ->
 
 def convective_identity_residual(state: EulerState, x, t: float, cfg: DiffConfig) -> np.ndarray:
     """(gradcov u).u - Proj Div_M(u (x) u); zero whenever div_M u = 0."""
-    from .fields import tf_outer
-
     geom = state.geometry
     u = state.velocity
     conv = _apply(covariant_gradient(u, geom, cfg).values(x, t), u.values(x, t))
@@ -155,9 +152,7 @@ def force_balance(atlas: Atlas, state: EulerState, cfg: DiffConfig, t: float = 0
     u, p = state.velocity, state.pressure
     kap = mean_curvature(geom, cfg)
     young = integrate(atlas, lambda X, s: p.values(X, s)[:, None] * kap.values(X, s), t)
-    reaction = integrate_boundary(atlas, lambda bp, s: float(p.values(bp.x, s)) * bp.conormal, t)
-    if reaction is None:
-        reaction = np.zeros(geom.n)
+    reaction = integrate_boundary(atlas, lambda B, s: p.values(B.x, s)[:, None] * B.conormal, t)
     centripetal = np.zeros(geom.n)
     for i in range(geom.m):
         b_i = shape_operator(geom, i, cfg)

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import permutations
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -334,13 +333,6 @@ class LevelSetGeometry:
         normals, normals_d = _gram_schmidt_with_derivative(grads, hessians, self.grad_floor)
         return GeometryFrame(x, t, normals), FrameDerivative(normals, normals_d)
 
-    def perp_pack(self, x, t: float = 0.0):
-        """Quarter-turn matrix and its spatial derivative (codimension n-2 only)."""
-        frame, fd = self.frame_derivative_at(x, t)
-        Q = perp_matrix(frame)
-        DQ = _perp_matrix_derivative(frame.normals, fd.normals_d)
-        return Q, DQ
-
 
 # -- tangential projection ---------------------------------------------------
 
@@ -398,22 +390,27 @@ def tangent_basis(frame: GeometryFrame):
     """Deterministic positively oriented orthonormal basis (t1, t2) of the
     tangent plane at each point of the frame.  Requires n - m == 2.
 
-    Seeds with the two ambient axes carrying the largest tangential part,
-    orthonormalizes, then flips t2 if det[t1, t2, n_1, ..., n_m] < 0.
+    t1 is the longest projector column P e_j, normalized.  t2 comes from
+    the column with the largest part orthogonal to t1 (two columns can be
+    parallel), and flips if det[t1, t2, n_1, ..., n_m] < 0.  Ties keep the
+    lower axis.
     """
     n, m = frame.n, frame.m
     if n - m != 2:
         raise GeometryError(f"tangent plane needs n - m == 2, got n={n}, m={m}")
     columns = frame.P.swapaxes(-1, -2)  # columns[..., j, :] = P e_j
-    order = np.argsort(-_norm(columns), axis=-1, kind="stable")  # ties keep the lower axis
-    pick = order[..., :2, None] == np.arange(n)  # one-hot rows for the two pivot axes
-    pa, pb = np.moveaxis(pick @ columns, -2, 0)  # exact: one 1 per row, zeros elsewhere
-    sa = _norm(pa)[..., None]
-    if (_norm(pb) < 1e-8).any():
+
+    def longest(vectors):  # exact: a one-hot row picks the longest vector
+        pick = np.argmax(_norm(vectors), axis=-1)[..., None, None] == np.arange(n)
+        return (pick @ vectors)[..., 0, :]
+
+    t1 = longest(columns)
+    t1 = t1 / _norm(t1)[..., None]
+    t2 = longest(frame.P - _outer(t1, t1))  # the columns' parts orthogonal to t1
+    size = _norm(t2)[..., None]
+    if not (size >= 1e-8).all():  # a NaN frame fails here too
         raise GeometryError("tangent plane is numerically degenerate")
-    t1 = pa / sa
-    t2 = pb - _dot(t1, pb) * t1
-    t2 = t2 / np.sqrt(_dot(t2, t2))
+    t2 = t2 / size
     rows = np.concatenate([t1[..., None, :], t2[..., None, :], frame.normals], axis=-2)
     t2 = np.where((np.linalg.det(rows) < 0)[..., None], -t2, t2)
     return t1, t2
@@ -432,30 +429,12 @@ def perp_matrix(frame: GeometryFrame) -> np.ndarray:
     return _outer(t2, t1) - _outer(t1, t2)
 
 
-def _perm_sign(p) -> int:
-    sign = 1
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                sign = -sign
-    return sign
+def _perp_matrix_derivative(Q: np.ndarray, P_d: np.ndarray) -> np.ndarray:
+    """d Q_ab / d x_k from the quarter turn Q (..., n, n) and the projector
+    derivative P_d (..., n, n, n).
 
-
-def _perp_matrix_derivative(normals: np.ndarray, normals_d: np.ndarray) -> np.ndarray:
-    """d Q_{ab} / d x_k via the Levi-Civita contraction
-    Q_{ab} = eps_{b a k1..km} (n_1)_{k1} ... (n_m)_{km}."""
-    m, n = normals.shape[-2:]
-    if n > 6:
-        raise GeometryError("analytic quarter-turn derivative supports n <= 6")
-    DQ = np.zeros(normals.shape[:-2] + (n, n, n))
-    for p in permutations(range(n)):
-        s = _perm_sign(p)
-        b, a, ks = p[0], p[1], p[2:]
-        vals = [normals[..., i, ks[i]] for i in range(m)]
-        for i in range(m):
-            coeff = np.full(normals.shape[:-2], float(s))
-            for j in range(m):
-                if j != i:
-                    coeff = coeff * vals[j]
-            DQ[..., a, b, :] += coeff[..., None] * normals_d[..., i, ks[i], :]
-    return DQ
+    Differentiating Q = P Q P gives dQ = dP Q + P dQ P + Q dP, and the
+    middle term vanishes: the in-plane part of d(t2 t1^T - t1 t2^T) cancels
+    because t1 . dt2 = -t2 . dt1.
+    """
+    return np.einsum("...ack,...cb->...abk", P_d, Q) + np.einsum("...ac,...cbk->...abk", Q, P_d)

@@ -18,9 +18,10 @@ ingredients have them (geometry providers need analytic level-set
 Hessians): ``cartesian_gradient`` keeps the field's second derivative;
 ``submanifold_gradient`` (grad^2 f . P + grad f . P_d), ``project_field``
 (P_d in one slot at a time) and ``divergence`` (a trace) build theirs from
-one ``frame_derivative_at`` call; ``perp_field`` has one for rank-1 fields
-in n <= 6.  So the Laplacians, covariant gradients and surface curls of
-polynomials, constants, coordinates and positions need no differences.
+one ``frame_derivative_at`` call, and so does ``perp_field`` (Q in one
+slot and its closed-form derivative dQ = dP Q + Q dP).  So the
+Laplacians, covariant gradients and surface curls of polynomials,
+constants, coordinates and positions need no differences.
 Fourth-order differences remain for the gradient of
 ``material_derivative``, for time partials of fields with no ``dt``
 provider (projections and frame fields on moving geometries among them),
@@ -31,7 +32,7 @@ fields with no gradient at all.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,56 +65,55 @@ __all__ = [
 ]
 
 _MODES = ("fd2", "fd4", "analytic")
+# steps for differentiating a field that already carries difference noise,
+# and the deepest nesting of difference layers allowed
+_NESTED_HX = 3e-4
+_NESTED_HT = 3e-4
+_MAX_DEPTH = 3
 
 
 class DepthError(RuntimeError):
-    """More nested finite-difference layers than the configuration allows."""
+    """More nested finite-difference layers than the library allows."""
 
 
 @dataclass(frozen=True)
 class DiffConfig:
     """Derivative strategy and step sizes.
 
-    ``hx`` scales with max(1, |x|); nested steps are used whenever the field
-    being differentiated already contains finite-difference noise.
+    ``hx`` scales with max(1, |x|); fixed nested steps are used whenever the
+    field being differentiated already contains finite-difference noise.
     """
 
     mode: str = "fd2"
     hx: float = 5e-6
     ht: float = 1e-5
-    nested_hx: float = 3e-4
-    nested_ht: float = 3e-4
-    max_depth: int = 3
 
     def __post_init__(self):
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
-        for attr in ("hx", "ht", "nested_hx", "nested_ht"):
+        for attr in ("hx", "ht"):
             if getattr(self, attr) <= 0:
                 raise ValueError(f"{attr} must be positive")
-
-    def with_mode(self, mode: str) -> "DiffConfig":
-        return replace(self, mode=mode)
 
     def spatial_step(self, x: np.ndarray, depth: int):
         """Step for points x of shape (..., n): an array of shape (...) at
         depth 0, the nested step otherwise."""
         if depth <= 0:
             return self.hx * np.maximum(1.0, geo._norm(x))
-        return self.nested_hx
+        return _NESTED_HX
 
     def temporal_step(self, depth: int) -> float:
-        return self.ht if depth <= 0 else self.nested_ht
+        return self.ht if depth <= 0 else _NESTED_HT
 
 
 def _fd_order(cfg: DiffConfig) -> int:
     return 2 if cfg.mode == "fd2" else 4
 
 
-def _bump_depth(f: TensorField, cfg: DiffConfig) -> int:
-    if f.depth + 1 > cfg.max_depth:
+def _bump_depth(f: TensorField) -> int:
+    if f.depth + 1 > _MAX_DEPTH:
         raise DepthError(
-            f"differentiating '{f.name}' would exceed max nesting depth {cfg.max_depth}"
+            f"differentiating '{f.name}' would exceed max nesting depth {_MAX_DEPTH}"
         )
     return f.depth + 1
 
@@ -139,7 +139,7 @@ def cartesian_gradient(f: TensorField, cfg: DiffConfig) -> TensorField:
         return _field(
             n, f.q + 1, g._func, grad=g._grad, dt=g._dt, depth=f.depth, name=f"grad({f.name})"
         )
-    depth = _bump_depth(f, cfg)
+    depth = _bump_depth(f)
     order = _fd_order(cfg)
 
     def func(X, t):
@@ -171,7 +171,7 @@ def time_partial(f: TensorField, cfg: DiffConfig) -> TensorField:
         return _field(
             f.n, f.q, lambda X, t: f.dt_values(X, t), depth=f.depth, name=f"dt({f.name})"
         )
-    depth = _bump_depth(f, cfg)
+    depth = _bump_depth(f)
 
     def func(X, t):
         h = cfg.temporal_step(f.depth)
@@ -338,12 +338,16 @@ def perp_field(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
         return _contract(f.values(X, t), np.swapaxes(Q, -1, -2), X.ndim - 1)
 
     grad = None
-    if f.q == 1 and f.has_gradient and geom.has_analytic_hessians and geom.n <= 6:
+    if f.has_gradient and geom.has_analytic_hessians:
 
         def grad(X, t):
-            Q, DQ = geom.perp_pack(X, t)
-            return Q @ f.gradient_values(X, t) + np.einsum(
-                "...abk,...b->...ak", DQ, f.values(X, t)
+            # Q in the last slot of grad f, plus the last slot of f against dQ
+            nl, last = X.ndim - 1, f.q - 1
+            frame, fd = geom.frame_derivative_at(X, t)
+            Q = geo.perp_matrix(frame)
+            DQ = geo._perp_matrix_derivative(Q, fd.P_d)
+            return _apply_to_slot(Q, f.gradient_values(X, t), last, nl) + _apply_to_slot(
+                DQ, f.values(X, t), last, nl
             )
 
     return _field(f.n, f.q, func, grad=grad, depth=f.depth, name=f"perp({f.name})")

@@ -7,15 +7,23 @@ rule, so nodes never touch the rectangle edges (poles and seams are safe).
 Boundary components are declared sides of the rectangle; co-normals are
 computed from the outward parameter direction pushed through the Jacobian
 and projected tangentially.
+
+Integrands see batches: ``integrate`` calls its integrand once per chart
+on that chart's nodes, and ``integrate_boundary`` once per atlas on one
+``BoundaryPoint`` batch holding every boundary node, framed with one
+``frame_at`` call.  Both share one weighted sum, which checks the node axis
+and finiteness of the values.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import geometry as geo
 from .geometry import GeometryError, LevelSetGeometry
 from .operators import DiffConfig, divergence, mean_curvature, submanifold_gradient, surface_curl
 from .fields import TensorField
@@ -147,9 +155,6 @@ class Chart:
             cols.append((self._map(U + e, t) - self._map(U - e, t)) / (2 * h))
         return np.stack(cols, axis=-1)
 
-    def jacobian_at(self, u: np.ndarray, t: float) -> np.ndarray:
-        return self._jacobians(np.asarray(u, dtype=float)[None], t)[0]
-
     def points(self, t: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
         """Quadrature points in ambient space and their measure weights.
 
@@ -194,71 +199,92 @@ class Atlas:
 
 @dataclass
 class BoundaryPoint:
-    """One boundary quadrature node with its outward co-normal.
+    """The boundary quadrature nodes of an atlas, as one batch of N nodes.
 
-    For surface boundaries ``tangent`` is the positively oriented unit
-    boundary tangent and ``weight`` includes the 1-d measure.  For path
-    endpoints the measure is counting measure (weight 1) and ``end_sign``
-    is +1 at the upper end, -1 at the lower.
+    ``x`` and ``conormal`` are (N, n): node positions and outward unit
+    co-normals.  ``weight`` (N,) holds the 1-d measure on surface boundaries
+    and counting measure (1) at path endpoints.  ``tangent`` (N, n) is the
+    positively oriented unit boundary tangent on 2-d manifolds, None
+    otherwise; ``end_sign`` (N,) is +1 at the upper end of a path and -1 at
+    the lower, on 1-d manifolds, None otherwise.  A closed atlas gives N = 0.
     """
 
     x: np.ndarray
     conormal: np.ndarray
-    weight: float
+    weight: np.ndarray
     tangent: Optional[np.ndarray] = None
-    end_sign: Optional[int] = None
+    end_sign: Optional[np.ndarray] = None
 
 
-def _co_normal(frame, outward: np.ndarray, btangent: Optional[np.ndarray]) -> np.ndarray:
-    v = frame.P @ outward
-    if btangent is not None:
-        v = v - (v @ btangent) * btangent
-    nv = float(np.linalg.norm(v))
-    if nv < 1e-10:
-        raise GeometryError("outward direction degenerates under projection")
-    v = v / nv
-    if v @ (frame.P @ outward) < 0:
-        v = -v
-    return v
-
-
-def boundary_points(atlas: Atlas, t: float = 0.0) -> List[BoundaryPoint]:
+def boundary_points(atlas: Atlas, t: float = 0.0) -> BoundaryPoint:
+    """Every boundary node of the atlas, with one frame evaluation."""
     geom = atlas.geometry
-    out: List[BoundaryPoint] = []
+    n, dim = geom.n, geom.n - geom.m
+    # empty first parts keep every concatenation defined on a closed atlas
+    xs, outward, along = [np.empty((0, n))], [np.empty((0, n))], [np.empty((0, n))]
+    weights, signs = [np.empty(0)], [np.empty(0)]
     for chart in atlas.charts:
         for axis, end in chart.boundary_sides:
-            if chart.p == 1:
-                u = np.array([chart.hi[0] if end == 1 else chart.lo[0]])
-                x = np.asarray(chart.mapping(u, t), dtype=float)
-                J = chart.jacobian_at(u, t)
-                sign = 1 if end == 1 else -1
-                frame = geom.frame_at(x, t)
-                co = _co_normal(frame, sign * J[:, 0], None)
-                out.append(BoundaryPoint(x=x, conormal=co, weight=1.0, end_sign=sign))
-                continue
-            other = 1 - axis
-            nodes, weights = chart._axis_rule(other)
+            sign = 1.0 if end == 1 else -1.0
             fixed = chart.hi[axis] if end == 1 else chart.lo[axis]
-            osign = 1.0 if end == 1 else -1.0
-            U = np.empty((len(nodes), 2))
-            U[:, axis] = fixed
-            U[:, other] = nodes
-            for x, J, w in zip(chart._map(U, t), chart._jacobians(U, t), weights):
-                tan_raw = J[:, other]
-                arc = float(np.linalg.norm(tan_raw))
-                frame = geom.frame_at(x, t)
-                that = tan_raw / arc
-                co = _co_normal(frame, osign * J[:, axis], that)
-                tau = None
-                if geom.n - geom.m == 2:
-                    tau = that
-                    if np.linalg.det(np.column_stack([co, tau, *frame.normals])) < 0:
-                        tau = -tau
-                out.append(BoundaryPoint(x=x, conormal=co, weight=arc * w, tangent=tau))
-    return out
+            if chart.p == 1:  # a path endpoint: counting measure, no boundary tangent
+                U = np.array([[fixed]])
+                J = chart._jacobians(U, t)
+                tangent, weight = np.zeros((1, n)), np.ones(1)
+            else:
+                other = 1 - axis
+                nodes, w = chart._axis_rule(other)
+                U = np.empty((len(nodes), 2))
+                U[:, axis] = fixed
+                U[:, other] = nodes
+                J = chart._jacobians(U, t)
+                arc = geo._norm(J[:, :, other])
+                tangent, weight = J[:, :, other] / arc[:, None], arc * w
+            xs.append(chart._map(U, t))
+            outward.append(sign * J[:, :, axis])
+            along.append(tangent)
+            weights.append(weight)
+            signs.append(np.full(len(U), sign))
+    X, along = np.concatenate(xs), np.concatenate(along)
+    frame = geom.frame_at(X, t)
+    # outward parameter direction, projected tangentially and off the boundary tangent
+    v = (frame.P @ np.concatenate(outward)[:, :, None])[:, :, 0]
+    v = v - geo._dot(v, along) * along
+    size = geo._norm(v)
+    if (size < 1e-10).any():
+        raise GeometryError(
+            f"outward direction degenerates under projection on atlas '{atlas.name}'"
+        )
+    conormal = v / size[:, None]
+    tangent = end_sign = None
+    if dim == 2:  # orient the tangent so that det[conormal, tangent, normals] > 0
+        rows = np.concatenate([conormal[:, None], along[:, None], frame.normals], axis=1)
+        tangent = np.where((np.linalg.det(rows) < 0)[:, None], -along, along)
+    if dim == 1:
+        end_sign = np.concatenate(signs)
+    return BoundaryPoint(X, conormal, np.concatenate(weights), tangent, end_sign)
 
 
 # -- integration ----------------------------------------------------------------
+
+
+def _weighted_sum(vals, weights: np.ndarray, where: str):
+    """sum_i weights[i] vals[i] for values of shape (N, ...) or a constant.
+
+    A value of any other shape, or one that is not finite, raises an error
+    that names ``where``.
+    """
+    vals = np.asarray(vals, dtype=float)
+    if vals.ndim == 0:
+        vals = np.broadcast_to(vals, weights.shape)
+    elif vals.shape[0] != len(weights):
+        raise ShapeError(
+            f"integrand returned shape {vals.shape} on {where}, "
+            f"expected ({len(weights)}, ...) or a constant"
+        )
+    if not np.all(np.isfinite(vals)):
+        raise ValueError(f"integrand is not finite on {where}")
+    return np.tensordot(weights, vals, axes=([0], [0]))
 
 
 def integrate(atlas: Atlas, integrand, t: float = 0.0):
@@ -267,31 +293,32 @@ def integrate(atlas: Atlas, integrand, t: float = 0.0):
     Each chart's quadrature nodes X, of shape (N, n), are evaluated in one
     call.  The integrand is a TensorField or a callable ``(X, t)`` that
     returns values of shape (N, ...) or a constant (a number).  A value
-    that is not finite, or a callable's value of any other shape, raises
-    an error that names the chart.
+    that is not finite, or of any other shape, raises an error that names
+    the chart.
     """
     total = None
     for chart in atlas.charts:
         X, meas = chart.points(t)
-        if isinstance(integrand, TensorField):
-            vals = integrand.values(X, t)
-        else:
-            vals = np.asarray(integrand(X, t), dtype=float)
-            if vals.ndim == 0:
-                vals = np.broadcast_to(vals, meas.shape)
-            elif vals.shape[0] != len(X):
-                raise ShapeError(
-                    f"integrand returned shape {vals.shape} on chart '{chart.name}', "
-                    f"expected ({len(X)}, ...) or a constant"
-                )
-        if not np.all(np.isfinite(vals)):
-            raise ValueError(f"integrand is not finite on chart '{chart.name}'")
-        part = np.tensordot(meas, vals, axes=([0], [0]))
+        vals = integrand.values(X, t) if isinstance(integrand, TensorField) else integrand(X, t)
+        part = _weighted_sum(vals, meas, f"chart '{chart.name}'")
         total = part if total is None else total + part
     return total
 
 
-# Per-node contractions for integrands: every array has the node axis first.
+def integrate_boundary(atlas: Atlas, integrand, t: float = 0.0):
+    """Integrate over the boundary of the atlas.
+
+    The integrand is a callable ``(B, t)`` on the BoundaryPoint batch B of
+    every boundary node, called once; it returns values of shape (N, ...)
+    or a constant, under the checks of ``integrate``.  A closed atlas has
+    N = 0 and gives a zero of the value shape.
+    """
+    B = boundary_points(atlas, t)
+    return _weighted_sum(integrand(B, t), B.weight, f"the boundary of atlas '{atlas.name}'")
+
+
+# Per-node contractions for integrands: every array has the node axis first,
+# and sizes come from the shapes, so an empty batch (N = 0) works too.
 
 
 def _dot_last(a: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -301,31 +328,21 @@ def _dot_last(a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def _contract_leading(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Contract every slot of a with the leading slots of b."""
-    size = a[0].size
-    out = a.reshape(len(a), 1, size) @ b.reshape(len(b), size, -1)
-    return out.reshape(b.shape[:1] + b.shape[a.ndim:])
+    size, rest = math.prod(a.shape[1:]), b.shape[a.ndim:]
+    out = a.reshape(len(a), 1, size) @ b.reshape(len(b), size, math.prod(rest))
+    return out.reshape(b.shape[:1] + rest)
 
 
 def _contract_trailing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Contract the trailing slots of a with every slot of b."""
-    size = b[0].size
-    out = a.reshape(len(a), -1, size) @ b.reshape(len(b), size, 1)
-    return out.reshape(a.shape[: a.ndim - b.ndim + 1])
+    size, lead = math.prod(b.shape[1:]), a.shape[: a.ndim - b.ndim + 1]
+    out = a.reshape(len(a), math.prod(lead[1:]), size) @ b.reshape(len(b), size, 1)
+    return out.reshape(lead)
 
 
 def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Full contraction of a and b at each node."""
-    return (a * b).reshape(len(a), -1).sum(axis=1)
-
-
-def integrate_boundary(atlas: Atlas, integrand, t: float = 0.0):
-    """Integrate over the boundary; the integrand sees each BoundaryPoint."""
-    pts = boundary_points(atlas, t)
-    total = None
-    for bp in pts:
-        val = np.asarray(integrand(bp, t), dtype=float) * bp.weight
-        total = val if total is None else total + val
-    return total
+    return (a * b).reshape(len(a), math.prod(a.shape[1:])).sum(axis=1)
 
 
 # -- identity residuals -----------------------------------------------------------
@@ -360,9 +377,7 @@ def stokes_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> IdentityRe
     kap = mean_curvature(geom, cfg)
     lhs = integrate(atlas, div)
     curv = integrate(atlas, lambda X, t: _dot_last(f.values(X, t), kap.values(X, t)))
-    bnd = integrate_boundary(atlas, lambda bp, t: f.values(bp.x, t) @ bp.conormal)
-    if bnd is None:
-        bnd = np.zeros_like(curv)
+    bnd = integrate_boundary(atlas, lambda B, t: _dot_last(f.values(B.x, t), B.conormal))
     return IdentityResult(
         lhs=np.asarray(lhs),
         rhs=bnd + curv,
@@ -375,9 +390,7 @@ def circulation_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> Ident
     geom = atlas.geometry
     curl = surface_curl(f, geom, cfg)
     lhs = integrate(atlas, curl)
-    bnd = integrate_boundary(atlas, lambda bp, t: f.values(bp.x, t) @ bp.tangent)
-    if bnd is None:
-        bnd = np.zeros_like(np.asarray(lhs))
+    bnd = integrate_boundary(atlas, lambda B, t: _dot_last(f.values(B.x, t), B.tangent))
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(bnd))
 
 
@@ -390,9 +403,7 @@ def gradient_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> Identity
     kap = mean_curvature(geom, cfg)
     lhs = integrate(atlas, g)
     curv = integrate(atlas, lambda X, t: f.values(X, t)[:, None] * kap.values(X, t))
-    bnd = integrate_boundary(atlas, lambda bp, t: float(f.values(bp.x, t)) * bp.conormal)
-    if bnd is None:
-        bnd = np.zeros_like(curv)
+    bnd = integrate_boundary(atlas, lambda B, t: f.values(B.x, t)[:, None] * B.conormal)
     return IdentityResult(
         lhs=np.asarray(lhs), rhs=bnd + curv, pieces={"boundary": bnd, "curvature": curv}
     )
@@ -408,11 +419,6 @@ def integration_by_parts(
     div = divergence(f, geom, cfg)
     gs = submanifold_gradient(s, geom, cfg)
     kap = mean_curvature(geom, cfg)
-    sq = s.q
-
-    def contract(a, b, k):  # leading k axes of b against all of a
-        return np.tensordot(a, b, axes=(list(range(k)), list(range(k))))
-
     term1 = integrate(atlas, lambda X, t: _contract_leading(s.values(X, t), div.values(X, t)))
     term2 = integrate(atlas, lambda X, t: _contract_trailing(f.values(X, t), gs.values(X, t)))
     curv = integrate(
@@ -422,10 +428,9 @@ def integration_by_parts(
     )
     bnd = integrate_boundary(
         atlas,
-        lambda bp, t: contract(s.values(bp.x, t), f.values(bp.x, t), sq) @ bp.conormal,
+        lambda B, t: _dot_last(_contract_leading(s.values(B.x, t), f.values(B.x, t)),
+                               B.conormal),
     )
-    if bnd is None:
-        bnd = np.zeros_like(curv)
     return IdentityResult(
         lhs=np.asarray(term1) + np.asarray(term2),
         rhs=np.asarray(bnd) + np.asarray(curv),
@@ -442,11 +447,9 @@ def path_ftc_residual(
         raise GeometryError("the path rule needs a 1-d manifold")
     sg = submanifold_gradient(f, geom, cfg)
     lhs = integrate(atlas, lambda X, t: _dot_last(sg.values(X, t), w.values(X, t)))
-    ends = boundary_points(atlas)
-    rhs = None
-    for bp in ends:
-        val = bp.end_sign * f.values(bp.x, 0.0)
-        rhs = val if rhs is None else rhs + val
+    rhs = integrate_boundary(
+        atlas, lambda B, t: np.einsum("i,i...->i...", B.end_sign, f.values(B.x, t))
+    )
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(rhs))
 
 
@@ -461,7 +464,8 @@ def weak_form(
     """Covariant Dirichlet pairing a(T, S) and load ell(S).
 
     a = int gradcov T . gradcov S;  ell = int_boundary S.flux + int S.forcing.
-    ``flux`` is a callable (bp, t) -> array or None.
+    ``flux`` is None or a callable ``(B, t)`` on the boundary batch B that
+    returns values of the test field's shape, (N,) + (n,)*q.
     """
     from .operators import covariant_gradient
 
@@ -474,12 +478,10 @@ def weak_form(
         ell += float(
             integrate(atlas, lambda X, t: _frobenius(test.values(X, t), forcing.values(X, t)))
         )
-    if flux is not None and not atlas.closed:
-        b = integrate_boundary(
-            atlas, lambda bp, t: np.sum(test.values(bp.x, t) * np.asarray(flux(bp, t)))
+    if flux is not None:
+        ell += float(
+            integrate_boundary(atlas, lambda B, t: _frobenius(test.values(B.x, t), flux(B, t)))
         )
-        if b is not None:
-            ell += float(b)
     return a, ell
 
 

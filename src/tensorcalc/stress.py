@@ -131,14 +131,13 @@ def _insert_first(arr: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.einsum("...ab,...a->...b", arr, v)
 
 
-
 def stress_force(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0) -> np.ndarray:
     """F = int_boundary sigma(t) + int sigma(kappa)."""
     geom = atlas.geometry
     kap = mean_curvature(geom, cfg)
     bulk = integrate(atlas, lambda X, s: _insert_first(sigma.values(X, s), kap.values(X, s)), t)
-    bnd = integrate_boundary(atlas, lambda bp, s: _insert_first(sigma.values(bp.x, s), bp.conormal), t)
-    return np.asarray(bulk) if bnd is None else np.asarray(bulk) + np.asarray(bnd)
+    bnd = integrate_boundary(atlas, lambda B, s: _insert_first(sigma.values(B.x, s), B.conormal), t)
+    return np.asarray(bulk) + np.asarray(bnd)
 
 
 def stress_torque(
@@ -158,10 +157,10 @@ def stress_torque(
     )
     bnd = integrate_boundary(
         atlas,
-        lambda bp, s: float(l_k.values(bp.x, s) @ _insert_first(sigma.values(bp.x, s), bp.conormal)),
+        lambda B, s: _dot_last(l_k.values(B.x, s), _insert_first(sigma.values(B.x, s), B.conormal)),
         t,
     )
-    return float(bulk) if bnd is None else float(bulk) + float(bnd)
+    return float(bulk) + float(bnd)
 
 
 def force_residual(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0) -> IdentityResult:
@@ -210,8 +209,8 @@ def generator_identity(
         return _insert_first(a_field.values(x, s), l_k.values(x, s))
 
     lhs_bulk = integrate(atlas, lambda X, s: _dot_last(la(X, s), kap.values(X, s)), t)
-    lhs_bnd = integrate_boundary(atlas, lambda bp, s: float(la(bp.x, s) @ bp.conormal), t)
-    lhs = float(lhs_bulk) + (0.0 if lhs_bnd is None else float(lhs_bnd))
+    lhs_bnd = integrate_boundary(atlas, lambda B, s: _dot_last(la(B.x, s), B.conormal), t)
+    lhs = float(lhs_bulk) + float(lhs_bnd)
     rhs_first = integrate(atlas, lambda X, s: _dot_last(l_k.values(X, s), div_a.values(X, s)), t)
     rhs_second = integrate(atlas, lambda X, s: _frobenius(a_field.values(X, s), om.values(X, s)), t)
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(float(rhs_first) - float(rhs_second)))

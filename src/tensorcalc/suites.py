@@ -33,6 +33,7 @@ import numpy as np
 
 from .builtins import GeometryCase, get_case
 from .euler import (
+    _flux_field,
     convective_identity_residual,
     divergence_form_residual,
     extrinsic_momentum,
@@ -56,7 +57,6 @@ from .fields import (
     constant,
     coordinate,
     random_polynomial,
-    tf_add,
     tf_outer,
     tf_scale,
 )
@@ -81,6 +81,7 @@ from .operators import (
 )
 from .quadrature import (
     IdentityResult,
+    _dot_last,
     advected_atlas,
     circulation_residual,
     gradient_residual,
@@ -657,7 +658,7 @@ def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     def gradient_circulation(m):
         sg_disk = submanifold_gradient(f, disk.geometry, m.d)
         circ = integrate_boundary(
-            disk_atlas, lambda bp, t: float(sg_disk.values(bp.x, t) @ bp.tangent)
+            disk_atlas, lambda B, t: _dot_last(sg_disk.values(B.x, t), B.tangent)
         )
         return abs(float(circ))
 
@@ -759,12 +760,7 @@ def _euler(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     hemi_state = rigid_rotation_state(hemi.geometry, omega=1.3)
 
     def flux_total(m):
-        flux = tf_add(
-            tf_outer(state.velocity, state.velocity),
-            tf_outer(state.pressure, projector_field(geom)),
-            name="flux",
-        )
-        divq = divergence(flux, geom, m.d)
+        divq = divergence(_flux_field(state), geom, m.d)
         total = integrate(
             atlas, lambda X, t: np.einsum("nab,nb->na", geom.frame_at(X, t).P, divq.values(X, t))
         )

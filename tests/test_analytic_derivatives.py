@@ -25,6 +25,7 @@ from tensorcalc.operators import (
     cartesian_gradient,
     divergence,
     laplacian,
+    perp_field,
     project_field,
     submanifold_gradient,
     surface_curl,
@@ -69,6 +70,8 @@ def test_derived_field_gradients_match_fd4(seed, q, name):
     ]
     if q >= 1:
         fields.append(divergence(f, geom, AN))
+    if q >= 1 and geom.n - geom.m == 2:  # the quarter turn of the last slot, at every rank
+        fields.append(perp_field(f, geom, AN))
     for field in fields:
         _assert_exact_gradient(field, points)
 

@@ -1,7 +1,8 @@
 """Frames, projectors, slotwise projection against the paper's recursive
-construction, and the in-plane rotation."""
+construction, and the in-plane rotation and its derivative."""
 
 import math
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -11,8 +12,10 @@ from hypothesis import strategies as st
 from tensorcalc.builtins import get_case
 from tensorcalc.geometry import (
     GeometryError,
+    GeometryFrame,
     LevelSet,
     LevelSetGeometry,
+    _perp_matrix_derivative,
     _project_array,
     frame_from_normals,
     is_tangent,
@@ -224,6 +227,99 @@ def test_perp_matrix_agrees_with_perp(rng):
         np.testing.assert_allclose(Q @ u, perp(fr, u), atol=1e-12)
         np.testing.assert_allclose(Q @ Q, -fr.P, atol=1e-12)
         np.testing.assert_allclose(Q.T, -Q, atol=1e-12)
+
+
+def test_tangent_basis_with_parallel_projector_columns():
+    """span{e0 + e1, e2 + e3}: the two longest columns of P are parallel."""
+    s = 1 / math.sqrt(2)
+    fr = frame_from_normals([[s, -s, 0.0, 0.0], [0.0, 0.0, s, -s]])
+    t1, t2 = tangent_basis(fr)
+    basis = np.stack([t1, t2])
+    np.testing.assert_allclose(basis @ basis.T, np.eye(2), atol=1e-12)
+    np.testing.assert_allclose(basis @ fr.P, basis, atol=1e-12)
+    Q = perp_matrix(fr)
+    np.testing.assert_allclose(fr.P @ Q @ fr.P, Q, atol=1e-12)
+    np.testing.assert_allclose(Q @ Q, -fr.P, atol=1e-12)
+
+
+def test_tangent_basis_rejects_a_non_finite_frame():
+    fr = GeometryFrame(np.zeros(3), 0.0, np.array([[np.nan, 0.0, 0.0]]))
+    with pytest.raises(GeometryError, match="degenerate"):
+        tangent_basis(fr)
+
+
+def _perm_sign(p) -> int:
+    sign = 1
+    for i in range(len(p)):
+        for j in range(i + 1, len(p)):
+            if p[i] > p[j]:
+                sign = -sign
+    return sign
+
+
+def levi_civita_perp_derivative(normals, normals_d):
+    """d Q_ab / d x_k from the n!-term Levi-Civita contraction
+    Q_ab = eps_{b a k1..km} (n_1)_k1 ... (n_m)_km, differentiated term by term."""
+    m, n = normals.shape[-2:]
+    DQ = np.zeros(normals.shape[:-2] + (n, n, n))
+    for p in permutations(range(n)):
+        sign = _perm_sign(p)
+        b, a, ks = p[0], p[1], p[2:]
+        vals = [normals[..., i, ks[i]] for i in range(m)]
+        for i in range(m):
+            coeff = np.full(normals.shape[:-2], float(sign))
+            for j in range(m):
+                if j != i:
+                    coeff = coeff * vals[j]
+            DQ[..., a, b, :] += coeff[..., None] * normals_d[..., i, ks[i], :]
+    return DQ
+
+
+def _quadric_level(a, H, x0):
+    """Batch-native level function a . y + y^T H y / 2 with y = x - x0."""
+    return LevelSet._batched(
+        lambda X, t: (X - x0) @ a + 0.5 * np.einsum("...a,ab,...b->...", X - x0, H, X - x0),
+        lambda X, t: a + (X - x0) @ H,
+        lambda X, t: np.broadcast_to(H, X.shape + X.shape[-1:]),
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(3, 8), seed=st.integers(0, 2**16))
+def test_quarter_turn_derivative_matches_the_loop_and_fd4(n, seed):
+    """A curved surface of codimension n - 2 through x0, cut out by quadrics."""
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(n)
+    levels = []
+    for _ in range(n - 2):
+        H = rng.standard_normal((n, n))
+        levels.append(_quadric_level(rng.standard_normal(n), 0.5 * (H + H.T), x0))
+    geom = LevelSetGeometry(n, levels, tube_halfwidth=1.0)
+    frame, fd = geom.frame_derivative_at(x0)
+    Q = perp_matrix(frame)
+    DQ = _perp_matrix_derivative(Q, fd.P_d)
+    h = 1e-3
+    for k in range(n):
+        e = np.zeros(n)
+        e[k] = h
+        Qs = [perp_matrix(geom.frame_at(x0 + j * e)) for j in (-2, -1, 1, 2)]
+        approx = (Qs[0] - 8 * Qs[1] + 8 * Qs[2] - Qs[3]) / (12 * h)
+        scale = max(1.0, float(np.max(np.abs(DQ))))
+        assert np.max(np.abs(DQ[:, :, k] - approx)) <= 1e-6 * scale
+    if n <= 6:
+        oracle = levi_civita_perp_derivative(frame.normals, fd.normals_d)
+        assert np.max(np.abs(DQ - oracle)) <= 1e-12 * max(1.0, float(np.max(np.abs(oracle))))
+
+
+def test_quarter_turn_derivative_on_batches_of_builtin_frames():
+    for name in ("sphere", "torus"):
+        case = get_case(name)
+        X = np.stack(case.sample_points(4, seed=2))
+        frame, fd = case.geometry.frame_derivative_at(X)
+        DQ = _perp_matrix_derivative(perp_matrix(frame), fd.P_d)
+        assert DQ.shape == (4, 3, 3, 3)
+        oracle = levi_civita_perp_derivative(frame.normals, fd.normals_d)
+        np.testing.assert_allclose(DQ, oracle, rtol=0, atol=1e-13)
 
 
 def test_frame_derivative_matches_finite_differences():

@@ -9,7 +9,11 @@ from tensorcalc.builtins import get_case
 from tensorcalc.fields import coordinate, random_polynomial, scalar_field, vector_field
 from tensorcalc.operators import DiffConfig, normal_field, submanifold_gradient
 from tensorcalc.quadrature import (
+    Atlas,
     Chart,
+    _contract_leading,
+    _contract_trailing,
+    _frobenius,
     boundary_points,
     circulation_residual,
     gradient_residual,
@@ -106,35 +110,125 @@ def test_area_error_decreases_with_order():
 def test_boundary_is_absent_on_closed_atlases():
     atlas = get_case("sphere").atlas(order=8, panels=1)
     assert atlas.closed
-    assert boundary_points(atlas) == []
-    assert integrate_boundary(atlas, lambda bp, t: 1.0) is None
+    B = boundary_points(atlas)
+    assert B.x.shape == B.conormal.shape == B.tangent.shape == (0, 3)
+    assert B.weight.shape == (0,) and B.end_sign is None
+    np.testing.assert_array_equal(integrate_boundary(atlas, lambda B, t: 1.0), 0.0)
+    total = integrate_boundary(atlas, lambda B, t: B.x[:, :, None] * B.conormal[:, None, :])
+    np.testing.assert_array_equal(total, np.zeros((3, 3)))
+    circle = boundary_points(get_case("circle3d").atlas(order=8, panels=1))
+    assert circle.end_sign.shape == (0,) and circle.tangent is None
 
 
 def test_hemisphere_boundary_geometry():
     """Co-normal on the equator points straight down and tau runs eastward."""
-    atlas = get_case("hemisphere").atlas(order=10, panels=1)
-    bps = boundary_points(atlas)
-    assert abs(sum(bp.weight for bp in bps) - 2 * math.pi) <= 1e-12
-    for bp in bps:
-        np.testing.assert_allclose(bp.x[2], 0.0, atol=1e-14)
-        np.testing.assert_allclose(bp.conormal, [0.0, 0.0, -1.0], atol=1e-12)
-        east = np.array([-bp.x[1], bp.x[0], 0.0])
-        np.testing.assert_allclose(bp.tangent, east / np.linalg.norm(east), atol=1e-12)
+    B = boundary_points(get_case("hemisphere", radius=1.5).atlas(order=10, panels=1))
+    assert B.x.shape == B.conormal.shape == B.tangent.shape == (10, 3)
+    assert B.end_sign is None
+    assert abs(B.weight.sum() - 3 * math.pi) <= 1e-12
+    np.testing.assert_allclose(B.x[:, 2], 0.0, atol=1e-14)
+    np.testing.assert_allclose(B.conormal, np.tile([0.0, 0.0, -1.0], (10, 1)), atol=1e-12)
+    east = np.column_stack([-B.x[:, 1], B.x[:, 0], np.zeros(10)])
+    np.testing.assert_allclose(B.tangent, east / np.linalg.norm(east, axis=1)[:, None], atol=1e-12)
+
+
+def test_lower_hemisphere_boundary_runs_westward():
+    """On the lower side of a chart the parameter tangent runs east, and the
+    orientation det[conormal, tangent, normal] > 0 turns it west."""
+
+    def mapping(u, t):  # a pointwise chart with difference Jacobians
+        return np.array([np.sin(u[0]) * np.cos(u[1]), np.sin(u[0]) * np.sin(u[1]), np.cos(u[0])])
+
+    chart = Chart([0.5 * math.pi, 0.0], [math.pi, 2 * math.pi], mapping, periodic=(False, True),
+                  order=8, panels=1, boundary_sides=((0, 0),), name="south")
+    B = boundary_points(Atlas(get_case("sphere").geometry, [chart], name="south"))
+    np.testing.assert_allclose(B.conormal, np.tile([0.0, 0.0, 1.0], (8, 1)), atol=1e-8)
+    west = np.column_stack([B.x[:, 1], -B.x[:, 0], np.zeros(8)])
+    np.testing.assert_allclose(B.tangent, west / np.linalg.norm(west, axis=1)[:, None], atol=1e-8)
+    assert abs(B.weight.sum() - 2 * math.pi) <= 1e-8
 
 
 def test_disk_boundary_geometry():
-    atlas = get_case("plane_disk").atlas(order=10, panels=1)
-    for bp in boundary_points(atlas):
-        rad = np.array([bp.x[0], bp.x[1], 0.0])
-        np.testing.assert_allclose(bp.conormal, rad / np.linalg.norm(rad), atol=1e-12)
-        np.testing.assert_allclose(bp.tangent @ bp.conormal, 0.0, atol=1e-12)
+    B = boundary_points(get_case("plane_disk").atlas(order=10, panels=1))
+    assert B.x.shape == (10, 3)
+    rad = B.x * [1.0, 1.0, 0.0]
+    np.testing.assert_allclose(B.conormal, rad / np.linalg.norm(rad, axis=1)[:, None], atol=1e-12)
+    np.testing.assert_allclose(np.sum(B.tangent * B.conormal, axis=1), 0.0, atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(B.tangent, axis=1), 1.0, atol=1e-12)
 
 
 def test_helix_endpoint_signs():
-    bps = boundary_points(get_case("helix").atlas(order=8, panels=1))
-    assert sorted(bp.end_sign for bp in bps) == [-1, 1]
-    for bp in bps:
-        assert abs(bp.weight - 1.0) <= 1e-14
+    case = get_case("helix")
+    B = boundary_points(case.atlas(order=8, panels=1))
+    np.testing.assert_array_equal(B.end_sign, [-1.0, 1.0])
+    np.testing.assert_array_equal(B.weight, [1.0, 1.0])
+    assert B.tangent is None
+    # the co-normal is the unit path tangent, pointing out of the arc at each end
+    w = case.velocity.values(B.x, 0.0)
+    along = w / np.linalg.norm(w, axis=1)[:, None]
+    np.testing.assert_allclose(B.conormal, B.end_sign[:, None] * along, atol=1e-12)
+
+
+def _counting_frames(atlas):
+    """Wrap the atlas geometry's frame_at so that it counts its calls."""
+    calls = []
+    frame_at = atlas.geometry.frame_at
+
+    def counted(x, t=0.0):
+        calls.append(np.shape(x))
+        return frame_at(x, t)
+
+    atlas.geometry.frame_at = counted
+    return calls
+
+
+@pytest.mark.parametrize("name", ["hemisphere", "plane_disk", "helix", "sphere"])
+def test_boundary_makes_one_frame_and_one_integrand_call_per_atlas(name):
+    atlas = get_case(name).atlas(order=6, panels=2)
+    frames = _counting_frames(atlas)
+    seen = []
+
+    def integrand(B, t):
+        seen.append(B.x.shape)
+        return np.ones(len(B.x))
+
+    total = integrate_boundary(atlas, integrand)
+    nodes = 0 if atlas.closed else (2 if name == "helix" else 12)
+    assert seen == [(nodes, 3)]
+    assert frames == [(nodes, 3)]
+    np.testing.assert_allclose(total, boundary_points(atlas).weight.sum())
+
+
+def test_boundary_rejects_bad_values_naming_the_atlas():
+    atlas = get_case("hemisphere").atlas(order=6, panels=1)
+    with pytest.raises(ValueError, match="not finite on the boundary of atlas 'hemisphere'"):
+        integrate_boundary(atlas, lambda B, t: np.where(B.x[:, 0] > 0.5, np.nan, 1.0))
+    with pytest.raises(ValueError, match="boundary of atlas 'hemisphere'"):
+        integrate_boundary(atlas, lambda B, t: np.ones(4))
+    with pytest.raises(ValueError, match="boundary of atlas 'sphere'"):
+        integrate_boundary(get_case("sphere").atlas(order=6, panels=1), lambda B, t: np.ones(3))
+
+
+def test_weak_form_flux_term_is_the_boundary_integral(rng):
+    atlas = get_case("hemisphere").atlas(order=10, panels=1)
+    test = random_polynomial(3, 1, rng, degree=2)
+    g = random_polynomial(3, 1, rng, degree=1)
+    flux = lambda B, t: g.values(B.x, t) * B.conormal[:, 2:]
+    _, ell = weak_form(atlas, test, test, None, flux, AN)
+    want = integrate_boundary(atlas, lambda B, t: np.sum(test.values(B.x, t) * flux(B, t), axis=1))
+    np.testing.assert_allclose(ell, want, rtol=1e-13, atol=0)
+    assert abs(ell) > 1e-3
+    _, closed = weak_form(get_case("sphere").atlas(order=6, panels=1), test, test, None, flux, AN)
+    assert closed == 0.0
+
+
+def test_node_contractions_take_sizes_from_shapes(rng):
+    for N in (0, 3):
+        s, f = rng.normal(size=(N, 3)), rng.normal(size=(N, 3, 3))
+        np.testing.assert_allclose(_contract_leading(s, f), np.einsum("ia,iab->ib", s, f))
+        np.testing.assert_allclose(_contract_trailing(f, s), np.einsum("iab,ib->ia", f, s))
+        np.testing.assert_allclose(_frobenius(f, f), np.einsum("iab,iab->i", f, f))
+        assert _contract_leading(s, f).shape == _contract_trailing(f, s).shape == (N, 3)
 
 
 def test_stokes_identity_rank1_and_rank2(rng):
