@@ -6,7 +6,9 @@ Level functions are signed distances wherever that is cheap to write down,
 so the unit-gradient hypothesis of the projector-rate machinery holds.
 Level functions, velocity fields and chart mappings are batch-native: they
 take points of shape (..., n), or parameter points of shape (..., p), and a
-single point is a batch of shape ().
+single point is a batch of shape ().  ``GeometryCase.sample_points`` gives
+the suites their points as one (count, n) array, mapped with one call per
+chart.
 """
 
 from __future__ import annotations
@@ -53,15 +55,15 @@ class GeometryCase:
     def atlas(self, order: int = 16, panels: int = 2) -> Atlas:
         return self.atlas_factory(order, panels)
 
-    def sample_points(self, count: int, t: float = 0.0, seed: int = 0) -> List[np.ndarray]:
-        """Deterministic points spread over the charts, kept off chart edges."""
+    def sample_points(self, count: int, t: float = 0.0, seed: int = 0) -> np.ndarray:
+        """Deterministic points (count, n) spread over the charts, kept off
+        chart edges: point i lies on chart i % len(charts)."""
         rng = np.random.default_rng(seed)
         charts = self.atlas().charts
-        pts = []
-        for i in range(count):
-            c = charts[i % len(charts)]
-            u = c.lo + (c.hi - c.lo) * (0.1 + 0.8 * rng.random(c.p))
-            pts.append(np.asarray(c.mapping(u, t), dtype=float))
+        draws = 0.1 + 0.8 * rng.random((count, charts[0].p))
+        pts = np.empty((count, self.geometry.n))
+        for i, c in enumerate(charts[:count]):
+            pts[i :: len(charts)] = c._map(c.lo + (c.hi - c.lo) * draws[i :: len(charts)], t)
         return pts
 
 

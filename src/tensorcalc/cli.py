@@ -1,8 +1,10 @@
 """Command-line verification harness.
 
 Three subcommands: ``verify`` runs a named suite and writes a JSON report,
-``convergence`` sweeps quadrature order and difference steps into a CSV, and
-``list`` prints the available suites and geometries.  Exit code 0 means all
+``convergence`` sweeps quadrature order and difference steps into a CSV
+(it takes only the options it reads: ``--fd``, ``--ht``, ``--panels``,
+``--out`` and ``--config``), and ``list`` prints the available suites and
+geometries.  Exit code 0 means all
 checks passed, 1 means at least one failed (the report is still written),
 and 2 means the invocation itself was unusable.
 """
@@ -87,31 +89,31 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_shared(p):
-        p.add_argument("--suite", choices=SUITE_NAMES, default=None,
-                       help="which check suite to run (default: all)")
-        p.add_argument("--geometry", default=None,
-                       help="geometry override for the suite's generic checks")
-        p.add_argument("--geom-params", default=None, metavar="K=V[,K=V...]",
-                       help="geometry parameters, e.g. radius=2.0")
-        p.add_argument("--order", type=int, default=None,
-                       help="Gauss-Legendre points per panel axis")
-        p.add_argument("--panels", type=int, default=None,
-                       help="panels per chart axis")
+    def add_common(p):  # the options that both commands read
+        p.add_argument("--panels", type=int, default=None, help="panels per chart axis")
         p.add_argument("--fd", choices=("fd2", "fd4", "analytic"), default=None,
                        help="difference mode for derivative operators")
-        p.add_argument("--hx", type=float, default=None, help="spatial step")
         p.add_argument("--ht", type=float, default=None, help="temporal step")
-        p.add_argument("--tol", default=None, metavar="ID=TOL[,ID=TOL...]",
-                       help="per-check tolerance overrides")
-        p.add_argument("--seed", type=int, default=None, help="random seed")
         p.add_argument("--out", default=None, metavar="FILE",
-                       help="write the report here instead of stdout")
+                       help="write the output here instead of stdout")
         p.add_argument("--config", default=None, metavar="FILE",
                        help="flat key=value config file (CLI flags win)")
 
-    add_shared(sub.add_parser("verify", help="run a suite and emit a JSON report"))
-    add_shared(sub.add_parser("convergence", help="sweep order and step size into CSV"))
+    verify = sub.add_parser("verify", help="run a suite and emit a JSON report")
+    verify.add_argument("--suite", choices=SUITE_NAMES, default=None,
+                        help="which check suite to run (default: all)")
+    verify.add_argument("--geometry", default=None,
+                        help="geometry override for the suite's generic checks")
+    verify.add_argument("--geom-params", default=None, metavar="K=V[,K=V...]",
+                        help="geometry parameters, e.g. radius=2.0")
+    verify.add_argument("--order", type=int, default=None,
+                        help="Gauss-Legendre points per panel axis")
+    verify.add_argument("--hx", type=float, default=None, help="spatial step")
+    verify.add_argument("--tol", default=None, metavar="ID=TOL[,ID=TOL...]",
+                        help="per-check tolerance overrides")
+    verify.add_argument("--seed", type=int, default=None, help="random seed")
+    add_common(verify)
+    add_common(sub.add_parser("convergence", help="sweep order and step size into CSV"))
     sub.add_parser("list", help="print known suites and geometries")
     return parser
 
@@ -188,10 +190,8 @@ def _curvature_rows(mode: str, ht: float) -> List[dict]:
     rows = []
     for hx in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5):
         d = DiffConfig(mode=mode, hx=hx, ht=ht)
-        kap = mean_curvature(case.geometry, d)
-        worst = max(
-            float(np.linalg.norm(kap.values(x, 0.0) - 2.0 * np.asarray(x))) for x in points
-        )
+        kap = mean_curvature(case.geometry, d).values(points)
+        worst = float(np.max(np.linalg.norm(kap - 2.0 * points, axis=-1)))
         rows.append({
             "quantity": "curvature-sphere",
             "parameter": "hx",

@@ -5,7 +5,9 @@ The velocity is a tangential vector field u with scalar pressure p,
     du/dt + (gradcov u) . u = -grad_M p,   div_M u = 0,   u . t = 0 on the boundary.
 
 Everything here is a residual or an integral identity built from those
-ingredients; nothing solves the system.
+ingredients; nothing solves the system.  The pointwise residuals take
+points x of shape (..., n) and return one value per point, of batch shape
+(...) plus the value's own shape; a single point is a batch of shape ().
 """
 
 from __future__ import annotations
@@ -133,13 +135,15 @@ def convective_identity_residual(state: EulerState, x, t: float, cfg: DiffConfig
     return conv - _apply(geom.frame_at(x, t).P, divuu)
 
 
-def incompressibility(state: EulerState, x, t: float, cfg: DiffConfig) -> float:
-    return float(divergence(state.velocity, state.geometry, cfg).values(x, t))
+def incompressibility(state: EulerState, x, t: float, cfg: DiffConfig):
+    """div_M u at points x of shape (..., n)."""
+    return divergence(state.velocity, state.geometry, cfg).values(x, t)[()]
 
 
-def tangency(state: EulerState, x, t: float = 0.0) -> float:
-    frame = state.geometry.frame_at(x, t)
-    return float(np.linalg.norm(frame.N @ state.velocity.values(x, t)))
+def tangency(state: EulerState, x, t: float = 0.0):
+    """|N u|, the size of the normal part of u, at points x of shape (..., n)."""
+    normal = _apply(state.geometry.frame_at(x, t).N, state.velocity.values(x, t))
+    return np.linalg.norm(normal, axis=-1)[()]
 
 
 def force_balance(atlas: Atlas, state: EulerState, cfg: DiffConfig, t: float = 0.0) -> IdentityResult:

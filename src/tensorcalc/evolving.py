@@ -4,7 +4,8 @@ The moving geometry is described by time-dependent level sets plus a
 material velocity field w.  Time derivatives of domain integrals are
 checked against finite differences computed on atlases advected with a
 single RK4 step of w, so no reference solution is ever parametrized by
-hand.
+hand.  ``material_consistency`` takes points x of shape (..., n) and
+returns one error per point; a single point is a batch of shape ().
 """
 
 from __future__ import annotations
@@ -112,12 +113,14 @@ def reynolds_residual(
 
 def material_consistency(
     f: TensorField, w: TensorField, x, t: float, cfg: DiffConfig, dt: float = 1e-4
-) -> float:
-    """Compare D_w T with a centered difference along the RK4 material path."""
+):
+    """Compare D_w T with a centered difference along the RK4 material path,
+    at points x of shape (..., n): one relative error per point."""
     x = np.asarray(x, dtype=float)
     ahead = f.values(rk4_step(x, t, dt, w), t + dt)
     behind = f.values(rk4_step(x, t, -dt, w), t - dt)
     fd = (ahead - behind) / (2.0 * dt)
     exact = material_derivative(f, w, cfg).values(x, t)
-    scale = max(1.0, float(np.linalg.norm(np.ravel(exact))))
-    return float(np.linalg.norm(np.ravel(fd - exact))) / scale
+    per_point = x.shape[:-1] + (-1,)
+    scale = np.maximum(1.0, np.linalg.norm(exact.reshape(per_point), axis=-1))
+    return (np.linalg.norm((fd - exact).reshape(per_point), axis=-1) / scale)[()]

@@ -101,9 +101,9 @@ class TensorField:
         self.depth = depth
         self.name = name or "field"
         if not batched:
-            func = _looped(func, q, f"field '{self.name}'")
+            func = _looped(func, lambda d: (n,) * q, f"field '{self.name}'")
             if dt is not None:
-                dt = _looped(dt, q, f"time derivative of '{self.name}'")
+                dt = _looped(dt, lambda d: (n,) * q, f"time derivative of '{self.name}'")
         self._func = func
         if isinstance(grad, TensorField) and (grad.n, grad.q) != (n, q + 1):
             raise ShapeError(

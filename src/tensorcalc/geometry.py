@@ -88,9 +88,13 @@ class LevelSet:
         gradient: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
         hessian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
     ) -> None:
-        self._value = _looped(value, 0, "level-set value")
-        self._gradient = None if gradient is None else _looped(gradient, 1, "level-set gradient")
-        self._hessian = None if hessian is None else _looped(hessian, 2, "level-set hessian")
+        self._value = _looped(value, lambda n: (), "level-set value")
+        self._gradient = (
+            None if gradient is None else _looped(gradient, lambda n: (n,), "level-set gradient")
+        )
+        self._hessian = (
+            None if hessian is None else _looped(hessian, lambda n: (n, n), "level-set hessian")
+        )
 
     @classmethod
     def _batched(cls, value, gradient=None, hessian=None) -> "LevelSet":
@@ -147,9 +151,7 @@ class GeometryFrame:
     """Frame at a batch of points: orthonormal normals and the two projectors.
 
     ``x`` has shape (..., n) and ``normals`` (..., m, n); ``N`` and ``P``
-    are (..., n, n) arrays with N = sum_i n_i n_i^T and P = I - N.  For a
-    single point, tensor views are available through ``normal_projector``
-    and ``tangent_projector``.
+    are (..., n, n) arrays with N = sum_i n_i n_i^T and P = I - N.
     """
 
     __slots__ = ("x", "t", "normals", "N", "P")
@@ -168,14 +170,6 @@ class GeometryFrame:
     @property
     def m(self) -> int:
         return self.normals.shape[-2]
-
-    @property
-    def normal_projector(self) -> Tensor:
-        return Tensor(self.n, self.N)
-
-    @property
-    def tangent_projector(self) -> Tensor:
-        return Tensor(self.n, self.P)
 
 
 def frame_from_normals(normals, x=None, t: float = 0.0) -> GeometryFrame:

@@ -27,7 +27,7 @@ from . import geometry as geo
 from .geometry import GeometryError, LevelSetGeometry
 from .operators import DiffConfig, divergence, mean_curvature, submanifold_gradient, surface_curl
 from .fields import TensorField
-from .tensor import ShapeError
+from .tensor import ShapeError, _looped
 
 __all__ = [
     "Chart",
@@ -53,9 +53,10 @@ class Chart:
     """Rectangle [lo, hi] in 1 or 2 parameters mapped into R^n.
 
     ``mapping(u, t) -> x``; ``jacobian(u, t) -> (n, p)`` optional (finite
-    differences otherwise).  Both are pointwise; those of a chart built with
-    ``Chart._batched`` take parameter points of shape (..., p) and return
-    (..., n) and (..., n, p).  ``boundary_sides`` lists
+    differences otherwise).  Both are pointwise, and a looping adapter runs
+    them over batches of parameter points (..., p); those of a chart built
+    with ``Chart._batched`` take the batches themselves and return (..., n)
+    and (..., n, p).  ``boundary_sides`` lists
     (axis, end) pairs that are genuine boundary pieces of the manifold;
     periodic axes and coordinate degeneracies (poles, seams) are simply not
     listed.
@@ -82,8 +83,9 @@ class Chart:
             raise ShapeError(f"charts support 1 or 2 parameters, got {self.p}")
         if np.any(self.hi <= self.lo):
             raise ShapeError("chart domain is empty")
-        self.mapping = mapping
-        self._jacobian = jacobian
+        self.mapping = _looped(mapping, None, f"mapping of chart '{name}'")
+        self._jacobian = None if jacobian is None else _looped(
+            jacobian, None, f"jacobian of chart '{name}'")
         self.periodic = tuple(periodic) if periodic is not None else (False,) * self.p
         if order < 1 or panels < 1:
             raise ShapeError("order and panels must be positive")
@@ -98,24 +100,18 @@ class Chart:
         self.name = name
         self._rule: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._points: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
-        self._batch = False
 
     @classmethod
-    def _batched(cls, *args, **kwargs) -> "Chart":
+    def _batched(cls, lo, hi, mapping, jacobian=None, **kwargs) -> "Chart":
         """A chart whose mapping and Jacobian take parameter points of shape
         (..., p)."""
-        chart = cls(*args, **kwargs)
-        chart._batch = True
+        chart = cls(lo, hi, mapping, **kwargs)
+        chart.mapping, chart._jacobian = mapping, jacobian
         return chart
 
     def _map(self, U: np.ndarray, t: float) -> np.ndarray:
         """Ambient points (..., n) at parameter points U of shape (..., p)."""
-        U = np.asarray(U, dtype=float)
-        if self._batch:
-            return np.asarray(self.mapping(U, t), dtype=float)
-        flat = U.reshape(-1, self.p)
-        X = np.array([self.mapping(u, t) for u in flat], dtype=float)
-        return X.reshape(U.shape[:-1] + X.shape[1:])
+        return np.asarray(self.mapping(np.asarray(U, dtype=float), t), dtype=float)
 
     def _axis_rule(self, axis: int) -> Tuple[np.ndarray, np.ndarray]:
         x, w = np.polynomial.legendre.leggauss(self.order)
@@ -144,9 +140,7 @@ class Chart:
     def _jacobians(self, U: np.ndarray, t: float) -> np.ndarray:
         """Jacobians (N, n, p) at parameter points U of shape (N, p)."""
         if self._jacobian is not None:
-            if self._batch:
-                return np.asarray(self._jacobian(U, t), dtype=float)
-            return np.array([self._jacobian(u, t) for u in U], dtype=float)
+            return np.asarray(self._jacobian(U, t), dtype=float)
         cols = []
         for a in range(self.p):
             h = 1e-6 * (self.hi[a] - self.lo[a])

@@ -5,6 +5,10 @@ sigma(v) gives the stress vector on a cut with orientation v.  Total force
 and torque of a patch combine a boundary term (co-normal insertion) with
 a curvature term, and equilibrium is characterized by Div_M of the
 transpose.  Torques are indexed by the rotation planes {e_i, e_j}.
+
+The pointwise diagnostics take batches: stress values (..., n, n) with a
+frame at the same points, or points (..., n), give per-point results of
+batch shape (...), and a single point (batch shape ()) gives numbers.
 """
 
 from __future__ import annotations
@@ -216,24 +220,27 @@ def generator_identity(
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(float(rhs_first) - float(rhs_second)))
 
 
-def normal_at_tangential(sigma_value: np.ndarray, frame: GeometryFrame) -> float:
+def normal_at_tangential(sigma_value: np.ndarray, frame: GeometryFrame):
     """Largest normal response of the stress vector over unit tangential cuts.
 
-    Operator 2-norm of v -> N sigma(P v); zero exactly when every
+    Operator 2-norm of v -> N sigma(P v) at each point of a batch of values
+    (..., n, n) with a frame at the same points; zero exactly when every
     tangential orientation produces a tangential stress vector.
     """
-    return float(np.linalg.norm(frame.N @ sigma_value.T @ frame.P, 2))
+    response = frame.N @ np.swapaxes(sigma_value, -1, -2) @ frame.P
+    return np.linalg.norm(response, ord=2, axis=(-2, -1))[()]
 
 
-def omega_pairings(sigma_value: np.ndarray, frame: GeometryFrame) -> Dict[Tuple[int, int], float]:
-    """omega_K : sigma-bar for each rotation plane K = (i, j).
+def omega_pairings(sigma_value: np.ndarray, frame: GeometryFrame) -> Dict[Tuple[int, int], object]:
+    """omega_K : sigma-bar for each rotation plane K = (i, j), at each point
+    of a batch of values (..., n, n) with a frame at the same points.
 
     Equals the antisymmetric part of sigma-bar P; all pairings vanish iff
     the torque balance imposes no pointwise constraint on sigma.
     """
-    barP = sigma_value.T @ frame.P
+    barP = np.swapaxes(sigma_value, -1, -2) @ frame.P
     n = frame.n
-    return {(i, j): float(barP[i, j] - barP[j, i]) for i in range(n) for j in range(i + 1, n)}
+    return {(i, j): barP[..., i, j] - barP[..., j, i] for i in range(n) for j in range(i + 1, n)}
 
 
 def equilibrium_diagnostics(
@@ -243,8 +250,9 @@ def equilibrium_diagnostics(
     x,
     t: float = 0.0,
 ) -> Dict[str, object]:
-    """Pointwise equilibrium measures at x: Div of the transpose, the
-    omega pairings per rotation plane, and the normal-at-tangential norm."""
+    """Pointwise equilibrium measures at points x of shape (..., n): Div of
+    the transpose, the omega pairings per rotation plane, and the
+    normal-at-tangential norm."""
     frame = geom.frame_at(x, t)
     sig = sigma.values(x, t)
     div_bar = divergence(transpose_field(sigma), geom, cfg).values(x, t)
@@ -262,17 +270,12 @@ def worst_equilibrium_diagnostics(
     cfg: DiffConfig,
     t: float = 0.0,
 ) -> Dict[str, float]:
-    """Equilibrium measures maximized over sample points."""
-    worst_div = 0.0
-    worst_nat = 0.0
-    worst_omega = 0.0
-    for x in points:
-        d = equilibrium_diagnostics(sigma, geom, cfg, x, t)
-        worst_div = max(worst_div, float(np.linalg.norm(d["div_transpose"])))
-        worst_nat = max(worst_nat, d["normal_at_tangential"])
-        worst_omega = max(worst_omega, max(abs(v) for v in d["omega_pairings"].values()))
+    """Equilibrium measures maximized over sample points (k, n)."""
+    X = np.asarray(points, dtype=float).reshape(-1, geom.n)
+    d = equilibrium_diagnostics(sigma, geom, cfg, X, t)
+    pairings = np.abs(list(d["omega_pairings"].values()))
     return {
-        "div_transpose": worst_div,
-        "normal_at_tangential": worst_nat,
-        "omega_pairing": worst_omega,
+        "div_transpose": float(np.max(np.linalg.norm(d["div_transpose"], axis=-1), initial=0.0)),
+        "normal_at_tangential": float(np.max(d["normal_at_tangential"], initial=0.0)),
+        "omega_pairing": float(np.max(pairings, initial=0.0)),
     }

@@ -31,7 +31,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .builtins import GeometryCase, get_case
+from .builtins import GeometryCase, _radial_xy, get_case
 from .euler import (
     _flux_field,
     convective_identity_residual,
@@ -60,7 +60,7 @@ from .fields import (
     tf_outer,
     tf_scale,
 )
-from .geometry import _gram_schmidt, _outer, frame_from_normals, project
+from .geometry import _gram_schmidt, _norm, _outer, frame_from_normals, project
 from .operators import (
     DiffConfig,
     cartesian_gradient,
@@ -262,8 +262,9 @@ class Suite:
         return records
 
 
-def _max_norm(values) -> float:
-    return max(float(np.linalg.norm(np.ravel(v))) for v in values)
+def _max_norm(values: np.ndarray) -> float:
+    """Largest Frobenius norm over the points of a batch of values (k, ...)."""
+    return float(np.max(np.linalg.norm(values.reshape(len(values), -1), axis=-1)))
 
 
 def _synthetic_frame(rng: np.random.Generator, n: int, m: int):
@@ -415,23 +416,22 @@ def _projection(cfg: SuiteConfig, _case) -> List[Check]:
 
 def _sphere_curvature(case: GeometryCase):
     r2 = case.params["radius"] ** 2
-    return lambda x: 2.0 * np.asarray(x) / r2
+    return lambda X: 2.0 * X / r2
 
 
 def _circle_curvature(case: GeometryCase):
     r2 = case.params["radius"] ** 2
-    return lambda x: np.array([x[0], x[1], 0.0]) / r2
+    return lambda X: X * [1.0, 1.0, 0.0] / r2
 
 
 def _torus_curvature(case: GeometryCase):
     major, minor = case.params["major"], case.params["minor"]
 
-    def kappa(x):
-        s = math.hypot(x[0], x[1])
-        a = s - major
-        shat = np.array([x[0] / s, x[1] / s, 0.0])
-        nhat = (a * shat + x[2] * np.array([0.0, 0.0, 1.0])) / minor
-        return (1.0 / minor + a / (minor * s)) * nhat
+    def kappa(X):
+        s, shat = _radial_xy(X)
+        a = (s - major)[..., None]
+        nhat = (a * shat + X * [0.0, 0.0, 1.0]) / minor
+        return (1.0 / minor + a / (minor * s[..., None])) * nhat
 
     return kappa
 
@@ -446,14 +446,11 @@ _CURVATURE_FORMS = {
 def _curvature_error(name: str, d: DiffConfig, seed: int) -> float:
     """Worst relative error of the mean curvature vector on a pinned case."""
     pinned = get_case(name)
-    kap = mean_curvature(pinned.geometry, d)
-    form = _CURVATURE_FORMS[name](pinned)
-    rel = []
-    for x in pinned.sample_points(4, seed=seed):
-        want = form(np.asarray(x))
-        got = kap.values(x, 0.0)
-        rel.append(np.linalg.norm(got - want) / max(1.0, np.linalg.norm(want)))
-    return max(rel)
+    points = pinned.sample_points(4, seed=seed)
+    want = _CURVATURE_FORMS[name](pinned)(points)
+    got = mean_curvature(pinned.geometry, d).values(points)
+    rel = np.linalg.norm(got - want, axis=-1) / np.maximum(1.0, np.linalg.norm(want, axis=-1))
+    return float(np.max(rel))
 
 
 def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
@@ -481,12 +478,11 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         )
         gfg = submanifold_gradient(fg, geom, m.d)
         gg = submanifold_gradient(g, geom, m.d)
-        return _max_norm([
-            gfg.values(x, 0.0)
-            - float(f.values(x, 0.0)) * gg.values(x, 0.0)
-            - float(g.values(x, 0.0)) * gf(m).values(x, 0.0)
-            for x in points
-        ])
+        return _max_norm(
+            gfg.values(points)
+            - f.values(points)[:, None] * gg.values(points)
+            - g.values(points)[:, None] * gf(m).values(points)
+        )
 
     def divergence_product(m):
         fu = _field(
@@ -501,49 +497,43 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         )
         divfu = divergence(fu, geom, m.d)
         divu = divergence(u0, geom, m.d)
-        return _max_norm([
-            float(divfu.values(x, 0.0))
-            - float(f.values(x, 0.0)) * float(divu.values(x, 0.0))
-            - float(gf(m).values(x, 0.0) @ u0.values(x, 0.0))
-            for x in points
-        ])
+        return _max_norm(
+            divfu.values(points)
+            - f.values(points) * divu.values(points)
+            - _dot_last(gf(m).values(points), u0.values(points))
+        )
 
     def gauss_split(m):
-        gm = submanifold_gradient(ut(m), geom, m.d)
-        res = []
-        for x in points:
-            frame = geom.frame_at(x)
-            full = gm.values(x, 0.0)
-            tang = frame.P @ full @ frame.P
-            normal_part = np.zeros_like(full)
-            for i in range(geom.m):
-                b_i = shape_operator(geom, i, m.d).values(x, 0.0)
-                bu = ut(m).values(x, 0.0) @ b_i
-                normal_part += np.outer(frame.normals[i], bu)
-            res.append(full - (tang - normal_part))
-        return _max_norm(res)
+        frame = geom.frame_at(points)
+        full = submanifold_gradient(ut(m), geom, m.d).values(points)
+        u = ut(m).values(points)
+        normal_part = sum(
+            _outer(frame.normals[:, i],
+                   np.einsum("ka,kab->kb", u, shape_operator(geom, i, m.d).values(points)))
+            for i in range(geom.m)
+        )
+        return _max_norm(full - (frame.P @ full @ frame.P - normal_part))
 
     def perp_involution(m):
         pf_uu = perp_field(pf_u(m), geom, m.d)
-        return _max_norm([pf_uu.values(x, 0.0) + ut(m).values(x, 0.0) for x in points])
+        return _max_norm(pf_uu.values(points) + ut(m).values(points))
 
     def perp_antisymmetry(m):
         vt = project_field(random_polynomial(3, 1, rng, degree=1), geom, name="Pv")
         pf_v = perp_field(vt, geom, m.d)
-        return _max_norm([
-            float(pf_u(m).values(x, 0.0) @ vt.values(x, 0.0))
-            + float(ut(m).values(x, 0.0) @ pf_v.values(x, 0.0))
-            for x in points
-        ])
+        return _max_norm(
+            _dot_last(pf_u(m).values(points), vt.values(points))
+            + _dot_last(ut(m).values(points), pf_v.values(points))
+        )
 
     def rotated_orthogonal(m):
         rg = rotated_gradient(f, geom, m.d)
-        return _max_norm([float(rg.values(x, 0.0) @ gf(m).values(x, 0.0)) for x in points])
+        return _max_norm(_dot_last(rg.values(points), gf(m).values(points)))
 
     def laplacians_agree(m):
         lap = laplacian(f, geom, m.d)
         clap = covariant_laplacian(f, geom, m.d)
-        return _max_norm([float(lap.values(x, 0.0)) - float(clap.values(x, 0.0)) for x in points])
+        return _max_norm(lap.values(points) - clap.values(points))
 
     surface = geom.n - geom.m == 2
     return [
@@ -645,13 +635,11 @@ def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 
     def plane_uniform(m):
         curl = surface_curl(spin, disk.geometry, m.d)
-        return _max_norm(
-            [float(curl.values(x, 0.0)) - 2.0 for x in disk.sample_points(4, seed=cfg.seed)]
-        )
+        return _max_norm(curl.values(disk.sample_points(4, seed=cfg.seed)) - 2.0)
 
     def curl_of_gradient(m):
         cg = surface_curl(submanifold_gradient(f, sph.geometry, m.d), sph.geometry, m.d)
-        return _max_norm([float(cg.values(x, 0.0)) for x in sph.sample_points(4, seed=cfg.seed)])
+        return _max_norm(cg.values(sph.sample_points(4, seed=cfg.seed)))
 
     disk_res = _shared(lambda m: circulation_residual(disk_atlas, spin, m.d))
 
@@ -695,18 +683,15 @@ def _laplacian(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     killing_z = _rotation_field(name="killing-z")
 
     def coordinate_error(m):
-        worst = 0.0
-        for j in range(3):
-            lap = laplacian(coordinate(3, j), geom, m.d)
-            for x in points:
-                got = float(lap.values(x, 0.0))
-                want = -2.0 * x[j] / radius**2
-                worst = max(worst, abs(got - want) / max(1.0, abs(want)))
-        return worst
+        got = np.stack(
+            [laplacian(coordinate(3, j), geom, m.d).values(points) for j in range(3)], axis=-1
+        )
+        want = -2.0 * points / radius**2
+        return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
 
     def killing(m):
         clap = covariant_laplacian(killing_z, geom, m.d)
-        return _max_norm([clap.values(x, 0.0) + killing_z.values(x, 0.0) for x in points])
+        return _max_norm(clap.values(points) + killing_z.values(points))
 
     @_shared
     def weak(m):
@@ -775,24 +760,21 @@ def _euler(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 
     return [
         Check("euler.tangency", "the rotation field is tangential to the surface",
-              1e-12, lambda m: _max_norm([tangency(state, x) for x in points])),
+              1e-12, lambda m: _max_norm(tangency(state, points))),
         Check("euler.momentum", "steady state: du/dt + (grad-cov u).u + grad_M p = 0",
-              (1e-5, 1e-8),
-              lambda m: _max_norm([momentum_residual(state, x, 0.0, m.d) for x in points]),
+              (1e-5, 1e-8), lambda m: _max_norm(momentum_residual(state, points, 0.0, m.d)),
               per_mode=True),
         Check("euler.divergence-form", "steady state: du/dt + proj div_M(u (x) u + p P) = 0",
               (1e-5, 1e-8),
-              lambda m: _max_norm([divergence_form_residual(state, x, 0.0, m.d) for x in points]),
+              lambda m: _max_norm(divergence_form_residual(state, points, 0.0, m.d)),
               per_mode=True),
         Check("euler.convective-identity",
               "(grad-cov u).u = proj div_M(u (x) u) for divergence-free u",
               (1e-5, 1e-8),
-              lambda m: _max_norm(
-                  [convective_identity_residual(state, x, 0.0, m.d) for x in points]),
+              lambda m: _max_norm(convective_identity_residual(state, points, 0.0, m.d)),
               per_mode=True),
         Check("euler.incompressible", "the rotation field is surface divergence free",
-              (1e-8, 1e-10),
-              lambda m: _max_norm([incompressibility(state, x, 0.0, m.d) for x in points]),
+              (1e-8, 1e-10), lambda m: _max_norm(incompressibility(state, points, 0.0, m.d)),
               per_mode=True),
         Check("euler.flux-conservation",
               "the projected momentum flux integrates to zero on a closed surface",
@@ -823,6 +805,7 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     sigma = random_polynomial(3, 2, rng, degree=2)
     planes = [(0, 1), (0, 2), (1, 2)]
     pts = sphere.sample_points(5, seed=cfg.seed)
+    frame = sphere.geometry.frame_at(pts)
 
     xs = _shared(lambda m: cross_stress(sphere.geometry))
 
@@ -834,30 +817,18 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 
     def divfree(m):
         div_bar = divergence(transpose_field(xs(m)), sphere.geometry, m.d)
-        return _max_norm(
-            [div_bar.values(x, 0.0) for x in sphere.sample_points(4, seed=cfg.seed)]
-        )
+        return _max_norm(div_bar.values(sphere.sample_points(4, seed=cfg.seed)))
 
     @_shared
     def cut_response(m):
-        worst_nat = worst_pair = 0.0
-        for x in pts:
-            frame = sphere.geometry.frame_at(x)
-            sig = xs(m).values(x, 0.0)
-            worst_nat = max(worst_nat, normal_at_tangential(sig, frame))
-            worst_pair = max(worst_pair, max(abs(v) for v in omega_pairings(sig, frame).values()))
-        return worst_nat, worst_pair
+        sig = xs(m).values(pts)
+        pairings = np.abs(list(omega_pairings(sig, frame).values()))
+        return float(np.max(normal_at_tangential(sig, frame))), float(np.max(pairings))
 
     def contrapositive(m):
-        worst = 0.0
-        for x in pts:
-            frame = sphere.geometry.frame_at(x)
-            w = rng.standard_normal(3)
-            sig = np.outer(frame.P @ w, frame.normals[0])
-            worst = max(
-                worst, abs(normal_at_tangential(sig, frame) - np.linalg.norm(frame.P @ w))
-            )
-        return worst
+        pw = np.einsum("kab,kb->ka", frame.P, rng.standard_normal((len(pts), 3)))
+        sig = _outer(pw, frame.normals[:, 0])
+        return float(np.max(np.abs(normal_at_tangential(sig, frame) - _norm(pw))))
 
     def constrained_family(m):
         worst = 0.0
@@ -937,10 +908,7 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     def material_path(m):
         advected = advected_atlas(atlas, w2, 0.0, 0.05)
         xs, _ = advected.charts[0].points(0.05)
-        return max(
-            float(np.max(np.abs(geom.level_values(x, 0.05))))
-            for x in xs[:: max(1, len(xs) // 64)]
-        )
+        return float(np.max(np.abs(geom.level_values(xs[:: max(1, len(xs) // 64)], 0.05))))
 
     gw2 = _shared(lambda m: cartesian_gradient(w2, m.d))
     cw = _shared(lambda m: projector_rate(geom, w2, m.d))
@@ -955,40 +923,28 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     def material_normal(m):
         nfield = normal_field(geom)
         dn = material_derivative(nfield, w2, m.d)
-        return _max_norm(
-            [dn.values(x, 0.0) + nfield.values(x, 0.0) @ gw2(m).values(x, 0.0) for x in points]
-        )
+        n_gw = np.einsum("ka,kab->kb", nfield.values(points), gw2(m).values(points))
+        return _max_norm(dn.values(points) + n_gw)
 
     def projector_rate_error(m):
         dp = material_derivative(projector_field(geom), w2, m.d)
-        return _max_norm([dp.values(x, 0.0) + 2.0 * cw(m).values(x, 0.0) for x in points])
+        return _max_norm(dp.values(points) + 2.0 * cw(m).values(points))
 
     def tangential_rate(m):
-        res = []
-        for x in points:
-            frame = geom.frame_at(x)
-            res.append(project(frame, Tensor(3, cw(m).values(x, 0.0))).array)
-        return _max_norm(res)
+        return _max_norm(project_field(cw(m), geom).values(points))
 
     def cartesian_commutator(m):
         lhs = cartesian_gradient(material_derivative(f1(m), w2, m.d), m.d)
         rhs = material_derivative(gf(m), w2, m.d)
-        res = []
-        for x in points:
-            chain = np.tensordot(gf(m).values(x, 0.0), gw2(m).values(x, 0.0), axes=([-1], [0]))
-            res.append(lhs.values(x, 0.0) - rhs.values(x, 0.0) - chain)
-        return _max_norm(res)
+        chain = gf(m).values(points) @ gw2(m).values(points)
+        return _max_norm(lhs.values(points) - rhs.values(points) - chain)
 
     def submanifold_commutator(m):
         slhs = submanifold_gradient(material_derivative(f1(m), w2, m.d), geom, m.d)
         srhs = material_derivative(submanifold_gradient(f1(m), geom, m.d), w2, m.d)
-        gmw = submanifold_gradient(w2, geom, m.d)
-        res = []
-        for x in points:
-            mix = gmw.values(x, 0.0) + 2.0 * cw(m).values(x, 0.0)
-            chain = np.tensordot(gf(m).values(x, 0.0), mix, axes=([-1], [0]))
-            res.append(slhs.values(x, 0.0) - srhs.values(x, 0.0) - chain)
-        return _max_norm(res)
+        mix = submanifold_gradient(w2, geom, m.d).values(points) + 2.0 * cw(m).values(points)
+        chain = gf(m).values(points) @ mix
+        return _max_norm(slhs.values(points) - srhs.values(points) - chain)
 
     def rank0_rate(m):
         terms, fd_rate = rank0(m)
@@ -1042,8 +998,8 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
               1e-3, rank2_rate, kind="rel", per_mode=True),
         Check("evolve.material-consistency",
               "D T matches a centered difference along RK4 particle paths",
-              (1e-5, 1e-8), lambda m: max(material_consistency(f1(m), w2, x, 0.0, m.d)
-                                          for x in points),
+              (1e-5, 1e-8),
+              lambda m: float(np.max(material_consistency(f1(m), w2, points, 0.0, m.d))),
               per_mode=True),
     ]
 

@@ -50,24 +50,26 @@ def _check_limits(n: int, q: int) -> None:
         raise ShapeError(f"rank must be in [0, {MAX_RANK}], got {q}")
 
 
-def _looped(func, rank: int, what: str = "callable"):
-    """Batch evaluator over a pointwise callable ``func(x, t)`` whose values
-    have rank ``rank``: points X of shape (..., n) give values of shape
-    (...) + (n,)*rank.  A batch of shape () calls straight through; a
-    larger one loops over its points."""
+def _looped(func, shape, what: str = "callable"):
+    """Batch evaluator over a pointwise callable ``func(x, t)``.
+
+    Points X of shape (..., d) give values of shape (...) + ``shape(d)``,
+    or, where ``shape`` is None, of the shape of the first point's value.
+    Every point's value is checked against it.  A batch of shape () calls
+    straight through; a larger one loops over its points."""
 
     def batched(X: np.ndarray, t: float):
         if X.ndim == 1:
             return func(X, t)
-        shape = X.shape[-1:] * rank
         flat = X.reshape(-1, X.shape[-1])
-        out = np.empty((flat.shape[0],) + shape)
-        for i, x in enumerate(flat):
-            value = np.asarray(func(x, t), dtype=float)
-            if value.shape != shape:
-                raise ShapeError(f"{what} returned shape {value.shape}, expected {shape}")
-            out[i] = value
-        return out.reshape(X.shape[:-1] + shape)
+        values = [np.asarray(func(x, t), dtype=float) for x in flat]
+        want = values[0].shape if values else ()
+        if shape is not None:
+            want = shape(X.shape[-1])
+        for value in values:
+            if value.shape != want:
+                raise ShapeError(f"{what} returned shape {value.shape}, expected {want}")
+        return np.array(values).reshape(X.shape[:-1] + want)
 
     return batched
 

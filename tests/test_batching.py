@@ -8,7 +8,16 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tensorcalc.builtins import get_case
+from tensorcalc.builtins import GeometryCase, available, get_case
+from tensorcalc.euler import (
+    convective_identity_residual,
+    divergence_form_residual,
+    incompressibility,
+    momentum_residual,
+    rigid_rotation_state,
+    tangency,
+)
+from tensorcalc.evolving import material_consistency
 from tensorcalc.fields import random_polynomial, vector_field
 from tensorcalc.geometry import GeometryError, LevelSet, LevelSetGeometry, _project_array
 from tensorcalc.operators import (
@@ -23,6 +32,8 @@ from tensorcalc.operators import (
     submanifold_gradient,
     surface_curl,
 )
+from tensorcalc.quadrature import Atlas, Chart
+from tensorcalc.stress import equilibrium_diagnostics, normal_at_tangential, omega_pairings
 from tensorcalc.tensor import ShapeError
 
 AXES = np.array([1.0, 1.3, 0.8])  # semi-axes of the ellipsoid
@@ -64,7 +75,7 @@ def _geometry(name):
     case = get_case(name)
 
     def points(count, rng):
-        return np.array(case.sample_points(count, seed=int(rng.integers(2**16))))
+        return case.sample_points(count, seed=int(rng.integers(2**16)))
 
     return case.geometry, points
 
@@ -169,3 +180,97 @@ def test_values_reject_points_of_the_wrong_dimension():
     f = random_polynomial(3, 1, np.random.default_rng(0))
     with pytest.raises(ShapeError):
         f.values(np.ones((4, 2)))
+
+
+def _drawn_one_by_one(case, count, t, seed):
+    """The sample points of ``case``, each drawn and mapped alone: point i
+    lies on chart i % len(charts)."""
+    rng = np.random.default_rng(seed)
+    charts = case.atlas().charts
+    points = []
+    for i in range(count):
+        c = charts[i % len(charts)]
+        u = c.lo + (c.hi - c.lo) * (0.1 + 0.8 * rng.random(c.p))
+        points.append(np.asarray(c.mapping(u, t), dtype=float))
+    return np.array(points).reshape(count, case.geometry.n)
+
+
+def _two_chart_sphere() -> GeometryCase:
+    """The unit sphere covered by two pointwise charts, north and south."""
+    case = get_case("sphere")
+
+    def mapping(u, t):
+        return np.array([np.sin(u[0]) * np.cos(u[1]), np.sin(u[0]) * np.sin(u[1]), np.cos(u[0])])
+
+    def atlas(order=16, panels=2):
+        charts = [Chart([lo, 0.0], [lo + 0.5 * math.pi, 2 * math.pi], mapping,
+                        periodic=(False, True), order=order, panels=panels)
+                  for lo in (0.0, 0.5 * math.pi)]
+        return Atlas(case.geometry, charts)
+
+    return GeometryCase("two-chart-sphere", case.geometry, atlas)
+
+
+@pytest.mark.parametrize("name", available() + ["two-chart-sphere"])
+def test_sample_points_are_one_array_equal_to_mapping_each_draw(name):
+    case = _two_chart_sphere() if name == "two-chart-sphere" else get_case(name)
+    for count, t, seed in ((1, 0.0, 0), (5, 0.0, 3), (4, 0.3, 7)):
+        got = case.sample_points(count, t=t, seed=seed)
+        assert isinstance(got, np.ndarray) and got.shape == (count, case.geometry.n)
+        np.testing.assert_array_equal(got, _drawn_one_by_one(case, count, t, seed))
+    assert case.sample_points(0).shape == (0, case.geometry.n)
+
+
+def _helper(name, cfg, rng):
+    """A batch-native application helper as a function of points X."""
+    geom = get_case("sphere").geometry
+    state = rigid_rotation_state(geom, omega=1.3)
+    sigma = random_polynomial(3, 2, rng, degree=2)
+    if name == "tangency":
+        return lambda X: tangency(state, X)
+    if name == "normal_at_tangential":
+        return lambda X: normal_at_tangential(sigma.values(X), geom.frame_at(X))
+    if name == "omega_pairings":
+        return lambda X: omega_pairings(sigma.values(X), geom.frame_at(X))
+    if name == "equilibrium_diagnostics":
+        return lambda X: equilibrium_diagnostics(sigma, geom, cfg, X)
+    if name == "material_consistency":
+        f = random_polynomial(3, 1, rng, degree=2)
+        return lambda X: material_consistency(f, get_case("expanding_sphere").velocity, X, 0.0, cfg)
+    residual = {
+        "incompressibility": incompressibility,
+        "momentum_residual": momentum_residual,
+        "divergence_form_residual": divergence_form_residual,
+        "convective_identity_residual": convective_identity_residual,
+    }[name]
+    return lambda X: residual(state, X, 0.0, cfg)
+
+
+def _leaves(value, key=()):
+    """The arrays of a result, keyed by their path through nested dicts."""
+    if not isinstance(value, dict):
+        return {key: value}
+    return {k: v for name, item in value.items() for k, v in _leaves(item, key + (name,)).items()}
+
+
+HELPERS = ("tangency", "incompressibility", "momentum_residual", "divergence_form_residual",
+           "convective_identity_residual", "normal_at_tangential", "omega_pairings",
+           "equilibrium_diagnostics", "material_consistency")
+
+
+@pytest.mark.parametrize("mode", ("fd2", "analytic"))
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("name", HELPERS)
+def test_helpers_on_a_batch_equal_their_stacked_pointwise_values(name, batch, mode):
+    helper = _helper(name, DiffConfig(mode=mode), np.random.default_rng(5))
+    X = get_case("sphere").sample_points(max(1, math.prod(batch)), seed=2).reshape(batch + (3,))
+    got = _leaves(helper(X))
+    each = [_leaves(helper(x)) for x in X.reshape(-1, 3)]
+    tol = 1e-12 if mode == "analytic" else 1e-6
+    for key, value in got.items():
+        want = np.array([np.asarray(point[key]) for point in each])
+        assert np.shape(value) == batch + want.shape[1:]
+        if batch == () and np.ndim(value) == 0:
+            assert isinstance(value, float)
+        want = want.reshape(np.shape(value))
+        assert np.max(np.abs(value - want), initial=0.0) <= tol * max(1.0, np.max(np.abs(want)))

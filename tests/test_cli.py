@@ -162,3 +162,16 @@ def test_convergence_csv(tmp_path, capsys):
     curvature = [ln for ln in lines[1:] if ln.startswith("curvature-sphere")]
     assert len(curvature) >= 4
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("flag", [
+    ["--suite", "curl"], ["--geometry", "nonsense"], ["--geom-params", "radius=2"],
+    ["--order", "3"], ["--hx", "1e-3"], ["--tol", "bogus.id=1"], ["--seed", "7"],
+])
+def test_convergence_rejects_options_it_does_not_read(tmp_path, capsys, flag):
+    target = tmp_path / "never.csv"
+    with pytest.raises(SystemExit) as exc:
+        main(["convergence", *flag, "--out", str(target)])
+    assert exc.value.code == 2
+    assert not target.exists()
+    assert flag[0] in capsys.readouterr().err

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from tensorcalc import suites
 from tensorcalc.cli import main
 from tensorcalc.suites import SuiteConfig, run_suite
@@ -65,3 +67,13 @@ def test_records_name_the_geometry_they_ran_on(tmp_path, capsys):
     assert ran_on["curl.circulation-disk"] == "plane_disk"
     assert ran_on["curl.curl-of-gradient.analytic"] == "sphere"
     capsys.readouterr()
+
+
+ACCEPTED = [(name, geometry) for name, suite in suites.SUITES.items() for geometry in suite.accepts]
+
+
+@pytest.mark.parametrize("suite,geometry", ACCEPTED)
+def test_every_suite_passes_on_every_geometry_it_accepts(suite, geometry):
+    report = run_suite(SuiteConfig(suite=suite, geometry=geometry))
+    assert [c.id for c in report.checks if not c.passed] == []
+    assert report.checks and report.passed
