@@ -20,8 +20,9 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .fields import TensorField, _field, _zeros
-from .geometry import LevelSet, LevelSetGeometry, _norm, _outer
+from .geometry import LevelSet, LevelSetGeometry, _norm
 from .quadrature import Atlas, Chart
+from .tensor import _outer
 
 __all__ = [
     "GeometryCase",
@@ -77,7 +78,7 @@ def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
     def hessian(X, t):
         r = _norm(X)[..., None]
         xh = X / r
-        return (np.eye(X.shape[-1]) - _outer(xh, xh)) / r[..., None]
+        return (np.eye(X.shape[-1]) - _outer(xh, xh, X.ndim - 1)) / r[..., None]
 
     return LevelSet._batched(value, gradient, hessian)
 
@@ -200,7 +201,7 @@ def _cylinder_level(radius: float) -> LevelSet:
 
     def hessian(X, t):
         rho, rh = _radial_xy(X)
-        return (pxy - _outer(rh, rh)) / rho[..., None, None]
+        return (pxy - _outer(rh, rh, X.ndim - 1)) / rho[..., None, None]
 
     return LevelSet._batched(value, gradient, hessian)
 
@@ -305,7 +306,9 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
         w = np.hypot(a, z)
         th = np.stack([-sh[..., 1], sh[..., 0], sh[..., 2]], axis=-1)
         v = (-z * sh + a * ez) / w
-        return (_outer(v, v) + (a / s[..., None])[..., None] * _outer(th, th)) / w[..., None]
+        nl = X.ndim - 1
+        azimuthal = (a / s[..., None])[..., None] * _outer(th, th, nl)
+        return (_outer(v, v, nl) + azimuthal) / w[..., None]
 
     geom = LevelSetGeometry(3, [LevelSet._batched(value, gradient, hessian)], name="torus")
 
@@ -393,7 +396,7 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
     def tangent_jac(X, t):
         v, g = along(X)
         dg = X * np.array([1.0, 1.0, 0.0]) / g
-        return turn / g[..., None] - _outer(v, dg) / (g**2)[..., None]
+        return turn / g[..., None] - _outer(v, dg, X.ndim - 1) / (g**2)[..., None]
 
     w = _field(3, 1, tangent, grad=tangent_jac, dt=_zeros((3,)), name="helix-tangent")
 
@@ -440,7 +443,7 @@ def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
     def vel_jac(X, t):
         r = np.linalg.norm(X, axis=-1, keepdims=True)
         xh = X / r
-        return speed * (np.eye(3) - _outer(xh, xh)) / r[..., None]
+        return speed * (np.eye(3) - _outer(xh, xh, X.ndim - 1)) / r[..., None]
 
     w = _field(3, 1, vel, grad=vel_jac, dt=_zeros((3,)), name="radial")
 

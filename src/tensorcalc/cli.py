@@ -124,8 +124,8 @@ def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
     merged: Dict[str, object] = {**asdict(SuiteConfig()), "out": None}
     if getattr(args, "config", None):
         for key, raw in _read_config(args.config).items():
-            if key not in merged:
-                raise UsageError(f"unknown config key '{key}'")
+            if key not in merged or not hasattr(args, key):  # the subcommand has no such option
+                raise UsageError(f"unknown config key '{key}' for '{args.command}'")
             merged[key] = _coerce(key, raw)
     for key in merged:
         flag = getattr(args, key, None)

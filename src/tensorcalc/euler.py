@@ -29,7 +29,8 @@ from .operators import (
     submanifold_gradient,
     time_partial,
 )
-from .quadrature import Atlas, IdentityResult, _dot_last, integrate, integrate_boundary
+from .quadrature import Atlas, IdentityResult, integrate, integrate_boundary
+from .tensor import _dot
 
 __all__ = [
     "EulerState",
@@ -92,7 +93,7 @@ def tangent_velocity_identity(
     lhs = integrate(atlas, pu, t)
     bulk = integrate(atlas, lambda X, s: -div_pu.values(X, s)[:, None] * X, t)
     bnd = integrate_boundary(
-        atlas, lambda B, s: _dot_last(u.values(B.x, s), B.conormal)[:, None] * B.x, t
+        atlas, lambda B, s: _dot(u.values(B.x, s), B.conormal, 1)[:, None] * B.x, t
     )
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(bulk + bnd))
 
@@ -101,15 +102,10 @@ def momentum_residual(state: EulerState, x, t: float, cfg: DiffConfig) -> np.nda
     """Pointwise residual of the non-divergence form, at points x of shape (..., n)."""
     geom = state.geometry
     dtu = time_partial(state.velocity, cfg).values(x, t)
-    conv = _apply(covariant_gradient(state.velocity, geom, cfg).values(x, t),
-                  state.velocity.values(x, t))
+    conv = _dot(covariant_gradient(state.velocity, geom, cfg).values(x, t),
+                state.velocity.values(x, t), np.ndim(x) - 1)
     gp = submanifold_gradient(state.pressure, geom, cfg).values(x, t)
     return dtu + conv + gp
-
-
-def _apply(matrix: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Matrix times vector at each point of a batch."""
-    return np.einsum("...ab,...b->...a", matrix, v)
 
 
 def _flux_field(state: EulerState) -> TensorField:
@@ -123,16 +119,17 @@ def divergence_form_residual(state: EulerState, x, t: float, cfg: DiffConfig) ->
     geom = state.geometry
     dtu = time_partial(state.velocity, cfg).values(x, t)
     divq = divergence(_flux_field(state), geom, cfg).values(x, t)
-    return dtu + _apply(geom.frame_at(x, t).P, divq)
+    return dtu + _dot(geom.frame_at(x, t).P, divq, np.ndim(x) - 1)
 
 
 def convective_identity_residual(state: EulerState, x, t: float, cfg: DiffConfig) -> np.ndarray:
     """(gradcov u).u - Proj Div_M(u (x) u); zero whenever div_M u = 0."""
     geom = state.geometry
     u = state.velocity
-    conv = _apply(covariant_gradient(u, geom, cfg).values(x, t), u.values(x, t))
+    nl = np.ndim(x) - 1
+    conv = _dot(covariant_gradient(u, geom, cfg).values(x, t), u.values(x, t), nl)
     divuu = divergence(tf_outer(u, u), geom, cfg).values(x, t)
-    return conv - _apply(geom.frame_at(x, t).P, divuu)
+    return conv - _dot(geom.frame_at(x, t).P, divuu, nl)
 
 
 def incompressibility(state: EulerState, x, t: float, cfg: DiffConfig):
@@ -142,7 +139,7 @@ def incompressibility(state: EulerState, x, t: float, cfg: DiffConfig):
 
 def tangency(state: EulerState, x, t: float = 0.0):
     """|N u|, the size of the normal part of u, at points x of shape (..., n)."""
-    normal = _apply(state.geometry.frame_at(x, t).N, state.velocity.values(x, t))
+    normal = _dot(state.geometry.frame_at(x, t).N, state.velocity.values(x, t), np.ndim(x) - 1)
     return np.linalg.norm(normal, axis=-1)[()]
 
 
@@ -163,7 +160,7 @@ def force_balance(atlas: Atlas, state: EulerState, cfg: DiffConfig, t: float = 0
 
         def integrand(X, s, b_i=b_i, i=i):
             uval = u.values(X, s)
-            bu = np.einsum("na,nab,nb->n", uval, b_i.values(X, s), uval)
+            bu = _dot(_dot(uval, b_i.values(X, s), 1), uval, 1)
             return bu[:, None] * geom.frame_at(X, s).normals[:, i, :]
 
         centripetal = centripetal + integrate(atlas, integrand, t)

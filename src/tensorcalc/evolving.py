@@ -22,7 +22,8 @@ from .operators import (
     material_derivative,
     submanifold_gradient,
 )
-from .quadrature import Atlas, IdentityResult, _frobenius, advected_atlas, integrate, rk4_step
+from .quadrature import Atlas, IdentityResult, advected_atlas, integrate, rk4_step
+from .tensor import _dot, _frobenius, _outer
 
 __all__ = [
     "dirichlet_energy",
@@ -40,7 +41,7 @@ def dirichlet_energy(atlas: Atlas, f: TensorField, cfg: DiffConfig, t: float = 0
 
     def density(X, s):
         garr = g.values(X, s)
-        return _frobenius(garr, garr)
+        return _frobenius(garr, garr, 1)
 
     return 0.5 * float(integrate(atlas, density, t))
 
@@ -59,18 +60,19 @@ def dirichlet_rate_terms(
     div_w = divergence(w, geom, cfg)
     cov_w = covariant_gradient(w, geom, cfg)
 
-    term1 = float(integrate(atlas, lambda X, s: _frobenius(g.values(X, s), g_rate.values(X, s)), t))
+    term1 = float(
+        integrate(atlas, lambda X, s: _frobenius(g.values(X, s), g_rate.values(X, s), 1), t)
+    )
 
     def dilation(X, s):
         garr = g.values(X, s)
-        return _frobenius(garr, garr) * div_w.values(X, s)
+        return _frobenius(garr, garr, 1) * div_w.values(X, s)
 
     term2 = 0.5 * float(integrate(atlas, dilation, t))
 
     def chained(X, s):
-        garr = g.values(X, s)
-        flat = garr.reshape(len(garr), -1, garr.shape[-1])  # derivative slot last
-        return _frobenius((flat @ cov_w.values(X, s)).reshape(garr.shape), garr)
+        garr = g.values(X, s)  # derivative slot last
+        return _frobenius(_dot(garr, cov_w.values(X, s), 1), garr, 1)
 
     term3 = -float(integrate(atlas, chained, t))
     return {"advection": term1, "dilation": term2, "chain": term3, "total": term1 + term2 + term3}
@@ -103,8 +105,7 @@ def reynolds_residual(
     div_w = divergence(w, geom, cfg)
     rhs = integrate(
         atlas,
-        lambda X, s: mat.values(X, s) + div_w.values(X, s).reshape((-1,) + (1,) * f.q)
-        * f.values(X, s),
+        lambda X, s: mat.values(X, s) + _outer(div_w.values(X, s), f.values(X, s), 1),
         t,
     )
     lhs = transport_rate_fd(atlas, f, w, t, dt)

@@ -31,7 +31,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .tensor import MAX_AMBIENT_DIM, MAX_RANK, ShapeError, Tensor, _looped
+from .tensor import MAX_AMBIENT_DIM, MAX_RANK, ShapeError, Tensor, _looped, _outer
 
 __all__ = [
     "TensorField",
@@ -175,12 +175,6 @@ def _field(n, q, func, grad=None, dt=None, depth=0, name="") -> TensorField:
 def _zeros(shape: tuple) -> Evaluator:
     """Batch evaluator of the zero value of ``shape``."""
     return lambda X, t: np.zeros(X.shape[:-1] + shape)
-
-
-def _outer(a: np.ndarray, qa: int, b: np.ndarray, qb: int) -> np.ndarray:
-    """Pointwise outer product of batched rank-qa and rank-qb values."""
-    lead = a.shape[: a.ndim - qa]
-    return a.reshape(a.shape + (1,) * qb) * b.reshape(lead + (1,) * qa + b.shape[len(lead):])
 
 
 # -- basic constructors -------------------------------------------------------
@@ -371,7 +365,7 @@ def tf_outer(f: TensorField, g: TensorField, name: str = "") -> TensorField:
     both_dt = f.has_time_derivative and g.has_time_derivative
 
     def func(X, t):
-        return _outer(f.values(X, t), f.q, g.values(X, t), g.q)
+        return _outer(f.values(X, t), g.values(X, t), X.ndim - 1)
 
     def grad():
         # f (x) grad g, plus grad f (x) g with its derivative slot moved last
@@ -379,8 +373,9 @@ def tf_outer(f: TensorField, g: TensorField, name: str = "") -> TensorField:
         return tf_add(tf_outer(f, g.gradient), _transposed(tf_outer(f.gradient, g), moved))
 
     def dt(X, t):
-        return _outer(f.values(X, t), f.q, g.dt_values(X, t), g.q) + _outer(
-            f.dt_values(X, t), f.q, g.values(X, t), g.q
+        nl = X.ndim - 1
+        return _outer(f.values(X, t), g.dt_values(X, t), nl) + _outer(
+            f.dt_values(X, t), g.values(X, t), nl
         )
 
     return _field(

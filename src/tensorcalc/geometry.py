@@ -13,22 +13,21 @@ a single point is a batch of shape ().  The callables of a public
 ``LevelSet`` are pointwise and run behind a looping adapter; the built-in
 geometries use batch-native level functions (``LevelSet._batched``).
 
-Tangential projection feeds P into one tensor slot per pass, over any
-leading batch axes: q matrix products and O(q n^(q+1)) work for a rank-q
-tensor.  The paper writes the same map as a recursion over the complete
-n-ary component tree, which takes n^(q-1) calls; the tests keep that
-construction as an oracle.
+Tangential projection feeds P into one tensor slot per pass with the
+batched primitive ``tensor._apply_to_slot``, over any leading batch axes:
+q matrix products and O(q n^(q+1)) work for a rank-q tensor.  The paper
+writes the same map as a recursion over the complete n-ary component tree,
+which takes n^(q-1) calls; the tests keep that construction as an oracle.
 """
 
 from __future__ import annotations
 
-import math
 from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .tensor import MAX_AMBIENT_DIM, ShapeError, Tensor, _looped
+from .tensor import MAX_AMBIENT_DIM, ShapeError, Tensor, _apply_to_slot, _dot, _looped, _outer
 
 __all__ = [
     "GeometryError",
@@ -50,8 +49,8 @@ class GeometryError(ValueError):
     """Degenerate frame data or a point outside the geometry's tube."""
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise dot product over the last axis, kept as a length-1 axis."""
+def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Pointwise inner product of vectors, kept as a length-1 axis."""
     return (a * b).sum(axis=-1, keepdims=True)
 
 
@@ -65,11 +64,6 @@ def _identity(n: int) -> np.ndarray:
     eye = np.eye(n)
     eye.flags.writeable = False
     return eye
-
-
-def _outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pointwise outer product of two batches of vectors."""
-    return a[..., :, None] * b[..., None, :]
 
 
 class LevelSet:
@@ -204,10 +198,12 @@ class FrameDerivative:
 
 
 def _residual_floor(i: int, r: np.ndarray, floor: float) -> None:
-    if (r < floor).any():
+    # a NaN residual fails both tests; an empty batch passes
+    if r.size and not (r.min() >= floor and r.max() < np.inf):
+        bad = ~((r >= floor) & (r < np.inf))
         raise GeometryError(
-            f"gradient of level function {i} vanishes or depends on the earlier ones "
-            f"(Gram-Schmidt residual {float(np.min(r)):.3e} below floor {floor:.1e})"
+            f"gradient of level function {i} is not finite, vanishes or depends on the "
+            f"earlier ones (Gram-Schmidt residual {float(r[bad][0]):.3e}, floor {floor:.1e})"
         )
 
 
@@ -220,31 +216,40 @@ def _gram_schmidt(grads: Sequence[np.ndarray], floor: float) -> np.ndarray:
         for _ in range(2):  # second pass for orthogonality to ~1e-15
             for j in range(i):
                 nh = out[..., j, :]
-                v = v - _dot(nh, v) * nh
-        r = np.sqrt(_dot(v, v))
+                v = v - _inner(nh, v) * nh
+        r = np.sqrt(_inner(v, v))
         _residual_floor(i, r, floor)
         out[..., i, :] = v / r
     return out
 
 
 def _gram_schmidt_with_derivative(grads, hessians, floor: float):
-    """Forward-propagate x-derivatives through modified Gram-Schmidt."""
+    """Forward-propagate x-derivatives through modified Gram-Schmidt (in
+    elementwise products: the tensor primitives' per-call cost would
+    dominate this hot path at a single point)."""
     ns, dns = [], []
     for i, (g, G) in enumerate(zip(grads, hessians)):
         v = np.asarray(g, dtype=float)
         Dv = np.asarray(G, dtype=float)  # Dv[..., a, k] = d v_a / d x_k
         for _ in range(2):
             for nh, Dnh in zip(ns, dns):
-                c = _dot(nh, v)
+                c = _inner(nh, v)
                 Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
-                Dv = Dv - _outer(nh, Dc) - c[..., None] * Dnh
+                Dv = Dv - nh[..., :, None] * Dc[..., None, :] - c[..., None] * Dnh
                 v = v - c * nh
-        r = np.sqrt(_dot(v, v))
+        r = np.sqrt(_inner(v, v))
         _residual_floor(i, r, floor)
         Dr = ((v / r)[..., None, :] @ Dv)[..., 0, :]
         ns.append(v / r)
-        dns.append(Dv / r[..., None] - _outer(v, Dr) / (r**2)[..., None])
-    return np.stack(ns, axis=-2), np.stack(dns, axis=-3)
+        dns.append(Dv / r[..., None] - v[..., :, None] * Dr[..., None, :] / (r**2)[..., None])
+    normals_d = np.stack(dns, axis=-3)
+    if not np.isfinite(normals_d).all():
+        i = next(i for i, dn in enumerate(dns) if not np.isfinite(dn).all())
+        raise GeometryError(
+            f"derivative of the normal of level function {i} is not finite "
+            "(check the Hessians of the level functions)"
+        )
+    return np.stack(ns, axis=-2), normals_d
 
 
 class LevelSetGeometry:
@@ -331,28 +336,6 @@ class LevelSetGeometry:
 # -- tangential projection ---------------------------------------------------
 
 
-def _contract(arr: np.ndarray, m: np.ndarray, nl: int) -> np.ndarray:
-    """Contract the last axis of ``arr`` with the first non-batch axis of
-    ``m``: (L, A..., c) and (L, c, B...) give (L, A..., B...)."""
-    lead, a, b = arr.shape[:nl], arr.shape[nl:-1], m.shape[nl + 1:]
-    c = arr.shape[-1]
-    out = arr.reshape(lead + (math.prod(a), c)) @ m.reshape(lead + (c, math.prod(b)))
-    return out.reshape(lead + a + b)
-
-
-def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int, nl: int) -> np.ndarray:
-    """Contract axis 1 of ``m`` (after nl batch axes) with ``arr``'s tensor
-    slot ``slot``; m's axis 0 takes the slot's place and any further axes of
-    m go last."""
-    ax = nl + slot
-    axes = tuple(range(arr.ndim))
-    moved = arr.transpose(axes[:ax] + axes[ax + 1:] + (ax,))
-    out = _contract(moved, np.swapaxes(m, nl, nl + 1), nl)
-    k = arr.ndim - 1  # where m's axis 0 landed
-    axes = tuple(range(out.ndim))
-    return out.transpose(axes[:ax] + (k,) + axes[ax:k] + axes[k + 1:])
-
-
 def _project_array(data: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Tangential projection of ``data`` of shape (...) + (n,)*q, with
     projectors P of shape (..., n, n)."""
@@ -400,7 +383,7 @@ def tangent_basis(frame: GeometryFrame):
 
     t1 = longest(columns)
     t1 = t1 / _norm(t1)[..., None]
-    t2 = longest(frame.P - _outer(t1, t1))  # the columns' parts orthogonal to t1
+    t2 = longest(frame.P - _outer(t1, t1, t1.ndim - 1))  # the columns' parts orthogonal to t1
     size = _norm(t2)[..., None]
     if not (size >= 1e-8).all():  # a NaN frame fails here too
         raise GeometryError("tangent plane is numerically degenerate")
@@ -414,13 +397,14 @@ def perp(frame: GeometryFrame, u) -> np.ndarray:
     """Quarter turn of the tangential part of u, in the oriented tangent plane."""
     t1, t2 = tangent_basis(frame)
     u = np.asarray(u, dtype=float)
-    return -_dot(u, t2) * t1 + _dot(u, t1) * t2
+    return -_inner(u, t2) * t1 + _inner(u, t1) * t2
 
 
 def perp_matrix(frame: GeometryFrame) -> np.ndarray:
     """Matrix Q with Q u = perp(u); Q = t2 t1^T - t1 t2^T."""
     t1, t2 = tangent_basis(frame)
-    return _outer(t2, t1) - _outer(t1, t2)
+    nl = t1.ndim - 1
+    return _outer(t2, t1, nl) - _outer(t1, t2, nl)
 
 
 def _perp_matrix_derivative(Q: np.ndarray, P_d: np.ndarray) -> np.ndarray:
@@ -431,4 +415,5 @@ def _perp_matrix_derivative(Q: np.ndarray, P_d: np.ndarray) -> np.ndarray:
     middle term vanishes: the in-plane part of d(t2 t1^T - t1 t2^T) cancels
     because t1 . dt2 = -t2 . dt1.
     """
-    return np.einsum("...ack,...cb->...abk", P_d, Q) + np.einsum("...ac,...cbk->...abk", Q, P_d)
+    nl = Q.ndim - 2
+    return _apply_to_slot(np.swapaxes(Q, -1, -2), P_d, 1, nl) + _dot(Q, P_d, nl)

@@ -38,8 +38,8 @@ import numpy as np
 
 from . import geometry as geo
 from .fields import TensorField, _field, tf_scale
-from .geometry import GeometryError, LevelSetGeometry, _apply_to_slot, _contract, _identity
-from .tensor import ShapeError
+from .geometry import GeometryError, LevelSetGeometry, _identity
+from .tensor import ShapeError, _apply_to_slot, _dot, _outer
 
 __all__ = [
     "DiffConfig",
@@ -118,16 +118,6 @@ def _bump_depth(f: TensorField) -> int:
     return f.depth + 1
 
 
-# -- pointwise contractions over nl leading batch axes ----------------------------
-
-
-def _symmetric_on_second_last(sym: np.ndarray, arr: np.ndarray, nl: int) -> np.ndarray:
-    """Contract a symmetric (L, n, n) matrix into the second-last axis of
-    ``arr`` (L, A..., c, k)."""
-    lead = sym.shape[:nl]
-    return sym.reshape(lead + (1,) * (arr.ndim - nl - 2) + sym.shape[nl:]) @ arr
-
-
 # -- ambient derivatives ------------------------------------------------------
 
 
@@ -188,7 +178,7 @@ def material_derivative(f: TensorField, w: TensorField, cfg: DiffConfig) -> Tens
     ft = time_partial(f, cfg)
 
     def func(X, t):
-        return ft.values(X, t) + _contract(g.values(X, t), w.values(X, t), X.ndim - 1)
+        return ft.values(X, t) + _dot(g.values(X, t), w.values(X, t), X.ndim - 1)
 
     return _field(
         f.n, f.q, func, depth=max(g.depth, ft.depth), name=f"D({f.name};{w.name})"
@@ -204,7 +194,7 @@ def submanifold_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig
     g = cartesian_gradient(f, cfg)
 
     def func(X, t):
-        return _contract(g.values(X, t), geom.frame_at(X, t).P, X.ndim - 1)
+        return _dot(g.values(X, t), geom.frame_at(X, t).P, X.ndim - 1)
 
     grad = None
     if g.has_gradient and geom.has_analytic_hessians:
@@ -213,7 +203,7 @@ def submanifold_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig
             # grad(grad f . P) = grad^2 f . P + grad f . P_d
             nl = X.ndim - 1
             frame, fd = geom.frame_derivative_at(X, t)
-            return _symmetric_on_second_last(frame.P, g.gradient_values(X, t), nl) + _contract(
+            return _apply_to_slot(frame.P, g.gradient_values(X, t), f.q, nl) + _dot(
                 g.values(X, t), fd.P_d, nl
             )
 
@@ -335,7 +325,7 @@ def perp_field(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
 
     def func(X, t):
         Q = geo.perp_matrix(geom.frame_at(X, t))
-        return _contract(f.values(X, t), np.swapaxes(Q, -1, -2), X.ndim - 1)
+        return _dot(f.values(X, t), np.swapaxes(Q, -1, -2), X.ndim - 1)
 
     grad = None
     if f.has_gradient and geom.has_analytic_hessians:
@@ -390,7 +380,7 @@ def projector_rate(geom: LevelSetGeometry, w: TensorField, cfg: DiffConfig) -> T
         normals = geom.frame_at(X, t).normals
         out = np.zeros(X.shape[:-1] + (geom.n, geom.n))
         for i in range(geom.m):
-            half = geo._outer(rates[i].values(X, t), normals[..., i, :])
+            half = _outer(rates[i].values(X, t), normals[..., i, :], X.ndim - 1)
             out += 0.5 * (half + np.swapaxes(half, -1, -2))
         return out
 

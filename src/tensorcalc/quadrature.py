@@ -17,7 +17,6 @@ and finiteness of the values.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -27,7 +26,7 @@ from . import geometry as geo
 from .geometry import GeometryError, LevelSetGeometry
 from .operators import DiffConfig, divergence, mean_curvature, submanifold_gradient, surface_curl
 from .fields import TensorField
-from .tensor import ShapeError, _looped
+from .tensor import ShapeError, _contract_left, _contract_right, _dot, _frobenius, _looped, _outer
 
 __all__ = [
     "Chart",
@@ -242,8 +241,8 @@ def boundary_points(atlas: Atlas, t: float = 0.0) -> BoundaryPoint:
     X, along = np.concatenate(xs), np.concatenate(along)
     frame = geom.frame_at(X, t)
     # outward parameter direction, projected tangentially and off the boundary tangent
-    v = (frame.P @ np.concatenate(outward)[:, :, None])[:, :, 0]
-    v = v - geo._dot(v, along) * along
+    v = _dot(frame.P, np.concatenate(outward), 1)
+    v = v - _frobenius(v, along, 1)[:, None] * along
     size = geo._norm(v)
     if (size < 1e-10).any():
         raise GeometryError(
@@ -311,34 +310,6 @@ def integrate_boundary(atlas: Atlas, integrand, t: float = 0.0):
     return _weighted_sum(integrand(B, t), B.weight, f"the boundary of atlas '{atlas.name}'")
 
 
-# Per-node contractions for integrands: every array has the node axis first,
-# and sizes come from the shapes, so an empty batch (N = 0) works too.
-
-
-def _dot_last(a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Contract the last slot of a (N, ..., n) with v (N, n)."""
-    return np.einsum("i...a,ia->i...", a, v)
-
-
-def _contract_leading(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contract every slot of a with the leading slots of b."""
-    size, rest = math.prod(a.shape[1:]), b.shape[a.ndim:]
-    out = a.reshape(len(a), 1, size) @ b.reshape(len(b), size, math.prod(rest))
-    return out.reshape(b.shape[:1] + rest)
-
-
-def _contract_trailing(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Contract the trailing slots of a with every slot of b."""
-    size, lead = math.prod(b.shape[1:]), a.shape[: a.ndim - b.ndim + 1]
-    out = a.reshape(len(a), math.prod(lead[1:]), size) @ b.reshape(len(b), size, 1)
-    return out.reshape(lead)
-
-
-def _frobenius(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full contraction of a and b at each node."""
-    return (a * b).reshape(len(a), math.prod(a.shape[1:])).sum(axis=1)
-
-
 # -- identity residuals -----------------------------------------------------------
 
 
@@ -370,8 +341,8 @@ def stokes_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> IdentityRe
     div = divergence(f, geom, cfg)
     kap = mean_curvature(geom, cfg)
     lhs = integrate(atlas, div)
-    curv = integrate(atlas, lambda X, t: _dot_last(f.values(X, t), kap.values(X, t)))
-    bnd = integrate_boundary(atlas, lambda B, t: _dot_last(f.values(B.x, t), B.conormal))
+    curv = integrate(atlas, lambda X, t: _dot(f.values(X, t), kap.values(X, t), 1))
+    bnd = integrate_boundary(atlas, lambda B, t: _dot(f.values(B.x, t), B.conormal, 1))
     return IdentityResult(
         lhs=np.asarray(lhs),
         rhs=bnd + curv,
@@ -384,7 +355,7 @@ def circulation_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> Ident
     geom = atlas.geometry
     curl = surface_curl(f, geom, cfg)
     lhs = integrate(atlas, curl)
-    bnd = integrate_boundary(atlas, lambda B, t: _dot_last(f.values(B.x, t), B.tangent))
+    bnd = integrate_boundary(atlas, lambda B, t: _dot(f.values(B.x, t), B.tangent, 1))
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(bnd))
 
 
@@ -413,17 +384,15 @@ def integration_by_parts(
     div = divergence(f, geom, cfg)
     gs = submanifold_gradient(s, geom, cfg)
     kap = mean_curvature(geom, cfg)
-    term1 = integrate(atlas, lambda X, t: _contract_leading(s.values(X, t), div.values(X, t)))
-    term2 = integrate(atlas, lambda X, t: _contract_trailing(f.values(X, t), gs.values(X, t)))
+    term1 = integrate(atlas, lambda X, t: _contract_left(s.values(X, t), div.values(X, t), 1))
+    term2 = integrate(atlas, lambda X, t: _contract_right(f.values(X, t), gs.values(X, t), 1))
     curv = integrate(
         atlas,
-        lambda X, t: _dot_last(_contract_leading(s.values(X, t), f.values(X, t)),
-                               kap.values(X, t)),
+        lambda X, t: _dot(_contract_left(s.values(X, t), f.values(X, t), 1), kap.values(X, t), 1),
     )
     bnd = integrate_boundary(
         atlas,
-        lambda B, t: _dot_last(_contract_leading(s.values(B.x, t), f.values(B.x, t)),
-                               B.conormal),
+        lambda B, t: _dot(_contract_left(s.values(B.x, t), f.values(B.x, t), 1), B.conormal, 1),
     )
     return IdentityResult(
         lhs=np.asarray(term1) + np.asarray(term2),
@@ -440,10 +409,8 @@ def path_ftc_residual(
     if geom.n - geom.m != 1:
         raise GeometryError("the path rule needs a 1-d manifold")
     sg = submanifold_gradient(f, geom, cfg)
-    lhs = integrate(atlas, lambda X, t: _dot_last(sg.values(X, t), w.values(X, t)))
-    rhs = integrate_boundary(
-        atlas, lambda B, t: np.einsum("i,i...->i...", B.end_sign, f.values(B.x, t))
-    )
+    lhs = integrate(atlas, lambda X, t: _dot(sg.values(X, t), w.values(X, t), 1))
+    rhs = integrate_boundary(atlas, lambda B, t: _outer(B.end_sign, f.values(B.x, t), 1))
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(rhs))
 
 
@@ -466,15 +433,15 @@ def weak_form(
     geom = atlas.geometry
     gt = covariant_gradient(trial, geom, cfg)
     gs = covariant_gradient(test, geom, cfg)
-    a = float(integrate(atlas, lambda X, t: _frobenius(gt.values(X, t), gs.values(X, t))))
+    a = float(integrate(atlas, lambda X, t: _frobenius(gt.values(X, t), gs.values(X, t), 1)))
     ell = 0.0
     if forcing is not None:
         ell += float(
-            integrate(atlas, lambda X, t: _frobenius(test.values(X, t), forcing.values(X, t)))
+            integrate(atlas, lambda X, t: _frobenius(test.values(X, t), forcing.values(X, t), 1))
         )
     if flux is not None:
         ell += float(
-            integrate_boundary(atlas, lambda B, t: _frobenius(test.values(B.x, t), flux(B, t)))
+            integrate_boundary(atlas, lambda B, t: _frobenius(test.values(B.x, t), flux(B, t), 1))
         )
     return a, ell
 

@@ -20,14 +20,8 @@ import numpy as np
 from .fields import TensorField, _field, _zeros
 from .geometry import GeometryFrame, LevelSetGeometry
 from .operators import DiffConfig, divergence, mean_curvature
-from .quadrature import (
-    Atlas,
-    IdentityResult,
-    _dot_last,
-    _frobenius,
-    integrate,
-    integrate_boundary,
-)
+from .quadrature import Atlas, IdentityResult, integrate, integrate_boundary
+from .tensor import _dot, _frobenius
 
 __all__ = [
     "rotation_generator",
@@ -130,17 +124,13 @@ def cross_stress(geom: LevelSetGeometry) -> TensorField:
     return _field(3, 2, func, grad=grad, name="cross-stress")
 
 
-def _insert_first(arr: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """sigma(v) at each point: v fed into the first slot."""
-    return np.einsum("...ab,...a->...b", arr, v)
-
-
 def stress_force(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0) -> np.ndarray:
     """F = int_boundary sigma(t) + int sigma(kappa)."""
     geom = atlas.geometry
     kap = mean_curvature(geom, cfg)
-    bulk = integrate(atlas, lambda X, s: _insert_first(sigma.values(X, s), kap.values(X, s)), t)
-    bnd = integrate_boundary(atlas, lambda B, s: _insert_first(sigma.values(B.x, s), B.conormal), t)
+    # sigma(v): v fed into the first slot
+    bulk = integrate(atlas, lambda X, s: _dot(kap.values(X, s), sigma.values(X, s), 1), t)
+    bnd = integrate_boundary(atlas, lambda B, s: _dot(B.conormal, sigma.values(B.x, s), 1), t)
     return np.asarray(bulk) + np.asarray(bnd)
 
 
@@ -154,14 +144,12 @@ def stress_torque(
     kap = mean_curvature(geom, cfg)
     bulk = integrate(
         atlas,
-        lambda X, s: _dot_last(
-            l_k.values(X, s), _insert_first(sigma.values(X, s), kap.values(X, s))
-        ),
+        lambda X, s: _dot(l_k.values(X, s), _dot(kap.values(X, s), sigma.values(X, s), 1), 1),
         t,
     )
     bnd = integrate_boundary(
         atlas,
-        lambda B, s: _dot_last(l_k.values(B.x, s), _insert_first(sigma.values(B.x, s), B.conormal)),
+        lambda B, s: _dot(l_k.values(B.x, s), _dot(B.conormal, sigma.values(B.x, s), 1), 1),
         t,
     )
     return float(bulk) + float(bnd)
@@ -187,8 +175,8 @@ def torque_equivalence(
     om = omega_field(geom, i, j)
     bar = transpose_field(sigma)
     div_bar = divergence(bar, geom, cfg)
-    first = integrate(atlas, lambda X, s: _dot_last(l_k.values(X, s), div_bar.values(X, s)), t)
-    second = integrate(atlas, lambda X, s: _frobenius(om.values(X, s), bar.values(X, s)), t)
+    first = integrate(atlas, lambda X, s: _dot(l_k.values(X, s), div_bar.values(X, s), 1), t)
+    second = integrate(atlas, lambda X, s: _frobenius(om.values(X, s), bar.values(X, s), 1), t)
     return IdentityResult(
         lhs=np.asarray(stress_torque(atlas, sigma, plane, cfg, t)),
         rhs=np.asarray(float(first) - float(second)),
@@ -210,13 +198,15 @@ def generator_identity(
     div_a = divergence(a_field, geom, cfg)
 
     def la(x, s):
-        return _insert_first(a_field.values(x, s), l_k.values(x, s))
+        return _dot(l_k.values(x, s), a_field.values(x, s), 1)
 
-    lhs_bulk = integrate(atlas, lambda X, s: _dot_last(la(X, s), kap.values(X, s)), t)
-    lhs_bnd = integrate_boundary(atlas, lambda B, s: _dot_last(la(B.x, s), B.conormal), t)
+    lhs_bulk = integrate(atlas, lambda X, s: _dot(la(X, s), kap.values(X, s), 1), t)
+    lhs_bnd = integrate_boundary(atlas, lambda B, s: _dot(la(B.x, s), B.conormal, 1), t)
     lhs = float(lhs_bulk) + float(lhs_bnd)
-    rhs_first = integrate(atlas, lambda X, s: _dot_last(l_k.values(X, s), div_a.values(X, s)), t)
-    rhs_second = integrate(atlas, lambda X, s: _frobenius(a_field.values(X, s), om.values(X, s)), t)
+    rhs_first = integrate(atlas, lambda X, s: _dot(l_k.values(X, s), div_a.values(X, s), 1), t)
+    rhs_second = integrate(
+        atlas, lambda X, s: _frobenius(a_field.values(X, s), om.values(X, s), 1), t
+    )
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(float(rhs_first) - float(rhs_second)))
 
 

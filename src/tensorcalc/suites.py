@@ -60,7 +60,7 @@ from .fields import (
     tf_outer,
     tf_scale,
 )
-from .geometry import _gram_schmidt, _norm, _outer, frame_from_normals, project
+from .geometry import _gram_schmidt, _norm, frame_from_normals, project
 from .operators import (
     DiffConfig,
     cartesian_gradient,
@@ -81,7 +81,6 @@ from .operators import (
 )
 from .quadrature import (
     IdentityResult,
-    _dot_last,
     advected_atlas,
     circulation_residual,
     gradient_residual,
@@ -104,7 +103,7 @@ from .stress import (
     torque_equivalence,
     transpose_field,
 )
-from .tensor import Tensor, dot, frobenius, outer, random_tensor, scalar
+from .tensor import Tensor, _dot, _outer, dot, frobenius, outer, random_tensor, scalar
 
 __all__ = [
     "SuiteConfig",
@@ -491,7 +490,7 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
             lambda X, t: f.values(X, t)[..., None] * u0.values(X, t),
             grad=lambda X, t: (
                 f.values(X, t)[..., None, None] * u0.gradient_values(X, t)
-                + _outer(u0.values(X, t), f.gradient_values(X, t))
+                + _outer(u0.values(X, t), f.gradient_values(X, t), X.ndim - 1)
             ),
             name="fu",
         )
@@ -500,7 +499,7 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         return _max_norm(
             divfu.values(points)
             - f.values(points) * divu.values(points)
-            - _dot_last(gf(m).values(points), u0.values(points))
+            - _dot(gf(m).values(points), u0.values(points), 1)
         )
 
     def gauss_split(m):
@@ -508,8 +507,7 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         full = submanifold_gradient(ut(m), geom, m.d).values(points)
         u = ut(m).values(points)
         normal_part = sum(
-            _outer(frame.normals[:, i],
-                   np.einsum("ka,kab->kb", u, shape_operator(geom, i, m.d).values(points)))
+            _outer(frame.normals[:, i], _dot(u, shape_operator(geom, i, m.d).values(points), 1), 1)
             for i in range(geom.m)
         )
         return _max_norm(full - (frame.P @ full @ frame.P - normal_part))
@@ -522,13 +520,13 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         vt = project_field(random_polynomial(3, 1, rng, degree=1), geom, name="Pv")
         pf_v = perp_field(vt, geom, m.d)
         return _max_norm(
-            _dot_last(pf_u(m).values(points), vt.values(points))
-            + _dot_last(ut(m).values(points), pf_v.values(points))
+            _dot(pf_u(m).values(points), vt.values(points), 1)
+            + _dot(ut(m).values(points), pf_v.values(points), 1)
         )
 
     def rotated_orthogonal(m):
         rg = rotated_gradient(f, geom, m.d)
-        return _max_norm(_dot_last(rg.values(points), gf(m).values(points)))
+        return _max_norm(_dot(rg.values(points), gf(m).values(points), 1))
 
     def laplacians_agree(m):
         lap = laplacian(f, geom, m.d)
@@ -646,7 +644,7 @@ def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     def gradient_circulation(m):
         sg_disk = submanifold_gradient(f, disk.geometry, m.d)
         circ = integrate_boundary(
-            disk_atlas, lambda B, t: _dot_last(sg_disk.values(B.x, t), B.tangent)
+            disk_atlas, lambda B, t: _dot(sg_disk.values(B.x, t), B.tangent, 1)
         )
         return abs(float(circ))
 
@@ -746,9 +744,7 @@ def _euler(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 
     def flux_total(m):
         divq = divergence(_flux_field(state), geom, m.d)
-        total = integrate(
-            atlas, lambda X, t: np.einsum("nab,nb->na", geom.frame_at(X, t).P, divq.values(X, t))
-        )
+        total = integrate(atlas, lambda X, t: _dot(geom.frame_at(X, t).P, divq.values(X, t), 1))
         return float(np.linalg.norm(np.asarray(total)))
 
     balance = _shared(lambda m: force_balance(hemi_atlas, hemi_state, m.d))
@@ -826,8 +822,8 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         return float(np.max(normal_at_tangential(sig, frame))), float(np.max(pairings))
 
     def contrapositive(m):
-        pw = np.einsum("kab,kb->ka", frame.P, rng.standard_normal((len(pts), 3)))
-        sig = _outer(pw, frame.normals[:, 0])
+        pw = _dot(frame.P, rng.standard_normal((len(pts), 3)), 1)
+        sig = _outer(pw, frame.normals[:, 0], 1)
         return float(np.max(np.abs(normal_at_tangential(sig, frame) - _norm(pw))))
 
     def constrained_family(m):
@@ -923,7 +919,7 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     def material_normal(m):
         nfield = normal_field(geom)
         dn = material_derivative(nfield, w2, m.d)
-        n_gw = np.einsum("ka,kab->kb", nfield.values(points), gw2(m).values(points))
+        n_gw = _dot(nfield.values(points), gw2(m).values(points), 1)
         return _max_norm(dn.values(points) + n_gw)
 
     def projector_rate_error(m):

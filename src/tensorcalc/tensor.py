@@ -1,16 +1,27 @@
-"""Dense multilinear maps of arbitrary rank with a recursive component tree.
+"""Dense multilinear maps of arbitrary rank and the batched tensor algebra.
 
 A rank-q tensor over R^n is determined by its n^q values on basis tuples.
 They are stored contiguously in an array of shape (n,)*q, which is the
 complete n-ary component tree of depth q laid out in lexicographic leaf
 order.  Component k at the top level is the rank-(q-1) tensor obtained by
 feeding basis vector e_k into the first argument slot, and it is a strided
-view into the same buffer.  Tensors are immutable; every operation returns
-a new value.
+view into the same buffer.
+
+Every layer holds batches of tensors as arrays (...) + (n,)*q: leading
+axes index points, nodes or draws, and the trailing q axes are the slots
+in order.  The private primitives below take such arrays and the count
+``nl`` of leading axes, and contract at every leading index in one matrix
+product: ``_contract`` with its named cases ``_dot``, ``_contract_left``,
+``_contract_right``, ``_frobenius`` and ``_outer``, and ``_apply_to_slot``.
+Inserting a vector into the first or last slot is ``_dot`` with the vector
+on that side.  ``Tensor`` is the public, immutable single-tensor wrapper:
+its operations call the primitives at ``nl = 0`` after their rank, shape
+and finiteness checks.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -81,6 +92,68 @@ def _as_vector(n: int, v) -> np.ndarray:
     return arr
 
 
+# -- batched primitives over nl leading axes ------------------------------------
+
+
+def _contract(a: np.ndarray, b: np.ndarray, k: int, nl: int) -> np.ndarray:
+    """The last k slots of a against the first k slots of b, at every index
+    of the nl leading axes: (L, A..., C...) and (L, C..., B...) give
+    (L, A..., B...).  Sizes come from the shapes, so empty batches work."""
+    sa, sb = a.shape, b.shape
+    ra, rb = sa[nl:len(sa) - k], sb[nl + k:]
+    c = math.prod(sb[nl:nl + k])
+    out = a.reshape(sa[:nl] + (math.prod(ra), c)) @ b.reshape(sb[:nl] + (c, math.prod(rb)))
+    return out.reshape(out.shape[:-2] + ra + rb)
+
+
+def _dot(a: np.ndarray, b: np.ndarray, nl: int) -> np.ndarray:
+    """Contraction product: the last slot of a against the first slot of b.
+    With a vector b this inserts b into a's last slot; with a vector a, into
+    b's first slot."""
+    return _contract(a, b, 1, nl)
+
+
+def _contract_left(s: np.ndarray, t: np.ndarray, nl: int) -> np.ndarray:
+    """Every slot of s against the leading slots of t."""
+    return _contract(s, t, s.ndim - nl, nl)
+
+
+def _contract_right(t: np.ndarray, s: np.ndarray, nl: int) -> np.ndarray:
+    """The trailing slots of t against every slot of s."""
+    return _contract(t, s, s.ndim - nl, nl)
+
+
+def _frobenius(a: np.ndarray, b: np.ndarray, nl: int) -> np.ndarray:
+    """Full contraction of two tensors of equal rank, of shape (L,)."""
+    return _contract(a, b, a.ndim - nl, nl)
+
+
+def _outer(a: np.ndarray, b: np.ndarray, nl: int) -> np.ndarray:
+    """Tensor product; the slots of a come first."""
+    return _contract(a, b, 0, nl)
+
+
+def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int, nl: int) -> np.ndarray:
+    """Contract axis 1 of ``m`` (after nl leading axes) with ``arr``'s slot
+    ``slot``; m's axis 0 takes the slot's place and any further axes of m
+    go last."""
+    ax = nl + slot
+    if m.ndim == nl + 2 and ax < arr.ndim - 1:
+        # a plain matrix, one product broadcast over the slots before this one and
+        # no transposes; at the last slot this would be one matvec per leaf
+        after = arr.shape[ax + 1:]
+        out = m.reshape(m.shape[:nl] + (1,) * slot + m.shape[nl:]) @ arr.reshape(
+            arr.shape[:ax + 1] + (math.prod(after),)
+        )
+        return out.reshape(out.shape[:ax + 1] + after)
+    axes = tuple(range(arr.ndim))
+    moved = arr.transpose(axes[:ax] + axes[ax + 1:] + (ax,))
+    out = _dot(moved, np.swapaxes(m, nl, nl + 1), nl)
+    k = arr.ndim - 1  # where m's axis 0 landed
+    axes = tuple(range(out.ndim))
+    return out.transpose(axes[:ax] + (k,) + axes[ax:k] + axes[k + 1:])
+
+
 class Tensor:
     """Immutable rank-q tensor over R^n.
 
@@ -144,7 +217,7 @@ class Tensor:
             raise ShapeError(f"rank-{self.q} tensor needs {self.q} arguments, got {len(vectors)}")
         out = self.array
         for v in vectors:
-            out = np.tensordot(_as_vector(self.n, v), out, axes=([0], [0]))
+            out = _dot(_as_vector(self.n, v), out, 0)
         return float(out)
 
     def __call__(self, *vectors):
@@ -158,15 +231,13 @@ class Tensor:
         """Feed v into the first argument slot."""
         if self.q == 0:
             raise ShapeError("cannot insert into a rank-0 tensor")
-        vec = _as_vector(self.n, v)
-        return Tensor._wrap(self.n, np.tensordot(vec, self.array, axes=([0], [0])))
+        return Tensor._wrap(self.n, _dot(_as_vector(self.n, v), self.array, 0))
 
     def insert_right(self, v) -> "Tensor":
         """Feed v into the last argument slot."""
         if self.q == 0:
             raise ShapeError("cannot insert into a rank-0 tensor")
-        vec = _as_vector(self.n, v)
-        return Tensor._wrap(self.n, np.asarray(self.array @ vec, dtype=float))
+        return Tensor._wrap(self.n, _dot(self.array, _as_vector(self.n, v), 0))
 
     # -- unary ops -------------------------------------------------------
 
@@ -272,7 +343,7 @@ def linear_combine(a: float, t: Tensor, b: float, s: Tensor) -> Tensor:
 def frobenius(s: Tensor, t: Tensor) -> float:
     """Full contraction of two tensors of equal shape."""
     s._same_shape(t)
-    return float(np.sum(s.array * t.array))
+    return float(_frobenius(s.array, t.array, 0))
 
 
 def outer(s: Tensor, t: Tensor) -> Tensor:
@@ -280,7 +351,7 @@ def outer(s: Tensor, t: Tensor) -> Tensor:
     if s.n != t.n:
         raise ShapeError(f"dimension mismatch: {s.n} vs {t.n}")
     _check_limits(s.n, s.q + t.q)
-    return Tensor._wrap(s.n, np.multiply.outer(s.array, t.array))
+    return Tensor._wrap(s.n, _outer(s.array, t.array, 0))
 
 
 def contract_left(s: Tensor, t: Tensor) -> Tensor:
@@ -289,9 +360,7 @@ def contract_left(s: Tensor, t: Tensor) -> Tensor:
         raise ShapeError(f"dimension mismatch: {s.n} vs {t.n}")
     if s.q > t.q:
         raise ShapeError(f"left contraction needs rank {s.q} <= {t.q}")
-    axes = list(range(s.q))
-    out = np.tensordot(s.array, t.array, axes=(axes, axes))
-    return Tensor._wrap(s.n, np.asarray(out, dtype=float))
+    return Tensor._wrap(s.n, _contract_left(s.array, t.array, 0))
 
 
 def contract_right(t: Tensor, s: Tensor) -> Tensor:
@@ -300,8 +369,7 @@ def contract_right(t: Tensor, s: Tensor) -> Tensor:
         raise ShapeError(f"dimension mismatch: {t.n} vs {s.n}")
     if s.q > t.q:
         raise ShapeError(f"right contraction needs rank {s.q} <= {t.q}")
-    out = np.tensordot(t.array, s.array, axes=(list(range(t.q - s.q, t.q)), list(range(s.q))))
-    return Tensor._wrap(t.n, np.asarray(out, dtype=float))
+    return Tensor._wrap(t.n, _contract_right(t.array, s.array, 0))
 
 
 def dot(t: Tensor, s: Tensor) -> Tensor:
@@ -315,8 +383,7 @@ def dot(t: Tensor, s: Tensor) -> Tensor:
     if t.q < 1 or s.q < 1:
         raise ShapeError("dot needs both ranks >= 1")
     _check_limits(t.n, t.q + s.q - 2)
-    out = np.tensordot(t.array, s.array, axes=([t.q - 1], [0]))
-    return Tensor._wrap(t.n, np.asarray(out, dtype=float))
+    return Tensor._wrap(t.n, _dot(t.array, s.array, 0))
 
 
 def random_tensor(n: int, q: int, rng: np.random.Generator, scale: float = 1.0) -> Tensor:

@@ -164,6 +164,31 @@ def test_convergence_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("line", [
+    "seed = 7", "geometry = nonsense", "tol = bogus.id=1", "hx = 1e-4", "order = 3",
+])
+def test_convergence_config_rejects_keys_it_does_not_read(tmp_path, capsys, line):
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text(f"{line}\n")
+    target = tmp_path / "never.csv"
+    assert main(["convergence", "--config", str(cfg), "--out", str(target)]) == 2
+    assert not target.exists()
+    err = capsys.readouterr().err
+    assert line.split(" = ")[0] in err and "convergence" in err
+
+
+def test_convergence_config_keys_it_reads_take_effect(tmp_path, capsys):
+    cfg = tmp_path / "conv.cfg"
+    cfg.write_text("fd = fd4\npanels = 1\n")
+    paths = {name: tmp_path / f"{name}.csv" for name in ("config", "flags", "default")}
+    assert main(["convergence", "--config", str(cfg), "--out", str(paths["config"])]) == 0
+    assert main(["convergence", "--fd", "fd4", "--panels", "1", "--out", str(paths["flags"])]) == 0
+    assert main(["convergence", "--out", str(paths["default"])]) == 0
+    text = {name: path.read_text() for name, path in paths.items()}
+    assert text["config"] == text["flags"] != text["default"]
+    capsys.readouterr()
+
+
 @pytest.mark.parametrize("flag", [
     ["--suite", "curl"], ["--geometry", "nonsense"], ["--geom-params", "radius=2"],
     ["--order", "3"], ["--hx", "1e-3"], ["--tol", "bogus.id=1"], ["--seed", "7"],

@@ -367,6 +367,37 @@ def test_frames_at_random_codimension(n, k, seed):
         np.testing.assert_allclose(single.P, proj, rtol=0, atol=1e-14)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NaN/inf arithmetic before the check
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("which", ["gradient", "hessian"])
+def test_non_finite_level_derivatives_raise(bad, which):
+    """A NaN or inf gradient or Hessian of the second level function, at one
+    point of a batch or at a single point, raises and names that function;
+    a NaN frame never comes back."""
+
+    def gradient(x, t):
+        return np.array([bad if which == "gradient" and x[0] > 0.5 else 0.0, 1.0, 0.0])
+
+    def hessian(x, t):
+        H = np.zeros((3, 3))
+        H[0, 0] = bad if which == "hessian" and x[0] > 0.5 else 0.0
+        return H
+
+    plane = LevelSet(lambda x, t: x[2], lambda x, t: np.array([0.0, 0.0, 1.0]),
+                     lambda x, t: np.zeros((3, 3)))
+    geom = LevelSetGeometry(3, [plane, LevelSet(lambda x, t: x[1], gradient, hessian)])
+    for X in (np.array([0.9, 0.0, 0.0]), np.array([[0.0, 0.0, 0.0], [0.9, 0.0, 0.0]])):
+        if which == "gradient":
+            with pytest.raises(GeometryError, match="level function 1"):
+                geom.frame_at(X)
+        else:
+            assert np.isfinite(geom.frame_at(X).P).all()
+        with pytest.raises(GeometryError, match="level function 1"):
+            geom.frame_derivative_at(X)
+    frame, fd = geom.frame_derivative_at(np.array([0.1, 0.0, 0.0]))
+    assert np.isfinite(frame.P).all() and np.isfinite(fd.P_d).all()
+
+
 def test_frame_outside_tube_raises():
     geom = get_case("sphere").geometry
     with pytest.raises(GeometryError):

@@ -11,9 +11,6 @@ from tensorcalc.operators import DiffConfig, normal_field, submanifold_gradient
 from tensorcalc.quadrature import (
     Atlas,
     Chart,
-    _contract_leading,
-    _contract_trailing,
-    _frobenius,
     boundary_points,
     circulation_residual,
     gradient_residual,
@@ -26,6 +23,7 @@ from tensorcalc.quadrature import (
     advected_atlas,
     weak_form,
 )
+from tensorcalc.tensor import _contract_left, _contract_right, _frobenius
 
 AN = DiffConfig(mode="analytic")
 FD2 = DiffConfig(mode="fd2")
@@ -225,10 +223,10 @@ def test_weak_form_flux_term_is_the_boundary_integral(rng):
 def test_node_contractions_take_sizes_from_shapes(rng):
     for N in (0, 3):
         s, f = rng.normal(size=(N, 3)), rng.normal(size=(N, 3, 3))
-        np.testing.assert_allclose(_contract_leading(s, f), np.einsum("ia,iab->ib", s, f))
-        np.testing.assert_allclose(_contract_trailing(f, s), np.einsum("iab,ib->ia", f, s))
-        np.testing.assert_allclose(_frobenius(f, f), np.einsum("iab,iab->i", f, f))
-        assert _contract_leading(s, f).shape == _contract_trailing(f, s).shape == (N, 3)
+        np.testing.assert_allclose(_contract_left(s, f, 1), np.einsum("ia,iab->ib", s, f))
+        np.testing.assert_allclose(_contract_right(f, s, 1), np.einsum("iab,ib->ia", f, s))
+        np.testing.assert_allclose(_frobenius(f, f, 1), np.einsum("iab,iab->i", f, f))
+        assert _contract_left(s, f, 1).shape == _contract_right(f, s, 1).shape == (N, 3)
 
 
 def test_stokes_identity_rank1_and_rank2(rng):

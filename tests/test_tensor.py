@@ -1,5 +1,7 @@
 """Unit tests for the dense rank-q tensor container and its contractions."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,13 @@ from tensorcalc.tensor import (
     MAX_RANK,
     ShapeError,
     Tensor,
+    _apply_to_slot,
+    _contract,
+    _contract_left,
+    _contract_right,
+    _dot,
+    _frobenius,
+    _outer,
     basis_covector,
     covector,
     dot,
@@ -169,3 +178,72 @@ def test_mixed_contraction_property(seed):
     lhs = float(contracted @ v)
     rhs = frobenius(s, t.insert_right(v))
     np.testing.assert_allclose(lhs, rhs, atol=1e-10)
+
+
+SLOTS = "abcdefghijklmnop"  # tensor slots; capitals index the leading axes
+
+
+def einsum_contract(a, b, k, nl):
+    """The last k slots of a against the first k slots of b, by np.einsum."""
+    lead = "ABCD"[:nl]
+    qa, qb = a.ndim - nl, b.ndim - nl
+    sa, rest = SLOTS[:qa], SLOTS[qa:qa + qb - k]
+    return np.einsum(f"{lead}{sa},{lead}{sa[qa - k:]}{rest}->{lead}{sa[:qa - k]}{rest}", a, b)
+
+
+def einsum_apply_to_slot(m, arr, slot, nl):
+    """m's axis 1 against arr's slot; m's axis 0 in its place, further axes last."""
+    lead = "ABCD"[:nl]
+    sa, extra = SLOTS[:arr.ndim - nl], "wv"[:m.ndim - nl - 2]
+    out = sa[:slot] + "x" + sa[slot + 1:] + extra
+    return np.einsum(f"{lead}x{sa[slot]}{extra},{lead}{sa}->{lead}{out}", m, arr)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, MAX_AMBIENT_DIM),
+       batch=st.sampled_from([(), (3,), (2, 2), (0,)]))
+def test_batched_primitives_match_einsum(data, n, batch):
+    """Every batched primitive against an independent einsum oracle, over
+    leading batch shapes including an empty node axis, for every rank with
+    n^q <= 4096 (q <= MAX_RANK)."""
+    top = MAX_RANK if n == 1 else min(MAX_RANK, int(math.log(4096, n) + 1e-9))
+    qa = data.draw(st.integers(0, top), label="qa")
+    qb = data.draw(st.integers(0, top), label="qb")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    nl = len(batch)
+    a = gen.standard_normal(batch + (n,) * qa)
+    b = gen.standard_normal(batch + (n,) * qb)
+    for k in range(min(qa, qb) + 1):
+        if qa + qb - 2 * k > top:
+            continue
+        want = einsum_contract(a, b, k, nl)
+        got = {"_contract": _contract(a, b, k, nl)}
+        if k == 1:
+            got["_dot"] = _dot(a, b, nl)
+        if k == qa:
+            got["_contract_left"] = _contract_left(a, b, nl)
+        if k == qb:
+            got["_contract_right"] = _contract_right(a, b, nl)
+        if k == qa == qb:
+            got["_frobenius"] = _frobenius(a, b, nl)
+        if k == 0:
+            got["_outer"] = _outer(a, b, nl)
+        for name, value in got.items():
+            assert value.shape == want.shape, name
+            np.testing.assert_allclose(value, want, rtol=1e-12, atol=1e-12, err_msg=name)
+    for extra in (0, 1):
+        if qa == 0 or qa + extra > top:
+            continue
+        m = gen.standard_normal(batch + (n,) * (2 + extra))
+        for slot in range(qa):
+            want = einsum_apply_to_slot(m, a, slot, nl)
+            got = _apply_to_slot(m, a, slot, nl)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
+
+
+def test_dot_and_outer_reject_rank_nine(rng):
+    with pytest.raises(ShapeError):
+        dot(random_tensor(2, 5, rng), random_tensor(2, 6, rng))
+    with pytest.raises(ShapeError):
+        outer(random_tensor(2, 4, rng), random_tensor(2, 5, rng))
