@@ -430,12 +430,7 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
 
 
 def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
-    geom = LevelSetGeometry(
-        3,
-        [_sphere_level(radius, speed)],
-        time_dependent=True,
-        name="expanding_sphere",
-    )
+    geom = LevelSetGeometry(3, [_sphere_level(radius, speed)], name="expanding_sphere")
 
     def vel(X, t):
         return speed * X / np.linalg.norm(X, axis=-1, keepdims=True)

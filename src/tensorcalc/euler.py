@@ -16,20 +16,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fields import TensorField, _field, _zeros, polynomial, tf_add, tf_outer
+from .fields import TensorField, polynomial, tf_add, tf_outer, tf_scale
 from .geometry import LevelSetGeometry
 from .operators import (
     DiffConfig,
     covariant_gradient,
     divergence,
-    mean_curvature,
     project_field,
     projector_field,
     shape_operator,
     submanifold_gradient,
     time_partial,
 )
-from .quadrature import Atlas, IdentityResult, integrate, integrate_boundary
+from .quadrature import Atlas, IdentityResult, _stokes_terms, integrate, integrate_boundary
+from .stress import rotation_generator
 from .tensor import _dot
 
 __all__ = [
@@ -59,15 +59,7 @@ def rigid_rotation_state(geometry: LevelSetGeometry, omega: float = 1.0) -> Eule
     u = omega e_z x x with p = omega^2 (x^2 + y^2) / 2; a classical steady
     solution, tangential to any origin-centered sphere and to the equator.
     """
-    spin = omega * np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    u = _field(
-        3,
-        1,
-        lambda X, t: X @ spin.T,
-        grad=lambda X, t: np.broadcast_to(spin, X.shape + (3,)),
-        dt=_zeros((3,)),
-        name="rigid-rotation",
-    )
+    u = tf_scale(rotation_generator(3, 0, 1), omega, name="rigid-rotation")
     p = polynomial(
         3,
         0,
@@ -151,9 +143,7 @@ def force_balance(atlas: Atlas, state: EulerState, cfg: DiffConfig, t: float = 0
     """
     geom = state.geometry
     u, p = state.velocity, state.pressure
-    kap = mean_curvature(geom, cfg)
-    young = integrate(atlas, lambda X, s: p.values(X, s)[:, None] * kap.values(X, s), t)
-    reaction = integrate_boundary(atlas, lambda B, s: p.values(B.x, s)[:, None] * B.conormal, t)
+    reaction, young = _stokes_terms(atlas, lambda X, s, v: p.values(X, s)[:, None] * v, cfg, t)
     centripetal = np.zeros(geom.n)
     for i in range(geom.m):
         b_i = shape_operator(geom, i, cfg)

@@ -23,7 +23,7 @@ from .operators import (
     submanifold_gradient,
 )
 from .quadrature import Atlas, IdentityResult, advected_atlas, integrate, rk4_step
-from .tensor import _dot, _frobenius, _outer
+from .tensor import _central, _dot, _frobenius, _outer
 
 __all__ = [
     "dirichlet_energy",
@@ -82,18 +82,18 @@ def dirichlet_rate_fd(
     atlas: Atlas, f: TensorField, w: TensorField, cfg: DiffConfig, t: float = 0.0, dt: float = 1e-3
 ) -> float:
     """Centered difference of the energy on RK4-advected atlases."""
-    plus = dirichlet_energy(advected_atlas(atlas, w, t, dt), f, cfg, t + dt)
-    minus = dirichlet_energy(advected_atlas(atlas, w, t, -dt), f, cfg, t - dt)
-    return (plus - minus) / (2.0 * dt)
+    return _central(
+        lambda s: dirichlet_energy(advected_atlas(atlas, w, t, s * dt), f, cfg, t + s * dt), dt
+    )
 
 
 def transport_rate_fd(
     atlas: Atlas, f: TensorField, w: TensorField, t: float = 0.0, dt: float = 1e-3
 ):
     """Centered difference of int_M T on advected atlases, leafwise."""
-    plus = integrate(advected_atlas(atlas, w, t, dt), f, t + dt)
-    minus = integrate(advected_atlas(atlas, w, t, -dt), f, t - dt)
-    return (np.asarray(plus) - np.asarray(minus)) / (2.0 * dt)
+    return _central(
+        lambda s: np.asarray(integrate(advected_atlas(atlas, w, t, s * dt), f, t + s * dt)), dt
+    )
 
 
 def reynolds_residual(
@@ -118,9 +118,7 @@ def material_consistency(
     """Compare D_w T with a centered difference along the RK4 material path,
     at points x of shape (..., n): one relative error per point."""
     x = np.asarray(x, dtype=float)
-    ahead = f.values(rk4_step(x, t, dt, w), t + dt)
-    behind = f.values(rk4_step(x, t, -dt, w), t - dt)
-    fd = (ahead - behind) / (2.0 * dt)
+    fd = _central(lambda s: f.values(rk4_step(x, t, s * dt, w), t + s * dt), dt)
     exact = material_derivative(f, w, cfg).values(x, t)
     per_point = x.shape[:-1] + (-1,)
     scale = np.maximum(1.0, np.linalg.norm(exact.reshape(per_point), axis=-1))

@@ -27,7 +27,9 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .tensor import MAX_AMBIENT_DIM, ShapeError, Tensor, _apply_to_slot, _dot, _looped, _outer
+from .tensor import (
+    MAX_AMBIENT_DIM, ShapeError, Tensor, _apply_to_slot, _central, _dot, _looped, _outer, _shift,
+)
 
 __all__ = [
     "GeometryError",
@@ -70,7 +72,8 @@ class LevelSet:
     """One scalar constraint d(x, t) with optional analytic derivatives.
 
     ``value`` is required.  ``gradient`` and ``hessian`` are used when given;
-    otherwise fourth-order central differences fill in.  All callables are
+    otherwise the gradient is a fourth-order central difference of the value
+    and the Hessian a second-order one of the gradient.  All callables are
     pointwise, take (x, t) even when the constraint is static, and return a
     number, an (n,) array and an (n, n) array.  The methods ``value``,
     ``gradient`` and ``hessian`` take batches of points (..., n).
@@ -119,12 +122,7 @@ class LevelSet:
         for k in range(n):
             e = np.zeros(X.shape)
             e[..., k] = h
-            g[..., k] = (
-                -self.value(X + 2 * e, t)
-                + 8 * self.value(X + e, t)
-                - 8 * self.value(X - e, t)
-                + self.value(X - 2 * e, t)
-            ) / (12 * h)
+            g[..., k] = _central(lambda s: self.value(_shift(X, e, s), t), h, order=4)
         return g
 
     def hessian(self, x, t: float = 0.0) -> np.ndarray:
@@ -137,7 +135,7 @@ class LevelSet:
         for k in range(n):
             e = np.zeros(X.shape)
             e[..., k] = h
-            H[..., k] = (self.gradient(X + e, t) - self.gradient(X - e, t)) / (2 * h[..., None])
+            H[..., k] = _central(lambda s: self.gradient(_shift(X, e, s), t), h[..., None])
         return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
@@ -268,7 +266,6 @@ class LevelSetGeometry:
         levels: Sequence[LevelSet],
         tube_halfwidth: float = 0.1,
         grad_floor: float = 1e-8,
-        time_dependent: bool = False,
         name: str = "",
     ) -> None:
         if not 2 <= n <= MAX_AMBIENT_DIM:
@@ -279,7 +276,6 @@ class LevelSetGeometry:
         self.levels = list(levels)
         self.tube_halfwidth = float(tube_halfwidth)
         self.grad_floor = float(grad_floor)
-        self.time_dependent = bool(time_dependent)
         self.name = name
 
     @property

@@ -39,7 +39,7 @@ import numpy as np
 from . import geometry as geo
 from .fields import TensorField, _field, tf_scale
 from .geometry import GeometryError, LevelSetGeometry, _identity
-from .tensor import ShapeError, _apply_to_slot, _dot, _outer
+from .tensor import ShapeError, _apply_to_slot, _central, _dot, _outer, _shift
 
 __all__ = [
     "DiffConfig",
@@ -139,16 +139,7 @@ def cartesian_gradient(f: TensorField, cfg: DiffConfig) -> TensorField:
         out = np.empty(X.shape[:-1] + (n,) * f.q + (n,))
         for k in range(n):
             e = steps[..., k, :]
-            if order == 2:
-                d = (f.values(X + e, t) - f.values(X - e, t)) / (2 * hv)
-            else:
-                d = (
-                    -f.values(X + 2 * e, t)
-                    + 8 * f.values(X + e, t)
-                    - 8 * f.values(X - e, t)
-                    + f.values(X - 2 * e, t)
-                ) / (12 * hv)
-            out[..., k] = d
+            out[..., k] = _central(lambda s: f.values(_shift(X, e, s), t), hv, order)
         return out
 
     return _field(n, f.q + 1, func, depth=depth, name=f"grad({f.name})")
@@ -165,7 +156,7 @@ def time_partial(f: TensorField, cfg: DiffConfig) -> TensorField:
 
     def func(X, t):
         h = cfg.temporal_step(f.depth)
-        return (f.values(X, t + h) - f.values(X, t - h)) / (2 * h)
+        return _central(lambda s: f.values(X, t + s * h), h)
 
     return _field(f.n, f.q, func, depth=depth, name=f"dt({f.name})")
 

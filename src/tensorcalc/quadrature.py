@@ -13,6 +13,10 @@ on that chart's nodes, and ``integrate_boundary`` once per atlas on one
 ``BoundaryPoint`` batch holding every boundary node, framed with one
 ``frame_at`` call.  Both share one weighted sum, which checks the node axis
 and finiteness of the values.
+
+The extrinsic Stokes split int div_M T = int_boundary T.nu + int T.kappa is
+made in one place, ``_stokes_terms``, for the residuals here and for the
+force, torque and force-balance functions of ``stress`` and ``euler``.
 """
 
 from __future__ import annotations
@@ -26,7 +30,10 @@ from . import geometry as geo
 from .geometry import GeometryError, LevelSetGeometry
 from .operators import DiffConfig, divergence, mean_curvature, submanifold_gradient, surface_curl
 from .fields import TensorField
-from .tensor import ShapeError, _contract_left, _contract_right, _dot, _frobenius, _looped, _outer
+from .tensor import (
+    ShapeError, _central, _contract_left, _contract_right, _dot, _frobenius, _looped, _outer,
+    _shift,
+)
 
 __all__ = [
     "Chart",
@@ -145,7 +152,7 @@ class Chart:
             h = 1e-6 * (self.hi[a] - self.lo[a])
             e = np.zeros(self.p)
             e[a] = h
-            cols.append((self._map(U + e, t) - self._map(U - e, t)) / (2 * h))
+            cols.append(_central(lambda s: self._map(_shift(U, e, s), t), h))
         return np.stack(cols, axis=-1)
 
     def points(self, t: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
@@ -333,28 +340,32 @@ class IdentityResult:
         return self.abs_residual / scale
 
 
+def _stokes_terms(atlas: Atlas, pair, cfg: DiffConfig, t: float = 0.0):
+    """The right side of the extrinsic Stokes formula
+    int div_M T = int_boundary T.nu + int T.kappa, as the pair
+    (int_boundary T.nu, int T.kappa): nu is the outward co-normal and kappa
+    the mean curvature vector.  ``pair(X, t, v)`` gives T at points X with
+    the vectors v fed into its divergence slot."""
+    kap = mean_curvature(atlas.geometry, cfg)
+    curv = integrate(atlas, lambda X, s: pair(X, s, kap.values(X, s)), t)
+    bnd = integrate_boundary(atlas, lambda B, s: pair(B.x, s, B.conormal), t)
+    return bnd, curv
+
+
 def stokes_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> IdentityResult:
     """int div_M T  vs  int_boundary T.t + int T.kappa."""
     if f.q < 1:
         raise ShapeError("the divergence identity needs rank >= 1")
-    geom = atlas.geometry
-    div = divergence(f, geom, cfg)
-    kap = mean_curvature(geom, cfg)
-    lhs = integrate(atlas, div)
-    curv = integrate(atlas, lambda X, t: _dot(f.values(X, t), kap.values(X, t), 1))
-    bnd = integrate_boundary(atlas, lambda B, t: _dot(f.values(B.x, t), B.conormal, 1))
+    lhs = integrate(atlas, divergence(f, atlas.geometry, cfg))
+    bnd, curv = _stokes_terms(atlas, lambda X, t, v: _dot(f.values(X, t), v, 1), cfg)
     return IdentityResult(
-        lhs=np.asarray(lhs),
-        rhs=bnd + curv,
-        pieces={"boundary": bnd, "curvature": curv},
+        lhs=np.asarray(lhs), rhs=bnd + curv, pieces={"boundary": bnd, "curvature": curv}
     )
 
 
 def circulation_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> IdentityResult:
     """int curl T  vs  the boundary circulation of T."""
-    geom = atlas.geometry
-    curl = surface_curl(f, geom, cfg)
-    lhs = integrate(atlas, curl)
+    lhs = integrate(atlas, surface_curl(f, atlas.geometry, cfg))
     bnd = integrate_boundary(atlas, lambda B, t: _dot(f.values(B.x, t), B.tangent, 1))
     return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(bnd))
 
@@ -363,12 +374,8 @@ def gradient_residual(atlas: Atlas, f: TensorField, cfg: DiffConfig) -> Identity
     """int grad_M f  vs  int_boundary f t + int f kappa, for scalar f."""
     if f.q != 0:
         raise ShapeError("the gradient identity is for scalar fields")
-    geom = atlas.geometry
-    g = submanifold_gradient(f, geom, cfg)
-    kap = mean_curvature(geom, cfg)
-    lhs = integrate(atlas, g)
-    curv = integrate(atlas, lambda X, t: f.values(X, t)[:, None] * kap.values(X, t))
-    bnd = integrate_boundary(atlas, lambda B, t: f.values(B.x, t)[:, None] * B.conormal)
+    lhs = integrate(atlas, submanifold_gradient(f, atlas.geometry, cfg))
+    bnd, curv = _stokes_terms(atlas, lambda X, t, v: f.values(X, t)[:, None] * v, cfg)
     return IdentityResult(
         lhs=np.asarray(lhs), rhs=bnd + curv, pieces={"boundary": bnd, "curvature": curv}
     )
@@ -383,16 +390,10 @@ def integration_by_parts(
     geom = atlas.geometry
     div = divergence(f, geom, cfg)
     gs = submanifold_gradient(s, geom, cfg)
-    kap = mean_curvature(geom, cfg)
     term1 = integrate(atlas, lambda X, t: _contract_left(s.values(X, t), div.values(X, t), 1))
     term2 = integrate(atlas, lambda X, t: _contract_right(f.values(X, t), gs.values(X, t), 1))
-    curv = integrate(
-        atlas,
-        lambda X, t: _dot(_contract_left(s.values(X, t), f.values(X, t), 1), kap.values(X, t), 1),
-    )
-    bnd = integrate_boundary(
-        atlas,
-        lambda B, t: _dot(_contract_left(s.values(B.x, t), f.values(B.x, t), 1), B.conormal, 1),
+    bnd, curv = _stokes_terms(
+        atlas, lambda X, t, v: _dot(_contract_left(s.values(X, t), f.values(X, t), 1), v, 1), cfg
     )
     return IdentityResult(
         lhs=np.asarray(term1) + np.asarray(term2),
@@ -426,7 +427,8 @@ def weak_form(
 
     a = int gradcov T . gradcov S;  ell = int_boundary S.flux + int S.forcing.
     ``flux`` is None or a callable ``(B, t)`` on the boundary batch B that
-    returns values of the test field's shape, (N,) + (n,)*q.
+    returns values of the test field's shape, (N,) + (n,)*q; any other
+    shape raises ShapeError.
     """
     from .operators import covariant_gradient
 
@@ -440,9 +442,17 @@ def weak_form(
             integrate(atlas, lambda X, t: _frobenius(test.values(X, t), forcing.values(X, t), 1))
         )
     if flux is not None:
-        ell += float(
-            integrate_boundary(atlas, lambda B, t: _frobenius(test.values(B.x, t), flux(B, t), 1))
-        )
+
+        def pairing(B, t):
+            want, got = test.values(B.x, t), np.asarray(flux(B, t), dtype=float)
+            if got.shape != want.shape:
+                raise ShapeError(
+                    f"flux {getattr(flux, '__qualname__', flux)} returned shape {got.shape} on the "
+                    f"boundary of atlas '{atlas.name}', expected {want.shape} as the test field"
+                )
+            return _frobenius(want, got, 1)
+
+        ell += float(integrate_boundary(atlas, pairing))
     return a, ell
 
 

@@ -13,14 +13,14 @@ batch shape (...), and a single point (batch shape ()) gives numbers.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
-from .fields import TensorField, _field, _zeros
+from .fields import TensorField, _constant_array, _field, _zeros
 from .geometry import GeometryFrame, LevelSetGeometry
-from .operators import DiffConfig, divergence, mean_curvature
-from .quadrature import Atlas, IdentityResult, integrate, integrate_boundary
+from .operators import DiffConfig, divergence
+from .quadrature import Atlas, IdentityResult, _stokes_terms, integrate
 from .tensor import _dot, _frobenius
 
 __all__ = [
@@ -36,12 +36,14 @@ __all__ = [
     "normal_at_tangential",
     "omega_pairings",
     "equilibrium_diagnostics",
-    "worst_equilibrium_diagnostics",
 ]
 
 
 def rotation_generator(n: int, i: int, j: int) -> TensorField:
-    """l_ij = x_i e_j - x_j e_i, the generator of rotations of the (i, j) plane."""
+    """l_ij = x_i e_j - x_j e_i, the generator of rotations of the (i, j) plane.
+
+    Its gradient is a constant field, so analytic mode takes its second
+    derivatives (zero) without differences."""
     if not (0 <= i < j < n):
         raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
     jac = np.zeros((n, n))
@@ -54,9 +56,9 @@ def rotation_generator(n: int, i: int, j: int) -> TensorField:
         out[..., i] = -X[..., j]
         return out
 
+    name = f"l_{i}{j}"
     return _field(
-        n, 1, func, grad=lambda X, t: np.broadcast_to(jac, X.shape + (n,)), dt=_zeros((n,)),
-        name=f"l_{i}{j}",
+        n, 1, func, grad=_constant_array(n, jac, f"grad({name})"), dt=_zeros((n,)), name=name
     )
 
 
@@ -126,11 +128,8 @@ def cross_stress(geom: LevelSetGeometry) -> TensorField:
 
 def stress_force(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0) -> np.ndarray:
     """F = int_boundary sigma(t) + int sigma(kappa)."""
-    geom = atlas.geometry
-    kap = mean_curvature(geom, cfg)
     # sigma(v): v fed into the first slot
-    bulk = integrate(atlas, lambda X, s: _dot(kap.values(X, s), sigma.values(X, s), 1), t)
-    bnd = integrate_boundary(atlas, lambda B, s: _dot(B.conormal, sigma.values(B.x, s), 1), t)
+    bnd, bulk = _stokes_terms(atlas, lambda X, s, v: _dot(v, sigma.values(X, s), 1), cfg, t)
     return np.asarray(bulk) + np.asarray(bnd)
 
 
@@ -138,19 +137,9 @@ def stress_torque(
     atlas: Atlas, sigma: TensorField, plane: Tuple[int, int], cfg: DiffConfig, t: float = 0.0
 ) -> float:
     """m_K = int_boundary l_K . sigma(t) + int l_K . sigma(kappa)."""
-    geom = atlas.geometry
-    i, j = plane
-    l_k = rotation_generator(geom.n, i, j)
-    kap = mean_curvature(geom, cfg)
-    bulk = integrate(
-        atlas,
-        lambda X, s: _dot(l_k.values(X, s), _dot(kap.values(X, s), sigma.values(X, s), 1), 1),
-        t,
-    )
-    bnd = integrate_boundary(
-        atlas,
-        lambda B, s: _dot(l_k.values(B.x, s), _dot(B.conormal, sigma.values(B.x, s), 1), 1),
-        t,
+    l_k = rotation_generator(atlas.geometry.n, *plane)
+    bnd, bulk = _stokes_terms(
+        atlas, lambda X, s, v: _dot(l_k.values(X, s), _dot(v, sigma.values(X, s), 1), 1), cfg, t
     )
     return float(bulk) + float(bnd)
 
@@ -194,14 +183,10 @@ def generator_identity(
     i, j = plane
     l_k = rotation_generator(geom.n, i, j)
     om = omega_field(geom, i, j)
-    kap = mean_curvature(geom, cfg)
     div_a = divergence(a_field, geom, cfg)
-
-    def la(x, s):
-        return _dot(l_k.values(x, s), a_field.values(x, s), 1)
-
-    lhs_bulk = integrate(atlas, lambda X, s: _dot(la(X, s), kap.values(X, s), 1), t)
-    lhs_bnd = integrate_boundary(atlas, lambda B, s: _dot(la(B.x, s), B.conormal, 1), t)
+    lhs_bnd, lhs_bulk = _stokes_terms(
+        atlas, lambda X, s, v: _dot(_dot(l_k.values(X, s), a_field.values(X, s), 1), v, 1), cfg, t
+    )
     lhs = float(lhs_bulk) + float(lhs_bnd)
     rhs_first = integrate(atlas, lambda X, s: _dot(l_k.values(X, s), div_a.values(X, s), 1), t)
     rhs_second = integrate(
@@ -252,20 +237,3 @@ def equilibrium_diagnostics(
         "normal_at_tangential": normal_at_tangential(sig, frame),
     }
 
-
-def worst_equilibrium_diagnostics(
-    points: Sequence[np.ndarray],
-    sigma: TensorField,
-    geom: LevelSetGeometry,
-    cfg: DiffConfig,
-    t: float = 0.0,
-) -> Dict[str, float]:
-    """Equilibrium measures maximized over sample points (k, n)."""
-    X = np.asarray(points, dtype=float).reshape(-1, geom.n)
-    d = equilibrium_diagnostics(sigma, geom, cfg, X, t)
-    pairings = np.abs(list(d["omega_pairings"].values()))
-    return {
-        "div_transpose": float(np.max(np.linalg.norm(d["div_transpose"], axis=-1), initial=0.0)),
-        "normal_at_tangential": float(np.max(d["normal_at_tangential"], initial=0.0)),
-        "omega_pairing": float(np.max(pairings, initial=0.0)),
-    }

@@ -51,12 +51,11 @@ from .evolving import (
     reynolds_residual,
 )
 from .fields import (
-    TensorField,
     _field,
-    _zeros,
     constant,
     coordinate,
     random_polynomial,
+    tf_add,
     tf_outer,
     tf_scale,
 )
@@ -98,6 +97,7 @@ from .stress import (
     generator_identity,
     normal_at_tangential,
     omega_pairings,
+    rotation_generator,
     stress_force,
     stress_torque,
     torque_equivalence,
@@ -270,21 +270,6 @@ def _synthetic_frame(rng: np.random.Generator, n: int, m: int):
     raw = rng.standard_normal((m, n))
     normals = _gram_schmidt(list(raw), 1e-8)
     return frame_from_normals(normals)
-
-
-_SPIN = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-
-
-def _rotation_field(scale: float = 1.0, name: str = "spin") -> TensorField:
-    mat = scale * _SPIN
-    return _field(
-        3,
-        1,
-        lambda X, t: X @ mat.T,
-        grad=constant(3, Tensor(3, mat), name=f"grad({name})"),
-        dt=_zeros((3,)),
-        name=name,
-    )
 
 
 # -- tensor algebra ---------------------------------------------------------------
@@ -593,7 +578,8 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
               kind="rel", on="hemisphere"),
         Check("stokes.closed-sphere",
               "every term of the divergence identity vanishes on a closed sphere",
-              1e-8, lambda m: stokes_residual(sphere, _rotation_field(), m.d).abs_residual,
+              1e-8, lambda m: stokes_residual(sphere, rotation_generator(3, 0, 1),
+                                              m.d).abs_residual,
               on="sphere"),
         Check("stokes.rank1-generic", "divergence identity for a random covector field",
               1e-6, lambda m: stokes_residual(generic, random_polynomial(3, 1, rng, degree=2),
@@ -625,7 +611,7 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 
 def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 4)
-    spin = _rotation_field()
+    spin = rotation_generator(3, 0, 1)
     disk = get_case("plane_disk")
     disk_atlas = disk.atlas(cfg.order, cfg.panels)
     sph = get_case("sphere")
@@ -678,7 +664,7 @@ def _laplacian(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     unit = abs(radius - 1.0) < 1e-12
     atlas = case.atlas(cfg.order, cfg.panels)
     points = case.sample_points(4, seed=cfg.seed)
-    killing_z = _rotation_field(name="killing-z")
+    killing_z = rotation_generator(3, 0, 1)
 
     def coordinate_error(m):
         got = np.stack(
@@ -697,14 +683,7 @@ def _laplacian(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         return weak_form(atlas, killing_z, killing_z, forcing, None, m.d)
 
     def symmetric(m):
-        turn = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        killing_x = _field(
-            3,
-            1,
-            lambda X, t: X @ turn.T,
-            grad=lambda X, t: np.broadcast_to(turn, X.shape + (3,)),
-            name="killing-x",
-        )
+        killing_x = rotation_generator(3, 1, 2)
         a_uv, _ = weak_form(atlas, killing_z, killing_x, None, None, m.d)
         a_vu, _ = weak_form(atlas, killing_x, killing_z, None, None, m.d)
         return a_uv, a_vu
@@ -891,15 +870,7 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     atlas = case.atlas(max(8, cfg.order - 4), cfg.panels)
     points = case.sample_points(3, seed=cfg.seed)
     w = case.velocity
-    spin = 0.7 * _SPIN
-    w2 = _field(
-        3,
-        1,
-        lambda X, t: w.values(X, t) + X @ spin.T,
-        grad=lambda X, t: w.gradient_values(X, t) + spin,
-        dt=_zeros((3,)),
-        name="radial+spin",
-    )
+    w2 = tf_add(w, tf_scale(rotation_generator(3, 0, 1), 0.7), name="radial+spin")
 
     def material_path(m):
         advected = advected_atlas(atlas, w2, 0.0, 0.05)

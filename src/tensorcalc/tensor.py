@@ -85,6 +85,25 @@ def _looped(func, shape, what: str = "callable"):
     return batched
 
 
+def _central(g, h, order: int = 2):
+    """Centered difference of order 2 or 4, the one stencil of the library.
+
+    ``g(s)`` is the value s steps of size h away; h is a number or an
+    array that broadcasts against the values."""
+    if order == 2:
+        return (g(1) - g(-1)) / (2 * h)
+    return (-g(2) + 8 * g(1) - 8 * g(-1) + g(-2)) / (12 * h)
+
+
+def _shift(x, e, s: int):
+    """x + s e for a stencil offset s, with no product at s = +-1."""
+    if s == 1:
+        return x + e
+    if s == -1:
+        return x - e
+    return x + s * e
+
+
 def _as_vector(n: int, v) -> np.ndarray:
     arr = np.asarray(v, dtype=float)
     if arr.shape != (n,):

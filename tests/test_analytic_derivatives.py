@@ -23,6 +23,7 @@ from tensorcalc.geometry import LevelSet, LevelSetGeometry
 from tensorcalc.operators import (
     DiffConfig,
     cartesian_gradient,
+    covariant_laplacian,
     divergence,
     laplacian,
     perp_field,
@@ -30,6 +31,7 @@ from tensorcalc.operators import (
     submanifold_gradient,
     surface_curl,
 )
+from tensorcalc.stress import rotation_generator
 
 AN = DiffConfig(mode="analytic")
 FD4 = DiffConfig(mode="fd4")
@@ -115,7 +117,7 @@ def _logged_geometry(geom, seen):
 
 
 @pytest.mark.parametrize("stack", ["laplacian-coordinate", "laplacian-polynomial",
-                                   "curl-of-gradient"])
+                                   "curl-of-gradient", "covariant-laplacian-killing"])
 def test_analytic_stacks_evaluate_only_at_the_point(stack, rng):
     case = get_case("sphere")
     seen = []
@@ -128,11 +130,15 @@ def test_analytic_stacks_evaluate_only_at_the_point(stack, rng):
         f = random_polynomial(3, 0, rng, degree=3)
         field = laplacian(_logged_field(f, seen), geom, AN)
         want, tol = float(laplacian(f, case.geometry, FD4).values(x, 0.0)), 1e-6
-    else:
+    elif stack == "curl-of-gradient":
         f = random_polynomial(3, 0, rng, degree=2)
         field = surface_curl(submanifold_gradient(_logged_field(f, seen), geom, AN), geom, AN)
         want, tol = 0.0, 1e-12
-    got = float(field.values(x, 0.0))
+    else:  # a Killing field of the unit sphere: lap-cov l = -l
+        l01 = rotation_generator(3, 0, 1)
+        field = covariant_laplacian(_logged_field(l01, seen), geom, AN)
+        want, tol = -l01.values(x, 0.0), 1e-12
+    got = field.values(x, 0.0)
     assert seen
     assert all(np.array_equal(p, x) for p in seen)
-    assert abs(got - want) <= tol * max(1.0, abs(want))
+    assert np.max(np.abs(got - want)) <= tol * max(1.0, np.max(np.abs(want)))

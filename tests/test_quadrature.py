@@ -23,7 +23,7 @@ from tensorcalc.quadrature import (
     advected_atlas,
     weak_form,
 )
-from tensorcalc.tensor import _contract_left, _contract_right, _frobenius
+from tensorcalc.tensor import ShapeError, _contract_left, _contract_right, _frobenius
 
 AN = DiffConfig(mode="analytic")
 FD2 = DiffConfig(mode="fd2")
@@ -218,6 +218,14 @@ def test_weak_form_flux_term_is_the_boundary_integral(rng):
     assert abs(ell) > 1e-3
     _, closed = weak_form(get_case("sphere").atlas(order=6, panels=1), test, test, None, flux, AN)
     assert closed == 0.0
+
+
+def test_weak_form_rejects_a_flux_of_the_wrong_shape_naming_the_atlas(rng):
+    atlas = get_case("hemisphere").atlas(order=3, panels=1)
+    test = random_polynomial(3, 1, rng, degree=1)
+    flux = lambda B, t: B.conormal[:, :1]  # (N, 1) for a vector test field
+    with pytest.raises(ShapeError, match=r"flux .* shape \(3, 1\) .* atlas 'hemisphere'"):
+        weak_form(atlas, test, test, None, flux, DiffConfig(mode="analytic"))
 
 
 def test_node_contractions_take_sizes_from_shapes(rng):

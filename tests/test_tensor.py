@@ -13,6 +13,7 @@ from tensorcalc.tensor import (
     ShapeError,
     Tensor,
     _apply_to_slot,
+    _central,
     _contract,
     _contract_left,
     _contract_right,
@@ -42,6 +43,30 @@ def brute_evaluate(arr, vectors):
             term *= float(vectors[slot][i])
         total += term
     return total
+
+
+@pytest.mark.parametrize("order", [2, 4])
+def test_central_stencil_is_exact_on_polynomials_of_its_order(order, rng):
+    """fd2 differentiates quadratics and fd4 quartics up to rounding, with a
+    step array of shape (k, 1) against vector values (k, 3)."""
+    x = rng.normal(size=(4, 1))
+    h = np.array([[0.05], [0.1], [0.2], [0.4]])
+    c = rng.normal(size=(order + 1, 3))  # p(y) = sum_d c[d] y^d, three components
+
+    def p(y):
+        return sum(c[d] * y**d for d in range(order + 1))
+
+    want = sum(d * c[d] * x ** (d - 1) for d in range(1, order + 1))
+    calls = []
+
+    def g(s):
+        calls.append(s)
+        return p(x + s * h)
+
+    got = _central(g, h, order)
+    assert got.shape == (4, 3)
+    assert sorted(calls) == ([-1, 1] if order == 2 else [-2, -1, 1, 2])
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_evaluate_matches_brute_force(rng):
