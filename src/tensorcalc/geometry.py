@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 _LEVEL_FD_STEP = 1e-5
+# step for differentiating a value that already carries difference noise: the
+# operators' nested layers, and a Hessian taken from a differenced gradient
+_NESTED_HX = 3e-4
 
 
 class GeometryError(ValueError):
@@ -73,7 +76,8 @@ class LevelSet:
 
     ``value`` is required.  ``gradient`` and ``hessian`` are used when given;
     otherwise the gradient is a fourth-order central difference of the value
-    and the Hessian a second-order one of the gradient.  All callables are
+    and the Hessian a second-order one of the gradient, at the nested step
+    when that gradient is itself a difference.  All callables are
     pointwise, take (x, t) even when the constraint is static, and return a
     number, an (n,) array and an (n, n) array.  The methods ``value``,
     ``gradient`` and ``hessian`` take batches of points (..., n).
@@ -130,7 +134,8 @@ class LevelSet:
         n = X.shape[-1]
         if self._hessian is not None:
             return np.asarray(self._hessian(X, t), dtype=float)
-        h = _LEVEL_FD_STEP * np.maximum(1.0, _norm(X))
+        step = _LEVEL_FD_STEP if self.has_analytic_gradient else _NESTED_HX
+        h = step * np.maximum(1.0, _norm(X))
         H = np.empty(X.shape + (n,))
         for k in range(n):
             e = np.zeros(X.shape)
@@ -165,16 +170,26 @@ class GeometryFrame:
 
 
 def frame_from_normals(normals, x=None, t: float = 0.0) -> GeometryFrame:
-    """Frame built directly from an orthonormal set of normals (for tests
-    and frame-only computations that need no level functions)."""
+    """Frame built directly from orthonormal normals (for tests and
+    frame-only computations that need no level functions).
+
+    ``normals`` has shape (m, n) at one point, or (..., m, n) at a batch of
+    points, and must be orthonormal at every point; a single normal may be
+    given as an (n,) vector.  ``x`` defaults to the origin at every point.
+    The frame's ``N`` and ``P`` then have shape (..., n, n).
+    """
     normals = np.atleast_2d(np.asarray(normals, dtype=float))
-    m, n = normals.shape
+    m, n = normals.shape[-2:]
     if not 1 <= m < n:
         raise GeometryError(f"need 1 <= m < n, got m={m}, n={n}")
-    if np.max(np.abs(normals @ normals.T - np.eye(m))) > 1e-10:
-        raise GeometryError("normals are not orthonormal")
+    skew = np.abs(normals @ np.swapaxes(normals, -1, -2) - np.eye(m)) > 1e-10
+    if skew.any():
+        at = ""
+        if normals.ndim > 2:
+            at = f" at batch index {tuple(map(int, np.argwhere(skew)[0][:-2]))}"
+        raise GeometryError(f"normals are not orthonormal{at}")
     if x is None:
-        x = np.zeros(n)
+        x = np.zeros(normals.shape[:-2] + (n,))
     return GeometryFrame(x, t, normals)
 
 

@@ -38,7 +38,7 @@ import numpy as np
 
 from . import geometry as geo
 from .fields import TensorField, _field, tf_scale
-from .geometry import GeometryError, LevelSetGeometry, _identity
+from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry, _identity
 from .tensor import ShapeError, _apply_to_slot, _central, _dot, _outer, _shift
 
 __all__ = [
@@ -65,9 +65,9 @@ __all__ = [
 ]
 
 _MODES = ("fd2", "fd4", "analytic")
-# steps for differentiating a field that already carries difference noise,
-# and the deepest nesting of difference layers allowed
-_NESTED_HX = 3e-4
+# steps for differentiating a field that already carries difference noise
+# (the spatial one is geometry._NESTED_HX), and the deepest nesting of
+# difference layers allowed
 _NESTED_HT = 3e-4
 _MAX_DEPTH = 3
 

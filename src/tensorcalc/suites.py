@@ -59,7 +59,7 @@ from .fields import (
     tf_outer,
     tf_scale,
 )
-from .geometry import _gram_schmidt, _norm, frame_from_normals, project
+from .geometry import _gram_schmidt, _norm, _project_array, frame_from_normals
 from .operators import (
     DiffConfig,
     cartesian_gradient,
@@ -103,7 +103,7 @@ from .stress import (
     torque_equivalence,
     transpose_field,
 )
-from .tensor import Tensor, _dot, _outer, dot, frobenius, outer, random_tensor, scalar
+from .tensor import Tensor, _apply_to_slot, _dot, _frobenius, _outer, scalar
 
 __all__ = [
     "SuiteConfig",
@@ -266,10 +266,47 @@ def _max_norm(values: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(values.reshape(len(values), -1), axis=-1)))
 
 
-def _synthetic_frame(rng: np.random.Generator, n: int, m: int):
-    raw = rng.standard_normal((m, n))
-    normals = _gram_schmidt(list(raw), 1e-8)
-    return frame_from_normals(normals)
+# Draw-loop suites draw their inputs one at a time, in a fixed generator order,
+# and evaluate them in blocks: the draws of a block are grouped by shape, and
+# each group is stacked and checked in one batched call.  The block bounds the
+# draws held at once, which add to the peak memory of a verify pass; larger
+# blocks make fewer, larger groups.
+_BLOCK = 125
+
+
+def _in_blocks(draw: Callable[[], dict], count: int, evaluate: Callable[[List[dict]], None]):
+    """Make ``count`` calls of ``draw()`` in order and hand them to
+    ``evaluate`` ``_BLOCK`` at a time; a block is let go before the next is
+    drawn."""
+    for start in range(0, count, _BLOCK):
+        evaluate([draw() for _ in range(min(_BLOCK, count - start))])
+
+
+def _groups(block: List[dict], *names: str):
+    """The draws of a block grouped by the shapes of their entries
+    ``names``, in order of first appearance."""
+    groups: Dict[tuple, List[dict]] = {}
+    for d in block:
+        groups.setdefault(tuple(d[name].shape for name in names), []).append(d)
+    return groups.values()
+
+
+def _stack(group: List[dict], *names: str) -> List[np.ndarray]:
+    """The named entries of a group's draws, stacked on a leading axis."""
+    return [np.array([d[name] for d in group]) for name in names]
+
+
+def _random_frames(raw: np.ndarray):
+    """Frames at a batch of draws from random directions ``raw`` (L, m, n),
+    orthonormalized in order."""
+    return frame_from_normals(_gram_schmidt(np.moveaxis(raw, -2, 0), 1e-8))
+
+
+class _Worst(dict):
+    """Running maxima of named residuals over every group of draws."""
+
+    def note(self, name: str, values) -> None:
+        self[name] = max(self[name], float(values.max()))
 
 
 # -- tensor algebra ---------------------------------------------------------------
@@ -277,42 +314,46 @@ def _synthetic_frame(rng: np.random.Generator, n: int, m: int):
 
 def _tensor_algebra(cfg: SuiteConfig, _case) -> List[Check]:
     rng = np.random.default_rng(cfg.seed)
-    worst = dict.fromkeys(("insert", "mixed", "assoc", "pairing", "roundtrip"), 0.0)
-    for _ in range(1000):
+    normal = rng.standard_normal
+    worst = _Worst.fromkeys(("insert", "mixed", "assoc", "pairing", "roundtrip"), 0.0)
+
+    def draw() -> dict:
         n = int(rng.integers(2, 5))
         q = int(rng.integers(2, 5))
-        t = random_tensor(n, q, rng)
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-
-        left = t.insert_left(u).insert_right(v)
-        right = t.insert_right(v).insert_left(u)
-        worst["insert"] = max(worst["insert"], float(np.max(np.abs(left.array - right.array))))
-
-        s = random_tensor(n, q - 1, rng)
-        big = random_tensor(n, q, rng)
-        contracted = np.tensordot(s.array, big.array, axes=(range(q - 1), range(q - 1)))
-        worst["mixed"] = max(
-            worst["mixed"], abs(float(contracted @ v) - frobenius(s, big.insert_right(v)))
-        )
-
+        d = {"t": normal((n,) * q), "u": normal(n), "v": normal(n),
+             "s": normal((n,) * (q - 1)), "big": normal((n,) * q)}
         # associativity of the contraction product needs a rank >= 2 middle
-        mid = random_tensor(n, int(rng.integers(2, 4)), rng)
-        r = random_tensor(n, int(rng.integers(1, 4)), rng)
-        worst["assoc"] = max(
-            worst["assoc"],
-            float(np.max(np.abs(dot(dot(t, mid), r).array - dot(t, dot(mid, r)).array))),
-        )
+        d["mid"] = normal((n,) * int(rng.integers(2, 4)))
+        d["r"] = normal((n,) * int(rng.integers(1, 4)))
+        d["raw"] = normal((int(rng.integers(1, n)), n))  # m random directions
+        d["tang"] = normal((n,) * q)
+        return d
 
-        m = int(rng.integers(1, n))
-        frame = _synthetic_frame(rng, n, m)
-        tang = project(frame, random_tensor(n, q, rng))
-        worst["pairing"] = max(
-            worst["pairing"], abs(frobenius(tang, big) - frobenius(tang, project(frame, big)))
-        )
+    def evaluate(block: List[dict]) -> None:
+        for group in _groups(block, "t", "raw"):
+            t, u, v, s, big, raw, tang = _stack(group, "t", "u", "v", "s", "big", "raw", "tang")
+            # the public row representation, tensor by tensor
+            rebuilt = np.array([[c.array for c in Tensor(len(d["t"]), d["t"]).components()]
+                                for d in group])
+            worst.note("roundtrip", np.abs(rebuilt - t))
+            worst.note("insert", np.abs(_dot(_dot(u, t, 1), v, 1) - _dot(u, _dot(t, v, 1), 1)))
+            # (S:T).v summed index by index, apart from the contraction primitives
+            contracted = np.einsum("li,lij->lj", s.reshape(len(s), -1),
+                                   big.reshape(len(s), s[0].size, -1))
+            lhs = np.einsum("lj,lj->l", contracted, v)
+            worst.note("mixed", np.abs(lhs - _frobenius(s, _dot(big, v, 1), 1)))
+            P = _random_frames(raw).P
+            tang = _project_array(tang, P)
+            worst.note("pairing", np.abs(
+                _frobenius(tang, big, 1) - _frobenius(tang, _project_array(big, P), 1)))
+        for group in _groups(block, "t", "mid", "r"):
+            t, mid, r = _stack(group, "t", "mid", "r")
+            # in place: at rank 6 these are the largest arrays of the suite
+            diff = _dot(_dot(t, mid, 1), r, 1)
+            diff -= _dot(t, _dot(mid, r, 1), 1)
+            worst.note("assoc", np.abs(diff, out=diff))
 
-        rebuilt = np.stack([c.array for c in t.components()])
-        worst["roundtrip"] = max(worst["roundtrip"], float(np.max(np.abs(rebuilt - t.array))))
+    _in_blocks(draw, 1000, evaluate)
 
     return [
         Check("algebra.insertion-commute", "left and right insertion commute",
@@ -350,48 +391,56 @@ def _project_oracle(arr: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 def _projection(cfg: SuiteConfig, _case) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 1)
-    worst_oracle = worst_idem = worst_slot = worst_kill = worst_grow = 0.0
-    for _ in range(60):
+    normal = rng.standard_normal
+    worst = _Worst.fromkeys(("oracle", "idem", "slot", "kill", "grow"), 0.0)
+
+    def draw() -> dict:
         n, m = 3, int(rng.integers(1, 3))
         q = int(rng.integers(1, 4))
-        frame = _synthetic_frame(rng, n, m)
-        t = random_tensor(n, q, rng)
-        pt = project(frame, t)
-        worst_oracle = max(
-            worst_oracle, float(np.max(np.abs(pt.array - _project_oracle(t.array, frame.P))))
-        )
-        worst_idem = max(worst_idem, float(np.max(np.abs(project(frame, pt).array - pt.array))))
-        for axis in range(q):
-            slot = np.tensordot(pt.array, frame.normals[0], axes=([axis], [0]))
-            worst_slot = max(worst_slot, float(np.max(np.abs(slot))))
-        worst_grow = max(worst_grow, pt.norm() - t.norm())
+        d = {"raw": normal((m, n)), "t": normal((n,) * q), "pos": int(rng.integers(0, 3))}
+        d["factors"] = np.stack([normal(n) for _ in range(3)])
+        d["which"] = int(rng.integers(0, m))  # the normal that replaces factor pos
+        return d
 
-        pos = int(rng.integers(0, 3))
-        factors = [Tensor(n, rng.standard_normal(n)) for _ in range(3)]
-        factors[pos] = Tensor(n, frame.normals[int(rng.integers(0, m))])
-        chain = outer(outer(factors[0], factors[1]), factors[2])
-        worst_kill = max(worst_kill, project(frame, chain).norm())
+    def note_oracle(t, P, pt):
+        oracle = np.stack([_project_oracle(a, p) for a, p in zip(t, P)])
+        worst.note("oracle", np.abs(pt - oracle))
 
+    def evaluate(block: List[dict]) -> None:
+        for group in _groups(block, "t", "raw"):
+            raw, t, pos, factors, which = _stack(group, "raw", "t", "pos", "factors", "which")
+            frame = _random_frames(raw)
+            P = frame.P
+            pt = _project_array(t, P)
+            note_oracle(t, P, pt)
+            worst.note("idem", np.abs(_project_array(pt, P) - pt))
+            for slot in range(t.ndim - 1):
+                worst.note("slot", np.abs(_apply_to_slot(frame.normals[:, :1], pt, slot, 1)))
+            flat = len(group), -1
+            worst.note("grow", _norm(pt.reshape(flat)) - _norm(t.reshape(flat)))
+            at = np.arange(len(group))
+            factors[at, pos] = frame.normals[at, which]
+            chain = _outer(_outer(factors[:, 0], factors[:, 1], 1), factors[:, 2], 1)
+            worst.note("kill", _norm(_project_array(chain, P).reshape(len(group), -1)))
+
+    _in_blocks(draw, 60, evaluate)
     sphere = get_case("sphere", radius=1.3)
-    for x in sphere.sample_points(4, seed=cfg.seed):
-        frame = sphere.geometry.frame_at(x)
-        t = random_tensor(3, 3, rng)
-        pt = project(frame, t)
-        worst_oracle = max(
-            worst_oracle, float(np.max(np.abs(pt.array - _project_oracle(t.array, frame.P))))
-        )
+    points = sphere.sample_points(4, seed=cfg.seed)
+    P = sphere.geometry.frame_at(points).P
+    t = np.stack([normal((3,) * 3) for _ in points])
+    note_oracle(t, P, _project_array(t, P))
 
     return [
         Check("projection.oracle", "slotwise projection matches the raw index sum",
-              1e-12, lambda m: worst_oracle),
+              1e-12, lambda m: worst["oracle"]),
         Check("projection.idempotent", "projecting twice changes nothing",
-              1e-12, lambda m: worst_idem),
+              1e-12, lambda m: worst["idem"]),
         Check("projection.kills-normal-slots", "any normal slot contracts to zero",
-              1e-12, lambda m: worst_slot),
+              1e-12, lambda m: worst["slot"]),
         Check("projection.annihilates-normal-factors",
-              "outer chains with a normal factor project to zero", 1e-12, lambda m: worst_kill),
+              "outer chains with a normal factor project to zero", 1e-12, lambda m: worst["kill"]),
         Check("projection.non-expansive", "projection never grows the Frobenius norm",
-              1e-15, lambda m: worst_grow),
+              1e-15, lambda m: worst["grow"]),
     ]
 
 
@@ -806,17 +855,27 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         return float(np.max(np.abs(normal_at_tangential(sig, frame) - _norm(pw))))
 
     def constrained_family(m):
-        worst = 0.0
-        for _ in range(1000):
+        worst = _Worst(family=0.0)
+
+        def draw() -> dict:
             n = int(rng.integers(3, 7))
             k = int(rng.integers(1, n))
-            frame = _synthetic_frame(rng, n, k)
-            sig = float(rng.standard_normal()) * frame.P
-            for i in range(k):
-                sig = sig + np.outer(frame.normals[i], rng.standard_normal(n))
-            sig = sig + frame.P @ rng.standard_normal((n, n)) @ frame.P
-            worst = max(worst, normal_at_tangential(sig, frame))
-        return worst
+            return {"raw": rng.standard_normal((k, n)),
+                    "pressure": float(rng.standard_normal()),
+                    "rows": np.stack([rng.standard_normal(n) for _ in range(k)]),
+                    "w": rng.standard_normal((n, n))}
+
+        def evaluate(block: List[dict]) -> None:
+            for group in _groups(block, "raw"):
+                raw, pressure, rows, w = _stack(group, "raw", "pressure", "rows", "w")
+                frame = _random_frames(raw)
+                P = frame.P
+                # pressure, plus a normal row n_i (x) r_i per normal, plus P W P
+                sig = pressure[:, None, None] * P + np.swapaxes(frame.normals, -1, -2) @ rows
+                worst.note("family", normal_at_tangential(sig + P @ w @ P, frame))
+
+        _in_blocks(draw, 1000, evaluate)
+        return worst["family"]
 
     return [
         Check("stress.force-residual",

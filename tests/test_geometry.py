@@ -408,3 +408,30 @@ def test_frame_from_normals_rejects_skewed_input():
     skew = np.array([[1.0, 0.0, 0.0], [0.7, 0.7, 0.0]])
     with pytest.raises(GeometryError):
         frame_from_normals(skew)
+
+
+def test_frame_from_normals_takes_a_batch_of_points():
+    rng = np.random.default_rng(5)
+    normals = np.stack([np.linalg.qr(rng.normal(size=(4, 2)))[0].T for _ in range(3)])
+    batch = frame_from_normals(normals)
+    assert batch.x.shape == (3, 4) and batch.P.shape == (3, 4, 4)
+    for i in range(3):
+        one = frame_from_normals(normals[i])
+        for name in ("normals", "N", "P"):
+            np.testing.assert_allclose(getattr(batch, name)[i], getattr(one, name),
+                                       rtol=0.0, atol=1e-15)
+    skewed = normals.copy()
+    skewed[1, 1] = 0.8 * skewed[1, 1] + 0.6 * skewed[1, 0]  # unit length, not orthogonal
+    with pytest.raises(GeometryError, match=r"batch index \(1,\)"):
+        frame_from_normals(skewed)
+
+
+def test_hessian_of_a_differenced_gradient_takes_the_nested_step():
+    # with neither derivative given, the Hessian differences the fd4 gradient;
+    # at the gradient's own step the projector derivative is off by 4e-7 here
+    bare = LevelSetGeometry(3, [LevelSet(lambda x, t: float(np.linalg.norm(x)) - 1.0)])
+    for x in (np.array([0.36, 0.48, 0.8]), np.array([0.6, 0.0, 0.8])):
+        _, fd = bare.frame_derivative_at(x)
+        dn = np.eye(3) - np.outer(x, x)  # d n_a / d x_k on the unit sphere, n = x
+        exact = -(np.einsum("ak,b->abk", dn, x) + np.einsum("a,bk->abk", x, dn))
+        assert np.max(np.abs(fd.P_d - exact)) <= 5e-8
