@@ -22,13 +22,12 @@ which takes n^(q-1) calls; the tests keep that construction as an oracle.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .tensor import (
-    MAX_AMBIENT_DIM, ShapeError, Tensor, _apply_to_slot, _central, _dot, _looped, _outer, _shift,
+    MAX_AMBIENT_DIM, ShapeError, Tensor, _apply_to_slot, _dot, _identity, _looped, _outer, _partials,
 )
 
 __all__ = [
@@ -62,13 +61,6 @@ def _inner(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _norm(a: np.ndarray) -> np.ndarray:
     """Pointwise Euclidean norm over the last axis."""
     return np.sqrt((a * a).sum(axis=-1))
-
-
-@lru_cache(maxsize=None)
-def _identity(n: int) -> np.ndarray:
-    eye = np.eye(n)
-    eye.flags.writeable = False
-    return eye
 
 
 class LevelSet:
@@ -118,29 +110,18 @@ class LevelSet:
 
     def gradient(self, x, t: float = 0.0) -> np.ndarray:
         X = np.asarray(x, dtype=float)
-        n = X.shape[-1]
         if self._gradient is not None:
             return np.asarray(self._gradient(X, t), dtype=float)
         h = _LEVEL_FD_STEP * np.maximum(1.0, _norm(X))
-        g = np.empty(X.shape)
-        for k in range(n):
-            e = np.zeros(X.shape)
-            e[..., k] = h
-            g[..., k] = _central(lambda s: self.value(_shift(X, e, s), t), h, order=4)
-        return g
+        return _partials(lambda Y: self.value(Y, t), X, h[..., None], order=4)
 
     def hessian(self, x, t: float = 0.0) -> np.ndarray:
         X = np.asarray(x, dtype=float)
-        n = X.shape[-1]
         if self._hessian is not None:
             return np.asarray(self._hessian(X, t), dtype=float)
         step = _LEVEL_FD_STEP if self.has_analytic_gradient else _NESTED_HX
         h = step * np.maximum(1.0, _norm(X))
-        H = np.empty(X.shape + (n,))
-        for k in range(n):
-            e = np.zeros(X.shape)
-            e[..., k] = h
-            H[..., k] = _central(lambda s: self.gradient(_shift(X, e, s), t), h[..., None])
+        H = _partials(lambda Y: self.gradient(Y, t), X, h[..., None])
         return 0.5 * (H + np.swapaxes(H, -1, -2))
 
 
@@ -182,7 +163,7 @@ def frame_from_normals(normals, x=None, t: float = 0.0) -> GeometryFrame:
     m, n = normals.shape[-2:]
     if not 1 <= m < n:
         raise GeometryError(f"need 1 <= m < n, got m={m}, n={n}")
-    skew = np.abs(normals @ np.swapaxes(normals, -1, -2) - np.eye(m)) > 1e-10
+    skew = ~(np.abs(normals @ np.swapaxes(normals, -1, -2) - _identity(m)) <= 1e-10)  # NaN fails
     if skew.any():
         at = ""
         if normals.ndim > 2:

@@ -10,8 +10,9 @@ The derivative slot of a gradient is always the deepest (last) axis, so
 ``grad(F) . v`` is the directional derivative along v.
 
 Every evaluator takes a batch of points X of shape (..., n).  The
-finite-difference step is chosen per point, and a stencil is a loop over
-its offsets with one batched evaluation per offset.
+finite-difference step is chosen per point, and a gradient differences
+along every axis with ``tensor._partials``, one batched evaluation per
+offset.
 
 In analytic mode, derived fields carry exact gradients wherever their
 ingredients have them (geometry providers need analytic level-set
@@ -38,8 +39,8 @@ import numpy as np
 
 from . import geometry as geo
 from .fields import TensorField, _field, tf_scale
-from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry, _identity
-from .tensor import ShapeError, _apply_to_slot, _central, _dot, _outer, _shift
+from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry
+from .tensor import ShapeError, _apply_to_slot, _central, _dot, _outer, _partials
 
 __all__ = [
     "DiffConfig",
@@ -133,14 +134,8 @@ def cartesian_gradient(f: TensorField, cfg: DiffConfig) -> TensorField:
     order = _fd_order(cfg)
 
     def func(X, t):
-        h = np.asarray(cfg.spatial_step(X, f.depth))
-        steps = h[..., None, None] * _identity(n)  # steps[..., k, :] = h e_k
-        hv = h.reshape(h.shape + (1,) * f.q)  # against values (...) + (n,)*q
-        out = np.empty(X.shape[:-1] + (n,) * f.q + (n,))
-        for k in range(n):
-            e = steps[..., k, :]
-            out[..., k] = _central(lambda s: f.values(_shift(X, e, s), t), hv, order)
-        return out
+        h = np.asarray(cfg.spatial_step(X, f.depth))[..., None]
+        return _partials(lambda Y: f.values(Y, t), X, h, order)
 
     return _field(n, f.q + 1, func, depth=depth, name=f"grad({f.name})")
 

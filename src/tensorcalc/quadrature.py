@@ -1,12 +1,14 @@
 """Chart-based Gauss-Legendre quadrature over submanifolds and boundaries.
 
-Charts are rectangles in parameter space mapped into the ambient space;
-the induced measure is sqrt(det(J^T J)) from the chart Jacobian.  Each
-axis is split into equal panels carrying a tensor-product Gauss-Legendre
-rule, so nodes never touch the rectangle edges (poles and seams are safe).
-Boundary components are declared sides of the rectangle; co-normals are
-computed from the outward parameter direction pushed through the Jacobian
-and projected tangentially.
+Charts are boxes in p >= 1 parameters mapped into the ambient space; the
+induced measure is sqrt(det(J^T J)) from the chart Jacobian.  Each axis is
+split into equal panels carrying a Gauss-Legendre rule, and the nodes are
+their tensor product, so they never touch the box faces (poles and seams
+are safe).  Boundary components are declared sides of the box: each is a
+face of dimension p - 1, the side's axis pinned to its end, with measure
+sqrt(det(F^T F)) from the face Jacobian F, J without the side's column.
+Its co-normal is the outward column of J, projected tangentially and off
+the span of F.
 
 Integrands see batches: ``integrate`` calls its integrand once per chart
 on that chart's nodes, and ``integrate_boundary`` once per atlas on one
@@ -22,6 +24,7 @@ force, torque and force-balance functions of ``stress`` and ``euler``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache, reduce
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,8 +34,7 @@ from .geometry import GeometryError, LevelSetGeometry
 from .operators import DiffConfig, divergence, mean_curvature, submanifold_gradient, surface_curl
 from .fields import TensorField
 from .tensor import (
-    ShapeError, _central, _contract_left, _contract_right, _dot, _frobenius, _looped, _outer,
-    _shift,
+    ShapeError, _contract_left, _contract_right, _dot, _frobenius, _looped, _outer, _partials,
 )
 
 __all__ = [
@@ -55,8 +57,17 @@ __all__ = [
 _MIN_GRAM_DET = 1e-14
 
 
+@lru_cache(maxsize=None)
+def _gauss_legendre(order: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], made once per order and
+    read-only."""
+    x, w = np.polynomial.legendre.leggauss(order)
+    x.flags.writeable = w.flags.writeable = False
+    return x, w
+
+
 class Chart:
-    """Rectangle [lo, hi] in 1 or 2 parameters mapped into R^n.
+    """Box [lo, hi] in p >= 1 parameters mapped into R^n.
 
     ``mapping(u, t) -> x``; ``jacobian(u, t) -> (n, p)`` optional (finite
     differences otherwise).  Both are pointwise, and a looping adapter runs
@@ -82,11 +93,9 @@ class Chart:
     ) -> None:
         self.lo = np.asarray(lo, dtype=float)
         self.hi = np.asarray(hi, dtype=float)
-        if self.lo.shape != self.hi.shape or self.lo.ndim != 1:
-            raise ShapeError("lo and hi must be 1-d arrays of equal length")
+        if self.lo.shape != self.hi.shape or self.lo.ndim != 1 or self.lo.size < 1:
+            raise ShapeError("lo and hi must be non-empty 1-d arrays of equal length")
         self.p = self.lo.shape[0]
-        if self.p not in (1, 2):
-            raise ShapeError(f"charts support 1 or 2 parameters, got {self.p}")
         if np.any(self.hi <= self.lo):
             raise ShapeError("chart domain is empty")
         self.mapping = _looped(mapping, None, f"mapping of chart '{name}'")
@@ -104,7 +113,6 @@ class Chart:
             if self.periodic[a]:
                 raise ShapeError("a periodic axis cannot carry a boundary")
         self.name = name
-        self._rule: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._points: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
@@ -120,40 +128,32 @@ class Chart:
         return np.asarray(self.mapping(np.asarray(U, dtype=float), t), dtype=float)
 
     def _axis_rule(self, axis: int) -> Tuple[np.ndarray, np.ndarray]:
-        x, w = np.polynomial.legendre.leggauss(self.order)
+        x, w = _gauss_legendre(self.order)
         edges = np.linspace(self.lo[axis], self.hi[axis], self.panels + 1)
-        nodes, weights = [], []
-        for a, b in zip(edges[:-1], edges[1:]):
-            nodes.append(0.5 * (b - a) * x + 0.5 * (a + b))
-            weights.append(0.5 * (b - a) * w)
-        return np.concatenate(nodes), np.concatenate(weights)
+        half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+        return (half * x + mid).ravel(), (half * w).ravel()
+
+    def _face_rule(self, side: Optional[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+        """Parameter nodes (N, p) and bare weights (N,) of the tensor-product
+        rule, with axis 0 slowest; a side (axis, end) pins its axis to lo or
+        hi with weight 1, which gives that side's face."""
+        rules = [self._axis_rule(a) for a in range(self.p)]
+        if side is not None:
+            axis, end = side
+            rules[axis] = (np.array([(self.lo, self.hi)[end][axis]]), np.ones(1))
+        nodes = np.meshgrid(*(u for u, _ in rules), indexing="ij")
+        weights = reduce(np.multiply.outer, (w for _, w in rules))
+        return np.stack([u.ravel() for u in nodes], axis=-1), weights.ravel()
 
     def param_rule(self) -> Tuple[np.ndarray, np.ndarray]:
         """All parameter nodes (N, p) and bare weights (N,)."""
-        if self._rule is None:
-            per_axis = [self._axis_rule(a) for a in range(self.p)]
-            if self.p == 1:
-                U = per_axis[0][0][:, None]
-                W = per_axis[0][1]
-            else:
-                (u0, w0), (u1, w1) = per_axis
-                A, B = np.meshgrid(u0, u1, indexing="ij")
-                U = np.column_stack([A.ravel(), B.ravel()])
-                W = np.outer(w0, w1).ravel()
-            self._rule = (U, W)
-        return self._rule
+        return self._face_rule(None)
 
     def _jacobians(self, U: np.ndarray, t: float) -> np.ndarray:
         """Jacobians (N, n, p) at parameter points U of shape (N, p)."""
         if self._jacobian is not None:
             return np.asarray(self._jacobian(U, t), dtype=float)
-        cols = []
-        for a in range(self.p):
-            h = 1e-6 * (self.hi[a] - self.lo[a])
-            e = np.zeros(self.p)
-            e[a] = h
-            cols.append(_central(lambda s: self._map(_shift(U, e, s), t), h))
-        return np.stack(cols, axis=-1)
+        return _partials(lambda V: self._map(V, t), U, 1e-6 * (self.hi - self.lo))
 
     def points(self, t: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
         """Quadrature points in ambient space and their measure weights.
@@ -169,11 +169,7 @@ class Chart:
         U, W = self.param_rule()
         X = self._map(U, t)
         J = self._jacobians(U, t)
-        G = np.swapaxes(J, 1, 2) @ J
-        if self.p == 1:
-            g = G[:, 0, 0]
-        else:
-            g = G[:, 0, 0] * G[:, 1, 1] - G[:, 0, 1] * G[:, 1, 0]
+        g = np.linalg.det(np.swapaxes(J, 1, 2) @ J)
         bad = np.flatnonzero(~(g >= _MIN_GRAM_DET))
         if bad.size:
             i = bad[0]
@@ -192,6 +188,13 @@ class Atlas:
     charts: List[Chart]
     name: str = "atlas"
 
+    def __post_init__(self) -> None:
+        dim = self.geometry.n - self.geometry.m
+        for chart in self.charts:
+            if chart.p != dim:
+                raise ShapeError(f"chart '{chart.name}' has {chart.p} parameters, but atlas "
+                                 f"'{self.name}' covers a {dim}-dimensional manifold")
+
     @property
     def closed(self) -> bool:
         return all(not c.boundary_sides for c in self.charts)
@@ -202,8 +205,9 @@ class BoundaryPoint:
     """The boundary quadrature nodes of an atlas, as one batch of N nodes.
 
     ``x`` and ``conormal`` are (N, n): node positions and outward unit
-    co-normals.  ``weight`` (N,) holds the 1-d measure on surface boundaries
-    and counting measure (1) at path endpoints.  ``tangent`` (N, n) is the
+    co-normals.  ``weight`` (N,) holds the measure of the boundary faces,
+    of dimension p - 1: arc length on surface boundaries, and 1 at path
+    endpoints.  ``tangent`` (N, n) is the
     positively oriented unit boundary tangent on 2-d manifolds, None
     otherwise; ``end_sign`` (N,) is +1 at the upper end of a path and -1 at
     the lower, on 1-d manifolds, None otherwise.  A closed atlas gives N = 0.
@@ -220,49 +224,34 @@ def boundary_points(atlas: Atlas, t: float = 0.0) -> BoundaryPoint:
     """Every boundary node of the atlas, with one frame evaluation."""
     geom = atlas.geometry
     n, dim = geom.n, geom.n - geom.m
-    # empty first parts keep every concatenation defined on a closed atlas
-    xs, outward, along = [np.empty((0, n))], [np.empty((0, n))], [np.empty((0, n))]
-    weights, signs = [np.empty(0)], [np.empty(0)]
+    # an empty first face keeps every concatenation defined on a closed atlas
+    faces = [(np.empty((0, n)), np.empty((0, n)), np.empty((0, n, dim - 1)), np.empty(0),
+              np.empty(0))]
     for chart in atlas.charts:
         for axis, end in chart.boundary_sides:
+            U, w = chart._face_rule((axis, end))
+            J = chart._jacobians(U, t)
             sign = 1.0 if end == 1 else -1.0
-            fixed = chart.hi[axis] if end == 1 else chart.lo[axis]
-            if chart.p == 1:  # a path endpoint: counting measure, no boundary tangent
-                U = np.array([[fixed]])
-                J = chart._jacobians(U, t)
-                tangent, weight = np.zeros((1, n)), np.ones(1)
-            else:
-                other = 1 - axis
-                nodes, w = chart._axis_rule(other)
-                U = np.empty((len(nodes), 2))
-                U[:, axis] = fixed
-                U[:, other] = nodes
-                J = chart._jacobians(U, t)
-                arc = geo._norm(J[:, :, other])
-                tangent, weight = J[:, :, other] / arc[:, None], arc * w
-            xs.append(chart._map(U, t))
-            outward.append(sign * J[:, :, axis])
-            along.append(tangent)
-            weights.append(weight)
-            signs.append(np.full(len(U), sign))
-    X, along = np.concatenate(xs), np.concatenate(along)
+            faces.append((chart._map(U, t), sign * J[:, :, axis], np.delete(J, axis, axis=2), w,
+                          np.full(len(w), sign)))
+    X, outward, F, w, signs = (np.concatenate(part) for part in zip(*faces))
+    weight = np.sqrt(np.linalg.det(np.swapaxes(F, 1, 2) @ F)) * w
+    along = np.linalg.qr(F)[0]  # orthonormal face tangents (N, n, dim - 1)
     frame = geom.frame_at(X, t)
-    # outward parameter direction, projected tangentially and off the boundary tangent
-    v = _dot(frame.P, np.concatenate(outward), 1)
-    v = v - _frobenius(v, along, 1)[:, None] * along
+    v = _dot(frame.P, outward, 1)
+    v = v - _dot(along, _dot(v, along, 1), 1)
     size = geo._norm(v)
     if (size < 1e-10).any():
-        raise GeometryError(
-            f"outward direction degenerates under projection on atlas '{atlas.name}'"
-        )
+        raise GeometryError(f"outward direction vanishes under projection on atlas '{atlas.name}'")
     conormal = v / size[:, None]
     tangent = end_sign = None
     if dim == 2:  # orient the tangent so that det[conormal, tangent, normals] > 0
-        rows = np.concatenate([conormal[:, None], along[:, None], frame.normals], axis=1)
-        tangent = np.where((np.linalg.det(rows) < 0)[:, None], -along, along)
+        first = along[:, :, 0]
+        rows = np.concatenate([conormal[:, None], first[:, None], frame.normals], axis=1)
+        tangent = np.where((np.linalg.det(rows) < 0)[:, None], -first, first)
     if dim == 1:
-        end_sign = np.concatenate(signs)
-    return BoundaryPoint(X, conormal, np.concatenate(weights), tangent, end_sign)
+        end_sign = signs
+    return BoundaryPoint(X, conormal, weight, tangent, end_sign)
 
 
 # -- integration ----------------------------------------------------------------

@@ -22,6 +22,7 @@ and finiteness checks.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -85,14 +86,20 @@ def _looped(func, shape, what: str = "callable"):
     return batched
 
 
-def _central(g, h, order: int = 2):
-    """Centered difference of order 2 or 4, the one stencil of the library.
-
-    ``g(s)`` is the value s steps of size h away; h is a number or an
-    array that broadcasts against the values."""
+def _difference(g, order: int):
+    """The one stencil of the library, the centered difference of order 2 or
+    4, as its numerator and its denominator in steps; ``g(s)`` is the value
+    s steps away."""
     if order == 2:
-        return (g(1) - g(-1)) / (2 * h)
-    return (-g(2) + 8 * g(1) - 8 * g(-1) + g(-2)) / (12 * h)
+        return g(1) - g(-1), 2
+    return -g(2) + 8 * g(1) - 8 * g(-1) + g(-2), 12
+
+
+def _central(g, h, order: int = 2):
+    """Centered difference in one variable: ``g(s)`` is the value s steps of
+    size h away, and h a number or an array that broadcasts against it."""
+    num, span = _difference(g, order)
+    return num / (span * h)
 
 
 def _shift(x, e, s: int):
@@ -102,6 +109,33 @@ def _shift(x, e, s: int):
     if s == -1:
         return x - e
     return x + s * e
+
+
+def _partials(g, x, h, order: int = 2):
+    """Centered differences of ``g`` along every axis of the points x
+    (..., d), stacked as a new last axis: values (...) + V give
+    (...) + V + (d,).
+
+    ``g`` maps points (..., d) to values.  ``h`` is an array of steps per
+    point and axis that broadcasts against x, such as (..., 1) or (d,)."""
+    d = x.shape[-1]
+    steps = h[..., None] * _identity(d)  # steps[..., k, :] = h_k e_k
+    out = None
+    for k in range(d):
+        e = steps[..., k, :]
+        col, span = _difference(lambda s: g(_shift(x, e, s)), order)
+        if out is None:
+            out = np.empty(np.shape(col) + (d,))
+        out[..., k] = col
+    return out / (span * h[(Ellipsis,) + (None,) * (out.ndim - x.ndim) + (slice(None),)])
+
+
+@lru_cache(maxsize=None)
+def _identity(n: int) -> np.ndarray:
+    """The n x n identity matrix, shared and read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
 
 
 def _as_vector(n: int, v) -> np.ndarray:

@@ -410,6 +410,14 @@ def test_frame_from_normals_rejects_skewed_input():
         frame_from_normals(skew)
 
 
+def test_frame_from_normals_rejects_non_finite_normals():
+    # a NaN entry must fail the orthonormality test, not pass it
+    with pytest.raises(GeometryError, match="not orthonormal"):
+        frame_from_normals([[np.nan, 0.0, 0.0]])
+    with pytest.raises(GeometryError, match=r"batch index \(1,\)"):
+        frame_from_normals([[[1.0, 0.0, 0.0]], [[np.inf, 0.0, 0.0]]])
+
+
 def test_frame_from_normals_takes_a_batch_of_points():
     rng = np.random.default_rng(5)
     normals = np.stack([np.linalg.qr(rng.normal(size=(4, 2)))[0].T for _ in range(3)])

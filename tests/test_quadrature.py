@@ -5,8 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from tensorcalc.builtins import get_case
-from tensorcalc.fields import coordinate, random_polynomial, scalar_field, vector_field
+from tensorcalc.builtins import _sphere_level, get_case
+from tensorcalc.fields import (
+    constant, coordinate, position, random_polynomial, scalar_field, vector_field,
+)
+from tensorcalc.geometry import LevelSet, LevelSetGeometry
 from tensorcalc.operators import DiffConfig, normal_field, submanifold_gradient
 from tensorcalc.quadrature import (
     Atlas,
@@ -23,7 +26,7 @@ from tensorcalc.quadrature import (
     advected_atlas,
     weak_form,
 )
-from tensorcalc.tensor import ShapeError, _contract_left, _contract_right, _frobenius
+from tensorcalc.tensor import ShapeError, _contract_left, _contract_right, _frobenius, covector
 
 AN = DiffConfig(mode="analytic")
 FD2 = DiffConfig(mode="fd2")
@@ -309,6 +312,100 @@ def test_weak_form_is_symmetric(rng):
     a_uv, _ = weak_form(atlas, u, v, None, None, AN)
     a_vu, _ = weak_form(atlas, v, u, None, None, AN)
     np.testing.assert_allclose(a_uv, a_vu, atol=1e-10)
+
+
+def _three_sphere(a_hi=math.pi, sides=(), exact=True):
+    """The unit 3-sphere in R^4 under the hyperspherical chart (a, b, c) ->
+    (sin a sin b cos c, sin a sin b sin c, sin a cos b, cos a), with
+    a <= a_hi; the Jacobian is exact or a difference."""
+
+    def mapping(U, t):
+        sa, ca, sb, cb = np.sin(U[:, 0]), np.cos(U[:, 0]), np.sin(U[:, 1]), np.cos(U[:, 1])
+        sc, cc = np.sin(U[:, 2]), np.cos(U[:, 2])
+        return np.stack([sa * sb * cc, sa * sb * sc, sa * cb, ca], axis=-1)
+
+    def jacobian(U, t):
+        sa, ca, sb, cb = np.sin(U[:, 0]), np.cos(U[:, 0]), np.sin(U[:, 1]), np.cos(U[:, 1])
+        sc, cc, zero = np.sin(U[:, 2]), np.cos(U[:, 2]), np.zeros(len(U))
+        rows = [[ca * sb * cc, sa * cb * cc, -sa * sb * sc],
+                [ca * sb * sc, sa * cb * sc, sa * sb * cc],
+                [ca * cb, -sa * sb, zero],
+                [-sa, zero, zero]]
+        return np.stack([np.stack(r, axis=-1) for r in rows], axis=1)
+
+    chart = Chart._batched([0.0, 0.0, 0.0], [a_hi, math.pi, 2 * math.pi], mapping,
+                           jacobian if exact else None, periodic=(False, False, True),
+                           order=8, panels=1, boundary_sides=sides, name="hyperspherical")
+    return Atlas(LevelSetGeometry(4, [_sphere_level(1.0)]), [chart], name="S3")
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_three_sphere_volumes(exact):
+    """A chart of three parameters: vol S^3 = 2 pi^2, and half of it above x_4 = 0."""
+    np.testing.assert_allclose(integrate(_three_sphere(exact=exact), ONE), 2 * math.pi**2,
+                               rtol=2e-10)
+    half = _three_sphere(0.5 * math.pi, sides=((0, 1),), exact=exact)
+    np.testing.assert_allclose(integrate(half, ONE), math.pi**2, rtol=2e-10)
+
+
+def test_three_sphere_hemisphere_boundary_is_the_equatorial_two_sphere():
+    B = boundary_points(_three_sphere(0.5 * math.pi, sides=((0, 1),)))
+    assert B.x.shape == B.conormal.shape == (64, 4)
+    assert B.tangent is None and B.end_sign is None
+    np.testing.assert_allclose(np.linalg.norm(B.x, axis=1), 1.0, atol=1e-14)
+    np.testing.assert_allclose(B.x[:, 3], 0.0, atol=1e-14)
+    np.testing.assert_allclose(B.conormal, np.tile([0.0, 0.0, 0.0, -1.0], (64, 1)), atol=1e-12)
+    assert abs(B.weight.sum() - 4 * math.pi) <= 1e-10 * 4 * math.pi
+
+
+@pytest.mark.parametrize("mode", ["fd2", "analytic"])
+def test_three_sphere_stokes_pieces(mode):
+    """For the constant field e_4 on the upper half of S^3 the boundary term is
+    -4 pi and the curvature term +4 pi: int 3 x_4 over the half."""
+    half = _three_sphere(0.5 * math.pi, sides=((0, 1),))
+    res = stokes_residual(half, constant(4, covector([0.0, 0.0, 0.0, 1.0])), DiffConfig(mode=mode))
+    assert abs(float(res.lhs)) <= 1e-12
+    np.testing.assert_allclose(float(res.pieces["boundary"]), -4 * math.pi, rtol=1e-10)
+    np.testing.assert_allclose(float(res.pieces["curvature"]), 4 * math.pi, rtol=1e-10)
+    assert res.abs_residual <= 1e-9
+
+
+def test_sheared_box_faces_take_their_conormals_off_the_face():
+    """A sheared unit box in the 3-plane x_4 = 0 of R^4, with all six sides
+    as boundary.  No outward parameter direction is normal to its face, so
+    each co-normal must be projected off the face's tangents."""
+    shear = np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
+    chart = Chart._batched([0.0] * 3, [1.0] * 3, lambda U, t: U @ shear.T,
+                           lambda U, t: np.broadcast_to(shear, U.shape[:-1] + shear.shape),
+                           order=2, panels=1, name="box",
+                           boundary_sides=[(a, e) for a in range(3) for e in (0, 1)])
+    plane = LevelSet(lambda x, t: x[3], lambda x, t: np.array([0.0, 0.0, 0.0, 1.0]),
+                     lambda x, t: np.zeros((4, 4)))
+    atlas = Atlas(LevelSetGeometry(4, [plane]), [chart], name="box")
+    assert abs(integrate(atlas, ONE) - 1.0) <= 1e-14
+    U, _ = chart.param_rule()
+    assert U.shape == (8, 3) and (np.diff(U[:, 0]) >= 0).all()  # axis 0 slowest
+    B = boundary_points(atlas)
+    assert B.x.shape == (24, 4)
+    # the unit normal of each face, in the plane, out of the box
+    grads = np.linalg.inv(shear[:3])  # row a is grad u_a, normal to the faces of side a
+    for a in range(3):
+        for e, sign in ((0, -1.0), (1, 1.0)):
+            on = slice(8 * a + 4 * e, 8 * a + 4 * e + 4)
+            want = np.append(sign * grads[a] / np.linalg.norm(grads[a]), 0.0)
+            np.testing.assert_allclose(B.conormal[on], np.tile(want, (4, 1)), atol=1e-14)
+            area = np.linalg.norm(np.cross(*np.delete(shear[:3].T, a, axis=0)))
+            np.testing.assert_allclose(B.weight[on].sum(), area, rtol=1e-14)
+    res = stokes_residual(atlas, position(4), AN)  # int div_M x = 3 vol
+    np.testing.assert_allclose(float(res.lhs), 3.0, rtol=1e-14)
+    assert res.abs_residual <= 1e-13
+
+
+def test_atlas_rejects_a_chart_of_the_wrong_dimension_naming_it():
+    path = Chart([0.0], [math.pi], lambda u, t: np.array([np.sin(u[0]), 0.0, np.cos(u[0])]),
+                 name="meridian")
+    with pytest.raises(ShapeError, match=r"chart 'meridian' has 1 parameters.* 2-dimensional"):
+        Atlas(get_case("sphere").geometry, [path], name="wrong")
 
 
 def test_rk4_step_tracks_radial_expansion():

@@ -20,6 +20,7 @@ from tensorcalc.tensor import (
     _dot,
     _frobenius,
     _outer,
+    _partials,
     basis_covector,
     covector,
     dot,
@@ -47,8 +48,9 @@ def brute_evaluate(arr, vectors):
 
 @pytest.mark.parametrize("order", [2, 4])
 def test_central_stencil_is_exact_on_polynomials_of_its_order(order, rng):
-    """fd2 differentiates quadratics and fd4 quartics up to rounding, with a
-    step array of shape (k, 1) against vector values (k, 3)."""
+    """fd2 differentiates quadratics and fd4 quartics up to rounding: _central
+    with a step array of shape (k, 1) against vector values (k, 3), and
+    _partials along every axis of points (k, 3)."""
     x = rng.normal(size=(4, 1))
     h = np.array([[0.05], [0.1], [0.2], [0.4]])
     c = rng.normal(size=(order + 1, 3))  # p(y) = sum_d c[d] y^d, three components
@@ -67,6 +69,24 @@ def test_central_stencil_is_exact_on_polynomials_of_its_order(order, rng):
     assert got.shape == (4, 3)
     assert sorted(calls) == ([-1, 1] if order == 2 else [-2, -1, 1, 2])
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    # _partials on points (4, 3): the values (a.y)^order and (b.y)^order + c.y,
+    # with steps per point (4, 1) and per axis (3,)
+    a, b, c = rng.normal(size=(3, 3))
+    y = rng.normal(size=(4, 3))
+
+    def q(Y):
+        calls.append(Y.shape)
+        return np.stack([(Y @ a) ** order, (Y @ b) ** order + Y @ c], axis=-1)
+
+    want = np.stack([order * (y @ a)[:, None] ** (order - 1) * a,
+                     order * (y @ b)[:, None] ** (order - 1) * b + c], axis=1)
+    for steps in (h, np.array([0.05, 0.1, 0.2])):
+        calls.clear()
+        got = _partials(q, y, steps, order)
+        assert got.shape == (4, 2, 3)
+        assert calls == [(4, 3)] * (3 * order)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
 def test_evaluate_matches_brute_force(rng):
