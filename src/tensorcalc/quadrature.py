@@ -18,7 +18,9 @@ and finiteness of the values.
 
 The extrinsic Stokes split int div_M T = int_boundary T.nu + int T.kappa is
 made in one place, ``_stokes_terms``, for the residuals here and for the
-force, torque and force-balance functions of ``stress`` and ``euler``.
+force, torque and force-balance functions of ``stress`` and ``euler``.  It
+reads nu and kappa from the atlas, which makes its boundary batch once per
+time and the curvature vector on its nodes once per DiffConfig and time.
 """
 
 from __future__ import annotations
@@ -55,6 +57,11 @@ __all__ = [
 ]
 
 _MIN_GRAM_DET = 1e-14
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -102,6 +109,9 @@ class Chart:
         self._jacobian = None if jacobian is None else _looped(
             jacobian, None, f"jacobian of chart '{name}'")
         self.periodic = tuple(periodic) if periodic is not None else (False,) * self.p
+        if len(self.periodic) != self.p:
+            raise ShapeError(f"chart '{name}' has {self.p} parameters but {len(self.periodic)} "
+                             "periodic flags")
         if order < 1 or panels < 1:
             raise ShapeError("order and panels must be positive")
         self.order = int(order)
@@ -174,19 +184,26 @@ class Chart:
         if bad.size:
             i = bad[0]
             raise GeometryError(f"degenerate chart metric at u={U[i]} (det={g[i]:.3e})")
-        meas = np.sqrt(g) * W
-        X.flags.writeable = False
-        meas.flags.writeable = False
-        return X, meas
+        return _read_only(X), _read_only(np.sqrt(g) * W)
 
 
 @dataclass
 class Atlas:
-    """Charts covering a submanifold, together with its geometry."""
+    """Charts covering a submanifold, together with its geometry.
+
+    Beside its charts' nodes, an atlas keeps the node data that every
+    integral over it shares, made on first use and read-only: the mean
+    curvature vector on each chart's nodes, once per (DiffConfig, t), and
+    its ``BoundaryPoint`` batch, once per t.
+    """
 
     geometry: LevelSetGeometry
     charts: List[Chart]
     name: str = "atlas"
+    _kappa: Dict[Tuple[DiffConfig, float], List[np.ndarray]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _boundary: Dict[float, "BoundaryPoint"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         dim = self.geometry.n - self.geometry.m
@@ -198,6 +215,16 @@ class Atlas:
     @property
     def closed(self) -> bool:
         return all(not c.boundary_sides for c in self.charts)
+
+    def _curvature(self, cfg: DiffConfig, t: float) -> List[np.ndarray]:
+        """The mean curvature vector (N, n) on the nodes of each chart at
+        time t, in chart order."""
+        key = (cfg, float(t))
+        if key not in self._kappa:
+            kap = mean_curvature(self.geometry, cfg)
+            self._kappa[key] = [_read_only(kap.values(chart.points(t)[0], t))
+                                for chart in self.charts]
+        return self._kappa[key]
 
 
 @dataclass
@@ -221,7 +248,16 @@ class BoundaryPoint:
 
 
 def boundary_points(atlas: Atlas, t: float = 0.0) -> BoundaryPoint:
-    """Every boundary node of the atlas, with one frame evaluation."""
+    """Every boundary node of the atlas, with one frame evaluation.
+
+    Made once per time t and kept on the atlas, with read-only arrays."""
+    key = float(t)
+    if key not in atlas._boundary:
+        atlas._boundary[key] = _boundary_batch(atlas, key)
+    return atlas._boundary[key]
+
+
+def _boundary_batch(atlas: Atlas, t: float) -> BoundaryPoint:
     geom = atlas.geometry
     n, dim = geom.n, geom.n - geom.m
     # an empty first face keeps every concatenation defined on a closed atlas
@@ -251,7 +287,8 @@ def boundary_points(atlas: Atlas, t: float = 0.0) -> BoundaryPoint:
         tangent = np.where((np.linalg.det(rows) < 0)[:, None], -first, first)
     if dim == 1:
         end_sign = signs
-    return BoundaryPoint(X, conormal, weight, tangent, end_sign)
+    return BoundaryPoint(*(None if a is None else _read_only(a)
+                           for a in (X, conormal, weight, tangent, end_sign)))
 
 
 # -- integration ----------------------------------------------------------------
@@ -276,6 +313,17 @@ def _weighted_sum(vals, weights: np.ndarray, where: str):
     return np.tensordot(weights, vals, axes=([0], [0]))
 
 
+def _chart_sum(atlas: Atlas, values, t: float):
+    """sum over the charts k of the weighted sum of ``values(k, X)`` on the
+    nodes X of chart k."""
+    total = None
+    for k, chart in enumerate(atlas.charts):
+        X, meas = chart.points(t)
+        part = _weighted_sum(values(k, X), meas, f"chart '{chart.name}'")
+        total = part if total is None else total + part
+    return total
+
+
 def integrate(atlas: Atlas, integrand, t: float = 0.0):
     """Integrate a field over the atlas, leafwise for tensors.
 
@@ -285,13 +333,8 @@ def integrate(atlas: Atlas, integrand, t: float = 0.0):
     that is not finite, or of any other shape, raises an error that names
     the chart.
     """
-    total = None
-    for chart in atlas.charts:
-        X, meas = chart.points(t)
-        vals = integrand.values(X, t) if isinstance(integrand, TensorField) else integrand(X, t)
-        part = _weighted_sum(vals, meas, f"chart '{chart.name}'")
-        total = part if total is None else total + part
-    return total
+    f = integrand.values if isinstance(integrand, TensorField) else integrand
+    return _chart_sum(atlas, lambda k, X: f(X, t), t)
 
 
 def integrate_boundary(atlas: Atlas, integrand, t: float = 0.0):
@@ -333,10 +376,11 @@ def _stokes_terms(atlas: Atlas, pair, cfg: DiffConfig, t: float = 0.0):
     """The right side of the extrinsic Stokes formula
     int div_M T = int_boundary T.nu + int T.kappa, as the pair
     (int_boundary T.nu, int T.kappa): nu is the outward co-normal and kappa
-    the mean curvature vector.  ``pair(X, t, v)`` gives T at points X with
-    the vectors v fed into its divergence slot."""
-    kap = mean_curvature(atlas.geometry, cfg)
-    curv = integrate(atlas, lambda X, s: pair(X, s, kap.values(X, s)), t)
+    the mean curvature vector, both read from the atlas's node data.
+    ``pair(X, t, v)`` gives T at points X with the vectors v fed into its
+    divergence slot."""
+    kappa = atlas._curvature(cfg, t)
+    curv = _chart_sum(atlas, lambda k, X: pair(X, t, kappa[k]), t)
     bnd = integrate_boundary(atlas, lambda B, s: pair(B.x, s, B.conormal), t)
     return bnd, curv
 

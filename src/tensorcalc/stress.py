@@ -4,7 +4,8 @@ The stress sigma is a rank-2 tensor field whose first-slot insertion
 sigma(v) gives the stress vector on a cut with orientation v.  Total force
 and torque of a patch combine a boundary term (co-normal insertion) with
 a curvature term, and equilibrium is characterized by Div_M of the
-transpose.  Torques are indexed by the rotation planes {e_i, e_j}.
+transpose.  The torques of all rotation planes {e_i, e_j} form one
+antisymmetric matrix, whose entry (i, j) is the torque of the plane (i, j).
 
 The pointwise diagnostics take batches: stress values (..., n, n) with a
 frame at the same points, or points (..., n), give per-point results of
@@ -21,7 +22,7 @@ from .fields import TensorField, _constant_array, _field, _zeros
 from .geometry import GeometryFrame, LevelSetGeometry
 from .operators import DiffConfig, divergence
 from .quadrature import Atlas, IdentityResult, _stokes_terms, integrate
-from .tensor import _dot, _frobenius
+from .tensor import _dot, _outer
 
 __all__ = [
     "rotation_generator",
@@ -133,15 +134,25 @@ def stress_force(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0
     return np.asarray(bulk) + np.asarray(bnd)
 
 
-def stress_torque(
-    atlas: Atlas, sigma: TensorField, plane: Tuple[int, int], cfg: DiffConfig, t: float = 0.0
-) -> float:
-    """m_K = int_boundary l_K . sigma(t) + int l_K . sigma(kappa)."""
-    l_k = rotation_generator(atlas.geometry.n, *plane)
+def _antisymmetric(a: np.ndarray) -> np.ndarray:
+    return a - np.swapaxes(a, -1, -2)
+
+
+def _wedge(x: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """x (x) v - v (x) x at each point of a batch (N, n): entry (i, j) is
+    l_ij . v, the moment of v in the rotation plane (i, j)."""
+    return _antisymmetric(_outer(x, v, 1))
+
+
+def stress_torque(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0) -> np.ndarray:
+    """The torques of every rotation plane as one antisymmetric (n, n)
+    matrix, m = int_boundary x ^ sigma(nu) + int x ^ sigma(kappa), where
+    x ^ v = x (x) v - v (x) x.  Entry (i, j) is the torque m_K of the plane
+    K = (i, j), whose generator is l_K = rotation_generator(n, i, j)."""
     bnd, bulk = _stokes_terms(
-        atlas, lambda X, s, v: _dot(l_k.values(X, s), _dot(v, sigma.values(X, s), 1), 1), cfg, t
+        atlas, lambda X, s, v: _wedge(X, _dot(v, sigma.values(X, s), 1)), cfg, t
     )
-    return float(bulk) + float(bnd)
+    return np.asarray(bulk) + np.asarray(bnd)
 
 
 def force_residual(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0) -> IdentityResult:
@@ -154,45 +165,48 @@ def force_residual(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float =
     )
 
 
-def torque_equivalence(
-    atlas: Atlas, sigma: TensorField, plane: Tuple[int, int], cfg: DiffConfig, t: float = 0.0
-) -> IdentityResult:
-    """m_K = int l_K . Div_M sigma-bar - int omega_K : sigma-bar."""
+def _torque_density(atlas: Atlas, a_field: TensorField, cfg: DiffConfig, t: float):
+    """int x ^ Div_M A - int omega : A for every rotation plane, as one
+    (n, n) matrix; omega_K : A of the plane K = (i, j) is entry (i, j) of
+    the antisymmetric part of A P, as in ``omega_pairings``."""
     geom = atlas.geometry
-    i, j = plane
-    l_k = rotation_generator(geom.n, i, j)
-    om = omega_field(geom, i, j)
-    bar = transpose_field(sigma)
-    div_bar = divergence(bar, geom, cfg)
-    first = integrate(atlas, lambda X, s: _dot(l_k.values(X, s), div_bar.values(X, s), 1), t)
-    second = integrate(atlas, lambda X, s: _frobenius(om.values(X, s), bar.values(X, s), 1), t)
+    div_a = divergence(a_field, geom, cfg)
+
+    def density(X, s):
+        return _wedge(X, div_a.values(X, s)) - _antisymmetric(
+            a_field.values(X, s) @ geom.frame_at(X, s).P)
+
+    return np.asarray(integrate(atlas, density, t))
+
+
+def torque_equivalence(
+    atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0
+) -> IdentityResult:
+    """m_K = int l_K . Div_M sigma-bar - int omega_K : sigma-bar in every
+    rotation plane K at once: ``lhs`` and ``rhs`` are antisymmetric (n, n)
+    matrices whose entry (i, j) belongs to the plane (i, j)."""
     return IdentityResult(
-        lhs=np.asarray(stress_torque(atlas, sigma, plane, cfg, t)),
-        rhs=np.asarray(float(first) - float(second)),
+        lhs=stress_torque(atlas, sigma, cfg, t),
+        rhs=_torque_density(atlas, transpose_field(sigma), cfg, t),
     )
 
 
 def generator_identity(
-    atlas: Atlas, a_field: TensorField, plane: Tuple[int, int], cfg: DiffConfig, t: float = 0.0
+    atlas: Atlas, a_field: TensorField, cfg: DiffConfig, t: float = 0.0
 ) -> IdentityResult:
     """Product-rule identity behind the torque formula, for any rank-2 A:
 
-    int_bnd (l:A).t + int (l:A).kappa = int l . Div_M A - int A : omega.
+    int_bnd (l_K.A).nu + int (l_K.A).kappa = int l_K . Div_M A - int A : omega_K,
+
+    in every rotation plane K at once: ``lhs`` and ``rhs`` are antisymmetric
+    (n, n) matrices whose entry (i, j) belongs to the plane (i, j).
     """
-    geom = atlas.geometry
-    i, j = plane
-    l_k = rotation_generator(geom.n, i, j)
-    om = omega_field(geom, i, j)
-    div_a = divergence(a_field, geom, cfg)
-    lhs_bnd, lhs_bulk = _stokes_terms(
-        atlas, lambda X, s, v: _dot(_dot(l_k.values(X, s), a_field.values(X, s), 1), v, 1), cfg, t
+    bnd, bulk = _stokes_terms(
+        atlas, lambda X, s, v: _wedge(X, _dot(a_field.values(X, s), v, 1)), cfg, t
     )
-    lhs = float(lhs_bulk) + float(lhs_bnd)
-    rhs_first = integrate(atlas, lambda X, s: _dot(l_k.values(X, s), div_a.values(X, s), 1), t)
-    rhs_second = integrate(
-        atlas, lambda X, s: _frobenius(a_field.values(X, s), om.values(X, s), 1), t
+    return IdentityResult(
+        lhs=np.asarray(bulk) + np.asarray(bnd), rhs=_torque_density(atlas, a_field, cfg, t)
     )
-    return IdentityResult(lhs=np.asarray(lhs), rhs=np.asarray(float(rhs_first) - float(rhs_second)))
 
 
 def normal_at_tangential(sigma_value: np.ndarray, frame: GeometryFrame):

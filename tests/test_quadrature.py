@@ -11,6 +11,7 @@ from tensorcalc.fields import (
 )
 from tensorcalc.geometry import LevelSet, LevelSetGeometry
 from tensorcalc.operators import DiffConfig, normal_field, submanifold_gradient
+from tensorcalc import quadrature
 from tensorcalc.quadrature import (
     Atlas,
     Chart,
@@ -25,6 +26,7 @@ from tensorcalc.quadrature import (
     stokes_residual,
     advected_atlas,
     weak_form,
+    _stokes_terms,
 )
 from tensorcalc.tensor import ShapeError, _contract_left, _contract_right, _frobenius, covector
 
@@ -97,6 +99,55 @@ def test_chart_points_are_computed_once_per_time_and_read_only():
     later, _ = chart.points(0.5)
     assert len(times) > made
     np.testing.assert_array_equal(later[:, 1], 0.5)
+
+
+def test_boundary_points_are_made_once_per_time_and_read_only():
+    atlas = get_case("hemisphere").atlas(order=6, panels=1)
+    frames = _counting_frames(atlas)
+    B = boundary_points(atlas)
+    assert boundary_points(atlas, 0.0) is B
+    assert len(frames) == 1
+    for arr in (B.x, B.conormal, B.weight, B.tangent):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+    later = boundary_points(atlas, 0.5)
+    assert later is not B and len(frames) == 2
+    np.testing.assert_array_equal(later.x, B.x)
+    # the batch lives on the atlas: a new atlas of the same case makes its own
+    assert boundary_points(get_case("hemisphere").atlas(order=6, panels=1)) is not B
+
+
+def test_stokes_terms_evaluate_the_curvature_once_per_config_and_time(monkeypatch):
+    evaluated = []
+    real = quadrature.mean_curvature
+
+    def counting(geom, cfg):
+        kap = real(geom, cfg)
+
+        class Counted:
+            def values(self, X, t):
+                evaluated.append((cfg.mode, t, len(X)))
+                return kap.values(X, t)
+
+        return Counted()
+
+    monkeypatch.setattr(quadrature, "mean_curvature", counting)
+    atlas = get_case("torus").atlas(order=6, panels=1)
+    per_pass = len(atlas.charts)
+    first = _stokes_terms(atlas, lambda X, t, v: v, FD2)[1]
+    for pair in (lambda X, t, v: v, lambda X, t, v: 2.0 * v):
+        _stokes_terms(atlas, pair, FD2)
+    assert len(evaluated) == per_pass
+    np.testing.assert_array_equal(_stokes_terms(atlas, lambda X, t, v: v, FD2)[1], first)
+    _stokes_terms(atlas, lambda X, t, v: v, AN)
+    assert len(evaluated) == 2 * per_pass
+    _stokes_terms(atlas, lambda X, t, v: v, FD2, t=0.5)
+    _stokes_terms(atlas, lambda X, t, v: v, FD2, t=0.5)
+    assert len(evaluated) == 3 * per_pass
+    assert [e[:2] for e in evaluated[::per_pass]] == [("fd2", 0.0), ("analytic", 0.0), ("fd2", 0.5)]
+    for kappa in atlas._curvature(FD2, 0.0):
+        with pytest.raises(ValueError):
+            kappa[0, 0] = 0.0
 
 
 def test_area_error_decreases_with_order():
@@ -406,6 +457,14 @@ def test_atlas_rejects_a_chart_of_the_wrong_dimension_naming_it():
                  name="meridian")
     with pytest.raises(ShapeError, match=r"chart 'meridian' has 1 parameters.* 2-dimensional"):
         Atlas(get_case("sphere").geometry, [path], name="wrong")
+
+
+def test_chart_rejects_periodic_flags_of_the_wrong_length_naming_it():
+    slab = lambda u, t: np.r_[u, 0.0]
+    for sides in ((), ((2, 0),)):
+        with pytest.raises(ShapeError, match=r"chart 'slab' has 3 parameters but 2 periodic"):
+            Chart([0, 0, 0], [1, 1, 1], slab, periodic=(False, True), boundary_sides=sides,
+                  name="slab")
 
 
 def test_rk4_step_tracks_radial_expansion():

@@ -6,7 +6,8 @@ import pytest
 from tensorcalc.builtins import get_case
 from tensorcalc.fields import random_polynomial
 from tensorcalc.geometry import frame_from_normals
-from tensorcalc.operators import DiffConfig, divergence, projector_field
+from tensorcalc.operators import DiffConfig, divergence, mean_curvature, projector_field
+from tensorcalc.quadrature import integrate, integrate_boundary
 from tensorcalc.stress import (
     cross_stress,
     force_residual,
@@ -20,11 +21,17 @@ from tensorcalc.stress import (
     equilibrium_diagnostics,
     transpose_field,
 )
-from tensorcalc.tensor import Tensor
+from tensorcalc.tensor import Tensor, _dot, _frobenius
 
 AN = DiffConfig(mode="analytic")
 FD2 = DiffConfig(mode="fd2")
 PLANES = [(0, 1), (0, 2), (1, 2)]
+
+
+def _plane_rel(res, plane):
+    """|L_K - R_K| / max(|L_K|, |R_K|, 1) of the torque matrices' plane K."""
+    lhs, rhs = res.lhs[plane], res.rhs[plane]
+    return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
 def test_rotation_generator_values():
@@ -66,15 +73,63 @@ def test_force_residual(rng):
 def test_torque_equivalence_per_plane(rng):
     atlas = get_case("hemisphere").atlas(order=12, panels=2)
     sigma = random_polynomial(3, 2, rng, degree=2)
+    res = torque_equivalence(atlas, sigma, AN)
     for plane in PLANES:
-        assert torque_equivalence(atlas, sigma, plane, AN).rel_residual <= 1e-8
+        assert _plane_rel(res, plane) <= 1e-8
 
 
 def test_generator_identity_per_plane(rng):
     atlas = get_case("torus").atlas(order=12, panels=2)
     a = random_polynomial(3, 2, rng, degree=2)
+    res = generator_identity(atlas, a, AN)
     for plane in PLANES:
-        assert generator_identity(atlas, a, plane, AN).rel_residual <= 1e-8
+        assert _plane_rel(res, plane) <= 1e-8
+
+
+def _plane_integrals(atlas, sigma, plane, cfg):
+    """For the plane K, each integral from its own integrands built with l_K
+    and omega_K: the torque m_K of sigma, both sides of the torque
+    equivalence, and both sides of the generator identity for A = sigma."""
+    geom = atlas.geometry
+    l_k, om = rotation_generator(geom.n, *plane), omega_field(geom, *plane)
+    kap = mean_curvature(geom, cfg)
+    bar = transpose_field(sigma)
+    div_bar, div_a = divergence(bar, geom, cfg), divergence(sigma, geom, cfg)
+
+    def stokes(pair):
+        curv = integrate(atlas, lambda X, t: pair(X, t, kap.values(X, t)))
+        return float(curv) + float(integrate_boundary(atlas, lambda B, t: pair(B.x, t, B.conormal)))
+
+    def l_dot(f):
+        return float(integrate(atlas, lambda X, t: _dot(l_k.values(X, t), f.values(X, t), 1)))
+
+    def omega_with(f):
+        return float(integrate(atlas, lambda X, t: _frobenius(om.values(X, t), f.values(X, t), 1)))
+
+    torque = stokes(lambda X, t, v: _dot(l_k.values(X, t), _dot(v, sigma.values(X, t), 1), 1))
+    moment = stokes(lambda X, t, v: _dot(_dot(l_k.values(X, t), sigma.values(X, t), 1), v, 1))
+    return [torque, torque, l_dot(div_bar) - omega_with(bar), moment,
+            l_dot(div_a) - omega_with(sigma)]
+
+
+@pytest.mark.parametrize("geometry", ["hemisphere", "torus"])
+@pytest.mark.parametrize("cfg", [FD2, AN], ids=["fd2", "analytic"])
+def test_torque_matrices_hold_every_plane(geometry, cfg, rng):
+    """Entry (i, j) of each antisymmetric torque matrix is the integral of
+    plane (i, j) built from rotation_generator and omega_field."""
+    atlas = get_case(geometry).atlas(order=8, panels=2)
+    sigma = random_polynomial(3, 2, rng, degree=2)
+    torque = stress_torque(atlas, sigma, cfg)
+    equivalence = torque_equivalence(atlas, sigma, cfg)
+    generator = generator_identity(atlas, sigma, cfg)
+    matrices = [torque, equivalence.lhs, equivalence.rhs, generator.lhs, generator.rhs]
+    for mat in matrices:
+        assert mat.shape == (3, 3)
+        np.testing.assert_array_equal(mat, -mat.T)
+    for plane in PLANES:
+        got = [m[plane] for m in matrices]
+        want = _plane_integrals(atlas, sigma, plane, cfg)
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
 
 
 def test_cross_stress_is_equilibrated():
@@ -87,8 +142,9 @@ def test_cross_stress_is_equilibrated():
         assert np.linalg.norm(div_bar.values(x, 0.0)) <= 1e-10
     res = force_residual(atlas, sigma, AN)
     assert np.linalg.norm(np.asarray(res.rhs)) <= 1e-10
+    torque = stress_torque(atlas, sigma, AN)
     for plane in PLANES:
-        assert abs(stress_torque(atlas, sigma, plane, AN)) <= 1e-10
+        assert abs(torque[plane]) <= 1e-10
 
 
 def test_cross_stress_is_tangential_but_asymmetric():
