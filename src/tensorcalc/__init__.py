@@ -63,7 +63,6 @@ from .operators import (
     material_derivative,
     mean_curvature,
     normal_field,
-    normal_projector_field,
     perp_field,
     project_field,
     projector_field,
@@ -120,7 +119,7 @@ from .evolving import (
     material_consistency,
     reynolds_residual,
 )
-from .report import CheckRecord, VerificationReport, make_bound_check, make_check
-from .suites import SuiteConfig, SuiteError, run_suite, suite_names
+from .report import CheckRecord, VerificationReport, make_check
+from .suites import SuiteConfig, SuiteError, run_suite
 
 __version__ = "0.1.0"

@@ -44,13 +44,19 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass
 class GeometryCase:
-    """A named geometry plus everything the verification suites need."""
+    """A named geometry plus everything the verification suites need.
+
+    ``curvature`` is the closed form of the mean curvature vector, points
+    (..., n) to (..., n), on the cases that have a caller for it: sphere,
+    circle3d and torus.  It is None on the others.
+    """
 
     name: str
     geometry: LevelSetGeometry
     atlas_factory: Callable[[int, int], Atlas]
     params: Dict[str, float] = field(default_factory=dict)
     velocity: Optional[TensorField] = None
+    curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None
     blurb: str = ""
 
     def atlas(self, order: int = 16, panels: int = 2) -> Atlas:
@@ -138,6 +144,7 @@ def sphere(radius: float = 1.0) -> GeometryCase:
             geom, [_sphere_chart(radius, order, panels)], name="sphere"
         ),
         params={"radius": radius},
+        curvature=lambda X: 2.0 * X / radius**2,
         blurb="round sphere |x| = R in R^3",
     )
 
@@ -241,6 +248,7 @@ def circle3d(radius: float = 1.0) -> GeometryCase:
         geometry=geom,
         atlas_factory=factory,
         params={"radius": radius},
+        curvature=lambda X: X * [1.0, 1.0, 0.0] / radius**2,
         blurb="circle of codimension two: cylinder rho = R meets the plane z = 0",
     )
 
@@ -312,6 +320,14 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
 
     geom = LevelSetGeometry(3, [LevelSet._batched(value, gradient, hessian)], name="torus")
 
+    def curvature(X):
+        # both principal curvatures along the unit normal: 1/r about the
+        # tube, (s - R)/(r s) about the axis
+        s, sh = _radial_xy(X)
+        a = (s - major)[..., None]
+        nhat = (a * sh + X * ez) / minor
+        return (1.0 / minor + a / (minor * s[..., None])) * nhat
+
     def factory(order=16, panels=2):
         def mapping(U, t):
             psi, phi = U[..., 0], U[..., 1]
@@ -345,6 +361,7 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
         geometry=geom,
         atlas_factory=factory,
         params={"major": major, "minor": minor},
+        curvature=curvature,
         blurb="torus of revolution around the z axis",
     )
 

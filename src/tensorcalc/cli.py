@@ -191,7 +191,7 @@ def _curvature_rows(mode: str, ht: float) -> List[dict]:
     for hx in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5):
         d = DiffConfig(mode=mode, hx=hx, ht=ht)
         kap = mean_curvature(case.geometry, d).values(points)
-        worst = float(np.max(np.linalg.norm(kap - 2.0 * points, axis=-1)))
+        worst = float(np.max(np.linalg.norm(kap - case.curvature(points), axis=-1)))
         rows.append({
             "quantity": "curvature-sphere",
             "parameter": "hx",

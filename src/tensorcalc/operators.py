@@ -58,7 +58,6 @@ __all__ = [
     "mean_curvature",
     "shape_operator",
     "projector_field",
-    "normal_projector_field",
     "normal_field",
     "project_field",
     "perp_field",
@@ -264,13 +263,6 @@ def projector_field(geom: LevelSetGeometry) -> TensorField:
     if geom.has_analytic_hessians:
         grad = lambda X, t: geom.frame_derivative_at(X, t)[1].P_d
     return _field(geom.n, 2, lambda X, t: geom.frame_at(X, t).P, grad=grad, name="P")
-
-
-def normal_projector_field(geom: LevelSetGeometry) -> TensorField:
-    grad = None
-    if geom.has_analytic_hessians:
-        grad = lambda X, t: geom.frame_derivative_at(X, t)[1].N_d
-    return _field(geom.n, 2, lambda X, t: geom.frame_at(X, t).N, grad=grad, name="N")
 
 
 def normal_field(geom: LevelSetGeometry, i: int = 0) -> TensorField:

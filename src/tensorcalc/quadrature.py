@@ -33,7 +33,9 @@ import numpy as np
 
 from . import geometry as geo
 from .geometry import GeometryError, LevelSetGeometry
-from .operators import DiffConfig, divergence, mean_curvature, submanifold_gradient, surface_curl
+from .operators import (
+    DiffConfig, covariant_gradient, divergence, mean_curvature, submanifold_gradient, surface_curl,
+)
 from .fields import TensorField
 from .tensor import (
     ShapeError, _contract_left, _contract_right, _dot, _frobenius, _looped, _outer, _partials,
@@ -463,8 +465,6 @@ def weak_form(
     returns values of the test field's shape, (N,) + (n,)*q; any other
     shape raises ShapeError.
     """
-    from .operators import covariant_gradient
-
     geom = atlas.geometry
     gt = covariant_gradient(trial, geom, cfg)
     gs = covariant_gradient(test, geom, cfg)

@@ -25,8 +25,9 @@ class CheckRecord:
     """One verified identity: what was compared, how close, and the verdict.
 
     ``measure`` says which residual the tolerance applies to ("rel" uses
-    max(1, max(|lhs|, |rhs|)) as the scale).  ``geometry`` names the case
-    the check ran on, for checks of a suite that has a geometry.
+    max(1, max(|lhs|, |rhs|)) as the scale); a "floor" must stay at or
+    above its tolerance.  ``geometry`` names the case the check ran on, for
+    checks of a suite that has a geometry.
     """
 
     id: str
@@ -69,69 +70,38 @@ def make_check(
     measure: str = "rel",
     details: Optional[Dict[str, float]] = None,
 ) -> CheckRecord:
-    """Build a record from two values; the residual is the Frobenius distance."""
-    la = np.asarray(lhs, dtype=float)
-    ra = np.asarray(rhs, dtype=float)
-    abs_res = float(np.linalg.norm(np.ravel(la - ra)))
-    scale = max(1.0, float(np.linalg.norm(np.ravel(la))), float(np.linalg.norm(np.ravel(ra))))
-    rel_res = abs_res / scale
-    value = rel_res if measure == "rel" else abs_res
+    """Build the record of one check of kind ``measure``.
+
+    ``rel`` and ``abs`` compare two values by their Frobenius distance and
+    pass when that residual (divided by max(1, |lhs|, |rhs|) for ``rel``)
+    is at most the tolerance.  ``bound`` and ``floor`` judge the number
+    ``lhs`` alone, recorded as both residuals, and ignore ``rhs``: a bound
+    passes when the value is at most the tolerance (recorded with rhs 0 and
+    measure ``abs``), a floor when it is at least the tolerance (recorded
+    as rhs).  A NaN value fails every kind.
+    """
+    tol = float(tolerance)
+    if measure in ("bound", "floor"):
+        value = abs_res = rel_res = float(lhs)
+        lhs, rhs = value, (tol if measure == "floor" else 0.0)
+    else:
+        la = np.asarray(lhs, dtype=float)
+        ra = np.asarray(rhs, dtype=float)
+        abs_res = float(np.linalg.norm(np.ravel(la - ra)))
+        scale = max(1.0, float(np.linalg.norm(np.ravel(la))), float(np.linalg.norm(np.ravel(ra))))
+        rel_res = abs_res / scale
+        value = rel_res if measure == "rel" else abs_res
+        lhs, rhs = _jsonable(lhs), _jsonable(rhs)
     return CheckRecord(
         id=check_id,
         identity=identity,
-        lhs=_jsonable(lhs),
-        rhs=_jsonable(rhs),
+        lhs=lhs,
+        rhs=rhs,
         abs_residual=abs_res,
         rel_residual=rel_res,
-        tolerance=float(tolerance),
-        measure=measure,
-        passed=bool(value <= tolerance),
-        details=dict(details or {}),
-    )
-
-
-def make_bound_check(
-    check_id: str,
-    identity: str,
-    value: float,
-    tolerance: float,
-    details: Optional[Dict[str, float]] = None,
-) -> CheckRecord:
-    """Record for a quantity that must stay below an absolute bound."""
-    v = float(value)
-    return CheckRecord(
-        id=check_id,
-        identity=identity,
-        lhs=v,
-        rhs=0.0,
-        abs_residual=v,
-        rel_residual=v,
-        tolerance=float(tolerance),
-        measure="abs",
-        passed=bool(v <= tolerance),
-        details=dict(details or {}),
-    )
-
-
-def make_floor_check(
-    check_id: str,
-    identity: str,
-    value: float,
-    floor: float,
-    details: Optional[Dict[str, float]] = None,
-) -> CheckRecord:
-    """Record for a quantity that must stay ABOVE a floor (non-vanishing)."""
-    v = float(value)
-    return CheckRecord(
-        id=check_id,
-        identity=identity,
-        lhs=v,
-        rhs=floor,
-        abs_residual=v,
-        rel_residual=v,
-        tolerance=float(floor),
-        measure="floor",
-        passed=bool(v >= floor),
+        tolerance=tol,
+        measure="abs" if measure == "bound" else measure,
+        passed=bool(value >= tol if measure == "floor" else value <= tol),
         details=dict(details or {}),
     )
 

@@ -26,12 +26,13 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import groupby
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .builtins import GeometryCase, _radial_xy, get_case
+from .builtins import GeometryCase, get_case
 from .euler import (
     _flux_field,
     convective_identity_residual,
@@ -51,7 +52,6 @@ from .evolving import (
     reynolds_residual,
 )
 from .fields import (
-    _field,
     constant,
     coordinate,
     random_polynomial,
@@ -90,7 +90,7 @@ from .quadrature import (
     stokes_residual,
     weak_form,
 )
-from .report import CheckRecord, VerificationReport, make_bound_check, make_check, make_floor_check
+from .report import CheckRecord, VerificationReport, make_check
 from .stress import (
     cross_stress,
     force_residual,
@@ -110,7 +110,6 @@ __all__ = [
     "SuiteError",
     "SUITE_NAMES",
     "run_suite",
-    "suite_names",
 ]
 
 
@@ -155,24 +154,18 @@ class SuiteConfig:
 # -- the runner -------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(eq=False)
 class Mode:
-    """The derivative mode a row runs in, and the results its rows share."""
+    """The derivative mode a row runs in.
+
+    Rows share a result through a ``functools.cache`` function of the mode.
+    Modes hash by identity: the mode of the rows that run once keeps its own
+    results apart from the per-mode run in the same ``DiffConfig``, so each
+    of the two makes its own random draws.
+    """
 
     name: str
     d: DiffConfig
-    shared: Dict[Callable, object] = field(default_factory=dict)
-
-
-def _shared(fn: Callable[[Mode], object]) -> Callable[[Mode], object]:
-    """``fn(mode)``, computed once per mode for every row that asks for it."""
-
-    def get(mode: Mode):
-        if fn not in mode.shared:
-            mode.shared[fn] = fn(mode)
-        return mode.shared[fn]
-
-    return get
 
 
 @dataclass(frozen=True)
@@ -202,10 +195,8 @@ def _record(cfg: SuiteConfig, row: Check, mode: Mode) -> CheckRecord:
     tol = row.tol[mode.name == "analytic"] if isinstance(row.tol, tuple) else row.tol
     tol = cfg.tolerance(check_id, tol)
     value = row.value(mode)
-    if row.kind == "bound":
-        return make_bound_check(check_id, row.identity, value, tol)
-    if row.kind == "floor":
-        return make_floor_check(check_id, row.identity, value, tol)
+    if row.kind in ("bound", "floor"):
+        value = (value, None)
     res = value if isinstance(value, IdentityResult) else IdentityResult(*value)
     details = {k: (float(np.linalg.norm(v)) if np.ndim(v) else float(v))
                for k, v in res.pieces.items()}
@@ -440,40 +431,11 @@ def _projection(cfg: SuiteConfig, _case) -> List[Check]:
 # -- differential identities ------------------------------------------------------
 
 
-def _sphere_curvature(case: GeometryCase):
-    r2 = case.params["radius"] ** 2
-    return lambda X: 2.0 * X / r2
-
-
-def _circle_curvature(case: GeometryCase):
-    r2 = case.params["radius"] ** 2
-    return lambda X: X * [1.0, 1.0, 0.0] / r2
-
-
-def _torus_curvature(case: GeometryCase):
-    major, minor = case.params["major"], case.params["minor"]
-
-    def kappa(X):
-        s, shat = _radial_xy(X)
-        a = (s - major)[..., None]
-        nhat = (a * shat + X * [0.0, 0.0, 1.0]) / minor
-        return (1.0 / minor + a / (minor * s[..., None])) * nhat
-
-    return kappa
-
-
-_CURVATURE_FORMS = {
-    "sphere": _sphere_curvature,
-    "circle3d": _circle_curvature,
-    "torus": _torus_curvature,
-}
-
-
 def _curvature_error(name: str, d: DiffConfig, seed: int) -> float:
     """Worst relative error of the mean curvature vector on a pinned case."""
     pinned = get_case(name)
     points = pinned.sample_points(4, seed=seed)
-    want = _CURVATURE_FORMS[name](pinned)(points)
+    want = pinned.curvature(points)
     got = mean_curvature(pinned.geometry, d).values(points)
     rel = np.linalg.norm(got - want, axis=-1) / np.maximum(1.0, np.linalg.norm(want, axis=-1))
     return float(np.max(rel))
@@ -487,22 +449,12 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     g = random_polynomial(3, 0, rng, degree=2)
     u0 = random_polynomial(3, 1, rng, degree=2)
 
-    gf = _shared(lambda m: submanifold_gradient(f, geom, m.d))
-    ut = _shared(lambda m: project_field(u0, geom, name="Pu"))
-    pf_u = _shared(lambda m: perp_field(ut(m), geom, m.d))
+    gf = cache(lambda m: submanifold_gradient(f, geom, m.d))
+    ut = cache(lambda m: project_field(u0, geom, name="Pu"))
+    pf_u = cache(lambda m: perp_field(ut(m), geom, m.d))
 
     def product_rule(m):
-        fg = _field(
-            3,
-            0,
-            lambda X, t: f.values(X, t) * g.values(X, t),
-            grad=lambda X, t: (
-                f.values(X, t)[..., None] * g.gradient_values(X, t)
-                + g.values(X, t)[..., None] * f.gradient_values(X, t)
-            ),
-            name="fg",
-        )
-        gfg = submanifold_gradient(fg, geom, m.d)
+        gfg = submanifold_gradient(tf_outer(f, g), geom, m.d)
         gg = submanifold_gradient(g, geom, m.d)
         return _max_norm(
             gfg.values(points)
@@ -511,17 +463,7 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         )
 
     def divergence_product(m):
-        fu = _field(
-            3,
-            1,
-            lambda X, t: f.values(X, t)[..., None] * u0.values(X, t),
-            grad=lambda X, t: (
-                f.values(X, t)[..., None, None] * u0.gradient_values(X, t)
-                + _outer(u0.values(X, t), f.gradient_values(X, t), X.ndim - 1)
-            ),
-            name="fu",
-        )
-        divfu = divergence(fu, geom, m.d)
+        divfu = divergence(tf_outer(f, u0), geom, m.d)
         divu = divergence(u0, geom, m.d)
         return _max_norm(
             divfu.values(points)
@@ -581,7 +523,7 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
             Check(f"diff.curvature-{name}", "mean curvature vector matches the closed form",
                   (1e-5, 1e-9), lambda m, name=name: _curvature_error(name, m.d, cfg.seed),
                   per_mode=True, on=name)
-            for name in _CURVATURE_FORMS
+            for name in ("sphere", "circle3d", "torus")
         ),
     ]
 
@@ -598,8 +540,8 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     arc = helix.atlas(cfg.order, cfg.panels)
     ez = constant(3, Tensor(3, np.array([0.0, 0.0, 1.0])), name="e_z")
 
-    ez_res = _shared(lambda m: stokes_residual(hemi, ez, m.d))
-    z_res = _shared(lambda m: gradient_residual(hemi, coordinate(3, 2), m.d))
+    ez_res = cache(lambda m: stokes_residual(hemi, ez, m.d))
+    z_res = cache(lambda m: gradient_residual(hemi, coordinate(3, 2), m.d))
 
     def path_theorem(m):
         return max(
@@ -667,7 +609,7 @@ def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         cg = surface_curl(submanifold_gradient(f, sph.geometry, m.d), sph.geometry, m.d)
         return _max_norm(cg.values(sph.sample_points(4, seed=cfg.seed)))
 
-    disk_res = _shared(lambda m: circulation_residual(disk_atlas, spin, m.d))
+    disk_res = cache(lambda m: circulation_residual(disk_atlas, spin, m.d))
 
     def gradient_circulation(m):
         sg_disk = submanifold_gradient(f, disk.geometry, m.d)
@@ -712,14 +654,14 @@ def _laplacian(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         got = np.stack(
             [laplacian(coordinate(3, j), geom, m.d).values(points) for j in range(3)], axis=-1
         )
-        want = -2.0 * points / radius**2
+        want = -case.curvature(points)
         return float(np.max(np.abs(got - want) / np.maximum(1.0, np.abs(want))))
 
     def killing(m):
         clap = covariant_laplacian(killing_z, geom, m.d)
         return _max_norm(clap.values(points) + killing_z.values(points))
 
-    @_shared
+    @cache
     def weak(m):
         forcing = tf_scale(covariant_laplacian(killing_z, geom, m.d), -1.0, name="-lap u")
         return weak_form(atlas, killing_z, killing_z, forcing, None, m.d)
@@ -768,7 +710,7 @@ def _euler(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         total = integrate(atlas, lambda X, t: _dot(geom.frame_at(X, t).P, divq.values(X, t), 1))
         return float(np.linalg.norm(np.asarray(total)))
 
-    balance = _shared(lambda m: force_balance(hemi_atlas, hemi_state, m.d))
+    balance = cache(lambda m: force_balance(hemi_atlas, hemi_state, m.d))
 
     def scaled_balance(m):
         fb = balance(m)
@@ -831,7 +773,7 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     pts = sphere.sample_points(5, seed=cfg.seed)
     frame = sphere.geometry.frame_at(pts)
 
-    xs = _shared(lambda m: cross_stress(sphere.geometry))
+    xs = cache(lambda m: cross_stress(sphere.geometry))
 
     hemi = get_case("hemisphere").atlas(cfg.order, cfg.panels)
 
@@ -844,7 +786,7 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         div_bar = divergence(transpose_field(xs(m)), sphere.geometry, m.d)
         return _max_norm(div_bar.values(sphere.sample_points(4, seed=cfg.seed)))
 
-    @_shared
+    @cache
     def cut_response(m):
         sig = xs(m).values(pts)
         pairings = np.abs(list(omega_pairings(sig, frame).values()))
@@ -939,12 +881,12 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         xs, _ = advected.charts[0].points(0.05)
         return float(np.max(np.abs(geom.level_values(xs[:: max(1, len(xs) // 64)], 0.05))))
 
-    gw2 = _shared(lambda m: cartesian_gradient(w2, m.d))
-    cw = _shared(lambda m: projector_rate(geom, w2, m.d))
-    f1 = _shared(lambda m: random_polynomial(3, 1, rng, degree=2))
-    gf = _shared(lambda m: cartesian_gradient(f1(m), m.d))
+    gw2 = cache(lambda m: cartesian_gradient(w2, m.d))
+    cw = cache(lambda m: projector_rate(geom, w2, m.d))
+    f1 = cache(lambda m: random_polynomial(3, 1, rng, degree=2))
+    gf = cache(lambda m: cartesian_gradient(f1(m), m.d))
 
-    @_shared
+    @cache
     def rank0(m):
         zfield = coordinate(3, 2)
         return dirichlet_rate_terms(atlas, zfield, w, m.d), dirichlet_rate_fd(atlas, zfield, w, m.d)
@@ -1052,10 +994,6 @@ SUITES: Dict[str, Callable[[SuiteConfig], List[CheckRecord]]] = {
 }
 
 SUITE_NAMES = list(SUITES) + ["all"]
-
-
-def suite_names() -> List[str]:
-    return list(SUITE_NAMES)
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:

@@ -232,6 +232,8 @@ class Tensor:
     @classmethod
     def _wrap(cls, n: int, arr: np.ndarray) -> "Tensor":
         # Internal fast path: arr is a fresh float array of the right shape.
+        if type(arr) is not np.ndarray:  # numpy gives rank-0 results as array scalars
+            arr = np.array(arr, dtype=float)
         self = object.__new__(cls)
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)

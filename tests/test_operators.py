@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tensorcalc.builtins import get_case
+from tensorcalc.builtins import available, get_case
 from tensorcalc.fields import (
     constant,
     coordinate,
@@ -133,6 +133,25 @@ def test_mean_curvature_torus():
         nhat = np.array([a * x[0] / s, a * x[1] / s, x[2]]) / minor
         expected = (1.0 / minor + a / (minor * s)) * nhat
         np.testing.assert_allclose(kap.values(x, 0.0), expected, atol=1e-9)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("sphere", {"radius": 2.0}),
+    ("circle3d", {"radius": 1.5}),
+    ("torus", {"major": 3.0, "minor": 0.75}),
+])
+def test_case_curvature_is_the_mean_curvature_vector(name, params):
+    """The closed form a case carries, at parameters other than its
+    defaults, against the analytic mean curvature operator."""
+    case = get_case(name, **params)
+    pts = case.sample_points(6)
+    want = mean_curvature(case.geometry, AN).values(pts)
+    np.testing.assert_allclose(case.curvature(pts), want, rtol=1e-12, atol=1e-12)
+
+
+def test_case_curvature_is_none_without_a_closed_form():
+    with_form = {name for name in available() if get_case(name).curvature is not None}
+    assert with_form == {"sphere", "circle3d", "torus"}
 
 
 def test_shape_operator_sphere_is_scaled_projector():

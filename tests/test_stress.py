@@ -192,3 +192,22 @@ def test_equilibrium_diagnostics_on_projector():
     assert np.max(diag["normal_at_tangential"]) <= 1e-10
     assert max(np.max(np.abs(v)) for v in diag["omega_pairings"].values()) <= 1e-10
     assert np.min(np.linalg.norm(diag["div_transpose"], axis=-1)) > 0.1
+
+
+@pytest.mark.parametrize("plane", PLANES)
+def test_omega_field_gradient_matches_fd4_of_its_values(plane):
+    """The analytic gradient of omega_ij on the torus against fourth-order
+    differences of its values, derivative slot last."""
+    case = get_case("torus")
+    om = omega_field(case.geometry, *plane)
+    assert om.has_gradient
+    X = case.sample_points(4, seed=2)
+    h = 1e-3
+    want = np.stack(
+        [(om.values(X - 2 * e) - 8 * om.values(X - e) + 8 * om.values(X + e)
+          - om.values(X + 2 * e)) / (12 * h) for e in h * np.eye(3)],
+        axis=-1,
+    )
+    got = om.gradient_values(X, 0.0)
+    assert got.shape == (4, 3, 3, 3)
+    assert np.max(np.abs(got - want)) <= 1e-8

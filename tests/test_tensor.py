@@ -22,6 +22,8 @@ from tensorcalc.tensor import (
     _outer,
     _partials,
     basis_covector,
+    contract_left,
+    contract_right,
     covector,
     dot,
     frobenius,
@@ -292,3 +294,33 @@ def test_dot_and_outer_reject_rank_nine(rng):
         dot(random_tensor(2, 5, rng), random_tensor(2, 6, rng))
     with pytest.raises(ShapeError):
         outer(random_tensor(2, 4, rng), random_tensor(2, 5, rng))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), n=st.integers(1, 4))
+def test_public_contractions_and_arithmetic_match_einsum(data, n):
+    """contract_left, contract_right, +, unary - and scalar * on single
+    tensors against einsum and plain array arithmetic, for ranks 0-4."""
+    qt = data.draw(st.integers(0, 4), label="qt")
+    qs = data.draw(st.integers(0, qt), label="qs")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    t, u, s = random_tensor(n, qt, gen), random_tensor(n, qt, gen), random_tensor(n, qs, gen)
+    a = float(gen.standard_normal())
+    idx = SLOTS[:qt]
+    left, right = contract_left(s, t), contract_right(t, s)
+    assert left.q == right.q == qt - qs
+    np.testing.assert_allclose(
+        left.array, np.einsum(f"{idx[:qs]},{idx}->{idx[qs:]}", s.array, t.array),
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(
+        right.array, np.einsum(f"{idx},{idx[qt - qs:]}->{idx[:qt - qs]}", t.array, s.array),
+        rtol=1e-12, atol=1e-12)
+    np.testing.assert_array_equal((t + u).array, t.array + u.array)
+    np.testing.assert_array_equal((-t).array, -t.array)
+    np.testing.assert_array_equal((a * t).array, t.array * a)
+    np.testing.assert_array_equal((t * 3).array, t.array * 3.0)
+    assert (t + u).q == (-t).q == (a * t).q == qt
+    with pytest.raises(TypeError):
+        t + 1.0
+    with pytest.raises(TypeError):
+        t * t
