@@ -60,21 +60,15 @@ def dirichlet_rate_terms(
     div_w = divergence(w, geom, cfg)
     cov_w = covariant_gradient(w, geom, cfg)
 
-    term1 = float(
-        integrate(atlas, lambda X, s: _frobenius(g.values(X, s), g_rate.values(X, s), 1), t)
-    )
-
-    def dilation(X, s):
-        garr = g.values(X, s)
-        return _frobenius(garr, garr, 1) * div_w.values(X, s)
-
-    term2 = 0.5 * float(integrate(atlas, dilation, t))
-
-    def chained(X, s):
+    def densities(X, s):
         garr = g.values(X, s)  # derivative slot last
-        return _frobenius(_dot(garr, cov_w.values(X, s), 1), garr, 1)
+        return np.stack([
+            _frobenius(garr, g_rate.values(X, s), 1),
+            _frobenius(garr, garr, 1) * div_w.values(X, s),
+            _frobenius(_dot(garr, cov_w.values(X, s), 1), garr, 1),
+        ], axis=-1)
 
-    term3 = -float(integrate(atlas, chained, t))
+    term1, term2, term3 = (float(v) for v in integrate(atlas, densities, t) * [1.0, 0.5, -1.0])
     return {"advection": term1, "dilation": term2, "chain": term3, "total": term1 + term2 + term3}
 
 

@@ -257,34 +257,35 @@ def _max_norm(values: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(values.reshape(len(values), -1), axis=-1)))
 
 
-# Draw-loop suites draw their inputs one at a time, in a fixed generator order,
-# and evaluate them in blocks: the draws of a block are grouped by shape, and
-# each group is stacked and checked in one batched call.  The block bounds the
-# draws held at once, which add to the peak memory of a verify pass; larger
-# blocks make fewer, larger groups.
-_BLOCK = 125
+# The draw suites make all their draws first, in a fixed generator order, and
+# keep each as a tuple: its shape key, then what its generator calls
+# returned.  The draws are grouped by shape over the whole suite, and each
+# group is stacked and checked in one batched call.
 
 
-def _in_blocks(draw: Callable[[], dict], count: int, evaluate: Callable[[List[dict]], None]):
-    """Make ``count`` calls of ``draw()`` in order and hand them to
-    ``evaluate`` ``_BLOCK`` at a time; a block is let go before the next is
-    drawn."""
-    for start in range(0, count, _BLOCK):
-        evaluate([draw() for _ in range(min(_BLOCK, count - start))])
+def _groups(draws: List[tuple], key: Callable[[tuple], tuple]):
+    """The draws grouped by ``key(draw)``, as (key, draws) pairs in order of
+    first appearance."""
+    groups: Dict[tuple, List[tuple]] = {}
+    for d in draws:
+        groups.setdefault(key(d), []).append(d)
+    return groups.items()
 
 
-def _groups(block: List[dict], *names: str):
-    """The draws of a block grouped by the shapes of their entries
-    ``names``, in order of first appearance."""
-    groups: Dict[tuple, List[dict]] = {}
-    for d in block:
-        groups.setdefault(tuple(d[name].shape for name in names), []).append(d)
-    return groups.values()
+def _column(group: List[tuple], i: int) -> np.ndarray:
+    """Entry ``i`` of a group's draws, stacked on a leading axis."""
+    return np.array([d[i] for d in group])
 
 
-def _stack(group: List[dict], *names: str) -> List[np.ndarray]:
-    """The named entries of a group's draws, stacked on a leading axis."""
-    return [np.array([d[name] for d in group]) for name in names]
+def _split(flat: np.ndarray, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
+    """Arrays of the given per-draw shapes, cut in order from the draws of a
+    group stacked flat (L, size), each (L, *shape) and contiguous."""
+    out, at = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        out.append(np.ascontiguousarray(flat[:, at:at + size]).reshape(len(flat), *shape))
+        at += size
+    return out
 
 
 def _random_frames(raw: np.ndarray):
@@ -294,7 +295,11 @@ def _random_frames(raw: np.ndarray):
 
 
 class _Worst(dict):
-    """Running maxima of named residuals over every group of draws."""
+    """Running maxima of named residuals over every group of draws, each
+    starting at -inf."""
+
+    def __init__(self, *names: str):
+        super().__init__(dict.fromkeys(names, -math.inf))
 
     def note(self, name: str, values) -> None:
         self[name] = max(self[name], float(values.max()))
@@ -306,45 +311,44 @@ class _Worst(dict):
 def _tensor_algebra(cfg: SuiteConfig, _case) -> List[Check]:
     rng = np.random.default_rng(cfg.seed)
     normal = rng.standard_normal
-    worst = _Worst.fromkeys(("insert", "mixed", "assoc", "pairing", "roundtrip"), 0.0)
+    worst = _Worst("insert", "mixed", "assoc", "pairing", "roundtrip")
 
-    def draw() -> dict:
+    def draw() -> tuple:
         n = int(rng.integers(2, 5))
         q = int(rng.integers(2, 5))
-        d = {"t": normal((n,) * q), "u": normal(n), "v": normal(n),
-             "s": normal((n,) * (q - 1)), "big": normal((n,) * q)}
+        # t, u, v, s and big, drawn in that order by one call
+        head = normal(2 * n**q + 2 * n + n ** (q - 1))
         # associativity of the contraction product needs a rank >= 2 middle
-        d["mid"] = normal((n,) * int(rng.integers(2, 4)))
-        d["r"] = normal((n,) * int(rng.integers(1, 4)))
-        d["raw"] = normal((int(rng.integers(1, n)), n))  # m random directions
-        d["tang"] = normal((n,) * q)
-        return d
+        mid = normal((n,) * int(rng.integers(2, 4)))
+        r = normal((n,) * int(rng.integers(1, 4)))
+        m = int(rng.integers(1, n))  # m random directions
+        # raw (m, n) and tang, drawn in that order by one call
+        return (n, q, m), head, mid, r, normal(m * n + n**q)
 
-    def evaluate(block: List[dict]) -> None:
-        for group in _groups(block, "t", "raw"):
-            t, u, v, s, big, raw, tang = _stack(group, "t", "u", "v", "s", "big", "raw", "tang")
-            # the public row representation, tensor by tensor
-            rebuilt = np.array([[c.array for c in Tensor(len(d["t"]), d["t"]).components()]
-                                for d in group])
-            worst.note("roundtrip", np.abs(rebuilt - t))
-            worst.note("insert", np.abs(_dot(_dot(u, t, 1), v, 1) - _dot(u, _dot(t, v, 1), 1)))
-            # (S:T).v summed index by index, apart from the contraction primitives
-            contracted = np.einsum("li,lij->lj", s.reshape(len(s), -1),
-                                   big.reshape(len(s), s[0].size, -1))
-            lhs = np.einsum("lj,lj->l", contracted, v)
-            worst.note("mixed", np.abs(lhs - _frobenius(s, _dot(big, v, 1), 1)))
-            P = _random_frames(raw).P
-            tang = _project_array(tang, P)
-            worst.note("pairing", np.abs(
-                _frobenius(tang, big, 1) - _frobenius(tang, _project_array(big, P), 1)))
-        for group in _groups(block, "t", "mid", "r"):
-            t, mid, r = _stack(group, "t", "mid", "r")
-            # in place: at rank 6 these are the largest arrays of the suite
-            diff = _dot(_dot(t, mid, 1), r, 1)
-            diff -= _dot(t, _dot(mid, r, 1), 1)
-            worst.note("assoc", np.abs(diff, out=diff))
-
-    _in_blocks(draw, 1000, evaluate)
+    draws = [draw() for _ in range(1000)]
+    for (n, q, m), group in _groups(draws, lambda d: d[0]):
+        t, u, v, s, big = _split(_column(group, 1), (n,) * q, (n,), (n,), (n,) * (q - 1), (n,) * q)
+        raw, tang = _split(_column(group, 4), (m, n), (n,) * q)
+        # the public row representation, tensor by tensor
+        rebuilt = np.array([[c.array for c in Tensor(n, ti).components()] for ti in t])
+        worst.note("roundtrip", np.abs(rebuilt - t))
+        worst.note("insert", np.abs(_dot(_dot(u, t, 1), v, 1) - _dot(u, _dot(t, v, 1), 1)))
+        # (S:T).v summed index by index, apart from the contraction primitives
+        contracted = np.einsum("li,lij->lj", s.reshape(len(s), -1),
+                               big.reshape(len(s), s[0].size, -1))
+        lhs = np.einsum("lj,lj->l", contracted, v)
+        worst.note("mixed", np.abs(lhs - _frobenius(s, _dot(big, v, 1), 1)))
+        P = _random_frames(raw).P
+        tang = _project_array(tang, P)
+        worst.note("pairing", np.abs(
+            _frobenius(tang, big, 1) - _frobenius(tang, _project_array(big, P), 1)))
+    for (n, q, _, _), group in _groups(draws, lambda d: (*d[0][:2], d[2].ndim, d[3].ndim)):
+        (t,) = _split(_column(group, 1), (n,) * q)
+        mid, r = _column(group, 2), _column(group, 3)
+        # in place: at rank 6 these are the largest arrays of the suite
+        diff = _dot(_dot(t, mid, 1), r, 1)
+        diff -= _dot(t, _dot(mid, r, 1), 1)
+        worst.note("assoc", np.abs(diff, out=diff))
 
     return [
         Check("algebra.insertion-commute", "left and right insertion commute",
@@ -377,41 +381,44 @@ def _project_oracle(arr: np.ndarray, P: np.ndarray) -> np.ndarray:
 def _projection(cfg: SuiteConfig, _case) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 1)
     normal = rng.standard_normal
-    worst = _Worst.fromkeys(("oracle", "idem", "slot", "kill", "grow"), 0.0)
+    worst = _Worst("oracle", "idem", "slot", "kill", "grow")
+    n = 3
 
-    def draw() -> dict:
-        n, m = 3, int(rng.integers(1, 3))
+    def draw() -> tuple:
+        m = int(rng.integers(1, 3))
         q = int(rng.integers(1, 4))
-        d = {"raw": normal((m, n)), "t": normal((n,) * q), "pos": int(rng.integers(0, 3))}
-        d["factors"] = np.stack([normal(n) for _ in range(3)])
-        d["which"] = int(rng.integers(0, m))  # the normal that replaces factor pos
-        return d
+        # raw (m, n) and t, drawn in that order by one call
+        head = normal(m * n + n**q)
+        pos = int(rng.integers(0, 3))
+        factors = normal((3, n))
+        which = int(rng.integers(0, m))  # the normal that replaces factor pos
+        return (m, q), head, pos, factors, which
 
     def note_oracle(t, P, pt):
         worst.note("oracle", np.abs(pt - _project_oracle(t, P)))
 
-    def evaluate(block: List[dict]) -> None:
-        for group in _groups(block, "t", "raw"):
-            raw, t, pos, factors, which = _stack(group, "raw", "t", "pos", "factors", "which")
-            frame = _random_frames(raw)
-            P = frame.P
-            pt = _project_array(t, P)
-            note_oracle(t, P, pt)
-            worst.note("idem", np.abs(_project_array(pt, P) - pt))
-            for slot in range(t.ndim - 1):
-                worst.note("slot", np.abs(_apply_to_slot(frame.normals[:, :1], pt, slot, 1)))
-            flat = len(group), -1
-            worst.note("grow", _norm(pt.reshape(flat)) - _norm(t.reshape(flat)))
-            at = np.arange(len(group))
-            factors[at, pos] = frame.normals[at, which]
-            chain = _outer(_outer(factors[:, 0], factors[:, 1], 1), factors[:, 2], 1)
-            worst.note("kill", _norm(_project_array(chain, P).reshape(len(group), -1)))
+    draws = [draw() for _ in range(60)]
+    for (m, q), group in _groups(draws, lambda d: d[0]):
+        raw, t = _split(_column(group, 1), (m, n), (n,) * q)
+        pos, factors, which = _column(group, 2), _column(group, 3), _column(group, 4)
+        frame = _random_frames(raw)
+        P = frame.P
+        pt = _project_array(t, P)
+        note_oracle(t, P, pt)
+        worst.note("idem", np.abs(_project_array(pt, P) - pt))
+        for slot in range(q):
+            worst.note("slot", np.abs(_apply_to_slot(frame.normals[:, :1], pt, slot, 1)))
+        flat = len(group), -1
+        worst.note("grow", _norm(pt.reshape(flat)) - _norm(t.reshape(flat)))
+        at = np.arange(len(group))
+        factors[at, pos] = frame.normals[at, which]
+        chain = _outer(_outer(factors[:, 0], factors[:, 1], 1), factors[:, 2], 1)
+        worst.note("kill", _norm(_project_array(chain, P).reshape(len(group), -1)))
 
-    _in_blocks(draw, 60, evaluate)
     sphere = get_case("sphere", radius=1.3)
     points = sphere.sample_points(4, seed=cfg.seed)
     P = sphere.geometry.frame_at(points).P
-    t = np.stack([normal((3,) * 3) for _ in points])
+    t = normal((len(points),) + (n,) * 3)
     note_oracle(t, P, _project_array(t, P))
 
     return [
@@ -798,28 +805,23 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
         return float(np.max(np.abs(normal_at_tangential(sig, frame) - _norm(pw))))
 
     def constrained_family(m):
-        worst = _Worst(family=0.0)
+        worst = _Worst("family")
 
-        def draw() -> dict:
+        def draw() -> tuple:
             n = int(rng.integers(3, 7))
             k = int(rng.integers(1, n))
             # raw (k, n), pressure, rows (k, n) and w (n, n), drawn in that
             # order by one call
-            kn = k * n
-            z = rng.standard_normal(2 * kn + 1 + n * n)
-            return {"raw": z[:kn].reshape(k, n), "pressure": float(z[kn]),
-                    "rows": z[kn + 1:2 * kn + 1].reshape(k, n), "w": z[2 * kn + 1:].reshape(n, n)}
+            return (n, k), rng.standard_normal(2 * k * n + 1 + n * n)
 
-        def evaluate(block: List[dict]) -> None:
-            for group in _groups(block, "raw"):
-                raw, pressure, rows, w = _stack(group, "raw", "pressure", "rows", "w")
-                frame = _random_frames(raw)
-                P = frame.P
-                # pressure, plus a normal row n_i (x) r_i per normal, plus P W P
-                sig = pressure[:, None, None] * P + np.swapaxes(frame.normals, -1, -2) @ rows
-                worst.note("family", normal_at_tangential(sig + P @ w @ P, frame))
-
-        _in_blocks(draw, 1000, evaluate)
+        draws = [draw() for _ in range(1000)]
+        for (n, k), group in _groups(draws, lambda d: d[0]):
+            raw, pressure, rows, w = _split(_column(group, 1), (k, n), (), (k, n), (n, n))
+            frame = _random_frames(raw)
+            P = frame.P
+            # pressure, plus a normal row n_i (x) r_i per normal, plus P W P
+            sig = pressure[:, None, None] * P + np.swapaxes(frame.normals, -1, -2) @ rows
+            worst.note("family", normal_at_tangential(sig + P @ w @ P, frame))
         return worst["family"]
 
     return [

@@ -3,6 +3,7 @@
 import math
 
 import numpy as np
+import pytest
 
 from tensorcalc.builtins import get_case
 from tensorcalc.fields import (
@@ -12,7 +13,14 @@ from tensorcalc.fields import (
     tf_add,
     vector_field,
 )
-from tensorcalc.operators import DiffConfig, divergence, project_field
+from tensorcalc.operators import (
+    DiffConfig,
+    covariant_gradient,
+    divergence,
+    material_derivative,
+    project_field,
+    submanifold_gradient,
+)
 from tensorcalc.evolving import (
     dirichlet_energy,
     dirichlet_rate_fd,
@@ -120,6 +128,47 @@ def test_dirichlet_rate_rank2(rng):
     terms = dirichlet_rate_terms(atlas, t2, case.velocity, AN)
     fd = dirichlet_rate_fd(atlas, t2, case.velocity, AN)
     assert abs(terms["total"] - fd) / max(1.0, abs(fd)) <= 1e-3
+
+
+def _full_contraction(a, b):
+    return np.sum((a * b).reshape(len(a), -1), axis=1)
+
+
+@pytest.mark.parametrize("mode", ["fd2", "analytic"])
+@pytest.mark.parametrize("rank", [0, 2])
+def test_each_rate_term_equals_its_own_integral(rank, mode):
+    """The three terms come from one stacked integrand; each must equal its
+    own integral, taken apart, to 1e-13 of the largest term."""
+    case = expanding_case()
+    geom, w = case.geometry, case.velocity
+    atlas = case.atlas(order=8, panels=1)
+    cfg = DiffConfig(mode=mode)
+    if rank == 0:
+        f = coordinate(3, 2)
+    else:
+        ez = np.array([0.0, 0.0, 1.0])
+        f = project_field(constant(3, Tensor(3, np.outer(ez, ez)), name="ezez"), geom)
+    g = submanifold_gradient(f, geom, cfg)
+    g_rate = submanifold_gradient(material_derivative(f, w, cfg), geom, cfg)
+    div_w = divergence(w, geom, cfg)
+    cov_w = covariant_gradient(w, geom, cfg)
+
+    def chained(X, t):
+        garr = g.values(X, t)
+        return _full_contraction(np.einsum("n...i,nij->n...j", garr, cov_w.values(X, t)), garr)
+
+    want = {
+        "advection": float(integrate(
+            atlas, lambda X, t: _full_contraction(g.values(X, t), g_rate.values(X, t)))),
+        "dilation": 0.5 * float(integrate(
+            atlas, lambda X, t: _full_contraction(g.values(X, t), g.values(X, t))
+            * div_w.values(X, t))),
+        "chain": -float(integrate(atlas, chained)),
+    }
+    got = dirichlet_rate_terms(atlas, f, w, cfg)
+    scale = max(abs(v) for v in want.values())
+    for name, value in want.items():
+        assert abs(got[name] - value) <= 1e-13 * scale, name
 
 
 def test_material_consistency_along_paths(rng):

@@ -2,6 +2,7 @@
 and the draw-loop suites against their per-draw reference loops."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -135,7 +136,8 @@ def _algebra_loop(rng):
 
 
 def _projection_loop(rng, seed):
-    oracle = idem = slot = kill = grow = 0.0
+    oracle = idem = slot = kill = 0.0
+    grow = -math.inf
     for _ in range(60):
         n, m = 3, int(rng.integers(1, 3))
         q = int(rng.integers(1, 4))
@@ -194,6 +196,35 @@ def generators(monkeypatch):
 
 def _fresh(seed):
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def _one_call_sizes():
+    """The sizes of the consecutive draws that one standard_normal call of a
+    draw suite stands for."""
+    for n in (2, 3, 4):
+        for q in (2, 3, 4):
+            yield n**q, n, n, n ** (q - 1), n**q  # tensor-algebra: t, u, v, s, big
+            for m in range(1, n):
+                yield m * n, n**q  # raw, tang
+    for m in (1, 2):
+        for q in (1, 2, 3):
+            yield 3 * m, 3**q  # projection: raw, t
+    yield 3, 3, 3  # projection: three factors
+    yield 27, 27, 27, 27  # projection: a rank-3 tensor at each of four points
+    for n in range(3, 7):
+        for k in range(1, n):
+            yield k * n, 1, k * n, n * n  # constrained-family: raw, pressure, rows, w
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_one_standard_normal_call_equals_consecutive_calls(seed):
+    # the draw suites keep their streams only if this holds; numpy >= 1.24 is
+    # allowed, so a numpy whose stream differs fails here, not in a residual
+    for sizes in _one_call_sizes():
+        apart, whole = _fresh(seed), _fresh(seed)
+        parts = np.concatenate([apart.standard_normal(size) for size in sizes])
+        np.testing.assert_array_equal(whole.standard_normal(sum(sizes)), parts)
+        assert whole.bit_generator.state == apart.bit_generator.state, sizes
 
 
 def _values(rows):
