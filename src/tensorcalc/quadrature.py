@@ -196,7 +196,8 @@ class Atlas:
     Beside its charts' nodes, an atlas keeps the node data that every
     integral over it shares, made on first use and read-only: the mean
     curvature vector on each chart's nodes, once per (DiffConfig, t), and
-    its ``BoundaryPoint`` batch, once per t.
+    its ``BoundaryPoint`` batch, once per t.  It also keeps the atlases
+    ``advected_atlas`` moves it to, once per (velocity field, t0, dt).
     """
 
     geometry: LevelSetGeometry
@@ -205,6 +206,8 @@ class Atlas:
     _kappa: Dict[Tuple[DiffConfig, float], List[np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _boundary: Dict[float, "BoundaryPoint"] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _advected: Dict[Tuple[TensorField, float, float], "Atlas"] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -506,8 +509,12 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
     The moved charts parametrize the manifold at time t0 + dt; evaluate
     integrals there with t = t0 + dt.  A moved chart maps a batch of
     parameter points with one RK4 step, so its quadrature nodes move
-    together.
+    together.  The moved atlas is made once per (w, t0, dt), the field
+    object itself, and kept on ``atlas`` with the nodes it computes.
     """
+    key = (w, float(t0), float(dt))
+    if key in atlas._advected:
+        return atlas._advected[key]
     moved = []
     for chart in atlas.charts:
         def make_mapping(c):
@@ -526,4 +533,5 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
                 name=f"{chart.name}@+{dt}",
             )
         )
-    return Atlas(atlas.geometry, moved, name=f"{atlas.name}@+{dt}")
+    atlas._advected[key] = Atlas(atlas.geometry, moved, name=f"{atlas.name}@+{dt}")
+    return atlas._advected[key]

@@ -2,8 +2,10 @@
 check records with pinned tolerances.
 
 A suite is data: a setup that builds its seeded inputs (cases, atlases,
-fields) and returns an ordered table of ``Check`` rows.  One runner,
-``Suite.__call__``, owns the policies every suite shares:
+fields) and returns an ordered table of ``Check`` rows.  ``run_suite``
+makes one ``Session`` per call, and every suite of the run takes its
+geometry cases and atlases from it, so a run builds each of them once.
+One runner, ``Suite.__call__``, owns the policies every suite shares:
 
 - Rows that exercise derivative machinery are per-mode: they run once in
   the configured finite-difference mode and once with analytic frames and
@@ -79,6 +81,7 @@ from .operators import (
     surface_curl,
 )
 from .quadrature import (
+    Atlas,
     IdentityResult,
     advected_atlas,
     circulation_residual,
@@ -190,6 +193,39 @@ class Check:
     on: Optional[str] = None
 
 
+class Session:
+    """What one run builds once and every suite of the run shares.
+
+    It holds the geometry cases by (name, params) and their atlases by
+    (case, order, panels); an atlas keeps its own nodes, curvature,
+    boundary and advected atlases.  ``run_suite`` makes one session per
+    call and drops it at the end, so no run reuses another run's work.
+    """
+
+    def __init__(self, cfg: SuiteConfig) -> None:
+        self.cfg = cfg
+        self._cases: Dict[tuple, GeometryCase] = {}
+        self._atlases: Dict[tuple, Atlas] = {}
+
+    def case(self, name: str, **params: float) -> GeometryCase:
+        key = (name, tuple(sorted(params.items())))
+        if key not in self._cases:
+            self._cases[key] = get_case(name, **params)
+        return self._cases[key]
+
+    def atlas(self, case: Union[str, GeometryCase], order: Optional[int] = None) -> Atlas:
+        """The atlas of a case, or of the named case at its default
+        parameters, at ``order`` (the configured one by default) and the
+        configured panels."""
+        if isinstance(case, str):
+            case = self.case(case)
+        key = (case.name, tuple(sorted(case.params.items())),
+               self.cfg.order if order is None else order, self.cfg.panels)
+        if key not in self._atlases:
+            self._atlases[key] = case.atlas(*key[2:])
+        return self._atlases[key]
+
+
 def _record(cfg: SuiteConfig, row: Check, mode: Mode) -> CheckRecord:
     check_id = row.stem + (f".{mode.name}" if row.per_mode else "")
     tol = row.tol[mode.name == "analytic"] if isinstance(row.tol, tuple) else row.tol
@@ -208,34 +244,36 @@ def _record(cfg: SuiteConfig, row: Check, mode: Mode) -> CheckRecord:
 class Suite:
     """A suite's setup and the geometries it runs on.
 
-    ``setup(cfg, case)`` builds the seeded inputs and returns the table;
-    ``case`` is None for a suite without a geometry.  ``params`` are the
-    suite's own parameters for its default geometry.
+    ``setup(cfg, case, session)`` builds the seeded inputs and returns the
+    table; ``case`` is None for a suite without a geometry.  ``params`` are
+    the suite's own parameters for its default geometry.
     """
 
-    setup: Callable[[SuiteConfig, Optional[GeometryCase]], List[Check]]
+    setup: Callable[[SuiteConfig, Optional[GeometryCase], Session], List[Check]]
     geometry: Optional[str] = None
     accepts: Tuple[str, ...] = ()
     params: Dict[str, float] = field(default_factory=dict)
 
-    def case(self, cfg: SuiteConfig) -> Optional[GeometryCase]:
+    def case(self, session: Session) -> Optional[GeometryCase]:
+        cfg = session.cfg
         if self.geometry is None:
             return None
         override = cfg.geometry is not None and (
             cfg.geometry != self.geometry or bool(cfg.geom_params)
         )
         if override and cfg.geometry in self.accepts:
-            return get_case(cfg.geometry, **cfg.geom_params)
+            return session.case(cfg.geometry, **cfg.geom_params)
         if override and cfg.suite != "all":
             raise SuiteError(
                 f"geometry '{cfg.geometry}' is not supported here "
                 f"(supported: {', '.join(sorted(self.accepts))})"
             )
-        return get_case(self.geometry, **self.params)
+        return session.case(self.geometry, **self.params)
 
-    def __call__(self, cfg: SuiteConfig) -> List[CheckRecord]:
-        case = self.case(cfg)
-        rows = self.setup(cfg, case)
+    def __call__(self, session: Session) -> List[CheckRecord]:
+        cfg = session.cfg
+        case = self.case(session)
+        rows = self.setup(cfg, case, session)
         names = [cfg.fd] if cfg.fd == "analytic" else [cfg.fd, "analytic"]
         modes = [Mode(name, cfg.diff(name)) for name in names]
         # rows that run once share results only among themselves
@@ -257,33 +295,32 @@ def _max_norm(values: np.ndarray) -> float:
     return float(np.max(np.linalg.norm(values.reshape(len(values), -1), axis=-1)))
 
 
-# The draw suites make all their draws first, in a fixed generator order, and
-# keep each as a tuple: its shape key, then what its generator calls
-# returned.  The draws are grouped by shape over the whole suite, and each
-# group is stacked and checked in one batched call.
+# The draw suites draw each integer quantity of all their draws in one
+# ``integers`` call, then group the draws by shape over the whole suite.  A
+# group draws the normals of all its draws in one ``standard_normal((L,
+# size))`` call, in ``np.unique`` order of the shapes, and is checked in one
+# batched call.
 
 
-def _groups(draws: List[tuple], key: Callable[[tuple], tuple]):
-    """The draws grouped by ``key(draw)``, as (key, draws) pairs in order of
-    first appearance."""
-    groups: Dict[tuple, List[tuple]] = {}
-    for d in draws:
-        groups.setdefault(key(d), []).append(d)
-    return groups.items()
+def _shape_groups(*keys: np.ndarray):
+    """(shape, indices) pairs: the draws grouped by their integer keys, each
+    an array over the draws, with the shapes in ``np.unique`` (sorted) order
+    and a group's draws in order."""
+    shapes, inverse = np.unique(np.stack(keys, axis=-1), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    for g, shape in enumerate(shapes):
+        yield tuple(int(v) for v in shape), np.flatnonzero(inverse == g)
 
 
-def _column(group: List[tuple], i: int) -> np.ndarray:
-    """Entry ``i`` of a group's draws, stacked on a leading axis."""
-    return np.array([d[i] for d in group])
-
-
-def _split(flat: np.ndarray, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
-    """Arrays of the given per-draw shapes, cut in order from the draws of a
-    group stacked flat (L, size), each (L, *shape) and contiguous."""
+def _draw(normal, count: int, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
+    """Arrays (count, *shape) for ``count`` draws of the given per-draw
+    shapes, each contiguous, made by one ``standard_normal((count, size))``
+    call: a draw's numbers come in one run, cut in the order of ``shapes``."""
+    flat = normal((count, sum(math.prod(shape) for shape in shapes)))
     out, at = [], 0
     for shape in shapes:
         size = math.prod(shape)
-        out.append(np.ascontiguousarray(flat[:, at:at + size]).reshape(len(flat), *shape))
+        out.append(np.ascontiguousarray(flat[:, at:at + size]).reshape(count, *shape))
         at += size
     return out
 
@@ -296,39 +333,34 @@ def _random_frames(raw: np.ndarray):
 
 class _Worst(dict):
     """Running maxima of named residuals over every group of draws, each
-    starting at -inf."""
+    starting at -inf.  A NaN in any group makes its record NaN, which fails
+    the check."""
 
     def __init__(self, *names: str):
         super().__init__(dict.fromkeys(names, -math.inf))
 
     def note(self, name: str, values) -> None:
-        self[name] = max(self[name], float(values.max()))
+        # np.maximum keeps a NaN, where max(-inf, nan) would drop it
+        self[name] = float(np.maximum(self[name], np.max(values)))
 
 
 # -- tensor algebra ---------------------------------------------------------------
 
 
-def _tensor_algebra(cfg: SuiteConfig, _case) -> List[Check]:
+def _tensor_algebra(cfg: SuiteConfig, _case, _session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed)
     normal = rng.standard_normal
     worst = _Worst("insert", "mixed", "assoc", "pairing", "roundtrip")
+    ns = rng.integers(2, 5, 1000)
+    qs = rng.integers(2, 5, 1000)
+    # associativity of the contraction product needs a rank >= 2 middle
+    mid_ranks = rng.integers(2, 4, 1000)
+    r_ranks = rng.integers(1, 4, 1000)
+    ms = rng.integers(1, ns)  # m random directions
 
-    def draw() -> tuple:
-        n = int(rng.integers(2, 5))
-        q = int(rng.integers(2, 5))
-        # t, u, v, s and big, drawn in that order by one call
-        head = normal(2 * n**q + 2 * n + n ** (q - 1))
-        # associativity of the contraction product needs a rank >= 2 middle
-        mid = normal((n,) * int(rng.integers(2, 4)))
-        r = normal((n,) * int(rng.integers(1, 4)))
-        m = int(rng.integers(1, n))  # m random directions
-        # raw (m, n) and tang, drawn in that order by one call
-        return (n, q, m), head, mid, r, normal(m * n + n**q)
-
-    draws = [draw() for _ in range(1000)]
-    for (n, q, m), group in _groups(draws, lambda d: d[0]):
-        t, u, v, s, big = _split(_column(group, 1), (n,) * q, (n,), (n,), (n,) * (q - 1), (n,) * q)
-        raw, tang = _split(_column(group, 4), (m, n), (n,) * q)
+    for (n, q, m), at in _shape_groups(ns, qs, ms):
+        t, u, v, s, big, raw, tang = _draw(normal, len(at), (n,) * q, (n,), (n,), (n,) * (q - 1),
+                                           (n,) * q, (m, n), (n,) * q)
         # the public row representation, tensor by tensor
         rebuilt = np.array([[c.array for c in Tensor(n, ti).components()] for ti in t])
         worst.note("roundtrip", np.abs(rebuilt - t))
@@ -342,9 +374,8 @@ def _tensor_algebra(cfg: SuiteConfig, _case) -> List[Check]:
         tang = _project_array(tang, P)
         worst.note("pairing", np.abs(
             _frobenius(tang, big, 1) - _frobenius(tang, _project_array(big, P), 1)))
-    for (n, q, _, _), group in _groups(draws, lambda d: (*d[0][:2], d[2].ndim, d[3].ndim)):
-        (t,) = _split(_column(group, 1), (n,) * q)
-        mid, r = _column(group, 2), _column(group, 3)
+    for (n, q, a, b), at in _shape_groups(ns, qs, mid_ranks, r_ranks):
+        t, mid, r = _draw(normal, len(at), (n,) * q, (n,) * a, (n,) * b)
         # in place: at rank 6 these are the largest arrays of the suite
         diff = _dot(_dot(t, mid, 1), r, 1)
         diff -= _dot(t, _dot(mid, r, 1), 1)
@@ -378,29 +409,21 @@ def _project_oracle(arr: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.einsum(f"{slots},...{inner}->...{out}", *[P] * q, arr, optimize=False)
 
 
-def _projection(cfg: SuiteConfig, _case) -> List[Check]:
+def _projection(cfg: SuiteConfig, _case, session: Session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 1)
     normal = rng.standard_normal
     worst = _Worst("oracle", "idem", "slot", "kill", "grow")
     n = 3
-
-    def draw() -> tuple:
-        m = int(rng.integers(1, 3))
-        q = int(rng.integers(1, 4))
-        # raw (m, n) and t, drawn in that order by one call
-        head = normal(m * n + n**q)
-        pos = int(rng.integers(0, 3))
-        factors = normal((3, n))
-        which = int(rng.integers(0, m))  # the normal that replaces factor pos
-        return (m, q), head, pos, factors, which
+    ms = rng.integers(1, 3, 60)
+    qs = rng.integers(1, 4, 60)
+    positions = rng.integers(0, 3, 60)
+    whiches = rng.integers(0, ms)  # the normal that replaces factor pos
 
     def note_oracle(t, P, pt):
         worst.note("oracle", np.abs(pt - _project_oracle(t, P)))
 
-    draws = [draw() for _ in range(60)]
-    for (m, q), group in _groups(draws, lambda d: d[0]):
-        raw, t = _split(_column(group, 1), (m, n), (n,) * q)
-        pos, factors, which = _column(group, 2), _column(group, 3), _column(group, 4)
+    for (m, q), at in _shape_groups(ms, qs):
+        raw, t, factors = _draw(normal, len(at), (m, n), (n,) * q, (3, n))
         frame = _random_frames(raw)
         P = frame.P
         pt = _project_array(t, P)
@@ -408,14 +431,14 @@ def _projection(cfg: SuiteConfig, _case) -> List[Check]:
         worst.note("idem", np.abs(_project_array(pt, P) - pt))
         for slot in range(q):
             worst.note("slot", np.abs(_apply_to_slot(frame.normals[:, :1], pt, slot, 1)))
-        flat = len(group), -1
+        flat = len(at), -1
         worst.note("grow", _norm(pt.reshape(flat)) - _norm(t.reshape(flat)))
-        at = np.arange(len(group))
-        factors[at, pos] = frame.normals[at, which]
+        each = np.arange(len(at))
+        factors[each, positions[at]] = frame.normals[each, whiches[at]]
         chain = _outer(_outer(factors[:, 0], factors[:, 1], 1), factors[:, 2], 1)
-        worst.note("kill", _norm(_project_array(chain, P).reshape(len(group), -1)))
+        worst.note("kill", _norm(_project_array(chain, P).reshape(len(at), -1)))
 
-    sphere = get_case("sphere", radius=1.3)
+    sphere = session.case("sphere", radius=1.3)
     points = sphere.sample_points(4, seed=cfg.seed)
     P = sphere.geometry.frame_at(points).P
     t = normal((len(points),) + (n,) * 3)
@@ -438,9 +461,8 @@ def _projection(cfg: SuiteConfig, _case) -> List[Check]:
 # -- differential identities ------------------------------------------------------
 
 
-def _curvature_error(name: str, d: DiffConfig, seed: int) -> float:
+def _curvature_error(pinned: GeometryCase, d: DiffConfig, seed: int) -> float:
     """Worst relative error of the mean curvature vector on a pinned case."""
-    pinned = get_case(name)
     points = pinned.sample_points(4, seed=seed)
     want = pinned.curvature(points)
     got = mean_curvature(pinned.geometry, d).values(points)
@@ -448,7 +470,7 @@ def _curvature_error(name: str, d: DiffConfig, seed: int) -> float:
     return float(np.max(rel))
 
 
-def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
+def _differential(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     geom = case.geometry
     rng = np.random.default_rng(cfg.seed + 2)
     points = case.sample_points(5, seed=cfg.seed)
@@ -528,7 +550,8 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
               1e-10, laplacians_agree, per_mode=True),
         *(
             Check(f"diff.curvature-{name}", "mean curvature vector matches the closed form",
-                  (1e-5, 1e-9), lambda m, name=name: _curvature_error(name, m.d, cfg.seed),
+                  (1e-5, 1e-9),
+                  lambda m, name=name: _curvature_error(session.case(name), m.d, cfg.seed),
                   per_mode=True, on=name)
             for name in ("sphere", "circle3d", "torus")
         ),
@@ -538,13 +561,13 @@ def _differential(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 # -- integral identities ----------------------------------------------------------
 
 
-def _stokes(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
+def _stokes(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 3)
-    hemi = get_case("hemisphere").atlas(cfg.order, cfg.panels)
-    sphere = get_case("sphere").atlas(cfg.order, cfg.panels)
-    generic = case.atlas(cfg.order, cfg.panels)
-    helix = get_case("helix")
-    arc = helix.atlas(cfg.order, cfg.panels)
+    hemi = session.atlas("hemisphere")
+    sphere = session.atlas("sphere")
+    generic = session.atlas(case)
+    helix = session.case("helix")
+    arc = session.atlas(helix)
     ez = constant(3, Tensor(3, np.array([0.0, 0.0, 1.0])), name="e_z")
 
     ez_res = cache(lambda m: stokes_residual(hemi, ez, m.d))
@@ -600,12 +623,12 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     ]
 
 
-def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
+def _curl(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 4)
     spin = rotation_generator(3, 0, 1)
-    disk = get_case("plane_disk")
-    disk_atlas = disk.atlas(cfg.order, cfg.panels)
-    sph = get_case("sphere")
+    disk = session.case("plane_disk")
+    disk_atlas = session.atlas(disk)
+    sph = session.case("sphere")
     f = random_polynomial(3, 0, rng, degree=2)
 
     def plane_uniform(m):
@@ -638,22 +661,21 @@ def _curl(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
               on="plane_disk"),
         Check("curl.circulation-hemisphere",
               "int curl u over the hemisphere equals the equator circulation",
-              1e-6, lambda m: circulation_residual(
-                  get_case("hemisphere").atlas(cfg.order, cfg.panels), spin, m.d),
+              1e-6, lambda m: circulation_residual(session.atlas("hemisphere"), spin, m.d),
               kind="rel", on="hemisphere"),
         Check("curl.gradient-circulation", "a tangential gradient has zero boundary circulation",
               1e-8, gradient_circulation, on="plane_disk"),
         Check("curl.circulation-generic", "curl identity on the requested geometry",
-              1e-6, lambda m: circulation_residual(case.atlas(cfg.order, cfg.panels), spin, m.d),
+              1e-6, lambda m: circulation_residual(session.atlas(case), spin, m.d),
               kind="rel", when=case.name != "plane_disk"),
     ]
 
 
-def _laplacian(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
+def _laplacian(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     geom = case.geometry
     radius = case.params.get("radius", 1.0)
     unit = abs(radius - 1.0) < 1e-12
-    atlas = case.atlas(cfg.order, cfg.panels)
+    atlas = session.atlas(case)
     points = case.sample_points(4, seed=cfg.seed)
     killing_z = rotation_generator(3, 0, 1)
 
@@ -702,14 +724,14 @@ def _laplacian(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 # -- applications -----------------------------------------------------------------
 
 
-def _euler(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
+def _euler(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 5)
     geom = case.geometry
-    atlas = case.atlas(cfg.order, cfg.panels)
+    atlas = session.atlas(case)
     points = case.sample_points(4, seed=cfg.seed)
     state = rigid_rotation_state(geom, omega=1.3)
-    hemi = get_case("hemisphere")
-    hemi_atlas = hemi.atlas(cfg.order, cfg.panels)
+    hemi = session.case("hemisphere")
+    hemi_atlas = session.atlas(hemi)
     hemi_state = rigid_rotation_state(hemi.geometry, omega=1.3)
 
     def flux_total(m):
@@ -771,18 +793,18 @@ def _worst_plane(res: IdentityResult) -> float:
     return float(np.max(np.abs(lhs - rhs) / np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1.0)))
 
 
-def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
+def _stress(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 6)
-    atlas = case.atlas(cfg.order, cfg.panels)
-    sphere = get_case("sphere")
-    sph_atlas = sphere.atlas(cfg.order, cfg.panels)
+    atlas = session.atlas(case)
+    sphere = session.case("sphere")
+    sph_atlas = session.atlas(sphere)
     sigma = random_polynomial(3, 2, rng, degree=2)
     pts = sphere.sample_points(5, seed=cfg.seed)
     frame = sphere.geometry.frame_at(pts)
 
     xs = cache(lambda m: cross_stress(sphere.geometry))
 
-    hemi = get_case("hemisphere").atlas(cfg.order, cfg.panels)
+    hemi = session.atlas("hemisphere")
 
     def normal_pressure_force(m):
         nu = normal_field(hemi.geometry)
@@ -806,17 +828,10 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 
     def constrained_family(m):
         worst = _Worst("family")
-
-        def draw() -> tuple:
-            n = int(rng.integers(3, 7))
-            k = int(rng.integers(1, n))
-            # raw (k, n), pressure, rows (k, n) and w (n, n), drawn in that
-            # order by one call
-            return (n, k), rng.standard_normal(2 * k * n + 1 + n * n)
-
-        draws = [draw() for _ in range(1000)]
-        for (n, k), group in _groups(draws, lambda d: d[0]):
-            raw, pressure, rows, w = _split(_column(group, 1), (k, n), (), (k, n), (n, n))
+        ns = rng.integers(3, 7, 1000)
+        ks = rng.integers(1, ns)
+        for (n, k), at in _shape_groups(ns, ks):
+            raw, pressure, rows, w = _draw(rng.standard_normal, len(at), (k, n), (), (k, n), (n, n))
             frame = _random_frames(raw)
             P = frame.P
             # pressure, plus a normal row n_i (x) r_i per normal, plus P W P
@@ -868,12 +883,12 @@ def _stress(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
     ]
 
 
-def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
+def _evolving(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 7)
     geom = case.geometry
     radius = case.params["radius"]
     speed = case.params["speed"]
-    atlas = case.atlas(max(8, cfg.order - 4), cfg.panels)
+    atlas = session.atlas(case, max(8, cfg.order - 4))
     points = case.sample_points(3, seed=cfg.seed)
     w = case.velocity
     w2 = tf_add(w, tf_scale(rotation_generator(3, 0, 1), 0.7), name="radial+spin")
@@ -982,7 +997,7 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase) -> List[Check]:
 
 _N3_GEOMETRIES = ("sphere", "hemisphere", "torus", "plane_disk", "circle3d", "helix")
 
-SUITES: Dict[str, Callable[[SuiteConfig], List[CheckRecord]]] = {
+SUITES: Dict[str, Callable[[Session], List[CheckRecord]]] = {
     "tensor-algebra": Suite(_tensor_algebra),
     "projection": Suite(_projection),
     "differential-identities": Suite(_differential, "sphere", _N3_GEOMETRIES),
@@ -1003,7 +1018,8 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         raise SuiteError(f"unknown suite '{cfg.suite}' (known: {', '.join(SUITE_NAMES)})")
     start = time.perf_counter()
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
-    checks = [record for name in names for record in SUITES[name](cfg)]
+    session = Session(cfg)
+    checks = [record for name in names for record in SUITES[name](session)]
     unknown = sorted(set(cfg.tol) - {record.id for record in checks})
     if unknown:
         raise SuiteError(f"tolerance override for unknown check id: {', '.join(unknown)}")

@@ -486,6 +486,18 @@ def test_advected_atlas_follows_moving_level_set():
     np.testing.assert_allclose(area, 4 * math.pi * (1.0 + 0.25 * dt) ** 2, atol=1e-8)
 
 
+def test_advected_atlas_is_made_once_per_field_and_step():
+    case = get_case("expanding_sphere", radius=1.0, speed=0.25)
+    atlas = case.atlas(order=6, panels=1)
+    moved = advected_atlas(atlas, case.velocity, 0.0, 1e-3)
+    assert advected_atlas(atlas, case.velocity, 0.0, 1e-3) is moved
+    same_field = get_case("expanding_sphere", radius=1.0, speed=0.25).velocity
+    assert advected_atlas(atlas, same_field, 0.0, 1e-3) is not moved
+    assert advected_atlas(atlas, case.velocity, 0.0, -1e-3) is not moved
+    assert advected_atlas(atlas, case.velocity, 0.5, 1e-3) is not moved
+    assert advected_atlas(case.atlas(order=6, panels=1), case.velocity, 0.0, 1e-3) is not moved
+
+
 def test_scalar_field_weighting_in_integrals():
     atlas = get_case("sphere").atlas(order=12, panels=2)
     z2 = scalar_field(3, lambda x, t: x[2] ** 2)

@@ -11,6 +11,8 @@ from tensorcalc import suites
 from tensorcalc.builtins import get_case
 from tensorcalc.cli import main
 from tensorcalc.geometry import _gram_schmidt, frame_from_normals, project
+from tensorcalc.quadrature import Chart
+from tensorcalc.report import make_check
 from tensorcalc.stress import normal_at_tangential
 from tensorcalc.suites import SuiteConfig, _project_oracle, run_suite
 from tensorcalc.tensor import Tensor, dot, frobenius, outer, random_tensor
@@ -86,74 +88,157 @@ def test_every_suite_passes_on_every_geometry_it_accepts(suite, geometry):
     assert report.checks and report.passed
 
 
+def test_a_nan_residual_fails_its_check():
+    worst = suites._Worst("a", "b")
+    worst.note("a", np.array([np.nan]))
+    worst.note("b", np.array([1e-16]))
+    worst.note("b", np.array([np.nan, 1e-16]))
+    worst.note("b", np.array([1e-16]))
+    assert math.isnan(worst["a"]) and math.isnan(worst["b"])
+    assert not make_check("a", "a NaN residual", worst["a"], None, 1e-12, measure="bound").passed
+
+
+# -- one session per run ----------------------------------------------------------
+
+
+@pytest.fixture
+def node_builds(monkeypatch):
+    """The number of chart-node computations made during the test."""
+    count = [0]
+    compute = Chart._compute_points
+
+    def counting(self, t):
+        count[0] += 1
+        return compute(self, t)
+
+    monkeypatch.setattr(Chart, "_compute_points", counting)
+    return count
+
+
+def test_a_run_computes_each_chart_s_nodes_once(node_builds):
+    # 11 distinct charts at seed 0: the suites' atlases at two orders and the
+    # advected ones; 30 computations when every suite built its own atlases
+    for _ in range(2):
+        node_builds[0] = 0
+        assert run_suite(SuiteConfig(suite="all")).passed
+        assert node_builds[0] == 11
+
+
+def test_a_session_shares_cases_and_atlases_across_suites():
+    session = suites.Session(SuiteConfig(order=10))
+    sphere = session.case("sphere")
+    assert session.case("sphere") is sphere
+    assert session.case("sphere", radius=2.0) is not sphere
+    atlas = session.atlas("sphere")
+    assert session.atlas(sphere) is atlas
+    assert atlas.charts[0].order == 10
+    assert session.atlas(sphere, 8) is not atlas
+    assert suites.Session(session.cfg).atlas("sphere") is not atlas
+
+
+def test_a_public_case_builds_a_fresh_atlas_on_every_call():
+    case = get_case("hemisphere")
+    assert case.atlas(order=6, panels=1) is not case.atlas(order=6, panels=1)
+
+
 # -- draw-loop suites against per-draw reference loops ----------------------------
 #
-# The tensor-algebra, projection and stress.constrained-family rows evaluate
-# their random draws in shape groups.  The loops below are the same checks
-# written one draw at a time on the public single-tensor API; they consume the
-# generator in the same order, so values and final generator states must agree.
+# The tensor-algebra, projection and stress.constrained-family rows draw each
+# integer of all their draws in one call, then evaluate their draws in shape
+# groups, in sorted shape order, each group's normals drawn by one call.  The
+# loops below replay that order one draw at a time on the public single-tensor
+# API: the integer arrays first, then the normals of each sorted shape group,
+# draw by draw.  So values and final generator states must agree.  Each loop
+# also returns the random directions of each group, stacked, in group order.
 
 
-def _frame_one_at_a_time(rng, n, m):
-    return frame_from_normals(_gram_schmidt(list(rng.standard_normal((m, n))), 1e-8))
+def _shapes(*keys):
+    """(shape, draw indices) for each distinct shape of the draws, sorted."""
+    rows = [tuple(int(v) for v in row) for row in zip(*keys)]
+    for shape in sorted(set(rows)):
+        yield shape, [i for i, row in enumerate(rows) if row == shape]
+
+
+def _frame_of(raw):
+    return frame_from_normals(_gram_schmidt(list(raw), 1e-8))
 
 
 def _algebra_loop(rng):
-    worst = dict.fromkeys(("insert", "mixed", "assoc", "pairing", "roundtrip"), 0.0)
-    for _ in range(1000):
-        n = int(rng.integers(2, 5))
-        q = int(rng.integers(2, 5))
-        t = random_tensor(n, q, rng)
-        u = rng.standard_normal(n)
-        v = rng.standard_normal(n)
-        left = t.insert_left(u).insert_right(v)
-        right = t.insert_right(v).insert_left(u)
-        worst["insert"] = max(worst["insert"], float(np.max(np.abs(left.array - right.array))))
-        s = random_tensor(n, q - 1, rng)
-        big = random_tensor(n, q, rng)
-        contracted = np.tensordot(s.array, big.array, axes=(range(q - 1), range(q - 1)))
-        worst["mixed"] = max(
-            worst["mixed"], abs(float(contracted @ v) - frobenius(s, big.insert_right(v)))
-        )
-        mid = random_tensor(n, int(rng.integers(2, 4)), rng)
-        r = random_tensor(n, int(rng.integers(1, 4)), rng)
-        worst["assoc"] = max(
-            worst["assoc"],
-            float(np.max(np.abs(dot(dot(t, mid), r).array - dot(t, dot(mid, r)).array))),
-        )
-        frame = _frame_one_at_a_time(rng, n, int(rng.integers(1, n)))
-        tang = project(frame, random_tensor(n, q, rng))
-        worst["pairing"] = max(
-            worst["pairing"], abs(frobenius(tang, big) - frobenius(tang, project(frame, big)))
-        )
-        rebuilt = np.stack([c.array for c in t.components()])
-        worst["roundtrip"] = max(worst["roundtrip"], float(np.max(np.abs(rebuilt - t.array))))
+    worst = dict.fromkeys(("insert", "mixed", "assoc", "pairing", "roundtrip"), -math.inf)
+    ns = rng.integers(2, 5, 1000)
+    qs = rng.integers(2, 5, 1000)
+    mid_ranks = rng.integers(2, 4, 1000)
+    r_ranks = rng.integers(1, 4, 1000)
+    ms = rng.integers(1, ns)
+    raws = []
+    for (n, q, m), draws in _shapes(ns, qs, ms):
+        group = []
+        for _ in draws:
+            t = random_tensor(n, q, rng)
+            u = rng.standard_normal(n)
+            v = rng.standard_normal(n)
+            s = random_tensor(n, q - 1, rng)
+            big = random_tensor(n, q, rng)
+            group.append(rng.standard_normal((m, n)))
+            tang = random_tensor(n, q, rng)
+            left = t.insert_left(u).insert_right(v)
+            right = t.insert_right(v).insert_left(u)
+            worst["insert"] = max(worst["insert"], float(np.max(np.abs(left.array - right.array))))
+            contracted = np.tensordot(s.array, big.array, axes=(range(q - 1), range(q - 1)))
+            worst["mixed"] = max(
+                worst["mixed"], abs(float(contracted @ v) - frobenius(s, big.insert_right(v)))
+            )
+            frame = _frame_of(group[-1])
+            tang = project(frame, tang)
+            worst["pairing"] = max(
+                worst["pairing"], abs(frobenius(tang, big) - frobenius(tang, project(frame, big)))
+            )
+            rebuilt = np.stack([c.array for c in t.components()])
+            worst["roundtrip"] = max(worst["roundtrip"], float(np.max(np.abs(rebuilt - t.array))))
+        raws.append(np.array(group))
+    for (n, q, a, b), draws in _shapes(ns, qs, mid_ranks, r_ranks):
+        for _ in draws:
+            t = random_tensor(n, q, rng)
+            mid = random_tensor(n, a, rng)
+            r = random_tensor(n, b, rng)
+            worst["assoc"] = max(
+                worst["assoc"],
+                float(np.max(np.abs(dot(dot(t, mid), r).array - dot(t, dot(mid, r)).array))),
+            )
     return dict(zip(
         ("algebra.insertion-commute", "algebra.mixed-contraction", "algebra.dot-associative",
          "algebra.tangential-pairing", "algebra.component-roundtrip"),
         (worst["insert"], worst["mixed"], worst["assoc"], worst["pairing"], worst["roundtrip"]),
-    ))
+    )), raws
 
 
 def _projection_loop(rng, seed):
-    oracle = idem = slot = kill = 0.0
-    grow = -math.inf
-    for _ in range(60):
-        n, m = 3, int(rng.integers(1, 3))
-        q = int(rng.integers(1, 4))
-        frame = _frame_one_at_a_time(rng, n, m)
-        t = random_tensor(n, q, rng)
-        pt = project(frame, t)
-        oracle = max(oracle, float(np.max(np.abs(pt.array - _project_oracle(t.array, frame.P)))))
-        idem = max(idem, float(np.max(np.abs(project(frame, pt).array - pt.array))))
-        for axis in range(q):
-            normal_slot = np.tensordot(pt.array, frame.normals[0], axes=([axis], [0]))
-            slot = max(slot, float(np.max(np.abs(normal_slot))))
-        grow = max(grow, pt.norm() - t.norm())
-        pos = int(rng.integers(0, 3))
-        factors = [Tensor(n, rng.standard_normal(n)) for _ in range(3)]
-        factors[pos] = Tensor(n, frame.normals[int(rng.integers(0, m))])
-        kill = max(kill, project(frame, outer(outer(factors[0], factors[1]), factors[2])).norm())
+    oracle = idem = slot = kill = grow = -math.inf
+    n = 3
+    ms = rng.integers(1, 3, 60)
+    qs = rng.integers(1, 4, 60)
+    positions = rng.integers(0, 3, 60)
+    whiches = rng.integers(0, ms)
+    raws = []
+    for (m, q), draws in _shapes(ms, qs):
+        group = []
+        for i in draws:
+            group.append(rng.standard_normal((m, n)))
+            frame = _frame_of(group[-1])
+            t = random_tensor(n, q, rng)
+            pt = project(frame, t)
+            oracle = max(oracle,
+                         float(np.max(np.abs(pt.array - _project_oracle(t.array, frame.P)))))
+            idem = max(idem, float(np.max(np.abs(project(frame, pt).array - pt.array))))
+            for axis in range(q):
+                normal_slot = np.tensordot(pt.array, frame.normals[0], axes=([axis], [0]))
+                slot = max(slot, float(np.max(np.abs(normal_slot))))
+            grow = max(grow, pt.norm() - t.norm())
+            factors = [Tensor(n, rng.standard_normal(n)) for _ in range(3)]
+            factors[positions[i]] = Tensor(n, frame.normals[whiches[i]])
+            chain = outer(outer(factors[0], factors[1]), factors[2])
+            kill = max(kill, project(frame, chain).norm())
+        raws.append(np.array(group))
     sphere = get_case("sphere", radius=1.3)
     for x in sphere.sample_points(4, seed=seed):
         frame = sphere.geometry.frame_at(x)
@@ -162,21 +247,26 @@ def _projection_loop(rng, seed):
         oracle = max(oracle, float(np.max(np.abs(pt.array - _project_oracle(t.array, frame.P)))))
     return {"projection.oracle": oracle, "projection.idempotent": idem,
             "projection.kills-normal-slots": slot,
-            "projection.annihilates-normal-factors": kill, "projection.non-expansive": grow}
+            "projection.annihilates-normal-factors": kill, "projection.non-expansive": grow}, raws
 
 
 def _constrained_family_loop(rng):
-    worst = 0.0
-    for _ in range(1000):
-        n = int(rng.integers(3, 7))
-        k = int(rng.integers(1, n))
-        frame = _frame_one_at_a_time(rng, n, k)
-        sig = float(rng.standard_normal()) * frame.P
-        for i in range(k):
-            sig = sig + np.outer(frame.normals[i], rng.standard_normal(n))
-        sig = sig + frame.P @ rng.standard_normal((n, n)) @ frame.P
-        worst = max(worst, normal_at_tangential(sig, frame))
-    return worst
+    worst = -math.inf
+    ns = rng.integers(3, 7, 1000)
+    ks = rng.integers(1, ns)
+    raws = []
+    for (n, k), draws in _shapes(ns, ks):
+        group = []
+        for _ in draws:
+            group.append(rng.standard_normal((k, n)))
+            frame = _frame_of(group[-1])
+            sig = float(rng.standard_normal()) * frame.P
+            for i in range(k):
+                sig = sig + np.outer(frame.normals[i], rng.standard_normal(n))
+            sig = sig + frame.P @ rng.standard_normal((n, n)) @ frame.P
+            worst = max(worst, normal_at_tangential(sig, frame))
+        raws.append(np.array(group))
+    return worst, raws
 
 
 @pytest.fixture
@@ -194,36 +284,52 @@ def generators(monkeypatch):
     return made
 
 
+@pytest.fixture
+def fed(monkeypatch):
+    """Every array a suite passes to ``_random_frames``, copied, in order."""
+    seen = []
+    frames = suites._random_frames
+
+    def recording(raw):
+        seen.append(np.array(raw))
+        return frames(raw)
+
+    monkeypatch.setattr(suites, "_random_frames", recording)
+    return seen
+
+
 def _fresh(seed):
     return np.random.Generator(np.random.PCG64(seed))
 
 
 def _one_call_sizes():
-    """The sizes of the consecutive draws that one standard_normal call of a
-    draw suite stands for."""
+    """The sizes of the consecutive numbers of one draw, which a group's one
+    standard_normal((L, size)) call of a draw suite stands for."""
     for n in (2, 3, 4):
         for q in (2, 3, 4):
-            yield n**q, n, n, n ** (q - 1), n**q  # tensor-algebra: t, u, v, s, big
             for m in range(1, n):
-                yield m * n, n**q  # raw, tang
+                # tensor-algebra: t, u, v, s, big, raw, tang
+                yield n**q, n, n, n ** (q - 1), n**q, m * n, n**q
+            for a in (2, 3):
+                for b in (1, 2, 3):
+                    yield n**q, n**a, n**b  # tensor-algebra: t, mid, r
     for m in (1, 2):
         for q in (1, 2, 3):
-            yield 3 * m, 3**q  # projection: raw, t
-    yield 3, 3, 3  # projection: three factors
+            yield 3 * m, 3**q, 3, 3, 3  # projection: raw, t, three factors
     yield 27, 27, 27, 27  # projection: a rank-3 tensor at each of four points
     for n in range(3, 7):
         for k in range(1, n):
-            yield k * n, 1, k * n, n * n  # constrained-family: raw, pressure, rows, w
+            yield (k * n, 1, *[n] * k, n * n)  # constrained-family: raw, pressure, rows, w
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_one_standard_normal_call_equals_consecutive_calls(seed):
-    # the draw suites keep their streams only if this holds; numpy >= 1.24 is
-    # allowed, so a numpy whose stream differs fails here, not in a residual
+    # the draw suites replay one draw at a time only if this holds; numpy >= 1.24
+    # is allowed, so a numpy whose stream differs fails here, not in a residual
     for sizes in _one_call_sizes():
         apart, whole = _fresh(seed), _fresh(seed)
-        parts = np.concatenate([apart.standard_normal(size) for size in sizes])
-        np.testing.assert_array_equal(whole.standard_normal(sum(sizes)), parts)
+        parts = np.concatenate([apart.standard_normal(size) for _ in range(3) for size in sizes])
+        np.testing.assert_array_equal(whole.standard_normal((3, sum(sizes))).ravel(), parts)
         assert whole.bit_generator.state == apart.bit_generator.state, sizes
 
 
@@ -231,35 +337,51 @@ def _values(rows):
     return {row.stem: row.value(None) for row in rows}
 
 
+def _session(seed):
+    return suites.Session(SuiteConfig(seed=seed))
+
+
+def _assert_fed(fed, raws):
+    # bit for bit: a suite that cuts its directions from the wrong numbers fails
+    assert len(fed) == len(raws)
+    for got, want in zip(fed, raws):
+        np.testing.assert_array_equal(got, want)
+
+
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_tensor_algebra_matches_the_per_draw_loop(seed, generators):
-    got = _values(suites._tensor_algebra(SuiteConfig(seed=seed), None))
+def test_tensor_algebra_matches_the_per_draw_loop(seed, generators, fed):
+    got = _values(suites._tensor_algebra(SuiteConfig(seed=seed), None, _session(seed)))
     rng = _fresh(seed)
-    want = _algebra_loop(rng)
+    want, raws = _algebra_loop(rng)
     assert list(got) == list(want)
     for stem in want:
         assert abs(got[stem] - want[stem]) <= 1e-13, stem
     assert generators[0].bit_generator.state == rng.bit_generator.state
+    _assert_fed(fed, raws)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_projection_matches_the_per_draw_loop(seed, generators):
-    got = _values(suites._projection(SuiteConfig(seed=seed), None))
+def test_projection_matches_the_per_draw_loop(seed, generators, fed):
+    got = _values(suites._projection(SuiteConfig(seed=seed), None, _session(seed)))
     rng = _fresh(seed + 1)
-    want = _projection_loop(rng, seed)
+    want, raws = _projection_loop(rng, seed)
     assert list(got) == list(want)
     for stem in want:
         assert abs(got[stem] - want[stem]) <= 1e-13, stem
     assert generators[0].bit_generator.state == rng.bit_generator.state
+    _assert_fed(fed, raws)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_constrained_family_matches_the_per_draw_loop(seed, generators):
-    rows = suites._stress(SuiteConfig(seed=seed), get_case("hemisphere"))
+def test_constrained_family_matches_the_per_draw_loop(seed, generators, fed):
+    session = _session(seed)
+    rows = suites._stress(session.cfg, session.case("hemisphere"), session)
     (family,) = [row for row in rows if row.stem == "stress.constrained-family"]
     suite_rng = generators[0]
     rng = _fresh(0)
     rng.bit_generator.state = suite_rng.bit_generator.state
     got = family.value(None)
-    assert abs(got - _constrained_family_loop(rng)) <= 1e-13
+    want, raws = _constrained_family_loop(rng)
+    assert abs(got - want) <= 1e-13
     assert suite_rng.bit_generator.state == rng.bit_generator.state
+    _assert_fed(fed, raws)
