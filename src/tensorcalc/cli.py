@@ -15,7 +15,7 @@ import argparse
 import math
 import sys
 from dataclasses import asdict
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -118,9 +118,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
-    """SuiteConfig defaults plus the CLI's own ``out``, then the config
-    file, then flags."""
+def _merge_options(args: argparse.Namespace) -> Tuple[SuiteConfig, Optional[str]]:
+    """The run's configuration and the CLI's own ``out``: SuiteConfig
+    defaults, then the config file, then flags.  SuiteConfig checks the
+    values, which the parser does not for config-file entries."""
     merged: Dict[str, object] = {**asdict(SuiteConfig()), "out": None}
     if getattr(args, "config", None):
         for key, raw in _read_config(args.config).items():
@@ -135,19 +136,12 @@ def _merge_options(args: argparse.Namespace) -> Dict[str, object]:
             merged[key] = _parse_mapping(flag, key.replace("_", "-"))
         else:
             merged[key] = flag
-    try:  # the parser checks neither config-file values nor the signs of hx, ht
-        DiffConfig(mode=merged["fd"], hx=merged["hx"], ht=merged["ht"])
-    except ValueError as exc:
-        raise UsageError(exc.args[0])
-    return merged
-
-
-def _suite_config(merged: Dict[str, object]) -> SuiteConfig:
     if merged["geometry"] is not None and merged["geometry"] not in available():
         raise UsageError(
             f"unknown geometry '{merged['geometry']}' (known: {', '.join(available())})"
         )
-    return SuiteConfig(**{k: v for k, v in merged.items() if k != "out"})
+    out = merged.pop("out")
+    return SuiteConfig(**merged), out
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -159,11 +153,10 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    merged = _merge_options(args)
-    cfg = _suite_config(merged)
+    cfg, out = _merge_options(args)
     report = run_suite(cfg)
-    _emit(report.to_json() + "\n", merged["out"])
-    if merged["out"]:
+    _emit(report.to_json() + "\n", out)
+    if out:
         for line in report.summary_lines():
             print(line)
     return 0 if report.passed else 1
@@ -202,11 +195,9 @@ def _curvature_rows(mode: str, ht: float) -> List[dict]:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    merged = _merge_options(args)
-    mode = str(merged["fd"])
-    rows = _area_rows(int(merged["panels"]))
-    rows += _curvature_rows(mode, float(merged["ht"]))
-    _emit(convergence_csv(rows), merged["out"])
+    cfg, out = _merge_options(args)
+    rows = _area_rows(cfg.panels) + _curvature_rows(cfg.fd, cfg.ht)
+    _emit(convergence_csv(rows), out)
     return 0
 
 

@@ -37,6 +37,7 @@ from .operators import (
     DiffConfig, covariant_gradient, divergence, mean_curvature, submanifold_gradient, surface_curl,
 )
 from .fields import TensorField
+from .report import IdentityResult
 from .tensor import (
     ShapeError, _contract_left, _contract_right, _dot, _frobenius, _looped, _outer, _partials,
 )
@@ -197,7 +198,8 @@ class Atlas:
     integral over it shares, made on first use and read-only: the mean
     curvature vector on each chart's nodes, once per (DiffConfig, t), and
     its ``BoundaryPoint`` batch, once per t.  It also keeps the atlases
-    ``advected_atlas`` moves it to, once per (velocity field, t0, dt).
+    ``advected_atlas`` moves it to, once per (velocity field, t0, dt), for
+    the latest t0 only.
     """
 
     geometry: LevelSetGeometry
@@ -357,26 +359,6 @@ def integrate_boundary(atlas: Atlas, integrand, t: float = 0.0):
 # -- identity residuals -----------------------------------------------------------
 
 
-@dataclass
-class IdentityResult:
-    lhs: np.ndarray
-    rhs: np.ndarray
-    pieces: dict = field(default_factory=dict)
-
-    @property
-    def abs_residual(self) -> float:
-        return float(np.linalg.norm(np.ravel(self.lhs - self.rhs)))
-
-    @property
-    def rel_residual(self) -> float:
-        scale = max(
-            float(np.linalg.norm(np.ravel(self.lhs))),
-            float(np.linalg.norm(np.ravel(self.rhs))),
-            1.0,
-        )
-        return self.abs_residual / scale
-
-
 def _stokes_terms(atlas: Atlas, pair, cfg: DiffConfig, t: float = 0.0):
     """The right side of the extrinsic Stokes formula
     int div_M T = int_boundary T.nu + int T.kappa, as the pair
@@ -510,11 +492,15 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
     integrals there with t = t0 + dt.  A moved chart maps a batch of
     parameter points with one RK4 step, so its quadrature nodes move
     together.  The moved atlas is made once per (w, t0, dt), the field
-    object itself, and kept on ``atlas`` with the nodes it computes.
+    object itself, and kept on ``atlas`` with the nodes it computes.  A new
+    t0 drops the moved atlases of the others, so a caller stepping through
+    time keeps only those of its current step.
     """
     key = (w, float(t0), float(dt))
     if key in atlas._advected:
         return atlas._advected[key]
+    for stale in [k for k in atlas._advected if k[1] != key[1]]:
+        del atlas._advected[stale]
     moved = []
     for chart in atlas.charts:
         def make_mapping(c):

@@ -21,6 +21,29 @@ def _jsonable(value) -> Number:
 
 
 @dataclass
+class IdentityResult:
+    """Two sides of an identity, with named pieces of the right side, and
+    their Frobenius distance."""
+
+    lhs: np.ndarray
+    rhs: np.ndarray
+    pieces: dict = field(default_factory=dict)
+
+    @property
+    def abs_residual(self) -> float:
+        return float(np.linalg.norm(np.ravel(self.lhs - self.rhs)))
+
+    @property
+    def rel_residual(self) -> float:
+        scale = max(
+            float(np.linalg.norm(np.ravel(self.lhs))),
+            float(np.linalg.norm(np.ravel(self.rhs))),
+            1.0,
+        )
+        return self.abs_residual / scale
+
+
+@dataclass
 class CheckRecord:
     """One verified identity: what was compared, how close, and the verdict.
 
@@ -85,11 +108,8 @@ def make_check(
         value = abs_res = rel_res = float(lhs)
         lhs, rhs = value, (tol if measure == "floor" else 0.0)
     else:
-        la = np.asarray(lhs, dtype=float)
-        ra = np.asarray(rhs, dtype=float)
-        abs_res = float(np.linalg.norm(np.ravel(la - ra)))
-        scale = max(1.0, float(np.linalg.norm(np.ravel(la))), float(np.linalg.norm(np.ravel(ra))))
-        rel_res = abs_res / scale
+        res = IdentityResult(np.asarray(lhs, dtype=float), np.asarray(rhs, dtype=float))
+        abs_res, rel_res = res.abs_residual, res.rel_residual
         value = rel_res if measure == "rel" else abs_res
         lhs, rhs = _jsonable(lhs), _jsonable(rhs)
     return CheckRecord(

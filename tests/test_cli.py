@@ -107,7 +107,8 @@ def test_unknown_config_key(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("line", ["suite = nosuch", "fd = fd3", "order = x", "hx = -1"])
+@pytest.mark.parametrize("line", ["suite = nosuch", "fd = fd3", "order = x", "hx = -1",
+                                  "order = 0", "panels = 0", "seed = -1"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"suite = projection\n{line}\n")
@@ -115,6 +116,20 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, line):
     assert main(["verify", "--config", str(cfg), "--out", str(target)]) == 2
     assert not target.exists()
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--suite", "tensor-algebra", "--order", "0"],
+    ["verify", "--suite", "stokes", "--panels", "0"],
+    ["verify", "--suite", "tensor-algebra", "--seed", "-1"],
+    ["verify", "--suite", "stokes", "--seed", "-1"],
+    ["convergence", "--panels", "0"],
+])
+def test_bad_flag_value_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "never.out"
+    assert main([*argv, "--out", str(target)]) == 2
+    assert not target.exists()
+    assert f"{argv[-2][2:]} must be at least" in capsys.readouterr().err
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from tensorcalc.builtins import _sphere_level, get_case
+from tensorcalc.evolving import transport_rate_fd
 from tensorcalc.fields import (
     constant, coordinate, position, random_polynomial, scalar_field, vector_field,
 )
@@ -496,6 +497,16 @@ def test_advected_atlas_is_made_once_per_field_and_step():
     assert advected_atlas(atlas, case.velocity, 0.0, -1e-3) is not moved
     assert advected_atlas(atlas, case.velocity, 0.5, 1e-3) is not moved
     assert advected_atlas(case.atlas(order=6, panels=1), case.velocity, 0.0, 1e-3) is not moved
+
+
+def test_advected_atlas_keeps_only_the_latest_start_time():
+    # a time loop keeps the two moved atlases of its current step, not all of them
+    case = get_case("expanding_sphere", radius=1.0, speed=0.1)
+    atlas = case.atlas(order=4, panels=1)
+    for i in range(50):
+        transport_rate_fd(atlas, ONE, case.velocity, t=0.01 * i)
+    assert len(atlas._advected) == 2
+    assert {t0 for _, t0, _ in atlas._advected} == {0.49}
 
 
 def test_scalar_field_weighting_in_integrals():

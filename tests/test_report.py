@@ -2,7 +2,6 @@
 and as the suite runner builds them from table rows."""
 
 import math
-from functools import cache
 
 import numpy as np
 import pytest
@@ -10,12 +9,12 @@ import pytest
 from tensorcalc.geometry import _norm, _project_array, frame_from_normals
 from tensorcalc.quadrature import IdentityResult
 from tensorcalc.report import make_check
-from tensorcalc.suites import Check, Mode, SuiteConfig, _record
+from tensorcalc.suites import Check, SuiteConfig, _record
 
 
 def _record_of(row, mode_name="fd2"):
     cfg = SuiteConfig()
-    return _record(cfg, row, Mode(mode_name, cfg.diff(mode_name)))
+    return _record(cfg, row, cfg.diff(mode_name))
 
 
 def test_rel_and_abs_records_compare_two_values():
@@ -87,12 +86,3 @@ def test_the_runner_builds_each_kind_with_make_check():
     for row, mode_name, want in rows:
         assert _record_of(row, mode_name) == want, row.stem
 
-
-def test_modes_share_cached_results_by_identity_only():
-    """The once-run mode and the per-mode run of the same DiffConfig are two
-    modes, so a cached draw is made once for each."""
-    draws = []
-    shared = cache(lambda m: draws.append(m) or len(draws))
-    cfg = SuiteConfig()
-    once, per_mode = Mode("fd2", cfg.diff()), Mode("fd2", cfg.diff())
-    assert [shared(once), shared(per_mode), shared(once), shared(per_mode)] == [1, 2, 1, 2]

@@ -1,6 +1,8 @@
-"""The suite runner's contract: mode expansion, check ids, geometry choice;
-and the draw-loop suites against their per-draw reference loops."""
+"""The suite runner's contract: mode expansion, check ids, geometry choice,
+rows that are pure functions of their DiffConfig; and the draw-loop suites
+against their per-draw reference loops."""
 
+import dataclasses
 import json
 import math
 
@@ -10,6 +12,7 @@ import pytest
 from tensorcalc import suites
 from tensorcalc.builtins import get_case
 from tensorcalc.cli import main
+from tensorcalc.fields import random_polynomial
 from tensorcalc.geometry import _gram_schmidt, frame_from_normals, project
 from tensorcalc.quadrature import Chart
 from tensorcalc.report import make_check
@@ -377,11 +380,41 @@ def test_constrained_family_matches_the_per_draw_loop(seed, generators, fed):
     session = _session(seed)
     rows = suites._stress(session.cfg, session.case("hemisphere"), session)
     (family,) = [row for row in rows if row.stem == "stress.constrained-family"]
-    suite_rng = generators[0]
-    rng = _fresh(0)
-    rng.bit_generator.state = suite_rng.bit_generator.state
-    got = family.value(None)
+    # the stress setup draws sigma and the contrapositive's vectors first
+    rng = _fresh(seed + 6)
+    random_polynomial(3, 2, rng, degree=2)
+    rng.standard_normal((5, 3))
     want, raws = _constrained_family_loop(rng)
-    assert abs(got - want) <= 1e-13
-    assert suite_rng.bit_generator.state == rng.bit_generator.state
+    assert abs(family.value(None) - want) <= 1e-13
+    assert generators[0].bit_generator.state == rng.bit_generator.state
     _assert_fed(fed, raws)
+
+
+# -- rows are pure functions of their DiffConfig ----------------------------------
+
+
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_rows_draw_nothing_after_setup(name, generators):
+    session = _session(0)
+    suite = suites.SUITES[name]
+    rows = suite.setup(session.cfg, suite.case(session), session)
+    made = len(generators)
+    states = [g.bit_generator.state for g in generators]
+    for mode in ("fd2", "analytic"):
+        for row in rows:
+            if row.when:
+                row.value(session.cfg.diff(mode))
+    assert [g.bit_generator.state for g in generators[:made]] == states
+
+
+@pytest.mark.parametrize("name", list(suites.SUITES))
+def test_records_do_not_depend_on_row_order(name):
+    suite = suites.SUITES[name]
+    backwards = dataclasses.replace(suite, setup=lambda *args: suite.setup(*args)[::-1])
+    cfg = SuiteConfig(suite=name)
+    forward, reverse = (
+        {record.id: json.dumps(record.to_dict()) for record in run(suites.Session(cfg))}
+        for run in (suite, backwards)
+    )
+    assert len(forward) > 1
+    assert reverse == forward
