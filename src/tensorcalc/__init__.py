@@ -27,7 +27,7 @@ from .tensor import (
     zeros,
 )
 from .geometry import (
-    FrameDerivative,
+    FrameJet,
     GeometryError,
     GeometryFrame,
     LevelSet,

@@ -48,7 +48,9 @@ class GeometryCase:
 
     ``curvature`` is the closed form of the mean curvature vector, points
     (..., n) to (..., n), on the cases that have a caller for it: sphere,
-    circle3d and torus.  It is None on the others.
+    circle3d and torus.  It is None on the others.  ``charts``, the charts
+    of the case's atlas, is made once with the case; ``sample_points``
+    maps its points with them.
     """
 
     name: str
@@ -58,20 +60,33 @@ class GeometryCase:
     velocity: Optional[TensorField] = None
     curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None
     blurb: str = ""
+    charts: List[Chart] = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.charts = self.atlas().charts
 
     def atlas(self, order: int = 16, panels: int = 2) -> Atlas:
         return self.atlas_factory(order, panels)
 
     def sample_points(self, count: int, t: float = 0.0, seed: int = 0) -> np.ndarray:
         """Deterministic points (count, n) spread over the charts, kept off
-        chart edges: point i lies on chart i % len(charts)."""
+        chart edges: point i lies on chart i % len(charts).  The array is
+        read-only, as chart nodes are, so a run builds the frames at it once."""
         rng = np.random.default_rng(seed)
-        charts = self.atlas().charts
+        charts = self.charts
         draws = 0.1 + 0.8 * rng.random((count, charts[0].p))
         pts = np.empty((count, self.geometry.n))
         for i, c in enumerate(charts[:count]):
             pts[i :: len(charts)] = c._map(c.lo + (c.hi - c.lo) * draws[i :: len(charts)], t)
+        pts.flags.writeable = False
         return pts
+
+
+def _positive(**params: float) -> None:
+    """Raise ValueError unless every named parameter is a positive number."""
+    for key, value in params.items():
+        if not value > 0:  # NaN fails too
+            raise ValueError(f"{key} must be positive, got {value}")
 
 
 def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
@@ -86,7 +101,19 @@ def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
         xh = X / r
         return (np.eye(X.shape[-1]) - _outer(xh, xh, X.ndim - 1)) / r[..., None]
 
-    return LevelSet._batched(value, gradient, hessian)
+    def third(X, t):
+        # d_k of (I - xh xh^T) / r: 3 xh xh xh minus the three placements of I xh, over r^2
+        r = _norm(X)[..., None]
+        xh = X / r
+        eye_xh = np.einsum("ab,...k->...abk", np.eye(X.shape[-1]), xh)
+        sym = eye_xh + np.moveaxis(eye_xh, -1, -3) + np.moveaxis(eye_xh, -1, -2)
+        return (3.0 * np.einsum("...a,...b,...k->...abk", xh, xh, xh) - sym) / (r**2)[..., None, None]
+
+    # the gradient and the Hessian do not depend on t: the sphere moves along its normals
+    return LevelSet._batched(
+        value, gradient, hessian, gradient_dt=lambda X, t: np.zeros(X.shape), third=third,
+        hessian_dt=lambda X, t: np.zeros(X.shape + X.shape[-1:]),
+    )
 
 
 def _vec(U, *entries):
@@ -136,6 +163,7 @@ def _sphere_chart(radius, order, panels, theta_hi=math.pi, sides=(), rate=0.0):
 
 
 def sphere(radius: float = 1.0) -> GeometryCase:
+    _positive(radius=radius)
     geom = LevelSetGeometry(3, [_sphere_level(radius)], name="sphere")
     return GeometryCase(
         name="sphere",
@@ -150,6 +178,7 @@ def sphere(radius: float = 1.0) -> GeometryCase:
 
 
 def hemisphere(radius: float = 1.0) -> GeometryCase:
+    _positive(radius=radius)
     geom = LevelSetGeometry(3, [_sphere_level(radius)], name="hemisphere")
     return GeometryCase(
         name="hemisphere",
@@ -165,6 +194,7 @@ def hemisphere(radius: float = 1.0) -> GeometryCase:
 
 
 def circle2d(radius: float = 1.0) -> GeometryCase:
+    _positive(radius=radius)
     geom = LevelSetGeometry(2, [_sphere_level(radius)], name="circle2d")
 
     def factory(order=16, panels=2):
@@ -224,6 +254,7 @@ def _coordinate_plane_level(axis: int = 2) -> LevelSet:
 
 
 def circle3d(radius: float = 1.0) -> GeometryCase:
+    _positive(radius=radius)
     geom = LevelSetGeometry(
         3, [_cylinder_level(radius), _coordinate_plane_level(2)], name="circle3d"
     )
@@ -254,6 +285,7 @@ def circle3d(radius: float = 1.0) -> GeometryCase:
 
 
 def plane_disk(radius: float = 1.0) -> GeometryCase:
+    _positive(radius=radius)
     geom = LevelSetGeometry(3, [_coordinate_plane_level(2)], name="plane_disk")
 
     def factory(order=16, panels=2):
@@ -291,7 +323,7 @@ def plane_disk(radius: float = 1.0) -> GeometryCase:
 
 def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
     if not 0 < minor < major:
-        raise ValueError("need 0 < minor < major for a torus")
+        raise ValueError(f"need 0 < minor < major for a torus, got major={major}, minor={minor}")
 
     ez = np.array([0.0, 0.0, 1.0])
 
@@ -373,8 +405,7 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
     smooth inside the tube; its gradient is not unit, which exercises the
     normalization built into the frame construction.
     """
-    if pitch <= 0:
-        raise ValueError("pitch must be positive")
+    _positive(radius=radius, pitch=pitch, turns=turns)
     a, b = radius, pitch
 
     def value(X, t):
@@ -447,6 +478,9 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
 
 
 def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
+    _positive(radius=radius)
+    if not np.isfinite(speed):
+        raise ValueError(f"speed must be a finite number, got {speed}")
     geom = LevelSetGeometry(3, [_sphere_level(radius, speed)], name="expanding_sphere")
 
     def vel(X, t):

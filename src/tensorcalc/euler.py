@@ -111,7 +111,7 @@ def divergence_form_residual(state: EulerState, x, t: float, cfg: DiffConfig) ->
     geom = state.geometry
     dtu = time_partial(state.velocity, cfg).values(x, t)
     divq = divergence(_flux_field(state), geom, cfg).values(x, t)
-    return dtu + _dot(geom.frame_at(x, t).P, divq, np.ndim(x) - 1)
+    return dtu + _dot(geom._frame(x, t).P, divq, np.ndim(x) - 1)
 
 
 def convective_identity_residual(state: EulerState, x, t: float, cfg: DiffConfig) -> np.ndarray:
@@ -121,7 +121,7 @@ def convective_identity_residual(state: EulerState, x, t: float, cfg: DiffConfig
     nl = np.ndim(x) - 1
     conv = _dot(covariant_gradient(u, geom, cfg).values(x, t), u.values(x, t), nl)
     divuu = divergence(tf_outer(u, u), geom, cfg).values(x, t)
-    return conv - _dot(geom.frame_at(x, t).P, divuu, nl)
+    return conv - _dot(geom._frame(x, t).P, divuu, nl)
 
 
 def incompressibility(state: EulerState, x, t: float, cfg: DiffConfig):
@@ -151,7 +151,7 @@ def force_balance(atlas: Atlas, state: EulerState, cfg: DiffConfig, t: float = 0
         def integrand(X, s, b_i=b_i, i=i):
             uval = u.values(X, s)
             bu = _dot(_dot(uval, b_i.values(X, s), 1), uval, 1)
-            return bu[:, None] * geom.frame_at(X, s).normals[:, i, :]
+            return bu[:, None] * geom._frame(X, s).normals[:, i, :]
 
         centripetal = centripetal + integrate(atlas, integrand, t)
     return IdentityResult(

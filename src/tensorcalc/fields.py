@@ -21,6 +21,11 @@ so operators nest.
 
 ``depth`` counts how many finite-difference layers already went into the
 values; the step-size policy for further differentiation keys off it.
+
+The outermost evaluation of a field opens a frame scope
+(``geometry.frame_scope``), so every frame and frame jet that the nested
+evaluations below it ask for is built once per point array, and raises
+ValueError where its values are not finite.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+from .geometry import _SCOPE, frame_scope
 from .tensor import MAX_AMBIENT_DIM, MAX_RANK, ShapeError, Tensor, _looped, _outer
 
 __all__ = [
@@ -132,6 +138,17 @@ class TensorField:
         return self._dt is not None
 
     def _evaluate(self, evaluator, x, t: float, what: str) -> np.ndarray:
+        scope = _SCOPE.get()
+        if scope is None or scope.local is None:
+            # the outermost evaluation opens the frame scope, and checks what
+            # every layer below it computed: a NaN or inf carries through them
+            with frame_scope():
+                out = self._evaluate(evaluator, x, t, what)
+            if not np.isfinite(out).all():
+                at = np.argwhere(~np.isfinite(out))[0][:out.ndim - self.q]
+                raise ValueError(f"{what} '{self.name}' is not finite at point {tuple(map(int, at))}"
+                                 " of the batch")
+            return out
         X = np.asarray(x, dtype=float)
         if X.ndim == 0 or X.shape[-1] != self.n:
             raise ShapeError(f"points of shape {X.shape} do not live in R^{self.n}")

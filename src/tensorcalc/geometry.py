@@ -13,6 +13,18 @@ a single point is a batch of shape ().  The callables of a public
 ``LevelSet`` are pointwise and run behind a looping adapter; the built-in
 geometries use batch-native level functions (``LevelSet._batched``).
 
+``frame_derivative_at`` builds a frame jet: the exact derivatives of the
+normals and projectors, forward-propagated through Gram-Schmidt from the
+level functions' derivatives.  Its first order needs their Hessians; its
+time column, of moving geometries, needs d/dt grad d (``gradient_dt``);
+its second order needs the third derivatives (``third``), and with the time
+column also d/dt of the Hessians (``hessian_dt``).
+
+Inside one evaluation scope (``frame_scope``) a frame or jet is built once
+per (geometry, point array, t): ``LevelSetGeometry._frame`` and ``_jet``
+look it up before building.  The library's evaluators go through them;
+the public ``frame_at`` and ``frame_derivative_at`` always build.
+
 Tangential projection feeds P into one tensor slot per pass with the
 batched primitive ``tensor._apply_to_slot``, over any leading batch axes:
 q matrix products and O(q n^(q+1)) work for a rank-q tensor.  The paper
@@ -22,6 +34,7 @@ which takes n^(q-1) calls; the tests keep that construction as an oracle.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -35,6 +48,8 @@ __all__ = [
     "LevelSet",
     "LevelSetGeometry",
     "GeometryFrame",
+    "FrameJet",
+    "frame_scope",
     "frame_from_normals",
     "project",
     "is_tangent",
@@ -69,10 +84,14 @@ class LevelSet:
     ``value`` is required.  ``gradient`` and ``hessian`` are used when given;
     otherwise the gradient is a fourth-order central difference of the value
     and the Hessian a second-order one of the gradient, at the nested step
-    when that gradient is itself a difference.  All callables are
+    when that gradient is itself a difference.  The optional providers of
+    frame jets have no difference fallback: ``gradient_dt`` is d/dt of the
+    gradient, ``third[a, b, k]`` the derivative of the Hessian entry (a, b)
+    along x_k, and ``hessian_dt`` d/dt of the Hessian.  All callables are
     pointwise, take (x, t) even when the constraint is static, and return a
-    number, an (n,) array and an (n, n) array.  The methods ``value``,
-    ``gradient`` and ``hessian`` take batches of points (..., n).
+    number, an (n,) array, an (n, n) array, and (n,), (n, n, n) and (n, n)
+    arrays.  The methods ``value``, ``gradient`` and ``hessian`` take
+    batches of points (..., n).
     """
 
     def __init__(
@@ -80,30 +99,33 @@ class LevelSet:
         value: Callable[[np.ndarray, float], float],
         gradient: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
         hessian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
+        gradient_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
+        third: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
+        hessian_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
     ) -> None:
+        def looped(func, shape, what):
+            return None if func is None else _looped(func, shape, f"level-set {what}")
+
         self._value = _looped(value, lambda n: (), "level-set value")
-        self._gradient = (
-            None if gradient is None else _looped(gradient, lambda n: (n,), "level-set gradient")
-        )
-        self._hessian = (
-            None if hessian is None else _looped(hessian, lambda n: (n, n), "level-set hessian")
-        )
+        self._gradient = looped(gradient, lambda n: (n,), "gradient")
+        self._hessian = looped(hessian, lambda n: (n, n), "hessian")
+        self._gradient_dt = looped(gradient_dt, lambda n: (n,), "gradient_dt")
+        self._third = looped(third, lambda n: (n, n, n), "third")
+        self._hessian_dt = looped(hessian_dt, lambda n: (n, n), "hessian_dt")
 
     @classmethod
-    def _batched(cls, value, gradient=None, hessian=None) -> "LevelSet":
+    def _batched(cls, value, gradient=None, hessian=None, gradient_dt=None, third=None,
+                 hessian_dt=None) -> "LevelSet":
         """A level set whose callables take points (..., n) and return
-        (...), (..., n) and (..., n, n)."""
+        (...), (..., n), (..., n, n), (..., n), (..., n, n, n) and (..., n, n)."""
         level = cls.__new__(cls)
         level._value, level._gradient, level._hessian = value, gradient, hessian
+        level._gradient_dt, level._third, level._hessian_dt = gradient_dt, third, hessian_dt
         return level
 
     @property
     def has_analytic_gradient(self) -> bool:
         return self._gradient is not None
-
-    @property
-    def has_analytic_hessian(self) -> bool:
-        return self._hessian is not None
 
     def value(self, x, t: float = 0.0) -> np.ndarray:
         return np.asarray(self._value(np.asarray(x, dtype=float), t), dtype=float)
@@ -139,7 +161,7 @@ class GeometryFrame:
         self.t = float(t)
         self.normals = np.asarray(normals, dtype=float)
         self.N = self.normals.swapaxes(-1, -2) @ self.normals
-        self.P = _identity(self.n) - self.N
+        self.P = _identity(self.x.shape[-1]) - self.N
 
     @property
     def n(self) -> int:
@@ -174,21 +196,54 @@ def frame_from_normals(normals, x=None, t: float = 0.0) -> GeometryFrame:
     return GeometryFrame(x, t, normals)
 
 
-class FrameDerivative:
-    """Spatial derivatives of the frame fields at a batch of points.
+class FrameJet:
+    """A frame and the exact derivatives of its fields at a batch of points.
 
-    ``normals_d[..., i, a, k]`` is d(n_i)_a / dx_k; ``N_d`` and ``P_d``
-    hold the projector derivatives indexed [..., a, b, k].
+    A jet of order 1 holds the spatial derivatives: ``normals_d[..., i, a,
+    k]`` is d(n_i)_a / dx_k, and ``P_d`` the projector derivative indexed
+    [..., a, b, k] (``N_d`` is -``P_d``).  One of order 2 adds
+    ``normals_dd`` and ``P_dd``, indexed [..., a, b, k, l] for the
+    projector.  A jet with the time column (``time``) adds the time
+    derivatives ``normals_t`` and ``P_t``, and at order 2 d/dt of the first
+    order, ``normals_dt`` and ``P_dt``.  A jet of order 0 holds the time
+    column only.  Parts a jet does not hold are None.
     """
 
-    __slots__ = ("normals_d", "N_d", "P_d")
+    __slots__ = ("frame", "order", "time", "normals_d", "P_d", "normals_t", "P_t", "normals_dd",
+                 "P_dd", "normals_dt", "P_dt")
 
-    def __init__(self, normals: np.ndarray, normals_d: np.ndarray) -> None:
-        self.normals_d = normals_d
-        # sum_i d(n_i)_a/dx_k (n_i)_b, then the same with a and b swapped
-        half = np.einsum("...iak,...ib->...abk", normals_d, normals)
-        self.N_d = half + np.swapaxes(half, -3, -2)
-        self.P_d = -self.N_d
+    def __init__(self, frame: GeometryFrame, normals_d=None, normals_t=None, normals_dd=None,
+                 normals_dt=None) -> None:
+        n = frame.normals
+        self.frame = frame
+        self.order = 0 if normals_d is None else 1 if normals_dd is None else 2
+        self.time = normals_t is not None
+        self.normals_d, self.normals_t = normals_d, normals_t
+        self.normals_dd, self.normals_dt = normals_dd, normals_dt
+        self.P_d = self.P_t = self.P_dd = self.P_dt = None
+        # each part of N is sum_i of products of n_i and its derivatives, plus
+        # the same with a and b swapped; the part of P = I - N is its negative
+        if self.order:
+            half = np.einsum("...iak,...ib->...abk", normals_d, n)
+            self.P_d = -(half + np.swapaxes(half, -3, -2))
+        if self.time:
+            half = np.swapaxes(normals_t, -1, -2) @ n
+            self.P_t = -(half + np.swapaxes(half, -2, -1))
+        if self.order == 2:
+            half = np.einsum("...iakl,...ib->...abkl", normals_dd, n) + np.einsum(
+                "...iak,...ibl->...abkl", normals_d, normals_d)
+            self.P_dd = -(half + np.swapaxes(half, -4, -3))
+        if self.order == 2 and self.time:
+            half = np.einsum("...iak,...ib->...abk", normals_dt, n) + np.einsum(
+                "...iak,...ib->...abk", normals_d, normals_t)
+            self.P_dt = -(half + np.swapaxes(half, -3, -2))
+
+    @property
+    def N_d(self) -> Optional[np.ndarray]:
+        return None if self.P_d is None else -self.P_d
+
+    def covers(self, order: int, time: bool) -> bool:
+        return self.order >= order and (self.time or not time)
 
 
 def _residual_floor(i: int, r: np.ndarray, floor: float) -> None:
@@ -217,33 +272,179 @@ def _gram_schmidt(grads: Sequence[np.ndarray], floor: float) -> np.ndarray:
     return out
 
 
-def _gram_schmidt_with_derivative(grads, hessians, floor: float):
-    """Forward-propagate x-derivatives through modified Gram-Schmidt (in
-    elementwise products: the tensor primitives' per-call cost would
-    dominate this hot path at a single point)."""
-    ns, dns = [], []
-    for i, (g, G) in enumerate(zip(grads, hessians)):
-        v = np.asarray(g, dtype=float)
-        Dv = np.asarray(G, dtype=float)  # Dv[..., a, k] = d v_a / d x_k
+def _sym(a: np.ndarray) -> np.ndarray:
+    """a plus a with its last two axes swapped."""
+    return a + np.swapaxes(a, -1, -2)
+
+
+def _gram_schmidt_jet(grads, floor: float, hessians=None, grads_t=None, thirds=None,
+                      hessians_t=None):
+    """Forward-propagate derivatives through modified Gram-Schmidt.
+
+    The inputs are per level function: gradients (..., n); for order 1,
+    Hessians (..., n, n); for the time column, d/dt of the gradients
+    (..., n); for order 2, also third derivatives (..., n, n, n), and with
+    the time column d/dt of the Hessians (..., n, n).  Returns the normals
+    (..., m, n) and the derivatives d/dx (..., m, n, n), d/dt (..., m, n),
+    d2/dx2 (..., m, n, n, n) and d/dt d/dx (..., m, n, n) of the normals,
+    None where the inputs are missing.  The first order runs in elementwise
+    products (the tensor primitives' per-call cost would dominate this hot
+    path at a single point); every new column is separate from it, so the
+    first order is the same whatever else the jet holds.
+    """
+    first, time, second = hessians is not None, grads_t is not None, thirds is not None
+    mixed = time and second
+    ns, dns, nts, ddns, dnts = [], [], [], [], []
+    for i in range(len(grads)):
+        v = np.asarray(grads[i], dtype=float)
+        Dv = np.asarray(hessians[i], dtype=float) if first else None  # [..., a, k] = d v_a / d x_k
+        vt = np.asarray(grads_t[i], dtype=float) if time else None
+        DDv = np.asarray(thirds[i], dtype=float) if second else None  # [..., a, k, l]
+        Dvt = np.asarray(hessians_t[i], dtype=float) if mixed else None  # [..., a, k]
         for _ in range(2):
-            for nh, Dnh in zip(ns, dns):
+            for j in range(i):
+                nh = ns[j]
+                # every coefficient derivative from the vector before this step
                 c = _inner(nh, v)
-                Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
-                Dv = Dv - nh[..., :, None] * Dc[..., None, :] - c[..., None] * Dnh
+                if first:
+                    Dnh = dns[j]
+                    Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
+                if time:
+                    nht = nts[j]
+                    ct = _inner(nht, v) + _inner(nh, vt)
+                if second:
+                    DDnh = ddns[j]
+                    DDc = (np.einsum("...akl,...a->...kl", DDnh, v)
+                           + _sym(np.einsum("...ak,...al->...kl", Dnh, Dv))
+                           + np.einsum("...a,...akl->...kl", nh, DDv))
+                    DDv = (DDv - nh[..., :, None, None] * DDc[..., None, :, :]
+                           - Dnh[..., :, :, None] * Dc[..., None, None, :]
+                           - Dnh[..., :, None, :] * Dc[..., None, :, None]
+                           - c[..., None, None] * DDnh)
+                if mixed:
+                    Dnht = dnts[j]
+                    Dct = (np.einsum("...ak,...a->...k", Dnht, v)
+                           + np.einsum("...a,...ak->...k", nht, Dv)
+                           + np.einsum("...ak,...a->...k", Dnh, vt)
+                           + np.einsum("...a,...ak->...k", nh, Dvt))
+                    Dvt = (Dvt - nh[..., :, None] * Dct[..., None, :] - ct[..., None] * Dnh
+                           - nht[..., :, None] * Dc[..., None, :] - c[..., None] * Dnht)
+                if time:
+                    vt = vt - ct * nh - c * nht
+                if first:
+                    Dv = Dv - nh[..., :, None] * Dc[..., None, :] - c[..., None] * Dnh
                 v = v - c * nh
         r = np.sqrt(_inner(v, v))
         _residual_floor(i, r, floor)
-        Dr = ((v / r)[..., None, :] @ Dv)[..., 0, :]
-        ns.append(v / r)
-        dns.append(Dv / r[..., None] - v[..., :, None] * Dr[..., None, :] / (r**2)[..., None])
-    normals_d = np.stack(dns, axis=-3)
-    if not np.isfinite(normals_d).all():
-        i = next(i for i, dn in enumerate(dns) if not np.isfinite(dn).all())
-        raise GeometryError(
-            f"derivative of the normal of level function {i} is not finite "
-            "(check the Hessians of the level functions)"
-        )
-    return np.stack(ns, axis=-2), normals_d
+        n = v / r
+        ns.append(n)
+        if first:
+            Dr = ((v / r)[..., None, :] @ Dv)[..., 0, :]
+            Dn = Dv / r[..., None] - v[..., :, None] * Dr[..., None, :] / (r**2)[..., None]
+            dns.append(Dn)
+        # n r = v, differentiated along t, along x_k and x_l, and along t and x_k
+        if time:
+            rt = _inner(n, vt)
+            nts.append((vt - n * rt) / r)
+        if second:
+            DDr = (np.einsum("...ak,...al->...kl", Dv, Dv) + np.einsum("...a,...akl->...kl", v, DDv)
+                   - Dr[..., :, None] * Dr[..., None, :]) / r[..., None]
+            ddns.append((DDv - Dn[..., :, :, None] * Dr[..., None, None, :]
+                         - Dn[..., :, None, :] * Dr[..., None, :, None]
+                         - n[..., :, None, None] * DDr[..., None, :, :]) / r[..., None, None])
+        if mixed:
+            Drt = (np.einsum("...ak,...a->...k", Dv, vt) + np.einsum("...a,...ak->...k", v, Dvt)
+                   - Dr * rt) / r
+            dnts.append((Dvt - Dn * rt[..., None] - nts[-1][..., :, None] * Dr[..., None, :]
+                         - n[..., :, None] * Drt[..., None, :]) / r[..., None])
+    out = [np.stack(ns, axis=-2)]
+    for what, parts, axis in (("derivative", dns, -3), ("time derivative", nts, -2),
+                              ("second derivative", ddns, -4),
+                              ("mixed time derivative", dnts, -3)):
+        if not parts:
+            out.append(None)
+            continue
+        for i, part in enumerate(parts):
+            if not np.isfinite(part).all():
+                raise GeometryError(
+                    f"{what} of the normal of level function {i} is not finite "
+                    "(check the derivatives of the level functions)"
+                )
+        out.append(np.stack(parts, axis=axis))
+    return tuple(out)
+
+
+def _jet_providers(order: int, time: bool):
+    """The level-set providers, beyond the gradient and the Hessian, that a
+    frame jet of this order, with or without the time column, needs."""
+    return ["_gradient_dt"] * time + ["_third"] * (order > 1) + ["_hessian_dt"] * (time and order > 1)
+
+
+# -- the evaluation scope --------------------------------------------------------
+
+
+# the writable point arrays whose frames an outermost evaluation keeps: a
+# layer asks again for the array it or the layer above it just asked about
+_RECENT = 4
+
+
+class frame_scope:
+    """An evaluation scope, in which each frame or jet is built once per
+    (geometry, point array, t).
+
+    ``TensorField`` evaluation opens one around each outermost evaluation.
+    Its ``local`` store keeps the frames of the ``_RECENT`` writable point
+    arrays asked about last, most recent first: the nested layers of an
+    operator ask at the same array, or at the array of the stencil offset
+    they are part of, so older arrays (offsets done with) are not asked
+    about again.  A run opens a scope with ``keep=True``, whose ``kept``
+    store keeps the frames of every read-only point array (chart nodes,
+    boundary batches, sample points), which cannot change, for every
+    evaluation inside it.  Each entry maps (geometry, t) to a frame or jet
+    and holds its point array, so no entry outlives its array, and the
+    stores empty when their scope closes.
+    """
+
+    __slots__ = ("keep", "kept", "local", "_token")
+
+    def __init__(self, keep: bool = False) -> None:
+        self.keep = keep
+
+    def __enter__(self) -> "frame_scope":
+        outer = _SCOPE.get()
+        self.kept = {} if self.keep else (None if outer is None else outer.kept)
+        self.local = None if self.keep else []
+        self._token = _SCOPE.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _SCOPE.reset(self._token)
+        if self.keep:
+            self.kept.clear()
+        else:
+            self.local.clear()
+
+    def entry(self, x: np.ndarray) -> Optional[dict]:
+        """The frames at the point array x by (geometry, t), or None where no
+        store of this scope takes x."""
+        if x.flags.writeable or self.kept is None:
+            recent = self.local
+            if recent is None:
+                return None
+            for held, entry in recent:
+                if held is x:
+                    return entry
+            entry = {}
+            recent.insert(0, (x, entry))
+            del recent[_RECENT:]
+            return entry
+        held = self.kept.get(id(x))
+        if held is None:
+            held = self.kept[id(x)] = (x, {})
+        return held[1]
+
+
+_SCOPE: ContextVar[Optional[frame_scope]] = ContextVar("tensorcalc frame scope", default=None)
 
 
 class LevelSetGeometry:
@@ -282,9 +483,13 @@ class LevelSetGeometry:
     def has_analytic_gradients(self) -> bool:
         return all(l.has_analytic_gradient for l in self.levels)
 
-    @property
-    def has_analytic_hessians(self) -> bool:
-        return self.has_analytic_gradients and all(l.has_analytic_hessian for l in self.levels)
+    def has_jet(self, order: int = 1, time: bool = False) -> bool:
+        """Whether the level functions supply every derivative that a frame
+        jet of this order, with or without the time column, needs, so that
+        the jet is exact."""
+        need = ["_hessian"] * (order > 0) + _jet_providers(order, time)
+        return self.has_analytic_gradients and all(
+            getattr(l, name) is not None for l in self.levels for name in need)
 
     def level_values(self, x, t: float = 0.0) -> np.ndarray:
         """Level function values (..., m) at points (..., n)."""
@@ -295,12 +500,13 @@ class LevelSetGeometry:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0 or x.shape[-1] != self.n:
             raise ShapeError(f"point of shape {x.shape} does not live in R^{self.n}")
-        residual = 0.0
+        residual = None
         for lvl in self.levels:
-            residual = residual + np.abs(lvl.value(x, t))
-        outside = ~(residual < self.tube_halfwidth)  # a NaN residual is outside too
-        if outside.any():
-            bad = np.argwhere(outside)[0] if x.ndim > 1 else ()
+            d = np.abs(lvl.value(x, t))
+            residual = d if residual is None else residual + d
+        inside = residual < self.tube_halfwidth  # a NaN residual is outside
+        if not inside.all():
+            bad = np.argwhere(~inside)[0] if x.ndim > 1 else ()
             raise GeometryError(
                 f"point {x[tuple(bad)]} is outside the tube (sum |d_i| = "
                 f"{float(residual[tuple(bad)]):.3e}, not < {self.tube_halfwidth:.3e})"
@@ -316,13 +522,61 @@ class LevelSetGeometry:
         normals = _gram_schmidt(self._gradients(x, t), self.grad_floor)
         return GeometryFrame(x, t, normals)
 
-    def frame_derivative_at(self, x, t: float = 0.0):
-        """Frame plus its spatial derivative, propagated through Gram-Schmidt."""
+    def frame_derivative_at(self, x, t: float = 0.0, order: int = 1, time: bool = False):
+        """Frame plus its jet (a ``FrameJet``), propagated through Gram-Schmidt:
+        the spatial derivatives up to ``order`` (0, 1 or 2), and with
+        ``time`` the time column.  The level functions' Hessians are
+        differenced where they are not given; the providers of the time column
+        and of the second order must be given."""
+        second = order > 1
+        missing = [name[1:] for name in _jet_providers(order, time)
+                   if any(getattr(l, name) is None for l in self.levels)]
+        if missing:
+            raise GeometryError(f"a frame jet of order {order}{' with time' * time} needs "
+                                f"level-set providers {', '.join(missing)}")
         x = self._check_point(x, t)
-        grads = self._gradients(x, t)
-        hessians = [lvl.hessian(x, t) for lvl in self.levels]
-        normals, normals_d = _gram_schmidt_with_derivative(grads, hessians, self.grad_floor)
-        return GeometryFrame(x, t, normals), FrameDerivative(normals, normals_d)
+
+        def provided(name):
+            return [np.asarray(getattr(lvl, name)(x, t), dtype=float) for lvl in self.levels]
+
+        normals, *parts = _gram_schmidt_jet(
+            self._gradients(x, t), self.grad_floor,
+            [lvl.hessian(x, t) for lvl in self.levels] if order else None,
+            provided("_gradient_dt") if time else None, provided("_third") if second else None,
+            provided("_hessian_dt") if time and second else None,
+        )
+        frame = GeometryFrame(x, t, normals)
+        return frame, FrameJet(frame, *parts)
+
+    # -- the evaluation scope's frames ------------------------------------------
+
+    def _frame(self, x, t: float = 0.0) -> GeometryFrame:
+        """The frame at points x, built once per point array in the evaluation
+        scope (from a jet already built there, too)."""
+        scope = _SCOPE.get()
+        entry = None if scope is None or type(x) is not np.ndarray else scope.entry(x)
+        if entry is None:
+            return self.frame_at(x, t)
+        held = entry.get((self, t))
+        if held is None:
+            held = entry[(self, t)] = self.frame_at(x, t)
+        return held if type(held) is GeometryFrame else held.frame
+
+    def _jet(self, x, t: float = 0.0, order: int = 1, time: bool = False) -> FrameJet:
+        """The frame jet at points x, as ``frame_derivative_at``, built once
+        per point array in the evaluation scope.  A jet built there that
+        lacks a part is rebuilt with every part either request needs."""
+        scope = _SCOPE.get()
+        entry = None if scope is None or type(x) is not np.ndarray else scope.entry(x)
+        held = None if entry is None else entry.get((self, t))
+        if type(held) is FrameJet:
+            if held.covers(order, time):
+                return held
+            order, time = max(order, held.order), time or held.time
+        jet = self.frame_derivative_at(x, t, order, time)[1]
+        if entry is not None:
+            entry[(self, t)] = jet
+        return jet
 
 
 # -- tangential projection ---------------------------------------------------

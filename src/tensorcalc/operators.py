@@ -19,27 +19,35 @@ ingredients have them (geometry providers need analytic level-set
 Hessians): ``cartesian_gradient`` keeps the field's second derivative;
 ``submanifold_gradient`` (grad^2 f . P + grad f . P_d), ``project_field``
 (P_d in one slot at a time) and ``divergence`` (a trace) build theirs from
-one ``frame_derivative_at`` call, and so does ``perp_field`` (Q in one
-slot and its closed-form derivative dQ = dP Q + Q dP).  So the
-Laplacians, covariant gradients and surface curls of polynomials,
-constants, coordinates and positions need no differences.
-Fourth-order differences remain for the gradient of
-``material_derivative``, for time partials of fields with no ``dt``
-provider (projections and frame fields on moving geometries among them),
-for second derivatives of fields that have only a callable Jacobian or
-only frame derivatives (``projector_field``, ``normal_field``), and for
-fields with no gradient at all.
+one frame jet, and so does ``perp_field`` (Q in one slot and its
+closed-form derivative dQ = dP Q + Q dP).  So the Laplacians, covariant
+gradients and surface curls of polynomials, constants, coordinates and
+positions need no differences.  On geometries whose level functions
+supply the jet's time column and second order (the sphere family),
+``project_field``, ``normal_field``, ``projector_field`` and
+``submanifold_gradient`` also carry exact time partials, used in every
+mode as exact providers are; the gradients of the first three carry their
+own gradients and time partials; and ``material_derivative`` carries the
+exact gradient d/dt grad T + grad^2 T . w + grad T . grad w.
+Fourth-order differences remain for time partials of fields with no
+``dt`` provider, for second derivatives of fields that have only a
+callable Jacobian, and for fields with no gradient at all.
+
+Every frame and jet comes from the evaluation scope (``geometry.frame_scope``),
+so one outermost evaluation builds each once per point array.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from operator import attrgetter
 
 import numpy as np
 
 from . import geometry as geo
-from .fields import TensorField, _field, tf_scale
-from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry
+from .fields import TensorField, _field, _Lazy, tf_scale
+from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry, _sym
 from .tensor import ShapeError, _apply_to_slot, _central, _dot, _outer, _partials
 
 __all__ = [
@@ -165,8 +173,20 @@ def material_derivative(f: TensorField, w: TensorField, cfg: DiffConfig) -> Tens
     def func(X, t):
         return ft.values(X, t) + _dot(g.values(X, t), w.values(X, t), X.ndim - 1)
 
+    grad = None
+    # g has a gradient only in analytic mode, where it is grad T itself
+    if g.has_gradient and g.has_time_derivative and w.has_gradient:
+        gw = w.gradient
+
+        def grad(X, t):
+            # d/dt grad T + grad^2 T . w + grad T . grad w
+            nl = X.ndim - 1
+            return (g.dt_values(X, t)
+                    + _dot(np.swapaxes(g.gradient_values(X, t), -1, -2), w.values(X, t), nl)
+                    + _dot(g.values(X, t), gw.values(X, t), nl))
+
     return _field(
-        f.n, f.q, func, depth=max(g.depth, ft.depth), name=f"D({f.name};{w.name})"
+        f.n, f.q, func, grad=grad, depth=max(g.depth, ft.depth), name=f"D({f.name};{w.name})"
     )
 
 
@@ -179,20 +199,27 @@ def submanifold_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig
     g = cartesian_gradient(f, cfg)
 
     def func(X, t):
-        return _dot(g.values(X, t), geom.frame_at(X, t).P, X.ndim - 1)
+        return _dot(g.values(X, t), geom._frame(X, t).P, X.ndim - 1)
 
-    grad = None
-    if g.has_gradient and geom.has_analytic_hessians:
+    grad = dt = None
+    if g.has_gradient and geom.has_jet():
 
         def grad(X, t):
             # grad(grad f . P) = grad^2 f . P + grad f . P_d
             nl = X.ndim - 1
-            frame, fd = geom.frame_derivative_at(X, t)
-            return _apply_to_slot(frame.P, g.gradient_values(X, t), f.q, nl) + _dot(
-                g.values(X, t), fd.P_d, nl
+            jet = geom._jet(X, t)
+            return _apply_to_slot(jet.frame.P, g.gradient_values(X, t), f.q, nl) + _dot(
+                g.values(X, t), jet.P_d, nl
             )
 
-    return _field(f.n, f.q + 1, func, grad=grad, depth=g.depth, name=f"gradM({f.name})")
+    if g.has_time_derivative and geom.has_jet(0, time=True):
+
+        def dt(X, t):
+            nl = X.ndim - 1
+            jet = geom._jet(X, t, 0, time=True)
+            return _dot(g.dt_values(X, t), jet.frame.P, nl) + _dot(g.values(X, t), jet.P_t, nl)
+
+    return _field(f.n, f.q + 1, func, grad=grad, dt=dt, depth=g.depth, name=f"gradM({f.name})")
 
 
 def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -210,31 +237,82 @@ def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
     return _field(f.n, f.q - 1, func, grad=grad, depth=sg.depth, name=f"divM({f.name})")
 
 
+# the derivative parts of a projection that ``_projected`` makes, and the parts
+# of the projected field each one needs ('' is the value, 'd' the gradient)
+_NEEDS = {"t": ("", "t"), "dd": ("", "d", "dd"), "dt": ("", "d", "t", "dt")}
+
+
+def _projected(part: str, jet, f: TensorField, X: np.ndarray, t: float) -> np.ndarray:
+    """A derivative of the projection of f, P in each of its q slots: 't'
+    (d/dt), 'dd' (second x-derivatives, [..., k, l]) or 'dt' (d/dt of the
+    gradient, [..., k]), by the product rule one slot at a time."""
+    nl = X.ndim - 1
+    need = _NEEDS[part]
+    V = {"": f.values(X, t)}
+    if "d" in need:
+        V["d"] = f.gradient_values(X, t)
+    if "t" in need:
+        V["t"] = f.dt_values(X, t)
+    if part == "dd":
+        V["dd"] = f.gradient.gradient_values(X, t)
+    if part == "dt":
+        V["dt"] = f.gradient.dt_values(X, t)
+    M = {"": jet.frame.P, "d": jet.P_d, "t": jet.P_t, "dd": jet.P_dd, "dt": jet.P_dt}
+    for s in range(f.q):
+
+        def A(m, v, s=s):  # the m part of P in slot s of the v part of the field
+            return _apply_to_slot(M[m], V[v], s, nl)
+
+        new = {"": A("", "")}
+        if "d" in V:
+            new["d"] = A("", "d") + A("d", "")
+        if "t" in V:
+            new["t"] = A("", "t") + A("t", "")
+        if "dd" in V:  # dP_l in slot s of grad_k f gives [..., k, l]; _sym adds k <-> l
+            new["dd"] = A("", "dd") + _sym(A("d", "d")) + A("dd", "")
+        if "dt" in V:
+            new["dt"] = A("", "dt") + A("d", "t") + A("t", "d") + A("dt", "")
+        V = new
+    return V[part]
+
+
 def project_field(f: TensorField, geom: LevelSetGeometry, name: str = "") -> TensorField:
+    name = name or f"proj({f.name})"
+
     def func(X, t):
-        return geo._project_array(f.values(X, t), geom.frame_at(X, t).P)
+        return geo._project_array(f.values(X, t), geom._frame(X, t).P)
 
-    grad = None
-    if f.has_gradient and geom.has_analytic_hessians:
+    def first(X, t):
+        # product rule over the q slots that P fills: P_d in one slot at a
+        # time and P in the others, plus P in every slot of grad f
+        nl = X.ndim - 1
+        jet = geom._jet(X, t)
+        arr = f.values(X, t)
+        out = f.gradient_values(X, t)
+        for s in range(f.q):
+            out = _apply_to_slot(jet.frame.P, out, s, nl)
+        for s in range(f.q):
+            term = _apply_to_slot(jet.P_d, arr, s, nl)
+            for r in range(f.q):
+                if r != s:
+                    term = _apply_to_slot(jet.frame.P, term, r, nl)
+            out = out + term
+        return out
 
-        def grad(X, t):
-            # product rule over the q slots that P fills: P_d in one slot at a
-            # time and P in the others, plus P in every slot of grad f
-            nl = X.ndim - 1
-            frame, fd = geom.frame_derivative_at(X, t)
-            arr = f.values(X, t)
-            out = f.gradient_values(X, t)
-            for s in range(f.q):
-                out = _apply_to_slot(frame.P, out, s, nl)
-            for s in range(f.q):
-                term = _apply_to_slot(fd.P_d, arr, s, nl)
-                for r in range(f.q):
-                    if r != s:
-                        term = _apply_to_slot(frame.P, term, r, nl)
-                out = out + term
-            return out
+    def gradient():
+        g = f.gradient
+        grad = dt = None
+        if g.has_gradient and geom.has_jet(2):
+            grad = lambda X, t: _projected("dd", geom._jet(X, t, 2), f, X, t)
+        if g.has_time_derivative and f.has_time_derivative and geom.has_jet(2, time=True):
+            dt = lambda X, t: _projected("dt", geom._jet(X, t, 2, time=True), f, X, t)
+        return _field(f.n, f.q + 1, first, grad=grad, dt=dt, depth=f.depth, name=f"grad({name})")
 
-    return _field(f.n, f.q, func, grad=grad, depth=f.depth, name=name or f"proj({f.name})")
+    dt = None
+    if f.has_time_derivative and geom.has_jet(0, time=True):
+        dt = lambda X, t: _projected("t", geom._jet(X, t, 0, time=True), f, X, t)
+    grad = _Lazy(gradient) if f.has_gradient and geom.has_jet() else None
+    return _field(f.n, f.q, func, grad=grad, dt=dt, depth=f.depth, name=name)
 
 
 def covariant_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -258,23 +336,47 @@ def covariant_laplacian(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig)
 # -- frame-derived fields ------------------------------------------------------
 
 
+# the parts of a frame jet and how many derivative axes each adds to a frame field
+_JET_AXES = {"": 0, "_d": 1, "_t": 0, "_dd": 2, "_dt": 1}
+
+
+def _frame_field(geom: LevelSetGeometry, q: int, attr: str, name: str, i=None) -> TensorField:
+    """The rank-q field read off the frame attribute ``attr`` ('P', or
+    'normals' at normal ``i``), with the jet's parts of it: its gradient
+    ('_d'), time partial ('_t'), and the gradient's own gradient ('_dd')
+    and time partial ('_dt'), each attached where the geometry's jets are
+    exact."""
+
+    def reader(part, order=1, time=False):
+        source = geom._frame if not part else partial(geom._jet, order=order, time=time)
+        get = attrgetter(attr + part)
+        if i is None:
+            return lambda X, t: get(source(X, t))
+        pick = (Ellipsis, i) + (slice(None),) * (1 + _JET_AXES[part])
+        return lambda X, t: get(source(X, t))[pick]
+
+    def gradient():
+        return _field(
+            geom.n, q + 1, reader("_d"),
+            grad=reader("_dd", 2) if geom.has_jet(2) else None,
+            dt=reader("_dt", 2, True) if geom.has_jet(2, time=True) else None,
+            name=f"grad({name})",
+        )
+
+    return _field(
+        geom.n, q, reader(""), grad=_Lazy(gradient) if geom.has_jet() else None,
+        dt=reader("_t", 0, True) if geom.has_jet(0, time=True) else None, name=name,
+    )
+
+
 def projector_field(geom: LevelSetGeometry) -> TensorField:
-    grad = None
-    if geom.has_analytic_hessians:
-        grad = lambda X, t: geom.frame_derivative_at(X, t)[1].P_d
-    return _field(geom.n, 2, lambda X, t: geom.frame_at(X, t).P, grad=grad, name="P")
+    return _frame_field(geom, 2, "P", "P")
 
 
 def normal_field(geom: LevelSetGeometry, i: int = 0) -> TensorField:
     if not 0 <= i < geom.m:
         raise ShapeError(f"normal index {i} out of range for m={geom.m}")
-    grad = None
-    if geom.has_analytic_hessians:
-        grad = lambda X, t: geom.frame_derivative_at(X, t)[1].normals_d[..., i, :, :]
-    return _field(
-        geom.n, 1, lambda X, t: geom.frame_at(X, t).normals[..., i, :], grad=grad,
-        name=f"n_{i}",
-    )
+    return _frame_field(geom, 1, "normals", f"n_{i}", i)
 
 
 def mean_curvature(geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -302,18 +404,18 @@ def perp_field(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
         raise ShapeError("perp needs rank >= 1")
 
     def func(X, t):
-        Q = geo.perp_matrix(geom.frame_at(X, t))
+        Q = geo.perp_matrix(geom._frame(X, t))
         return _dot(f.values(X, t), np.swapaxes(Q, -1, -2), X.ndim - 1)
 
     grad = None
-    if f.has_gradient and geom.has_analytic_hessians:
+    if f.has_gradient and geom.has_jet():
 
         def grad(X, t):
             # Q in the last slot of grad f, plus the last slot of f against dQ
             nl, last = X.ndim - 1, f.q - 1
-            frame, fd = geom.frame_derivative_at(X, t)
-            Q = geo.perp_matrix(frame)
-            DQ = geo._perp_matrix_derivative(Q, fd.P_d)
+            jet = geom._jet(X, t)
+            Q = geo.perp_matrix(jet.frame)
+            DQ = geo._perp_matrix_derivative(Q, jet.P_d)
             return _apply_to_slot(Q, f.gradient_values(X, t), last, nl) + _apply_to_slot(
                 DQ, f.values(X, t), last, nl
             )
@@ -355,7 +457,7 @@ def projector_rate(geom: LevelSetGeometry, w: TensorField, cfg: DiffConfig) -> T
                     f"projector_rate needs unit level-set gradients; "
                     f"|grad d_{i}| is off 1 by {float(np.max(off)):.3e}"
                 )
-        normals = geom.frame_at(X, t).normals
+        normals = geom._frame(X, t).normals
         out = np.zeros(X.shape[:-1] + (geom.n, geom.n))
         for i in range(geom.m):
             half = _outer(rates[i].values(X, t), normals[..., i, :], X.ndim - 1)

@@ -68,17 +68,17 @@ def omega_field(geom: LevelSetGeometry, i: int, j: int) -> TensorField:
     n = geom.n
 
     def func(X, t):
-        P = geom.frame_at(X, t).P
+        P = geom._frame(X, t).P
         out = np.zeros(P.shape)
         out[..., i, :] = P[..., j, :]
         out[..., j, :] = -P[..., i, :]
         return out
 
     grad = None
-    if geom.has_analytic_hessians:
+    if geom.has_jet():
 
         def grad(X, t):
-            Pd = geom.frame_derivative_at(X, t)[1].P_d
+            Pd = geom._jet(X, t).P_d
             out = np.zeros(Pd.shape)
             out[..., i, :, :] = Pd[..., j, :, :]
             out[..., j, :, :] = -Pd[..., i, :, :]
@@ -115,14 +115,13 @@ def cross_stress(geom: LevelSetGeometry) -> TensorField:
         eps[a, b, c] = s
 
     def func(X, t):
-        return np.einsum("abc,...c->...ab", eps, geom.frame_at(X, t).normals[..., 0, :])
+        return np.einsum("abc,...c->...ab", eps, geom._frame(X, t).normals[..., 0, :])
 
     grad = None
-    if geom.has_analytic_hessians:
+    if geom.has_jet():
 
         def grad(X, t):
-            _, fd = geom.frame_derivative_at(X, t)
-            return np.einsum("abc,...ck->...abk", eps, fd.normals_d[..., 0, :, :])
+            return np.einsum("abc,...ck->...abk", eps, geom._jet(X, t).normals_d[..., 0, :, :])
 
     return _field(3, 2, func, grad=grad, name="cross-stress")
 
@@ -174,7 +173,7 @@ def _torque_density(atlas: Atlas, a_field: TensorField, cfg: DiffConfig, t: floa
 
     def density(X, s):
         return _wedge(X, div_a.values(X, s)) - _antisymmetric(
-            a_field.values(X, s) @ geom.frame_at(X, s).P)
+            a_field.values(X, s) @ geom._frame(X, s).P)
 
     return np.asarray(integrate(atlas, density, t))
 

@@ -64,7 +64,7 @@ from .fields import (
     tf_outer,
     tf_scale,
 )
-from .geometry import _gram_schmidt, _norm, _project_array, frame_from_normals
+from .geometry import _gram_schmidt, _norm, _project_array, frame_from_normals, frame_scope
 from .operators import (
     DiffConfig,
     cartesian_gradient,
@@ -141,6 +141,8 @@ class SuiteConfig:
         for key, least in (("order", 1), ("panels", 1), ("seed", 0)):
             if getattr(self, key) < least:
                 raise SuiteError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if self.geom_params and self.geometry is None:
+            raise SuiteError("geometry parameters need a geometry (--geometry)")
         try:
             self.diff()
         except ValueError as exc:
@@ -208,9 +210,15 @@ class Session:
         self._atlases: Dict[tuple, Atlas] = {}
 
     def case(self, name: str, **params: float) -> GeometryCase:
+        """The named case, built once per run; a builder's rejection of its
+        parameters (an unknown name or a value out of range) is a
+        ``SuiteError``."""
         key = (name, tuple(sorted(params.items())))
         if key not in self._cases:
-            self._cases[key] = get_case(name, **params)
+            try:
+                self._cases[key] = get_case(name, **params)
+            except (TypeError, ValueError) as exc:
+                raise SuiteError(f"geometry '{name}': {exc}") from None
         return self._cases[key]
 
     def atlas(self, case: Union[str, GeometryCase], order: Optional[int] = None) -> Atlas:
@@ -300,13 +308,19 @@ def _max_norm(values: np.ndarray) -> float:
 
 
 def _shape_groups(*keys: np.ndarray):
-    """(shape, indices) pairs: the draws grouped by their integer keys, each
-    an array over the draws, with the shapes in ``np.unique`` (sorted) order
-    and a group's draws in order."""
-    shapes, inverse = np.unique(np.stack(keys, axis=-1), axis=0, return_inverse=True)
-    inverse = inverse.ravel()
-    for g, shape in enumerate(shapes):
-        yield tuple(int(v) for v in shape), np.flatnonzero(inverse == g)
+    """(shape, indices) pairs: the draws grouped by their nonnegative integer
+    keys, each an array over the draws, with the shapes in sorted order and a
+    group's draws in order.  The keys pack into one int64 code, in mixed
+    radix with the first key most significant, so one 1-D ``np.unique``
+    sorts the shapes."""
+    code = np.zeros(len(keys[0]), dtype=np.int64)
+    for key in keys:
+        code = code * (int(key.max(initial=0)) + 1) + key
+    _, first, inverse, counts = np.unique(
+        code, return_index=True, return_inverse=True, return_counts=True)
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    for i, at in zip(first, groups):
+        yield tuple(int(key[i]) for key in keys), at
 
 
 def _draw(normal, count: int, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
@@ -727,7 +741,7 @@ def _euler(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check
 
     def flux_total(d):
         divq = divergence(_flux_field(state), geom, d)
-        total = integrate(atlas, lambda X, t: _dot(geom.frame_at(X, t).P, divq.values(X, t), 1))
+        total = integrate(atlas, lambda X, t: _dot(geom._frame(X, t).P, divq.values(X, t), 1))
         return float(np.linalg.norm(np.asarray(total)))
 
     balance = cache(lambda d: force_balance(hemi_atlas, hemi_state, d))
@@ -1004,7 +1018,8 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     start = time.perf_counter()
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     session = Session(cfg)
-    checks = [record for name in names for record in SUITES[name](session)]
+    with frame_scope(keep=True):  # the frames at read-only point arrays last the run
+        checks = [record for name in names for record in SUITES[name](session)]
     unknown = sorted(set(cfg.tol) - {record.id for record in checks})
     if unknown:
         raise SuiteError(f"tolerance override for unknown check id: {', '.join(unknown)}")

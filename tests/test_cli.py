@@ -216,3 +216,17 @@ def test_convergence_rejects_options_it_does_not_read(tmp_path, capsys, flag):
     assert exc.value.code == 2
     assert not target.exists()
     assert flag[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--geometry", "torus", "--geom-params", "major=0.2,minor=0.5"],
+    ["--geometry", "sphere", "--geom-params", "bogus=1"],
+    ["--suite", "laplacian", "--geometry", "sphere", "--geom-params", "radius=-1"],
+    ["--geom-params", "radius=2"],
+])
+def test_bad_geometry_parameters_are_usage_errors(tmp_path, capsys, flags):
+    target = tmp_path / "never.json"
+    assert main(["verify", *flags, "--out", str(target)]) == 2
+    assert not target.exists()
+    err = capsys.readouterr().err.strip()
+    assert err.startswith("error:") and "\n" not in err

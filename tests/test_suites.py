@@ -5,6 +5,7 @@ against their per-draw reference loops."""
 import dataclasses
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -418,3 +419,57 @@ def test_records_do_not_depend_on_row_order(name):
     )
     assert len(forward) > 1
     assert reverse == forward
+
+
+# -- shape groups, sample points and stencils ----------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_shape_groups_match_the_sorted_distinct_keys(seed):
+    rng = np.random.default_rng(seed)
+    count = int(rng.integers(0, 300))
+    keys = [rng.integers(0, int(rng.integers(1, 9)), count) for _ in range(int(rng.integers(1, 5)))]
+    rows = list(zip(*(k.tolist() for k in keys)))
+    want = [(shape, [i for i, row in enumerate(rows) if row == shape])
+            for shape in sorted(set(rows))]
+    got = [(shape, at.tolist()) for shape, at in suites._shape_groups(*keys)]
+    assert got == want
+
+
+def test_sample_points_build_no_atlas():
+    case = get_case("torus")
+    want = case.sample_points(7, t=0.2, seed=3)
+    built = []
+    factory = case.atlas_factory
+    case.atlas_factory = lambda *args: built.append(args) or factory(*args)
+    got = case.sample_points(7, t=0.2, seed=3)
+    assert built == []
+    np.testing.assert_array_equal(got, want)
+    assert not got.flags.writeable
+
+
+def test_analytic_runs_take_only_the_deliberate_stencils(monkeypatch):
+    # the five difference oracles of the evolving suite and the Jacobian of the
+    # RK4-advected chart; the operators' time partials and the gradients of
+    # material derivatives are exact
+    from tensorcalc import evolving, geometry, operators, quadrature, tensor
+
+    depth, callers = [0], []
+    for name in ("_partials", "_central"):
+        stencil = getattr(tensor, name)
+
+        def counted(*args, _stencil=stencil, **kwargs):
+            if depth[0] == 0:
+                callers.append(sys._getframe(1).f_code.co_name)
+            depth[0] += 1
+            try:
+                return _stencil(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        for module in (tensor, geometry, operators, quadrature, evolving):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert run_suite(SuiteConfig(suite="all", fd="analytic")).passed
+    assert sorted(callers) == sorted(["transport_rate_fd"] * 2 + ["dirichlet_rate_fd"] * 2
+                                     + ["material_consistency", "_jacobians"])
