@@ -26,6 +26,7 @@ from .tensor import _outer
 
 __all__ = [
     "GeometryCase",
+    "ParameterError",
     "sphere",
     "hemisphere",
     "circle2d",
@@ -70,8 +71,7 @@ class GeometryCase:
 
     def sample_points(self, count: int, t: float = 0.0, seed: int = 0) -> np.ndarray:
         """Deterministic points (count, n) spread over the charts, kept off
-        chart edges: point i lies on chart i % len(charts).  The array is
-        read-only, as chart nodes are, so a run builds the frames at it once."""
+        chart edges: point i lies on chart i % len(charts)."""
         rng = np.random.default_rng(seed)
         charts = self.charts
         draws = 0.1 + 0.8 * rng.random((count, charts[0].p))
@@ -82,11 +82,15 @@ class GeometryCase:
         return pts
 
 
+class ParameterError(ValueError):
+    """A geometry builder's parameter is out of its range."""
+
+
 def _positive(**params: float) -> None:
-    """Raise ValueError unless every named parameter is a positive number."""
+    """Raise ParameterError unless every named parameter is a positive number."""
     for key, value in params.items():
         if not value > 0:  # NaN fails too
-            raise ValueError(f"{key} must be positive, got {value}")
+            raise ParameterError(f"{key} must be positive, got {value}")
 
 
 def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
@@ -109,11 +113,8 @@ def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
         sym = eye_xh + np.moveaxis(eye_xh, -1, -3) + np.moveaxis(eye_xh, -1, -2)
         return (3.0 * np.einsum("...a,...b,...k->...abk", xh, xh, xh) - sym) / (r**2)[..., None, None]
 
-    # the gradient and the Hessian do not depend on t: the sphere moves along its normals
-    return LevelSet._batched(
-        value, gradient, hessian, gradient_dt=lambda X, t: np.zeros(X.shape), third=third,
-        hessian_dt=lambda X, t: np.zeros(X.shape + X.shape[-1:]),
-    )
+    # the gradient does not depend on t: the sphere moves along its normals
+    return LevelSet._batched(value, gradient, hessian, third=third, static_gradient=True)
 
 
 def _vec(U, *entries):
@@ -323,7 +324,7 @@ def plane_disk(radius: float = 1.0) -> GeometryCase:
 
 def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
     if not 0 < minor < major:
-        raise ValueError(f"need 0 < minor < major for a torus, got major={major}, minor={minor}")
+        raise ParameterError(f"need 0 < minor < major for a torus, got major={major}, minor={minor}")
 
     ez = np.array([0.0, 0.0, 1.0])
 
@@ -480,7 +481,7 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
 def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
     _positive(radius=radius)
     if not np.isfinite(speed):
-        raise ValueError(f"speed must be a finite number, got {speed}")
+        raise ParameterError(f"speed must be a finite number, got {speed}")
     geom = LevelSetGeometry(3, [_sphere_level(radius, speed)], name="expanding_sphere")
 
     def vel(X, t):

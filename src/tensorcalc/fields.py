@@ -23,7 +23,7 @@ so operators nest.
 values; the step-size policy for further differentiation keys off it.
 
 The outermost evaluation of a field opens a frame scope
-(``geometry.frame_scope``), so every frame and frame jet that the nested
+(``geometry._frame_scope``), so every frame and frame jet that the nested
 evaluations below it ask for is built once per point array, and raises
 ValueError where its values are not finite.
 """
@@ -36,7 +36,7 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
-from .geometry import _SCOPE, frame_scope
+from .geometry import _SCOPE, _frame_scope
 from .tensor import MAX_AMBIENT_DIM, MAX_RANK, ShapeError, Tensor, _looped, _outer
 
 __all__ = [
@@ -139,10 +139,10 @@ class TensorField:
 
     def _evaluate(self, evaluator, x, t: float, what: str) -> np.ndarray:
         scope = _SCOPE.get()
-        if scope is None or scope.local is None:
+        if scope is None or scope.recent is None:
             # the outermost evaluation opens the frame scope, and checks what
             # every layer below it computed: a NaN or inf carries through them
-            with frame_scope():
+            with _frame_scope():
                 out = self._evaluate(evaluator, x, t, what)
             if not np.isfinite(out).all():
                 at = np.argwhere(~np.isfinite(out))[0][:out.ndim - self.q]

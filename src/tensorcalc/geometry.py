@@ -15,15 +15,16 @@ geometries use batch-native level functions (``LevelSet._batched``).
 
 ``frame_derivative_at`` builds a frame jet: the exact derivatives of the
 normals and projectors, forward-propagated through Gram-Schmidt from the
-level functions' derivatives.  Its first order needs their Hessians; its
-time column, of moving geometries, needs d/dt grad d (``gradient_dt``);
-its second order needs the third derivatives (``third``), and with the time
-column also d/dt of the Hessians (``hessian_dt``).
+level functions' derivatives.  Its first order needs their Hessians, its
+second order their third derivatives (``third``).  A geometry whose level
+functions all state ``static_gradient`` has frames that do not depend on
+t (``has_static_frames``): the time partials of its frame fields are zero.
 
-Inside one evaluation scope (``frame_scope``) a frame or jet is built once
-per (geometry, point array, t): ``LevelSetGeometry._frame`` and ``_jet``
-look it up before building.  The library's evaluators go through them;
-the public ``frame_at`` and ``frame_derivative_at`` always build.
+Inside one evaluation scope (``_frame_scope``, opened by the outermost
+evaluation of a field and by a suite run) a frame or jet is built once per
+(geometry, point array, t): ``LevelSetGeometry._frame`` and ``_jet`` look
+it up before building.  The library's evaluators go through them; the public
+``frame_at`` and ``frame_derivative_at`` always build.
 
 Tangential projection feeds P into one tensor slot per pass with the
 batched primitive ``tensor._apply_to_slot``, over any leading batch axes:
@@ -49,7 +50,6 @@ __all__ = [
     "LevelSetGeometry",
     "GeometryFrame",
     "FrameJet",
-    "frame_scope",
     "frame_from_normals",
     "project",
     "is_tangent",
@@ -84,14 +84,16 @@ class LevelSet:
     ``value`` is required.  ``gradient`` and ``hessian`` are used when given;
     otherwise the gradient is a fourth-order central difference of the value
     and the Hessian a second-order one of the gradient, at the nested step
-    when that gradient is itself a difference.  The optional providers of
-    frame jets have no difference fallback: ``gradient_dt`` is d/dt of the
-    gradient, ``third[a, b, k]`` the derivative of the Hessian entry (a, b)
-    along x_k, and ``hessian_dt`` d/dt of the Hessian.  All callables are
-    pointwise, take (x, t) even when the constraint is static, and return a
-    number, an (n,) array, an (n, n) array, and (n,), (n, n, n) and (n, n)
-    arrays.  The methods ``value``, ``gradient`` and ``hessian`` take
-    batches of points (..., n).
+    when that gradient is itself a difference.  ``third[a, b, k]``, the
+    derivative of the Hessian entry (a, b) along x_k, is the optional
+    provider of the second order of frame jets, which has no difference
+    fallback.  ``static_gradient`` states that the gradient does not depend
+    on t (a geometry that moves along its normals, such as a sphere whose
+    radius changes), so neither do the normals: their time partials are
+    exactly zero.  All callables are pointwise, take (x, t) even when the
+    constraint is static, and return a number, an (n,) array, an (n, n)
+    array and an (n, n, n) array.  The methods ``value``, ``gradient`` and
+    ``hessian`` take batches of points (..., n).
     """
 
     def __init__(
@@ -99,9 +101,8 @@ class LevelSet:
         value: Callable[[np.ndarray, float], float],
         gradient: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
         hessian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
-        gradient_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
         third: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
-        hessian_dt: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
+        static_gradient: bool = False,
     ) -> None:
         def looped(func, shape, what):
             return None if func is None else _looped(func, shape, f"level-set {what}")
@@ -109,18 +110,17 @@ class LevelSet:
         self._value = _looped(value, lambda n: (), "level-set value")
         self._gradient = looped(gradient, lambda n: (n,), "gradient")
         self._hessian = looped(hessian, lambda n: (n, n), "hessian")
-        self._gradient_dt = looped(gradient_dt, lambda n: (n,), "gradient_dt")
         self._third = looped(third, lambda n: (n, n, n), "third")
-        self._hessian_dt = looped(hessian_dt, lambda n: (n, n), "hessian_dt")
+        self.static_gradient = static_gradient
 
     @classmethod
-    def _batched(cls, value, gradient=None, hessian=None, gradient_dt=None, third=None,
-                 hessian_dt=None) -> "LevelSet":
+    def _batched(cls, value, gradient=None, hessian=None, third=None,
+                 static_gradient: bool = False) -> "LevelSet":
         """A level set whose callables take points (..., n) and return
-        (...), (..., n), (..., n, n), (..., n), (..., n, n, n) and (..., n, n)."""
+        (...), (..., n), (..., n, n) and (..., n, n, n)."""
         level = cls.__new__(cls)
         level._value, level._gradient, level._hessian = value, gradient, hessian
-        level._gradient_dt, level._third, level._hessian_dt = gradient_dt, third, hessian_dt
+        level._third, level.static_gradient = third, static_gradient
         return level
 
     @property
@@ -197,53 +197,35 @@ def frame_from_normals(normals, x=None, t: float = 0.0) -> GeometryFrame:
 
 
 class FrameJet:
-    """A frame and the exact derivatives of its fields at a batch of points.
+    """A frame and the exact spatial derivatives of its fields at a batch of
+    points.
 
-    A jet of order 1 holds the spatial derivatives: ``normals_d[..., i, a,
-    k]`` is d(n_i)_a / dx_k, and ``P_d`` the projector derivative indexed
-    [..., a, b, k] (``N_d`` is -``P_d``).  One of order 2 adds
-    ``normals_dd`` and ``P_dd``, indexed [..., a, b, k, l] for the
-    projector.  A jet with the time column (``time``) adds the time
-    derivatives ``normals_t`` and ``P_t``, and at order 2 d/dt of the first
-    order, ``normals_dt`` and ``P_dt``.  A jet of order 0 holds the time
-    column only.  Parts a jet does not hold are None.
+    A jet of order 1 holds ``normals_d[..., i, a, k]``, d(n_i)_a / dx_k, and
+    the projector derivative ``P_d`` indexed [..., a, b, k] (``N_d`` is
+    -``P_d``).  One of order 2 adds ``normals_dd`` and ``P_dd``, indexed
+    [..., a, b, k, l] for the projector; a jet of order 1 has them None.
     """
 
-    __slots__ = ("frame", "order", "time", "normals_d", "P_d", "normals_t", "P_t", "normals_dd",
-                 "P_dd", "normals_dt", "P_dt")
+    __slots__ = ("frame", "order", "normals_d", "P_d", "normals_dd", "P_dd")
 
-    def __init__(self, frame: GeometryFrame, normals_d=None, normals_t=None, normals_dd=None,
-                 normals_dt=None) -> None:
+    def __init__(self, frame: GeometryFrame, normals_d: np.ndarray, normals_dd=None) -> None:
         n = frame.normals
         self.frame = frame
-        self.order = 0 if normals_d is None else 1 if normals_dd is None else 2
-        self.time = normals_t is not None
-        self.normals_d, self.normals_t = normals_d, normals_t
-        self.normals_dd, self.normals_dt = normals_dd, normals_dt
-        self.P_d = self.P_t = self.P_dd = self.P_dt = None
+        self.order = 1 if normals_dd is None else 2
+        self.normals_d, self.normals_dd = normals_d, normals_dd
         # each part of N is sum_i of products of n_i and its derivatives, plus
         # the same with a and b swapped; the part of P = I - N is its negative
-        if self.order:
-            half = np.einsum("...iak,...ib->...abk", normals_d, n)
-            self.P_d = -(half + np.swapaxes(half, -3, -2))
-        if self.time:
-            half = np.swapaxes(normals_t, -1, -2) @ n
-            self.P_t = -(half + np.swapaxes(half, -2, -1))
-        if self.order == 2:
+        half = np.einsum("...iak,...ib->...abk", normals_d, n)
+        self.P_d = -(half + np.swapaxes(half, -3, -2))
+        self.P_dd = None
+        if normals_dd is not None:
             half = np.einsum("...iakl,...ib->...abkl", normals_dd, n) + np.einsum(
                 "...iak,...ibl->...abkl", normals_d, normals_d)
             self.P_dd = -(half + np.swapaxes(half, -4, -3))
-        if self.order == 2 and self.time:
-            half = np.einsum("...iak,...ib->...abk", normals_dt, n) + np.einsum(
-                "...iak,...ib->...abk", normals_d, normals_t)
-            self.P_dt = -(half + np.swapaxes(half, -3, -2))
 
     @property
-    def N_d(self) -> Optional[np.ndarray]:
-        return None if self.P_d is None else -self.P_d
-
-    def covers(self, order: int, time: bool) -> bool:
-        return self.order >= order and (self.time or not time)
+    def N_d(self) -> np.ndarray:
+        return -self.P_d
 
 
 def _residual_floor(i: int, r: np.ndarray, floor: float) -> None:
@@ -277,41 +259,30 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return a + np.swapaxes(a, -1, -2)
 
 
-def _gram_schmidt_jet(grads, floor: float, hessians=None, grads_t=None, thirds=None,
-                      hessians_t=None):
+def _gram_schmidt_jet(grads, hessians, floor: float, thirds=None):
     """Forward-propagate derivatives through modified Gram-Schmidt.
 
-    The inputs are per level function: gradients (..., n); for order 1,
-    Hessians (..., n, n); for the time column, d/dt of the gradients
-    (..., n); for order 2, also third derivatives (..., n, n, n), and with
-    the time column d/dt of the Hessians (..., n, n).  Returns the normals
-    (..., m, n) and the derivatives d/dx (..., m, n, n), d/dt (..., m, n),
-    d2/dx2 (..., m, n, n, n) and d/dt d/dx (..., m, n, n) of the normals,
-    None where the inputs are missing.  The first order runs in elementwise
-    products (the tensor primitives' per-call cost would dominate this hot
-    path at a single point); every new column is separate from it, so the
-    first order is the same whatever else the jet holds.
+    The inputs are per level function: gradients (..., n), Hessians
+    (..., n, n) and, for the second order, third derivatives (..., n, n, n).
+    Returns the normals (..., m, n) and their derivatives d/dx (..., m, n, n)
+    and d2/dx2 (..., m, n, n, n), the last None without ``thirds``.  The
+    first order runs in elementwise products (the tensor primitives'
+    per-call cost would dominate this hot path at a single point); the
+    second order is separate from it, so the first order is the same
+    whichever order the jet has.
     """
-    first, time, second = hessians is not None, grads_t is not None, thirds is not None
-    mixed = time and second
-    ns, dns, nts, ddns, dnts = [], [], [], [], []
+    second = thirds is not None
+    ns, dns, ddns = [], [], []
     for i in range(len(grads)):
         v = np.asarray(grads[i], dtype=float)
-        Dv = np.asarray(hessians[i], dtype=float) if first else None  # [..., a, k] = d v_a / d x_k
-        vt = np.asarray(grads_t[i], dtype=float) if time else None
+        Dv = np.asarray(hessians[i], dtype=float)  # [..., a, k] = d v_a / d x_k
         DDv = np.asarray(thirds[i], dtype=float) if second else None  # [..., a, k, l]
-        Dvt = np.asarray(hessians_t[i], dtype=float) if mixed else None  # [..., a, k]
         for _ in range(2):
             for j in range(i):
-                nh = ns[j]
+                nh, Dnh = ns[j], dns[j]
                 # every coefficient derivative from the vector before this step
                 c = _inner(nh, v)
-                if first:
-                    Dnh = dns[j]
-                    Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
-                if time:
-                    nht = nts[j]
-                    ct = _inner(nht, v) + _inner(nh, vt)
+                Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
                 if second:
                     DDnh = ddns[j]
                     DDc = (np.einsum("...akl,...a->...kl", DDnh, v)
@@ -321,99 +292,69 @@ def _gram_schmidt_jet(grads, floor: float, hessians=None, grads_t=None, thirds=N
                            - Dnh[..., :, :, None] * Dc[..., None, None, :]
                            - Dnh[..., :, None, :] * Dc[..., None, :, None]
                            - c[..., None, None] * DDnh)
-                if mixed:
-                    Dnht = dnts[j]
-                    Dct = (np.einsum("...ak,...a->...k", Dnht, v)
-                           + np.einsum("...a,...ak->...k", nht, Dv)
-                           + np.einsum("...ak,...a->...k", Dnh, vt)
-                           + np.einsum("...a,...ak->...k", nh, Dvt))
-                    Dvt = (Dvt - nh[..., :, None] * Dct[..., None, :] - ct[..., None] * Dnh
-                           - nht[..., :, None] * Dc[..., None, :] - c[..., None] * Dnht)
-                if time:
-                    vt = vt - ct * nh - c * nht
-                if first:
-                    Dv = Dv - nh[..., :, None] * Dc[..., None, :] - c[..., None] * Dnh
+                Dv = Dv - nh[..., :, None] * Dc[..., None, :] - c[..., None] * Dnh
                 v = v - c * nh
         r = np.sqrt(_inner(v, v))
         _residual_floor(i, r, floor)
         n = v / r
         ns.append(n)
-        if first:
-            Dr = ((v / r)[..., None, :] @ Dv)[..., 0, :]
-            Dn = Dv / r[..., None] - v[..., :, None] * Dr[..., None, :] / (r**2)[..., None]
-            dns.append(Dn)
-        # n r = v, differentiated along t, along x_k and x_l, and along t and x_k
-        if time:
-            rt = _inner(n, vt)
-            nts.append((vt - n * rt) / r)
-        if second:
+        Dr = ((v / r)[..., None, :] @ Dv)[..., 0, :]
+        Dn = Dv / r[..., None] - v[..., :, None] * Dr[..., None, :] / (r**2)[..., None]
+        dns.append(Dn)
+        if second:  # n r = v, differentiated along x_k and x_l
             DDr = (np.einsum("...ak,...al->...kl", Dv, Dv) + np.einsum("...a,...akl->...kl", v, DDv)
                    - Dr[..., :, None] * Dr[..., None, :]) / r[..., None]
             ddns.append((DDv - Dn[..., :, :, None] * Dr[..., None, None, :]
                          - Dn[..., :, None, :] * Dr[..., None, :, None]
                          - n[..., :, None, None] * DDr[..., None, :, :]) / r[..., None, None])
-        if mixed:
-            Drt = (np.einsum("...ak,...a->...k", Dv, vt) + np.einsum("...a,...ak->...k", v, Dvt)
-                   - Dr * rt) / r
-            dnts.append((Dvt - Dn * rt[..., None] - nts[-1][..., :, None] * Dr[..., None, :]
-                         - n[..., :, None] * Drt[..., None, :]) / r[..., None])
     out = [np.stack(ns, axis=-2)]
-    for what, parts, axis in (("derivative", dns, -3), ("time derivative", nts, -2),
-                              ("second derivative", ddns, -4),
-                              ("mixed time derivative", dnts, -3)):
-        if not parts:
-            out.append(None)
-            continue
+    for what, parts, axis in (("derivative", dns, -3), ("second derivative", ddns, -4)):
         for i, part in enumerate(parts):
             if not np.isfinite(part).all():
                 raise GeometryError(
                     f"{what} of the normal of level function {i} is not finite "
                     "(check the derivatives of the level functions)"
                 )
-        out.append(np.stack(parts, axis=axis))
+        out.append(np.stack(parts, axis=axis) if parts else None)
     return tuple(out)
-
-
-def _jet_providers(order: int, time: bool):
-    """The level-set providers, beyond the gradient and the Hessian, that a
-    frame jet of this order, with or without the time column, needs."""
-    return ["_gradient_dt"] * time + ["_third"] * (order > 1) + ["_hessian_dt"] * (time and order > 1)
 
 
 # -- the evaluation scope --------------------------------------------------------
 
 
-# the writable point arrays whose frames an outermost evaluation keeps: a
-# layer asks again for the array it or the layer above it just asked about
+# how many point arrays an evaluation keeps frames for: a layer asks again
+# for the array it or the layer above it just asked about
 _RECENT = 4
 
 
-class frame_scope:
+class _frame_scope:
     """An evaluation scope, in which each frame or jet is built once per
     (geometry, point array, t).
 
-    ``TensorField`` evaluation opens one around each outermost evaluation.
-    Its ``local`` store keeps the frames of the ``_RECENT`` writable point
-    arrays asked about last, most recent first: the nested layers of an
-    operator ask at the same array, or at the array of the stencil offset
-    they are part of, so older arrays (offsets done with) are not asked
-    about again.  A run opens a scope with ``keep=True``, whose ``kept``
-    store keeps the frames of every read-only point array (chart nodes,
-    boundary batches, sample points), which cannot change, for every
-    evaluation inside it.  Each entry maps (geometry, t) to a frame or jet
-    and holds its point array, so no entry outlives its array, and the
-    stores empty when their scope closes.
+    ``TensorField`` evaluation opens one around each outermost evaluation,
+    which does not write its point arrays.  Its ``recent`` store keeps the
+    frames of the ``_RECENT`` point arrays asked about last, most recent
+    first: the nested layers of an operator ask at the same array, or at
+    the array of the stencil offset they are part of, so older arrays
+    (offsets done with) are not asked about again.  A run opens a scope
+    with ``keep=True``, whose ``kept`` store keeps, for every evaluation
+    inside it, the frames of the point arrays that are read-only and own
+    their data (chart nodes, boundary batches): nothing can write them.  A
+    read-only view goes to ``recent``, as its base may be written.  Each
+    entry maps (geometry, t) to a frame or jet and holds its point array,
+    so no entry outlives its array, and the stores empty when their scope
+    closes.
     """
 
-    __slots__ = ("keep", "kept", "local", "_token")
+    __slots__ = ("keep", "kept", "recent", "_token")
 
     def __init__(self, keep: bool = False) -> None:
         self.keep = keep
 
-    def __enter__(self) -> "frame_scope":
+    def __enter__(self) -> "_frame_scope":
         outer = _SCOPE.get()
         self.kept = {} if self.keep else (None if outer is None else outer.kept)
-        self.local = None if self.keep else []
+        self.recent = None if self.keep else []
         self._token = _SCOPE.set(self)
         return self
 
@@ -422,13 +363,13 @@ class frame_scope:
         if self.keep:
             self.kept.clear()
         else:
-            self.local.clear()
+            self.recent.clear()
 
     def entry(self, x: np.ndarray) -> Optional[dict]:
         """The frames at the point array x by (geometry, t), or None where no
         store of this scope takes x."""
-        if x.flags.writeable or self.kept is None:
-            recent = self.local
+        if self.kept is None or x.flags.writeable or x.base is not None:
+            recent = self.recent
             if recent is None:
                 return None
             for held, entry in recent:
@@ -444,7 +385,7 @@ class frame_scope:
         return held[1]
 
 
-_SCOPE: ContextVar[Optional[frame_scope]] = ContextVar("tensorcalc frame scope", default=None)
+_SCOPE: ContextVar[Optional[_frame_scope]] = ContextVar("tensorcalc frame scope", default=None)
 
 
 class LevelSetGeometry:
@@ -483,13 +424,17 @@ class LevelSetGeometry:
     def has_analytic_gradients(self) -> bool:
         return all(l.has_analytic_gradient for l in self.levels)
 
-    def has_jet(self, order: int = 1, time: bool = False) -> bool:
+    def has_jet(self, order: int = 1) -> bool:
         """Whether the level functions supply every derivative that a frame
-        jet of this order, with or without the time column, needs, so that
-        the jet is exact."""
-        need = ["_hessian"] * (order > 0) + _jet_providers(order, time)
+        jet of this order (1 or 2) needs, so that the jet is exact."""
         return self.has_analytic_gradients and all(
-            getattr(l, name) is not None for l in self.levels for name in need)
+            l._hessian is not None and (order < 2 or l._third is not None) for l in self.levels)
+
+    @property
+    def has_static_frames(self) -> bool:
+        """Whether the frames do not depend on t: every level function has
+        an analytic gradient that does not."""
+        return self.has_analytic_gradients and all(l.static_gradient for l in self.levels)
 
     def level_values(self, x, t: float = 0.0) -> np.ndarray:
         """Level function values (..., m) at points (..., n)."""
@@ -522,28 +467,18 @@ class LevelSetGeometry:
         normals = _gram_schmidt(self._gradients(x, t), self.grad_floor)
         return GeometryFrame(x, t, normals)
 
-    def frame_derivative_at(self, x, t: float = 0.0, order: int = 1, time: bool = False):
-        """Frame plus its jet (a ``FrameJet``), propagated through Gram-Schmidt:
-        the spatial derivatives up to ``order`` (0, 1 or 2), and with
-        ``time`` the time column.  The level functions' Hessians are
-        differenced where they are not given; the providers of the time column
-        and of the second order must be given."""
+    def frame_derivative_at(self, x, t: float = 0.0, order: int = 1):
+        """Frame plus its jet (a ``FrameJet``) of the given order (1 or 2),
+        propagated through Gram-Schmidt.  The level functions' Hessians are
+        differenced where they are not given; the second order needs their
+        third derivatives (``third``)."""
         second = order > 1
-        missing = [name[1:] for name in _jet_providers(order, time)
-                   if any(getattr(l, name) is None for l in self.levels)]
-        if missing:
-            raise GeometryError(f"a frame jet of order {order}{' with time' * time} needs "
-                                f"level-set providers {', '.join(missing)}")
+        if second and any(lvl._third is None for lvl in self.levels):
+            raise GeometryError("a frame jet of order 2 needs the level-set provider third")
         x = self._check_point(x, t)
-
-        def provided(name):
-            return [np.asarray(getattr(lvl, name)(x, t), dtype=float) for lvl in self.levels]
-
         normals, *parts = _gram_schmidt_jet(
-            self._gradients(x, t), self.grad_floor,
-            [lvl.hessian(x, t) for lvl in self.levels] if order else None,
-            provided("_gradient_dt") if time else None, provided("_third") if second else None,
-            provided("_hessian_dt") if time and second else None,
+            self._gradients(x, t), [lvl.hessian(x, t) for lvl in self.levels], self.grad_floor,
+            [np.asarray(lvl._third(x, t), dtype=float) for lvl in self.levels] if second else None,
         )
         frame = GeometryFrame(x, t, normals)
         return frame, FrameJet(frame, *parts)
@@ -562,18 +497,16 @@ class LevelSetGeometry:
             held = entry[(self, t)] = self.frame_at(x, t)
         return held if type(held) is GeometryFrame else held.frame
 
-    def _jet(self, x, t: float = 0.0, order: int = 1, time: bool = False) -> FrameJet:
+    def _jet(self, x, t: float = 0.0, order: int = 1) -> FrameJet:
         """The frame jet at points x, as ``frame_derivative_at``, built once
-        per point array in the evaluation scope.  A jet built there that
-        lacks a part is rebuilt with every part either request needs."""
+        per point array in the evaluation scope.  A jet built there of a
+        lower order is rebuilt at this one."""
         scope = _SCOPE.get()
         entry = None if scope is None or type(x) is not np.ndarray else scope.entry(x)
         held = None if entry is None else entry.get((self, t))
-        if type(held) is FrameJet:
-            if held.covers(order, time):
-                return held
-            order, time = max(order, held.order), time or held.time
-        jet = self.frame_derivative_at(x, t, order, time)[1]
+        if type(held) is FrameJet and held.order >= order:
+            return held
+        jet = self.frame_derivative_at(x, t, order)[1]
         if entry is not None:
             entry[(self, t)] = jet
         return jet

@@ -23,18 +23,23 @@ one frame jet, and so does ``perp_field`` (Q in one slot and its
 closed-form derivative dQ = dP Q + Q dP).  So the Laplacians, covariant
 gradients and surface curls of polynomials, constants, coordinates and
 positions need no differences.  On geometries whose level functions
-supply the jet's time column and second order (the sphere family),
-``project_field``, ``normal_field``, ``projector_field`` and
-``submanifold_gradient`` also carry exact time partials, used in every
-mode as exact providers are; the gradients of the first three carry their
-own gradients and time partials; and ``material_derivative`` carries the
-exact gradient d/dt grad T + grad^2 T . w + grad T . grad w.
-Fourth-order differences remain for time partials of fields with no
-``dt`` provider, for second derivatives of fields that have only a
-callable Jacobian, and for fields with no gradient at all.
+supply third derivatives (the sphere family), the gradients of
+``project_field``, ``normal_field`` and ``projector_field`` carry their
+own gradients.  On geometries whose frames do not depend on t
+(``has_static_frames``, the sphere family too), these fields, their
+gradients and ``submanifold_gradient`` carry exact time partials (zero
+for the frame fields), used in every mode as exact providers are.
+``material_derivative`` carries the exact gradient
+d/dt grad T + grad^2 T . w + grad T . grad w wherever its ingredients
+have those derivatives.  Fourth-order differences remain for time
+partials of fields with no ``dt`` provider (projections and frame fields
+of geometries whose frames move among them), for second derivatives of
+fields that have only a callable Jacobian, and for fields with no
+gradient at all.
 
-Every frame and jet comes from the evaluation scope (``geometry.frame_scope``),
-so one outermost evaluation builds each once per point array.
+Every frame and jet comes from the evaluation scope
+(``geometry._frame_scope``), so one outermost evaluation builds each once
+per point array.
 """
 
 from __future__ import annotations
@@ -212,12 +217,8 @@ def submanifold_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig
                 g.values(X, t), jet.P_d, nl
             )
 
-    if g.has_time_derivative and geom.has_jet(0, time=True):
-
-        def dt(X, t):
-            nl = X.ndim - 1
-            jet = geom._jet(X, t, 0, time=True)
-            return _dot(g.dt_values(X, t), jet.frame.P, nl) + _dot(g.values(X, t), jet.P_t, nl)
+    if g.has_time_derivative and geom.has_static_frames:
+        dt = lambda X, t: _dot(g.dt_values(X, t), geom._frame(X, t).P, X.ndim - 1)
 
     return _field(f.n, f.q + 1, func, grad=grad, dt=dt, depth=g.depth, name=f"gradM({f.name})")
 
@@ -237,43 +238,22 @@ def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
     return _field(f.n, f.q - 1, func, grad=grad, depth=sg.depth, name=f"divM({f.name})")
 
 
-# the derivative parts of a projection that ``_projected`` makes, and the parts
-# of the projected field each one needs ('' is the value, 'd' the gradient)
-_NEEDS = {"t": ("", "t"), "dd": ("", "d", "dd"), "dt": ("", "d", "t", "dt")}
+def _projected(jet, parts, nl: int) -> np.ndarray:
+    """The last derivative of the projection of a rank-q field, P in each
+    of its q slots, by the product rule one slot at a time.  ``parts`` are
+    the field's values (..., (n,)*q) and gradient, and for the second
+    derivatives (..., k, l) also the gradient's own gradient."""
+    V = list(parts)
+    for s in range(V[0].ndim - nl):
 
+        def A(M, v, s=s):  # M in slot s of v
+            return _apply_to_slot(M, v, s, nl)
 
-def _projected(part: str, jet, f: TensorField, X: np.ndarray, t: float) -> np.ndarray:
-    """A derivative of the projection of f, P in each of its q slots: 't'
-    (d/dt), 'dd' (second x-derivatives, [..., k, l]) or 'dt' (d/dt of the
-    gradient, [..., k]), by the product rule one slot at a time."""
-    nl = X.ndim - 1
-    need = _NEEDS[part]
-    V = {"": f.values(X, t)}
-    if "d" in need:
-        V["d"] = f.gradient_values(X, t)
-    if "t" in need:
-        V["t"] = f.dt_values(X, t)
-    if part == "dd":
-        V["dd"] = f.gradient.gradient_values(X, t)
-    if part == "dt":
-        V["dt"] = f.gradient.dt_values(X, t)
-    M = {"": jet.frame.P, "d": jet.P_d, "t": jet.P_t, "dd": jet.P_dd, "dt": jet.P_dt}
-    for s in range(f.q):
-
-        def A(m, v, s=s):  # the m part of P in slot s of the v part of the field
-            return _apply_to_slot(M[m], V[v], s, nl)
-
-        new = {"": A("", "")}
-        if "d" in V:
-            new["d"] = A("", "d") + A("d", "")
-        if "t" in V:
-            new["t"] = A("", "t") + A("t", "")
-        if "dd" in V:  # dP_l in slot s of grad_k f gives [..., k, l]; _sym adds k <-> l
-            new["dd"] = A("", "dd") + _sym(A("d", "d")) + A("dd", "")
-        if "dt" in V:
-            new["dt"] = A("", "dt") + A("d", "t") + A("t", "d") + A("dt", "")
+        new = [A(jet.frame.P, V[0]), A(jet.frame.P, V[1]) + A(jet.P_d, V[0])]
+        if len(V) > 2:  # dP_l in slot s of grad_k f gives [..., k, l]; _sym adds k <-> l
+            new.append(A(jet.frame.P, V[2]) + _sym(A(jet.P_d, V[1])) + A(jet.P_dd, V[0]))
         V = new
-    return V[part]
+    return V[-1]
 
 
 def project_field(f: TensorField, geom: LevelSetGeometry, name: str = "") -> TensorField:
@@ -299,18 +279,24 @@ def project_field(f: TensorField, geom: LevelSetGeometry, name: str = "") -> Ten
             out = out + term
         return out
 
+    # on static frames, d/dt of the projection is the projection of d/dt
+    static = f.has_time_derivative and geom.has_static_frames
+
     def gradient():
         g = f.gradient
         grad = dt = None
         if g.has_gradient and geom.has_jet(2):
-            grad = lambda X, t: _projected("dd", geom._jet(X, t, 2), f, X, t)
-        if g.has_time_derivative and f.has_time_derivative and geom.has_jet(2, time=True):
-            dt = lambda X, t: _projected("dt", geom._jet(X, t, 2, time=True), f, X, t)
+            grad = lambda X, t: _projected(
+                geom._jet(X, t, 2), (f.values(X, t), f.gradient_values(X, t), g.gradient_values(X, t)),
+                X.ndim - 1)
+        if static and g.has_time_derivative:
+            dt = lambda X, t: _projected(
+                geom._jet(X, t), (f.dt_values(X, t), g.dt_values(X, t)), X.ndim - 1)
         return _field(f.n, f.q + 1, first, grad=grad, dt=dt, depth=f.depth, name=f"grad({name})")
 
     dt = None
-    if f.has_time_derivative and geom.has_jet(0, time=True):
-        dt = lambda X, t: _projected("t", geom._jet(X, t, 0, time=True), f, X, t)
+    if static:
+        dt = lambda X, t: geo._project_array(f.dt_values(X, t), geom._frame(X, t).P)
     grad = _Lazy(gradient) if f.has_gradient and geom.has_jet() else None
     return _field(f.n, f.q, func, grad=grad, dt=dt, depth=f.depth, name=name)
 
@@ -336,37 +322,33 @@ def covariant_laplacian(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig)
 # -- frame-derived fields ------------------------------------------------------
 
 
-# the parts of a frame jet and how many derivative axes each adds to a frame field
-_JET_AXES = {"": 0, "_d": 1, "_t": 0, "_dd": 2, "_dt": 1}
-
-
 def _frame_field(geom: LevelSetGeometry, q: int, attr: str, name: str, i=None) -> TensorField:
     """The rank-q field read off the frame attribute ``attr`` ('P', or
     'normals' at normal ``i``), with the jet's parts of it: its gradient
-    ('_d'), time partial ('_t'), and the gradient's own gradient ('_dd')
-    and time partial ('_dt'), each attached where the geometry's jets are
-    exact."""
+    ('_d') and the gradient's own gradient ('_dd'), each attached where the
+    geometry's jets are exact.  On static frames the field and its gradient
+    have a zero time partial."""
 
-    def reader(part, order=1, time=False):
-        source = geom._frame if not part else partial(geom._jet, order=order, time=time)
+    def reader(part, order=1):
+        source = geom._frame if not part else partial(geom._jet, order=order)
         get = attrgetter(attr + part)
         if i is None:
             return lambda X, t: get(source(X, t))
-        pick = (Ellipsis, i) + (slice(None),) * (1 + _JET_AXES[part])
+        pick = (Ellipsis, i) + (slice(None),) * (1 + part.count("d"))
         return lambda X, t: get(source(X, t))[pick]
 
-    def gradient():
-        return _field(
-            geom.n, q + 1, reader("_d"),
-            grad=reader("_dd", 2) if geom.has_jet(2) else None,
-            dt=reader("_dt", 2, True) if geom.has_jet(2, time=True) else None,
-            name=f"grad({name})",
-        )
+    def zero(rank):
+        if not geom.has_static_frames:
+            return None
+        return lambda X, t: np.zeros(X.shape[:-1] + (geom.n,) * rank)
 
-    return _field(
-        geom.n, q, reader(""), grad=_Lazy(gradient) if geom.has_jet() else None,
-        dt=reader("_t", 0, True) if geom.has_jet(0, time=True) else None, name=name,
-    )
+    def gradient():
+        return _field(geom.n, q + 1, reader("_d"),
+                      grad=reader("_dd", 2) if geom.has_jet(2) else None, dt=zero(q + 1),
+                      name=f"grad({name})")
+
+    return _field(geom.n, q, reader(""), grad=_Lazy(gradient) if geom.has_jet() else None,
+                  dt=zero(q), name=name)
 
 
 def projector_field(geom: LevelSetGeometry) -> TensorField:

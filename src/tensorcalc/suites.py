@@ -28,6 +28,7 @@ One runner, ``Suite.__call__``, owns the policies every suite shares:
 
 from __future__ import annotations
 
+import inspect
 import math
 import time
 from dataclasses import dataclass, field
@@ -37,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
-from .builtins import GeometryCase, get_case
+from .builtins import REGISTRY, GeometryCase, ParameterError, get_case
 from .euler import (
     _flux_field,
     convective_identity_residual,
@@ -64,7 +65,7 @@ from .fields import (
     tf_outer,
     tf_scale,
 )
-from .geometry import _gram_schmidt, _norm, _project_array, frame_from_normals, frame_scope
+from .geometry import _frame_scope, _gram_schmidt, _norm, _project_array, frame_from_normals
 from .operators import (
     DiffConfig,
     cartesian_gradient,
@@ -210,14 +211,19 @@ class Session:
         self._atlases: Dict[tuple, Atlas] = {}
 
     def case(self, name: str, **params: float) -> GeometryCase:
-        """The named case, built once per run; a builder's rejection of its
-        parameters (an unknown name or a value out of range) is a
-        ``SuiteError``."""
+        """The named case, built once per run.  A parameter name its builder
+        does not take, or a value the builder rejects (``ParameterError``),
+        is a ``SuiteError``."""
         key = (name, tuple(sorted(params.items())))
         if key not in self._cases:
+            takes = inspect.signature(REGISTRY[name]).parameters if name in REGISTRY else params
+            unknown = sorted(set(params) - set(takes))
+            if unknown:  # get_case raises KeyError for an unknown name
+                raise SuiteError(f"geometry '{name}' has no parameter {', '.join(unknown)} "
+                                 f"(it takes: {', '.join(takes) or 'none'})")
             try:
                 self._cases[key] = get_case(name, **params)
-            except (TypeError, ValueError) as exc:
+            except ParameterError as exc:
                 raise SuiteError(f"geometry '{name}': {exc}") from None
         return self._cases[key]
 
@@ -1018,7 +1024,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     start = time.perf_counter()
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     session = Session(cfg)
-    with frame_scope(keep=True):  # the frames at read-only point arrays last the run
+    with _frame_scope(keep=True):  # the frames at chart nodes last the run
         checks = [record for name in names for record in SUITES[name](session)]
     unknown = sorted(set(cfg.tol) - {record.id for record in checks})
     if unknown:

@@ -473,3 +473,21 @@ def test_analytic_runs_take_only_the_deliberate_stencils(monkeypatch):
     assert run_suite(SuiteConfig(suite="all", fd="analytic")).passed
     assert sorted(callers) == sorted(["transport_rate_fd"] * 2 + ["dirichlet_rate_fd"] * 2
                                      + ["material_consistency", "_jacobians"])
+
+
+def test_only_parameter_errors_of_a_builder_are_usage_errors(monkeypatch):
+    from tensorcalc import builtins
+    from tensorcalc.geometry import GeometryError
+
+    session = suites.Session(SuiteConfig())
+    with pytest.raises(suites.SuiteError, match="has no parameter bogus"):
+        session.case("sphere", bogus=1.0)
+    with pytest.raises(suites.SuiteError, match="radius must be positive"):
+        session.case("sphere", radius=0.0)
+
+    def broken(radius: float = 1.0):
+        raise GeometryError("a bug in the builder")
+
+    monkeypatch.setitem(builtins.REGISTRY, "sphere", broken)
+    with pytest.raises(GeometryError, match="a bug in the builder"):
+        session.case("sphere", radius=2.0)
