@@ -175,7 +175,8 @@ class TensorField:
         return self._evaluate(self._dt, x, t, "time derivative of")
 
     def at(self, x, t: float = 0.0) -> Tensor:
-        return Tensor(self.n, self.values(x, t))
+        """The value at a point (n,), or at points (..., n) as a batch."""
+        return Tensor(self.n, self.values(x, t), lead=np.ndim(x) - 1)
 
     def __call__(self, x, t: float = 0.0) -> Tensor:
         return self.at(x, t)
@@ -208,6 +209,7 @@ def _constant_array(n: int, arr: np.ndarray, name: str) -> TensorField:
 
 
 def constant(n: int, value: Tensor, name: str = "const") -> TensorField:
+    value._single()
     return _constant_array(n, np.array(value.array), name)
 
 

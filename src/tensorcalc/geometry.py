@@ -526,12 +526,14 @@ def _project_array(data: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def project(frame: GeometryFrame, t: Tensor) -> Tensor:
-    """Tangential projection: feed P into every argument slot of t."""
+    """Tangential projection: feed P into every argument slot of t, for a
+    single tensor with a frame at one point, or a batch with a frame over
+    its leading shape."""
     if t.n != frame.n:
         raise ShapeError(f"tensor lives in R^{t.n}, frame in R^{frame.n}")
-    if frame.normals.ndim != 2:
-        raise ShapeError("project takes the frame at a single point")
-    return Tensor._wrap(t.n, _project_array(t.array, frame.P))
+    if frame.normals.shape[:-2] != t.batch:
+        raise ShapeError(f"frame over the batch {frame.normals.shape[:-2]}, tensor over {t.batch}")
+    return Tensor._wrap(t.n, _project_array(t.array, frame.P), t.lead)
 
 
 def is_tangent(frame: GeometryFrame, t: Tensor, tol: float = 1e-10) -> bool:

@@ -338,7 +338,10 @@ def integrate(atlas: Atlas, integrand, t: float = 0.0):
     call.  The integrand is a TensorField or a callable ``(X, t)`` that
     returns values of shape (N, ...) or a constant (a number).  A value
     that is not finite, or of any other shape, raises an error that names
-    the chart.
+    the chart.  A value is read by its shape alone: an array whose first
+    axis has length N is N per-node values, even one meant as a constant
+    vector (no shape check can tell the two apart), so a constant that is
+    not a number must be broadcast to (N, ...).
     """
     f = integrand.values if isinstance(integrand, TensorField) else integrand
     return _chart_sum(atlas, lambda k, X: f(X, t), t)
@@ -349,8 +352,9 @@ def integrate_boundary(atlas: Atlas, integrand, t: float = 0.0):
 
     The integrand is a callable ``(B, t)`` on the BoundaryPoint batch B of
     every boundary node, called once; it returns values of shape (N, ...)
-    or a constant, under the checks of ``integrate``.  A closed atlas has
-    N = 0 and gives a zero of the value shape.
+    or a constant (a number), under the checks and the reading of
+    ``integrate``: an array whose first axis has length N is per-node
+    values.  A closed atlas has N = 0 and gives a zero of the value shape.
     """
     B = boundary_points(atlas, t)
     return _weighted_sum(integrand(B, t), B.weight, f"the boundary of atlas '{atlas.name}'")

@@ -213,10 +213,18 @@ def normal_at_tangential(sigma_value: np.ndarray, frame: GeometryFrame):
 
     Operator 2-norm of v -> N sigma(P v) at each point of a batch of values
     (..., n, n) with a frame at the same points; zero exactly when every
-    tangential orientation produces a tangential stress vector.
+    tangential orientation produces a tangential stress vector.  It is
+    sqrt(lambda_max(A A^T)) for A = normals sigma^T P of shape (..., m, n),
+    from an m x m Gram matrix.  A point whose stress or frame is not finite
+    (which IEEE arithmetic carries into its Gram matrix), or whose Gram
+    matrix overflows, gives NaN.
     """
-    response = frame.N @ np.swapaxes(sigma_value, -1, -2) @ frame.P
-    return np.linalg.norm(response, ord=2, axis=(-2, -1))[()]
+    with np.errstate(invalid="ignore", over="ignore"):  # such points give NaN below
+        A = frame.normals @ np.swapaxes(sigma_value, -1, -2) @ frame.P
+        gram = A @ np.swapaxes(A, -1, -2)
+    finite = np.isfinite(gram).all((-2, -1))
+    top = np.linalg.eigvalsh(np.where(finite[..., None, None], gram, 0.0))[..., -1]
+    return np.where(finite, np.sqrt(np.maximum(top, 0.0)), np.nan)[()]
 
 
 def omega_pairings(sigma_value: np.ndarray, frame: GeometryFrame) -> Dict[Tuple[int, int], object]:

@@ -378,8 +378,8 @@ def _tensor_algebra(cfg: SuiteConfig, _case, _session) -> List[Check]:
     for (n, q, m), at in _shape_groups(ns, qs, ms):
         t, u, v, s, big, raw, tang = _draw(normal, len(at), (n,) * q, (n,), (n,), (n,) * (q - 1),
                                            (n,) * q, (m, n), (n,) * q)
-        # the public row representation, tensor by tensor
-        rebuilt = np.array([[c.array for c in Tensor(n, ti).components()] for ti in t])
+        # the public row representation, on one batched Tensor per group
+        rebuilt = np.stack([c.array for c in Tensor(n, t, lead=1).components()], axis=1)
         worst.note("roundtrip", np.abs(rebuilt - t))
         worst.note("insert", np.abs(_dot(_dot(u, t, 1), v, 1) - _dot(u, _dot(t, v, 1), 1)))
         # (S:T).v summed index by index, apart from the contraction primitives

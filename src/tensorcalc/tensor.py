@@ -14,9 +14,9 @@ in order.  The private primitives below take such arrays and the count
 product: ``_contract`` with its named cases ``_dot``, ``_contract_left``,
 ``_contract_right``, ``_frobenius`` and ``_outer``, and ``_apply_to_slot``.
 Inserting a vector into the first or last slot is ``_dot`` with the vector
-on that side.  ``Tensor`` is the public, immutable single-tensor wrapper:
-its operations call the primitives at ``nl = 0`` after their rank, shape
-and finiteness checks.
+on that side.  ``Tensor`` is the public, immutable wrapper: one tensor,
+or with ``lead`` leading axes a batch of them.  Its operations call the
+primitives at ``nl = lead`` after their rank, shape and finiteness checks.
 """
 
 from __future__ import annotations
@@ -208,38 +208,57 @@ def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int, nl: int) -> np.nda
 
 
 class Tensor:
-    """Immutable rank-q tensor over R^n.
+    """Immutable rank-q tensor over R^n, or a batch of them.
 
     ``array[i1, ..., iq]`` is the value on the basis tuple (e_i1, ..., e_iq).
+    A batch has ``lead`` leading axes before the q slots, so one ``Tensor``
+    holds a whole group of tensors of one shape; the limits n <= 8 and
+    q <= 8 count the slots only.  ``component``, ``components``,
+    ``from_components``, arithmetic, ``dot``, ``frobenius``, ``outer``,
+    ``contract_left``, ``contract_right`` and ``geometry.project`` work at
+    every leading index, on operands of equal leading shape; every other
+    method raises ``ShapeError`` on a batch.
     """
 
-    __slots__ = ("n", "q", "array")
+    __slots__ = ("n", "q", "lead", "array")
 
-    def __init__(self, n: int, array) -> None:
+    def __init__(self, n: int, array, lead: int = 0) -> None:
         arr = np.array(array, dtype=float)
-        _check_limits(n, arr.ndim)
-        if arr.shape != (n,) * arr.ndim:
+        if not 0 <= lead <= arr.ndim:
+            raise ShapeError(f"{lead} leading axes on an array of {arr.ndim} axes")
+        _check_limits(n, arr.ndim - lead)
+        if arr.shape[lead:] != (n,) * (arr.ndim - lead):
             raise ShapeError(
-                f"component array of shape {arr.shape} is not cubical in dimension {n}"
+                f"component array of shape {arr.shape[lead:]} is not cubical in dimension {n}"
             )
         if not np.all(np.isfinite(arr)):
             raise ShapeError("tensor components must be finite")
+        self._fill(n, arr, lead)
+
+    def _fill(self, n: int, arr: np.ndarray, lead: int) -> None:
         arr.flags.writeable = False
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", arr.ndim)
+        object.__setattr__(self, "q", arr.ndim - lead)
+        object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "array", arr)
 
     @classmethod
-    def _wrap(cls, n: int, arr: np.ndarray) -> "Tensor":
+    def _wrap(cls, n: int, arr: np.ndarray, lead: int = 0) -> "Tensor":
         # Internal fast path: arr is a fresh float array of the right shape.
         if type(arr) is not np.ndarray:  # numpy gives rank-0 results as array scalars
             arr = np.array(arr, dtype=float)
         self = object.__new__(cls)
-        arr.flags.writeable = False
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "q", arr.ndim)
-        object.__setattr__(self, "array", arr)
+        self._fill(n, arr, lead)
         return self
+
+    @property
+    def batch(self) -> tuple:
+        """The leading shape, () for a single tensor."""
+        return self.array.shape[:self.lead]
+
+    def _single(self) -> None:
+        if self.lead:
+            raise ShapeError(f"this operation takes a single tensor, not a batch {self.batch}")
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
@@ -247,12 +266,13 @@ class Tensor:
     # -- tree access ----------------------------------------------------
 
     def component(self, k: int) -> "Tensor":
-        """Rank-(q-1) tensor at branch k of the top level (a strided view)."""
+        """Rank-(q-1) tensor at branch k of the top level (a strided view),
+        at every leading index of a batch."""
         if self.q == 0:
             raise ShapeError("a rank-0 tensor has no components")
         if not 0 <= k < self.n:
             raise ShapeError(f"component index {k} out of range for dimension {self.n}")
-        return Tensor._wrap(self.n, self.array[k])
+        return Tensor._wrap(self.n, self.array[(slice(None),) * self.lead + (k,)], self.lead)
 
     def components(self) -> Iterator["Tensor"]:
         for k in range(self.n):
@@ -260,6 +280,7 @@ class Tensor:
 
     @property
     def value(self) -> float:
+        self._single()
         if self.q != 0:
             raise ShapeError(f"rank-{self.q} tensor has no scalar value")
         return float(self.array)
@@ -268,6 +289,7 @@ class Tensor:
 
     def evaluate(self, vectors: Sequence) -> float:
         """Value on exactly q vector arguments."""
+        self._single()
         if len(vectors) != self.q:
             raise ShapeError(f"rank-{self.q} tensor needs {self.q} arguments, got {len(vectors)}")
         out = self.array
@@ -277,6 +299,7 @@ class Tensor:
 
     def __call__(self, *vectors):
         """Partial left application; full application returns a float."""
+        self._single()
         out = self
         for v in vectors:
             out = out.insert_left(v)
@@ -284,12 +307,14 @@ class Tensor:
 
     def insert_left(self, v) -> "Tensor":
         """Feed v into the first argument slot."""
+        self._single()
         if self.q == 0:
             raise ShapeError("cannot insert into a rank-0 tensor")
         return Tensor._wrap(self.n, _dot(_as_vector(self.n, v), self.array, 0))
 
     def insert_right(self, v) -> "Tensor":
         """Feed v into the last argument slot."""
+        self._single()
         if self.q == 0:
             raise ShapeError("cannot insert into a rank-0 tensor")
         return Tensor._wrap(self.n, _dot(self.array, _as_vector(self.n, v), 0))
@@ -298,45 +323,56 @@ class Tensor:
 
     def transpose(self) -> "Tensor":
         """Swap the two slots of a rank-2 tensor."""
+        self._single()
         if self.q != 2:
             raise ShapeError(f"transpose is defined for rank 2, got rank {self.q}")
         return Tensor._wrap(self.n, self.array.T.copy())
 
     def norm(self) -> float:
+        self._single()
         return float(np.linalg.norm(self.array.ravel()))
 
     # -- arithmetic -------------------------------------------------------
 
     def _same_shape(self, other: "Tensor") -> None:
-        if self.n != other.n or self.q != other.q:
-            raise ShapeError(
-                f"shape mismatch: (n={self.n}, q={self.q}) vs (n={other.n}, q={other.q})"
-            )
+        _paired(self, other)
+        if self.q != other.q:
+            raise ShapeError(f"rank mismatch: {self.q} vs {other.q}")
 
     def __add__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
         self._same_shape(other)
-        return Tensor._wrap(self.n, self.array + other.array)
+        return Tensor._wrap(self.n, self.array + other.array, self.lead)
 
     def __sub__(self, other):
         if not isinstance(other, Tensor):
             return NotImplemented
         self._same_shape(other)
-        return Tensor._wrap(self.n, self.array - other.array)
+        return Tensor._wrap(self.n, self.array - other.array, self.lead)
 
     def __neg__(self):
-        return Tensor._wrap(self.n, -self.array)
+        return Tensor._wrap(self.n, -self.array, self.lead)
 
     def __mul__(self, a):
         if not isinstance(a, (int, float, np.floating, np.integer)):
             return NotImplemented
-        return Tensor._wrap(self.n, self.array * float(a))
+        return Tensor._wrap(self.n, self.array * float(a), self.lead)
 
     __rmul__ = __mul__
 
     def __repr__(self) -> str:
-        return f"Tensor(n={self.n}, q={self.q}, {np.array2string(self.array, precision=6)})"
+        lead = f", lead={self.lead}" if self.lead else ""
+        return f"Tensor(n={self.n}, q={self.q}{lead}, {np.array2string(self.array, precision=6)})"
+
+
+def _paired(s: Tensor, t: Tensor) -> int:
+    """The leading count of two operands of equal dimension and leading shape."""
+    if s.n != t.n:
+        raise ShapeError(f"dimension mismatch: {s.n} vs {t.n}")
+    if s.batch != t.batch:
+        raise ShapeError(f"leading shapes differ: {s.batch} vs {t.batch}")
+    return s.lead
 
 
 # -- constructors ---------------------------------------------------------
@@ -356,16 +392,16 @@ def covector(values) -> Tensor:
 
 
 def from_components(children: Sequence[Tensor]) -> Tensor:
-    """Assemble a rank-(q+1) tensor from its n rank-q components."""
+    """Assemble a rank-(q+1) tensor from its n rank-q components, at every
+    leading index of a batch."""
     if not children:
         raise ShapeError("need at least one component")
-    n, q = children[0].n, children[0].q
-    if len(children) != n:
-        raise ShapeError(f"need exactly {n} components, got {len(children)}")
+    first = children[0]
+    if len(children) != first.n:
+        raise ShapeError(f"need exactly {first.n} components, got {len(children)}")
     for c in children:
-        if c.n != n or c.q != q:
-            raise ShapeError("components disagree in dimension or rank")
-    return Tensor(n, np.stack([c.array for c in children]))
+        first._same_shape(c)
+    return Tensor(first.n, np.stack([c.array for c in children], axis=first.lead), first.lead)
 
 
 def zeros(n: int, q: int) -> Tensor:
@@ -392,39 +428,38 @@ def basis_covector(n: int, k: int) -> Tensor:
 
 def linear_combine(a: float, t: Tensor, b: float, s: Tensor) -> Tensor:
     t._same_shape(s)
-    return Tensor._wrap(t.n, float(a) * t.array + float(b) * s.array)
+    return Tensor._wrap(t.n, float(a) * t.array + float(b) * s.array, t.lead)
 
 
-def frobenius(s: Tensor, t: Tensor) -> float:
-    """Full contraction of two tensors of equal shape."""
+def frobenius(s: Tensor, t: Tensor):
+    """Full contraction of two tensors of equal shape: a float, or an array
+    of the leading shape for a batch."""
     s._same_shape(t)
-    return float(_frobenius(s.array, t.array, 0))
+    out = _frobenius(s.array, t.array, s.lead)
+    return out if s.lead else float(out)
 
 
 def outer(s: Tensor, t: Tensor) -> Tensor:
     """Tensor product; slots of s come first."""
-    if s.n != t.n:
-        raise ShapeError(f"dimension mismatch: {s.n} vs {t.n}")
+    nl = _paired(s, t)
     _check_limits(s.n, s.q + t.q)
-    return Tensor._wrap(s.n, _outer(s.array, t.array, 0))
+    return Tensor._wrap(s.n, _outer(s.array, t.array, nl), nl)
 
 
 def contract_left(s: Tensor, t: Tensor) -> Tensor:
     """Contract all slots of s against the leading slots of t (rank of s <= rank of t)."""
-    if s.n != t.n:
-        raise ShapeError(f"dimension mismatch: {s.n} vs {t.n}")
+    nl = _paired(s, t)
     if s.q > t.q:
         raise ShapeError(f"left contraction needs rank {s.q} <= {t.q}")
-    return Tensor._wrap(s.n, _contract_left(s.array, t.array, 0))
+    return Tensor._wrap(s.n, _contract_left(s.array, t.array, nl), nl)
 
 
 def contract_right(t: Tensor, s: Tensor) -> Tensor:
     """Contract the trailing slots of t against all slots of s (rank of s <= rank of t)."""
-    if s.n != t.n:
-        raise ShapeError(f"dimension mismatch: {t.n} vs {s.n}")
+    nl = _paired(t, s)
     if s.q > t.q:
         raise ShapeError(f"right contraction needs rank {s.q} <= {t.q}")
-    return Tensor._wrap(t.n, _contract_right(t.array, s.array, 0))
+    return Tensor._wrap(t.n, _contract_right(t.array, s.array, nl), nl)
 
 
 def dot(t: Tensor, s: Tensor) -> Tensor:
@@ -433,12 +468,11 @@ def dot(t: Tensor, s: Tensor) -> Tensor:
     Every deepest rank-1 leaf u^T of t is replaced by u^T contracted into s,
     so at rank 2 this is the matrix product.  Associative.
     """
-    if s.n != t.n:
-        raise ShapeError(f"dimension mismatch: {t.n} vs {s.n}")
+    nl = _paired(t, s)
     if t.q < 1 or s.q < 1:
         raise ShapeError("dot needs both ranks >= 1")
     _check_limits(t.n, t.q + s.q - 2)
-    return Tensor._wrap(t.n, _dot(t.array, s.array, 0))
+    return Tensor._wrap(t.n, _dot(t.array, s.array, nl), nl)
 
 
 def random_tensor(n: int, q: int, rng: np.random.Generator, scale: float = 1.0) -> Tensor:

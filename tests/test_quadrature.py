@@ -538,3 +538,32 @@ def test_integrate_rejects_a_value_without_a_node_axis_naming_the_chart():
     with pytest.raises(ValueError, match="chart 'polar'"):
         integrate(atlas, lambda X, t: np.ones(3))
     np.testing.assert_allclose(integrate(atlas, lambda X, t: 2.0), 8 * math.pi, atol=1e-3)
+
+
+def test_a_value_with_the_node_count_as_first_axis_is_read_as_per_node_values():
+    """A callable's value is read by its shape alone: no shape check can tell
+    (N,) per-node scalars from a constant vector of length N, so on the
+    hemisphere's three boundary nodes [1, 0, 0] integrates to the first
+    node's weight, and on a three-node helix chart [1, 2, 3] to the nodes'
+    weighted sum."""
+    atlas = get_case("hemisphere").atlas(order=3, panels=1)
+    weight = boundary_points(atlas).weight
+    assert weight.shape == (3,)
+    got = integrate_boundary(atlas, lambda B, t: np.array([1.0, 0.0, 0.0]))
+    assert np.shape(got) == () and got == weight[0]
+    np.testing.assert_allclose(got, math.pi * 5 / 9, rtol=1e-12)  # the ends' Gauss weight 5/9 of pi
+    helix = get_case("helix").atlas(order=3, panels=1)
+    _, meas = helix.charts[0].points(0.0)
+    assert meas.shape == (3,)
+    got = integrate(helix, lambda X, t: np.array([1.0, 2.0, 3.0]))
+    np.testing.assert_allclose(got, meas @ [1.0, 2.0, 3.0], rtol=1e-15)
+
+
+@pytest.mark.parametrize("value", [2.5, -1.0])
+def test_a_constant_given_as_a_number_integrates_to_number_times_measure(value):
+    sphere = get_case("sphere").atlas(order=12, panels=2)
+    np.testing.assert_allclose(integrate(sphere, lambda X, t: value), value * 4 * math.pi,
+                               rtol=1e-13)
+    hemi = get_case("hemisphere").atlas(order=12, panels=2)
+    np.testing.assert_allclose(integrate_boundary(hemi, lambda B, t: value), value * 2 * math.pi,
+                               rtol=1e-13)

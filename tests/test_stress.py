@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorcalc.builtins import get_case
 from tensorcalc.fields import random_polynomial
-from tensorcalc.geometry import frame_from_normals
+from tensorcalc.geometry import GeometryFrame, frame_from_normals
 from tensorcalc.operators import DiffConfig, divergence, mean_curvature, projector_field
 from tensorcalc.quadrature import integrate, integrate_boundary
 from tensorcalc.stress import (
@@ -181,6 +183,55 @@ def test_constrained_family_stays_tangential(rng):
             sig += np.outer(normals[k], rng.normal(size=n))
         sig += fr.P @ rng.normal(size=(n, n)) @ fr.P
         assert normal_at_tangential(sig, fr) <= 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(2, 8))
+def test_normal_at_tangential_is_the_operator_two_norm(data, n):
+    """The Gram-matrix norm agrees with the SVD 2-norm of N sigma^T P to
+    1e-14 max(1, |sigma|) at every point, for every codimension 1 <= m < n,
+    on random stresses over six decades of scale and on stresses with zero
+    response (P W P); a single point gives a number."""
+    m = data.draw(st.integers(1, n - 1), label="m")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    normals = np.swapaxes(np.linalg.qr(gen.standard_normal((6, n, m)))[0], -1, -2)
+    fr = frame_from_normals(normals)
+    sig = 10.0 ** gen.uniform(-3, 3, (6, 1, 1)) * gen.standard_normal((6, n, n))
+    for s in (sig, fr.P @ sig @ fr.P):
+        got = normal_at_tangential(s, fr)
+        want = np.linalg.norm(fr.N @ np.swapaxes(s, -1, -2) @ fr.P, ord=2, axis=(-2, -1))
+        bound = 1e-14 * np.maximum(1.0, np.linalg.norm(s, axis=(-2, -1)))
+        assert got.shape == (6,) and np.all(np.abs(got - want) <= bound)
+    assert np.shape(normal_at_tangential(sig[0], frame_from_normals(normals[0]))) == ()
+
+
+@pytest.mark.parametrize("n,m", [(4, 1), (5, 3)])
+def test_normal_at_tangential_is_nan_only_where_its_input_is_not_finite(n, m, rng):
+    """A NaN or inf in the stress at one point, even in an entry that the
+    normals multiply by zero, a NaN in the frame at one point, or a stress
+    whose Gram matrix overflows, gives NaN there, raises nothing (at m >= 3
+    eigvalsh raises on an all-NaN matrix), and leaves every other point's
+    value as it was."""
+    fr = frame_from_normals(np.tile(np.eye(n)[n - m:], (5, 1, 1)))
+    sig = rng.normal(size=(5, n, n))
+    clean = normal_at_tangential(sig, fr)
+    assert np.all(np.isfinite(clean))
+
+    def only_at_2(got):
+        assert np.isnan(got[2])
+        np.testing.assert_array_equal(np.delete(got, 2), np.delete(clean, 2))
+
+    for bad in (np.nan, np.inf, -np.inf):
+        for at in ((2, 1, 0), (2, 0, 3)):
+            s = sig.copy()
+            s[at] = bad
+            only_at_2(normal_at_tangential(s, fr))
+    s = sig.copy()
+    s[2] *= 1e200
+    only_at_2(normal_at_tangential(s, fr))
+    normals = fr.normals.copy()
+    normals[2, 0, 1] = np.nan
+    only_at_2(normal_at_tangential(sig, GeometryFrame(fr.x, 0.0, normals)))
 
 
 def test_equilibrium_diagnostics_on_projector():

@@ -102,6 +102,24 @@ def test_a_nan_residual_fails_its_check():
     assert not make_check("a", "a NaN residual", worst["a"], None, 1e-12, measure="bound").passed
 
 
+def test_a_nan_draw_fails_the_constrained_family_without_raising(monkeypatch):
+    """A NaN in one stress draw of every shape group makes the family's
+    record NaN and failed; the other stress checks still pass."""
+    draw = suites._draw
+
+    def poisoned(normal, count, *shapes):
+        out = draw(normal, count, *shapes)
+        if len(shapes) == 4:  # the constrained family: raw, pressure, rows, w
+            out[3][0, 0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(suites, "_draw", poisoned)
+    report = run_suite(SuiteConfig(suite="stress"))
+    failed = [c for c in report.checks if not c.passed]
+    assert [c.id for c in failed] == ["stress.constrained-family"]
+    assert math.isnan(failed[0].lhs)
+
+
 # -- one session per run ----------------------------------------------------------
 
 

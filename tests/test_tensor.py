@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tensorcalc.fields import constant, position
+from tensorcalc.geometry import frame_from_normals, project
 from tensorcalc.tensor import (
     MAX_AMBIENT_DIM,
     MAX_RANK,
@@ -324,3 +326,114 @@ def test_public_contractions_and_arithmetic_match_einsum(data, n):
         t + 1.0
     with pytest.raises(TypeError):
         t * t
+
+
+# -- batched public tensors ---------------------------------------------------------
+
+
+def _stack(results, batch):
+    """The single results of a batch's tensors, stacked to its leading shape."""
+    arrays = [r.array if isinstance(r, Tensor) else np.asarray(r) for r in results]
+    return np.array(arrays).reshape(batch + arrays[0].shape)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, MAX_AMBIENT_DIM),
+       batch=st.sampled_from([(), (3,), (2, 2)]))
+def test_batched_tensor_operations_stack_their_single_results(data, n, batch):
+    """Every operation on batched Tensors equals, bit for bit, the stack of
+    its results on the single tensors at each leading index, and
+    components() rebuilds the batch; ranks up to n^(qa+qb) <= 1024."""
+    top = MAX_RANK if n == 1 else min(MAX_RANK, int(math.log(1024, n) + 1e-9))
+    qa = data.draw(st.integers(0, top), label="qa")
+    qb = data.draw(st.integers(0, top - qa), label="qb")
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    lead = len(batch)
+    arrays = [gen.standard_normal(batch + (n,) * q) for q in (qa, qa, qb)]
+    a, c, b = (Tensor(n, arr, lead) for arr in arrays)
+    points = list(np.ndindex(batch))
+    single = {name: [Tensor(n, t.array[i]) for i in points] for name, t in zip("acb", (a, c, b))}
+
+    def same(got, op, *names):
+        want = _stack([op(*(single[x][i] for x in names)) for i in range(len(points))], batch)
+        got = got.array if isinstance(got, Tensor) else np.asarray(got)
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got, want)
+
+    assert (a.n, a.q, a.lead, a.batch) == (n, qa, lead, batch)
+    same(a + c, lambda s, t: s + t, "a", "c")
+    same(a - c, lambda s, t: s - t, "a", "c")
+    same(-a, lambda s: -s, "a")
+    same(2.5 * a, lambda s: 2.5 * s, "a")
+    same(linear_combine(2.0, a, -0.5, c), lambda s, t: linear_combine(2.0, s, -0.5, t), "a", "c")
+    same(frobenius(a, c), frobenius, "a", "c")
+    same(outer(a, b), outer, "a", "b")
+    if qb <= qa:
+        same(contract_left(b, a), contract_left, "b", "a")
+        same(contract_right(a, b), contract_right, "a", "b")
+    if qa >= 1 and qb >= 1:
+        same(dot(a, b), dot, "a", "b")
+    if qa >= 1:
+        for k in range(n):
+            same(a.component(k), lambda s: s.component(k), "a")
+        rebuilt = from_components(list(a.components()))
+        assert rebuilt.lead == lead
+        np.testing.assert_array_equal(rebuilt.array, a.array)
+    if n >= 2:
+        m = data.draw(st.integers(1, n - 1), label="m")
+        normals = np.swapaxes(np.linalg.qr(gen.standard_normal(batch + (n, m)))[0], -1, -2)
+        frames = [frame_from_normals(normals[i]) for i in points]
+        got = project(frame_from_normals(normals), a)
+        want = _stack([project(f, t) for f, t in zip(frames, single["a"])], batch)
+        assert got.lead == lead
+        np.testing.assert_array_equal(got.array, want)
+
+
+def test_batched_tensor_guards(rng):
+    """Mismatched leading shapes, methods that take single tensors and
+    non-finite entries raise; the rank limit counts the slots only."""
+    a = Tensor(3, rng.normal(size=(4, 3, 3)), lead=1)
+    assert a.q == 2 and a.batch == (4,)
+    others = [Tensor(3, rng.normal(size=(5, 3, 3)), lead=1), Tensor(3, rng.normal(size=(3, 3))),
+              Tensor(3, rng.normal(size=(4, 1, 3, 3)), lead=2)]
+    for other in others:
+        for op in (lambda: a + other, lambda: a - other, lambda: dot(a, other),
+                   lambda: frobenius(a, other), lambda: outer(a, other),
+                   lambda: contract_left(other, a), lambda: contract_right(a, other),
+                   lambda: linear_combine(1.0, a, 1.0, other),
+                   lambda: from_components([other, a, a])):
+            with pytest.raises(ShapeError):
+                op()
+    normals = np.tile([0.0, 0.0, 1.0], (5, 1, 1))
+    for frame in (frame_from_normals(normals), frame_from_normals(normals[0])):
+        with pytest.raises(ShapeError):
+            project(frame, a)
+    v = np.ones(3)
+    for op in (lambda: a.value, lambda: a.evaluate([v, v]), lambda: a(v), lambda: a.insert_left(v),
+               lambda: a.insert_right(v), lambda: a.transpose(), lambda: a.norm(),
+               lambda: constant(3, a)):
+        with pytest.raises(ShapeError):
+            op()
+    bad = rng.normal(size=(4, 3, 3))
+    bad[2, 1, 0] = np.nan
+    with pytest.raises(ShapeError):
+        Tensor(3, bad, lead=1)
+    with pytest.raises(ShapeError):
+        Tensor(3, np.zeros((4, 3, 2)), lead=1)  # trailing axes not cubical
+    with pytest.raises(ShapeError):
+        Tensor(3, np.zeros(3), lead=2)
+    deep = Tensor(2, np.zeros((3, 2) + (2,) * MAX_RANK), lead=2)
+    assert deep.q == MAX_RANK and deep.batch == (3, 2)
+    with pytest.raises(ShapeError):
+        Tensor(2, np.zeros((3, 2) + (2,) * MAX_RANK), lead=1)
+    with pytest.raises(ShapeError):
+        Tensor(2, np.zeros((3,) + (2,) * MAX_RANK), lead=1).component(0).insert_left([1.0, 0.0])
+
+
+def test_a_field_at_points_is_a_batch():
+    """n points of a rank-1 field over R^n are n vectors, not one rank-2 tensor."""
+    values = position(3).at(np.eye(3))
+    assert (values.q, values.batch) == (1, (3,))
+    np.testing.assert_array_equal(values.array, np.eye(3))
+    single = position(3)(np.array([1.0, 2.0, 3.0]))
+    assert (single.q, single.lead) == (1, 0)
