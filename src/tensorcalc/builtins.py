@@ -241,7 +241,7 @@ def _cylinder_level(radius: float) -> LevelSet:
         rho, rh = _radial_xy(X)
         return (pxy - _outer(rh, rh, X.ndim - 1)) / rho[..., None, None]
 
-    return LevelSet._batched(value, gradient, hessian)
+    return LevelSet._batched(value, gradient, hessian, static_gradient=True)
 
 
 def _coordinate_plane_level(axis: int = 2) -> LevelSet:
@@ -251,6 +251,7 @@ def _coordinate_plane_level(axis: int = 2) -> LevelSet:
         lambda X, t: X[..., axis],
         lambda X, t: np.broadcast_to(e, X.shape),
         _zeros((3, 3)),
+        static_gradient=True,
     )
 
 
@@ -351,7 +352,9 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
         azimuthal = (a / s[..., None])[..., None] * _outer(th, th, nl)
         return (_outer(v, v, nl) + azimuthal) / w[..., None]
 
-    geom = LevelSetGeometry(3, [LevelSet._batched(value, gradient, hessian)], name="torus")
+    geom = LevelSetGeometry(
+        3, [LevelSet._batched(value, gradient, hessian, static_gradient=True)], name="torus"
+    )
 
     def curvature(X):
         # both principal curvatures along the unit normal: 1/r about the
@@ -429,7 +432,8 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
         return b * H / rho4[..., None, None]
 
     geom = LevelSetGeometry(
-        3, [_cylinder_level(a), LevelSet._batched(value, gradient, hessian)], name="helix"
+        3, [_cylinder_level(a), LevelSet._batched(value, gradient, hessian, static_gradient=True)],
+        name="helix",
     )
     turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 

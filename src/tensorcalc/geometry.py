@@ -14,11 +14,12 @@ a single point is a batch of shape ().  The callables of a public
 geometries use batch-native level functions (``LevelSet._batched``).
 
 ``frame_derivative_at`` builds a frame jet: the exact derivatives of the
-normals and projectors, forward-propagated through Gram-Schmidt from the
-level functions' derivatives.  Its first order needs their Hessians, its
-second order their third derivatives (``third``).  A geometry whose level
-functions all state ``static_gradient`` has frames that do not depend on
-t (``has_static_frames``): the time partials of its frame fields are zero.
+normals and projectors, forward-propagated through the frames' own
+Gram-Schmidt from the level functions' derivatives.  Its first order needs
+their Hessians, its second order their third derivatives (``third``).  A
+geometry whose level functions all state ``static_gradient`` has frames
+that do not depend on t (``has_static_frames``): the time partials of its
+frame fields are zero.
 
 Inside one evaluation scope (``_frame_scope``, opened by the outermost
 evaluation of a field and by a suite run) a frame or jet is built once per
@@ -28,9 +29,11 @@ it up before building.  The library's evaluators go through them; the public
 
 Tangential projection feeds P into one tensor slot per pass with the
 batched primitive ``tensor._apply_to_slot``, over any leading batch axes:
-q matrix products and O(q n^(q+1)) work for a rank-q tensor.  The paper
-writes the same map as a recursion over the complete n-ary component tree,
-which takes n^(q-1) calls; the tests keep that construction as an oracle.
+q matrix products and O(q n^(q+1)) work for a rank-q tensor, in
+``_feed``, which also feeds the operators' matrices and their derivatives.
+The paper writes the same map as a recursion over the complete n-ary
+component tree, which takes n^(q-1) calls; the tests keep that
+construction as an oracle.
 """
 
 from __future__ import annotations
@@ -238,66 +241,56 @@ def _residual_floor(i: int, r: np.ndarray, floor: float) -> None:
         )
 
 
-def _gram_schmidt(grads: Sequence[np.ndarray], floor: float) -> np.ndarray:
-    """Orthonormal normals (..., m, n) from m gradients of shape (..., n)."""
-    first = np.asarray(grads[0], dtype=float)
-    out = np.empty(first.shape[:-1] + (len(grads),) + first.shape[-1:])
-    for i, g in enumerate(grads):
-        v = np.asarray(g, dtype=float)
-        for _ in range(2):  # second pass for orthogonality to ~1e-15
-            for j in range(i):
-                nh = out[..., j, :]
-                v = v - _inner(nh, v) * nh
-        r = np.sqrt(_inner(v, v))
-        _residual_floor(i, r, floor)
-        out[..., i, :] = v / r
-    return out
-
-
 def _sym(a: np.ndarray) -> np.ndarray:
     """a plus a with its last two axes swapped."""
     return a + np.swapaxes(a, -1, -2)
 
 
-def _gram_schmidt_jet(grads, hessians, floor: float, thirds=None):
-    """Forward-propagate derivatives through modified Gram-Schmidt.
+def _gram_schmidt(grads: Sequence[np.ndarray], floor: float, hessians=None, thirds=None):
+    """Orthonormal normals (..., m, n) from m gradients (..., n), by modified
+    Gram-Schmidt.
 
-    The inputs are per level function: gradients (..., n), Hessians
-    (..., n, n) and, for the second order, third derivatives (..., n, n, n).
-    Returns the normals (..., m, n) and their derivatives d/dx (..., m, n, n)
-    and d2/dx2 (..., m, n, n, n), the last None without ``thirds``.  The
-    first order runs in elementwise products (the tensor primitives'
-    per-call cost would dominate this hot path at a single point); the
-    second order is separate from it, so the first order is the same
-    whichever order the jet has.
+    Given the Hessians (..., n, n), and for the second order the third
+    derivatives (..., n, n, n), it forward-propagates derivatives through
+    each step and returns the same normals with d/dx (..., m, n, n) and
+    d2/dx2 (..., m, n, n, n), the last None without ``thirds``.  The first
+    order runs in elementwise products (the tensor primitives' per-call
+    cost would dominate this hot path at a single point); the second order
+    is separate from it, so the first order is the same whichever order
+    the jet has.
     """
-    second = thirds is not None
-    ns, dns, ddns = [], [], []
+    first, second = hessians is not None, thirds is not None
+    v = np.asarray(grads[0], dtype=float)
+    normals = np.empty(v.shape[:-1] + (len(grads),) + v.shape[-1:])
+    dns, ddns = [], []
     for i in range(len(grads)):
         v = np.asarray(grads[i], dtype=float)
-        Dv = np.asarray(hessians[i], dtype=float)  # [..., a, k] = d v_a / d x_k
-        DDv = np.asarray(thirds[i], dtype=float) if second else None  # [..., a, k, l]
-        for _ in range(2):
+        if first:
+            Dv = np.asarray(hessians[i], dtype=float)  # [..., a, k] = d v_a / d x_k
+            DDv = np.asarray(thirds[i], dtype=float) if second else None  # [..., a, k, l]
+        for _ in range(2):  # second pass for orthogonality to ~1e-15
             for j in range(i):
-                nh, Dnh = ns[j], dns[j]
-                # every coefficient derivative from the vector before this step
+                nh = normals[..., j, :]
                 c = _inner(nh, v)
-                Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
-                if second:
-                    DDnh = ddns[j]
-                    DDc = (np.einsum("...akl,...a->...kl", DDnh, v)
-                           + _sym(np.einsum("...ak,...al->...kl", Dnh, Dv))
-                           + np.einsum("...a,...akl->...kl", nh, DDv))
-                    DDv = (DDv - nh[..., :, None, None] * DDc[..., None, :, :]
-                           - Dnh[..., :, :, None] * Dc[..., None, None, :]
-                           - Dnh[..., :, None, :] * Dc[..., None, :, None]
-                           - c[..., None, None] * DDnh)
-                Dv = Dv - nh[..., :, None] * Dc[..., None, :] - c[..., None] * Dnh
+                if first:  # every coefficient derivative from the vector before this step
+                    Dnh = dns[j]
+                    Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
+                    if second:
+                        DDnh = ddns[j]
+                        DDc = (np.einsum("...akl,...a->...kl", DDnh, v)
+                               + _sym(np.einsum("...ak,...al->...kl", Dnh, Dv))
+                               + np.einsum("...a,...akl->...kl", nh, DDv))
+                        DDv = (DDv - nh[..., :, None, None] * DDc[..., None, :, :]
+                               - Dnh[..., :, :, None] * Dc[..., None, None, :]
+                               - Dnh[..., :, None, :] * Dc[..., None, :, None]
+                               - c[..., None, None] * DDnh)
+                    Dv = Dv - nh[..., :, None] * Dc[..., None, :] - c[..., None] * Dnh
                 v = v - c * nh
         r = np.sqrt(_inner(v, v))
         _residual_floor(i, r, floor)
-        n = v / r
-        ns.append(n)
+        n = normals[..., i, :] = v / r
+        if not first:
+            continue
         Dr = ((v / r)[..., None, :] @ Dv)[..., 0, :]
         Dn = Dv / r[..., None] - v[..., :, None] * Dr[..., None, :] / (r**2)[..., None]
         dns.append(Dn)
@@ -307,7 +300,9 @@ def _gram_schmidt_jet(grads, hessians, floor: float, thirds=None):
             ddns.append((DDv - Dn[..., :, :, None] * Dr[..., None, None, :]
                          - Dn[..., :, None, :] * Dr[..., None, :, None]
                          - n[..., :, None, None] * DDr[..., None, :, :]) / r[..., None, None])
-    out = [np.stack(ns, axis=-2)]
+    if not first:
+        return normals
+    out = [normals]
     for what, parts, axis in (("derivative", dns, -3), ("second derivative", ddns, -4)):
         for i, part in enumerate(parts):
             if not np.isfinite(part).all():
@@ -476,8 +471,8 @@ class LevelSetGeometry:
         if second and any(lvl._third is None for lvl in self.levels):
             raise GeometryError("a frame jet of order 2 needs the level-set provider third")
         x = self._check_point(x, t)
-        normals, *parts = _gram_schmidt_jet(
-            self._gradients(x, t), [lvl.hessian(x, t) for lvl in self.levels], self.grad_floor,
+        normals, *parts = _gram_schmidt(
+            self._gradients(x, t), self.grad_floor, [lvl.hessian(x, t) for lvl in self.levels],
             [np.asarray(lvl._third(x, t), dtype=float) for lvl in self.levels] if second else None,
         )
         frame = GeometryFrame(x, t, normals)
@@ -515,14 +510,30 @@ class LevelSetGeometry:
 # -- tangential projection ---------------------------------------------------
 
 
+def _feed(M, parts, slots, nl: int) -> np.ndarray:
+    """The k-th derivative of a field with a matrix field fed into each of
+    its ``slots``, by the product rule one slot at a time: ``parts`` are the
+    field's values (...) + (n,)*q and its first k <= 2 gradients, over nl
+    leading axes, and ``M`` the matrix (..., n, n) and its derivatives
+    [..., a, b, k] and [..., a, b, k, l].  Each slot takes 1, 3 or 6 matrix
+    products at k = 0, 1 or 2."""
+    V, A, order = parts, _apply_to_slot, len(parts) - 1
+    for s in slots:
+        new = [A(M[0], V[0], s, nl)]
+        if order > 0:
+            new.append(A(M[0], V[1], s, nl) + A(M[1], V[0], s, nl))
+        if order > 1:  # dM_l in slot s of grad_k gives [..., k, l]; _sym adds k <-> l
+            new.append(A(M[0], V[2], s, nl) + _sym(A(M[1], V[1], s, nl)) + A(M[2], V[0], s, nl))
+        V = new
+    return V[-1]
+
+
 def _project_array(data: np.ndarray, P: np.ndarray) -> np.ndarray:
     """Tangential projection of ``data`` of shape (...) + (n,)*q, with
-    projectors P of shape (..., n, n)."""
-    # P fed into one slot per pass: q matrix products of n^(q+1) work each
+    projectors P of shape (..., n, n): P fed into every slot, q matrix
+    products of n^(q+1) work each."""
     nl = P.ndim - 2
-    for slot in range(data.ndim - nl):
-        data = _apply_to_slot(P, data, slot, nl)
-    return data
+    return _feed((P,), (data,), range(data.ndim - nl), nl)
 
 
 def project(frame: GeometryFrame, t: Tensor) -> Tensor:

@@ -16,26 +16,28 @@ offset.
 
 In analytic mode, derived fields carry exact gradients wherever their
 ingredients have them (geometry providers need analytic level-set
-Hessians): ``cartesian_gradient`` keeps the field's second derivative;
-``submanifold_gradient`` (grad^2 f . P + grad f . P_d), ``project_field``
-(P_d in one slot at a time) and ``divergence`` (a trace) build theirs from
-one frame jet, and so does ``perp_field`` (Q in one slot and its
-closed-form derivative dQ = dP Q + Q dP).  So the Laplacians, covariant
+Hessians): ``cartesian_gradient`` keeps the field's second derivative and
+``divergence`` traces its argument's.  ``project_field`` (P in every
+slot), ``submanifold_gradient`` (P in the derivative slot of grad f) and
+``perp_field`` (the quarter turn Q in the last slot) are one construction,
+``_fed``: a matrix field of the frame fed into slots by the product rule
+(``geometry._feed``).  Its one rule attaches the providers: the k-th
+gradient of the result has a gradient wherever the field's k-th gradient
+has one and the geometry an exact jet of order k + 1 (P supplies the
+second order where the level functions give third derivatives, Q never
+does); and on frames that do not depend on t (``has_static_frames``) a
+time partial wherever the field and its first k gradients have them, used
+in every mode as exact providers are.  So the Laplacians, covariant
 gradients and surface curls of polynomials, constants, coordinates and
-positions need no differences.  On geometries whose level functions
-supply third derivatives (the sphere family), the gradients of
-``project_field``, ``normal_field`` and ``projector_field`` carry their
-own gradients.  On geometries whose frames do not depend on t
-(``has_static_frames``, the sphere family too), these fields, their
-gradients and ``submanifold_gradient`` carry exact time partials (zero
-for the frame fields), used in every mode as exact providers are.
-``material_derivative`` carries the exact gradient
-d/dt grad T + grad^2 T . w + grad T . grad w wherever its ingredients
-have those derivatives.  Fourth-order differences remain for time
-partials of fields with no ``dt`` provider (projections and frame fields
-of geometries whose frames move among them), for second derivatives of
-fields that have only a callable Jacobian, and for fields with no
-gradient at all.
+positions need no differences.  The frame fields (``normal_field``,
+``projector_field``) read the jet's derivatives, and have zero time
+partials on static frames.  ``material_derivative`` carries the exact
+gradient d/dt grad T + grad^2 T . w + grad T . grad w wherever its
+ingredients have those derivatives.  Fourth-order differences remain for
+time partials of fields with no ``dt`` provider (projections and frame
+fields of geometries whose frames move), for second derivatives of fields
+that have only a callable Jacobian or are built from Q or from jets of
+order 1, and for fields with no gradient at all.
 
 Every frame and jet comes from the evaluation scope
 (``geometry._frame_scope``), so one outermost evaluation builds each once
@@ -52,8 +54,8 @@ import numpy as np
 
 from . import geometry as geo
 from .fields import TensorField, _field, _Lazy, tf_scale
-from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry, _sym
-from .tensor import ShapeError, _apply_to_slot, _central, _dot, _outer, _partials
+from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry, _feed
+from .tensor import ShapeError, _central, _dot, _outer, _partials
 
 __all__ = [
     "DiffConfig",
@@ -198,29 +200,57 @@ def material_derivative(f: TensorField, w: TensorField, cfg: DiffConfig) -> Tens
 # -- geometry-aware first-order operators -------------------------------------
 
 
+def _fed(f: TensorField, geom: LevelSetGeometry, slots, name: str, turn: bool = False
+         ) -> TensorField:
+    """f with the tangential projector P, or with ``turn`` the quarter turn
+    Q, fed into its ``slots``, with every provider that the product rule
+    (``geometry._feed``) gives."""
+    if f.n != geom.n:
+        raise ShapeError(f"field '{f.name}' lives in R^{f.n}, the geometry in R^{geom.n}")
+    return _fed_gradient(geom, slots, turn, [f], name)
+
+
+def _fed_gradient(geom, slots, turn: bool, chain, name: str) -> TensorField:
+    """The k-th gradient of a fed field, from f and its first k gradients
+    (``chain``).  It has a gradient wherever the k-th gradient of f has one
+    and the geometry an exact jet of order k + 1, for k < 2 with P and k < 1
+    with Q (which supplies no second order); and on static frames a time
+    partial wherever every field of the chain has one.  (Module-level, so
+    that a field holds no reference cycle and is freed when dropped.)"""
+    k, last = len(chain) - 1, chain[-1]
+    grad = dt = None
+    if last.has_gradient and k < (1 if turn else 2) and geom.has_jet(k + 1):
+        grad = _Lazy(lambda: _fed_gradient(geom, slots, turn, chain + [last.gradient],
+                                           f"grad({name})"))
+    if all(c.has_time_derivative for c in chain) and geom.has_static_frames:
+        dt = _fed_evaluator(geom, slots, turn, chain, "dt_values")
+    return _field(last.n, chain[0].q + k, _fed_evaluator(geom, slots, turn, chain, "values"),
+                  grad=grad, dt=dt, depth=chain[0].depth, name=name)
+
+
+def _fed_evaluator(geom, slots, turn: bool, chain, read: str):
+    k, readers = len(chain) - 1, [getattr(c, read) for c in chain]
+
+    def ev(X, t):
+        # the jet before the parts and the frame after them, so that neither
+        # builds again what the parts' own layers build at X
+        jet = geom._jet(X, t, k) if k else None
+        parts = [r(X, t) for r in readers]
+        frame = jet.frame if k else geom._frame(X, t)
+        if turn:
+            Q = geo.perp_matrix(frame)
+            M = (Q,) if k == 0 else (Q, geo._perp_matrix_derivative(Q, jet.P_d))
+        else:
+            M = (frame.P,) if k == 0 else (frame.P, jet.P_d, jet.P_dd)
+        return _feed(M, parts, slots, X.ndim - 1)
+
+    return ev
+
+
 def submanifold_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
     """Ambient gradient composed with the tangential projector in the
     derivative slot."""
-    g = cartesian_gradient(f, cfg)
-
-    def func(X, t):
-        return _dot(g.values(X, t), geom._frame(X, t).P, X.ndim - 1)
-
-    grad = dt = None
-    if g.has_gradient and geom.has_jet():
-
-        def grad(X, t):
-            # grad(grad f . P) = grad^2 f . P + grad f . P_d
-            nl = X.ndim - 1
-            jet = geom._jet(X, t)
-            return _apply_to_slot(jet.frame.P, g.gradient_values(X, t), f.q, nl) + _dot(
-                g.values(X, t), jet.P_d, nl
-            )
-
-    if g.has_time_derivative and geom.has_static_frames:
-        dt = lambda X, t: _dot(g.dt_values(X, t), geom._frame(X, t).P, X.ndim - 1)
-
-    return _field(f.n, f.q + 1, func, grad=grad, dt=dt, depth=g.depth, name=f"gradM({f.name})")
+    return _fed(cartesian_gradient(f, cfg), geom, (f.q,), f"gradM({f.name})")
 
 
 def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -238,67 +268,9 @@ def divergence(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
     return _field(f.n, f.q - 1, func, grad=grad, depth=sg.depth, name=f"divM({f.name})")
 
 
-def _projected(jet, parts, nl: int) -> np.ndarray:
-    """The last derivative of the projection of a rank-q field, P in each
-    of its q slots, by the product rule one slot at a time.  ``parts`` are
-    the field's values (..., (n,)*q) and gradient, and for the second
-    derivatives (..., k, l) also the gradient's own gradient."""
-    V = list(parts)
-    for s in range(V[0].ndim - nl):
-
-        def A(M, v, s=s):  # M in slot s of v
-            return _apply_to_slot(M, v, s, nl)
-
-        new = [A(jet.frame.P, V[0]), A(jet.frame.P, V[1]) + A(jet.P_d, V[0])]
-        if len(V) > 2:  # dP_l in slot s of grad_k f gives [..., k, l]; _sym adds k <-> l
-            new.append(A(jet.frame.P, V[2]) + _sym(A(jet.P_d, V[1])) + A(jet.P_dd, V[0]))
-        V = new
-    return V[-1]
-
-
 def project_field(f: TensorField, geom: LevelSetGeometry, name: str = "") -> TensorField:
-    name = name or f"proj({f.name})"
-
-    def func(X, t):
-        return geo._project_array(f.values(X, t), geom._frame(X, t).P)
-
-    def first(X, t):
-        # product rule over the q slots that P fills: P_d in one slot at a
-        # time and P in the others, plus P in every slot of grad f
-        nl = X.ndim - 1
-        jet = geom._jet(X, t)
-        arr = f.values(X, t)
-        out = f.gradient_values(X, t)
-        for s in range(f.q):
-            out = _apply_to_slot(jet.frame.P, out, s, nl)
-        for s in range(f.q):
-            term = _apply_to_slot(jet.P_d, arr, s, nl)
-            for r in range(f.q):
-                if r != s:
-                    term = _apply_to_slot(jet.frame.P, term, r, nl)
-            out = out + term
-        return out
-
-    # on static frames, d/dt of the projection is the projection of d/dt
-    static = f.has_time_derivative and geom.has_static_frames
-
-    def gradient():
-        g = f.gradient
-        grad = dt = None
-        if g.has_gradient and geom.has_jet(2):
-            grad = lambda X, t: _projected(
-                geom._jet(X, t, 2), (f.values(X, t), f.gradient_values(X, t), g.gradient_values(X, t)),
-                X.ndim - 1)
-        if static and g.has_time_derivative:
-            dt = lambda X, t: _projected(
-                geom._jet(X, t), (f.dt_values(X, t), g.dt_values(X, t)), X.ndim - 1)
-        return _field(f.n, f.q + 1, first, grad=grad, dt=dt, depth=f.depth, name=f"grad({name})")
-
-    dt = None
-    if static:
-        dt = lambda X, t: geo._project_array(f.dt_values(X, t), geom._frame(X, t).P)
-    grad = _Lazy(gradient) if f.has_gradient and geom.has_jet() else None
-    return _field(f.n, f.q, func, grad=grad, dt=dt, depth=f.depth, name=name)
+    """P fed into every slot of f."""
+    return _fed(f, geom, range(f.q), name or f"proj({f.name})")
 
 
 def covariant_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -384,25 +356,7 @@ def perp_field(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tenso
         raise GeometryError("quarter turn needs codimension n - 2")
     if f.q < 1:
         raise ShapeError("perp needs rank >= 1")
-
-    def func(X, t):
-        Q = geo.perp_matrix(geom._frame(X, t))
-        return _dot(f.values(X, t), np.swapaxes(Q, -1, -2), X.ndim - 1)
-
-    grad = None
-    if f.has_gradient and geom.has_jet():
-
-        def grad(X, t):
-            # Q in the last slot of grad f, plus the last slot of f against dQ
-            nl, last = X.ndim - 1, f.q - 1
-            jet = geom._jet(X, t)
-            Q = geo.perp_matrix(jet.frame)
-            DQ = geo._perp_matrix_derivative(Q, jet.P_d)
-            return _apply_to_slot(Q, f.gradient_values(X, t), last, nl) + _apply_to_slot(
-                DQ, f.values(X, t), last, nl
-            )
-
-    return _field(f.n, f.q, func, grad=grad, depth=f.depth, name=f"perp({f.name})")
+    return _fed(f, geom, (f.q - 1,), f"perp({f.name})", turn=True)
 
 
 def surface_curl(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:

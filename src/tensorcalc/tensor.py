@@ -191,7 +191,9 @@ def _apply_to_slot(m: np.ndarray, arr: np.ndarray, slot: int, nl: int) -> np.nda
     ``slot``; m's axis 0 takes the slot's place and any further axes of m
     go last."""
     ax = nl + slot
-    if m.ndim == nl + 2 and ax < arr.ndim - 1:
+    if ax == arr.ndim - 1:  # the last slot: no axis moves
+        return _dot(arr, m.swapaxes(nl, nl + 1), nl)
+    if m.ndim == nl + 2:
         # a plain matrix, one product broadcast over the slots before this one and
         # no transposes; at the last slot this would be one matvec per leaf
         after = arr.shape[ax + 1:]

@@ -141,6 +141,40 @@ def test_the_second_order_leaves_the_frame_and_first_order_unchanged():
     assert np.array_equal(jet.normals_d, first.normals_d)
 
 
+def _quadric(rng, n, x0):
+    """A batch-native quadric level function through x0, with every provider."""
+    a, H = rng.standard_normal(n), rng.standard_normal((n, n))
+    H = 0.5 * (H + H.T)
+    return LevelSet._batched(
+        lambda X, t: (X - x0) @ a + 0.5 * np.einsum("...a,ab,...b->...", X - x0, H, X - x0),
+        lambda X, t: a + (X - x0) @ H,
+        lambda X, t: np.broadcast_to(H, X.shape + X.shape[-1:]),
+        third=lambda X, t: np.zeros(X.shape + X.shape[-1:] * 2),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**16))
+def test_frames_and_jets_share_their_normals_bit_for_bit(n, data, seed):
+    m = data.draw(st.integers(1, n - 1), label="m")
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(n)
+    geom = LevelSetGeometry(n, [_quadric(rng, n, x0) for _ in range(m)], tube_halfwidth=10.0)
+    points = x0 + 0.05 * rng.standard_normal((3, n))
+    normals = geom.frame_at(points, T0).normals
+    for order in (1, 2):
+        assert np.array_equal(geom.frame_derivative_at(points, T0, order)[0].normals, normals)
+
+
+@pytest.mark.parametrize("name", ["circle2d", "circle3d", "helix"])
+def test_builtin_curves_frames_and_jets_share_their_normals(name):
+    case = get_case(name)
+    geom, points = case.geometry, case.sample_points(5)
+    normals = geom.frame_at(points).normals
+    for order in (1, 2) if geom.has_jet(2) else (1,):
+        assert np.array_equal(geom.frame_derivative_at(points, 0.0, order)[0].normals, normals)
+
+
 def test_sphere_family_supplies_exact_third_derivatives():
     level = get_case("sphere", radius=1.3).geometry.levels[0]
     x = np.array([0.3, -0.5, 0.8])
@@ -156,7 +190,9 @@ def test_which_geometries_have_jets_and_static_frames():
         geom = get_case(name).geometry
         assert geom.has_jet(1) and geom.has_jet(2) and geom.has_static_frames, name
     torus = get_case("torus").geometry
-    assert torus.has_jet(1) and not torus.has_jet(2) and not torus.has_static_frames
+    assert torus.has_jet(1) and not torus.has_jet(2) and torus.has_static_frames
+    for name in ("circle3d", "plane_disk", "helix"):
+        assert get_case(name).geometry.has_static_frames, name
     assert _curve().has_static_frames and not _curve(turn=1.0).has_static_frames
     with pytest.raises(GeometryError, match="third"):
         torus.frame_derivative_at(np.array([2.5, 0.0, 0.0]), 0.0, 2)
@@ -223,6 +259,80 @@ def test_expanding_sphere_frame_fields_have_zero_time_partials():
             constant(3, Tensor(3, np.eye(3))), geom)):
         assert field.has_time_derivative
         assert not np.any(time_partial(field, FD4).values(points, 0.0))
+
+
+# the providers of each operator's field on each geometry, by path: "dt" is
+# the field's time partial, "g" its gradient, "g.dt" the gradient's time
+# partial, and so on.  The sphere has jets of order 2 and static frames, the
+# torus and the helix (codimension 2) jets of order 1 and static frames, and
+# the turning curve jets of order 2 and moving frames.  P supplies a second
+# order, the quarter turn Q none.
+PROVIDER_TABLE = {
+    "project_field": {
+        "sphere": {"dt", "g", "g.dt", "g.g", "g.g.dt"},
+        "torus": {"dt", "g", "g.dt"},
+        "helix": {"dt", "g", "g.dt"},
+        "turning curve": {"g", "g.g"},
+    },
+    "submanifold_gradient": {
+        "sphere": {"dt", "g", "g.dt", "g.g", "g.g.dt"},
+        "torus": {"dt", "g", "g.dt"},
+        "helix": {"dt", "g", "g.dt"},
+        "turning curve": {"g", "g.g"},
+    },
+    "perp_field": {"sphere": {"dt", "g", "g.dt"}, "torus": {"dt", "g", "g.dt"}},
+}
+FED = {
+    "project_field": lambda f, geom: project_field(f, geom),
+    "submanifold_gradient": lambda f, geom: submanifold_gradient(f, geom, AN),
+    "perp_field": lambda f, geom: perp_field(f, geom, AN),
+}
+
+
+def _provider_geometry(name):
+    if name == "turning curve":
+        return _curve(turn=1.0), X
+    case = get_case(name)
+    return case.geometry, case.sample_points(2)
+
+
+def _providers(field):
+    """The paths of every provider of the field and of its gradients."""
+    found, path = set(), ""
+    while True:
+        if field.has_time_derivative:
+            found.add(path + "dt")
+        if not field.has_gradient:
+            return found
+        field, path = field.gradient, path + "g."
+        found.add(path[:-1])
+
+
+@pytest.mark.parametrize("op,geometry", [(op, name) for op, row in PROVIDER_TABLE.items()
+                                         for name in row])
+def test_frame_fed_fields_carry_the_providers_of_the_product_rule(op, geometry, rng):
+    geom, points = _provider_geometry(geometry)
+    field = FED[op](_random_timed(2, rng), geom)
+    found = _providers(field)
+    assert found == PROVIDER_TABLE[op][geometry]
+    for path in found:
+        *steps, last = path.split(".")
+        part = field
+        for _ in steps:
+            part = part.gradient
+        if last == "dt":
+            got, want = part.dt_values(points, T0), _dt4(lambda t: part.values(points, t))
+        else:
+            got = part.gradient_values(points, T0)
+            want = _partials(lambda Y: part.values(Y, T0), points, np.full(3, 1e-5), 4)
+        assert np.max(np.abs(want)) > 1e-3, path
+        _close(got, want, 1e-7)
+
+
+def test_the_quarter_turn_needs_codimension_n_minus_2(rng):
+    for geometry in ("helix", "turning curve"):
+        with pytest.raises(GeometryError, match="codimension"):
+            perp_field(_random_timed(1, rng), _provider_geometry(geometry)[0], AN)
 
 
 # -- the evaluation scope ------------------------------------------------------------

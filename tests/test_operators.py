@@ -1,5 +1,6 @@
 """Differential operators against closed forms on the builtin geometries."""
 
+import gc
 import math
 
 import numpy as np
@@ -19,12 +20,14 @@ from tensorcalc.operators import (
     DepthError,
     DiffConfig,
     cartesian_gradient,
+    covariant_gradient,
     covariant_laplacian,
     divergence,
     laplacian,
     material_derivative,
     mean_curvature,
     normal_field,
+    perp_field,
     project_field,
     projector_field,
     projector_rate,
@@ -81,6 +84,40 @@ def test_gradient_layout_derivative_axis_last():
     g = cartesian_gradient(f, FD2).values(np.array([0.0, 2.0, 0.0]), 0.0)
     np.testing.assert_allclose(g[0, 1], 4.0, atol=1e-7)
     np.testing.assert_allclose(g[1, 0], 0.0, atol=1e-7)
+
+
+@pytest.mark.parametrize("mode", ["fd2", "analytic"])
+@pytest.mark.parametrize("op", [
+    lambda f, geom, cfg: project_field(f, geom),
+    submanifold_gradient, covariant_gradient, divergence, laplacian, covariant_laplacian,
+    perp_field, surface_curl, rotated_gradient,
+], ids=["project_field", "submanifold_gradient", "covariant_gradient", "divergence", "laplacian",
+        "covariant_laplacian", "perp_field", "surface_curl", "rotated_gradient"])
+def test_a_field_of_another_dimension_is_refused_at_construction(op, mode, rng):
+    sphere = get_case("sphere").geometry
+    with pytest.raises(ShapeError, match=r"R\^4, the geometry in R\^3"):
+        op(random_polynomial(4, 1, rng), sphere, DiffConfig(mode=mode))
+
+
+def test_operator_fields_hold_no_reference_cycles(rng):
+    # a cycle keeps a dropped field, and all it closes over, alive until the
+    # cyclic collector runs, which raises the peak memory of repeated stacks
+    gc.collect()
+    gc.disable()
+    try:
+        for name in ("sphere", "torus"):
+            geom = get_case(name).geometry
+            x = get_case(name).sample_points(2)
+            for mode in ("fd2", "analytic"):
+                cfg = DiffConfig(mode=mode)
+                u = random_polynomial(3, 1, rng, degree=2)
+                for field in (covariant_laplacian(u, geom, cfg), surface_curl(u, geom, cfg),
+                              cartesian_gradient(submanifold_gradient(u, geom, cfg), cfg)):
+                    field.values(x)
+        del field
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_submanifold_gradient_of_height():
