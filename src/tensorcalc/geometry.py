@@ -330,8 +330,8 @@ class _frame_scope:
     which does not write its point arrays.  Its ``recent`` store keeps the
     frames of the ``_RECENT`` point arrays asked about last, most recent
     first: the nested layers of an operator ask at the same array, or at
-    the array of the stencil offset they are part of, so older arrays
-    (offsets done with) are not asked about again.  A run opens a scope
+    the array of the stencil pair they are part of, so older arrays (pairs
+    done with) are not asked about again.  A run opens a scope
     with ``keep=True``, whose ``kept`` store keeps, for every evaluation
     inside it, the frames of the point arrays that are read-only and own
     their data (chart nodes, boundary batches): nothing can write them.  A

@@ -11,8 +11,8 @@ The derivative slot of a gradient is always the deepest (last) axis, so
 
 Every evaluator takes a batch of points X of shape (..., n).  The
 finite-difference step is chosen per point, and a gradient differences
-along every axis with ``tensor._partials``, one batched evaluation per
-offset.
+along every axis with ``tensor._partials``, one batched call per symmetric
+pair of offsets.
 
 In analytic mode, derived fields carry exact gradients wherever their
 ingredients have them (geometry providers need analytic level-set

@@ -482,11 +482,34 @@ def weak_form(
 
 
 def rk4_step(x: np.ndarray, t0: float, dt: float, w: TensorField) -> np.ndarray:
+    """One classical RK4 step of the points x (..., n) along the velocity w,
+    from t0 to t0 + dt."""
+    return _rk4(x, t0, dt, w)[0]
+
+
+def _rk4(x: np.ndarray, t0: float, dt: float, w: TensorField, J=None):
+    """``rk4_step`` and, given the Jacobians J (..., n, p) of the points x in
+    some parameters, the Jacobians of the moved points: the derivative of
+    the discrete RK4 map, J + dt/6 (K1 + 2 K2 + 2 K3 + K4) with
+    K_i = grad w(x_i) J_i at each stage point x_i and its Jacobian J_i (the
+    variational equation; Hairer, Norsett & Wanner, Solving ODEs I, sec. I.14).
+    The second value is None without J; with J, w needs a gradient."""
     k1 = w.values(x, t0)
-    k2 = w.values(x + 0.5 * dt * k1, t0 + 0.5 * dt)
-    k3 = w.values(x + 0.5 * dt * k2, t0 + 0.5 * dt)
-    k4 = w.values(x + dt * k3, t0 + dt)
-    return x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    x2 = x + 0.5 * dt * k1
+    k2 = w.values(x2, t0 + 0.5 * dt)
+    x3 = x + 0.5 * dt * k2
+    k3 = w.values(x3, t0 + 0.5 * dt)
+    x4 = x + dt * k3
+    k4 = w.values(x4, t0 + dt)
+    moved = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    if J is None:
+        return moved, None
+    grad, nl = w.gradient, x.ndim - 1
+    K1 = _dot(grad.values(x, t0), J, nl)
+    K2 = _dot(grad.values(x2, t0 + 0.5 * dt), J + 0.5 * dt * K1, nl)
+    K3 = _dot(grad.values(x3, t0 + 0.5 * dt), J + 0.5 * dt * K2, nl)
+    K4 = _dot(grad.values(x4, t0 + dt), J + dt * K3, nl)
+    return moved, J + (dt / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
 
 
 def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
@@ -495,10 +518,13 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
     The moved charts parametrize the manifold at time t0 + dt; evaluate
     integrals there with t = t0 + dt.  A moved chart maps a batch of
     parameter points with one RK4 step, so its quadrature nodes move
-    together.  The moved atlas is made once per (w, t0, dt), the field
-    object itself, and kept on ``atlas`` with the nodes it computes.  A new
-    t0 drops the moved atlases of the others, so a caller stepping through
-    time keeps only those of its current step.
+    together.  Where w has a gradient and a chart a Jacobian, the moved
+    chart's Jacobian is the exact derivative of that step (``_rk4``);
+    otherwise it is a difference of the moved map.  The moved atlas is made
+    once per (w, t0, dt), the field object itself, and kept on ``atlas``
+    with the nodes it computes.  A new t0 drops the moved atlases of the
+    others, so a caller stepping through time keeps only those of its
+    current step.
     """
     key = (w, float(t0), float(dt))
     if key in atlas._advected:
@@ -510,12 +536,17 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
         def make_mapping(c):
             return lambda U, t: rk4_step(c._map(U, t0), t0, dt, w)
 
+        def make_jacobian(c):
+            if not (w.has_gradient and c._jacobian is not None):
+                return None  # the moved chart differences its map
+            return lambda U, t: _rk4(c._map(U, t0), t0, dt, w, c._jacobians(U, t0))[1]
+
         moved.append(
             Chart._batched(
                 chart.lo,
                 chart.hi,
                 make_mapping(chart),
-                jacobian=None,
+                jacobian=make_jacobian(chart),
                 periodic=chart.periodic,
                 order=chart.order,
                 panels=chart.panels,

@@ -17,6 +17,12 @@ Inserting a vector into the first or last slot is ``_dot`` with the vector
 on that side.  ``Tensor`` is the public, immutable wrapper: one tensor,
 or with ``lead`` leading axes a batch of them.  Its operations call the
 primitives at ``nl = lead`` after their rank, shape and finiteness checks.
+
+Every centered difference of the library is one stencil, ``_difference``,
+written as a sum over symmetric pairs of offsets.  ``_partials`` makes one
+batched call per axis and pair, on the 2N points x + j h e_k and
+x - j h e_k, so nested differences double their batch at each level;
+``_central`` makes one call per offset.
 """
 
 from __future__ import annotations
@@ -86,29 +92,24 @@ def _looped(func, shape, what: str = "callable"):
     return batched
 
 
-def _difference(g, order: int):
+def _difference(pair, order: int):
     """The one stencil of the library, the centered difference of order 2 or
-    4, as its numerator and its denominator in steps; ``g(s)`` is the value
-    s steps away."""
+    4, as its numerator and its denominator in steps.  It is a sum over
+    symmetric pairs, sum_j w_j (g(j) - g(-j)) with w = (1) or (8, -1)
+    (Fornberg 1988); ``pair(j)`` gives the two values (g(j), g(-j)), and the
+    fourth order sums -g(2) + 8 g(1) - 8 g(-1) + g(-2) in that order."""
     if order == 2:
-        return g(1) - g(-1), 2
-    return -g(2) + 8 * g(1) - 8 * g(-1) + g(-2), 12
+        plus, minus = pair(1)
+        return plus - minus, 2
+    (plus2, minus2), (plus1, minus1) = pair(2), pair(1)
+    return -plus2 + 8 * plus1 - 8 * minus1 + minus2, 12
 
 
 def _central(g, h, order: int = 2):
     """Centered difference in one variable: ``g(s)`` is the value s steps of
     size h away, and h a number or an array that broadcasts against it."""
-    num, span = _difference(g, order)
+    num, span = _difference(lambda j: (g(j), g(-j)), order)
     return num / (span * h)
-
-
-def _shift(x, e, s: int):
-    """x + s e for a stencil offset s, with no product at s = +-1."""
-    if s == 1:
-        return x + e
-    if s == -1:
-        return x - e
-    return x + s * e
 
 
 def _partials(g, x, h, order: int = 2):
@@ -116,14 +117,25 @@ def _partials(g, x, h, order: int = 2):
     (..., d), stacked as a new last axis: values (...) + V give
     (...) + V + (d,).
 
-    ``g`` maps points (..., d) to values.  ``h`` is an array of steps per
-    point and axis that broadcasts against x, such as (..., 1) or (d,)."""
+    ``g`` maps points (N, d) to values (N,) + V.  It is called once per
+    axis k and symmetric pair j, on the N points x + j h_k e_k followed by
+    the N points x - j h_k e_k, so a nested stencil doubles its batch at
+    each level.  ``h`` is an array of steps per point and axis that
+    broadcasts against x, such as (..., 1) or (d,)."""
     d = x.shape[-1]
     steps = h[..., None] * _identity(d)  # steps[..., k, :] = h_k e_k
     out = None
     for k in range(d):
         e = steps[..., k, :]
-        col, span = _difference(lambda s: g(_shift(x, e, s)), order)
+
+        def pair(j):
+            s = e if j == 1 else j * e
+            both = np.stack((x + s, x - s))
+            vals = g(both.reshape(-1, d))
+            vals = vals.reshape(both.shape[:-1] + vals.shape[1:])
+            return vals[0], vals[1]
+
+        col, span = _difference(pair, order)
         if out is None:
             out = np.empty(np.shape(col) + (d,))
         out[..., k] = col

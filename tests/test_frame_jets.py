@@ -446,6 +446,44 @@ def test_outside_a_scope_every_request_builds(builds):
     assert builds == {"frame_at": 2, "frame_derivative_at": 1}
 
 
+@pytest.mark.parametrize("mode, calls, frames", [("fd2", 18, 4), ("fd4", 51, 7)])
+def test_nested_stencils_at_one_point_pin_their_calls_and_batches(builds, monkeypatch, mode,
+                                                                  calls, frames, rng):
+    """The cost and memory of nested differences at one point on the sphere.
+    Each stencil calls its field once per axis and symmetric pair, on the
+    pair's two points per point, so the batch doubles at each level: a
+    depth-2 Laplacian makes 18 (fd2) or 51 (fd4) ``values`` calls and builds
+    4 or 7 frames, and its leaf field sees at most 4 points; a depth-3 stack
+    sees at most 8.  (One call per offset took 51 or 171 calls, 7 or 13
+    frames and 1 point.)  A stencil that stacks more offsets in one call
+    changes these numbers, and has to say what its batches cost in memory."""
+    geom = get_case("sphere").geometry
+    leaf = random_polynomial(3, 0, rng)
+    x = np.array([0.36, 0.48, 0.8])
+    seen = {"calls": 0, "batch": 0}
+    values = TensorField.values
+
+    def counting(self, X, t=0.0):
+        seen["calls"] += 1
+        if self is leaf:
+            seen["batch"] = max(seen["batch"], int(np.prod(np.shape(X)[:-1])))
+        return values(self, X, t)
+
+    monkeypatch.setattr(TensorField, "values", counting)
+    cfg = DiffConfig(mode=mode)
+    got = laplacian(leaf, geom, cfg).values(x)
+    assert seen == {"calls": calls, "batch": 4}
+    assert builds == {"frame_at": frames, "frame_derivative_at": 0}
+    np.testing.assert_allclose(got, laplacian(leaf, geom, AN).values(x), atol=1e-6)
+
+    deep = divergence(submanifold_gradient(submanifold_gradient(leaf, geom, cfg), geom, cfg),
+                      geom, cfg)
+    assert deep.depth == 3
+    seen["batch"] = 0
+    deep.values(x)
+    assert seen["batch"] == 8
+
+
 # -- non-finite values raise ---------------------------------------------------------
 
 

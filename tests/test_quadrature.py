@@ -29,7 +29,9 @@ from tensorcalc.quadrature import (
     weak_form,
     _stokes_terms,
 )
-from tensorcalc.tensor import ShapeError, _contract_left, _contract_right, _frobenius, covector
+from tensorcalc.tensor import (
+    ShapeError, _contract_left, _contract_right, _frobenius, _partials, covector,
+)
 
 AN = DiffConfig(mode="analytic")
 FD2 = DiffConfig(mode="fd2")
@@ -485,6 +487,47 @@ def test_advected_atlas_follows_moving_level_set():
     assert worst <= 1e-10
     area = integrate(moved, ONE, t=dt)
     np.testing.assert_allclose(area, 4 * math.pi * (1.0 + 0.25 * dt) ** 2, atol=1e-8)
+
+
+def test_advected_charts_carry_the_exact_jacobian_of_the_rk4_map():
+    # a velocity that depends on t, so each stage's gradient is taken at its
+    # own time; the Jacobian is the derivative of the discrete map, which a
+    # fourth-order difference of that map matches to its h^4 error
+    A = np.array([[0.2, -1.0, 0.1], [1.0, 0.3, 0.0], [-0.2, 0.4, -0.1]])
+    b = np.array([0.5, -0.3, 0.8])
+
+    def velocity(x, t):
+        return (1 + t) * (A @ x) + b * x[0] * x[1]
+
+    w = vector_field(3, velocity,
+                     jacobian=lambda x, t: (1 + t) * A + np.outer(b, [x[1], x[0], 0.0]))
+    bare = vector_field(3, velocity)
+    t0, dt = 0.3, 0.1
+    for name in ("sphere", "hemisphere", "torus"):
+        atlas = get_case(name).atlas(order=4, panels=1)
+        exact = advected_atlas(atlas, w, t0, dt).charts[0]
+        differenced = advected_atlas(atlas, bare, t0, dt).charts[0]
+        assert exact._jacobian is not None and differenced._jacobian is None
+        U, _ = exact.param_rule()
+        J = exact._jacobians(U, t0 + dt)
+        want = _partials(lambda V: exact._map(V, t0 + dt), U, 1e-3 * (exact.hi - exact.lo), 4)
+        scale = np.abs(J).max()
+        np.testing.assert_allclose(J, want, rtol=0, atol=1e-9 * scale)
+        np.testing.assert_allclose(differenced._jacobians(U, t0 + dt), J, rtol=0, atol=1e-9 * scale)
+
+
+def test_an_advected_chart_without_a_base_jacobian_differences_its_map():
+    case = get_case("expanding_sphere", radius=1.0, speed=0.25)
+    base = case.atlas(order=4, panels=1)
+    bare = Atlas(base.geometry, [Chart(c.lo, c.hi, c._map, periodic=c.periodic, order=4, panels=1)
+                                 for c in base.charts])
+    exact = advected_atlas(base, case.velocity, 0.0, 0.1).charts[0]
+    differenced = advected_atlas(bare, case.velocity, 0.0, 0.1).charts[0]
+    assert case.velocity.has_gradient and exact._jacobian is not None
+    assert differenced._jacobian is None
+    U, _ = exact.param_rule()
+    np.testing.assert_allclose(differenced._jacobians(U, 0.1), exact._jacobians(U, 0.1),
+                               rtol=0, atol=1e-8)
 
 
 def test_advected_atlas_is_made_once_per_field_and_step():

@@ -467,9 +467,9 @@ def test_sample_points_build_no_atlas():
 
 
 def test_analytic_runs_take_only_the_deliberate_stencils(monkeypatch):
-    # the five difference oracles of the evolving suite and the Jacobian of the
-    # RK4-advected chart; the operators' time partials and the gradients of
-    # material derivatives are exact
+    # the five difference oracles of the evolving suite and nothing else: the
+    # operators' time partials, the gradients of material derivatives and the
+    # Jacobians of RK4-advected charts are exact
     from tensorcalc import evolving, geometry, operators, quadrature, tensor
 
     depth, callers = [0], []
@@ -490,7 +490,7 @@ def test_analytic_runs_take_only_the_deliberate_stencils(monkeypatch):
                 monkeypatch.setattr(module, name, counted)
     assert run_suite(SuiteConfig(suite="all", fd="analytic")).passed
     assert sorted(callers) == sorted(["transport_rate_fd"] * 2 + ["dirichlet_rate_fd"] * 2
-                                     + ["material_consistency", "_jacobians"])
+                                     + ["material_consistency"])
 
 
 def test_only_parameter_errors_of_a_builder_are_usage_errors(monkeypatch):

@@ -53,8 +53,9 @@ def brute_evaluate(arr, vectors):
 @pytest.mark.parametrize("order", [2, 4])
 def test_central_stencil_is_exact_on_polynomials_of_its_order(order, rng):
     """fd2 differentiates quadratics and fd4 quartics up to rounding: _central
-    with a step array of shape (k, 1) against vector values (k, 3), and
-    _partials along every axis of points (k, 3)."""
+    with a step array of shape (k, 1) against vector values (k, 3), one call
+    per offset, and _partials along every axis of points (k, 3), one call
+    per axis and symmetric pair on the 2k points x + j h e_k, x - j h e_k."""
     x = rng.normal(size=(4, 1))
     h = np.array([[0.05], [0.1], [0.2], [0.4]])
     c = rng.normal(size=(order + 1, 3))  # p(y) = sum_d c[d] y^d, three components
@@ -80,16 +81,20 @@ def test_central_stencil_is_exact_on_polynomials_of_its_order(order, rng):
     y = rng.normal(size=(4, 3))
 
     def q(Y):
-        calls.append(Y.shape)
+        calls.append(Y.copy())
         return np.stack([(Y @ a) ** order, (Y @ b) ** order + Y @ c], axis=-1)
 
     want = np.stack([order * (y @ a)[:, None] ** (order - 1) * a,
                      order * (y @ b)[:, None] ** (order - 1) * b + c], axis=1)
+    pairs = [(k, j) for k in range(3) for j in ((1,) if order == 2 else (2, 1))]
     for steps in (h, np.array([0.05, 0.1, 0.2])):
         calls.clear()
         got = _partials(q, y, steps, order)
         assert got.shape == (4, 2, 3)
-        assert calls == [(4, 3)] * (3 * order)
+        assert [Y.shape for Y in calls] == [(8, 3)] * (3 * order // 2)
+        for Y, (k, j) in zip(calls, pairs):
+            shift = j * np.broadcast_to(steps, y.shape)[:, k, None] * np.eye(3)[k]
+            np.testing.assert_array_equal(Y, np.concatenate([y + shift, y - shift]))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
 
 
