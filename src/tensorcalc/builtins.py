@@ -1,7 +1,9 @@
-"""Ready-made geometries with analytic level sets and quadrature atlases.
+"""Ready-made geometries with analytic level sets and quadrature charts.
 
 Every case bundles a LevelSetGeometry (with exact gradients and Hessians),
-a chart atlas factory, and where meaningful a distinguished velocity field.
+the charts that cover it, and where meaningful a distinguished velocity
+field.  A chart is only a map; ``case.atlas(order, panels)`` sets the
+quadrature rule, so a new case is its level sets plus a chart list.
 Level functions are signed distances wherever that is cheap to write down,
 so the unit-gradient hypothesis of the projector-rate machinery holds.
 Level functions, velocity fields and chart mappings are batch-native: they
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,25 +51,22 @@ class GeometryCase:
 
     ``curvature`` is the closed form of the mean curvature vector, points
     (..., n) to (..., n), on the cases that have a caller for it: sphere,
-    circle3d and torus.  It is None on the others.  ``charts``, the charts
-    of the case's atlas, is made once with the case; ``sample_points``
-    maps its points with them.
+    circle3d and torus.  It is None on the others.  Every atlas of the
+    case shares its ``charts``, and ``sample_points`` maps its points with
+    them.
     """
 
     name: str
     geometry: LevelSetGeometry
-    atlas_factory: Callable[[int, int], Atlas]
+    charts: List[Chart]
     params: Dict[str, float] = field(default_factory=dict)
     velocity: Optional[TensorField] = None
     curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None
     blurb: str = ""
-    charts: List[Chart] = field(init=False, repr=False)
-
-    def __post_init__(self) -> None:
-        self.charts = self.atlas().charts
 
     def atlas(self, order: int = 16, panels: int = 2) -> Atlas:
-        return self.atlas_factory(order, panels)
+        """A fresh atlas of the case's charts under the rule (order, panels)."""
+        return Atlas(self.geometry, self.charts, order, panels, name=self.name)
 
     def sample_points(self, count: int, t: float = 0.0, seed: int = 0) -> np.ndarray:
         """Deterministic points (count, n) spread over the charts, kept off
@@ -87,10 +86,11 @@ class ParameterError(ValueError):
 
 
 def _positive(**params: float) -> None:
-    """Raise ParameterError unless every named parameter is a positive number."""
+    """Raise ParameterError unless every named parameter is a positive
+    finite number."""
     for key, value in params.items():
-        if not value > 0:  # NaN fails too
-            raise ParameterError(f"{key} must be positive, got {value}")
+        if not 0 < value < math.inf:  # NaN fails too
+            raise ParameterError(f"{key} must be positive and finite, got {value}")
 
 
 def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
@@ -135,7 +135,7 @@ def _mat(U, *rows):
     return out
 
 
-def _sphere_chart(radius, order, panels, theta_hi=math.pi, sides=(), rate=0.0):
+def _sphere_chart(radius, theta_hi=math.pi, sides=(), rate=0.0):
     def mapping(U, t):
         r = radius + rate * t
         th, ph = U[..., 0], U[..., 1]
@@ -156,22 +156,35 @@ def _sphere_chart(radius, order, panels, theta_hi=math.pi, sides=(), rate=0.0):
         mapping=mapping,
         jacobian=jacobian,
         periodic=(False, True),
-        order=order,
-        panels=panels,
         boundary_sides=sides,
         name="polar",
     )
 
 
+def _arc_chart(radius: float, *lift: float, hi: float = TWO_PI,
+               sides: Sequence[Tuple[int, int]] = (), name: str = "angle") -> Chart:
+    """The arc u -> (R cos u, R sin u, s_1 u, s_2 u, ...) for u in [0, hi],
+    one ambient coordinate s_i u for each lift slope s_i; its axis is
+    periodic unless it has boundary sides."""
+
+    def mapping(U, t):
+        u = U[..., 0]
+        return _vec(U, radius * np.cos(u), radius * np.sin(u), *(s * u for s in lift))
+
+    def jacobian(U, t):
+        u = U[..., 0]
+        return _mat(U, (-radius * np.sin(u),), (radius * np.cos(u),), *((s,) for s in lift))
+
+    return Chart._batched([0.0], [hi], mapping, jacobian, periodic=(not sides,),
+                          boundary_sides=sides, name=name)
+
+
 def sphere(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
-    geom = LevelSetGeometry(3, [_sphere_level(radius)], name="sphere")
     return GeometryCase(
         name="sphere",
-        geometry=geom,
-        atlas_factory=lambda order=16, panels=2: Atlas(
-            geom, [_sphere_chart(radius, order, panels)], name="sphere"
-        ),
+        geometry=LevelSetGeometry(3, [_sphere_level(radius)], name="sphere"),
+        charts=[_sphere_chart(radius)],
         params={"radius": radius},
         curvature=lambda X: 2.0 * X / radius**2,
         blurb="round sphere |x| = R in R^3",
@@ -180,15 +193,10 @@ def sphere(radius: float = 1.0) -> GeometryCase:
 
 def hemisphere(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
-    geom = LevelSetGeometry(3, [_sphere_level(radius)], name="hemisphere")
     return GeometryCase(
         name="hemisphere",
-        geometry=geom,
-        atlas_factory=lambda order=16, panels=2: Atlas(
-            geom,
-            [_sphere_chart(radius, order, panels, theta_hi=0.5 * math.pi, sides=((0, 1),))],
-            name="hemisphere",
-        ),
+        geometry=LevelSetGeometry(3, [_sphere_level(radius)], name="hemisphere"),
+        charts=[_sphere_chart(radius, theta_hi=0.5 * math.pi, sides=((0, 1),))],
         params={"radius": radius},
         blurb="upper half of the sphere, boundary at the equator",
     )
@@ -196,25 +204,10 @@ def hemisphere(radius: float = 1.0) -> GeometryCase:
 
 def circle2d(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
-    geom = LevelSetGeometry(2, [_sphere_level(radius)], name="circle2d")
-
-    def factory(order=16, panels=2):
-        chart = Chart._batched(
-            lo=[0.0],
-            hi=[TWO_PI],
-            mapping=lambda U, t: radius * _vec(U, np.cos(U[..., 0]), np.sin(U[..., 0])),
-            jacobian=lambda U, t: radius * _mat(U, (-np.sin(U[..., 0]),), (np.cos(U[..., 0]),)),
-            periodic=(True,),
-            order=order,
-            panels=panels,
-            name="angle",
-        )
-        return Atlas(geom, [chart], name="circle2d")
-
     return GeometryCase(
         name="circle2d",
-        geometry=geom,
-        atlas_factory=factory,
+        geometry=LevelSetGeometry(2, [_sphere_level(radius)], name="circle2d"),
+        charts=[_arc_chart(radius)],
         params={"radius": radius},
         blurb="circle |x| = R in the plane",
     )
@@ -257,29 +250,11 @@ def _coordinate_plane_level(axis: int = 2) -> LevelSet:
 
 def circle3d(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
-    geom = LevelSetGeometry(
-        3, [_cylinder_level(radius), _coordinate_plane_level(2)], name="circle3d"
-    )
-
-    def factory(order=16, panels=2):
-        chart = Chart._batched(
-            lo=[0.0],
-            hi=[TWO_PI],
-            mapping=lambda U, t: radius * _vec(U, np.cos(U[..., 0]), np.sin(U[..., 0]), 0.0),
-            jacobian=lambda U, t: radius * _mat(
-                U, (-np.sin(U[..., 0]),), (np.cos(U[..., 0]),), (0.0,)
-            ),
-            periodic=(True,),
-            order=order,
-            panels=panels,
-            name="angle",
-        )
-        return Atlas(geom, [chart], name="circle3d")
-
     return GeometryCase(
         name="circle3d",
-        geometry=geom,
-        atlas_factory=factory,
+        geometry=LevelSetGeometry(
+            3, [_cylinder_level(radius), _coordinate_plane_level(2)], name="circle3d"),
+        charts=[_arc_chart(radius, 0.0)],
         params={"radius": radius},
         curvature=lambda X: X * [1.0, 1.0, 0.0] / radius**2,
         blurb="circle of codimension two: cylinder rho = R meets the plane z = 0",
@@ -288,44 +263,29 @@ def circle3d(radius: float = 1.0) -> GeometryCase:
 
 def plane_disk(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
-    geom = LevelSetGeometry(3, [_coordinate_plane_level(2)], name="plane_disk")
 
-    def factory(order=16, panels=2):
-        def mapping(U, t):
-            r, ph = U[..., 0], U[..., 1]
-            return _vec(U, r * np.cos(ph), r * np.sin(ph), 0.0)
+    def mapping(U, t):
+        r, ph = U[..., 0], U[..., 1]
+        return _vec(U, r * np.cos(ph), r * np.sin(ph), 0.0)
 
-        def jacobian(U, t):
-            r, ph = U[..., 0], U[..., 1]
-            return _mat(
-                U, (np.cos(ph), -r * np.sin(ph)), (np.sin(ph), r * np.cos(ph)), (0.0, 0.0)
-            )
-
-        chart = Chart._batched(
-            lo=[0.0, 0.0],
-            hi=[radius, TWO_PI],
-            mapping=mapping,
-            jacobian=jacobian,
-            periodic=(False, True),
-            order=order,
-            panels=panels,
-            boundary_sides=((0, 1),),
-            name="disk",
-        )
-        return Atlas(geom, [chart], name="plane_disk")
+    def jacobian(U, t):
+        r, ph = U[..., 0], U[..., 1]
+        return _mat(U, (np.cos(ph), -r * np.sin(ph)), (np.sin(ph), r * np.cos(ph)), (0.0, 0.0))
 
     return GeometryCase(
         name="plane_disk",
-        geometry=geom,
-        atlas_factory=factory,
+        geometry=LevelSetGeometry(3, [_coordinate_plane_level(2)], name="plane_disk"),
+        charts=[Chart._batched([0.0, 0.0], [radius, TWO_PI], mapping, jacobian,
+                               periodic=(False, True), boundary_sides=((0, 1),), name="disk")],
         params={"radius": radius},
         blurb="flat disk of radius R in the plane z = 0",
     )
 
 
 def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
-    if not 0 < minor < major:
-        raise ParameterError(f"need 0 < minor < major for a torus, got major={major}, minor={minor}")
+    if not 0 < minor < major < math.inf:
+        raise ParameterError(
+            f"need 0 < minor < major < inf for a torus, got major={major}, minor={minor}")
 
     ez = np.array([0.0, 0.0, 1.0])
 
@@ -364,38 +324,26 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
         nhat = (a * sh + X * ez) / minor
         return (1.0 / minor + a / (minor * s[..., None])) * nhat
 
-    def factory(order=16, panels=2):
-        def mapping(U, t):
-            psi, phi = U[..., 0], U[..., 1]
-            s = major + minor * np.cos(psi)
-            return _vec(U, s * np.cos(phi), s * np.sin(phi), minor * np.sin(psi))
+    def mapping(U, t):
+        psi, phi = U[..., 0], U[..., 1]
+        s = major + minor * np.cos(psi)
+        return _vec(U, s * np.cos(phi), s * np.sin(phi), minor * np.sin(psi))
 
-        def jacobian(U, t):
-            psi, phi = U[..., 0], U[..., 1]
-            s = major + minor * np.cos(psi)
-            return _mat(
-                U,
-                (-minor * np.sin(psi) * np.cos(phi), -s * np.sin(phi)),
-                (-minor * np.sin(psi) * np.sin(phi), s * np.cos(phi)),
-                (minor * np.cos(psi), 0.0),
-            )
-
-        chart = Chart._batched(
-            lo=[0.0, 0.0],
-            hi=[TWO_PI, TWO_PI],
-            mapping=mapping,
-            jacobian=jacobian,
-            periodic=(True, True),
-            order=order,
-            panels=panels,
-            name="torus-angles",
+    def jacobian(U, t):
+        psi, phi = U[..., 0], U[..., 1]
+        s = major + minor * np.cos(psi)
+        return _mat(
+            U,
+            (-minor * np.sin(psi) * np.cos(phi), -s * np.sin(phi)),
+            (-minor * np.sin(psi) * np.sin(phi), s * np.cos(phi)),
+            (minor * np.cos(psi), 0.0),
         )
-        return Atlas(geom, [chart], name="torus")
 
     return GeometryCase(
         name="torus",
         geometry=geom,
-        atlas_factory=factory,
+        charts=[Chart._batched([0.0, 0.0], [TWO_PI, TWO_PI], mapping, jacobian,
+                               periodic=(True, True), name="torus-angles")],
         params={"major": major, "minor": minor},
         curvature=curvature,
         blurb="torus of revolution around the z axis",
@@ -453,29 +401,10 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
 
     w = _field(3, 1, tangent, grad=tangent_jac, dt=_zeros((3,)), name="helix-tangent")
 
-    theta_max = TWO_PI * turns
-
-    def factory(order=16, panels=2):
-        chart = Chart._batched(
-            lo=[0.0],
-            hi=[theta_max],
-            mapping=lambda U, t: _vec(
-                U, a * np.cos(U[..., 0]), a * np.sin(U[..., 0]), b * U[..., 0]
-            ),
-            jacobian=lambda U, t: _mat(
-                U, (-a * np.sin(U[..., 0]),), (a * np.cos(U[..., 0]),), (b,)
-            ),
-            order=order,
-            panels=panels,
-            boundary_sides=((0, 0), (0, 1)),
-            name="arc",
-        )
-        return Atlas(geom, [chart], name="helix")
-
     return GeometryCase(
         name="helix",
         geometry=geom,
-        atlas_factory=factory,
+        charts=[_arc_chart(a, b, hi=TWO_PI * turns, sides=((0, 0), (0, 1)), name="arc")],
         params={"radius": radius, "pitch": pitch, "turns": turns},
         velocity=w,
         blurb="open helical arc with endpoint boundary",
@@ -501,9 +430,7 @@ def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
     return GeometryCase(
         name="expanding_sphere",
         geometry=geom,
-        atlas_factory=lambda order=16, panels=2: Atlas(
-            geom, [_sphere_chart(radius, order, panels, rate=speed)], name="expanding_sphere"
-        ),
+        charts=[_sphere_chart(radius, rate=speed)],
         params={"radius": radius, "speed": speed},
         velocity=w,
         blurb="sphere with radius R + c t, material velocity c along the outward normal",

@@ -62,6 +62,9 @@ __all__ = [
 ]
 
 _LEVEL_FD_STEP = 1e-5
+# least Gram-Schmidt residual of a level-set gradient, below which the
+# gradients vanish or are linearly dependent and a frame is refused
+_GRAD_FLOOR = 1e-8
 # step for differentiating a value that already carries difference noise: the
 # operators' nested layers, and a Hessian taken from a differenced gradient
 _NESTED_HX = 3e-4
@@ -388,7 +391,7 @@ class LevelSetGeometry:
 
     Frames exist inside the tube sum_i |d_i(x, t)| < tube_halfwidth; outside
     it, or at a point where that sum is not a number, frame_at raises.
-    grad_floor bounds the Gram-Schmidt residual of each gradient, which
+    ``_GRAD_FLOOR`` bounds the Gram-Schmidt residual of each gradient, which
     guards against vanishing or linearly dependent gradients.
     Every check applies to each point of a batch.
     """
@@ -398,7 +401,6 @@ class LevelSetGeometry:
         n: int,
         levels: Sequence[LevelSet],
         tube_halfwidth: float = 0.1,
-        grad_floor: float = 1e-8,
         name: str = "",
     ) -> None:
         if not 2 <= n <= MAX_AMBIENT_DIM:
@@ -408,7 +410,6 @@ class LevelSetGeometry:
         self.n = n
         self.levels = list(levels)
         self.tube_halfwidth = float(tube_halfwidth)
-        self.grad_floor = float(grad_floor)
         self.name = name
 
     @property
@@ -459,7 +460,7 @@ class LevelSetGeometry:
     def frame_at(self, x, t: float = 0.0) -> GeometryFrame:
         """Frame at points x of shape (..., n)."""
         x = self._check_point(x, t)
-        normals = _gram_schmidt(self._gradients(x, t), self.grad_floor)
+        normals = _gram_schmidt(self._gradients(x, t), _GRAD_FLOOR)
         return GeometryFrame(x, t, normals)
 
     def frame_derivative_at(self, x, t: float = 0.0, order: int = 1):
@@ -472,7 +473,7 @@ class LevelSetGeometry:
             raise GeometryError("a frame jet of order 2 needs the level-set provider third")
         x = self._check_point(x, t)
         normals, *parts = _gram_schmidt(
-            self._gradients(x, t), self.grad_floor, [lvl.hessian(x, t) for lvl in self.levels],
+            self._gradients(x, t), _GRAD_FLOOR, [lvl.hessian(x, t) for lvl in self.levels],
             [np.asarray(lvl._third(x, t), dtype=float) for lvl in self.levels] if second else None,
         )
         frame = GeometryFrame(x, t, normals)

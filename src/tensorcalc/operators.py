@@ -107,8 +107,8 @@ class DiffConfig:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         for attr in ("hx", "ht"):
-            if getattr(self, attr) <= 0:
-                raise ValueError(f"{attr} must be positive")
+            if not 0 < getattr(self, attr) < np.inf:  # NaN fails too
+                raise ValueError(f"{attr} must be positive and finite, got {getattr(self, attr)}")
 
     def spatial_step(self, x: np.ndarray, depth: int):
         """Step for points x of shape (..., n): an array of shape (...) at

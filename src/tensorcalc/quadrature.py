@@ -1,14 +1,16 @@
 """Chart-based Gauss-Legendre quadrature over submanifolds and boundaries.
 
 Charts are boxes in p >= 1 parameters mapped into the ambient space; the
-induced measure is sqrt(det(J^T J)) from the chart Jacobian.  Each axis is
-split into equal panels carrying a Gauss-Legendre rule, and the nodes are
-their tensor product, so they never touch the box faces (poles and seams
-are safe).  Boundary components are declared sides of the box: each is a
-face of dimension p - 1, the side's axis pinned to its end, with measure
-sqrt(det(F^T F)) from the face Jacobian F, J without the side's column.
-Its co-normal is the outward column of J, projected tangentially and off
-the span of F.
+induced measure is sqrt(det(J^T J)) from the chart Jacobian.  A chart is
+only a map: the quadrature rule, ``order`` and ``panels``, is the atlas's,
+one rule for all of its charts.  Each chart axis is split into ``panels``
+equal panels carrying an ``order``-point Gauss-Legendre rule, and the
+nodes are their tensor product, so they never touch the box faces (poles
+and seams are safe).  Boundary components are declared sides of the box:
+each is a face of dimension p - 1, the side's axis pinned to its end,
+with measure sqrt(det(F^T F)) from the face Jacobian F, J without the
+side's column.  Its co-normal is the outward column of J, projected
+tangentially and off the span of F.
 
 Integrands see batches: ``integrate`` calls its integrand once per chart
 on that chart's nodes, and ``integrate_boundary`` once per atlas on one
@@ -86,7 +88,8 @@ class Chart:
     and (..., n, p).  ``boundary_sides`` lists
     (axis, end) pairs that are genuine boundary pieces of the manifold;
     periodic axes and coordinate degeneracies (poles, seams) are simply not
-    listed.
+    listed.  A chart is only a map: the quadrature rule belongs to the
+    atlas, and one chart may serve atlases of several rules.
     """
 
     def __init__(
@@ -96,8 +99,6 @@ class Chart:
         mapping: Callable[[np.ndarray, float], np.ndarray],
         jacobian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
         periodic: Optional[Sequence[bool]] = None,
-        order: int = 16,
-        panels: int = 2,
         boundary_sides: Sequence[Tuple[int, int]] = (),
         name: str = "chart",
     ) -> None:
@@ -115,10 +116,6 @@ class Chart:
         if len(self.periodic) != self.p:
             raise ShapeError(f"chart '{name}' has {self.p} parameters but {len(self.periodic)} "
                              "periodic flags")
-        if order < 1 or panels < 1:
-            raise ShapeError("order and panels must be positive")
-        self.order = int(order)
-        self.panels = int(panels)
         self.boundary_sides = tuple((int(a), int(e)) for a, e in boundary_sides)
         for a, e in self.boundary_sides:
             if not (0 <= a < self.p and e in (0, 1)):
@@ -126,7 +123,6 @@ class Chart:
             if self.periodic[a]:
                 raise ShapeError("a periodic axis cannot carry a boundary")
         self.name = name
-        self._points: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
 
     @classmethod
     def _batched(cls, lo, hi, mapping, jacobian=None, **kwargs) -> "Chart":
@@ -140,27 +136,24 @@ class Chart:
         """Ambient points (..., n) at parameter points U of shape (..., p)."""
         return np.asarray(self.mapping(np.asarray(U, dtype=float), t), dtype=float)
 
-    def _axis_rule(self, axis: int) -> Tuple[np.ndarray, np.ndarray]:
-        x, w = _gauss_legendre(self.order)
-        edges = np.linspace(self.lo[axis], self.hi[axis], self.panels + 1)
-        half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
-        return (half * x + mid).ravel(), (half * w).ravel()
-
-    def _face_rule(self, side: Optional[Tuple[int, int]]) -> Tuple[np.ndarray, np.ndarray]:
+    def rule(self, order: int, panels: int, side: Optional[Tuple[int, int]] = None
+             ) -> Tuple[np.ndarray, np.ndarray]:
         """Parameter nodes (N, p) and bare weights (N,) of the tensor-product
-        rule, with axis 0 slowest; a side (axis, end) pins its axis to lo or
-        hi with weight 1, which gives that side's face."""
-        rules = [self._axis_rule(a) for a in range(self.p)]
-        if side is not None:
-            axis, end = side
-            rules[axis] = (np.array([(self.lo, self.hi)[end][axis]]), np.ones(1))
+        rule with ``order`` Gauss-Legendre nodes on each of ``panels`` equal
+        panels per axis, axis 0 slowest; a side (axis, end) pins its axis to
+        lo or hi with weight 1, which gives that side's face."""
+        x, w = _gauss_legendre(order)
+        rules = []
+        for axis in range(self.p):
+            if side is not None and axis == side[0]:
+                rules.append((np.array([(self.lo, self.hi)[side[1]][axis]]), np.ones(1)))
+                continue
+            edges = np.linspace(self.lo[axis], self.hi[axis], panels + 1)
+            half, mid = 0.5 * np.diff(edges)[:, None], 0.5 * (edges[:-1] + edges[1:])[:, None]
+            rules.append(((half * x + mid).ravel(), (half * w).ravel()))
         nodes = np.meshgrid(*(u for u, _ in rules), indexing="ij")
         weights = reduce(np.multiply.outer, (w for _, w in rules))
         return np.stack([u.ravel() for u in nodes], axis=-1), weights.ravel()
-
-    def param_rule(self) -> Tuple[np.ndarray, np.ndarray]:
-        """All parameter nodes (N, p) and bare weights (N,)."""
-        return self._face_rule(None)
 
     def _jacobians(self, U: np.ndarray, t: float) -> np.ndarray:
         """Jacobians (N, n, p) at parameter points U of shape (N, p)."""
@@ -168,18 +161,11 @@ class Chart:
             return np.asarray(self._jacobian(U, t), dtype=float)
         return _partials(lambda V: self._map(V, t), U, 1e-6 * (self.hi - self.lo))
 
-    def points(self, t: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
-        """Quadrature points in ambient space and their measure weights.
-
-        Computed once per time t and returned as read-only arrays.
-        """
-        key = float(t)
-        if key not in self._points:
-            self._points[key] = self._compute_points(key)
-        return self._points[key]
-
-    def _compute_points(self, t: float) -> Tuple[np.ndarray, np.ndarray]:
-        U, W = self.param_rule()
+    def points(self, order: int, panels: int, t: float = 0.0) -> Tuple[np.ndarray, np.ndarray]:
+        """Quadrature points (N, n) in ambient space and their measure
+        weights (N,) under ``rule(order, panels)`` at time t, as read-only
+        arrays; an atlas keeps them once per t."""
+        U, W = self.rule(order, panels)
         X = self._map(U, t)
         J = self._jacobians(U, t)
         g = np.linalg.det(np.swapaxes(J, 1, 2) @ J)
@@ -192,19 +178,25 @@ class Chart:
 
 @dataclass
 class Atlas:
-    """Charts covering a submanifold, together with its geometry.
+    """Charts covering a submanifold, together with its geometry and the
+    quadrature rule of every chart: ``order`` Gauss-Legendre nodes on each
+    of ``panels`` equal panels per chart axis.
 
-    Beside its charts' nodes, an atlas keeps the node data that every
-    integral over it shares, made on first use and read-only: the mean
-    curvature vector on each chart's nodes, once per (DiffConfig, t), and
-    its ``BoundaryPoint`` batch, once per t.  It also keeps the atlases
-    ``advected_atlas`` moves it to, once per (velocity field, t0, dt), for
-    the latest t0 only.
+    An atlas keeps the node data that every integral over it shares, made
+    on first use and read-only: each chart's nodes and measure weights,
+    once per t; the mean curvature vector on those nodes, once per
+    (DiffConfig, t); and its ``BoundaryPoint`` batch, once per t.  It also
+    keeps the atlases ``advected_atlas`` moves it to, once per
+    (velocity field, t0, dt), for the latest t0 only.
     """
 
     geometry: LevelSetGeometry
     charts: List[Chart]
+    order: int = 16
+    panels: int = 2
     name: str = "atlas"
+    _points: Dict[float, List[Tuple[np.ndarray, np.ndarray]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
     _kappa: Dict[Tuple[DiffConfig, float], List[np.ndarray]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
     _boundary: Dict[float, "BoundaryPoint"] = field(
@@ -213,6 +205,9 @@ class Atlas:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        if self.order < 1 or self.panels < 1:
+            raise ShapeError("order and panels must be positive")
+        self.order, self.panels = int(self.order), int(self.panels)
         dim = self.geometry.n - self.geometry.m
         for chart in self.charts:
             if chart.p != dim:
@@ -223,14 +218,21 @@ class Atlas:
     def closed(self) -> bool:
         return all(not c.boundary_sides for c in self.charts)
 
+    def points(self, t: float = 0.0) -> List[Tuple[np.ndarray, np.ndarray]]:
+        """The quadrature points and measure weights of each chart at time
+        t, in chart order (``Chart.points`` under the atlas's rule)."""
+        key = float(t)
+        if key not in self._points:
+            self._points[key] = [c.points(self.order, self.panels, key) for c in self.charts]
+        return self._points[key]
+
     def _curvature(self, cfg: DiffConfig, t: float) -> List[np.ndarray]:
         """The mean curvature vector (N, n) on the nodes of each chart at
         time t, in chart order."""
         key = (cfg, float(t))
         if key not in self._kappa:
             kap = mean_curvature(self.geometry, cfg)
-            self._kappa[key] = [_read_only(kap.values(chart.points(t)[0], t))
-                                for chart in self.charts]
+            self._kappa[key] = [_read_only(kap.values(X, t)) for X, _ in self.points(t)]
         return self._kappa[key]
 
 
@@ -272,7 +274,7 @@ def _boundary_batch(atlas: Atlas, t: float) -> BoundaryPoint:
               np.empty(0))]
     for chart in atlas.charts:
         for axis, end in chart.boundary_sides:
-            U, w = chart._face_rule((axis, end))
+            U, w = chart.rule(atlas.order, atlas.panels, (axis, end))
             J = chart._jacobians(U, t)
             sign = 1.0 if end == 1 else -1.0
             faces.append((chart._map(U, t), sign * J[:, :, axis], np.delete(J, axis, axis=2), w,
@@ -324,8 +326,7 @@ def _chart_sum(atlas: Atlas, values, t: float):
     """sum over the charts k of the weighted sum of ``values(k, X)`` on the
     nodes X of chart k."""
     total = None
-    for k, chart in enumerate(atlas.charts):
-        X, meas = chart.points(t)
+    for k, (chart, (X, meas)) in enumerate(zip(atlas.charts, atlas.points(t))):
         part = _weighted_sum(values(k, X), meas, f"chart '{chart.name}'")
         total = part if total is None else total + part
     return total
@@ -520,11 +521,11 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
     parameter points with one RK4 step, so its quadrature nodes move
     together.  Where w has a gradient and a chart a Jacobian, the moved
     chart's Jacobian is the exact derivative of that step (``_rk4``);
-    otherwise it is a difference of the moved map.  The moved atlas is made
-    once per (w, t0, dt), the field object itself, and kept on ``atlas``
-    with the nodes it computes.  A new t0 drops the moved atlases of the
-    others, so a caller stepping through time keeps only those of its
-    current step.
+    otherwise it is a difference of the moved map.  The moved atlas has
+    the rule of ``atlas``; it is made once per (w, t0, dt), the field
+    object itself, and kept on ``atlas`` with the nodes it computes.  A new
+    t0 drops the moved atlases of the others, so a caller stepping through
+    time keeps only those of its current step.
     """
     key = (w, float(t0), float(dt))
     if key in atlas._advected:
@@ -548,11 +549,10 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
                 make_mapping(chart),
                 jacobian=make_jacobian(chart),
                 periodic=chart.periodic,
-                order=chart.order,
-                panels=chart.panels,
                 boundary_sides=chart.boundary_sides,
                 name=f"{chart.name}@+{dt}",
             )
         )
-    atlas._advected[key] = Atlas(atlas.geometry, moved, name=f"{atlas.name}@+{dt}")
+    atlas._advected[key] = Atlas(atlas.geometry, moved, atlas.order, atlas.panels,
+                                 name=f"{atlas.name}@+{dt}")
     return atlas._advected[key]

@@ -65,7 +65,9 @@ from .fields import (
     tf_outer,
     tf_scale,
 )
-from .geometry import _frame_scope, _gram_schmidt, _norm, _project_array, frame_from_normals
+from .geometry import (
+    _GRAD_FLOOR, _frame_scope, _gram_schmidt, _norm, _project_array, frame_from_normals,
+)
 from .operators import (
     DiffConfig,
     cartesian_gradient,
@@ -144,6 +146,9 @@ class SuiteConfig:
                 raise SuiteError(f"{key} must be at least {least}, got {getattr(self, key)}")
         if self.geom_params and self.geometry is None:
             raise SuiteError("geometry parameters need a geometry (--geometry)")
+        for check_id, tol in self.tol.items():
+            if not math.isfinite(tol):
+                raise SuiteError(f"tolerance of '{check_id}' must be finite, got {tol}")
         try:
             self.diff()
         except ValueError as exc:
@@ -345,7 +350,7 @@ def _draw(normal, count: int, *shapes: Tuple[int, ...]) -> List[np.ndarray]:
 def _random_frames(raw: np.ndarray):
     """Frames at a batch of draws from random directions ``raw`` (L, m, n),
     orthonormalized in order."""
-    return frame_from_normals(_gram_schmidt(np.moveaxis(raw, -2, 0), 1e-8))
+    return frame_from_normals(_gram_schmidt(np.moveaxis(raw, -2, 0), _GRAD_FLOOR))
 
 
 class _Worst(dict):
@@ -902,7 +907,7 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Ch
 
     def material_path(d):
         advected = advected_atlas(atlas, w2, 0.0, 0.05)
-        xs, _ = advected.charts[0].points(0.05)
+        xs, _ = advected.points(0.05)[0]
         return float(np.max(np.abs(geom.level_values(xs[:: max(1, len(xs) // 64)], 0.05))))
 
     gw2 = cache(lambda d: cartesian_gradient(w2, d))

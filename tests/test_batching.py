@@ -32,7 +32,7 @@ from tensorcalc.operators import (
     submanifold_gradient,
     surface_curl,
 )
-from tensorcalc.quadrature import Atlas, Chart
+from tensorcalc.quadrature import Chart
 from tensorcalc.stress import equilibrium_diagnostics, normal_at_tangential, omega_pairings
 from tensorcalc.tensor import ShapeError
 
@@ -202,13 +202,9 @@ def _two_chart_sphere() -> GeometryCase:
     def mapping(u, t):
         return np.array([np.sin(u[0]) * np.cos(u[1]), np.sin(u[0]) * np.sin(u[1]), np.cos(u[0])])
 
-    def atlas(order=16, panels=2):
-        charts = [Chart([lo, 0.0], [lo + 0.5 * math.pi, 2 * math.pi], mapping,
-                        periodic=(False, True), order=order, panels=panels)
-                  for lo in (0.0, 0.5 * math.pi)]
-        return Atlas(case.geometry, charts)
-
-    return GeometryCase("two-chart-sphere", case.geometry, atlas)
+    charts = [Chart([lo, 0.0], [lo + 0.5 * math.pi, 2 * math.pi], mapping, periodic=(False, True))
+              for lo in (0.0, 0.5 * math.pi)]
+    return GeometryCase("two-chart-sphere", case.geometry, charts)
 
 
 @pytest.mark.parametrize("name", available() + ["two-chart-sphere"])

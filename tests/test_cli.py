@@ -108,7 +108,8 @@ def test_unknown_config_key(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", ["suite = nosuch", "fd = fd3", "order = x", "hx = -1",
-                                  "order = 0", "panels = 0", "seed = -1"])
+                                  "order = 0", "panels = 0", "seed = -1", "hx = nan", "ht = inf",
+                                  "tol = projection.idempotent=nan"])
 def test_bad_config_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"suite = projection\n{line}\n")
@@ -223,6 +224,8 @@ def test_convergence_rejects_options_it_does_not_read(tmp_path, capsys, flag):
     ["--geometry", "sphere", "--geom-params", "bogus=1"],
     ["--suite", "laplacian", "--geometry", "sphere", "--geom-params", "radius=-1"],
     ["--geom-params", "radius=2"],
+    ["--suite", "laplacian", "--geometry", "sphere", "--geom-params", "radius=inf"],
+    ["--suite", "stokes", "--geometry", "torus", "--geom-params", "major=inf"],
 ])
 def test_bad_geometry_parameters_are_usage_errors(tmp_path, capsys, flags):
     target = tmp_path / "never.json"

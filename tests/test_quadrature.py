@@ -48,6 +48,30 @@ def test_closed_areas_match_closed_forms():
     circle = get_case("circle3d", radius=2.0).atlas(order=12, panels=2)
     assert abs(integrate(circle, ONE) - 4 * math.pi) <= 1e-12
 
+    planar = get_case("circle2d", radius=1.5).atlas(order=12, panels=2)
+    assert abs(integrate(planar, ONE) - 2 * math.pi * 1.5) <= 1e-12
+
+    # the expanding sphere's chart maps onto radius R + c t at time t
+    grown = get_case("expanding_sphere", radius=1.0, speed=0.25).atlas(order=12, panels=2)
+    want = 4 * math.pi * (1.0 + 0.25 * 0.3) ** 2
+    assert abs(integrate(grown, ONE, t=0.3) - want) <= 1e-10 * want
+
+
+def test_atlases_of_one_case_share_its_charts_and_keep_their_own_nodes():
+    case = get_case("hemisphere")
+    coarse, fine = case.atlas(order=4, panels=1), case.atlas(order=6, panels=2)
+    assert coarse.charts[0] is fine.charts[0] is case.charts[0]
+    assert (coarse.order, coarse.panels, fine.order, fine.panels) == (4, 1, 6, 2)
+    [(X4, _)], [(X12, _)] = coarse.points(0.0), fine.points(0.0)
+    assert X4.shape == (16, 3) and X12.shape == (144, 3)
+    assert coarse.points(0.0)[0][0] is X4 and fine.points(0.0)[0][0] is X12
+    assert boundary_points(coarse).x.shape == (4, 3)
+    assert boundary_points(fine).x.shape == (12, 3)
+    assert abs(integrate(fine, ONE) - 2 * math.pi) <= 1e-8
+    for order, panels in ((0, 1), (4, 0)):
+        with pytest.raises(ShapeError, match="order and panels must be positive"):
+            Atlas(case.geometry, case.charts, order, panels)
+
 
 def test_open_patches_and_curve_lengths():
     hemi = get_case("hemisphere").atlas(order=12, panels=2)
@@ -75,8 +99,7 @@ def test_quadrature_nodes_sit_on_the_level_set():
         case = get_case(name)
         atlas = case.atlas(order=8, panels=1)
         worst = 0.0
-        for chart in atlas.charts:
-            X, _ = chart.points(0.0)
+        for X, _ in atlas.points(0.0):
             for x in X:
                 worst = max(worst, float(np.max(np.abs(case.geometry.level_values(x, 0.0)))))
         assert worst <= 1e-12
@@ -89,17 +112,17 @@ def test_chart_points_are_computed_once_per_time_and_read_only():
         times.append(t)
         return np.array([u[0], t, 0.0])
 
-    chart = Chart([0.0], [1.0], mapping, order=3, panels=1)
-    X, meas = chart.points(0.0)
+    atlas = Atlas(get_case("circle3d").geometry, [Chart([0.0], [1.0], mapping)], order=3, panels=1)
+    [(X, meas)] = atlas.points(0.0)
     made = len(times)
-    again = chart.points(0.0)
+    [again] = atlas.points(0.0)
     assert again[0] is X and again[1] is meas
     assert len(times) == made
     with pytest.raises(ValueError):
         X[0, 0] = 1.0
     with pytest.raises(ValueError):
         meas[0] = 1.0
-    later, _ = chart.points(0.5)
+    [(later, _)] = atlas.points(0.5)
     assert len(times) > made
     np.testing.assert_array_equal(later[:, 1], 0.5)
 
@@ -195,8 +218,9 @@ def test_lower_hemisphere_boundary_runs_westward():
         return np.array([np.sin(u[0]) * np.cos(u[1]), np.sin(u[0]) * np.sin(u[1]), np.cos(u[0])])
 
     chart = Chart([0.5 * math.pi, 0.0], [math.pi, 2 * math.pi], mapping, periodic=(False, True),
-                  order=8, panels=1, boundary_sides=((0, 0),), name="south")
-    B = boundary_points(Atlas(get_case("sphere").geometry, [chart], name="south"))
+                  boundary_sides=((0, 0),), name="south")
+    B = boundary_points(Atlas(get_case("sphere").geometry, [chart], order=8, panels=1,
+                              name="south"))
     np.testing.assert_allclose(B.conormal, np.tile([0.0, 0.0, 1.0], (8, 1)), atol=1e-8)
     west = np.column_stack([B.x[:, 1], -B.x[:, 0], np.zeros(8)])
     np.testing.assert_allclose(B.tangent, west / np.linalg.norm(west, axis=1)[:, None], atol=1e-8)
@@ -389,8 +413,8 @@ def _three_sphere(a_hi=math.pi, sides=(), exact=True):
 
     chart = Chart._batched([0.0, 0.0, 0.0], [a_hi, math.pi, 2 * math.pi], mapping,
                            jacobian if exact else None, periodic=(False, False, True),
-                           order=8, panels=1, boundary_sides=sides, name="hyperspherical")
-    return Atlas(LevelSetGeometry(4, [_sphere_level(1.0)]), [chart], name="S3")
+                           boundary_sides=sides, name="hyperspherical")
+    return Atlas(LevelSetGeometry(4, [_sphere_level(1.0)]), [chart], order=8, panels=1, name="S3")
 
 
 @pytest.mark.parametrize("exact", [True, False])
@@ -431,13 +455,13 @@ def test_sheared_box_faces_take_their_conormals_off_the_face():
     shear = np.array([[1.0, 0.5, 0.25], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0]])
     chart = Chart._batched([0.0] * 3, [1.0] * 3, lambda U, t: U @ shear.T,
                            lambda U, t: np.broadcast_to(shear, U.shape[:-1] + shear.shape),
-                           order=2, panels=1, name="box",
+                           name="box",
                            boundary_sides=[(a, e) for a in range(3) for e in (0, 1)])
     plane = LevelSet(lambda x, t: x[3], lambda x, t: np.array([0.0, 0.0, 0.0, 1.0]),
                      lambda x, t: np.zeros((4, 4)))
-    atlas = Atlas(LevelSetGeometry(4, [plane]), [chart], name="box")
+    atlas = Atlas(LevelSetGeometry(4, [plane]), [chart], order=2, panels=1, name="box")
     assert abs(integrate(atlas, ONE) - 1.0) <= 1e-14
-    U, _ = chart.param_rule()
+    U, _ = chart.rule(2, 1)
     assert U.shape == (8, 3) and (np.diff(U[:, 0]) >= 0).all()  # axis 0 slowest
     B = boundary_points(atlas)
     assert B.x.shape == (24, 4)
@@ -482,7 +506,7 @@ def test_advected_atlas_follows_moving_level_set():
     atlas = case.atlas(order=8, panels=1)
     dt = 0.1
     moved = advected_atlas(atlas, case.velocity, 0.0, dt)
-    X, _ = moved.charts[0].points(dt)
+    [(X, _)] = moved.points(dt)
     worst = max(float(np.max(np.abs(case.geometry.level_values(x, dt)))) for x in X)
     assert worst <= 1e-10
     area = integrate(moved, ONE, t=dt)
@@ -508,7 +532,7 @@ def test_advected_charts_carry_the_exact_jacobian_of_the_rk4_map():
         exact = advected_atlas(atlas, w, t0, dt).charts[0]
         differenced = advected_atlas(atlas, bare, t0, dt).charts[0]
         assert exact._jacobian is not None and differenced._jacobian is None
-        U, _ = exact.param_rule()
+        U, _ = exact.rule(4, 1)
         J = exact._jacobians(U, t0 + dt)
         want = _partials(lambda V: exact._map(V, t0 + dt), U, 1e-3 * (exact.hi - exact.lo), 4)
         scale = np.abs(J).max()
@@ -519,13 +543,13 @@ def test_advected_charts_carry_the_exact_jacobian_of_the_rk4_map():
 def test_an_advected_chart_without_a_base_jacobian_differences_its_map():
     case = get_case("expanding_sphere", radius=1.0, speed=0.25)
     base = case.atlas(order=4, panels=1)
-    bare = Atlas(base.geometry, [Chart(c.lo, c.hi, c._map, periodic=c.periodic, order=4, panels=1)
-                                 for c in base.charts])
+    bare = Atlas(base.geometry, [Chart(c.lo, c.hi, c._map, periodic=c.periodic)
+                                 for c in base.charts], order=4, panels=1)
     exact = advected_atlas(base, case.velocity, 0.0, 0.1).charts[0]
     differenced = advected_atlas(bare, case.velocity, 0.0, 0.1).charts[0]
     assert case.velocity.has_gradient and exact._jacobian is not None
     assert differenced._jacobian is None
-    U, _ = exact.param_rule()
+    U, _ = exact.rule(4, 1)
     np.testing.assert_allclose(differenced._jacobians(U, 0.1), exact._jacobians(U, 0.1),
                                rtol=0, atol=1e-8)
 
@@ -596,7 +620,7 @@ def test_a_value_with_the_node_count_as_first_axis_is_read_as_per_node_values():
     assert np.shape(got) == () and got == weight[0]
     np.testing.assert_allclose(got, math.pi * 5 / 9, rtol=1e-12)  # the ends' Gauss weight 5/9 of pi
     helix = get_case("helix").atlas(order=3, panels=1)
-    _, meas = helix.charts[0].points(0.0)
+    [(_, meas)] = helix.points(0.0)
     assert meas.shape == (3,)
     got = integrate(helix, lambda X, t: np.array([1.0, 2.0, 3.0]))
     np.testing.assert_allclose(got, meas @ [1.0, 2.0, 3.0], rtol=1e-15)

@@ -10,7 +10,7 @@ import sys
 import numpy as np
 import pytest
 
-from tensorcalc import suites
+from tensorcalc import builtins, suites
 from tensorcalc.builtins import get_case
 from tensorcalc.cli import main
 from tensorcalc.fields import random_polynomial
@@ -127,19 +127,19 @@ def test_a_nan_draw_fails_the_constrained_family_without_raising(monkeypatch):
 def node_builds(monkeypatch):
     """The number of chart-node computations made during the test."""
     count = [0]
-    compute = Chart._compute_points
+    compute = Chart.points
 
-    def counting(self, t):
+    def counting(self, order, panels, t=0.0):
         count[0] += 1
-        return compute(self, t)
+        return compute(self, order, panels, t)
 
-    monkeypatch.setattr(Chart, "_compute_points", counting)
+    monkeypatch.setattr(Chart, "points", counting)
     return count
 
 
 def test_a_run_computes_each_chart_s_nodes_once(node_builds):
-    # 11 distinct charts at seed 0: the suites' atlases at two orders and the
-    # advected ones; 30 computations when every suite built its own atlases
+    # 11 at seed 0, one per chart of each distinct atlas (the suites' atlases
+    # at two orders and the advected ones); 30 when every suite built its own
     for _ in range(2):
         node_builds[0] = 0
         assert run_suite(SuiteConfig(suite="all")).passed
@@ -153,7 +153,7 @@ def test_a_session_shares_cases_and_atlases_across_suites():
     assert session.case("sphere", radius=2.0) is not sphere
     atlas = session.atlas("sphere")
     assert session.atlas(sphere) is atlas
-    assert atlas.charts[0].order == 10
+    assert atlas.order == 10
     assert session.atlas(sphere, 8) is not atlas
     assert suites.Session(session.cfg).atlas("sphere") is not atlas
 
@@ -454,12 +454,11 @@ def test_shape_groups_match_the_sorted_distinct_keys(seed):
     assert got == want
 
 
-def test_sample_points_build_no_atlas():
+def test_sample_points_build_no_atlas(monkeypatch):
     case = get_case("torus")
     want = case.sample_points(7, t=0.2, seed=3)
     built = []
-    factory = case.atlas_factory
-    case.atlas_factory = lambda *args: built.append(args) or factory(*args)
+    monkeypatch.setattr(builtins, "Atlas", lambda *args, **kwargs: built.append(args))
     got = case.sample_points(7, t=0.2, seed=3)
     assert built == []
     np.testing.assert_array_equal(got, want)
