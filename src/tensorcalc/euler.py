@@ -22,6 +22,7 @@ from .operators import (
     DiffConfig,
     covariant_gradient,
     divergence,
+    normal_field,
     project_field,
     projector_field,
     shape_operator,
@@ -110,18 +111,15 @@ def divergence_form_residual(state: EulerState, x, t: float, cfg: DiffConfig) ->
     """Pointwise residual of du/dt + Proj Div_M (u (x) u + p P) = 0."""
     geom = state.geometry
     dtu = time_partial(state.velocity, cfg).values(x, t)
-    divq = divergence(_flux_field(state), geom, cfg).values(x, t)
-    return dtu + _dot(geom._frame(x, t).P, divq, np.ndim(x) - 1)
+    return dtu + project_field(divergence(_flux_field(state), geom, cfg), geom).values(x, t)
 
 
 def convective_identity_residual(state: EulerState, x, t: float, cfg: DiffConfig) -> np.ndarray:
     """(gradcov u).u - Proj Div_M(u (x) u); zero whenever div_M u = 0."""
     geom = state.geometry
     u = state.velocity
-    nl = np.ndim(x) - 1
-    conv = _dot(covariant_gradient(u, geom, cfg).values(x, t), u.values(x, t), nl)
-    divuu = divergence(tf_outer(u, u), geom, cfg).values(x, t)
-    return conv - _dot(geom._frame(x, t).P, divuu, nl)
+    conv = _dot(covariant_gradient(u, geom, cfg).values(x, t), u.values(x, t), np.ndim(x) - 1)
+    return conv - project_field(divergence(tf_outer(u, u), geom, cfg), geom).values(x, t)
 
 
 def incompressibility(state: EulerState, x, t: float, cfg: DiffConfig):
@@ -146,12 +144,12 @@ def force_balance(atlas: Atlas, state: EulerState, cfg: DiffConfig, t: float = 0
     reaction, young = _stokes_terms(atlas, lambda X, s, v: p.values(X, s)[:, None] * v, cfg, t)
     centripetal = np.zeros(geom.n)
     for i in range(geom.m):
-        b_i = shape_operator(geom, i, cfg)
+        b_i, n_i = shape_operator(geom, i, cfg), normal_field(geom, i)
 
-        def integrand(X, s, b_i=b_i, i=i):
+        def integrand(X, s, b_i=b_i, n_i=n_i):
             uval = u.values(X, s)
             bu = _dot(_dot(uval, b_i.values(X, s), 1), uval, 1)
-            return bu[:, None] * geom._frame(X, s).normals[:, i, :]
+            return bu[:, None] * n_i.values(X, s)
 
         centripetal = centripetal + integrate(atlas, integrand, t)
     return IdentityResult(

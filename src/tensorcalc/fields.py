@@ -359,18 +359,23 @@ def tf_add(f: TensorField, g: TensorField, name: str = "") -> TensorField:
 
 
 def _transposed(f: TensorField, axes) -> TensorField:
-    """The field whose values are ``np.transpose(f, axes)`` at each point."""
+    """The field whose values are ``np.transpose(f, axes)`` at each point,
+    with its gradient and time partial transposed alike."""
     axes = tuple(axes)
 
-    def func(X, t):
-        lead = X.ndim - 1
-        return np.transpose(f.values(X, t), (*range(lead), *(lead + a for a in axes)))
+    def transposed(read):
+        def ev(X, t):
+            lead = X.ndim - 1
+            return np.transpose(read(X, t), (*range(lead), *(lead + a for a in axes)))
+
+        return ev
 
     return _field(
         f.n,
         f.q,
-        func,
+        transposed(f.values),
         grad=_Lazy(lambda: _transposed(f.gradient, axes + (f.q,))) if f.has_gradient else None,
+        dt=transposed(f.dt_values) if f.has_time_derivative else None,
         depth=f.depth,
         name=f"{f.name}^T",
     )

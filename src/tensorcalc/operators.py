@@ -39,7 +39,8 @@ fields of geometries whose frames move), for second derivatives of fields
 that have only a callable Jacobian or are built from Q or from jets of
 order 1, and for fields with no gradient at all.
 
-Every frame and jet comes from the evaluation scope
+Only ``_fed`` and the frame fields read frames and jets; the stress
+fields are ``_fed`` fields too.  Every one comes from the evaluation scope
 (``geometry._frame_scope``), so one outermost evaluation builds each once
 per point array.
 """
@@ -47,15 +48,15 @@ per point array.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import partial, reduce
 from operator import attrgetter
 
 import numpy as np
 
 from . import geometry as geo
-from .fields import TensorField, _field, _Lazy, tf_scale
+from .fields import TensorField, _field, _Lazy, tf_add, tf_outer, tf_scale
 from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry, _feed
-from .tensor import ShapeError, _central, _dot, _outer, _partials
+from .tensor import ShapeError, _central, _dot, _partials
 
 __all__ = [
     "DiffConfig",
@@ -207,6 +208,8 @@ def _fed(f: TensorField, geom: LevelSetGeometry, slots, name: str, turn: bool = 
     (``geometry._feed``) gives."""
     if f.n != geom.n:
         raise ShapeError(f"field '{f.name}' lives in R^{f.n}, the geometry in R^{geom.n}")
+    if turn and geom.n - geom.m != 2:
+        raise GeometryError("quarter turn needs codimension n - 2")
     return _fed_gradient(geom, slots, turn, [f], name)
 
 
@@ -352,8 +355,6 @@ def shape_operator(geom: LevelSetGeometry, i: int, cfg: DiffConfig) -> TensorFie
 
 def perp_field(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
     """Quarter-turn every deepest rank-1 leaf of the field."""
-    if geom.n - geom.m != 2:
-        raise GeometryError("quarter turn needs codimension n - 2")
     if f.q < 1:
         raise ShapeError("perp needs rank >= 1")
     return _fed(f, geom, (f.q - 1,), f"perp({f.name})", turn=True)
@@ -383,7 +384,8 @@ def projector_rate(geom: LevelSetGeometry, w: TensorField, cfg: DiffConfig) -> T
     derivative along w.  Requires unit-gradient (signed-distance) level
     functions; the hypothesis is checked at evaluation points.
     """
-    rates = [material_derivative(normal_field(geom, i), w, cfg) for i in range(geom.m)]
+    normals = [normal_field(geom, i) for i in range(geom.m)]
+    half = reduce(tf_add, [tf_outer(material_derivative(n_i, w, cfg), n_i) for n_i in normals])
 
     def func(X, t):
         for i, lvl in enumerate(geom.levels):
@@ -393,12 +395,7 @@ def projector_rate(geom: LevelSetGeometry, w: TensorField, cfg: DiffConfig) -> T
                     f"projector_rate needs unit level-set gradients; "
                     f"|grad d_{i}| is off 1 by {float(np.max(off)):.3e}"
                 )
-        normals = geom._frame(X, t).normals
-        out = np.zeros(X.shape[:-1] + (geom.n, geom.n))
-        for i in range(geom.m):
-            half = _outer(rates[i].values(X, t), normals[..., i, :], X.ndim - 1)
-            out += 0.5 * (half + np.swapaxes(half, -1, -2))
-        return out
+        h = half.values(X, t)  # once: each material rate differences its normal
+        return 0.5 * (h + np.swapaxes(h, -1, -2))
 
-    depth = max(r.depth for r in rates)
-    return _field(geom.n, 2, func, depth=depth, name="C[w]")
+    return _field(geom.n, 2, func, depth=half.depth, name="C[w]")

@@ -7,6 +7,10 @@ a curvature term, and equilibrium is characterized by Div_M of the
 transpose.  The torques of all rotation planes {e_i, e_j} form one
 antisymmetric matrix, whose entry (i, j) is the torque of the plane (i, j).
 
+``omega_field``, ``cross_stress`` and the torque densities feed P or the
+quarter turn Q into slots of a constant field or of the stress
+(``operators._fed``), which carries their derivatives by the product rule.
+
 The pointwise diagnostics take batches: stress values (..., n, n) with a
 frame at the same points, or points (..., n), give per-point results of
 batch shape (...), and a single point (batch shape ()) gives numbers.
@@ -18,9 +22,9 @@ from typing import Dict, Tuple
 
 import numpy as np
 
-from .fields import TensorField, _constant_array, _field, _zeros
+from .fields import TensorField, _constant_array, _field, _transposed, _zeros
 from .geometry import GeometryFrame, LevelSetGeometry
-from .operators import DiffConfig, divergence
+from .operators import DiffConfig, _fed, divergence
 from .quadrature import Atlas, IdentityResult, _stokes_terms, integrate
 from .tensor import _dot, _outer
 
@@ -40,16 +44,22 @@ __all__ = [
 ]
 
 
+def _generator_matrix(n: int, i: int, j: int) -> np.ndarray:
+    """e_i e_j^T - e_j e_i^T, the generator matrix of rotations of the (i, j) plane."""
+    if not (0 <= i < j < n):
+        raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
+    gen = np.zeros((n, n))
+    gen[i, j] = 1.0
+    gen[j, i] = -1.0
+    return gen
+
+
 def rotation_generator(n: int, i: int, j: int) -> TensorField:
     """l_ij = x_i e_j - x_j e_i, the generator of rotations of the (i, j) plane.
 
     Its gradient is a constant field, so analytic mode takes its second
     derivatives (zero) without differences."""
-    if not (0 <= i < j < n):
-        raise ValueError(f"need 0 <= i < j < n, got ({i}, {j})")
-    jac = np.zeros((n, n))
-    jac[j, i] = 1.0
-    jac[i, j] = -1.0
+    jac = _generator_matrix(n, i, j).T
 
     def func(X, t):
         out = np.zeros(X.shape)
@@ -64,66 +74,28 @@ def rotation_generator(n: int, i: int, j: int) -> TensorField:
 
 
 def omega_field(geom: LevelSetGeometry, i: int, j: int) -> TensorField:
-    """omega_ij = e_i (x) P_j - e_j (x) P_i built from rows of the projector."""
-    n = geom.n
-
-    def func(X, t):
-        P = geom._frame(X, t).P
-        out = np.zeros(P.shape)
-        out[..., i, :] = P[..., j, :]
-        out[..., j, :] = -P[..., i, :]
-        return out
-
-    grad = None
-    if geom.has_jet():
-
-        def grad(X, t):
-            Pd = geom._jet(X, t).P_d
-            out = np.zeros(Pd.shape)
-            out[..., i, :, :] = Pd[..., j, :, :]
-            out[..., j, :, :] = -Pd[..., i, :, :]
-            return out
-
-    return _field(n, 2, func, grad=grad, name=f"omega_{i}{j}")
+    """omega_ij = e_i (x) P_j - e_j (x) P_i: the plane's generator matrix
+    with P fed into its second slot."""
+    gen = _constant_array(geom.n, _generator_matrix(geom.n, i, j), f"e_{i}^e_{j}")
+    return _fed(gen, geom, (1,), f"omega_{i}{j}")
 
 
 def transpose_field(f: TensorField) -> TensorField:
     if f.q != 2:
         raise ValueError("transpose_field needs a rank-2 field")
-    grad = None
-    if f.has_gradient:
-        grad = lambda X, t: np.swapaxes(f.gradient_values(X, t), -3, -2)
-    dt = None
-    if f.has_time_derivative:
-        dt = lambda X, t: np.swapaxes(f.dt_values(X, t), -2, -1)
-    return _field(
-        f.n, 2, lambda X, t: np.swapaxes(f.values(X, t), -2, -1), grad=grad, dt=dt,
-        depth=f.depth, name=f"{f.name}^T",
-    )
+    return _transposed(f, (1, 0))
 
 
 def cross_stress(geom: LevelSetGeometry) -> TensorField:
-    """sigma_ab = eps_abk n_k on a surface in R^3.
+    """sigma = -Q, the identity with the quarter turn Q fed into its last
+    slot, on a submanifold of codimension n - 2.  On a surface in R^3 this
+    is sigma_ab = eps_abk n_k.
 
     Divergence-free and tangential-on-tangential, with zero net force and
     torque on a closed surface; a handy non-symmetric test stress.
     """
-    if geom.n != 3 or geom.m != 1:
-        raise ValueError("cross_stress is specific to surfaces in R^3")
-    eps = np.zeros((3, 3, 3))
-    for a, b, c, s in ((0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1), (0, 2, 1, -1), (2, 1, 0, -1), (1, 0, 2, -1)):
-        eps[a, b, c] = s
-
-    def func(X, t):
-        return np.einsum("abc,...c->...ab", eps, geom._frame(X, t).normals[..., 0, :])
-
-    grad = None
-    if geom.has_jet():
-
-        def grad(X, t):
-            return np.einsum("abc,...ck->...abk", eps, geom._jet(X, t).normals_d[..., 0, :, :])
-
-    return _field(3, 2, func, grad=grad, name="cross-stress")
+    identity = _constant_array(geom.n, np.eye(geom.n), "I")
+    return _fed(identity, geom, (1,), "cross-stress", turn=True)
 
 
 def stress_force(atlas: Atlas, sigma: TensorField, cfg: DiffConfig, t: float = 0.0) -> np.ndarray:
@@ -170,10 +142,10 @@ def _torque_density(atlas: Atlas, a_field: TensorField, cfg: DiffConfig, t: floa
     the antisymmetric part of A P, as in ``omega_pairings``."""
     geom = atlas.geometry
     div_a = divergence(a_field, geom, cfg)
+    a_p = _fed(a_field, geom, (1,), f"{a_field.name}P")
 
     def density(X, s):
-        return _wedge(X, div_a.values(X, s)) - _antisymmetric(
-            a_field.values(X, s) @ geom._frame(X, s).P)
+        return _wedge(X, div_a.values(X, s)) - _antisymmetric(a_p.values(X, s))
 
     return np.asarray(integrate(atlas, density, t))
 
@@ -184,10 +156,7 @@ def torque_equivalence(
     """m_K = int l_K . Div_M sigma-bar - int omega_K : sigma-bar in every
     rotation plane K at once: ``lhs`` and ``rhs`` are antisymmetric (n, n)
     matrices whose entry (i, j) belongs to the plane (i, j)."""
-    return IdentityResult(
-        lhs=stress_torque(atlas, sigma, cfg, t),
-        rhs=_torque_density(atlas, transpose_field(sigma), cfg, t),
-    )
+    return generator_identity(atlas, transpose_field(sigma), cfg, t)
 
 
 def generator_identity(

@@ -90,6 +90,16 @@ def test_combinator_second_derivatives_match_fd4(seed, a, b):
     _assert_exact_gradient(cartesian_gradient(h, AN), points)
 
 
+
+def test_the_gradient_of_an_outer_product_has_a_time_partial(rng):
+    """grad(f (x) g) moves grad f's derivative slot last by a transpose,
+    which carries the time partial: zero for polynomials."""
+    f, g = random_polynomial(3, 1, rng), random_polynomial(3, 2, rng)
+    grad = cartesian_gradient(tf_outer(f, g), AN)
+    assert grad.has_time_derivative
+    X = rng.standard_normal((4, 3))
+    np.testing.assert_array_equal(grad.dt_values(X, 0.5), np.zeros((4,) + (3,) * 4))
+
 def _logged_field(f, seen, depth=3):
     """f, with every evaluation of it and of its first gradients logged."""
     grad = _logged_field(f.gradient, seen, depth - 1) if depth and f.has_gradient else None

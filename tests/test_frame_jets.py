@@ -37,7 +37,7 @@ from tensorcalc.operators import (
     surface_curl,
     time_partial,
 )
-from tensorcalc.stress import rotation_generator
+from tensorcalc.stress import cross_stress, rotation_generator
 from tensorcalc.tensor import Tensor, _central, _partials
 
 AN = DiffConfig(mode="analytic")
@@ -331,8 +331,11 @@ def test_frame_fed_fields_carry_the_providers_of_the_product_rule(op, geometry, 
 
 def test_the_quarter_turn_needs_codimension_n_minus_2(rng):
     for geometry in ("helix", "turning curve"):
+        geom = _provider_geometry(geometry)[0]
         with pytest.raises(GeometryError, match="codimension"):
-            perp_field(_random_timed(1, rng), _provider_geometry(geometry)[0], AN)
+            perp_field(_random_timed(1, rng), geom, AN)
+        with pytest.raises(GeometryError, match="codimension"):
+            cross_stress(geom)
 
 
 # -- the evaluation scope ------------------------------------------------------------

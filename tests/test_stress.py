@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tensorcalc.builtins import get_case
-from tensorcalc.fields import random_polynomial
-from tensorcalc.geometry import GeometryFrame, frame_from_normals
+from tensorcalc.fields import TensorField, random_polynomial
+from tensorcalc.geometry import GeometryFrame, LevelSet, LevelSetGeometry, frame_from_normals
 from tensorcalc.operators import DiffConfig, divergence, mean_curvature, projector_field
 from tensorcalc.quadrature import integrate, integrate_boundary
 from tensorcalc.stress import (
@@ -44,6 +44,14 @@ def test_rotation_generator_values():
         rotation_generator(3, 1, 1)
 
 
+@pytest.mark.parametrize("plane", [(1, 1), (-1, 0), (0, 3), (1, 0)])
+def test_omega_field_rejects_the_planes_rotation_generator_rejects(plane):
+    geom = get_case("sphere").geometry
+    for build in (rotation_generator, lambda n, i, j: omega_field(geom, i, j)):
+        with pytest.raises(ValueError, match="0 <= i < j < n"):
+            build(3, *plane)
+
+
 def test_transpose_field_insertion_invariant(rng):
     """insert_right of the transpose equals insert_left of the original."""
     sigma = random_polynomial(3, 2, rng, degree=2)
@@ -53,6 +61,22 @@ def test_transpose_field_insertion_invariant(rng):
     lhs = Tensor(3, bar.values(x, 0.0)).insert_right(v)
     rhs = Tensor(3, sigma.values(x, 0.0)).insert_left(v)
     np.testing.assert_allclose(lhs.array, rhs.array, atol=1e-12)
+
+
+def test_transpose_field_transposes_the_time_partial_and_gradient(rng):
+    a = rng.normal(size=(3, 3, 3))
+    sigma = TensorField(3, 2, lambda x, t: np.sin(t) * (a @ x), grad=lambda x, t: np.sin(t) * a,
+                        dt=lambda x, t: np.cos(t) * (a @ x))
+    bar = transpose_field(sigma)
+    x = rng.normal(size=(4, 3))
+    np.testing.assert_array_equal(bar.dt_values(x, 0.3),
+                                  np.swapaxes(sigma.dt_values(x, 0.3), -1, -2))
+    np.testing.assert_array_equal(bar.gradient_values(x, 0.3),
+                                  np.swapaxes(sigma.gradient_values(x, 0.3), -3, -2))
+    # a polynomial's gradients carry time partials, and so do the transpose's
+    grad = transpose_field(random_polynomial(3, 2, rng)).gradient
+    assert grad.has_time_derivative
+    np.testing.assert_array_equal(grad.dt_values(x, 0.3), np.zeros((4, 3, 3, 3)))
 
 
 def test_omega_field_is_antisymmetric_projector_pairing():
@@ -147,6 +171,42 @@ def test_cross_stress_is_equilibrated():
     torque = stress_torque(atlas, sigma, AN)
     for plane in PLANES:
         assert abs(torque[plane]) <= 1e-10
+
+
+def test_omega_field_and_cross_stress_have_zero_time_partials():
+    """Both feed a frame matrix into a constant field, and the sphere's
+    frames do not depend on t."""
+    case = get_case("sphere")
+    X = case.sample_points(4)
+    for f in (omega_field(case.geometry, 0, 2), cross_stress(case.geometry)):
+        for part in (f, f.gradient):
+            assert part.has_time_derivative, part.name
+            np.testing.assert_array_equal(part.dt_values(X, 0.3), np.zeros((4,) + (3,) * part.q))
+
+
+def _clifford_torus() -> LevelSetGeometry:
+    """|x_01| = |x_23| = 1/sqrt(2) in R^4, a flat torus of codimension 2."""
+
+    def level(axes):
+        mask = np.isin(np.arange(4), axes).astype(float)
+        return LevelSet(lambda x, t: x @ (mask * x) - 0.5, lambda x, t: 2.0 * mask * x,
+                        lambda x, t: 2.0 * np.diag(mask), third=lambda x, t: np.zeros((4, 4, 4)),
+                        static_gradient=True)
+
+    return LevelSetGeometry(4, [level((0, 1)), level((2, 3))], name="clifford-torus")
+
+
+@pytest.mark.parametrize("cfg,tol", [(AN, 1e-14), (FD2, 1e-9)], ids=["analytic", "fd2"])
+def test_cross_stress_in_codimension_2(cfg, tol, rng):
+    """sigma = -Q on a surface in R^4: tangential on tangential cuts, and
+    Div_M of its transpose vanishes."""
+    geom = _clifford_torus()
+    a, b = rng.uniform(0.0, 2.0 * np.pi, (2, 4))
+    X = np.stack([np.cos(a), np.sin(a), np.cos(b), np.sin(b)], axis=-1) / np.sqrt(2.0)
+    sigma = cross_stress(geom)
+    assert np.max(normal_at_tangential(sigma.values(X), geom.frame_at(X))) <= 1e-14
+    div_bar = divergence(transpose_field(sigma), geom, cfg).values(X)
+    assert np.max(np.abs(div_bar)) <= tol
 
 
 def test_cross_stress_is_tangential_but_asymmetric():
@@ -245,12 +305,13 @@ def test_equilibrium_diagnostics_on_projector():
     assert np.min(np.linalg.norm(diag["div_transpose"], axis=-1)) > 0.1
 
 
-@pytest.mark.parametrize("plane", PLANES)
+@pytest.mark.parametrize("plane", PLANES + [None])
 def test_omega_field_gradient_matches_fd4_of_its_values(plane):
-    """The analytic gradient of omega_ij on the torus against fourth-order
-    differences of its values, derivative slot last."""
+    """The analytic gradient of omega_ij (of the cross stress at plane None)
+    on the torus against fourth-order differences of its values, derivative
+    slot last."""
     case = get_case("torus")
-    om = omega_field(case.geometry, *plane)
+    om = omega_field(case.geometry, *plane) if plane else cross_stress(case.geometry)
     assert om.has_gradient
     X = case.sample_points(4, seed=2)
     h = 1e-3

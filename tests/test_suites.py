@@ -92,6 +92,17 @@ def test_every_suite_passes_on_every_geometry_it_accepts(suite, geometry):
     assert report.checks and report.passed
 
 
+
+@pytest.mark.parametrize("radius", [2.0, 0.7])
+def test_the_laplacian_rows_hold_at_every_radius(radius):
+    """On a sphere of radius R the rotation field has lap-cov u = -u / R^2
+    and energy 8 pi R^2 / 3, so every row runs: four per-mode rows in each
+    of fd2 and analytic, and the two pairings."""
+    report = run_suite(SuiteConfig(suite="laplacian", geometry="sphere",
+                                   geom_params={"radius": radius}))
+    assert len(report.checks) == 10
+    assert [c.id for c in report.checks if not c.passed] == []
+
 def test_a_nan_residual_fails_its_check():
     worst = suites._Worst("a", "b")
     worst.note("a", np.array([np.nan]))
