@@ -157,10 +157,12 @@ class GeometryFrame:
     """Frame at a batch of points: orthonormal normals and the two projectors.
 
     ``x`` has shape (..., n) and ``normals`` (..., m, n); ``N`` and ``P``
-    are (..., n, n) arrays with N = sum_i n_i n_i^T and P = I - N.
+    are (..., n, n) arrays with N = sum_i n_i n_i^T and P = I - N.  The
+    quarter turn of a frame of codimension n - 2 is built once, by the
+    first ``perp_matrix`` call, and kept on the frame.
     """
 
-    __slots__ = ("x", "t", "normals", "N", "P")
+    __slots__ = ("x", "t", "normals", "N", "P", "_Q")
 
     def __init__(self, x: np.ndarray, t: float, normals: np.ndarray) -> None:
         self.x = np.asarray(x, dtype=float)
@@ -168,6 +170,7 @@ class GeometryFrame:
         self.normals = np.asarray(normals, dtype=float)
         self.N = self.normals.swapaxes(-1, -2) @ self.normals
         self.P = _identity(self.x.shape[-1]) - self.N
+        self._Q = None
 
     @property
     def n(self) -> int:
@@ -333,15 +336,15 @@ class _frame_scope:
     which does not write its point arrays.  Its ``recent`` store keeps the
     frames of the ``_RECENT`` point arrays asked about last, most recent
     first: the nested layers of an operator ask at the same array, or at
-    the array of the stencil pair they are part of, so older arrays (pairs
-    done with) are not asked about again.  A run opens a scope
-    with ``keep=True``, whose ``kept`` store keeps, for every evaluation
-    inside it, the frames of the point arrays that are read-only and own
-    their data (chart nodes, boundary batches): nothing can write them.  A
-    read-only view goes to ``recent``, as its base may be written.  Each
-    entry maps (geometry, t) to a frame or jet and holds its point array,
-    so no entry outlives its array, and the stores empty when their scope
-    closes.
+    the array of the stencil axis they are part of (all of that axis's
+    offsets), so older arrays (axes done with) are not asked about again.
+    A run opens a scope with ``keep=True``, whose ``kept`` store keeps, for
+    every evaluation inside it, the frames of the point arrays that are
+    read-only and own their data (chart nodes, boundary batches): nothing
+    can write them.  A read-only view goes to ``recent``, as its base may
+    be written.  Each entry maps (geometry, t) to a frame or jet and holds
+    its point array, so no entry outlives its array, and the stores empty
+    when their scope closes.
     """
 
     __slots__ = ("keep", "kept", "recent", "_token")
@@ -594,10 +597,15 @@ def perp(frame: GeometryFrame, u) -> np.ndarray:
 
 
 def perp_matrix(frame: GeometryFrame) -> np.ndarray:
-    """Matrix Q with Q u = perp(u); Q = t2 t1^T - t1 t2^T."""
-    t1, t2 = tangent_basis(frame)
-    nl = t1.ndim - 1
-    return _outer(t2, t1, nl) - _outer(t1, t2, nl)
+    """Matrix Q with Q u = perp(u); Q = t2 t1^T - t1 t2^T.  It is built once
+    per frame and kept on it, read-only."""
+    if frame._Q is None:
+        t1, t2 = tangent_basis(frame)
+        nl = t1.ndim - 1
+        Q = _outer(t2, t1, nl) - _outer(t1, t2, nl)
+        Q.flags.writeable = False
+        frame._Q = Q
+    return frame._Q
 
 
 def _perp_matrix_derivative(Q: np.ndarray, P_d: np.ndarray) -> np.ndarray:

@@ -11,8 +11,9 @@ The derivative slot of a gradient is always the deepest (last) axis, so
 
 Every evaluator takes a batch of points X of shape (..., n).  The
 finite-difference step is chosen per point, and a gradient differences
-along every axis with ``tensor._partials``, one batched call per symmetric
-pair of offsets.
+along every axis with ``tensor._partials``, one batched call per axis on
+all of its offsets, so each nested level multiplies the batch by 2 (fd2)
+or 4 (fd4).
 
 In analytic mode, derived fields carry exact gradients wherever their
 ingredients have them (geometry providers need analytic level-set

@@ -19,9 +19,10 @@ or with ``lead`` leading axes a batch of them.  Its operations call the
 primitives at ``nl = lead`` after their rank, shape and finiteness checks.
 
 Every centered difference of the library is one stencil, ``_difference``,
-written as a sum over symmetric pairs of offsets.  ``_partials`` makes one
-batched call per axis and pair, on the 2N points x + j h e_k and
-x - j h e_k, so nested differences double their batch at each level;
+a sum over symmetric pairs of offsets applied to the values at its
+offsets.  ``_partials`` makes one batched call per axis, on all of that
+axis's offsets at once: the 2N (fd2) or 4N (fd4) points x + j h e_k, so
+nested differences multiply their batch by 2 or 4 at each level.
 ``_central`` makes one call per offset.
 """
 
@@ -92,23 +93,27 @@ def _looped(func, shape, what: str = "callable"):
     return batched
 
 
-def _difference(pair, order: int):
+# the offsets of the stencil of each order, in steps, in the order of the
+# values that ``_difference`` takes
+_OFFSETS = {2: (1, -1), 4: (2, -2, 1, -1)}
+
+
+def _difference(vals, order: int):
     """The one stencil of the library, the centered difference of order 2 or
-    4, as its numerator and its denominator in steps.  It is a sum over
-    symmetric pairs, sum_j w_j (g(j) - g(-j)) with w = (1) or (8, -1)
-    (Fornberg 1988); ``pair(j)`` gives the two values (g(j), g(-j)), and the
-    fourth order sums -g(2) + 8 g(1) - 8 g(-1) + g(-2) in that order."""
+    4, as its numerator and its denominator in steps.  ``vals`` holds the
+    values g(j) at the offsets ``_OFFSETS[order]`` along its first axis, and
+    the stencil sums symmetric pairs, sum_j w_j (g(j) - g(-j)) with w = (1)
+    or (8, -1) (Fornberg 1988); the fourth order sums
+    -g(2) + 8 g(1) - 8 g(-1) + g(-2) in that order."""
     if order == 2:
-        plus, minus = pair(1)
-        return plus - minus, 2
-    (plus2, minus2), (plus1, minus1) = pair(2), pair(1)
-    return -plus2 + 8 * plus1 - 8 * minus1 + minus2, 12
+        return vals[0] - vals[1], 2
+    return -vals[0] + 8 * vals[2] - 8 * vals[3] + vals[1], 12
 
 
 def _central(g, h, order: int = 2):
     """Centered difference in one variable: ``g(s)`` is the value s steps of
     size h away, and h a number or an array that broadcasts against it."""
-    num, span = _difference(lambda j: (g(j), g(-j)), order)
+    num, span = _difference([g(s) for s in _OFFSETS[order]], order)
     return num / (span * h)
 
 
@@ -117,25 +122,20 @@ def _partials(g, x, h, order: int = 2):
     (..., d), stacked as a new last axis: values (...) + V give
     (...) + V + (d,).
 
-    ``g`` maps points (N, d) to values (N,) + V.  It is called once per
-    axis k and symmetric pair j, on the N points x + j h_k e_k followed by
-    the N points x - j h_k e_k, so a nested stencil doubles its batch at
-    each level.  ``h`` is an array of steps per point and axis that
-    broadcasts against x, such as (..., 1) or (d,)."""
+    ``g`` maps points (M, d) to values (M,) + V.  It is called once per axis
+    k, on the N points x + j h_k e_k for each offset j of ``_OFFSETS``, one
+    block after another: 2N points for fd2 and 4N for fd4, so a nested
+    stencil multiplies its batch by 2 or 4 at each level.  ``h`` is an
+    array of steps per point and axis that broadcasts against x, such as
+    (..., 1) or (d,)."""
     d = x.shape[-1]
     steps = h[..., None] * _identity(d)  # steps[..., k, :] = h_k e_k
+    offsets = np.array(_OFFSETS[order], dtype=float).reshape((-1,) + (1,) * max(x.ndim, h.ndim))
     out = None
     for k in range(d):
-        e = steps[..., k, :]
-
-        def pair(j):
-            s = e if j == 1 else j * e
-            both = np.stack((x + s, x - s))
-            vals = g(both.reshape(-1, d))
-            vals = vals.reshape(both.shape[:-1] + vals.shape[1:])
-            return vals[0], vals[1]
-
-        col, span = _difference(pair, order)
+        points = x + offsets * steps[..., k, :]  # one block of points per offset
+        vals = g(points.reshape(-1, d))
+        col, span = _difference(vals.reshape(points.shape[:-1] + vals.shape[1:]), order)
         if out is None:
             out = np.empty(np.shape(col) + (d,))
         out[..., k] = col

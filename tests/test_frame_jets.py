@@ -449,17 +449,20 @@ def test_outside_a_scope_every_request_builds(builds):
     assert builds == {"frame_at": 2, "frame_derivative_at": 1}
 
 
-@pytest.mark.parametrize("mode, calls, frames", [("fd2", 18, 4), ("fd4", 51, 7)])
+@pytest.mark.parametrize("mode, batch, deep_batch", [("fd2", 4, 8), ("fd4", 16, 64)])
 def test_nested_stencils_at_one_point_pin_their_calls_and_batches(builds, monkeypatch, mode,
-                                                                  calls, frames, rng):
+                                                                  batch, deep_batch, rng):
     """The cost and memory of nested differences at one point on the sphere.
-    Each stencil calls its field once per axis and symmetric pair, on the
-    pair's two points per point, so the batch doubles at each level: a
-    depth-2 Laplacian makes 18 (fd2) or 51 (fd4) ``values`` calls and builds
-    4 or 7 frames, and its leaf field sees at most 4 points; a depth-3 stack
-    sees at most 8.  (One call per offset took 51 or 171 calls, 7 or 13
-    frames and 1 point.)  A stencil that stacks more offsets in one call
-    changes these numbers, and has to say what its batches cost in memory."""
+    Each stencil calls its field once per axis, on all of that axis's
+    offsets at once: 2 (fd2) or 4 (fd4) points per point, so the batch grows
+    2 or 4 times at each level.  A depth-2 Laplacian makes 18 ``values``
+    calls and builds 4 frames in both orders, and its leaf field sees at
+    most 4 (fd2) or 16 (fd4) points; a depth-3 stack sees at most 8 or 64,
+    so the leaf's values take 4^3 = 64 times the memory of one point's in
+    fd4.  (One call per symmetric pair took 51 fd4 calls and 7 frames, and
+    one call per offset 51 or 171 calls, 7 or 13 frames and 1 point.)  A
+    stencil that stacks more offsets in one call changes these numbers, and
+    has to say what its batches cost in memory."""
     geom = get_case("sphere").geometry
     leaf = random_polynomial(3, 0, rng)
     x = np.array([0.36, 0.48, 0.8])
@@ -475,8 +478,8 @@ def test_nested_stencils_at_one_point_pin_their_calls_and_batches(builds, monkey
     monkeypatch.setattr(TensorField, "values", counting)
     cfg = DiffConfig(mode=mode)
     got = laplacian(leaf, geom, cfg).values(x)
-    assert seen == {"calls": calls, "batch": 4}
-    assert builds == {"frame_at": frames, "frame_derivative_at": 0}
+    assert seen == {"calls": 18, "batch": batch}
+    assert builds == {"frame_at": 4, "frame_derivative_at": 0}
     np.testing.assert_allclose(got, laplacian(leaf, geom, AN).values(x), atol=1e-6)
 
     deep = divergence(submanifold_gradient(submanifold_gradient(leaf, geom, cfg), geom, cfg),
@@ -484,7 +487,7 @@ def test_nested_stencils_at_one_point_pin_their_calls_and_batches(builds, monkey
     assert deep.depth == 3
     seen["batch"] = 0
     deep.values(x)
-    assert seen["batch"] == 8
+    assert seen["batch"] == deep_batch
 
 
 # -- non-finite values raise ---------------------------------------------------------

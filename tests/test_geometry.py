@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from tensorcalc import geometry
 from tensorcalc.builtins import get_case
 from tensorcalc.geometry import (
     GeometryError,
@@ -24,6 +25,7 @@ from tensorcalc.geometry import (
     project,
     tangent_basis,
 )
+from tensorcalc.suites import SuiteConfig, run_suite
 from tensorcalc.tensor import Tensor, frobenius, outer, random_tensor
 
 
@@ -227,6 +229,26 @@ def test_perp_matrix_agrees_with_perp(rng):
         np.testing.assert_allclose(Q @ u, perp(fr, u), atol=1e-12)
         np.testing.assert_allclose(Q @ Q, -fr.P, atol=1e-12)
         np.testing.assert_allclose(Q.T, -Q, atol=1e-12)
+
+
+def test_the_quarter_turn_is_built_once_per_frame(monkeypatch):
+    """perp_matrix keeps Q on its frame, read-only; a stress pass builds it
+    once on each frame it asks at."""
+    built = []
+    basis = geometry.tangent_basis
+    monkeypatch.setattr(geometry, "tangent_basis", lambda fr: built.append(fr) or basis(fr))
+    geom = get_case("sphere").geometry
+    X = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])
+    fr = geom.frame_at(X)
+    Q = perp_matrix(fr)
+    assert perp_matrix(fr) is Q and not Q.flags.writeable
+    again = perp_matrix(geom.frame_at(X))
+    np.testing.assert_array_equal(again, Q)
+    assert len(built) == 2 and built[0] is fr and built[1] is not fr
+
+    built.clear()
+    assert run_suite(SuiteConfig(suite="stress")).passed
+    assert built and len(built) == len({id(fr) for fr in built})
 
 
 def test_tangent_basis_with_parallel_projector_columns():

@@ -55,7 +55,8 @@ def test_central_stencil_is_exact_on_polynomials_of_its_order(order, rng):
     """fd2 differentiates quadratics and fd4 quartics up to rounding: _central
     with a step array of shape (k, 1) against vector values (k, 3), one call
     per offset, and _partials along every axis of points (k, 3), one call
-    per axis and symmetric pair on the 2k points x + j h e_k, x - j h e_k."""
+    per axis on the 2Jk points x + j h e_k for the offsets j = 1, -1 (fd2)
+    or 2, -2, 1, -1 (fd4), one block of k points per offset."""
     x = rng.normal(size=(4, 1))
     h = np.array([[0.05], [0.1], [0.2], [0.4]])
     c = rng.normal(size=(order + 1, 3))  # p(y) = sum_d c[d] y^d, three components
@@ -86,16 +87,53 @@ def test_central_stencil_is_exact_on_polynomials_of_its_order(order, rng):
 
     want = np.stack([order * (y @ a)[:, None] ** (order - 1) * a,
                      order * (y @ b)[:, None] ** (order - 1) * b + c], axis=1)
-    pairs = [(k, j) for k in range(3) for j in ((1,) if order == 2 else (2, 1))]
+    offsets = (1, -1) if order == 2 else (2, -2, 1, -1)
     for steps in (h, np.array([0.05, 0.1, 0.2])):
         calls.clear()
         got = _partials(q, y, steps, order)
         assert got.shape == (4, 2, 3)
-        assert [Y.shape for Y in calls] == [(8, 3)] * (3 * order // 2)
-        for Y, (k, j) in zip(calls, pairs):
-            shift = j * np.broadcast_to(steps, y.shape)[:, k, None] * np.eye(3)[k]
-            np.testing.assert_array_equal(Y, np.concatenate([y + shift, y - shift]))
+        assert [Y.shape for Y in calls] == [(4 * len(offsets), 3)] * 3
+        for k, Y in enumerate(calls):
+            shift = np.broadcast_to(steps, y.shape)[:, k, None] * np.eye(3)[k]
+            np.testing.assert_array_equal(Y, np.concatenate([y + j * shift for j in offsets]))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-11)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), d=st.integers(1, MAX_AMBIENT_DIM),
+       lead=st.sampled_from([(), (0,), (3,), (2, 2)]), per_point=st.booleans(),
+       order=st.sampled_from([2, 4]), scalar_values=st.booleans())
+def test_partials_equal_a_loop_over_offsets_bit_for_bit(data, d, lead, per_point, order,
+                                                        scalar_values):
+    """_partials, which calls g once per axis on all of its offsets, gives
+    the same bits as one call per offset summed by the stencil's weights,
+    for a g that acts elementwise, so that its batch cannot change a value."""
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**16), label="seed"))
+    x = gen.standard_normal(lead + (d,))
+    h = gen.uniform(1e-6, 0.1, size=lead + (1,) if per_point else (d,))
+
+    def g(Y):
+        if scalar_values:
+            return Y[:, 0] * Y[:, -1] + Y[:, 0]
+        return np.stack([Y * Y[:, ::-1], Y * Y * Y - Y[:, :1]], axis=1)
+
+    steps = np.broadcast_to(h, x.shape)
+    value_shape = () if scalar_values else (2, d)
+    cols = []
+    for k in range(d):
+        at = {}
+        for j in (1, -1) if order == 2 else (2, -2, 1, -1):
+            y = x.copy()
+            y[..., k] = x[..., k] + j * steps[..., k]
+            at[j] = g(y.reshape(-1, d)).reshape(lead + value_shape)
+        if order == 2:
+            num, span = at[1] - at[-1], 2
+        else:
+            num, span = -at[2] + 8 * at[1] - 8 * at[-1] + at[-2], 12
+        cols.append(num / (span * steps[..., k][(Ellipsis,) + (None,) * len(value_shape)]))
+    got = _partials(g, x, h, order)
+    assert got.shape == lead + value_shape + (d,)
+    np.testing.assert_array_equal(got, np.stack(cols, axis=-1))
 
 
 def test_evaluate_matches_brute_force(rng):
