@@ -27,7 +27,6 @@ from .tensor import (
     zeros,
 )
 from .geometry import (
-    FrameJet,
     GeometryError,
     GeometryFrame,
     LevelSet,

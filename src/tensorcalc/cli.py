@@ -136,10 +136,6 @@ def _merge_options(args: argparse.Namespace) -> Tuple[SuiteConfig, Optional[str]
             merged[key] = _parse_mapping(flag, key.replace("_", "-"))
         else:
             merged[key] = flag
-    if merged["geometry"] is not None and merged["geometry"] not in available():
-        raise UsageError(
-            f"unknown geometry '{merged['geometry']}' (known: {', '.join(available())})"
-        )
     out = merged.pop("out")
     return SuiteConfig(**merged), out
 
@@ -222,7 +218,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.command == "convergence":
             return cmd_convergence(args)
         return cmd_list(args)
-    except (UsageError, SuiteError, KeyError) as exc:
+    except (UsageError, SuiteError) as exc:
         message = exc.args[0] if exc.args else str(exc)
         print(f"error: {message}", file=sys.stderr)
         return 2

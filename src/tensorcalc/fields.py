@@ -23,9 +23,9 @@ so operators nest.
 values; the step-size policy for further differentiation keys off it.
 
 The outermost evaluation of a field opens a frame scope
-(``geometry._frame_scope``), so every frame and frame jet that the nested
-evaluations below it ask for is built once per point array, and raises
-ValueError where its values are not finite.
+(``geometry._frame_scope``), so every frame that the nested evaluations
+below it ask for is built once per point array, and raises ValueError
+where its values are not finite.
 """
 
 from __future__ import annotations

@@ -13,19 +13,20 @@ a single point is a batch of shape ().  The callables of a public
 ``LevelSet`` are pointwise and run behind a looping adapter; the built-in
 geometries use batch-native level functions (``LevelSet._batched``).
 
-``frame_derivative_at`` builds a frame jet: the exact derivatives of the
-normals and projectors, forward-propagated through the frames' own
-Gram-Schmidt from the level functions' derivatives.  Its first order needs
-their Hessians, its second order their third derivatives (``third``).  A
-geometry whose level functions all state ``static_gradient`` has frames
-that do not depend on t (``has_static_frames``): the time partials of its
-frame fields are zero.
+``frame_derivative_at`` builds a frame of order 1 or 2, which also holds
+the exact derivatives of its normals and projectors (``P_d``, ``P_dd``),
+forward-propagated through the frame's own Gram-Schmidt from the level
+functions' derivatives.  The first order needs their Hessians, the second
+their third derivatives (``third``).  A geometry whose level functions all
+state ``static_gradient`` has frames that do not depend on t
+(``has_static_frames``): the time partials of its frame fields are zero.
 
 Inside one evaluation scope (``_frame_scope``, opened by the outermost
-evaluation of a field and by a suite run) a frame or jet is built once per
-(geometry, point array, t): ``LevelSetGeometry._frame`` and ``_jet`` look
-it up before building.  The library's evaluators go through them; the public
-``frame_at`` and ``frame_derivative_at`` always build.
+evaluation of a field and by a suite run) a frame is built once per
+(geometry, point array, t), at the highest order asked for there:
+``LevelSetGeometry._frame`` looks it up before building.  The library's
+evaluators go through it; the public ``frame_at`` and
+``frame_derivative_at`` always build.
 
 Tangential projection feeds P into one tensor slot per pass with the
 batched primitive ``tensor._apply_to_slot``, over any leading batch axes:
@@ -52,7 +53,6 @@ __all__ = [
     "LevelSet",
     "LevelSetGeometry",
     "GeometryFrame",
-    "FrameJet",
     "frame_from_normals",
     "project",
     "is_tangent",
@@ -92,14 +92,14 @@ class LevelSet:
     and the Hessian a second-order one of the gradient, at the nested step
     when that gradient is itself a difference.  ``third[a, b, k]``, the
     derivative of the Hessian entry (a, b) along x_k, is the optional
-    provider of the second order of frame jets, which has no difference
-    fallback.  ``static_gradient`` states that the gradient does not depend
-    on t (a geometry that moves along its normals, such as a sphere whose
-    radius changes), so neither do the normals: their time partials are
-    exactly zero.  All callables are pointwise, take (x, t) even when the
-    constraint is static, and return a number, an (n,) array, an (n, n)
-    array and an (n, n, n) array.  The methods ``value``, ``gradient`` and
-    ``hessian`` take batches of points (..., n).
+    provider of the second order of frame derivatives, which has no
+    difference fallback.  ``static_gradient`` states that the gradient
+    does not depend on t (a geometry that moves along its normals, such as
+    a sphere whose radius changes), so neither do the normals: their time
+    partials are exactly zero.  All callables are pointwise, take (x, t)
+    even when the constraint is static, and return a number, an (n,) array,
+    an (n, n) array and an (n, n, n) array.  The methods ``value``,
+    ``gradient`` and ``hessian`` take batches of points (..., n).
     """
 
     def __init__(
@@ -154,23 +154,41 @@ class LevelSet:
 
 
 class GeometryFrame:
-    """Frame at a batch of points: orthonormal normals and the two projectors.
+    """Frame at a batch of points: orthonormal normals, the two projectors
+    and, up to the frame's ``order``, their exact spatial derivatives.
 
     ``x`` has shape (..., n) and ``normals`` (..., m, n); ``N`` and ``P``
-    are (..., n, n) arrays with N = sum_i n_i n_i^T and P = I - N.  The
-    quarter turn of a frame of codimension n - 2 is built once, by the
-    first ``perp_matrix`` call, and kept on the frame.
+    are (..., n, n) arrays with N = sum_i n_i n_i^T and P = I - N.  A frame
+    of order 1 also holds ``normals_d[..., i, a, k]``, d(n_i)_a / dx_k, and
+    the projector derivative ``P_d`` indexed [..., a, b, k]; one of order 2
+    adds ``normals_dd`` and ``P_dd``, indexed [..., a, b, k, l] for the
+    projector.  The derivatives above the order are None.  The quarter turn
+    of a frame of codimension n - 2 is built once, by the first
+    ``perp_matrix`` call, and kept on the frame.
     """
 
-    __slots__ = ("x", "t", "normals", "N", "P", "_Q")
+    __slots__ = ("x", "t", "normals", "N", "P", "order", "normals_d", "P_d", "normals_dd",
+                 "P_dd", "_Q")
 
-    def __init__(self, x: np.ndarray, t: float, normals: np.ndarray) -> None:
+    def __init__(self, x: np.ndarray, t: float, normals: np.ndarray, normals_d=None,
+                 normals_dd=None) -> None:
         self.x = np.asarray(x, dtype=float)
         self.t = float(t)
-        self.normals = np.asarray(normals, dtype=float)
-        self.N = self.normals.swapaxes(-1, -2) @ self.normals
+        n = self.normals = np.asarray(normals, dtype=float)
+        self.N = n.swapaxes(-1, -2) @ n
         self.P = _identity(self.x.shape[-1]) - self.N
-        self._Q = None
+        self.order = 0 if normals_d is None else 1 if normals_dd is None else 2
+        self.normals_d, self.normals_dd = normals_d, normals_dd
+        self.P_d = self.P_dd = self._Q = None
+        if normals_d is not None:
+            # each part of N is sum_i of products of n_i and its derivatives, plus
+            # the same with a and b swapped; the part of P = I - N is its negative
+            half = np.einsum("...iak,...ib->...abk", normals_d, n)
+            self.P_d = -(half + np.swapaxes(half, -3, -2))
+        if normals_dd is not None:
+            half = np.einsum("...iakl,...ib->...abkl", normals_dd, n) + np.einsum(
+                "...iak,...ibl->...abkl", normals_d, normals_d)
+            self.P_dd = -(half + np.swapaxes(half, -4, -3))
 
     @property
     def n(self) -> int:
@@ -205,38 +223,6 @@ def frame_from_normals(normals, x=None, t: float = 0.0) -> GeometryFrame:
     return GeometryFrame(x, t, normals)
 
 
-class FrameJet:
-    """A frame and the exact spatial derivatives of its fields at a batch of
-    points.
-
-    A jet of order 1 holds ``normals_d[..., i, a, k]``, d(n_i)_a / dx_k, and
-    the projector derivative ``P_d`` indexed [..., a, b, k] (``N_d`` is
-    -``P_d``).  One of order 2 adds ``normals_dd`` and ``P_dd``, indexed
-    [..., a, b, k, l] for the projector; a jet of order 1 has them None.
-    """
-
-    __slots__ = ("frame", "order", "normals_d", "P_d", "normals_dd", "P_dd")
-
-    def __init__(self, frame: GeometryFrame, normals_d: np.ndarray, normals_dd=None) -> None:
-        n = frame.normals
-        self.frame = frame
-        self.order = 1 if normals_dd is None else 2
-        self.normals_d, self.normals_dd = normals_d, normals_dd
-        # each part of N is sum_i of products of n_i and its derivatives, plus
-        # the same with a and b swapped; the part of P = I - N is its negative
-        half = np.einsum("...iak,...ib->...abk", normals_d, n)
-        self.P_d = -(half + np.swapaxes(half, -3, -2))
-        self.P_dd = None
-        if normals_dd is not None:
-            half = np.einsum("...iakl,...ib->...abkl", normals_dd, n) + np.einsum(
-                "...iak,...ibl->...abkl", normals_d, normals_d)
-            self.P_dd = -(half + np.swapaxes(half, -4, -3))
-
-    @property
-    def N_d(self) -> np.ndarray:
-        return -self.P_d
-
-
 def _residual_floor(i: int, r: np.ndarray, floor: float) -> None:
     # a NaN residual fails both tests; an empty batch passes
     if r.size and not (r.min() >= floor and r.max() < np.inf):
@@ -263,7 +249,7 @@ def _gram_schmidt(grads: Sequence[np.ndarray], floor: float, hessians=None, thir
     order runs in elementwise products (the tensor primitives' per-call
     cost would dominate this hot path at a single point); the second order
     is separate from it, so the first order is the same whichever order
-    the jet has.
+    the frame has.
     """
     first, second = hessians is not None, thirds is not None
     v = np.asarray(grads[0], dtype=float)
@@ -329,8 +315,8 @@ _RECENT = 4
 
 
 class _frame_scope:
-    """An evaluation scope, in which each frame or jet is built once per
-    (geometry, point array, t).
+    """An evaluation scope, in which each frame is built once per
+    (geometry, point array, t), at the highest order asked for.
 
     ``TensorField`` evaluation opens one around each outermost evaluation,
     which does not write its point arrays.  Its ``recent`` store keeps the
@@ -342,9 +328,9 @@ class _frame_scope:
     every evaluation inside it, the frames of the point arrays that are
     read-only and own their data (chart nodes, boundary batches): nothing
     can write them.  A read-only view goes to ``recent``, as its base may
-    be written.  Each entry maps (geometry, t) to a frame or jet and holds
-    its point array, so no entry outlives its array, and the stores empty
-    when their scope closes.
+    be written.  Each entry maps (geometry, t) to a frame and holds its
+    point array, so no entry outlives its array, and the stores empty when
+    their scope closes.
     """
 
     __slots__ = ("keep", "kept", "recent", "_token")
@@ -425,7 +411,7 @@ class LevelSetGeometry:
 
     def has_jet(self, order: int = 1) -> bool:
         """Whether the level functions supply every derivative that a frame
-        jet of this order (1 or 2) needs, so that the jet is exact."""
+        of this order (1 or 2) needs, so that its derivatives are exact."""
         return self.has_analytic_gradients and all(
             l._hessian is not None and (order < 2 or l._third is not None) for l in self.levels)
 
@@ -466,49 +452,37 @@ class LevelSetGeometry:
         normals = _gram_schmidt(self._gradients(x, t), _GRAD_FLOOR)
         return GeometryFrame(x, t, normals)
 
-    def frame_derivative_at(self, x, t: float = 0.0, order: int = 1):
-        """Frame plus its jet (a ``FrameJet``) of the given order (1 or 2),
-        propagated through Gram-Schmidt.  The level functions' Hessians are
-        differenced where they are not given; the second order needs their
-        third derivatives (``third``)."""
+    def frame_derivative_at(self, x, t: float = 0.0, order: int = 1) -> GeometryFrame:
+        """Frame at points x with its derivatives up to the given order (1 or
+        2), propagated through Gram-Schmidt.  The level functions' Hessians
+        are differenced where they are not given; the second order needs
+        their third derivatives (``third``)."""
         second = order > 1
         if second and any(lvl._third is None for lvl in self.levels):
-            raise GeometryError("a frame jet of order 2 needs the level-set provider third")
+            raise GeometryError("a frame of order 2 needs the level-set provider third")
         x = self._check_point(x, t)
         normals, *parts = _gram_schmidt(
             self._gradients(x, t), _GRAD_FLOOR, [lvl.hessian(x, t) for lvl in self.levels],
             [np.asarray(lvl._third(x, t), dtype=float) for lvl in self.levels] if second else None,
         )
-        frame = GeometryFrame(x, t, normals)
-        return frame, FrameJet(frame, *parts)
+        return GeometryFrame(x, t, normals, *parts)
 
     # -- the evaluation scope's frames ------------------------------------------
 
-    def _frame(self, x, t: float = 0.0) -> GeometryFrame:
-        """The frame at points x, built once per point array in the evaluation
-        scope (from a jet already built there, too)."""
-        scope = _SCOPE.get()
-        entry = None if scope is None or type(x) is not np.ndarray else scope.entry(x)
-        if entry is None:
-            return self.frame_at(x, t)
-        held = entry.get((self, t))
-        if held is None:
-            held = entry[(self, t)] = self.frame_at(x, t)
-        return held if type(held) is GeometryFrame else held.frame
-
-    def _jet(self, x, t: float = 0.0, order: int = 1) -> FrameJet:
-        """The frame jet at points x, as ``frame_derivative_at``, built once
-        per point array in the evaluation scope.  A jet built there of a
-        lower order is rebuilt at this one."""
+    def _frame(self, x, t: float = 0.0, order: int = 0) -> GeometryFrame:
+        """The frame at points x of at least the given order, as ``frame_at``
+        (order 0) or ``frame_derivative_at``, built once per point array in
+        the evaluation scope.  A frame held there of a lower order is
+        rebuilt at this one."""
         scope = _SCOPE.get()
         entry = None if scope is None or type(x) is not np.ndarray else scope.entry(x)
         held = None if entry is None else entry.get((self, t))
-        if type(held) is FrameJet and held.order >= order:
+        if held is not None and held.order >= order:
             return held
-        jet = self.frame_derivative_at(x, t, order)[1]
+        frame = self.frame_derivative_at(x, t, order) if order else self.frame_at(x, t)
         if entry is not None:
-            entry[(self, t)] = jet
-        return jet
+            entry[(self, t)] = frame
+        return frame
 
 
 # -- tangential projection ---------------------------------------------------

@@ -22,34 +22,37 @@ Hessians): ``cartesian_gradient`` keeps the field's second derivative and
 slot), ``submanifold_gradient`` (P in the derivative slot of grad f) and
 ``perp_field`` (the quarter turn Q in the last slot) are one construction,
 ``_fed``: a matrix field of the frame fed into slots by the product rule
-(``geometry._feed``).  Its one rule attaches the providers: the k-th
-gradient of the result has a gradient wherever the field's k-th gradient
-has one and the geometry an exact jet of order k + 1 (P supplies the
-second order where the level functions give third derivatives, Q never
-does); and on frames that do not depend on t (``has_static_frames``) a
-time partial wherever the field and its first k gradients have them, used
-in every mode as exact providers are.  So the Laplacians, covariant
-gradients and surface curls of polynomials, constants, coordinates and
-positions need no differences.  The frame fields (``normal_field``,
-``projector_field``) read the jet's derivatives, and have zero time
-partials on static frames.  ``material_derivative`` carries the exact
-gradient d/dt grad T + grad^2 T . w + grad T . grad w wherever its
-ingredients have those derivatives.  Fourth-order differences remain for
-time partials of fields with no ``dt`` provider (projections and frame
-fields of geometries whose frames move), for second derivatives of fields
-that have only a callable Jacobian or are built from Q or from jets of
-order 1, and for fields with no gradient at all.
+(``geometry._feed``), whose k-th gradient reads a frame of order k and its
+derivatives ``P_d`` and ``P_dd``.  Its one rule attaches the providers:
+the k-th gradient of the result has a gradient wherever the field's k-th
+gradient has one and the geometry exact frame derivatives of order k + 1
+(P supplies the second order where the level functions give third
+derivatives, Q never does); and on frames that do not depend on t
+(``has_static_frames``) a time partial wherever the field and its first k
+gradients have them, used in every mode as exact providers are.  So the
+Laplacians, covariant gradients and surface curls of polynomials,
+constants, coordinates and positions need no differences.  The frame
+fields (``normal_field``, ``projector_field``) read the frame's
+derivatives, and have zero time partials on static frames.
+``material_derivative`` carries the exact gradient
+d/dt grad T + grad^2 T . w + grad T . grad w wherever its ingredients have
+those derivatives.  Fourth-order differences remain for second
+derivatives of fields that have only a callable Jacobian or are built from
+Q or from frames of order 1, and for fields with no gradient at all.  A
+time partial of a field with no ``dt`` provider (projections and frame
+fields of geometries whose frames move) is a second-order central
+difference in t, in every mode.
 
-Only ``_fed`` and the frame fields read frames and jets; the stress
-fields are ``_fed`` fields too.  Every one comes from the evaluation scope
+Only ``_fed`` and the frame fields read frames; the stress fields are
+``_fed`` fields too.  Every frame comes from the evaluation scope
 (``geometry._frame_scope``), so one outermost evaluation builds each once
-per point array.
+per point array, at the highest order asked for there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial, reduce
+from functools import reduce
 from operator import attrgetter
 
 import numpy as np
@@ -217,10 +220,11 @@ def _fed(f: TensorField, geom: LevelSetGeometry, slots, name: str, turn: bool = 
 def _fed_gradient(geom, slots, turn: bool, chain, name: str) -> TensorField:
     """The k-th gradient of a fed field, from f and its first k gradients
     (``chain``).  It has a gradient wherever the k-th gradient of f has one
-    and the geometry an exact jet of order k + 1, for k < 2 with P and k < 1
-    with Q (which supplies no second order); and on static frames a time
-    partial wherever every field of the chain has one.  (Module-level, so
-    that a field holds no reference cycle and is freed when dropped.)"""
+    and the geometry exact frame derivatives of order k + 1, for k < 2 with
+    P and k < 1 with Q (which supplies no second order); and on static
+    frames a time partial wherever every field of the chain has one.
+    (Module-level, so that a field holds no reference cycle and is freed
+    when dropped.)"""
     k, last = len(chain) - 1, chain[-1]
     grad = dt = None
     if last.has_gradient and k < (1 if turn else 2) and geom.has_jet(k + 1):
@@ -236,16 +240,17 @@ def _fed_evaluator(geom, slots, turn: bool, chain, read: str):
     k, readers = len(chain) - 1, [getattr(c, read) for c in chain]
 
     def ev(X, t):
-        # the jet before the parts and the frame after them, so that neither
-        # builds again what the parts' own layers build at X
-        jet = geom._jet(X, t, k) if k else None
+        # a frame with derivatives before the parts and a plain one after them,
+        # so that neither builds again what the parts' own layers build at X
+        frame = geom._frame(X, t, k) if k else None
         parts = [r(X, t) for r in readers]
-        frame = jet.frame if k else geom._frame(X, t)
+        if frame is None:
+            frame = geom._frame(X, t)
         if turn:
             Q = geo.perp_matrix(frame)
-            M = (Q,) if k == 0 else (Q, geo._perp_matrix_derivative(Q, jet.P_d))
+            M = (Q,) if k == 0 else (Q, geo._perp_matrix_derivative(Q, frame.P_d))
         else:
-            M = (frame.P,) if k == 0 else (frame.P, jet.P_d, jet.P_dd)
+            M = (frame.P, frame.P_d, frame.P_dd)[:k + 1]
         return _feed(M, parts, slots, X.ndim - 1)
 
     return ev
@@ -300,18 +305,17 @@ def covariant_laplacian(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig)
 
 def _frame_field(geom: LevelSetGeometry, q: int, attr: str, name: str, i=None) -> TensorField:
     """The rank-q field read off the frame attribute ``attr`` ('P', or
-    'normals' at normal ``i``), with the jet's parts of it: its gradient
-    ('_d') and the gradient's own gradient ('_dd'), each attached where the
-    geometry's jets are exact.  On static frames the field and its gradient
-    have a zero time partial."""
+    'normals' at normal ``i``), with its gradient (``attr`` + '_d') and the
+    gradient's own gradient ('_dd'), each read off a frame of that order and
+    attached where the geometry's frame derivatives of that order are exact.
+    On static frames the field and its gradient have a zero time partial."""
 
-    def reader(part, order=1):
-        source = geom._frame if not part else partial(geom._jet, order=order)
-        get = attrgetter(attr + part)
+    def reader(order):
+        get = attrgetter(attr + ("", "_d", "_dd")[order])
         if i is None:
-            return lambda X, t: get(source(X, t))
-        pick = (Ellipsis, i) + (slice(None),) * (1 + part.count("d"))
-        return lambda X, t: get(source(X, t))[pick]
+            return lambda X, t: get(geom._frame(X, t, order))
+        pick = (Ellipsis, i) + (slice(None),) * (1 + order)
+        return lambda X, t: get(geom._frame(X, t, order))[pick]
 
     def zero(rank):
         if not geom.has_static_frames:
@@ -319,11 +323,11 @@ def _frame_field(geom: LevelSetGeometry, q: int, attr: str, name: str, i=None) -
         return lambda X, t: np.zeros(X.shape[:-1] + (geom.n,) * rank)
 
     def gradient():
-        return _field(geom.n, q + 1, reader("_d"),
-                      grad=reader("_dd", 2) if geom.has_jet(2) else None, dt=zero(q + 1),
+        return _field(geom.n, q + 1, reader(1),
+                      grad=reader(2) if geom.has_jet(2) else None, dt=zero(q + 1),
                       name=f"grad({name})")
 
-    return _field(geom.n, q, reader(""), grad=_Lazy(gradient) if geom.has_jet() else None,
+    return _field(geom.n, q, reader(0), grad=_Lazy(gradient) if geom.has_jet() else None,
                   dt=zero(q), name=name)
 
 

@@ -18,9 +18,10 @@ One runner, ``Suite.__call__``, owns the policies every suite shares:
 - A row's tolerance is one value or an (fd, analytic) pair; a ``--tol``
   entry for the full check id replaces it.
 - A suite runs on its default geometry unless ``--geometry`` names one it
-  accepts.  A single suite rejects any other geometry with ``SuiteError``;
-  under ``all`` such a suite falls back to its default geometry.  Suites
-  built on synthetic frames ignore ``--geometry``.
+  accepts.  A name that is no geometry is a ``SuiteError`` of the
+  configuration.  A single suite rejects any other geometry with
+  ``SuiteError``; under ``all`` such a suite falls back to its default
+  geometry.  Suites built on synthetic frames ignore ``--geometry``.
 - Every record of a suite that has a geometry names the case it ran on:
   the suite's geometry, or the case a row pins (``on``), or ``synthetic``
   for rows on random frames.
@@ -144,6 +145,9 @@ class SuiteConfig:
         for key, least in (("order", 1), ("panels", 1), ("seed", 0)):
             if getattr(self, key) < least:
                 raise SuiteError(f"{key} must be at least {least}, got {getattr(self, key)}")
+        if self.geometry is not None and self.geometry not in REGISTRY:
+            raise SuiteError(
+                f"unknown geometry '{self.geometry}' (known: {', '.join(sorted(REGISTRY))})")
         if self.geom_params and self.geometry is None:
             raise SuiteError("geometry parameters need a geometry (--geometry)")
         for check_id, tol in self.tol.items():
@@ -221,9 +225,9 @@ class Session:
         is a ``SuiteError``."""
         key = (name, tuple(sorted(params.items())))
         if key not in self._cases:
-            takes = inspect.signature(REGISTRY[name]).parameters if name in REGISTRY else params
+            takes = inspect.signature(REGISTRY[name]).parameters
             unknown = sorted(set(params) - set(takes))
-            if unknown:  # get_case raises KeyError for an unknown name
+            if unknown:
                 raise SuiteError(f"geometry '{name}' has no parameter {', '.join(unknown)} "
                                  f"(it takes: {', '.join(takes) or 'none'})")
             try:

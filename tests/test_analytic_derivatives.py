@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcalc.builtins import get_case
+from tensorcalc.builtins import available, get_case
 from tensorcalc.fields import (
     TensorField,
     coordinate,
@@ -89,6 +89,12 @@ def test_combinator_second_derivatives_match_fd4(seed, a, b):
     _assert_exact_gradient(h, points)
     _assert_exact_gradient(cartesian_gradient(h, AN), points)
 
+
+@pytest.mark.parametrize("name", [name for name in available()
+                                  if get_case(name).velocity is not None])
+def test_builtin_velocity_jacobians_match_fd4(name):
+    case = get_case(name)
+    _assert_exact_gradient(case.velocity, case.sample_points(3))
 
 
 def test_the_gradient_of_an_outer_product_has_a_time_partial(rng):

@@ -1,8 +1,8 @@
-"""Frame jets: the second order of the forward-propagated Gram-Schmidt
-frame, the exact time partials of frame-built fields on geometries whose
-frames do not depend on t, the second derivatives that operators build
-from jets, and the evaluation scope that builds each frame once per point
-array."""
+"""Frame derivatives: the second order of the forward-propagated
+Gram-Schmidt frame, the exact time partials of frame-built fields on
+geometries whose frames do not depend on t, the second derivatives that
+operators build from frames of order 2, and the evaluation scope that
+builds each frame once per point array, at the highest order asked for."""
 
 import numpy as np
 import pytest
@@ -110,35 +110,36 @@ def _close(got, want, tol):
     assert float(np.max(np.abs(got - want))) <= tol * scale
 
 
-# -- the jet ------------------------------------------------------------------------
+# -- frames of order 1 and 2 -------------------------------------------------------
 
 
 def test_second_order_jet_matches_differences_of_the_first():
     geom = _curve()
-    frame, jet = geom.frame_derivative_at(X, T0, order=2)
-    assert jet.order == 2
+    second = geom.frame_derivative_at(X, T0, order=2)
+    assert second.order == 2
 
     def first(Y):
-        return geom.frame_derivative_at(Y, T0)[1]
+        return geom.frame_derivative_at(Y, T0)
 
-    _close(jet.P_dd, _dx4(lambda Y: first(Y).P_d), 1e-8)
-    _close(jet.normals_dd, _dx4(lambda Y: first(Y).normals_d), 1e-8)
-    assert np.max(np.abs(jet.P_dd)) > 1e-2
+    _close(second.P_dd, _dx4(lambda Y: first(Y).P_d), 1e-8)
+    _close(second.normals_dd, _dx4(lambda Y: first(Y).normals_d), 1e-8)
+    assert np.max(np.abs(second.P_dd)) > 1e-2
     # second derivatives commute
-    np.testing.assert_allclose(jet.P_dd, np.swapaxes(jet.P_dd, -1, -2), atol=1e-12)
+    np.testing.assert_allclose(second.P_dd, np.swapaxes(second.P_dd, -1, -2), atol=1e-12)
 
 
 def test_the_second_order_leaves_the_frame_and_first_order_unchanged():
     geom = _curve()
     plain = geom.frame_at(X, T0)
-    frame, first = geom.frame_derivative_at(X, T0)
+    assert plain.order == 0 and plain.P_d is None and plain.normals_d is None
+    first = geom.frame_derivative_at(X, T0)
     assert first.order == 1 and first.P_dd is None and first.normals_dd is None
-    frame2, jet = geom.frame_derivative_at(X, T0, order=2)
-    for f in (frame, frame2):
+    second = geom.frame_derivative_at(X, T0, order=2)
+    for f in (first, second):
         assert np.array_equal(f.normals, plain.normals)
         assert np.array_equal(f.P, plain.P)
-    assert np.array_equal(jet.P_d, first.P_d)
-    assert np.array_equal(jet.normals_d, first.normals_d)
+    assert np.array_equal(second.P_d, first.P_d)
+    assert np.array_equal(second.normals_d, first.normals_d)
 
 
 def _quadric(rng, n, x0):
@@ -163,7 +164,7 @@ def test_frames_and_jets_share_their_normals_bit_for_bit(n, data, seed):
     points = x0 + 0.05 * rng.standard_normal((3, n))
     normals = geom.frame_at(points, T0).normals
     for order in (1, 2):
-        assert np.array_equal(geom.frame_derivative_at(points, T0, order)[0].normals, normals)
+        assert np.array_equal(geom.frame_derivative_at(points, T0, order).normals, normals)
 
 
 @pytest.mark.parametrize("name", ["circle2d", "circle3d", "helix"])
@@ -172,7 +173,7 @@ def test_builtin_curves_frames_and_jets_share_their_normals(name):
     geom, points = case.geometry, case.sample_points(5)
     normals = geom.frame_at(points).normals
     for order in (1, 2) if geom.has_jet(2) else (1,):
-        assert np.array_equal(geom.frame_derivative_at(points, 0.0, order)[0].normals, normals)
+        assert np.array_equal(geom.frame_derivative_at(points, 0.0, order).normals, normals)
 
 
 def test_sphere_family_supplies_exact_third_derivatives():
@@ -343,7 +344,7 @@ def test_the_quarter_turn_needs_codimension_n_minus_2(rng):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count the frames and jets each geometry builds, by method name."""
+    """Count the frames each geometry builds, by method name."""
     counts = {"frame_at": 0, "frame_derivative_at": 0}
     for name in counts:
         method = getattr(LevelSetGeometry, name)
@@ -427,9 +428,15 @@ def test_an_evaluation_keeps_the_frames_of_its_recent_arrays(builds):
         points = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])
         first = geom._frame(points)
         assert geom._frame(points) is first
-        assert geom._jet(points).frame is not first  # a jet is built for a frame-only entry
-        assert geom._frame(points) is geom._jet(points).frame
+        held = geom._frame(points, 0.0, 1)  # a held frame of order 0 is replaced at order 1
+        assert held is not first and held.order == 1
+        assert geom._frame(points) is held and geom._frame(points, 0.0, 1) is held
         assert builds == {"frame_at": 1, "frame_derivative_at": 1}
+        again = points + 0.0
+        top = geom._frame(again, 0.0, 2)  # a frame of order 2 serves every lower order
+        assert top.order == 2
+        assert all(geom._frame(again, 0.0, order) is top for order in (1, 0, 2))
+        assert builds == {"frame_at": 1, "frame_derivative_at": 2}
         others = [points + 0.0 for _ in range(geometry._RECENT)]
         for other in others:
             geom._frame(other)
@@ -443,10 +450,9 @@ def test_an_evaluation_keeps_the_frames_of_its_recent_arrays(builds):
 def test_outside_a_scope_every_request_builds(builds):
     geom = get_case("sphere").geometry
     x = np.array([0.0, 0.6, 0.8])
-    geom._frame(x)
-    geom._frame(x)
-    geom._jet(x)
-    assert builds == {"frame_at": 2, "frame_derivative_at": 1}
+    for order in (0, 0, 2, 1, 0, 1):
+        assert geom._frame(x, 0.0, order).order == order
+    assert builds == {"frame_at": 3, "frame_derivative_at": 3}
 
 
 @pytest.mark.parametrize("mode, batch, deep_batch", [("fd2", 4, 8), ("fd4", 16, 64)])
@@ -459,10 +465,8 @@ def test_nested_stencils_at_one_point_pin_their_calls_and_batches(builds, monkey
     calls and builds 4 frames in both orders, and its leaf field sees at
     most 4 (fd2) or 16 (fd4) points; a depth-3 stack sees at most 8 or 64,
     so the leaf's values take 4^3 = 64 times the memory of one point's in
-    fd4.  (One call per symmetric pair took 51 fd4 calls and 7 frames, and
-    one call per offset 51 or 171 calls, 7 or 13 frames and 1 point.)  A
-    stencil that stacks more offsets in one call changes these numbers, and
-    has to say what its batches cost in memory."""
+    fd4.  A stencil that stacks more offsets in one call changes these
+    numbers, and has to say what its batches cost in memory."""
     geom = get_case("sphere").geometry
     leaf = random_polynomial(3, 0, rng)
     x = np.array([0.36, 0.48, 0.8])

@@ -323,9 +323,9 @@ def test_quarter_turn_derivative_matches_the_loop_and_fd4(n, seed):
         H = rng.standard_normal((n, n))
         levels.append(_quadric_level(rng.standard_normal(n), 0.5 * (H + H.T), x0))
     geom = LevelSetGeometry(n, levels, tube_halfwidth=1.0)
-    frame, fd = geom.frame_derivative_at(x0)
+    frame = geom.frame_derivative_at(x0)
     Q = perp_matrix(frame)
-    DQ = _perp_matrix_derivative(Q, fd.P_d)
+    DQ = _perp_matrix_derivative(Q, frame.P_d)
 
     def fd4(k, h):
         e = np.zeros(n)
@@ -339,7 +339,7 @@ def test_quarter_turn_derivative_matches_the_loop_and_fd4(n, seed):
         approx = (16 * fd4(k, h / 2) - fd4(k, h)) / 15
         assert np.max(np.abs(DQ[:, :, k] - approx)) <= 1e-6 * scale
     if n <= 6:
-        oracle = levi_civita_perp_derivative(frame.normals, fd.normals_d)
+        oracle = levi_civita_perp_derivative(frame.normals, frame.normals_d)
         assert np.max(np.abs(DQ - oracle)) <= 1e-12 * max(1.0, float(np.max(np.abs(oracle))))
 
 
@@ -347,17 +347,17 @@ def test_quarter_turn_derivative_on_batches_of_builtin_frames():
     for name in ("sphere", "torus"):
         case = get_case(name)
         X = np.stack(case.sample_points(4, seed=2))
-        frame, fd = case.geometry.frame_derivative_at(X)
-        DQ = _perp_matrix_derivative(perp_matrix(frame), fd.P_d)
+        frame = case.geometry.frame_derivative_at(X)
+        DQ = _perp_matrix_derivative(perp_matrix(frame), frame.P_d)
         assert DQ.shape == (4, 3, 3, 3)
-        oracle = levi_civita_perp_derivative(frame.normals, fd.normals_d)
+        oracle = levi_civita_perp_derivative(frame.normals, frame.normals_d)
         np.testing.assert_allclose(DQ, oracle, rtol=0, atol=1e-13)
 
 
 def test_frame_derivative_matches_finite_differences():
     geom = get_case("sphere").geometry
     x = np.array([0.6, 0.0, 0.8])
-    _, fd = geom.frame_derivative_at(x, 0.0)
+    fd = geom.frame_derivative_at(x, 0.0)
     h = 1e-6
     for k in range(3):
         e = np.zeros(3)
@@ -426,8 +426,8 @@ def test_non_finite_level_derivatives_raise(bad, which):
             assert np.isfinite(geom.frame_at(X).P).all()
         with pytest.raises(GeometryError, match="level function 1"):
             geom.frame_derivative_at(X)
-    frame, fd = geom.frame_derivative_at(np.array([0.1, 0.0, 0.0]))
-    assert np.isfinite(frame.P).all() and np.isfinite(fd.P_d).all()
+    frame = geom.frame_derivative_at(np.array([0.1, 0.0, 0.0]))
+    assert np.isfinite(frame.P).all() and np.isfinite(frame.P_d).all()
 
 
 def test_frame_outside_tube_raises():
@@ -471,7 +471,7 @@ def test_hessian_of_a_differenced_gradient_takes_the_nested_step():
     # at the gradient's own step the projector derivative is off by 4e-7 here
     bare = LevelSetGeometry(3, [LevelSet(lambda x, t: float(np.linalg.norm(x)) - 1.0)])
     for x in (np.array([0.36, 0.48, 0.8]), np.array([0.6, 0.0, 0.8])):
-        _, fd = bare.frame_derivative_at(x)
+        fd = bare.frame_derivative_at(x)
         dn = np.eye(3) - np.outer(x, x)  # d n_a / d x_k on the unit sphere, n = x
         exact = -(np.einsum("ak,b->abk", dn, x) + np.einsum("a,bk->abk", x, dn))
         assert np.max(np.abs(fd.P_d - exact)) <= 5e-8

@@ -54,6 +54,12 @@ def test_single_suite_rejects_a_geometry_it_does_not_accept(tmp_path, capsys):
     assert "helix" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("suite", ["all", "stokes"])
+def test_an_unknown_geometry_is_rejected_by_every_run(suite):
+    with pytest.raises(suites.SuiteError, match=r"unknown geometry 'bogus' \(known: .*sphere"):
+        run_suite(SuiteConfig(suite=suite, geometry="bogus"))
+
+
 def test_all_falls_back_to_the_default_geometry(monkeypatch):
     monkeypatch.setattr(
         suites, "SUITES", {name: suites.SUITES[name] for name in ("projection", "curl")}
