@@ -1,9 +1,11 @@
 """Level-set geometry: frames, projectors, tangential projection, quarter turns.
 
 A submanifold of codimension m is the joint zero set of m scalar level
-functions.  All frame data at a point comes from the level function
-gradients: normals are their modified Gram-Schmidt orthonormalization in
-the listed order, N is the normal projector, P = I - N the tangential one.
+functions.  Every piece of a frame is a function of its normals, which come
+from the level function gradients: the normals are their modified
+Gram-Schmidt orthonormalization in the listed order, N is the normal
+projector, P = I - N the tangential one, and in codimension n - 2 the
+quarter turn Q (``perp_matrix``) is the cofactor matrix of the normals.
 Nothing is parametrized; charts live in the quadrature layer only.
 
 Frames are built for batches of points: ``frame_at(X)`` with X of shape
@@ -15,18 +17,18 @@ geometries use batch-native level functions (``LevelSet._batched``).
 
 ``frame_derivative_at`` builds a frame of order 1 or 2, which also holds
 the exact derivatives of its normals and projectors (``P_d``, ``P_dd``),
-forward-propagated through the frame's own Gram-Schmidt from the level
-functions' derivatives.  The first order needs their Hessians, the second
-their third derivatives (``third``).  A geometry whose level functions all
+differentiated from the normals in one pass, given the level functions'
+derivatives.  The first order needs their Hessians, the second their
+third derivatives (``third``).  A geometry whose level functions all
 state ``static_gradient`` has frames that do not depend on t
 (``has_static_frames``): the time partials of its frame fields are zero.
 
 Inside one evaluation scope (``_frame_scope``, opened by the outermost
 evaluation of a field and by a suite run) a frame is built once per
-(geometry, point array, t), at the highest order asked for there:
-``LevelSetGeometry._frame`` looks it up before building.  The library's
-evaluators go through it; the public ``frame_at`` and
-``frame_derivative_at`` always build.
+(geometry, point array, t): ``LevelSetGeometry._frame`` looks it up before
+building, and a held frame asked for at a higher order gains its
+derivatives instead of being rebuilt.  The library's evaluators go through
+it; the public ``frame_at`` and ``frame_derivative_at`` always build.
 
 Tangential projection feeds P into one tensor slot per pass with the
 batched primitive ``tensor._apply_to_slot``, over any leading batch axes:
@@ -40,12 +42,13 @@ construction as an oracle.
 from __future__ import annotations
 
 from contextvars import ContextVar
+from functools import cache
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .tensor import (
-    MAX_AMBIENT_DIM, ShapeError, Tensor, _apply_to_slot, _dot, _identity, _looped, _outer, _partials,
+    MAX_AMBIENT_DIM, ShapeError, Tensor, _apply_to_slot, _dot, _identity, _looped, _partials,
 )
 
 __all__ = [
@@ -162,13 +165,11 @@ class GeometryFrame:
     of order 1 also holds ``normals_d[..., i, a, k]``, d(n_i)_a / dx_k, and
     the projector derivative ``P_d`` indexed [..., a, b, k]; one of order 2
     adds ``normals_dd`` and ``P_dd``, indexed [..., a, b, k, l] for the
-    projector.  The derivatives above the order are None.  The quarter turn
-    of a frame of codimension n - 2 is built once, by the first
-    ``perp_matrix`` call, and kept on the frame.
+    projector.  The derivatives above the order are None.
     """
 
     __slots__ = ("x", "t", "normals", "N", "P", "order", "normals_d", "P_d", "normals_dd",
-                 "P_dd", "_Q")
+                 "P_dd")
 
     def __init__(self, x: np.ndarray, t: float, normals: np.ndarray, normals_d=None,
                  normals_dd=None) -> None:
@@ -179,7 +180,7 @@ class GeometryFrame:
         self.P = _identity(self.x.shape[-1]) - self.N
         self.order = 0 if normals_d is None else 1 if normals_dd is None else 2
         self.normals_d, self.normals_dd = normals_d, normals_dd
-        self.P_d = self.P_dd = self._Q = None
+        self.P_d = self.P_dd = None
         if normals_d is not None:
             # each part of N is sum_i of products of n_i and its derivatives, plus
             # the same with a and b swapped; the part of P = I - N is its negative
@@ -238,63 +239,66 @@ def _sym(a: np.ndarray) -> np.ndarray:
     return a + np.swapaxes(a, -1, -2)
 
 
-def _gram_schmidt(grads: Sequence[np.ndarray], floor: float, hessians=None, thirds=None):
+def _gram_schmidt(grads: Sequence[np.ndarray], floor: float) -> np.ndarray:
     """Orthonormal normals (..., m, n) from m gradients (..., n), by modified
-    Gram-Schmidt.
-
-    Given the Hessians (..., n, n), and for the second order the third
-    derivatives (..., n, n, n), it forward-propagates derivatives through
-    each step and returns the same normals with d/dx (..., m, n, n) and
-    d2/dx2 (..., m, n, n, n), the last None without ``thirds``.  The first
-    order runs in elementwise products (the tensor primitives' per-call
-    cost would dominate this hot path at a single point); the second order
-    is separate from it, so the first order is the same whichever order
-    the frame has.
-    """
-    first, second = hessians is not None, thirds is not None
+    Gram-Schmidt with a second pass for orthogonality to about 1e-15."""
     v = np.asarray(grads[0], dtype=float)
     normals = np.empty(v.shape[:-1] + (len(grads),) + v.shape[-1:])
-    dns, ddns = [], []
     for i in range(len(grads)):
         v = np.asarray(grads[i], dtype=float)
-        if first:
-            Dv = np.asarray(hessians[i], dtype=float)  # [..., a, k] = d v_a / d x_k
-            DDv = np.asarray(thirds[i], dtype=float) if second else None  # [..., a, k, l]
-        for _ in range(2):  # second pass for orthogonality to ~1e-15
+        for _ in range(2):
             for j in range(i):
                 nh = normals[..., j, :]
-                c = _inner(nh, v)
-                if first:  # every coefficient derivative from the vector before this step
-                    Dnh = dns[j]
-                    Dc = (v[..., None, :] @ Dnh + nh[..., None, :] @ Dv)[..., 0, :]
-                    if second:
-                        DDnh = ddns[j]
-                        DDc = (np.einsum("...akl,...a->...kl", DDnh, v)
-                               + _sym(np.einsum("...ak,...al->...kl", Dnh, Dv))
-                               + np.einsum("...a,...akl->...kl", nh, DDv))
-                        DDv = (DDv - nh[..., :, None, None] * DDc[..., None, :, :]
-                               - Dnh[..., :, :, None] * Dc[..., None, None, :]
-                               - Dnh[..., :, None, :] * Dc[..., None, :, None]
-                               - c[..., None, None] * DDnh)
-                    Dv = Dv - nh[..., :, None] * Dc[..., None, :] - c[..., None] * Dnh
-                v = v - c * nh
+                v = v - _inner(nh, v) * nh
         r = np.sqrt(_inner(v, v))
         _residual_floor(i, r, floor)
-        n = normals[..., i, :] = v / r
-        if not first:
-            continue
-        Dr = ((v / r)[..., None, :] @ Dv)[..., 0, :]
-        Dn = Dv / r[..., None] - v[..., :, None] * Dr[..., None, :] / (r**2)[..., None]
+        normals[..., i, :] = v / r
+    return normals
+
+
+def _normal_derivatives(normals: np.ndarray, grads, hessians, thirds=None):
+    """The derivatives of the normals (..., m, n) that Gram-Schmidt made
+    from the gradients g_i (..., n), from their Hessians [..., a, k] and,
+    for the second order, their third derivatives [..., a, k, l].
+
+    The normals are orthonormal, so n_i r_i = g_i - sum_{j<i} c_ij n_j
+    holds exactly with c_ij = n_j . g_i and r_i = n_i . g_i; it is
+    differentiated once along x_k, and along x_l for the second order, one
+    normal at a time.  Returns d/dx (..., m, n, n) and d2/dx2
+    (..., m, n, n, n), the last None without ``thirds``.  The products are
+    elementwise: the tensor primitives' per-call cost would dominate this
+    hot path at a single point.
+    """
+    second = thirds is not None
+    dns, ddns = [], []
+    for i, g in enumerate(grads):
+        n, Dg = normals[..., i, :], hessians[i]
+        Dv, DDv = Dg, thirds[i] if second else None  # of v = n_i r_i
+        for j in range(i):
+            nj, Dnj = normals[..., j, :], dns[j]
+            c = _inner(nj, g)
+            Dc = (g[..., None, :] @ Dnj + nj[..., None, :] @ Dg)[..., 0, :]
+            if second:
+                DDnj = ddns[j]
+                DDc = (np.einsum("...akl,...a->...kl", DDnj, g)
+                       + _sym(np.einsum("...ak,...al->...kl", Dnj, Dg))
+                       + np.einsum("...a,...akl->...kl", nj, thirds[i]))
+                DDv = (DDv - nj[..., :, None, None] * DDc[..., None, :, :]
+                       - Dnj[..., :, :, None] * Dc[..., None, None, :]
+                       - Dnj[..., :, None, :] * Dc[..., None, :, None]
+                       - c[..., None, None] * DDnj)
+            Dv = Dv - nj[..., :, None] * Dc[..., None, :] - c[..., None] * Dnj
+        r = _inner(n, g)
+        Dr = (n[..., None, :] @ Dv)[..., 0, :]
+        Dn = (Dv - n[..., :, None] * Dr[..., None, :]) / r[..., None]
         dns.append(Dn)
         if second:  # n r = v, differentiated along x_k and x_l
-            DDr = (np.einsum("...ak,...al->...kl", Dv, Dv) + np.einsum("...a,...akl->...kl", v, DDv)
-                   - Dr[..., :, None] * Dr[..., None, :]) / r[..., None]
+            DDr = ((np.einsum("...ak,...al->...kl", Dv, Dv) - Dr[..., :, None] * Dr[..., None, :])
+                   / r[..., None] + np.einsum("...a,...akl->...kl", n, DDv))
             ddns.append((DDv - Dn[..., :, :, None] * Dr[..., None, None, :]
                          - Dn[..., :, None, :] * Dr[..., None, :, None]
                          - n[..., :, None, None] * DDr[..., None, :, :]) / r[..., None, None])
-    if not first:
-        return normals
-    out = [normals]
+    out = []
     for what, parts, axis in (("derivative", dns, -3), ("second derivative", ddns, -4)):
         for i, part in enumerate(parts):
             if not np.isfinite(part).all():
@@ -303,7 +307,7 @@ def _gram_schmidt(grads: Sequence[np.ndarray], floor: float, hessians=None, thir
                     "(check the derivatives of the level functions)"
                 )
         out.append(np.stack(parts, axis=axis) if parts else None)
-    return tuple(out)
+    return out
 
 
 # -- the evaluation scope --------------------------------------------------------
@@ -453,33 +457,39 @@ class LevelSetGeometry:
         return GeometryFrame(x, t, normals)
 
     def frame_derivative_at(self, x, t: float = 0.0, order: int = 1) -> GeometryFrame:
-        """Frame at points x with its derivatives up to the given order (1 or
-        2), propagated through Gram-Schmidt.  The level functions' Hessians
-        are differenced where they are not given; the second order needs
-        their third derivatives (``third``)."""
-        second = order > 1
-        if second and any(lvl._third is None for lvl in self.levels):
+        """Frame at points x with the derivatives of its normals up to the
+        given order (1 or 2).  The level functions' Hessians are differenced
+        where they are not given; the second order needs their third
+        derivatives (``third``)."""
+        return self._differentiated(self.frame_at(x, t), order)
+
+    def _differentiated(self, frame: GeometryFrame, order: int) -> GeometryFrame:
+        """``frame`` with the derivatives of its normals up to the given
+        order, from the level functions' derivatives at its points: one
+        pass over its normals, with no second Gram-Schmidt."""
+        if order > 1 and any(lvl._third is None for lvl in self.levels):
             raise GeometryError("a frame of order 2 needs the level-set provider third")
-        x = self._check_point(x, t)
-        normals, *parts = _gram_schmidt(
-            self._gradients(x, t), _GRAD_FLOOR, [lvl.hessian(x, t) for lvl in self.levels],
-            [np.asarray(lvl._third(x, t), dtype=float) for lvl in self.levels] if second else None,
-        )
-        return GeometryFrame(x, t, normals, *parts)
+        x, t = frame.x, frame.t
+        parts = _normal_derivatives(
+            frame.normals, self._gradients(x, t), [lvl.hessian(x, t) for lvl in self.levels],
+            [np.asarray(lvl._third(x, t), dtype=float) for lvl in self.levels] if order > 1
+            else None)
+        return GeometryFrame(x, t, frame.normals, *parts)
 
     # -- the evaluation scope's frames ------------------------------------------
 
     def _frame(self, x, t: float = 0.0, order: int = 0) -> GeometryFrame:
-        """The frame at points x of at least the given order, as ``frame_at``
-        (order 0) or ``frame_derivative_at``, built once per point array in
-        the evaluation scope.  A frame held there of a lower order is
-        rebuilt at this one."""
+        """The frame at points x of at least the given order, built once per
+        point array in the evaluation scope by ``frame_at``.  A frame held
+        there of a lower order gains its derivatives (``_differentiated``)
+        instead of being rebuilt."""
         scope = _SCOPE.get()
         entry = None if scope is None or type(x) is not np.ndarray else scope.entry(x)
-        held = None if entry is None else entry.get((self, t))
-        if held is not None and held.order >= order:
-            return held
-        frame = self.frame_derivative_at(x, t, order) if order else self.frame_at(x, t)
+        frame = None if entry is None else entry.get((self, t))
+        if frame is None:
+            frame = self.frame_at(x, t)
+        if frame.order < order:
+            frame = self._differentiated(frame, order)
         if entry is not None:
             entry[(self, t)] = frame
         return frame
@@ -537,49 +547,53 @@ def tangent_basis(frame: GeometryFrame):
     """Deterministic positively oriented orthonormal basis (t1, t2) of the
     tangent plane at each point of the frame.  Requires n - m == 2.
 
-    t1 is the longest projector column P e_j, normalized.  t2 comes from
-    the column with the largest part orthogonal to t1 (two columns can be
-    parallel), and flips if det[t1, t2, n_1, ..., n_m] < 0.  Ties keep the
-    lower axis.
+    t1 is the longest projector column P e_j, normalized (ties keep the
+    lower axis), and t2 = Q t1 with Q the quarter turn (``perp_matrix``),
+    so det[t1, t2, n_1, ..., n_m] > 0.
+    """
+    Q = perp_matrix(frame)
+    columns = frame.P.swapaxes(-1, -2)  # columns[..., j, :] = P e_j
+    # exact: a one-hot row picks the longest column
+    pick = np.argmax(_norm(columns), axis=-1)[..., None, None] == np.arange(frame.n)
+    t1 = (pick @ columns)[..., 0, :]
+    t1 = t1 / _norm(t1)[..., None]
+    return t1, (Q @ t1[..., None])[..., 0]
+
+
+def perp(frame: GeometryFrame, u) -> np.ndarray:
+    """Quarter turn Q u of the tangential part of u, in the oriented tangent plane."""
+    return np.einsum("...ab,...b->...a", perp_matrix(frame), np.asarray(u, dtype=float))
+
+
+def perp_matrix(frame: GeometryFrame) -> np.ndarray:
+    """The quarter turn Q (..., n, n) of a frame of codimension n - 2: the
+    cofactor matrix of its normals, Q_ab = det[e_b, e_a, n_1, ..., n_m].
+
+    Q u is the generalized cross product of u with the normals, the quarter
+    turn of the tangential part of u, and det[u, Q u, n_1, ..., n_m] > 0.
+    For a < b, Q_ab is (-1)^(a+b) times the minor of the normals on the
+    columns other than a and b, and Q_ba = -Q_ab: one batched determinant
+    over the n(n-1)/2 pairs.
     """
     n, m = frame.n, frame.m
     if n - m != 2:
         raise GeometryError(f"tangent plane needs n - m == 2, got n={n}, m={m}")
-    columns = frame.P.swapaxes(-1, -2)  # columns[..., j, :] = P e_j
-
-    def longest(vectors):  # exact: a one-hot row picks the longest vector
-        pick = np.argmax(_norm(vectors), axis=-1)[..., None, None] == np.arange(n)
-        return (pick @ vectors)[..., 0, :]
-
-    t1 = longest(columns)
-    t1 = t1 / _norm(t1)[..., None]
-    t2 = longest(frame.P - _outer(t1, t1, t1.ndim - 1))  # the columns' parts orthogonal to t1
-    size = _norm(t2)[..., None]
-    if not (size >= 1e-8).all():  # a NaN frame fails here too
+    if not np.isfinite(frame.normals).all():  # the determinant would only warn
         raise GeometryError("tangent plane is numerically degenerate")
-    t2 = t2 / size
-    rows = np.concatenate([t1[..., None, :], t2[..., None, :], frame.normals], axis=-2)
-    t2 = np.where((np.linalg.det(rows) < 0)[..., None], -t2, t2)
-    return t1, t2
+    a, b, rest, sign = _cofactor_axes(n)
+    minors = np.linalg.det(np.moveaxis(frame.normals[..., rest], -3, -2))
+    Q = np.zeros(frame.normals.shape[:-2] + (n, n))
+    Q[..., a, b] = sign * minors
+    Q[..., b, a] = -Q[..., a, b]
+    return Q
 
 
-def perp(frame: GeometryFrame, u) -> np.ndarray:
-    """Quarter turn of the tangential part of u, in the oriented tangent plane."""
-    t1, t2 = tangent_basis(frame)
-    u = np.asarray(u, dtype=float)
-    return -_inner(u, t2) * t1 + _inner(u, t1) * t2
-
-
-def perp_matrix(frame: GeometryFrame) -> np.ndarray:
-    """Matrix Q with Q u = perp(u); Q = t2 t1^T - t1 t2^T.  It is built once
-    per frame and kept on it, read-only."""
-    if frame._Q is None:
-        t1, t2 = tangent_basis(frame)
-        nl = t1.ndim - 1
-        Q = _outer(t2, t1, nl) - _outer(t1, t2, nl)
-        Q.flags.writeable = False
-        frame._Q = Q
-    return frame._Q
+@cache
+def _cofactor_axes(n: int):
+    """Pairs of axes a < b, the other axes of each in order, and (-1)^(a+b)."""
+    a, b = np.triu_indices(n, 1)
+    rest = np.array([[c for c in range(n) if c != i and c != j] for i, j in zip(a, b)])
+    return a, b, rest, (-1.0) ** (a + b)
 
 
 def _perp_matrix_derivative(Q: np.ndarray, P_d: np.ndarray) -> np.ndarray:

@@ -46,7 +46,9 @@ difference in t, in every mode.
 Only ``_fed`` and the frame fields read frames; the stress fields are
 ``_fed`` fields too.  Every frame comes from the evaluation scope
 (``geometry._frame_scope``), so one outermost evaluation builds each once
-per point array, at the highest order asked for there.
+per point array, and a frame held there gains its derivatives when a
+higher order is asked for.  A fed field evaluates its parts first and then
+asks once for the frame of the order it reads.
 """
 
 from __future__ import annotations
@@ -240,12 +242,8 @@ def _fed_evaluator(geom, slots, turn: bool, chain, read: str):
     k, readers = len(chain) - 1, [getattr(c, read) for c in chain]
 
     def ev(X, t):
-        # a frame with derivatives before the parts and a plain one after them,
-        # so that neither builds again what the parts' own layers build at X
-        frame = geom._frame(X, t, k) if k else None
         parts = [r(X, t) for r in readers]
-        if frame is None:
-            frame = geom._frame(X, t)
+        frame = geom._frame(X, t, k)
         if turn:
             Q = geo.perp_matrix(frame)
             M = (Q,) if k == 0 else (Q, geo._perp_matrix_derivative(Q, frame.P_d))

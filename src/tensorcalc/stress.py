@@ -26,7 +26,7 @@ from .fields import TensorField, _constant_array, _field, _transposed, _zeros
 from .geometry import GeometryFrame, LevelSetGeometry
 from .operators import DiffConfig, _fed, divergence
 from .quadrature import Atlas, IdentityResult, _stokes_terms, integrate
-from .tensor import _dot, _outer
+from .tensor import ShapeError, _dot, _outer
 
 __all__ = [
     "rotation_generator",
@@ -82,7 +82,7 @@ def omega_field(geom: LevelSetGeometry, i: int, j: int) -> TensorField:
 
 def transpose_field(f: TensorField) -> TensorField:
     if f.q != 2:
-        raise ValueError("transpose_field needs a rank-2 field")
+        raise ShapeError("transpose_field needs a rank-2 field")
     return _transposed(f, (1, 0))
 
 

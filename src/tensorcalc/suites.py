@@ -32,7 +32,7 @@ from __future__ import annotations
 import inspect
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import cache
 from itertools import groupby
 from typing import Callable, Dict, List, Optional, Tuple, Union
@@ -150,6 +150,7 @@ class SuiteConfig:
                 f"unknown geometry '{self.geometry}' (known: {', '.join(sorted(REGISTRY))})")
         if self.geom_params and self.geometry is None:
             raise SuiteError("geometry parameters need a geometry (--geometry)")
+        self.tol = {check_id: float(tol) for check_id, tol in self.tol.items()}
         for check_id, tol in self.tol.items():
             if not math.isfinite(tol):
                 raise SuiteError(f"tolerance of '{check_id}' must be finite, got {tol}")
@@ -163,20 +164,6 @@ class SuiteConfig:
 
     def tolerance(self, check_id: str, default: float) -> float:
         return float(self.tol.get(check_id, default))
-
-    def echo(self) -> Dict[str, object]:
-        return {
-            "suite": self.suite,
-            "geometry": self.geometry,
-            "geom_params": dict(self.geom_params),
-            "order": self.order,
-            "panels": self.panels,
-            "fd": self.fd,
-            "hx": self.hx,
-            "ht": self.ht,
-            "seed": self.seed,
-            "tol": {k: float(v) for k, v in self.tol.items()},
-        }
 
 
 # -- the runner -------------------------------------------------------------------
@@ -1038,7 +1025,7 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
         raise SuiteError(f"tolerance override for unknown check id: {', '.join(unknown)}")
     return VerificationReport(
         suite=cfg.suite,
-        config=cfg.echo(),
+        config=asdict(cfg),
         checks=checks,
         wall_time_s=round(time.perf_counter() - start, 3),
     )

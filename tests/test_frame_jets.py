@@ -1,8 +1,9 @@
-"""Frame derivatives: the second order of the forward-propagated
-Gram-Schmidt frame, the exact time partials of frame-built fields on
-geometries whose frames do not depend on t, the second derivatives that
-operators build from frames of order 2, and the evaluation scope that
-builds each frame once per point array, at the highest order asked for."""
+"""Frame derivatives: the first and second orders differentiated from the
+normals, the exact time partials of frame-built fields on geometries whose
+frames do not depend on t, the second derivatives that operators build
+from frames of order 2, and the evaluation scope that builds each frame
+once per point array and gives a held frame the derivatives of a higher
+order."""
 
 import numpy as np
 import pytest
@@ -165,6 +166,40 @@ def test_frames_and_jets_share_their_normals_bit_for_bit(n, data, seed):
     normals = geom.frame_at(points, T0).normals
     for order in (1, 2):
         assert np.array_equal(geom.frame_derivative_at(points, T0, order).normals, normals)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 8), data=st.data(), seed=st.integers(0, 2**16))
+def test_frame_derivatives_match_differences_over_the_advertised_range(n, data, seed):
+    """Orders 1 and 2 against differences of the orders below, for every
+    n <= 8 and codimension m < n; a held frame raised to order 1 and then 2
+    in a scope is the fresh frame of that order, bit for bit.  The
+    differences are the Richardson pair (16 fd4(h/2) - fd4(h)) / 15, which
+    cancels fd4's h^4 term where near-dependent gradients curve the frame
+    strongly."""
+    m = data.draw(st.integers(1, n - 1), label="m")
+    rng = np.random.default_rng(seed)
+    x0 = rng.standard_normal(n)
+    geom = LevelSetGeometry(n, [_quadric(rng, n, x0) for _ in range(m)], tube_halfwidth=10.0)
+    points = x0 + 0.05 * rng.standard_normal((3, n))
+    second = geom.frame_derivative_at(points, T0, 2)
+
+    def fd(read, h=1e-4):
+        return (16 * _partials(read, points, np.full(n, h / 2), 4)
+                - _partials(read, points, np.full(n, h), 4)) / 15
+
+    _close(second.normals_d, fd(lambda Y: geom.frame_at(Y, T0).normals), 1e-7)
+    _close(second.P_d, fd(lambda Y: geom.frame_at(Y, T0).P), 1e-7)
+    _close(second.normals_dd, fd(lambda Y: geom.frame_derivative_at(Y, T0).normals_d), 1e-7)
+    _close(second.P_dd, fd(lambda Y: geom.frame_derivative_at(Y, T0).P_d), 1e-7)
+    with _frame_scope():
+        geom._frame(points, T0)
+        for order in (1, 2):
+            raised = geom._frame(points, T0, order)
+            fresh = geom.frame_derivative_at(points, T0, order)
+            for attr in ("normals", "N", "P", "order", "normals_d", "P_d", "normals_dd", "P_dd"):
+                got, want = getattr(raised, attr), getattr(fresh, attr)
+                assert got is want is None or np.array_equal(got, want), attr
 
 
 @pytest.mark.parametrize("name", ["circle2d", "circle3d", "helix"])
@@ -344,8 +379,9 @@ def test_the_quarter_turn_needs_codimension_n_minus_2(rng):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count the frames each geometry builds, by method name."""
-    counts = {"frame_at": 0, "frame_derivative_at": 0}
+    """Count the frames each geometry builds (``frame_at``, one Gram-Schmidt
+    each) and the derivative passes it runs over their normals."""
+    counts = {"frame_at": 0, "_differentiated": 0}
     for name in counts:
         method = getattr(LevelSetGeometry, name)
 
@@ -363,14 +399,14 @@ def test_an_analytic_covariant_laplacian_builds_one_jet(builds):
     l01 = rotation_generator(3, 0, 1)
     got = covariant_laplacian(l01, geom, AN).values(x)
     np.testing.assert_allclose(got, -l01.values(x), atol=1e-12)
-    assert builds == {"frame_at": 0, "frame_derivative_at": 1}
+    assert builds == {"frame_at": 1, "_differentiated": 1}
 
 
 def test_a_frame_only_evaluation_builds_no_derivatives(builds, rng):
     geom = get_case("torus").geometry
     field = project_field(random_polynomial(3, 2, rng), geom)
     field.values(get_case("torus").sample_points(4))
-    assert builds == {"frame_at": 1, "frame_derivative_at": 0}
+    assert builds == {"frame_at": 1, "_differentiated": 0}
 
 
 def test_frames_last_one_outermost_evaluation(builds):
@@ -428,22 +464,22 @@ def test_an_evaluation_keeps_the_frames_of_its_recent_arrays(builds):
         points = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])
         first = geom._frame(points)
         assert geom._frame(points) is first
-        held = geom._frame(points, 0.0, 1)  # a held frame of order 0 is replaced at order 1
-        assert held is not first and held.order == 1
+        held = geom._frame(points, 0.0, 1)  # a held frame of order 0 gains order 1
+        assert held is not first and held.order == 1 and held.normals is first.normals
         assert geom._frame(points) is held and geom._frame(points, 0.0, 1) is held
-        assert builds == {"frame_at": 1, "frame_derivative_at": 1}
+        assert builds == {"frame_at": 1, "_differentiated": 1}
         again = points + 0.0
         top = geom._frame(again, 0.0, 2)  # a frame of order 2 serves every lower order
         assert top.order == 2
         assert all(geom._frame(again, 0.0, order) is top for order in (1, 0, 2))
-        assert builds == {"frame_at": 1, "frame_derivative_at": 2}
+        assert builds == {"frame_at": 2, "_differentiated": 2}
         others = [points + 0.0 for _ in range(geometry._RECENT)]
         for other in others:
             geom._frame(other)
         assert len(scope.recent) == geometry._RECENT
         assert all(held is other for (held, _), other in zip(scope.recent, others[::-1]))
         geom._frame(points)  # asked about before the last _RECENT arrays: built again
-        assert builds["frame_at"] == 2 + geometry._RECENT
+        assert builds["frame_at"] == 3 + geometry._RECENT
     assert not scope.recent
 
 
@@ -452,7 +488,7 @@ def test_outside_a_scope_every_request_builds(builds):
     x = np.array([0.0, 0.6, 0.8])
     for order in (0, 0, 2, 1, 0, 1):
         assert geom._frame(x, 0.0, order).order == order
-    assert builds == {"frame_at": 3, "frame_derivative_at": 3}
+    assert builds == {"frame_at": 6, "_differentiated": 3}
 
 
 @pytest.mark.parametrize("mode, batch, deep_batch", [("fd2", 4, 8), ("fd4", 16, 64)])
@@ -483,7 +519,7 @@ def test_nested_stencils_at_one_point_pin_their_calls_and_batches(builds, monkey
     cfg = DiffConfig(mode=mode)
     got = laplacian(leaf, geom, cfg).values(x)
     assert seen == {"calls": 18, "batch": batch}
-    assert builds == {"frame_at": 4, "frame_derivative_at": 0}
+    assert builds == {"frame_at": 4, "_differentiated": 0}
     np.testing.assert_allclose(got, laplacian(leaf, geom, AN).values(x), atol=1e-6)
 
     deep = divergence(submanifold_gradient(submanifold_gradient(leaf, geom, cfg), geom, cfg),

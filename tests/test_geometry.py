@@ -9,7 +9,6 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from tensorcalc import geometry
 from tensorcalc.builtins import get_case
 from tensorcalc.geometry import (
     GeometryError,
@@ -25,7 +24,6 @@ from tensorcalc.geometry import (
     project,
     tangent_basis,
 )
-from tensorcalc.suites import SuiteConfig, run_suite
 from tensorcalc.tensor import Tensor, frobenius, outer, random_tensor
 
 
@@ -231,24 +229,19 @@ def test_perp_matrix_agrees_with_perp(rng):
         np.testing.assert_allclose(Q.T, -Q, atol=1e-12)
 
 
-def test_the_quarter_turn_is_built_once_per_frame(monkeypatch):
-    """perp_matrix keeps Q on its frame, read-only; a stress pass builds it
-    once on each frame it asks at."""
-    built = []
-    basis = geometry.tangent_basis
-    monkeypatch.setattr(geometry, "tangent_basis", lambda fr: built.append(fr) or basis(fr))
-    geom = get_case("sphere").geometry
-    X = np.array([[0.6, 0.0, 0.8], [0.0, 0.6, 0.8]])
-    fr = geom.frame_at(X)
-    Q = perp_matrix(fr)
-    assert perp_matrix(fr) is Q and not Q.flags.writeable
-    again = perp_matrix(geom.frame_at(X))
-    np.testing.assert_array_equal(again, Q)
-    assert len(built) == 2 and built[0] is fr and built[1] is not fr
-
-    built.clear()
-    assert run_suite(SuiteConfig(suite="stress")).passed
-    assert built and len(built) == len({id(fr) for fr in built})
+@pytest.mark.parametrize("n", range(3, 9))
+def test_the_quarter_turn_is_the_cofactor_matrix_of_the_normals(n, rng):
+    """Q_ab = det[e_b, e_a, n_1, ..., n_m] at a batch of random frames of
+    codimension n - 2, and (t1, t2, n_1, ..., n_m) is positively oriented."""
+    normals = np.stack([np.linalg.qr(rng.normal(size=(n, n - 2)))[0].T for _ in range(4)])
+    fr = frame_from_normals(normals)
+    e = np.eye(n)
+    want = [[[np.linalg.det(np.vstack([e[b], e[a], nn])) for b in range(n)] for a in range(n)]
+            for nn in normals]
+    assert np.max(np.abs(perp_matrix(fr) - np.array(want))) <= 1e-14
+    t1, t2 = tangent_basis(fr)
+    rows = np.concatenate([t1[:, None], t2[:, None], normals], axis=1)
+    np.testing.assert_allclose(np.linalg.det(rows), 1.0, atol=1e-12)
 
 
 def test_tangent_basis_with_parallel_projector_columns():

@@ -60,6 +60,14 @@ def test_an_unknown_geometry_is_rejected_by_every_run(suite):
         run_suite(SuiteConfig(suite=suite, geometry="bogus"))
 
 
+def test_the_config_block_is_the_config_with_float_tolerances():
+    cfg = SuiteConfig(suite="projection", tol={"projection.idempotent": 1})
+    config = run_suite(cfg).config
+    assert list(config) == [f.name for f in dataclasses.fields(SuiteConfig)]
+    assert config == dataclasses.asdict(cfg)
+    assert json.dumps(config["tol"]) == '{"projection.idempotent": 1.0}'
+
+
 def test_all_falls_back_to_the_default_geometry(monkeypatch):
     monkeypatch.setattr(
         suites, "SUITES", {name: suites.SUITES[name] for name in ("projection", "curl")}
