@@ -15,6 +15,7 @@ chart.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -51,9 +52,10 @@ class GeometryCase:
 
     ``curvature`` is the closed form of the mean curvature vector, points
     (..., n) to (..., n), on the cases that have a caller for it: sphere,
-    circle3d and torus.  It is None on the others.  Every atlas of the
-    case shares its ``charts``, and ``sample_points`` maps its points with
-    them.
+    circle3d and torus.  It is None on the others.  ``closed_forms`` maps
+    names to the numbers the suites check on this case, each computed
+    from the case's own parameters.  Every atlas of the case shares its
+    ``charts``, and ``sample_points`` maps its points with them.
     """
 
     name: str
@@ -62,6 +64,7 @@ class GeometryCase:
     params: Dict[str, float] = field(default_factory=dict)
     velocity: Optional[TensorField] = None
     curvature: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    closed_forms: Dict[str, float] = field(default_factory=dict)
     blurb: str = ""
 
     def atlas(self, order: int = 16, panels: int = 2) -> Atlas:
@@ -187,6 +190,10 @@ def sphere(radius: float = 1.0) -> GeometryCase:
         charts=[_sphere_chart(radius)],
         params={"radius": radius},
         curvature=lambda X: 2.0 * X / radius**2,
+        # for the rotation field l = x e_y - y e_x: lap-cov l = -ricci l, and
+        # the energy int |grad-cov l|^2
+        closed_forms={"ricci": 1.0 / radius**2,
+                      "rotation_energy": 8.0 * math.pi * radius**2 / 3.0},
         blurb="round sphere |x| = R in R^3",
     )
 
@@ -198,6 +205,14 @@ def hemisphere(radius: float = 1.0) -> GeometryCase:
         geometry=LevelSetGeometry(3, [_sphere_level(radius)], name="hemisphere"),
         charts=[_sphere_chart(radius, theta_hi=0.5 * math.pi, sides=((0, 1),))],
         params={"radius": radius},
+        # the boundary and curvature terms of int div_M e_z; then, along e_z,
+        # int grad_M z, the force of the stress n (x) n and the Young-Laplace
+        # force of the rigid rotation per omega^2
+        closed_forms={"ez_boundary": -2.0 * math.pi * radius,
+                      "ez_curvature": 2.0 * math.pi * radius,
+                      "gradient_z": 4.0 * math.pi * radius**2 / 3.0,
+                      "normal_pressure_force": 2.0 * math.pi * radius,
+                      "rotation_pressure": math.pi * radius**3 / 2.0},
         blurb="upper half of the sphere, boundary at the equator",
     )
 
@@ -278,6 +293,8 @@ def plane_disk(radius: float = 1.0) -> GeometryCase:
         charts=[Chart._batched([0.0, 0.0], [radius, TWO_PI], mapping, jacobian,
                                periodic=(False, True), boundary_sides=((0, 1),), name="disk")],
         params={"radius": radius},
+        # the boundary circulation of the rotation field l = x e_y - y e_x
+        closed_forms={"circulation": 2.0 * math.pi * radius**2},
         blurb="flat disk of radius R in the plane z = 0",
     )
 
@@ -433,6 +450,9 @@ def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
         charts=[_sphere_chart(radius, rate=speed)],
         params={"radius": radius, "speed": speed},
         velocity=w,
+        # the rates of the area and of int |grad_M z|^2 at t = 0
+        closed_forms={"area_rate": 8.0 * math.pi * radius * speed,
+                      "dirichlet_rate_z": 8.0 * math.pi * radius * speed / 3.0},
         blurb="sphere with radius R + c t, material velocity c along the outward normal",
     )
 
@@ -450,12 +470,23 @@ REGISTRY: Dict[str, Callable[..., GeometryCase]] = {
 
 
 def get_case(name: str, **params: float) -> GeometryCase:
+    """The named case built with ``params``.  A parameter its builder does
+    not take, or a value the builder rejects, is a ``ParameterError`` that
+    names the geometry."""
     try:
         factory = REGISTRY[name]
     except KeyError:
         known = ", ".join(sorted(REGISTRY))
         raise KeyError(f"unknown geometry '{name}' (known: {known})") from None
-    return factory(**params)
+    takes = inspect.signature(factory).parameters
+    unknown = sorted(set(params) - set(takes))
+    if unknown:
+        raise ParameterError(f"geometry '{name}' has no parameter {', '.join(unknown)} "
+                             f"(it takes: {', '.join(takes) or 'none'})")
+    try:
+        return factory(**params)
+    except ParameterError as exc:
+        raise ParameterError(f"geometry '{name}': {exc}") from None
 
 
 def available() -> List[str]:

@@ -452,26 +452,34 @@ class LevelSetGeometry:
 
     def frame_at(self, x, t: float = 0.0) -> GeometryFrame:
         """Frame at points x of shape (..., n)."""
-        x = self._check_point(x, t)
-        normals = _gram_schmidt(self._gradients(x, t), _GRAD_FLOOR)
-        return GeometryFrame(x, t, normals)
+        return self._built(x, t)
 
     def frame_derivative_at(self, x, t: float = 0.0, order: int = 1) -> GeometryFrame:
         """Frame at points x with the derivatives of its normals up to the
         given order (1 or 2).  The level functions' Hessians are differenced
         where they are not given; the second order needs their third
         derivatives (``third``)."""
-        return self._differentiated(self.frame_at(x, t), order)
+        return self._built(x, t, order)
 
-    def _differentiated(self, frame: GeometryFrame, order: int) -> GeometryFrame:
+    def _built(self, x, t: float, order: int = 0) -> GeometryFrame:
+        """A fresh frame at points x of the given order: the level
+        functions' gradients, evaluated once, feed Gram-Schmidt and the
+        derivative pass."""
+        x = self._check_point(x, t)
+        grads = self._gradients(x, t)
+        frame = GeometryFrame(x, t, _gram_schmidt(grads, _GRAD_FLOOR))
+        return self._differentiated(frame, order, grads) if order else frame
+
+    def _differentiated(self, frame: GeometryFrame, order: int, grads) -> GeometryFrame:
         """``frame`` with the derivatives of its normals up to the given
-        order, from the level functions' derivatives at its points: one
-        pass over its normals, with no second Gram-Schmidt."""
+        order, from the level functions' gradients ``grads`` and further
+        derivatives at its points: one pass over its normals, with no
+        second Gram-Schmidt."""
         if order > 1 and any(lvl._third is None for lvl in self.levels):
             raise GeometryError("a frame of order 2 needs the level-set provider third")
         x, t = frame.x, frame.t
         parts = _normal_derivatives(
-            frame.normals, self._gradients(x, t), [lvl.hessian(x, t) for lvl in self.levels],
+            frame.normals, grads, [lvl.hessian(x, t) for lvl in self.levels],
             [np.asarray(lvl._third(x, t), dtype=float) for lvl in self.levels] if order > 1
             else None)
         return GeometryFrame(x, t, frame.normals, *parts)
@@ -480,16 +488,16 @@ class LevelSetGeometry:
 
     def _frame(self, x, t: float = 0.0, order: int = 0) -> GeometryFrame:
         """The frame at points x of at least the given order, built once per
-        point array in the evaluation scope by ``frame_at``.  A frame held
-        there of a lower order gains its derivatives (``_differentiated``)
-        instead of being rebuilt."""
+        point array in the evaluation scope.  A frame held there of a lower
+        order gains its derivatives (``_differentiated``) instead of being
+        rebuilt."""
         scope = _SCOPE.get()
         entry = None if scope is None or type(x) is not np.ndarray else scope.entry(x)
         frame = None if entry is None else entry.get((self, t))
-        if frame is None:
-            frame = self.frame_at(x, t)
-        if frame.order < order:
-            frame = self._differentiated(frame, order)
+        if frame is None:  # through the public builders, which profilers wrap by name
+            frame = self.frame_derivative_at(x, t, order) if order else self.frame_at(x, t)
+        elif frame.order < order:
+            frame = self._differentiated(frame, order, self._gradients(frame.x, t))
         if entry is not None:
             entry[(self, t)] = frame
         return frame

@@ -453,12 +453,18 @@ def weak_form(
     a = int gradcov T . gradcov S;  ell = int_boundary S.flux + int S.forcing.
     ``flux`` is None or a callable ``(B, t)`` on the boundary batch B that
     returns values of the test field's shape, (N,) + (n,)*q; any other
-    shape raises ShapeError.
+    shape raises ShapeError.  With ``test is trial`` one covariant gradient
+    serves both sides of the pairing.
     """
     geom = atlas.geometry
     gt = covariant_gradient(trial, geom, cfg)
-    gs = covariant_gradient(test, geom, cfg)
-    a = float(integrate(atlas, lambda X, t: _frobenius(gt.values(X, t), gs.values(X, t), 1)))
+    gs = gt if test is trial else covariant_gradient(test, geom, cfg)
+
+    def energy(X, t):
+        vt = gt.values(X, t)
+        return _frobenius(vt, vt if gs is gt else gs.values(X, t), 1)
+
+    a = float(integrate(atlas, energy))
     ell = 0.0
     if forcing is not None:
         ell += float(

@@ -24,12 +24,14 @@ One runner, ``Suite.__call__``, owns the policies every suite shares:
   geometry.  Suites built on synthetic frames ignore ``--geometry``.
 - Every record of a suite that has a geometry names the case it ran on:
   the suite's geometry, or the case a row pins (``on``), or ``synthetic``
-  for rows on random frames.
+  for rows on random frames.  A row pinned to the configured geometry
+  runs on the configured case, with its parameters.
+- A row compares with a closed form of the case it runs on
+  (``GeometryCase.closed_forms``), never with a literal of its own.
 """
 
 from __future__ import annotations
 
-import inspect
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -207,20 +209,18 @@ class Session:
         self._atlases: Dict[tuple, Atlas] = {}
 
     def case(self, name: str, **params: float) -> GeometryCase:
-        """The named case, built once per run.  A parameter name its builder
-        does not take, or a value the builder rejects (``ParameterError``),
-        is a ``SuiteError``."""
+        """The named case, built once per run; without parameters, the
+        configured geometry is the configured case.  A parameter the
+        builder does not take or a value it rejects (``ParameterError``) is
+        a ``SuiteError``."""
+        if not params and name == self.cfg.geometry:
+            params = self.cfg.geom_params
         key = (name, tuple(sorted(params.items())))
         if key not in self._cases:
-            takes = inspect.signature(REGISTRY[name]).parameters
-            unknown = sorted(set(params) - set(takes))
-            if unknown:
-                raise SuiteError(f"geometry '{name}' has no parameter {', '.join(unknown)} "
-                                 f"(it takes: {', '.join(takes) or 'none'})")
             try:
                 self._cases[key] = get_case(name, **params)
             except ParameterError as exc:
-                raise SuiteError(f"geometry '{name}': {exc}") from None
+                raise SuiteError(*exc.args) from None
         return self._cases[key]
 
     def atlas(self, case: Union[str, GeometryCase], order: Optional[int] = None) -> Atlas:
@@ -229,10 +229,9 @@ class Session:
         configured panels."""
         if isinstance(case, str):
             case = self.case(case)
-        key = (case.name, tuple(sorted(case.params.items())),
-               self.cfg.order if order is None else order, self.cfg.panels)
+        key = (case.geometry, self.cfg.order if order is None else order, self.cfg.panels)
         if key not in self._atlases:
-            self._atlases[key] = case.atlas(*key[2:])
+            self._atlases[key] = case.atlas(*key[1:])
         return self._atlases[key]
 
 
@@ -268,11 +267,9 @@ class Suite:
         cfg = session.cfg
         if self.geometry is None:
             return None
-        override = cfg.geometry is not None and (
-            cfg.geometry != self.geometry or bool(cfg.geom_params)
-        )
+        override = cfg.geometry not in (None, self.geometry) or bool(cfg.geom_params)
         if override and cfg.geometry in self.accepts:
-            return session.case(cfg.geometry, **cfg.geom_params)
+            return session.case(cfg.geometry)
         if override and cfg.suite != "all":
             raise SuiteError(
                 f"geometry '{cfg.geometry}' is not supported here "
@@ -577,6 +574,7 @@ def _differential(cfg: SuiteConfig, case: GeometryCase, session: Session) -> Lis
 def _stokes(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 3)
     hemi = session.atlas("hemisphere")
+    closed = session.case("hemisphere").closed_forms
     sphere = session.atlas("sphere")
     generic = session.atlas(case)
     helix = session.case("helix")
@@ -599,10 +597,10 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Chec
               "int div_M e_z = boundary + curvature terms on the upper hemisphere",
               1e-6, ez_res, kind="rel", on="hemisphere"),
         Check("stokes.hemisphere-ez-boundary", "the equator circulation term of e_z is -2 pi",
-              1e-6, lambda d: (float(ez_res(d).pieces["boundary"]), -2.0 * math.pi),
+              1e-6, lambda d: (float(ez_res(d).pieces["boundary"]), closed["ez_boundary"]),
               kind="rel", on="hemisphere"),
         Check("stokes.hemisphere-ez-curvature", "the curvature term of e_z is +2 pi",
-              1e-6, lambda d: (float(ez_res(d).pieces["curvature"]), 2.0 * math.pi),
+              1e-6, lambda d: (float(ez_res(d).pieces["curvature"]), closed["ez_curvature"]),
               kind="rel", on="hemisphere"),
         Check("stokes.closed-sphere",
               "every term of the divergence identity vanishes on a closed sphere",
@@ -617,7 +615,7 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Chec
               1e-6, z_res, kind="rel", on="hemisphere"),
         Check("stokes.gradient-corollary-value",
               "int grad_M z over the hemisphere is 4 pi / 3 vertically",
-              1e-6, lambda d: (float(np.asarray(z_res(d).lhs)[2]), 4.0 * math.pi / 3.0),
+              1e-6, lambda d: (float(np.asarray(z_res(d).lhs)[2]), closed["gradient_z"]),
               kind="rel", on="hemisphere"),
         Check("stokes.integration-by-parts",
               "int S : div_M T + int T : grad_M S balances the boundary terms",
@@ -663,8 +661,8 @@ def _curl(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]
               1e-8, disk_res, kind="rel", on="plane_disk"),
         Check("curl.circulation-disk-value",
               "the unit-disk circulation of the rotation field is 2 pi",
-              1e-8, lambda d: (float(np.asarray(disk_res(d).rhs)), 2.0 * math.pi), kind="rel",
-              on="plane_disk"),
+              1e-8, lambda d: (float(np.asarray(disk_res(d).rhs)), disk.closed_forms["circulation"]),
+              kind="rel", on="plane_disk"),
         Check("curl.circulation-hemisphere",
               "int curl u over the hemisphere equals the equator circulation",
               1e-6, lambda d: circulation_residual(session.atlas("hemisphere"), spin, d),
@@ -679,7 +677,6 @@ def _curl(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]
 
 def _laplacian(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     geom = case.geometry
-    radius = case.params.get("radius", 1.0)
     atlas = session.atlas(case)
     points = case.sample_points(4, seed=cfg.seed)
     killing_z = rotation_generator(3, 0, 1)
@@ -693,7 +690,7 @@ def _laplacian(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[C
 
     def killing(d):
         clap = covariant_laplacian(killing_z, geom, d)
-        return _max_norm(clap.values(points) + killing_z.values(points) / radius**2)
+        return _max_norm(clap.values(points) + killing_z.values(points) * case.closed_forms["ricci"])
 
     @cache
     def weak(d):
@@ -716,13 +713,12 @@ def _laplacian(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[C
               1e-4, weak, kind="abs", per_mode=True),
         Check("laplacian.weak-form-energy",
               "int |grad-cov u|^2 = 8 pi R^2 / 3 for the rotation field",
-              (1e-4, 1e-6), lambda d: (weak(d)[0], 8.0 * math.pi * radius**2 / 3.0),
+              (1e-4, 1e-6), lambda d: (weak(d)[0], case.closed_forms["rotation_energy"]),
               kind="rel", per_mode=True),
         Check("laplacian.weak-symmetric", "the Dirichlet pairing is symmetric",
               1e-10, symmetric, kind="abs"),
         Check("laplacian.weak-coercive", "the Dirichlet pairing is nonnegative on the diagonal",
-              -1e-12, lambda d: weak_form(atlas, killing_z, killing_z, None, None, d)[0],
-              kind="floor"),
+              -1e-12, lambda d: weak(d)[0], kind="floor"),
     ]
 
 
@@ -734,10 +730,11 @@ def _euler(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check
     geom = case.geometry
     atlas = session.atlas(case)
     points = case.sample_points(4, seed=cfg.seed)
-    state = rigid_rotation_state(geom, omega=1.3)
+    omega = 1.3
+    state = rigid_rotation_state(geom, omega)
     hemi = session.case("hemisphere")
     hemi_atlas = session.atlas(hemi)
-    hemi_state = rigid_rotation_state(hemi.geometry, omega=1.3)
+    hemi_state = rigid_rotation_state(hemi.geometry, omega)
     u = random_polynomial(3, 1, rng, degree=2)
 
     def flux_total(d):
@@ -784,7 +781,7 @@ def _euler(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check
         Check("euler.force-balance-pressure",
               "the Young-Laplace force on the rotating hemisphere is w^2 pi / 2",
               1e-6, lambda d: (float(np.asarray(balance(d).pieces["young_laplace"])[2]),
-                               1.3**2 * math.pi / 2.0),
+                               omega**2 * hemi.closed_forms["rotation_pressure"]),
               kind="rel", per_mode=True, on="hemisphere"),
     ]
 
@@ -823,12 +820,13 @@ def _stress(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Chec
     cut_tangential = float(np.max(normal_at_tangential(sig, frame)))
     cut_asymmetry = float(np.max(np.abs(list(omega_pairings(sig, frame).values()))))
 
-    hemi = session.atlas("hemisphere")
+    hemi = session.case("hemisphere")
+    hemi_atlas = session.atlas(hemi)
 
     def normal_pressure_force(d):
         nu = normal_field(hemi.geometry)
-        force = stress_force(hemi, tf_outer(nu, nu, name="nn"), d)
-        return force, np.array([0.0, 0.0, 2.0 * math.pi])
+        force = stress_force(hemi_atlas, tf_outer(nu, nu, name="nn"), d)
+        return force, np.array([0.0, 0.0, hemi.closed_forms["normal_pressure_force"]])
 
     def divfree(d):
         div_bar = divergence(transpose_field(xs), sphere.geometry, d)
@@ -885,8 +883,6 @@ def _stress(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Chec
 def _evolving(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]:
     rng = np.random.default_rng(cfg.seed + 7)
     geom = case.geometry
-    radius = case.params["radius"]
-    speed = case.params["speed"]
     atlas = session.atlas(case, max(8, cfg.order - 4))
     points = case.sample_points(3, seed=cfg.seed)
     w = case.velocity
@@ -952,7 +948,7 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Ch
         Check("evolve.area-rate",
               "int div_M w equals the growth rate 8 pi R c of the sphere area",
               1e-6, lambda d: (float(integrate(atlas, divergence(w, geom, d))),
-                               8.0 * math.pi * radius * speed),
+                               case.closed_forms["area_rate"]),
               kind="rel", per_mode=True),
         Check("evolve.reynolds-scalar", "transport theorem for the area of the expanding sphere",
               1e-7, lambda d: reynolds_residual(atlas, constant(3, scalar(1.0, 3), name="one"),
@@ -978,7 +974,7 @@ def _evolving(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Ch
               1e-4, rank0_rate, kind="rel", per_mode=True),
         Check("evolve.dirichlet-rank0-value",
               "dE/dt = (8 pi / 3) R c for the vertical coordinate",
-              1e-5, lambda d: (rank0(d)[0]["total"], 8.0 * math.pi * radius * speed / 3.0),
+              1e-5, lambda d: (rank0(d)[0]["total"], case.closed_forms["dirichlet_rate_z"]),
               kind="rel", per_mode=True),
         Check("evolve.dirichlet-rank2",
               "three-term rate matches the advected difference at rank 2",

@@ -379,9 +379,10 @@ def test_the_quarter_turn_needs_codimension_n_minus_2(rng):
 
 @pytest.fixture
 def builds(monkeypatch):
-    """Count the frames each geometry builds (``frame_at``, one Gram-Schmidt
-    each) and the derivative passes it runs over their normals."""
-    counts = {"frame_at": 0, "_differentiated": 0}
+    """Count the frames each geometry builds (``_built``, one Gram-Schmidt
+    each, behind ``frame_at`` and ``frame_derivative_at``) and the
+    derivative passes it runs over their normals."""
+    counts = {"_built": 0, "_differentiated": 0}
     for name in counts:
         method = getattr(LevelSetGeometry, name)
 
@@ -399,14 +400,14 @@ def test_an_analytic_covariant_laplacian_builds_one_jet(builds):
     l01 = rotation_generator(3, 0, 1)
     got = covariant_laplacian(l01, geom, AN).values(x)
     np.testing.assert_allclose(got, -l01.values(x), atol=1e-12)
-    assert builds == {"frame_at": 1, "_differentiated": 1}
+    assert builds == {"_built": 1, "_differentiated": 1}
 
 
 def test_a_frame_only_evaluation_builds_no_derivatives(builds, rng):
     geom = get_case("torus").geometry
     field = project_field(random_polynomial(3, 2, rng), geom)
     field.values(get_case("torus").sample_points(4))
-    assert builds == {"frame_at": 1, "_differentiated": 0}
+    assert builds == {"_built": 1, "_differentiated": 0}
 
 
 def test_frames_last_one_outermost_evaluation(builds):
@@ -416,7 +417,7 @@ def test_frames_last_one_outermost_evaluation(builds):
     before = field.values(points)
     points[...] = points[:, ::-1].copy()  # written between two evaluations
     after = field.values(points)
-    assert builds["frame_at"] == 2
+    assert builds["_built"] == 2
     np.testing.assert_array_equal(after, geom.frame_at(points).P)
     assert not np.array_equal(before, after)
 
@@ -429,15 +430,15 @@ def test_a_run_scope_keeps_the_frames_of_read_only_points(builds, rng):
     with _frame_scope(keep=True) as scope:
         for _ in range(3):
             field.values(points)
-        assert builds["frame_at"] == 1
+        assert builds["_built"] == 1
         assert len(scope.kept) == 1
         writable = np.array(points)
         for _ in range(2):
             field.values(writable)  # one outermost evaluation's worth each
-        assert builds["frame_at"] == 3 and len(scope.kept) == 1
+        assert builds["_built"] == 3 and len(scope.kept) == 1
     assert not scope.kept  # emptied on close
     field.values(points)  # no run scope: one outermost evaluation's worth
-    assert builds["frame_at"] == 4
+    assert builds["_built"] == 4
 
 
 def test_a_run_scope_does_not_keep_read_only_views(builds):
@@ -450,12 +451,12 @@ def test_a_run_scope_does_not_keep_read_only_views(builds):
             before = field.values(view)
             base[...] = base[:, ::-1].copy()  # the view changes with its base
             after = field.values(view)
-            assert not scope.kept and builds["frame_at"] == 2
+            assert not scope.kept and builds["_built"] == 2
             want = geom.frame_at(view).P
             base[...] = base[:, ::-1].copy()
         np.testing.assert_array_equal(after, want)
         assert not np.array_equal(before, after)
-        builds["frame_at"] = 0
+        builds["_built"] = 0
 
 
 def test_an_evaluation_keeps_the_frames_of_its_recent_arrays(builds):
@@ -467,19 +468,19 @@ def test_an_evaluation_keeps_the_frames_of_its_recent_arrays(builds):
         held = geom._frame(points, 0.0, 1)  # a held frame of order 0 gains order 1
         assert held is not first and held.order == 1 and held.normals is first.normals
         assert geom._frame(points) is held and geom._frame(points, 0.0, 1) is held
-        assert builds == {"frame_at": 1, "_differentiated": 1}
+        assert builds == {"_built": 1, "_differentiated": 1}
         again = points + 0.0
         top = geom._frame(again, 0.0, 2)  # a frame of order 2 serves every lower order
         assert top.order == 2
         assert all(geom._frame(again, 0.0, order) is top for order in (1, 0, 2))
-        assert builds == {"frame_at": 2, "_differentiated": 2}
+        assert builds == {"_built": 2, "_differentiated": 2}
         others = [points + 0.0 for _ in range(geometry._RECENT)]
         for other in others:
             geom._frame(other)
         assert len(scope.recent) == geometry._RECENT
         assert all(held is other for (held, _), other in zip(scope.recent, others[::-1]))
         geom._frame(points)  # asked about before the last _RECENT arrays: built again
-        assert builds["frame_at"] == 3 + geometry._RECENT
+        assert builds["_built"] == 3 + geometry._RECENT
     assert not scope.recent
 
 
@@ -488,7 +489,30 @@ def test_outside_a_scope_every_request_builds(builds):
     x = np.array([0.0, 0.6, 0.8])
     for order in (0, 0, 2, 1, 0, 1):
         assert geom._frame(x, 0.0, order).order == order
-    assert builds == {"frame_at": 6, "_differentiated": 3}
+    assert builds == {"_built": 6, "_differentiated": 3}
+
+
+def test_a_fresh_frame_of_order_one_evaluates_each_gradient_once():
+    """Gram-Schmidt and the derivative pass share one evaluation of the
+    gradients: k calls of a pointwise gradient for k points, through the
+    public builder and through the evaluation scope."""
+    calls = [0]
+
+    def gradient(x, t):
+        calls[0] += 1
+        return x / np.linalg.norm(x)
+
+    def hessian(x, t):
+        r = np.linalg.norm(x)
+        return (np.eye(3) - np.outer(x, x) / r**2) / r
+
+    geom = LevelSetGeometry(3, [LevelSet(lambda x, t: np.linalg.norm(x) - 1.0, gradient,
+                                         hessian)])
+    points = get_case("sphere").sample_points(5)
+    assert geom.frame_derivative_at(points).order == 1 and calls == [5]
+    with _frame_scope():
+        assert geom._frame(points + 0.0, 0.0, 1).order == 1
+    assert calls == [10]
 
 
 @pytest.mark.parametrize("mode, batch, deep_batch", [("fd2", 4, 8), ("fd4", 16, 64)])
@@ -519,7 +543,7 @@ def test_nested_stencils_at_one_point_pin_their_calls_and_batches(builds, monkey
     cfg = DiffConfig(mode=mode)
     got = laplacian(leaf, geom, cfg).values(x)
     assert seen == {"calls": 18, "batch": batch}
-    assert builds == {"frame_at": 4, "_differentiated": 0}
+    assert builds == {"_built": 4, "_differentiated": 0}
     np.testing.assert_allclose(got, laplacian(leaf, geom, AN).values(x), atol=1e-6)
 
     deep = divergence(submanifold_gradient(submanifold_gradient(leaf, geom, cfg), geom, cfg),

@@ -122,6 +122,10 @@ GUARDS = {
     "expanding_sphere speed": (lambda: expanding_sphere(speed=np.inf), ParameterError,
                                "finite number"),
     "get_case name": (lambda: get_case("bogus"), KeyError, "unknown geometry 'bogus'"),
+    "get_case parameter name": (lambda: get_case("sphere", radious=2.0), ParameterError,
+                                "geometry 'sphere' has no parameter radious (it takes: radius)"),
+    "get_case parameter value": (lambda: get_case("torus", major=0.2), ParameterError,
+                                 "geometry 'torus': need 0 < minor < major"),
 }
 
 

@@ -8,7 +8,7 @@ import pytest
 from tensorcalc.builtins import _sphere_level, get_case
 from tensorcalc.evolving import transport_rate_fd
 from tensorcalc.fields import (
-    constant, coordinate, position, random_polynomial, scalar_field, vector_field,
+    constant, coordinate, position, random_polynomial, scalar_field, tf_scale, vector_field,
 )
 from tensorcalc.geometry import LevelSet, LevelSetGeometry
 from tensorcalc.operators import DiffConfig, normal_field, submanifold_gradient
@@ -390,6 +390,22 @@ def test_weak_form_is_symmetric(rng):
     a_uv, _ = weak_form(atlas, u, v, None, None, AN)
     a_vu, _ = weak_form(atlas, v, u, None, None, AN)
     np.testing.assert_allclose(a_uv, a_vu, atol=1e-10)
+
+
+def test_weak_form_of_a_field_with_itself_takes_one_covariant_gradient(rng, monkeypatch):
+    atlas = get_case("sphere").atlas(order=10, panels=1)
+    u = random_polynomial(3, 1, rng, degree=2)
+    want = weak_form(atlas, u, tf_scale(u, 1.0), None, None, AN)[0]  # two gradients
+    built = []
+    covariant_gradient = quadrature.covariant_gradient
+
+    def counting(field, *args):
+        built.append(field)
+        return covariant_gradient(field, *args)
+
+    monkeypatch.setattr(quadrature, "covariant_gradient", counting)
+    np.testing.assert_allclose(weak_form(atlas, u, u, None, None, AN)[0], want, rtol=1e-14)
+    assert built == [u]
 
 
 def _three_sphere(a_hi=math.pi, sides=(), exact=True):

@@ -3,6 +3,7 @@ rows that are pure functions of their DiffConfig; and the draw-loop suites
 against their per-draw reference loops."""
 
 import dataclasses
+import inspect
 import json
 import math
 import sys
@@ -13,11 +14,16 @@ import pytest
 from tensorcalc import builtins, suites
 from tensorcalc.builtins import get_case
 from tensorcalc.cli import main
-from tensorcalc.fields import random_polynomial
+from tensorcalc.euler import force_balance, rigid_rotation_state
+from tensorcalc.evolving import dirichlet_rate_terms
+from tensorcalc.fields import constant, coordinate, random_polynomial, tf_outer
 from tensorcalc.geometry import _gram_schmidt, frame_from_normals, project
-from tensorcalc.quadrature import Chart
+from tensorcalc.operators import DiffConfig, covariant_laplacian, divergence, normal_field
+from tensorcalc.quadrature import (
+    Chart, circulation_residual, gradient_residual, integrate, stokes_residual, weak_form,
+)
 from tensorcalc.report import make_check
-from tensorcalc.stress import normal_at_tangential
+from tensorcalc.stress import normal_at_tangential, rotation_generator, stress_force
 from tensorcalc.suites import SuiteConfig, _project_oracle, run_suite
 from tensorcalc.tensor import Tensor, dot, frobenius, outer, random_tensor
 
@@ -116,6 +122,91 @@ def test_the_laplacian_rows_hold_at_every_radius(radius):
                                    geom_params={"radius": radius}))
     assert len(report.checks) == 10
     assert [c.id for c in report.checks if not c.passed] == []
+
+
+AN = DiffConfig(mode="analytic")
+SPIN = rotation_generator(3, 0, 1)  # the rotation field l = x e_y - y e_x
+
+
+def _rayleigh_ricci(case):
+    """-<lap-cov l, l> / <l, l> for the rotation field l at sample points."""
+    points = case.sample_points(6)
+    lap = covariant_laplacian(SPIN, case.geometry, AN).values(points)
+    return -float(np.sum(lap * SPIN.values(points)) / np.sum(SPIN.values(points) ** 2))
+
+
+def _ez_pieces(case):
+    ez = constant(3, Tensor(3, np.array([0.0, 0.0, 1.0])))
+    return stokes_residual(case.atlas(12, 2), ez, AN).pieces
+
+
+def _normal_pressure(case):
+    nu = normal_field(case.geometry)
+    return np.asarray(stress_force(case.atlas(12, 2), tf_outer(nu, nu), AN))[2]
+
+
+def _rotation_pressure(case):
+    state = rigid_rotation_state(case.geometry, 1.0)
+    return np.asarray(force_balance(case.atlas(12, 2), state, AN).pieces["young_laplace"])[2]
+
+
+# each closed form of each case, and the library's analytic value it stands for
+CLOSED_FORMS = {
+    ("hemisphere", "ez_boundary"): lambda c: _ez_pieces(c)["boundary"],
+    ("hemisphere", "ez_curvature"): lambda c: _ez_pieces(c)["curvature"],
+    ("hemisphere", "gradient_z"):
+        lambda c: np.asarray(gradient_residual(c.atlas(12, 2), coordinate(3, 2), AN).lhs)[2],
+    ("hemisphere", "normal_pressure_force"): _normal_pressure,
+    ("hemisphere", "rotation_pressure"): _rotation_pressure,
+    ("plane_disk", "circulation"): lambda c: circulation_residual(c.atlas(12, 2), SPIN, AN).rhs,
+    ("sphere", "ricci"): _rayleigh_ricci,
+    ("sphere", "rotation_energy"):
+        lambda c: weak_form(c.atlas(12, 2), SPIN, SPIN, None, None, AN)[0],
+    ("expanding_sphere", "area_rate"):
+        lambda c: integrate(c.atlas(12, 2), divergence(c.velocity, c.geometry, AN)),
+    ("expanding_sphere", "dirichlet_rate_z"): lambda c: dirichlet_rate_terms(
+        c.atlas(12, 2), coordinate(3, 2), c.velocity, AN)["total"],
+}
+# a parameter other than the default for every case with closed forms
+PARAMS = {"hemisphere": {"radius": 1.7}, "plane_disk": {"radius": 0.6},
+          "sphere": {"radius": 2.0}, "expanding_sphere": {"radius": 1.5, "speed": 0.2}}
+
+
+def test_the_table_names_every_closed_form_of_every_case():
+    named = {(name, form) for name in builtins.available()
+             for form in get_case(name).closed_forms}
+    assert named == set(CLOSED_FORMS)
+
+
+@pytest.mark.parametrize("name,form", CLOSED_FORMS)
+def test_each_closed_form_matches_the_library_away_from_the_default(name, form):
+    case = get_case(name, **PARAMS[name])
+    assert case.closed_forms[form] != get_case(name).closed_forms[form]
+    got = float(CLOSED_FORMS[name, form](case))
+    assert got == pytest.approx(case.closed_forms[form], rel=1e-10)
+
+
+def test_suites_read_every_closed_form_from_their_case():
+    source = inspect.getsource(suites)
+    for literal in ("math.pi", ".params[", ".params.get("):
+        assert literal not in source
+
+
+def test_pinned_rows_run_on_the_configured_case(monkeypatch):
+    cfg = SuiteConfig(geometry="hemisphere", geom_params={"radius": 1.7})
+    session = suites.Session(cfg)
+    assert session.case("hemisphere") is session.case("hemisphere", radius=1.7)
+    assert session.case("sphere").params == {"radius": 1.0}  # another geometry: its default
+    stokes = run_suite(dataclasses.replace(cfg, suite="stokes"))
+    boundary = {c.id: c for c in stokes.checks}["stokes.hemisphere-ez-boundary"]
+    assert stokes.passed and boundary.rhs == pytest.approx(-2 * math.pi * 1.7)
+    # euler does not accept the hemisphere: its own rows fall back to the sphere
+    monkeypatch.setattr(suites, "SUITES", {"euler": suites.SUITES["euler"]})
+    checks = {c.id: c for c in run_suite(dataclasses.replace(cfg, suite="all")).checks}
+    pressure = checks["euler.force-balance-pressure.fd2"]
+    assert pressure.passed and pressure.rhs == pytest.approx(1.3**2 * math.pi * 1.7**3 / 2)
+    assert checks["euler.momentum.fd2"].geometry == "sphere"
+
 
 def test_a_nan_residual_fails_its_check():
     worst = suites._Worst("a", "b")
