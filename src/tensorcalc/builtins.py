@@ -67,7 +67,7 @@ class GeometryCase:
     closed_forms: Dict[str, float] = field(default_factory=dict)
     blurb: str = ""
 
-    def atlas(self, order: int = 16, panels: int = 2) -> Atlas:
+    def atlas(self, order: int = Atlas.order, panels: int = Atlas.panels) -> Atlas:
         """A fresh atlas of the case's charts under the rule (order, panels)."""
         return Atlas(self.geometry, self.charts, order, panels, name=self.name)
 
@@ -158,7 +158,6 @@ def _sphere_chart(radius, theta_hi=math.pi, sides=(), rate=0.0):
         hi=[theta_hi, TWO_PI],
         mapping=mapping,
         jacobian=jacobian,
-        periodic=(False, True),
         boundary_sides=sides,
         name="polar",
     )
@@ -167,8 +166,7 @@ def _sphere_chart(radius, theta_hi=math.pi, sides=(), rate=0.0):
 def _arc_chart(radius: float, *lift: float, hi: float = TWO_PI,
                sides: Sequence[Tuple[int, int]] = (), name: str = "angle") -> Chart:
     """The arc u -> (R cos u, R sin u, s_1 u, s_2 u, ...) for u in [0, hi],
-    one ambient coordinate s_i u for each lift slope s_i; its axis is
-    periodic unless it has boundary sides."""
+    one ambient coordinate s_i u for each lift slope s_i."""
 
     def mapping(U, t):
         u = U[..., 0]
@@ -178,8 +176,7 @@ def _arc_chart(radius: float, *lift: float, hi: float = TWO_PI,
         u = U[..., 0]
         return _mat(U, (-radius * np.sin(u),), (radius * np.cos(u),), *((s,) for s in lift))
 
-    return Chart._batched([0.0], [hi], mapping, jacobian, periodic=(not sides,),
-                          boundary_sides=sides, name=name)
+    return Chart._batched([0.0], [hi], mapping, jacobian, boundary_sides=sides, name=name)
 
 
 def sphere(radius: float = 1.0) -> GeometryCase:
@@ -291,7 +288,7 @@ def plane_disk(radius: float = 1.0) -> GeometryCase:
         name="plane_disk",
         geometry=LevelSetGeometry(3, [_coordinate_plane_level(2)], name="plane_disk"),
         charts=[Chart._batched([0.0, 0.0], [radius, TWO_PI], mapping, jacobian,
-                               periodic=(False, True), boundary_sides=((0, 1),), name="disk")],
+                               boundary_sides=((0, 1),), name="disk")],
         params={"radius": radius},
         # the boundary circulation of the rotation field l = x e_y - y e_x
         closed_forms={"circulation": 2.0 * math.pi * radius**2},
@@ -360,7 +357,7 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
         name="torus",
         geometry=geom,
         charts=[Chart._batched([0.0, 0.0], [TWO_PI, TWO_PI], mapping, jacobian,
-                               periodic=(True, True), name="torus-angles")],
+                               name="torus-angles")],
         params={"major": major, "minor": minor},
         curvature=curvature,
         blurb="torus of revolution around the z axis",
@@ -428,7 +425,7 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
     )
 
 
-def expanding_sphere(radius: float = 1.0, speed: float = 0.25) -> GeometryCase:
+def expanding_sphere(radius: float = 1.0, speed: float = 0.1) -> GeometryCase:
     _positive(radius=radius)
     if not np.isfinite(speed):
         raise ParameterError(f"speed must be a finite number, got {speed}")

@@ -31,7 +31,7 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_mapping(text: str, what: str, cast=float) -> Dict[str, float]:
+def _parse_mapping(text: str, what: str) -> Dict[str, float]:
     out: Dict[str, float] = {}
     if not text:
         return out
@@ -43,7 +43,7 @@ def _parse_mapping(text: str, what: str, cast=float) -> Dict[str, float]:
             raise UsageError(f"bad {what} entry '{item}' (expected key=value)")
         key, _, raw = item.partition("=")
         try:
-            out[key.strip()] = cast(raw.strip())
+            out[key.strip()] = float(raw.strip())
         except ValueError:
             raise UsageError(f"bad {what} value '{raw.strip()}' for key '{key.strip()}'")
     return out

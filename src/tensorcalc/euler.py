@@ -71,9 +71,9 @@ def rigid_rotation_state(geometry: LevelSetGeometry, omega: float = 1.0) -> Eule
     return EulerState(geometry=geometry, velocity=u, pressure=p)
 
 
-def extrinsic_momentum(atlas: Atlas, u: TensorField, t: float = 0.0, rho: float = 1.0):
-    """J[u] = rho * componentwise integral of u over the submanifold."""
-    return rho * np.asarray(integrate(atlas, u, t))
+def extrinsic_momentum(atlas: Atlas, u: TensorField, t: float = 0.0):
+    """J[u], the componentwise integral of u over the submanifold."""
+    return np.asarray(integrate(atlas, u, t))
 
 
 def tangent_velocity_identity(

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .geometry import _SCOPE, _frame_scope
-from .tensor import MAX_AMBIENT_DIM, MAX_RANK, ShapeError, Tensor, _looped, _outer
+from .tensor import MAX_RANK, ShapeError, Tensor, _check_limits, _looped, _outer
 
 __all__ = [
     "TensorField",
@@ -98,10 +98,7 @@ class TensorField:
         self._setup(n, q, func, grad, dt, depth, name, batched=False)
 
     def _setup(self, n, q, func, grad, dt, depth, name, batched: bool) -> None:
-        if not 1 <= n <= MAX_AMBIENT_DIM:
-            raise ShapeError(f"ambient dimension must be in [1, {MAX_AMBIENT_DIM}], got {n}")
-        if not 0 <= q <= MAX_RANK:
-            raise ShapeError(f"rank must be in [0, {MAX_RANK}], got {q}")
+        _check_limits(n, q)
         self.n = n
         self.q = q
         self.depth = depth
@@ -316,13 +313,11 @@ def _multi_indices(n: int, degree: int):
     return np.array(sorted(set(idx)), dtype=int)
 
 
-def random_polynomial(
-    n: int, q: int, rng: np.random.Generator, degree: int = 2, scale: float = 1.0
-) -> TensorField:
+def random_polynomial(n: int, q: int, rng: np.random.Generator, degree: int = 2) -> TensorField:
     """Seeded smooth field: every leaf a random polynomial of given degree."""
     exps = _multi_indices(n, degree)
     nt = exps.shape[0]
-    coeffs = rng.standard_normal((n,) * q + (nt,)) * (scale / np.sqrt(nt))
+    coeffs = rng.standard_normal((n,) * q + (nt,)) * (1.0 / np.sqrt(nt))
     return polynomial(n, q, exps, coeffs, name=f"poly{q}_deg{degree}")
 
 

@@ -313,21 +313,16 @@ def _normal_derivatives(normals: np.ndarray, grads, hessians, thirds=None):
 # -- the evaluation scope --------------------------------------------------------
 
 
-# how many point arrays an evaluation keeps frames for: a layer asks again
-# for the array it or the layer above it just asked about
-_RECENT = 4
-
-
 class _frame_scope:
     """An evaluation scope, in which each frame is built once per
     (geometry, point array, t), at the highest order asked for.
 
     ``TensorField`` evaluation opens one around each outermost evaluation,
     which does not write its point arrays.  Its ``recent`` store keeps the
-    frames of the ``_RECENT`` point arrays asked about last, most recent
-    first: the nested layers of an operator ask at the same array, or at
-    the array of the stencil axis they are part of (all of that axis's
-    offsets), so older arrays (axes done with) are not asked about again.
+    frames of the point array asked about last: the nested layers of an
+    operator ask at the same array, or at the array of the stencil axis
+    they are part of (all of that axis's offsets), so an older array (an
+    axis done with) is not asked about again.
     A run opens a scope with ``keep=True``, whose ``kept`` store keeps, for
     every evaluation inside it, the frames of the point arrays that are
     read-only and own their data (chart nodes, boundary batches): nothing
@@ -363,13 +358,9 @@ class _frame_scope:
             recent = self.recent
             if recent is None:
                 return None
-            for held, entry in recent:
-                if held is x:
-                    return entry
-            entry = {}
-            recent.insert(0, (x, entry))
-            del recent[_RECENT:]
-            return entry
+            if not recent or recent[0] is not x:
+                recent[:] = (x, {})
+            return recent[1]
         held = self.kept.get(id(x))
         if held is None:
             held = self.kept[id(x)] = (x, {})

@@ -98,7 +98,6 @@ class Chart:
         hi: Sequence[float],
         mapping: Callable[[np.ndarray, float], np.ndarray],
         jacobian: Optional[Callable[[np.ndarray, float], np.ndarray]] = None,
-        periodic: Optional[Sequence[bool]] = None,
         boundary_sides: Sequence[Tuple[int, int]] = (),
         name: str = "chart",
     ) -> None:
@@ -112,16 +111,10 @@ class Chart:
         self.mapping = _looped(mapping, None, f"mapping of chart '{name}'")
         self._jacobian = None if jacobian is None else _looped(
             jacobian, None, f"jacobian of chart '{name}'")
-        self.periodic = tuple(periodic) if periodic is not None else (False,) * self.p
-        if len(self.periodic) != self.p:
-            raise ShapeError(f"chart '{name}' has {self.p} parameters but {len(self.periodic)} "
-                             "periodic flags")
         self.boundary_sides = tuple((int(a), int(e)) for a, e in boundary_sides)
         for a, e in self.boundary_sides:
             if not (0 <= a < self.p and e in (0, 1)):
                 raise ShapeError(f"invalid boundary side ({a}, {e})")
-            if self.periodic[a]:
-                raise ShapeError("a periodic axis cannot carry a boundary")
         self.name = name
 
     @classmethod
@@ -554,7 +547,6 @@ def advected_atlas(atlas: Atlas, w: TensorField, t0: float, dt: float) -> Atlas:
                 chart.hi,
                 make_mapping(chart),
                 jacobian=make_jacobian(chart),
-                periodic=chart.periodic,
                 boundary_sides=chart.boundary_sides,
                 name=f"{chart.name}@+{dt}",
             )

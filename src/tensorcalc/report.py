@@ -147,8 +147,8 @@ class VerificationReport:
             "wall_time_s": self.wall_time_s,
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=False)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=False)
 
     def summary_lines(self) -> List[str]:
         lines = []

@@ -19,9 +19,11 @@ One runner, ``Suite.__call__``, owns the policies every suite shares:
   entry for the full check id replaces it.
 - A suite runs on its default geometry unless ``--geometry`` names one it
   accepts.  A name that is no geometry is a ``SuiteError`` of the
-  configuration.  A single suite rejects any other geometry with
-  ``SuiteError``; under ``all`` such a suite falls back to its default
-  geometry.  Suites built on synthetic frames ignore ``--geometry``.
+  configuration, and so are parameters its builder rejects: ``run_suite``
+  builds the configured case before any suite runs.  A single suite
+  rejects any other geometry with ``SuiteError``; under ``all`` such a
+  suite falls back to its default geometry.  Suites built on synthetic
+  frames ignore ``--geometry``.
 - Every record of a suite that has a geometry names the case it ran on:
   the suite's geometry, or the case a row pins (``on``), or ``synthetic``
   for rows on random frames.  A row pinned to the configured geometry
@@ -136,10 +138,10 @@ class SuiteConfig:
     geometry: Optional[str] = None
     geom_params: Dict[str, float] = field(default_factory=dict)
     order: int = 12
-    panels: int = 2
+    panels: int = Atlas.panels
     fd: str = "fd2"
-    hx: float = 5e-6
-    ht: float = 1e-5
+    hx: float = DiffConfig.hx
+    ht: float = DiffConfig.ht
     seed: int = 0
     tol: Dict[str, float] = field(default_factory=dict)
 
@@ -254,28 +256,25 @@ class Suite:
     """A suite's setup and the geometries it runs on.
 
     ``setup(cfg, case, session)`` draws every seeded input and returns the
-    table; ``case`` is None for a suite without a geometry.  ``params`` are
-    the suite's own parameters for its default geometry.
+    table; ``case`` is None for a suite without a geometry.
     """
 
     setup: Callable[[SuiteConfig, Optional[GeometryCase], Session], List[Check]]
     geometry: Optional[str] = None
     accepts: Tuple[str, ...] = ()
-    params: Dict[str, float] = field(default_factory=dict)
 
     def case(self, session: Session) -> Optional[GeometryCase]:
         cfg = session.cfg
         if self.geometry is None:
             return None
-        override = cfg.geometry not in (None, self.geometry) or bool(cfg.geom_params)
-        if override and cfg.geometry in self.accepts:
+        if cfg.geometry in self.accepts:
             return session.case(cfg.geometry)
-        if override and cfg.suite != "all":
+        if cfg.geometry is not None and cfg.suite != "all":
             raise SuiteError(
                 f"geometry '{cfg.geometry}' is not supported here "
                 f"(supported: {', '.join(sorted(self.accepts))})"
             )
-        return session.case(self.geometry, **self.params)
+        return session.case(self.geometry)
 
     def __call__(self, session: Session) -> List[CheckRecord]:
         cfg = session.cfg
@@ -596,10 +595,10 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Chec
         Check("stokes.hemisphere-ez",
               "int div_M e_z = boundary + curvature terms on the upper hemisphere",
               1e-6, ez_res, kind="rel", on="hemisphere"),
-        Check("stokes.hemisphere-ez-boundary", "the equator circulation term of e_z is -2 pi",
+        Check("stokes.hemisphere-ez-boundary", "the equator circulation term of e_z is -2 pi R",
               1e-6, lambda d: (float(ez_res(d).pieces["boundary"]), closed["ez_boundary"]),
               kind="rel", on="hemisphere"),
-        Check("stokes.hemisphere-ez-curvature", "the curvature term of e_z is +2 pi",
+        Check("stokes.hemisphere-ez-curvature", "the curvature term of e_z is +2 pi R",
               1e-6, lambda d: (float(ez_res(d).pieces["curvature"]), closed["ez_curvature"]),
               kind="rel", on="hemisphere"),
         Check("stokes.closed-sphere",
@@ -614,7 +613,7 @@ def _stokes(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Chec
         Check("stokes.gradient-corollary", "int grad_M f = boundary + curvature terms, f = z",
               1e-6, z_res, kind="rel", on="hemisphere"),
         Check("stokes.gradient-corollary-value",
-              "int grad_M z over the hemisphere is 4 pi / 3 vertically",
+              "int grad_M z over the hemisphere is 4 pi R^2 / 3 vertically",
               1e-6, lambda d: (float(np.asarray(z_res(d).lhs)[2]), closed["gradient_z"]),
               kind="rel", on="hemisphere"),
         Check("stokes.integration-by-parts",
@@ -660,7 +659,7 @@ def _curl(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check]
         Check("curl.circulation-disk", "int curl u over the disk equals the boundary circulation",
               1e-8, disk_res, kind="rel", on="plane_disk"),
         Check("curl.circulation-disk-value",
-              "the unit-disk circulation of the rotation field is 2 pi",
+              "the circulation of the rotation field around the disk of radius R is 2 pi R^2",
               1e-8, lambda d: (float(np.asarray(disk_res(d).rhs)), disk.closed_forms["circulation"]),
               kind="rel", on="plane_disk"),
         Check("curl.circulation-hemisphere",
@@ -779,7 +778,7 @@ def _euler(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Check
         Check("euler.force-balance", "pressure, boundary reaction and centripetal forces cancel",
               1e-6, scaled_balance, kind="abs", per_mode=True, on="hemisphere"),
         Check("euler.force-balance-pressure",
-              "the Young-Laplace force on the rotating hemisphere is w^2 pi / 2",
+              "the Young-Laplace force on the rotating hemisphere is w^2 pi R^3 / 2",
               1e-6, lambda d: (float(np.asarray(balance(d).pieces["young_laplace"])[2]),
                                omega**2 * hemi.closed_forms["rotation_pressure"]),
               kind="rel", per_mode=True, on="hemisphere"),
@@ -852,7 +851,7 @@ def _stress(cfg: SuiteConfig, case: GeometryCase, session: Session) -> List[Chec
               lambda d: _worst_plane(torque_equivalence(atlas, sigma, d)),
               per_mode=True),
         Check("stress.normal-pressure-force",
-              "sigma = n (x) n pushes the hemisphere up with force 2 pi",
+              "sigma = n (x) n pushes the hemisphere up with force 2 pi R",
               1e-8, normal_pressure_force, kind="rel", per_mode=True, on="hemisphere"),
         Check("stress.cross-stress-divfree",
               "the cross stress is pointwise equilibrated in the bulk",
@@ -1001,8 +1000,7 @@ SUITES: Dict[str, Callable[[Session], List[CheckRecord]]] = {
     "laplacian": Suite(_laplacian, "sphere", ("sphere",)),
     "euler": Suite(_euler, "sphere", ("sphere", "torus")),
     "stress": Suite(_stress, "hemisphere", ("hemisphere", "sphere", "torus")),
-    "evolving": Suite(_evolving, "expanding_sphere", ("expanding_sphere",),
-                      {"radius": 1.0, "speed": 0.1}),
+    "evolving": Suite(_evolving, "expanding_sphere", ("expanding_sphere",)),
 }
 
 SUITE_NAMES = list(SUITES) + ["all"]
@@ -1014,6 +1012,8 @@ def run_suite(cfg: SuiteConfig) -> VerificationReport:
     start = time.perf_counter()
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     session = Session(cfg)
+    if cfg.geometry is not None:
+        session.case(cfg.geometry)  # bad parameters fail whichever suites run
     with _frame_scope(keep=True):  # the frames at chart nodes last the run
         checks = [record for name in names for record in SUITES[name](session)]
     unknown = sorted(set(cfg.tol) - {record.id for record in checks})

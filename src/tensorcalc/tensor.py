@@ -489,6 +489,6 @@ def dot(t: Tensor, s: Tensor) -> Tensor:
     return Tensor._wrap(t.n, _dot(t.array, s.array, nl), nl)
 
 
-def random_tensor(n: int, q: int, rng: np.random.Generator, scale: float = 1.0) -> Tensor:
+def random_tensor(n: int, q: int, rng: np.random.Generator) -> Tensor:
     _check_limits(n, q)
-    return Tensor._wrap(n, scale * rng.standard_normal((n,) * q))
+    return Tensor._wrap(n, rng.standard_normal((n,) * q))

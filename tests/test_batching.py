@@ -202,7 +202,7 @@ def _two_chart_sphere() -> GeometryCase:
     def mapping(u, t):
         return np.array([np.sin(u[0]) * np.cos(u[1]), np.sin(u[0]) * np.sin(u[1]), np.cos(u[0])])
 
-    charts = [Chart([lo, 0.0], [lo + 0.5 * math.pi, 2 * math.pi], mapping, periodic=(False, True))
+    charts = [Chart([lo, 0.0], [lo + 0.5 * math.pi, 2 * math.pi], mapping)
               for lo in (0.0, 0.5 * math.pi)]
     return GeometryCase("two-chart-sphere", case.geometry, charts)
 

@@ -1,9 +1,12 @@
 """End-to-end behavior of the command line interface."""
 
+import inspect
 import json
+import math
 
 import pytest
 
+from tensorcalc.builtins import REGISTRY
 from tensorcalc.cli import main
 
 
@@ -226,6 +229,8 @@ def test_convergence_rejects_options_it_does_not_read(tmp_path, capsys, flag):
     ["--geom-params", "radius=2"],
     ["--suite", "laplacian", "--geometry", "sphere", "--geom-params", "radius=inf"],
     ["--suite", "stokes", "--geometry", "torus", "--geom-params", "major=inf"],
+    # projection runs on no geometry: the configured case is built all the same
+    ["--suite", "projection", "--geometry", "sphere", "--geom-params", "bogus=1"],
 ])
 def test_bad_geometry_parameters_are_usage_errors(tmp_path, capsys, flags):
     target = tmp_path / "never.json"
@@ -233,3 +238,32 @@ def test_bad_geometry_parameters_are_usage_errors(tmp_path, capsys, flags):
     assert not target.exists()
     err = capsys.readouterr().err.strip()
     assert err.startswith("error:") and "\n" not in err
+
+
+def _first_parameter(name):
+    return next(iter(inspect.signature(REGISTRY[name]).parameters))
+
+
+@pytest.mark.parametrize("geometry,params,code", [
+    *((name, None, 0) for name in REGISTRY),
+    *((name, f"{_first_parameter(name)}={value}", 2) for name in REGISTRY for value in (0, -1)),
+    *((name, "bogus=1", 2) for name in REGISTRY),
+])
+def test_every_builtin_runs_at_its_defaults_and_rejects_bad_parameters(
+        tmp_path, capsys, geometry, params, code):
+    target = tmp_path / "r.json"
+    flags = ["--geometry", geometry] + (["--geom-params", params] if params else [])
+    assert main(["verify", "--suite", "all", *flags, "--out", str(target)]) == code
+    assert target.exists() == (code == 0)
+    capsys.readouterr()
+
+
+def test_the_evolving_suite_takes_the_default_speed_of_its_case(tmp_path, capsys):
+    target = tmp_path / "r.json"
+    flags = ["--geometry", "expanding_sphere", "--geom-params", "radius=1"]
+    assert main(["verify", "--suite", "evolving", *flags, "--out", str(target)]) == 0
+    rates = [c for c in json.loads(target.read_text())["checks"]
+             if c["id"].startswith("evolve.area-rate.")]
+    assert len(rates) == 2
+    assert all(c["rhs"] == pytest.approx(8 * math.pi * 0.1, rel=1e-15) for c in rates)
+    capsys.readouterr()

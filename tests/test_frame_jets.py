@@ -10,7 +10,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tensorcalc import geometry
 from tensorcalc.builtins import get_case
 from tensorcalc.fields import (
     TensorField,
@@ -459,7 +458,7 @@ def test_a_run_scope_does_not_keep_read_only_views(builds):
         builds["_built"] = 0
 
 
-def test_an_evaluation_keeps_the_frames_of_its_recent_arrays(builds):
+def test_an_evaluation_keeps_the_frames_of_its_last_array(builds):
     geom = get_case("sphere").geometry
     with _frame_scope() as scope:
         points = np.array([[0.6, 0.0, 0.8], [0.0, 1.0, 0.0]])
@@ -474,13 +473,9 @@ def test_an_evaluation_keeps_the_frames_of_its_recent_arrays(builds):
         assert top.order == 2
         assert all(geom._frame(again, 0.0, order) is top for order in (1, 0, 2))
         assert builds == {"_built": 2, "_differentiated": 2}
-        others = [points + 0.0 for _ in range(geometry._RECENT)]
-        for other in others:
-            geom._frame(other)
-        assert len(scope.recent) == geometry._RECENT
-        assert all(held is other for (held, _), other in zip(scope.recent, others[::-1]))
-        geom._frame(points)  # asked about before the last _RECENT arrays: built again
-        assert builds["_built"] == 3 + geometry._RECENT
+        assert scope.recent[0] is again  # the second array evicted the first
+        geom._frame(points)  # asked about before the last array: built again
+        assert scope.recent[0] is points and builds["_built"] == 3
     assert not scope.recent
 
 

@@ -217,7 +217,7 @@ def test_lower_hemisphere_boundary_runs_westward():
     def mapping(u, t):  # a pointwise chart with difference Jacobians
         return np.array([np.sin(u[0]) * np.cos(u[1]), np.sin(u[0]) * np.sin(u[1]), np.cos(u[0])])
 
-    chart = Chart([0.5 * math.pi, 0.0], [math.pi, 2 * math.pi], mapping, periodic=(False, True),
+    chart = Chart([0.5 * math.pi, 0.0], [math.pi, 2 * math.pi], mapping,
                   boundary_sides=((0, 0),), name="south")
     B = boundary_points(Atlas(get_case("sphere").geometry, [chart], order=8, panels=1,
                               name="south"))
@@ -428,8 +428,8 @@ def _three_sphere(a_hi=math.pi, sides=(), exact=True):
         return np.stack([np.stack(r, axis=-1) for r in rows], axis=1)
 
     chart = Chart._batched([0.0, 0.0, 0.0], [a_hi, math.pi, 2 * math.pi], mapping,
-                           jacobian if exact else None, periodic=(False, False, True),
-                           boundary_sides=sides, name="hyperspherical")
+                           jacobian if exact else None, boundary_sides=sides,
+                           name="hyperspherical")
     return Atlas(LevelSetGeometry(4, [_sphere_level(1.0)]), [chart], order=8, panels=1, name="S3")
 
 
@@ -502,14 +502,6 @@ def test_atlas_rejects_a_chart_of_the_wrong_dimension_naming_it():
         Atlas(get_case("sphere").geometry, [path], name="wrong")
 
 
-def test_chart_rejects_periodic_flags_of_the_wrong_length_naming_it():
-    slab = lambda u, t: np.r_[u, 0.0]
-    for sides in ((), ((2, 0),)):
-        with pytest.raises(ShapeError, match=r"chart 'slab' has 3 parameters but 2 periodic"):
-            Chart([0, 0, 0], [1, 1, 1], slab, periodic=(False, True), boundary_sides=sides,
-                  name="slab")
-
-
 def test_rk4_step_tracks_radial_expansion():
     case = get_case("expanding_sphere", radius=1.0, speed=0.25)
     x0 = np.array([1.0, 0.0, 0.0])
@@ -559,8 +551,8 @@ def test_advected_charts_carry_the_exact_jacobian_of_the_rk4_map():
 def test_an_advected_chart_without_a_base_jacobian_differences_its_map():
     case = get_case("expanding_sphere", radius=1.0, speed=0.25)
     base = case.atlas(order=4, panels=1)
-    bare = Atlas(base.geometry, [Chart(c.lo, c.hi, c._map, periodic=c.periodic)
-                                 for c in base.charts], order=4, panels=1)
+    bare = Atlas(base.geometry, [Chart(c.lo, c.hi, c._map) for c in base.charts],
+                 order=4, panels=1)
     exact = advected_atlas(base, case.velocity, 0.0, 0.1).charts[0]
     differenced = advected_atlas(bare, case.velocity, 0.0, 0.1).charts[0]
     assert case.velocity.has_gradient and exact._jacobian is not None
