@@ -4,9 +4,18 @@ Three subcommands: ``verify`` runs a named suite and writes a JSON report,
 ``convergence`` sweeps quadrature order and difference steps into a CSV
 (it takes only the options it reads: ``--fd``, ``--ht``, ``--panels``,
 ``--out`` and ``--config``), and ``list`` prints the available suites and
-geometries.  Exit code 0 means all
-checks passed, 1 means at least one failed (the report is still written),
-and 2 means the invocation itself was unusable.
+geometries.
+
+``--config FILE`` names a flat ``key = value`` file.  Each entry is read as
+the flag ``--key=value`` (underscores become dashes), placed after the
+command name and before the command line's own flags, so one parser checks
+both and the command line wins.  Flags and keys must name an option of the
+subcommand in full; ``config`` is not a key.
+
+Exit code 0 means all checks passed, 1 means at least one failed (the
+report is still written), and 2 means the invocation itself was unusable:
+a bad flag or file entry ends in argparse's usage message, and a setting
+that ``SuiteConfig`` or the run rejects prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -14,8 +23,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import asdict
-from typing import Dict, List, Optional, Tuple
+from dataclasses import fields
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -27,117 +36,89 @@ from .suites import SUITE_NAMES, SuiteConfig, SuiteError, run_suite
 
 __all__ = ["main", "build_parser"]
 
-class UsageError(ValueError):
-    pass
 
-
-def _parse_mapping(text: str, what: str) -> Dict[str, float]:
+def _parse_mapping(text: str) -> Dict[str, float]:
+    """``K=V[,K=V...]`` as a dict of floats: the type of a mapping option."""
     out: Dict[str, float] = {}
-    if not text:
-        return out
     for item in text.split(","):
         item = item.strip()
         if not item:
             continue
-        if "=" not in item:
-            raise UsageError(f"bad {what} entry '{item}' (expected key=value)")
-        key, _, raw = item.partition("=")
+        key, eq, raw = item.partition("=")
+        if not eq:
+            raise argparse.ArgumentTypeError(f"bad entry '{item}' (expected key=value)")
         try:
-            out[key.strip()] = float(raw.strip())
+            out[key.strip()] = float(raw)
         except ValueError:
-            raise UsageError(f"bad {what} value '{raw.strip()}' for key '{key.strip()}'")
+            raise argparse.ArgumentTypeError(
+                f"bad value '{raw.strip()}' for key '{key.strip()}'") from None
     return out
 
 
-def _read_config(path: str) -> Dict[str, str]:
-    """Flat key=value file; '#' starts a comment, blank lines are skipped."""
-    out: Dict[str, str] = {}
+def _read_config(parser: argparse.ArgumentParser, args: argparse.Namespace) -> List[str]:
+    """The entries of ``args.config`` as flags of ``args.command``; '#'
+    starts a comment, blank lines are skipped."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got '{line}'")
-                key, _, value = line.partition("=")
-                out[key.strip().replace("-", "_")] = value.strip()
+        with open(args.config, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
     except OSError as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}")
-    return out
-
-
-def _coerce(key: str, raw: str):
-    try:
-        if key in ("order", "panels", "seed"):
-            return int(raw)
-        if key in ("hx", "ht"):
-            return float(raw)
-    except ValueError:
-        raise UsageError(f"bad {key} value '{raw}'")
-    if key == "geom_params":
-        return _parse_mapping(raw, "geom-params")
-    if key == "tol":
-        return _parse_mapping(raw, "tol")
-    return raw
+        parser.error(f"cannot read config file {args.config}: {exc}")
+    flags = []
+    for lineno, line in enumerate(lines, start=1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        if not eq:
+            parser.error(f"{args.config}:{lineno}: expected key=value, got '{line}'")
+        dest = key.replace("-", "_")
+        if dest in ("command", "config") or not hasattr(args, dest):
+            parser.error(f"unknown config key '{key}' for '{args.command}'")
+        flags.append(f"--{dest.replace('_', '-')}={value}")
+    return flags
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tensorcalc",
         description="verify extrinsic tensor-calculus identities on embedded submanifolds",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):  # the options that both commands read
-        p.add_argument("--panels", type=int, default=None, help="panels per chart axis")
-        p.add_argument("--fd", choices=("fd2", "fd4", "analytic"), default=None,
-                       help="difference mode for derivative operators")
-        p.add_argument("--ht", type=float, default=None, help="temporal step")
-        p.add_argument("--out", default=None, metavar="FILE",
-                       help="write the output here instead of stdout")
-        p.add_argument("--config", default=None, metavar="FILE",
-                       help="flat key=value config file (CLI flags win)")
+    def command(name, help):  # flags and config keys name an option in full
+        return sub.add_parser(name, help=help, allow_abbrev=False)
 
-    verify = sub.add_parser("verify", help="run a suite and emit a JSON report")
-    verify.add_argument("--suite", choices=SUITE_NAMES, default=None,
+    def add_common(p):  # the options that both commands read
+        p.add_argument("--panels", type=int, help="panels per chart axis")
+        p.add_argument("--fd", choices=("fd2", "fd4", "analytic"),
+                       help="difference mode for derivative operators")
+        p.add_argument("--ht", type=float, help="temporal step")
+        p.add_argument("--out", metavar="FILE", help="write the output here instead of stdout")
+        p.add_argument("--config", metavar="FILE",
+                       help="flat key=value file, each entry read as a flag (CLI flags win)")
+
+    verify = command("verify", "run a suite and emit a JSON report")
+    verify.add_argument("--suite", choices=SUITE_NAMES,
                         help="which check suite to run (default: all)")
-    verify.add_argument("--geometry", default=None,
-                        help="geometry override for the suite's generic checks")
-    verify.add_argument("--geom-params", default=None, metavar="K=V[,K=V...]",
+    verify.add_argument("--geometry", help="geometry override for the suite's generic checks")
+    verify.add_argument("--geom-params", type=_parse_mapping, metavar="K=V[,K=V...]",
                         help="geometry parameters, e.g. radius=2.0")
-    verify.add_argument("--order", type=int, default=None,
-                        help="Gauss-Legendre points per panel axis")
-    verify.add_argument("--hx", type=float, default=None, help="spatial step")
-    verify.add_argument("--tol", default=None, metavar="ID=TOL[,ID=TOL...]",
+    verify.add_argument("--order", type=int, help="Gauss-Legendre points per panel axis")
+    verify.add_argument("--hx", type=float, help="spatial step")
+    verify.add_argument("--tol", type=_parse_mapping, metavar="ID=TOL[,ID=TOL...]",
                         help="per-check tolerance overrides")
-    verify.add_argument("--seed", type=int, default=None, help="random seed")
+    verify.add_argument("--seed", type=int, help="random seed")
     add_common(verify)
-    add_common(sub.add_parser("convergence", help="sweep order and step size into CSV"))
-    sub.add_parser("list", help="print known suites and geometries")
+    add_common(command("convergence", "sweep order and step size into CSV"))
+    command("list", "print known suites and geometries")
     return parser
 
 
-def _merge_options(args: argparse.Namespace) -> Tuple[SuiteConfig, Optional[str]]:
-    """The run's configuration and the CLI's own ``out``: SuiteConfig
-    defaults, then the config file, then flags.  SuiteConfig checks the
-    values, which the parser does not for config-file entries."""
-    merged: Dict[str, object] = {**asdict(SuiteConfig()), "out": None}
-    if getattr(args, "config", None):
-        for key, raw in _read_config(args.config).items():
-            if key not in merged or not hasattr(args, key):  # the subcommand has no such option
-                raise UsageError(f"unknown config key '{key}' for '{args.command}'")
-            merged[key] = _coerce(key, raw)
-    for key in merged:
-        flag = getattr(args, key, None)
-        if flag is None:
-            continue
-        if key in ("geom_params", "tol"):
-            merged[key] = _parse_mapping(flag, key.replace("_", "-"))
-        else:
-            merged[key] = flag
-    out = merged.pop("out")
-    return SuiteConfig(**merged), out
+def _suite_config(args: argparse.Namespace) -> SuiteConfig:
+    """The run's settings: the parsed options that are set, over the defaults."""
+    names = {f.name for f in fields(SuiteConfig)}
+    return SuiteConfig(**{k: v for k, v in vars(args).items() if k in names and v is not None})
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -149,10 +130,9 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cfg, out = _merge_options(args)
-    report = run_suite(cfg)
-    _emit(report.to_json() + "\n", out)
-    if out:
+    report = run_suite(_suite_config(args))
+    _emit(report.to_json() + "\n", args.out)
+    if args.out:
         for line in report.summary_lines():
             print(line)
     return 0 if report.passed else 1
@@ -191,9 +171,9 @@ def _curvature_rows(mode: str, ht: float) -> List[dict]:
 
 
 def cmd_convergence(args: argparse.Namespace) -> int:
-    cfg, out = _merge_options(args)
+    cfg = _suite_config(args)
     rows = _area_rows(cfg.panels) + _curvature_rows(cfg.fd, cfg.ht)
-    _emit(convergence_csv(rows), out)
+    _emit(convergence_csv(rows), args.out)
     return 0
 
 
@@ -211,16 +191,18 @@ def cmd_list(_args: argparse.Namespace) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
+    if getattr(args, "config", None):  # the file's flags go first, so the command line's win
+        args = parser.parse_args(argv[:1] + _read_config(parser, args) + argv[1:])
     try:
         if args.command == "verify":
             return cmd_verify(args)
         if args.command == "convergence":
             return cmd_convergence(args)
         return cmd_list(args)
-    except (UsageError, SuiteError) as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        print(f"error: {message}", file=sys.stderr)
+    except SuiteError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
 
 

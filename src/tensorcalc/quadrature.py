@@ -198,9 +198,14 @@ class Atlas:
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if self.order < 1 or self.panels < 1:
-            raise ShapeError("order and panels must be positive")
-        self.order, self.panels = int(self.order), int(self.panels)
+        if not self.charts:
+            raise ShapeError(f"atlas '{self.name}' has no charts")
+        for key in ("order", "panels"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ShapeError(f"atlas '{self.name}': order and panels must be positive "
+                                 f"integers, got {key} = {value!r}")
+            setattr(self, key, int(value))
         dim = self.geometry.n - self.geometry.m
         for chart in self.charts:
             if chart.p != dim:

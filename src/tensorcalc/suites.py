@@ -134,6 +134,9 @@ class SuiteError(ValueError):
 
 @dataclass
 class SuiteConfig:
+    """The settings of a run, each checked here when the config is made, so
+    command-line and library callers meet the same checks (``SuiteError``)."""
+
     suite: str = "all"
     geometry: Optional[str] = None
     geom_params: Dict[str, float] = field(default_factory=dict)
@@ -146,9 +149,15 @@ class SuiteConfig:
     tol: Dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        if self.suite not in SUITE_NAMES:
+            raise SuiteError(f"unknown suite '{self.suite}' (known: {', '.join(SUITE_NAMES)})")
         for key, least in (("order", 1), ("panels", 1), ("seed", 0)):
-            if getattr(self, key) < least:
-                raise SuiteError(f"{key} must be at least {least}, got {getattr(self, key)}")
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)):
+                raise SuiteError(f"{key} must be an integer, got {value!r}")
+            if value < least:
+                raise SuiteError(f"{key} must be at least {least}, got {value}")
+            setattr(self, key, int(value))
         if self.geometry is not None and self.geometry not in REGISTRY:
             raise SuiteError(
                 f"unknown geometry '{self.geometry}' (known: {', '.join(sorted(REGISTRY))})")
@@ -1007,8 +1016,6 @@ SUITE_NAMES = list(SUITES) + ["all"]
 
 
 def run_suite(cfg: SuiteConfig) -> VerificationReport:
-    if cfg.suite != "all" and cfg.suite not in SUITES:
-        raise SuiteError(f"unknown suite '{cfg.suite}' (known: {', '.join(SUITE_NAMES)})")
     start = time.perf_counter()
     names = list(SUITES) if cfg.suite == "all" else [cfg.suite]
     session = Session(cfg)

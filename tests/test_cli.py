@@ -1,13 +1,18 @@
 """End-to-end behavior of the command line interface."""
 
+import argparse
 import inspect
 import json
 import math
+import re
 
+import numpy as np
 import pytest
 
+from tensorcalc import cli
 from tensorcalc.builtins import REGISTRY
-from tensorcalc.cli import main
+from tensorcalc.cli import build_parser, main
+from tensorcalc.suites import SuiteConfig, SuiteError
 
 
 def test_list_prints_suites_and_geometries(capsys):
@@ -103,10 +108,17 @@ def test_config_file_merging(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _parser_exits(argv):
+    """main(argv) ends in the parser's usage error, SystemExit(2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
 def test_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("not_a_key = 3\n")
-    assert main(["verify", "--config", str(cfg)]) == 2
+    _parser_exits(["verify", "--config", str(cfg)])
     assert "not_a_key" in capsys.readouterr().err
 
 
@@ -117,9 +129,14 @@ def test_bad_config_value_is_usage_error(tmp_path, capsys, line):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"suite = projection\n{line}\n")
     target = tmp_path / "never.json"
-    assert main(["verify", "--config", str(cfg), "--out", str(target)]) == 2
+    argv = ["verify", "--config", str(cfg), "--out", str(target)]
+    if line in ("suite = nosuch", "fd = fd3", "order = x"):  # the parser's choices or type
+        _parser_exits(argv)
+    else:  # a value that SuiteConfig rejects
+        assert main(argv) == 2
     assert not target.exists()
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err and line.split(" = ")[0] in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -191,10 +208,10 @@ def test_convergence_config_rejects_keys_it_does_not_read(tmp_path, capsys, line
     cfg = tmp_path / "conv.cfg"
     cfg.write_text(f"{line}\n")
     target = tmp_path / "never.csv"
-    assert main(["convergence", "--config", str(cfg), "--out", str(target)]) == 2
+    _parser_exits(["convergence", "--config", str(cfg), "--out", str(target)])
     assert not target.exists()
     err = capsys.readouterr().err
-    assert line.split(" = ")[0] in err and "convergence" in err
+    assert f"unknown config key '{line.split(' = ')[0]}' for 'convergence'" in err
 
 
 def test_convergence_config_keys_it_reads_take_effect(tmp_path, capsys):
@@ -267,3 +284,143 @@ def test_the_evolving_suite_takes_the_default_speed_of_its_case(tmp_path, capsys
     assert len(rates) == 2
     assert all(c["rhs"] == pytest.approx(8 * math.pi * 0.1, rel=1e-15) for c in rates)
     capsys.readouterr()
+
+
+# -- one parser for flags and config files ------------------------------------------
+
+
+def _options(command):
+    """The options of a subcommand, from the parser's actions, ``--config`` excepted."""
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    return [a for a in commands[command]._actions
+            if a.option_strings and a.dest not in ("help", "config")]
+
+
+# a valid value away from the default for each option, and the flags it needs besides
+GOOD = {"suite": "projection", "geometry": "torus", "geom_params": "radius=2", "order": "9",
+        "hx": "2e-4", "tol": "projection.idempotent=1e-8", "seed": "7", "panels": "3",
+        "fd": "fd4", "ht": "2e-4", "out": "report.out"}
+NEEDS = {"geom_params": ["--geometry", "sphere"]}
+OPTIONS = [(command, action) for command in ("verify", "convergence")
+           for action in _options(command)]
+
+
+def _bad_value(action):
+    if action.choices:
+        return {"fd": "fd3", "suite": "nosuch"}[action.dest]
+    if action.type in (int, float):
+        return "x"
+    return "radius" if action.type is cli._parse_mapping else None
+
+
+def _settings_of(monkeypatch, argv):
+    """The SuiteConfig and ``out`` that main(argv) would run with."""
+    seen = []
+
+    def capture(args):
+        seen.append((cli._suite_config(args), args.out))
+        return 0
+
+    monkeypatch.setattr(cli, "cmd_verify", capture)
+    monkeypatch.setattr(cli, "cmd_convergence", capture)
+    assert main(argv) == 0
+    return seen[0]
+
+
+def test_every_option_has_a_value_in_the_parity_tables():
+    assert {action.dest for _, action in OPTIONS} == set(GOOD)
+
+
+def _ids(options):
+    return [f"{command}{action.option_strings[0]}" for command, action in options]
+
+
+@pytest.mark.parametrize("command,action", OPTIONS, ids=_ids(OPTIONS))
+def test_a_config_entry_and_its_flag_give_the_same_settings(tmp_path, monkeypatch,
+                                                            command, action):
+    flag, value = action.option_strings[0], GOOD[action.dest]
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text(f"{action.dest} = {value}\n")
+    needs = NEEDS.get(action.dest, [])
+    from_file = _settings_of(monkeypatch, [command, "--config", str(cfg), *needs])
+    from_flag = _settings_of(monkeypatch, [command, flag, value, *needs])
+    assert from_file == from_flag
+    assert from_file != _settings_of(monkeypatch, [command, *needs])
+
+
+TYPED = [(command, action) for command, action in OPTIONS if _bad_value(action)]
+
+
+@pytest.mark.parametrize("command,action", TYPED, ids=_ids(TYPED))
+def test_a_bad_value_ends_alike_from_a_flag_and_from_the_file(tmp_path, capsys,
+                                                              command, action):
+    flag, bad = action.option_strings[0], _bad_value(action)
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{action.dest} = {bad}\n")
+    target = tmp_path / "never.out"
+    _parser_exits([command, flag, bad, "--out", str(target)])
+    from_flag = capsys.readouterr().err
+    _parser_exits([command, "--config", str(cfg), "--out", str(target)])
+    from_file = capsys.readouterr().err
+    assert from_file == from_flag
+    assert from_file.startswith("usage:") and f"argument {flag}: " in from_file
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("line", ["ord = 9", "config = x"])
+def test_a_prefix_and_the_config_option_are_unknown_keys(tmp_path, capsys, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    target = tmp_path / "never.json"
+    _parser_exits(["verify", "--config", str(cfg), "--out", str(target)])
+    assert not target.exists()
+    key = line.split(" = ")[0]
+    assert f"unknown config key '{key}' for 'verify'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text,message", [
+    ("suite projection\n", "bad.cfg:1: expected key=value, got 'suite projection'"),
+    (None, "cannot read config file"),
+], ids=["no-equals-sign", "missing-file"])
+def test_a_malformed_or_missing_config_file_is_a_usage_error(tmp_path, capsys, text, message):
+    cfg = tmp_path / "bad.cfg"
+    if text is not None:
+        cfg.write_text(text)
+    target = tmp_path / "never.json"
+    _parser_exits(["verify", "--config", str(cfg), "--out", str(target)])
+    assert not target.exists()
+    assert message in capsys.readouterr().err
+
+
+def test_a_flag_is_not_matched_by_its_prefix(tmp_path, capsys):
+    target = tmp_path / "never.json"
+    _parser_exits(["verify", "--suite", "projection", "--ord", "9", "--out", str(target)])
+    assert not target.exists()
+    assert "unrecognized arguments: --ord" in capsys.readouterr().err
+
+
+def test_flags_win_over_the_file(tmp_path, monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 5\nfd = fd4\ngeometry = sphere\ngeom-params = radius=2\n")
+    argv = ["verify", "--config", str(cfg), "--seed", "8", "--geom-params", "radius=3"]
+    run = _settings_of(monkeypatch, argv)[0]
+    assert (run.seed, run.fd, run.geometry) == (8, "fd4", "sphere")
+    assert run.geom_params == {"radius": 3.0}
+
+
+@pytest.mark.parametrize("settings,message", [
+    ({"suite": "nosuch"}, "unknown suite 'nosuch' (known: tensor-algebra, projection,"),
+    ({"order": 12.7}, "order must be an integer, got 12.7"),
+    ({"panels": 2.0}, "panels must be an integer, got 2.0"),
+    ({"seed": "3"}, "seed must be an integer, got '3'"),
+], ids=["suite", "order", "panels", "seed"])
+def test_suite_config_checks_every_setting(settings, message):
+    with pytest.raises(SuiteError, match=re.escape(message)):
+        SuiteConfig(**settings)
+
+
+def test_suite_config_takes_numpy_integers():
+    cfg = SuiteConfig(order=np.int64(9), panels=np.int32(3), seed=np.uint8(1))
+    assert (cfg.order, cfg.panels, cfg.seed) == (9, 3, 1)
+    assert all(type(v) is int for v in (cfg.order, cfg.panels, cfg.seed))

@@ -17,7 +17,7 @@ from tensorcalc.operators import (
     DiffConfig, divergence, material_derivative, normal_field, perp_field, projector_rate,
 )
 from tensorcalc.quadrature import (
-    Chart, gradient_residual, integration_by_parts, path_ftc_residual, stokes_residual,
+    Atlas, Chart, gradient_residual, integration_by_parts, path_ftc_residual, stokes_residual,
 )
 from tensorcalc.stress import transpose_field
 from tensorcalc.tensor import (
@@ -67,6 +67,13 @@ GUARDS = {
                                    ShapeError, "rank(S) < rank(T)"),
     "path_ftc_residual on a surface": (lambda: path_ftc_residual(_atlas(), ONE, VEC, FD2),
                                        GeometryError, "1-d manifold"),
+    "Atlas of no charts": (lambda: Atlas(GEOM, [], name="bare"), ShapeError,
+                           "atlas 'bare' has no charts"),
+    "Atlas order": (lambda: SPHERE.atlas(order=12.7), ShapeError,
+                    "atlas 'sphere': order and panels must be positive integers, "
+                    "got order = 12.7"),
+    "Atlas panels": (lambda: SPHERE.atlas(panels=np.float64(2.0)), ShapeError,
+                     "must be positive integers, got panels = "),
     "Chart.points of a constant map": (
         lambda: Chart([0.0], [1.0], lambda u, t: np.zeros(3)).points(2, 1), GeometryError,
         "degenerate chart metric"),

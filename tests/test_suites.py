@@ -208,6 +208,42 @@ def test_pinned_rows_run_on_the_configured_case(monkeypatch):
     assert checks["euler.momentum.fd2"].geometry == "sphere"
 
 
+# every row whose identity text states a closed form: the form as the text
+# states it, and its value from the case's R and c and the rotation rate w = 1.3
+STATED_FORMS = {
+    "stokes.hemisphere-ez-boundary": ("-2 pi R", lambda R, c: -2 * math.pi * R),
+    "stokes.hemisphere-ez-curvature": ("+2 pi R", lambda R, c: 2 * math.pi * R),
+    "stokes.gradient-corollary-value": ("4 pi R^2 / 3", lambda R, c: 4 * math.pi * R**2 / 3),
+    "curl.circulation-disk-value": ("2 pi R^2", lambda R, c: 2 * math.pi * R**2),
+    "laplacian.weak-form-energy": ("8 pi R^2 / 3", lambda R, c: 8 * math.pi * R**2 / 3),
+    "euler.force-balance-pressure": ("w^2 pi R^3 / 2",
+                                     lambda R, c: 1.3**2 * math.pi * R**3 / 2),
+    "stress.normal-pressure-force": ("force 2 pi R", lambda R, c: [0.0, 0.0, 2 * math.pi * R]),
+    "evolve.area-rate": ("8 pi R c", lambda R, c: 8 * math.pi * R * c),
+    "evolve.dirichlet-rank0-value": ("(8 pi / 3) R c", lambda R, c: 8 * math.pi / 3 * R * c),
+}
+AWAY_FROM_DEFAULTS = {"hemisphere": {"radius": 1.7}, "plane_disk": {"radius": 0.6},
+                      "sphere": {"radius": 2.0},
+                      "expanding_sphere": {"radius": 1.5, "speed": 0.2}}
+
+
+@pytest.mark.parametrize("geometry", AWAY_FROM_DEFAULTS)
+def test_identity_texts_state_the_closed_form_their_rhs_takes(geometry):
+    params = AWAY_FROM_DEFAULTS[geometry]
+    report = run_suite(SuiteConfig(geometry=geometry, geom_params=params))
+    stated = set()
+    for record in (r for r in report.checks if "pi" in r.identity):
+        stem = record.id.removesuffix(".fd2").removesuffix(".analytic")
+        assert stem in STATED_FORMS, record.id
+        text, form = STATED_FORMS[stem]
+        assert text in record.identity, record.id
+        case = {"radius": 1.0, "speed": 0.1, **(params if record.geometry == geometry else {})}
+        want = form(case["radius"], case["speed"])
+        np.testing.assert_allclose(record.rhs, want, rtol=1e-13, atol=0, err_msg=record.id)
+        stated.add(stem)
+    assert stated == set(STATED_FORMS)
+
+
 def test_a_nan_residual_fails_its_check():
     worst = suites._Worst("a", "b")
     worst.note("a", np.array([np.nan]))
