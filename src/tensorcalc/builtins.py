@@ -25,7 +25,7 @@ import numpy as np
 from .fields import TensorField, _field, _zeros
 from .geometry import LevelSet, LevelSetGeometry, _norm
 from .quadrature import Atlas, Chart
-from .tensor import _outer
+from .tensor import _outer, _real
 
 __all__ = [
     "GeometryCase",
@@ -92,7 +92,7 @@ def _positive(**params: float) -> None:
     """Raise ParameterError unless every named parameter is a positive
     finite number."""
     for key, value in params.items():
-        if not 0 < value < math.inf:  # NaN fails too
+        if not (_real(value) and 0 < value < math.inf):  # NaN fails too
             raise ParameterError(f"{key} must be positive and finite, got {value}")
 
 
@@ -188,9 +188,10 @@ def sphere(radius: float = 1.0) -> GeometryCase:
         params={"radius": radius},
         curvature=lambda X: 2.0 * X / radius**2,
         # for the rotation field l = x e_y - y e_x: lap-cov l = -ricci l, and
-        # the energy int |grad-cov l|^2
+        # the energy int |grad-cov l|^2; and the area int 1
         closed_forms={"ricci": 1.0 / radius**2,
-                      "rotation_energy": 8.0 * math.pi * radius**2 / 3.0},
+                      "rotation_energy": 8.0 * math.pi * radius**2 / 3.0,
+                      "area": 4.0 * math.pi * radius**2},
         blurb="round sphere |x| = R in R^3",
     )
 
@@ -297,7 +298,7 @@ def plane_disk(radius: float = 1.0) -> GeometryCase:
 
 
 def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
-    if not 0 < minor < major < math.inf:
+    if not (_real(major) and _real(minor) and 0 < minor < major < math.inf):
         raise ParameterError(
             f"need 0 < minor < major < inf for a torus, got major={major}, minor={minor}")
 
@@ -427,7 +428,7 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
 
 def expanding_sphere(radius: float = 1.0, speed: float = 0.1) -> GeometryCase:
     _positive(radius=radius)
-    if not np.isfinite(speed):
+    if not (_real(speed) and np.isfinite(speed)):
         raise ParameterError(f"speed must be a finite number, got {speed}")
     geom = LevelSetGeometry(3, [_sphere_level(radius, speed)], name="expanding_sphere")
 

@@ -62,7 +62,7 @@ import numpy as np
 from . import geometry as geo
 from .fields import TensorField, _field, _Lazy, tf_add, tf_outer, tf_scale
 from .geometry import _NESTED_HX, GeometryError, LevelSetGeometry, _feed
-from .tensor import ShapeError, _central, _dot, _partials
+from .tensor import ShapeError, _central, _dot, _partials, _real
 
 __all__ = [
     "DiffConfig",
@@ -114,8 +114,9 @@ class DiffConfig:
         if self.mode not in _MODES:
             raise ValueError(f"mode must be one of {_MODES}, got {self.mode!r}")
         for attr in ("hx", "ht"):
-            if not 0 < getattr(self, attr) < np.inf:  # NaN fails too
-                raise ValueError(f"{attr} must be positive and finite, got {getattr(self, attr)}")
+            value = getattr(self, attr)
+            if not (_real(value) and 0 < value < np.inf):  # NaN fails too
+                raise ValueError(f"{attr} must be positive and finite, got {value}")
 
     def spatial_step(self, x: np.ndarray, depth: int):
         """Step for points x of shape (..., n): an array of shape (...) at

@@ -8,6 +8,14 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
+__all__ = [
+    "IdentityResult",
+    "CheckRecord",
+    "VerificationReport",
+    "make_check",
+    "convergence_csv",
+]
+
 SCHEMA_VERSION = 1
 
 Number = Union[float, List]

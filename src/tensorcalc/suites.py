@@ -117,7 +117,7 @@ from .stress import (
     torque_equivalence,
     transpose_field,
 )
-from .tensor import Tensor, _apply_to_slot, _dot, _frobenius, _outer, scalar
+from .tensor import Tensor, _apply_to_slot, _dot, _frobenius, _outer, _real, scalar
 
 __all__ = [
     "SuiteConfig",
@@ -153,7 +153,7 @@ class SuiteConfig:
             raise SuiteError(f"unknown suite '{self.suite}' (known: {', '.join(SUITE_NAMES)})")
         for key, least in (("order", 1), ("panels", 1), ("seed", 0)):
             value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise SuiteError(f"{key} must be an integer, got {value!r}")
             if value < least:
                 raise SuiteError(f"{key} must be at least {least}, got {value}")
@@ -163,10 +163,10 @@ class SuiteConfig:
                 f"unknown geometry '{self.geometry}' (known: {', '.join(sorted(REGISTRY))})")
         if self.geom_params and self.geometry is None:
             raise SuiteError("geometry parameters need a geometry (--geometry)")
-        self.tol = {check_id: float(tol) for check_id, tol in self.tol.items()}
         for check_id, tol in self.tol.items():
-            if not math.isfinite(tol):
-                raise SuiteError(f"tolerance of '{check_id}' must be finite, got {tol}")
+            if not (_real(tol) and math.isfinite(tol)):
+                raise SuiteError(f"tolerance of '{check_id}' must be a finite number, got {tol!r}")
+        self.tol = {check_id: float(tol) for check_id, tol in self.tol.items()}
         try:
             self.diff()
         except ValueError as exc:

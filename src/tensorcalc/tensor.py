@@ -29,6 +29,7 @@ nested differences multiply their batch by 2 or 4 at each level.
 from __future__ import annotations
 
 import math
+import numbers
 from functools import lru_cache
 from typing import Iterator, Sequence
 
@@ -60,6 +61,11 @@ MAX_RANK = 8
 
 class ShapeError(ValueError):
     """Operands with incompatible ambient dimension or rank."""
+
+
+def _real(value) -> bool:
+    """Whether ``value`` is a real number: a bool is not, nor is a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _check_limits(n: int, q: int) -> None:

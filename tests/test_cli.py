@@ -414,7 +414,14 @@ def test_flags_win_over_the_file(tmp_path, monkeypatch):
     ({"order": 12.7}, "order must be an integer, got 12.7"),
     ({"panels": 2.0}, "panels must be an integer, got 2.0"),
     ({"seed": "3"}, "seed must be an integer, got '3'"),
-], ids=["suite", "order", "panels", "seed"])
+    ({"order": True}, "order must be an integer, got True"),
+    ({"panels": True}, "panels must be an integer, got True"),
+    ({"seed": False}, "seed must be an integer, got False"),
+    ({"hx": "abc"}, "hx must be positive and finite, got abc"),
+    ({"ht": None}, "ht must be positive and finite, got None"),
+    ({"tol": {"x": "abc"}}, "tolerance of 'x' must be a finite number, got 'abc'"),
+], ids=["suite", "order", "panels", "seed", "order-bool", "panels-bool", "seed-bool", "hx-text",
+        "ht-none", "tol-text"])
 def test_suite_config_checks_every_setting(settings, message):
     with pytest.raises(SuiteError, match=re.escape(message)):
         SuiteConfig(**settings)

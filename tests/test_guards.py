@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from tensorcalc.builtins import ParameterError, expanding_sphere, get_case
+from tensorcalc.builtins import ParameterError, expanding_sphere, get_case, helix, sphere, torus
 from tensorcalc.fields import (
     TensorField, constant, polynomial, scalar_field, tf_add, tf_outer, vector_field,
 )
@@ -20,6 +20,7 @@ from tensorcalc.quadrature import (
     Atlas, Chart, gradient_residual, integration_by_parts, path_ftc_residual, stokes_residual,
 )
 from tensorcalc.stress import transpose_field
+from tensorcalc.suites import SuiteConfig, SuiteError, run_suite
 from tensorcalc.tensor import (
     ShapeError, Tensor, basis_covector, contract_left, contract_right, covector,
     from_components, scalar,
@@ -48,6 +49,10 @@ def _atlas():
 
 GUARDS = {
     # operators
+    "DiffConfig step of text": (lambda: DiffConfig(hx="abc"), ValueError,
+                                "hx must be positive and finite, got abc"),
+    "DiffConfig step of a bool": (lambda: DiffConfig(ht=True), ValueError,
+                                  "ht must be positive and finite, got True"),
     "normal_field index": (lambda: normal_field(GEOM, 1), ShapeError, "normal index 1"),
     "divergence of a scalar": (lambda: divergence(ONE, GEOM, FD2), ShapeError,
                                "divergence needs rank >= 1"),
@@ -133,6 +138,20 @@ GUARDS = {
                                 "geometry 'sphere' has no parameter radious (it takes: radius)"),
     "get_case parameter value": (lambda: get_case("torus", major=0.2), ParameterError,
                                  "geometry 'torus': need 0 < minor < major"),
+    "get_case parameter of text": (lambda: get_case("sphere", radius="x"), ParameterError,
+                                   "geometry 'sphere': radius must be positive and finite, got x"),
+    "builder parameter of None": (lambda: helix(pitch=None), ParameterError,
+                                  "pitch must be positive and finite, got None"),
+    "builder parameter of a bool": (lambda: sphere(radius=True), ParameterError,
+                                    "radius must be positive and finite, got True"),
+    "torus parameter of text": (lambda: torus(minor="x"), ParameterError,
+                                "need 0 < minor < major < inf for a torus, got major=2.0, minor=x"),
+    "expanding_sphere speed of text": (lambda: expanding_sphere(speed="abc"), ParameterError,
+                                       "speed must be a finite number, got abc"),
+    "run_suite geometry parameter of text": (
+        lambda: run_suite(SuiteConfig(suite="laplacian", geometry="sphere",
+                                      geom_params={"radius": "x"})),
+        SuiteError, "geometry 'sphere': radius must be positive and finite, got x"),
 }
 
 

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from tensorcalc import builtins, suites
+from tensorcalc import builtins, cli, suites
 from tensorcalc.builtins import get_case
 from tensorcalc.cli import main
 from tensorcalc.euler import force_balance, rigid_rotation_state
@@ -162,6 +162,7 @@ CLOSED_FORMS = {
     ("sphere", "ricci"): _rayleigh_ricci,
     ("sphere", "rotation_energy"):
         lambda c: weak_form(c.atlas(12, 2), SPIN, SPIN, None, None, AN)[0],
+    ("sphere", "area"): lambda c: integrate(c.atlas(12, 2), lambda X, t: 1.0),
     ("expanding_sphere", "area_rate"):
         lambda c: integrate(c.atlas(12, 2), divergence(c.velocity, c.geometry, AN)),
     ("expanding_sphere", "dirichlet_rate_z"): lambda c: dirichlet_rate_terms(
@@ -187,9 +188,10 @@ def test_each_closed_form_matches_the_library_away_from_the_default(name, form):
 
 
 def test_suites_read_every_closed_form_from_their_case():
-    source = inspect.getsource(suites)
-    for literal in ("math.pi", ".params[", ".params.get("):
-        assert literal not in source
+    for module in (suites, cli):  # the suites and the convergence sweep
+        source = inspect.getsource(module)
+        for literal in ("math.pi", ".params[", ".params.get("):
+            assert literal not in source, (module.__name__, literal)
 
 
 def test_pinned_rows_run_on_the_configured_case(monkeypatch):
