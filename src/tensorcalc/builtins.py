@@ -3,7 +3,11 @@
 Every case bundles a LevelSetGeometry (with exact gradients and Hessians),
 the charts that cover it, and where meaningful a distinguished velocity
 field.  A chart is only a map; ``case.atlas(order, panels)`` sets the
-quadrature rule, so a new case is its level sets plus a chart list.
+quadrature rule, so a new case is its level sets plus a chart list.  A
+builtin states its shape, not its derivatives: a surface of revolution
+gives only its profile to ``_revolution_chart``, which makes the map and
+its exact Jacobian, and the round levels (the spheres and the cylinder)
+are one ``_norm_level``, the distance |y| over some coordinates.
 Level functions are signed distances wherever that is cheap to write down,
 so the unit-gradient hypothesis of the projector-rate machinery holds.
 Level functions, velocity fields and chart mappings are batch-native: they
@@ -96,27 +100,42 @@ def _positive(**params: float) -> None:
             raise ParameterError(f"{key} must be positive and finite, got {value}")
 
 
-def _sphere_level(radius: float, speed: float = 0.0) -> LevelSet:
+def _norm_level(n: int, radius: float, axes: Optional[Sequence[int]] = None,
+                speed: float = 0.0) -> LevelSet:
+    """|y| - (R + c t), where y is the point with its coordinates outside
+    ``axes`` zeroed (none by default): the sphere |x| = R + c t, or over the
+    axes (0, 1) of R^3 the cylinder about the z axis.  With E the identity,
+    or the diagonal mask of ``axes``, and yh = y / |y|, the derivatives are
+    yh, (E - yh yh) / |y| and the third below.  The gradient does not depend
+    on t: the level moves along its normals."""
+    mask = None if axes is None else np.isin(np.arange(n), axes).astype(float)
+    eye = np.eye(n) if mask is None else np.diag(mask)
+
+    def coords(X):
+        return X if mask is None else X * mask
+
+    def unit(X):
+        y = coords(X)
+        r = _norm(y)[..., None]
+        return y / r, r
+
     def value(X, t):
-        return _norm(X) - (radius + speed * t)
+        return _norm(coords(X)) - (radius + speed * t)
 
     def gradient(X, t):
-        return X / _norm(X)[..., None]
+        return unit(X)[0]
 
     def hessian(X, t):
-        r = _norm(X)[..., None]
-        xh = X / r
-        return (np.eye(X.shape[-1]) - _outer(xh, xh, X.ndim - 1)) / r[..., None]
+        yh, r = unit(X)
+        return (eye - _outer(yh, yh, X.ndim - 1)) / r[..., None]
 
     def third(X, t):
-        # d_k of (I - xh xh^T) / r: 3 xh xh xh minus the three placements of I xh, over r^2
-        r = _norm(X)[..., None]
-        xh = X / r
-        eye_xh = np.einsum("ab,...k->...abk", np.eye(X.shape[-1]), xh)
-        sym = eye_xh + np.moveaxis(eye_xh, -1, -3) + np.moveaxis(eye_xh, -1, -2)
-        return (3.0 * np.einsum("...a,...b,...k->...abk", xh, xh, xh) - sym) / (r**2)[..., None, None]
+        # d_k of (E - yh yh^T) / r: 3 yh yh yh minus the three placements of E yh, over r^2
+        yh, r = unit(X)
+        eye_yh = np.einsum("ab,...k->...abk", eye, yh)
+        sym = eye_yh + np.moveaxis(eye_yh, -1, -3) + np.moveaxis(eye_yh, -1, -2)
+        return (3.0 * np.einsum("...a,...b,...k->...abk", yh, yh, yh) - sym) / (r**2)[..., None, None]
 
-    # the gradient does not depend on t: the sphere moves along its normals
     return LevelSet._batched(value, gradient, hessian, third=third, static_gradient=True)
 
 
@@ -138,29 +157,37 @@ def _mat(U, *rows):
     return out
 
 
-def _sphere_chart(radius, theta_hi=math.pi, sides=(), rate=0.0):
+def _revolution_chart(profile, hi: float, sides: Sequence[Tuple[int, int]] = (), *,
+                      name: str) -> Chart:
+    """The surface of revolution (u, phi) -> (rho cos phi, rho sin phi, z)
+    about the z axis, for u in [0, hi] and phi in [0, 2 pi].  The builtin
+    states only its profile: ``profile(u, t)`` gives rho, d rho/du, z and
+    dz/du over a batch of u."""
+
     def mapping(U, t):
-        r = radius + rate * t
-        th, ph = U[..., 0], U[..., 1]
-        return _vec(
-            U, r * np.sin(th) * np.cos(ph), r * np.sin(th) * np.sin(ph), r * np.cos(th)
-        )
+        rho, _, z, _ = profile(U[..., 0], t)
+        ph = U[..., 1]
+        return _vec(U, rho * np.cos(ph), rho * np.sin(ph), z)
 
     def jacobian(U, t):
-        r = radius + rate * t
-        th, ph = U[..., 0], U[..., 1]
-        st, ct = np.sin(th), np.cos(th)
-        sp, cp = np.sin(ph), np.cos(ph)
-        return _mat(U, (r * ct * cp, -r * st * sp), (r * ct * sp, r * st * cp), (-r * st, 0.0))
+        rho, drho, _, dz = profile(U[..., 0], t)
+        cp, sp = np.cos(U[..., 1]), np.sin(U[..., 1])
+        return _mat(U, (drho * cp, -rho * sp), (drho * sp, rho * cp), (dz, 0.0))
 
-    return Chart._batched(
-        lo=[0.0, 0.0],
-        hi=[theta_hi, TWO_PI],
-        mapping=mapping,
-        jacobian=jacobian,
-        boundary_sides=sides,
-        name="polar",
-    )
+    return Chart._batched([0.0, 0.0], [hi, TWO_PI], mapping, jacobian,
+                          boundary_sides=sides, name=name)
+
+
+def _sphere_chart(radius, theta_hi=math.pi, sides=(), rate=0.0):
+    """The polar chart of the sphere of radius R + rate t, down to the
+    polar angle theta_hi."""
+
+    def profile(th, t):
+        r = radius + rate * t
+        st, ct = np.sin(th), np.cos(th)
+        return r * st, r * ct, r * ct, -r * st
+
+    return _revolution_chart(profile, theta_hi, sides, name="polar")
 
 
 def _arc_chart(radius: float, *lift: float, hi: float = TWO_PI,
@@ -183,7 +210,7 @@ def sphere(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
     return GeometryCase(
         name="sphere",
-        geometry=LevelSetGeometry(3, [_sphere_level(radius)], name="sphere"),
+        geometry=LevelSetGeometry(3, [_norm_level(3, radius)], name="sphere"),
         charts=[_sphere_chart(radius)],
         params={"radius": radius},
         curvature=lambda X: 2.0 * X / radius**2,
@@ -200,7 +227,7 @@ def hemisphere(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
     return GeometryCase(
         name="hemisphere",
-        geometry=LevelSetGeometry(3, [_sphere_level(radius)], name="hemisphere"),
+        geometry=LevelSetGeometry(3, [_norm_level(3, radius)], name="hemisphere"),
         charts=[_sphere_chart(radius, theta_hi=0.5 * math.pi, sides=((0, 1),))],
         params={"radius": radius},
         # the boundary and curvature terms of int div_M e_z; then, along e_z,
@@ -219,7 +246,7 @@ def circle2d(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
     return GeometryCase(
         name="circle2d",
-        geometry=LevelSetGeometry(2, [_sphere_level(radius)], name="circle2d"),
+        geometry=LevelSetGeometry(2, [_norm_level(2, radius)], name="circle2d"),
         charts=[_arc_chart(radius)],
         params={"radius": radius},
         blurb="circle |x| = R in the plane",
@@ -232,22 +259,6 @@ def _radial_xy(X):
     rh = X / rho[..., None]
     rh[..., 2] = 0.0
     return rho, rh
-
-
-def _cylinder_level(radius: float) -> LevelSet:
-    pxy = np.diag([1.0, 1.0, 0.0])
-
-    def value(X, t):
-        return np.hypot(X[..., 0], X[..., 1]) - radius
-
-    def gradient(X, t):
-        return _radial_xy(X)[1]
-
-    def hessian(X, t):
-        rho, rh = _radial_xy(X)
-        return (pxy - _outer(rh, rh, X.ndim - 1)) / rho[..., None, None]
-
-    return LevelSet._batched(value, gradient, hessian, static_gradient=True)
 
 
 def _coordinate_plane_level(axis: int = 2) -> LevelSet:
@@ -266,7 +277,7 @@ def circle3d(radius: float = 1.0) -> GeometryCase:
     return GeometryCase(
         name="circle3d",
         geometry=LevelSetGeometry(
-            3, [_cylinder_level(radius), _coordinate_plane_level(2)], name="circle3d"),
+            3, [_norm_level(3, radius, axes=(0, 1)), _coordinate_plane_level(2)], name="circle3d"),
         charts=[_arc_chart(radius, 0.0)],
         params={"radius": radius},
         curvature=lambda X: X * [1.0, 1.0, 0.0] / radius**2,
@@ -276,20 +287,11 @@ def circle3d(radius: float = 1.0) -> GeometryCase:
 
 def plane_disk(radius: float = 1.0) -> GeometryCase:
     _positive(radius=radius)
-
-    def mapping(U, t):
-        r, ph = U[..., 0], U[..., 1]
-        return _vec(U, r * np.cos(ph), r * np.sin(ph), 0.0)
-
-    def jacobian(U, t):
-        r, ph = U[..., 0], U[..., 1]
-        return _mat(U, (np.cos(ph), -r * np.sin(ph)), (np.sin(ph), r * np.cos(ph)), (0.0, 0.0))
-
     return GeometryCase(
         name="plane_disk",
         geometry=LevelSetGeometry(3, [_coordinate_plane_level(2)], name="plane_disk"),
-        charts=[Chart._batched([0.0, 0.0], [radius, TWO_PI], mapping, jacobian,
-                               boundary_sides=((0, 1),), name="disk")],
+        charts=[_revolution_chart(lambda r, t: (r, 1.0, 0.0, 0.0), radius,
+                                  sides=((0, 1),), name="disk")],
         params={"radius": radius},
         # the boundary circulation of the rotation field l = x e_y - y e_x
         closed_forms={"circulation": 2.0 * math.pi * radius**2},
@@ -339,26 +341,14 @@ def torus(major: float = 2.0, minor: float = 0.5) -> GeometryCase:
         nhat = (a * sh + X * ez) / minor
         return (1.0 / minor + a / (minor * s[..., None])) * nhat
 
-    def mapping(U, t):
-        psi, phi = U[..., 0], U[..., 1]
-        s = major + minor * np.cos(psi)
-        return _vec(U, s * np.cos(phi), s * np.sin(phi), minor * np.sin(psi))
-
-    def jacobian(U, t):
-        psi, phi = U[..., 0], U[..., 1]
-        s = major + minor * np.cos(psi)
-        return _mat(
-            U,
-            (-minor * np.sin(psi) * np.cos(phi), -s * np.sin(phi)),
-            (-minor * np.sin(psi) * np.sin(phi), s * np.cos(phi)),
-            (minor * np.cos(psi), 0.0),
-        )
+    def profile(psi, t):
+        cs, sn = np.cos(psi), np.sin(psi)
+        return major + minor * cs, -minor * sn, minor * sn, minor * cs
 
     return GeometryCase(
         name="torus",
         geometry=geom,
-        charts=[Chart._batched([0.0, 0.0], [TWO_PI, TWO_PI], mapping, jacobian,
-                               name="torus-angles")],
+        charts=[_revolution_chart(profile, TWO_PI, name="torus-angles")],
         params={"major": major, "minor": minor},
         curvature=curvature,
         blurb="torus of revolution around the z axis",
@@ -394,10 +384,8 @@ def helix(radius: float = 1.0, pitch: float = 0.25, turns: float = 1.5) -> Geome
         H[..., 0, 0], H[..., 0, 1], H[..., 1, 0], H[..., 1, 1] = hxx, hxy, hxy, -hxx
         return b * H / rho4[..., None, None]
 
-    geom = LevelSetGeometry(
-        3, [_cylinder_level(a), LevelSet._batched(value, gradient, hessian, static_gradient=True)],
-        name="helix",
-    )
+    angle = LevelSet._batched(value, gradient, hessian, static_gradient=True)
+    geom = LevelSetGeometry(3, [_norm_level(3, a, axes=(0, 1)), angle], name="helix")
     turn = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
 
     def along(X):
@@ -430,7 +418,7 @@ def expanding_sphere(radius: float = 1.0, speed: float = 0.1) -> GeometryCase:
     _positive(radius=radius)
     if not (_real(speed) and np.isfinite(speed)):
         raise ParameterError(f"speed must be a finite number, got {speed}")
-    geom = LevelSetGeometry(3, [_sphere_level(radius, speed)], name="expanding_sphere")
+    geom = LevelSetGeometry(3, [_norm_level(3, radius, speed=speed)], name="expanding_sphere")
 
     def vel(X, t):
         return speed * X / np.linalg.norm(X, axis=-1, keepdims=True)

@@ -202,7 +202,7 @@ class Atlas:
             raise ShapeError(f"atlas '{self.name}' has no charts")
         for key in ("order", "panels"):
             value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
                 raise ShapeError(f"atlas '{self.name}': order and panels must be positive "
                                  f"integers, got {key} = {value!r}")
             setattr(self, key, int(value))

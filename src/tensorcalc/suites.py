@@ -158,9 +158,14 @@ class SuiteConfig:
             if value < least:
                 raise SuiteError(f"{key} must be at least {least}, got {value}")
             setattr(self, key, int(value))
-        if self.geometry is not None and self.geometry not in REGISTRY:
+        if self.geometry is not None and not (
+                isinstance(self.geometry, str) and self.geometry in REGISTRY):
             raise SuiteError(
-                f"unknown geometry '{self.geometry}' (known: {', '.join(sorted(REGISTRY))})")
+                f"unknown geometry {self.geometry!r} (known: {', '.join(sorted(REGISTRY))})")
+        for key in ("geom_params", "tol"):
+            value = getattr(self, key)
+            if not (isinstance(value, dict) and all(isinstance(k, str) for k in value)):
+                raise SuiteError(f"{key} must be a dict with string keys, got {value!r}")
         if self.geom_params and self.geometry is None:
             raise SuiteError("geometry parameters need a geometry (--geometry)")
         for check_id, tol in self.tol.items():

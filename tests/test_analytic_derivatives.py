@@ -32,6 +32,7 @@ from tensorcalc.operators import (
     surface_curl,
 )
 from tensorcalc.stress import rotation_generator
+from tensorcalc.tensor import _partials
 
 AN = DiffConfig(mode="analytic")
 FD4 = DiffConfig(mode="fd4")
@@ -95,6 +96,34 @@ def test_combinator_second_derivatives_match_fd4(seed, a, b):
 def test_builtin_velocity_jacobians_match_fd4(name):
     case = get_case(name)
     _assert_exact_gradient(case.velocity, case.sample_points(3))
+
+
+# one parameter set of each builder away from its defaults
+OFF_DEFAULTS = {
+    "sphere": {"radius": 1.3},
+    "hemisphere": {"radius": 1.7},
+    "circle2d": {"radius": 0.8},
+    "circle3d": {"radius": 1.4},
+    "plane_disk": {"radius": 2.5},
+    "torus": {"major": 3.0, "minor": 0.7},
+    "helix": {"radius": 1.2, "pitch": 0.4, "turns": 2.0},
+    "expanding_sphere": {"radius": 1.5, "speed": 0.2},
+}
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+@pytest.mark.parametrize("name", available())
+def test_builtin_chart_jacobians_match_fd4_and_map_onto_the_levels(name, t):
+    """Every chart's exact Jacobian is the derivative of its map, and the
+    map lands on the case's level sets, at the defaults and off them."""
+    for case in (get_case(name), get_case(name, **OFF_DEFAULTS[name])):
+        for chart in case.charts:
+            draws = np.random.default_rng(0).uniform(0.1, 0.9, (5, chart.p))
+            U = chart.lo + (chart.hi - chart.lo) * draws
+            want = _partials(lambda V: chart._map(V, t), U, np.full(chart.p, 1e-3), 4)
+            assert np.max(np.abs(chart._jacobians(U, t) - want)) <= 1e-9, (case.params, chart.name)
+            levels = case.geometry.level_values(chart._map(U, t), t)
+            assert np.max(np.abs(levels)) <= 1e-12, (case.params, chart.name)
 
 
 def test_the_gradient_of_an_outer_product_has_a_time_partial(rng):

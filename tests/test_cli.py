@@ -420,11 +420,23 @@ def test_flags_win_over_the_file(tmp_path, monkeypatch):
     ({"hx": "abc"}, "hx must be positive and finite, got abc"),
     ({"ht": None}, "ht must be positive and finite, got None"),
     ({"tol": {"x": "abc"}}, "tolerance of 'x' must be a finite number, got 'abc'"),
+    ({"tol": None}, "tol must be a dict with string keys, got None"),
+    ({"tol": {1: 1e-3}}, "tol must be a dict with string keys, got {1: 0.001}"),
+    ({"geometry": ["sphere"]}, "unknown geometry ['sphere'] (known: circle2d,"),
+    ({"geometry": "sphere", "geom_params": [("radius", 2.0)]},
+     "geom_params must be a dict with string keys, got [('radius', 2.0)]"),
+    ({"geometry": "sphere", "geom_params": {1: 2.0}},
+     "geom_params must be a dict with string keys, got {1: 2.0}"),
 ], ids=["suite", "order", "panels", "seed", "order-bool", "panels-bool", "seed-bool", "hx-text",
-        "ht-none", "tol-text"])
+        "ht-none", "tol-text", "tol-none", "tol-key", "geometry-list", "geom-params-pairs",
+        "geom-params-key"])
 def test_suite_config_checks_every_setting(settings, message):
     with pytest.raises(SuiteError, match=re.escape(message)):
         SuiteConfig(**settings)
+
+
+def test_a_mapping_option_skips_empty_items():
+    assert cli._parse_mapping(" radius = 2 ,, speed=0.5,") == {"radius": 2.0, "speed": 0.5}
 
 
 def test_suite_config_takes_numpy_integers():

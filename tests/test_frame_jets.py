@@ -210,8 +210,11 @@ def test_builtin_curves_frames_and_jets_share_their_normals(name):
         assert np.array_equal(geom.frame_derivative_at(points, 0.0, order).normals, normals)
 
 
-def test_sphere_family_supplies_exact_third_derivatives():
-    level = get_case("sphere", radius=1.3).geometry.levels[0]
+@pytest.mark.parametrize("name", ["sphere", "circle3d"])
+def test_sphere_family_supplies_exact_third_derivatives(name):
+    """The norm level's third derivatives, over every axis (the sphere)
+    and over the xy axes (the cylinder of circle3d)."""
+    level = get_case(name, radius=1.3).geometry.levels[0]
     x = np.array([0.3, -0.5, 0.8])
     third = level._third(x, 0.0)
     want = _partials(lambda Y: level.hessian(Y, 0.0), x, np.full(3, 1e-5), 4)
@@ -228,6 +231,10 @@ def test_which_geometries_have_jets_and_static_frames():
     assert torus.has_jet(1) and not torus.has_jet(2) and torus.has_static_frames
     for name in ("circle3d", "plane_disk", "helix"):
         assert get_case(name).geometry.has_static_frames, name
+    # the cylinder level has a third, but the plane and helix-angle levels do not
+    for name in ("circle3d", "helix"):
+        geom = get_case(name).geometry
+        assert geom.has_jet(1) and not geom.has_jet(2), name
     assert _curve().has_static_frames and not _curve(turn=1.0).has_static_frames
     with pytest.raises(GeometryError, match="third"):
         torus.frame_derivative_at(np.array([2.5, 0.0, 0.0]), 0.0, 2)

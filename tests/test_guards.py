@@ -1,12 +1,14 @@
 """Every input guard of a public entry point raises its documented error:
 one row per guard, as (call, error type, message fragment)."""
 
+import argparse
 import re
 
 import numpy as np
 import pytest
 
 from tensorcalc.builtins import ParameterError, expanding_sphere, get_case, helix, sphere, torus
+from tensorcalc.cli import _parse_mapping
 from tensorcalc.fields import (
     TensorField, constant, polynomial, scalar_field, tf_add, tf_outer, vector_field,
 )
@@ -53,6 +55,8 @@ GUARDS = {
                                 "hx must be positive and finite, got abc"),
     "DiffConfig step of a bool": (lambda: DiffConfig(ht=True), ValueError,
                                   "ht must be positive and finite, got True"),
+    "DiffConfig mode": (lambda: DiffConfig(mode="fd3"), ValueError,
+                        "mode must be one of ('fd2', 'fd4', 'analytic'), got 'fd3'"),
     "normal_field index": (lambda: normal_field(GEOM, 1), ShapeError, "normal index 1"),
     "divergence of a scalar": (lambda: divergence(ONE, GEOM, FD2), ShapeError,
                                "divergence needs rank >= 1"),
@@ -79,6 +83,16 @@ GUARDS = {
                     "got order = 12.7"),
     "Atlas panels": (lambda: SPHERE.atlas(panels=np.float64(2.0)), ShapeError,
                      "must be positive integers, got panels = "),
+    "Atlas order of a bool": (lambda: SPHERE.atlas(order=True), ShapeError,
+                              "must be positive integers, got order = True"),
+    "Atlas panels of a bool": (lambda: SPHERE.atlas(panels=True), ShapeError,
+                               "must be positive integers, got panels = True"),
+    "Chart lo and hi shapes": (lambda: Chart([0.0], [1.0, 1.0], lambda u, t: u), ShapeError,
+                               "lo and hi must be non-empty 1-d arrays of equal length"),
+    "Chart empty domain": (lambda: Chart([1.0], [1.0], lambda u, t: u), ShapeError,
+                           "chart domain is empty"),
+    "Chart boundary side": (lambda: Chart([0.0], [1.0], lambda u, t: u, boundary_sides=[(1, 0)]),
+                            ShapeError, "invalid boundary side (1, 0)"),
     "Chart.points of a constant map": (
         lambda: Chart([0.0], [1.0], lambda u, t: np.zeros(3)).points(2, 1), GeometryError,
         "degenerate chart metric"),
@@ -122,6 +136,12 @@ GUARDS = {
     "basis_covector index": (lambda: basis_covector(3, 3), ShapeError, "basis index 3"),
     "insert into a scalar": (lambda: scalar(1.0, 3).insert_left([1.0, 0.0, 0.0]), ShapeError,
                              "rank-0"),
+    "insert_right into a scalar": (lambda: scalar(1.0, 3).insert_right([1.0, 0.0, 0.0]),
+                                   ShapeError, "cannot insert into a rank-0 tensor"),
+    "vector of the wrong length": (lambda: M.insert_left([1.0, 0.0]), ShapeError,
+                                   "expected a vector of length 3, got shape (2,)"),
+    "sum of two ranks": (lambda: M + V, ShapeError, "rank mismatch: 2 vs 1"),
+    "Tensor minus a number": (lambda: M - 1.0, TypeError, "unsupported operand type(s) for -"),
     "value of a vector": (lambda: V.value, ShapeError, "no scalar value"),
     "contract_left ranks": (lambda: contract_left(M, V), ShapeError, "left contraction"),
     "contract_right ranks": (lambda: contract_right(V, M), ShapeError, "right contraction"),
@@ -148,6 +168,12 @@ GUARDS = {
                                 "need 0 < minor < major < inf for a torus, got major=2.0, minor=x"),
     "expanding_sphere speed of text": (lambda: expanding_sphere(speed="abc"), ParameterError,
                                        "speed must be a finite number, got abc"),
+    # the command line
+    "geometry parameter of text": (lambda: _parse_mapping("radius=abc"),
+                                   argparse.ArgumentTypeError, "bad value 'abc' for key 'radius'"),
+    "geometry parameter without a value": (lambda: _parse_mapping("radius"),
+                                           argparse.ArgumentTypeError,
+                                           "bad entry 'radius' (expected key=value)"),
     "run_suite geometry parameter of text": (
         lambda: run_suite(SuiteConfig(suite="laplacian", geometry="sphere",
                                       geom_params={"radius": "x"})),

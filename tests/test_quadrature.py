@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from tensorcalc.builtins import _sphere_level, get_case
+from tensorcalc.builtins import _norm_level, get_case
 from tensorcalc.evolving import transport_rate_fd
 from tensorcalc.fields import (
     constant, coordinate, position, random_polynomial, scalar_field, tf_scale, vector_field,
@@ -125,6 +125,17 @@ def test_chart_points_are_computed_once_per_time_and_read_only():
     [(later, _)] = atlas.points(0.5)
     assert len(times) > made
     np.testing.assert_array_equal(later[:, 1], 0.5)
+
+
+def test_a_pointwise_chart_gives_the_nodes_of_its_batched_twin():
+    """A public Chart takes a pointwise map and Jacobian and runs them
+    over the nodes one by one: the sphere's chart wrapped so gives the same
+    nodes and weights bit for bit."""
+    [polar] = get_case("sphere").charts
+    chart = Chart(polar.lo, polar.hi, lambda u, t: polar.mapping(u, t),
+                  lambda u, t: polar._jacobian(u, t), name="pointwise")
+    for got, want in zip(chart.points(6, 2, 0.0), polar.points(6, 2, 0.0)):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_boundary_points_are_made_once_per_time_and_read_only():
@@ -430,7 +441,7 @@ def _three_sphere(a_hi=math.pi, sides=(), exact=True):
     chart = Chart._batched([0.0, 0.0, 0.0], [a_hi, math.pi, 2 * math.pi], mapping,
                            jacobian if exact else None, boundary_sides=sides,
                            name="hyperspherical")
-    return Atlas(LevelSetGeometry(4, [_sphere_level(1.0)]), [chart], order=8, panels=1, name="S3")
+    return Atlas(LevelSetGeometry(4, [_norm_level(4, 1.0)]), [chart], order=8, panels=1, name="S3")
 
 
 @pytest.mark.parametrize("exact", [True, False])

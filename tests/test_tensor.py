@@ -153,6 +153,9 @@ def test_insertions_peel_evaluation_slots(rng):
     np.testing.assert_allclose(
         t.insert_right(w).evaluate([u, v]), t.evaluate([u, v, w]), atol=1e-12
     )
+    # calling the tensor feeds its arguments from the left
+    assert t(u, v, w) == t.evaluate([u, v, w])
+    np.testing.assert_array_equal(t(u).array, t.insert_left(u).array)
 
 
 def test_insertion_commutation(rng):
@@ -206,6 +209,11 @@ def test_scalar_zero_identity_basics():
     assert not z.array.any()
     np.testing.assert_array_equal(identity(3).array, np.eye(3))
     np.testing.assert_array_equal(basis_covector(3, 1).array, np.array([0.0, 1.0, 0.0]))
+
+
+def test_repr_names_dimension_rank_and_leading_axes():
+    assert repr(basis_covector(3, 1)) == "Tensor(n=3, q=1, [0. 1. 0.])"
+    assert repr(Tensor(2, np.zeros((4, 2)), lead=1)).startswith("Tensor(n=2, q=1, lead=1, ")
 
 
 def test_linear_combine(rng):
