@@ -418,17 +418,11 @@ def expanding_sphere(radius: float = 1.0, speed: float = 0.1) -> GeometryCase:
     _positive(radius=radius)
     if not (_real(speed) and np.isfinite(speed)):
         raise ParameterError(f"speed must be a finite number, got {speed}")
-    geom = LevelSetGeometry(3, [_norm_level(3, radius, speed=speed)], name="expanding_sphere")
-
-    def vel(X, t):
-        return speed * X / np.linalg.norm(X, axis=-1, keepdims=True)
-
-    def vel_jac(X, t):
-        r = np.linalg.norm(X, axis=-1, keepdims=True)
-        xh = X / r
-        return speed * (np.eye(3) - _outer(xh, xh, X.ndim - 1)) / r[..., None]
-
-    w = _field(3, 1, vel, grad=vel_jac, dt=_zeros((3,)), name="radial")
+    level = _norm_level(3, radius, speed=speed)
+    geom = LevelSetGeometry(3, [level], name="expanding_sphere")
+    # the level's gradient is the outward unit normal
+    w = _field(3, 1, lambda X, t: speed * level.gradient(X, t),
+               grad=lambda X, t: speed * level.hessian(X, t), dt=_zeros((3,)), name="radial")
 
     return GeometryCase(
         name="expanding_sphere",

@@ -2,8 +2,8 @@
 
 Three subcommands: ``verify`` runs a named suite and writes a JSON report,
 ``convergence`` sweeps quadrature order and difference steps into a CSV
-(it takes only the options it reads: ``--fd``, ``--ht``, ``--panels``,
-``--out`` and ``--config``), and ``list`` prints the available suites and
+(it takes only the options it reads: ``--fd``, ``--panels``, ``--out``
+and ``--config``), and ``list`` prints the available suites and
 geometries.
 
 ``--config FILE`` names a flat ``key = value`` file.  Each entry is read as
@@ -92,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--panels", type=int, help="panels per chart axis")
         p.add_argument("--fd", choices=("fd2", "fd4", "analytic"),
                        help="difference mode for derivative operators")
-        p.add_argument("--ht", type=float, help="temporal step")
         p.add_argument("--out", metavar="FILE", help="write the output here instead of stdout")
         p.add_argument("--config", metavar="FILE",
                        help="flat key=value file, each entry read as a flag (CLI flags win)")
@@ -105,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="geometry parameters, e.g. radius=2.0")
     verify.add_argument("--order", type=int, help="Gauss-Legendre points per panel axis")
     verify.add_argument("--hx", type=float, help="spatial step")
+    verify.add_argument("--ht", type=float, help="temporal step")
     verify.add_argument("--tol", type=_parse_mapping, metavar="ID=TOL[,ID=TOL...]",
                         help="per-check tolerance overrides")
     verify.add_argument("--seed", type=int, help="random seed")
@@ -152,12 +152,12 @@ def _area_rows(panels: int) -> List[dict]:
     return rows
 
 
-def _curvature_rows(mode: str, ht: float) -> List[dict]:
+def _curvature_rows(mode: str) -> List[dict]:
     case = get_case("sphere")
     points = case.sample_points(4, seed=0)
     rows = []
     for hx in (1e-3, 3e-4, 1e-4, 3e-5, 1e-5):
-        d = DiffConfig(mode=mode, hx=hx, ht=ht)
+        d = DiffConfig(mode=mode, hx=hx)
         kap = mean_curvature(case.geometry, d).values(points)
         worst = float(np.max(np.linalg.norm(kap - case.curvature(points), axis=-1)))
         rows.append({
@@ -171,7 +171,7 @@ def _curvature_rows(mode: str, ht: float) -> List[dict]:
 
 def cmd_convergence(args: argparse.Namespace) -> int:
     cfg = _suite_config(args)
-    rows = _area_rows(cfg.panels) + _curvature_rows(cfg.fd, cfg.ht)
+    rows = _area_rows(cfg.panels) + _curvature_rows(cfg.fd)
     _emit(convergence_csv(rows), args.out)
     return 0
 

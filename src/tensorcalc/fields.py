@@ -92,10 +92,9 @@ class TensorField:
         func: Evaluator,
         grad: Union["TensorField", Evaluator, None] = None,
         dt: Optional[Evaluator] = None,
-        depth: int = 0,
         name: str = "",
     ) -> None:
-        self._setup(n, q, func, grad, dt, depth, name, batched=False)
+        self._setup(n, q, func, grad, dt, 0, name, batched=False)
 
     def _setup(self, n, q, func, grad, dt, depth, name, batched: bool) -> None:
         _check_limits(n, q)
@@ -114,10 +113,8 @@ class TensorField:
                 f"got rank {grad.q} over R^{grad.n}"
             )
         if grad is not None and not isinstance(grad, (TensorField, _Lazy)):
-            grad = _Lazy(
-                partial(_field if batched else TensorField, n, q + 1, grad, depth=depth,
-                        name=f"grad({self.name})")
-            )
+            make = partial(_field, depth=depth) if batched else TensorField
+            grad = _Lazy(partial(make, n, q + 1, grad, name=f"grad({self.name})"))
         self._grad = grad
         self._dt = dt
 

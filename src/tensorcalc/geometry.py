@@ -351,13 +351,11 @@ class _frame_scope:
         else:
             self.recent.clear()
 
-    def entry(self, x: np.ndarray) -> Optional[dict]:
-        """The frames at the point array x by (geometry, t), or None where no
-        store of this scope takes x."""
+    def entry(self, x: np.ndarray) -> dict:
+        """The frames at the point array x by (geometry, t).  A run scope is
+        never asked: every evaluation inside it opens its own scope."""
         if self.kept is None or x.flags.writeable or x.base is not None:
             recent = self.recent
-            if recent is None:
-                return None
             if not recent or recent[0] is not x:
                 recent[:] = (x, {})
             return recent[1]

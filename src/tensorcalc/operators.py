@@ -19,15 +19,17 @@ In analytic mode, derived fields carry exact gradients wherever their
 ingredients have them (geometry providers need analytic level-set
 Hessians): ``cartesian_gradient`` keeps the field's second derivative and
 ``divergence`` traces its argument's.  ``project_field`` (P in every
-slot), ``submanifold_gradient`` (P in the derivative slot of grad f) and
-``perp_field`` (the quarter turn Q in the last slot) are one construction,
-``_fed``: a matrix field of the frame fed into slots by the product rule
-(``geometry._feed``), whose k-th gradient reads a frame of order k and its
-derivatives ``P_d`` and ``P_dd``.  Its one rule attaches the providers:
-the k-th gradient of the result has a gradient wherever the field's k-th
-gradient has one and the geometry exact frame derivatives of order k + 1
-(P supplies the second order where the level functions give third
-derivatives, Q never does); and on frames that do not depend on t
+slot), ``submanifold_gradient`` (P in the derivative slot of grad f),
+``covariant_gradient`` (P in every slot of grad T), ``perp_field`` (the
+quarter turn Q in the last slot) and ``rotated_gradient`` (Q in the
+derivative slot of grad f) are one construction, ``_fed``: a matrix field
+of the frame fed into slots by the product rule (``geometry._feed``), each
+slot once (P P = P and Q P = Q), whose k-th gradient reads a frame of
+order k and its derivatives ``P_d`` and ``P_dd``.  Its one rule attaches
+the providers: the k-th gradient of the result has a gradient wherever the
+field's k-th gradient has one and the geometry exact frame derivatives of
+order k + 1 (P supplies the second order where the level functions give
+third derivatives, Q never does); and on frames that do not depend on t
 (``has_static_frames``) a time partial wherever the field and its first k
 gradients have them, used in every mode as exact providers are.  So the
 Laplacians, covariant gradients and surface curls of polynomials,
@@ -282,7 +284,9 @@ def project_field(f: TensorField, geom: LevelSetGeometry, name: str = "") -> Ten
 
 
 def covariant_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
-    return project_field(submanifold_gradient(f, geom, cfg), geom, name=f"gradcov({f.name})")
+    """P fed into every slot of the ambient gradient, the derivative slot
+    among them."""
+    return _fed(cartesian_gradient(f, cfg), geom, range(f.q + 1), f"gradcov({f.name})")
 
 
 def laplacian(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
@@ -292,11 +296,8 @@ def laplacian(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Tensor
 
 def covariant_laplacian(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
     """Projected divergence of the covariant gradient (Bochner-type)."""
-    out = project_field(
-        divergence(covariant_gradient(f, geom, cfg), geom, cfg), geom
-    )
-    out.name = f"lapcov({f.name})"
-    return out
+    return project_field(divergence(covariant_gradient(f, geom, cfg), geom, cfg), geom,
+                         name=f"lapcov({f.name})")
 
 
 # -- frame-derived fields ------------------------------------------------------
@@ -372,10 +373,9 @@ def surface_curl(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> Ten
 
 
 def rotated_gradient(f: TensorField, geom: LevelSetGeometry, cfg: DiffConfig) -> TensorField:
-    """Rank-raising curl: quarter-turn the derivative slot of grad_M."""
-    out = perp_field(submanifold_gradient(f, geom, cfg), geom, cfg)
-    out.name = f"rotgrad({f.name})"
-    return out
+    """Rank-raising curl: the quarter turn fed into the derivative slot of
+    the ambient gradient."""
+    return _fed(cartesian_gradient(f, cfg), geom, (f.q,), f"rotgrad({f.name})", turn=True)
 
 
 # -- evolving-geometry operators ------------------------------------------------

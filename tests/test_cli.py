@@ -202,7 +202,7 @@ def test_convergence_csv(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line", [
-    "seed = 7", "geometry = nonsense", "tol = bogus.id=1", "hx = 1e-4", "order = 3",
+    "seed = 7", "geometry = nonsense", "tol = bogus.id=1", "hx = 1e-4", "ht = 1e-3", "order = 3",
 ])
 def test_convergence_config_rejects_keys_it_does_not_read(tmp_path, capsys, line):
     cfg = tmp_path / "conv.cfg"
@@ -228,7 +228,8 @@ def test_convergence_config_keys_it_reads_take_effect(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", [
     ["--suite", "curl"], ["--geometry", "nonsense"], ["--geom-params", "radius=2"],
-    ["--order", "3"], ["--hx", "1e-3"], ["--tol", "bogus.id=1"], ["--seed", "7"],
+    ["--order", "3"], ["--hx", "1e-3"], ["--ht", "1e-3"], ["--tol", "bogus.id=1"],
+    ["--seed", "7"],
 ])
 def test_convergence_rejects_options_it_does_not_read(tmp_path, capsys, flag):
     target = tmp_path / "never.csv"

@@ -30,7 +30,7 @@ from tensorcalc.evolving import (
     transport_rate_fd,
 )
 from tensorcalc.quadrature import integrate
-from tensorcalc.tensor import Tensor, scalar
+from tensorcalc.tensor import Tensor, _partials, scalar
 
 AN = DiffConfig(mode="analytic")
 FD2 = DiffConfig(mode="fd2")
@@ -57,6 +57,16 @@ def swirl_velocity(case):
         dt=lambda x, t: np.zeros(3),
         name="swirl",
     )
+
+
+@pytest.mark.parametrize("t", [0.0, 0.3])
+def test_the_radial_velocity_is_the_speed_along_the_normal(t):
+    case = expanding_case()
+    w, points = case.velocity, case.sample_points(5, t=t)
+    radius = np.linalg.norm(points, axis=-1, keepdims=True)
+    np.testing.assert_allclose(w.values(points, t), SPEED * points / radius, rtol=0, atol=1e-15)
+    want = _partials(lambda Y: w.values(Y, t), points, np.full(3, 1e-3), 4)
+    np.testing.assert_allclose(w.gradient_values(points, t), want, rtol=0, atol=1e-9)
 
 
 def test_area_rate_matches_closed_form():

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from tensorcalc import operators
 from tensorcalc.builtins import available, get_case
 from tensorcalc.fields import (
     constant,
@@ -214,10 +215,11 @@ def test_laplacian_of_coordinate(j):
 def test_laplacians_agree_on_scalars():
     case = get_case("torus")
     f = scalar_field(3, lambda x, t: x[0] * x[2], grad=lambda x, t: np.array([x[2], 0.0, x[0]]))
-    a = laplacian(f, case.geometry, AN)
-    b = covariant_laplacian(f, case.geometry, AN)
-    for x in case.sample_points(4):
-        np.testing.assert_allclose(float(a.values(x, 0.0)), float(b.values(x, 0.0)), atol=1e-10)
+    for cfg in (FD2, AN):  # on a scalar the two are one construction
+        a = laplacian(f, case.geometry, cfg)
+        b = covariant_laplacian(f, case.geometry, cfg)
+        for x in case.sample_points(4):
+            np.testing.assert_array_equal(a.values(x, 0.0), b.values(x, 0.0))
 
 
 def test_covariant_laplacian_of_killing_field():
@@ -257,6 +259,50 @@ def test_rotated_gradient_is_orthogonal_isometry(rng):
         gv, rv = g.values(x, 0.0), rg.values(x, 0.0)
         np.testing.assert_allclose(gv @ rv, 0.0, atol=1e-10)
         np.testing.assert_allclose(np.linalg.norm(rv), np.linalg.norm(gv), atol=1e-10)
+
+
+# the static n = 3 builtins, and those of them whose tangent planes take the quarter turn
+N3_CASES = ("sphere", "hemisphere", "circle3d", "plane_disk", "torus", "helix")
+TURNING = ("sphere", "hemisphere", "torus", "plane_disk")
+
+
+@pytest.mark.parametrize("q", [0, 1, 2])
+@pytest.mark.parametrize("mode", ["fd2", "fd4", "analytic"])
+@pytest.mark.parametrize("name", N3_CASES)
+def test_one_feed_of_the_gradient_equals_two(name, mode, q):
+    """P in every slot of grad T is P in every slot of grad_M T, and Q in the
+    derivative slot of grad f is Q in the last slot of grad_M f, since P P = P
+    and Q P = Q: the same values and providers, and in analytic mode the same
+    gradients and time partials."""
+    case = get_case(name)
+    geom, cfg = case.geometry, DiffConfig(mode=mode)
+    f = random_polynomial(3, q, np.random.default_rng(q), degree=3)
+    pairs = [(covariant_gradient(f, geom, cfg),
+              project_field(submanifold_gradient(f, geom, cfg), geom))]
+    if name in TURNING:
+        pairs.append((rotated_gradient(f, geom, cfg),
+                      perp_field(submanifold_gradient(f, geom, cfg), geom, cfg)))
+    points = case.sample_points(4)
+    exact = mode == "analytic"
+    for one, two in pairs:
+        assert one.has_gradient == two.has_gradient == exact
+        assert one.has_time_derivative == two.has_time_derivative == exact
+        for read in ("values", "gradient_values", "dt_values")[:1 + 2 * exact]:
+            want = getattr(two, read)(points)
+            got = getattr(one, read)(points)
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("mode", ["fd2", "analytic"])
+@pytest.mark.parametrize("op", [covariant_gradient, rotated_gradient])
+def test_a_gradient_feeds_its_frame_matrices_once(op, mode, rng, monkeypatch):
+    calls = []
+    feed = operators._feed
+    monkeypatch.setattr(operators, "_feed", lambda *args: calls.append(args) or feed(*args))
+    case = get_case("sphere")
+    field = op(random_polynomial(3, 1, rng), case.geometry, DiffConfig(mode=mode))
+    field.values(case.sample_points(3))
+    assert len(calls) == 1
 
 
 def test_projector_rate_identities():
